@@ -1,188 +1,55 @@
-//! The CI perf gate: compares a fresh sweep against the checked-in
-//! baseline and exits non-zero on a regression.
+//! The CI perf gate: evaluates the checked-in gate table over a baseline
+//! store and the store a fresh sweep was appended to, and exits non-zero
+//! when any row fails.
 //!
 //! ```text
-//! perfdiff --baseline results/baseline/BENCH_threaded.json \
-//!          --current  results/store \
-//!          [--speedup-thresholds results/baseline/speedup-thresholds.json] \
-//!          [--pause-thresholds results/baseline/pause-thresholds.json] \
-//!          [--latency-thresholds results/baseline/latency-thresholds.json] \
-//!          [--max-wall-ratio 2.5] [--max-promoted-ratio 1.5] \
-//!          [--min-wall-ms 5] [--min-promoted-kb 64]
+//! perfdiff --baseline results/store --current "$RUNNER_TEMP/store" \
+//!          [--gates results/baseline/gates.json]
 //! ```
 //!
-//! `--baseline` and `--current` each accept either a **results store
-//! directory** (read as the latest record per run-point key through the
-//! `mgc-store` query API) or a **legacy flat `RunRecord` JSON file**
-//! (accepted for one PR cycle via the store's ingest shim).
+//! `--baseline` and `--current` are results-store directories, each read
+//! as the latest record per run-point key. `--gates` names the gate table
+//! (see [`mgc_bench::perfdiff`] for its format and the three comparisons);
+//! all of its gates run in this one invocation.
 //!
-//! With `--speedup-thresholds`, the per-program parallel-speedup gate also
-//! runs: for every pinned program, the current sweep's 1-vproc wall-clock
-//! divided by its highest-vproc wall-clock must not fall below the pin.
-//! (Speedup uses the current sweep only; it is not a baseline comparison,
-//! so a baseline recorded on a small machine cannot mask a scaling loss.)
-//!
-//! With `--pause-thresholds`, the max-pause gate also runs: every threaded
-//! point of a pinned program must keep its largest recorded mutator pause
-//! under the absolute per-program ceiling (milliseconds). Points without
-//! pause telemetry fail a pin loudly rather than passing silently.
-//!
-//! With `--latency-thresholds`, the request-latency gate also runs: every
-//! threaded point of a pinned serving program must keep its p99 end-to-end
-//! request latency under the absolute per-program ceiling (milliseconds).
-//! Same discipline as the pause gate — current sweep only, and missing
-//! telemetry on a pinned program fails loudly.
-//!
-//! The Markdown comparison table goes to stdout (the CI job tees it into
-//! `$GITHUB_STEP_SUMMARY`); the exit code is the gate.
+//! The Markdown report goes to stdout (the CI job tees it into
+//! `$GITHUB_STEP_SUMMARY`), a one-line-per-gate summary to stderr; the
+//! exit code is the gate.
 
-use mgc_bench::perfdiff::{
-    compare, latency_markdown, latency_rows, load_points, markdown,
-    missing_latency_pinned_programs, missing_pause_pinned_programs, missing_pinned_programs,
-    parse_latency_thresholds, parse_pause_thresholds, parse_speedup_thresholds, pause_markdown,
-    pause_rows, speedup_markdown, speedup_rows, Thresholds,
-};
-
-fn parse_f64(value: Option<&String>, flag: &str) -> f64 {
-    value
-        .unwrap_or_else(|| panic!("{flag} requires a positive number"))
-        .parse::<f64>()
-        .ok()
-        .filter(|v| *v > 0.0)
-        .unwrap_or_else(|| panic!("{flag} requires a positive number"))
-}
+use std::path::PathBuf;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path = None;
-    let mut current_path = None;
-    let mut speedup_path = None;
-    let mut pause_path = None;
-    let mut latency_path = None;
-    let mut thresholds = Thresholds::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut baseline: Option<PathBuf> = None;
+    let mut current: Option<PathBuf> = None;
+    let mut gates = PathBuf::from("results/baseline/gates.json");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut path = || {
+            PathBuf::from(
+                args.next()
+                    .unwrap_or_else(|| panic!("{arg} requires a path")),
+            )
+        };
         match arg.as_str() {
-            "--baseline" => baseline_path = iter.next().cloned(),
-            "--current" => current_path = iter.next().cloned(),
-            "--speedup-thresholds" => speedup_path = iter.next().cloned(),
-            "--pause-thresholds" => pause_path = iter.next().cloned(),
-            "--latency-thresholds" => latency_path = iter.next().cloned(),
-            "--max-wall-ratio" => {
-                thresholds.max_wall_ratio = parse_f64(iter.next(), "--max-wall-ratio");
-            }
-            "--max-promoted-ratio" => {
-                thresholds.max_promoted_ratio = parse_f64(iter.next(), "--max-promoted-ratio");
-            }
-            "--min-wall-ms" => {
-                thresholds.min_wall_ns = parse_f64(iter.next(), "--min-wall-ms") * 1e6;
-            }
-            "--min-promoted-kb" => {
-                thresholds.min_promoted_bytes =
-                    (parse_f64(iter.next(), "--min-promoted-kb") * 1024.0) as u64;
-            }
+            "--baseline" => baseline = Some(path()),
+            "--current" => current = Some(path()),
+            "--gates" => gates = path(),
             other => panic!(
-                "unknown argument `{other}` (expected --baseline/--current <path> and optional \
-                 --speedup-thresholds <path> --pause-thresholds <path> \
-                 --latency-thresholds <path> \
-                 --max-wall-ratio/--max-promoted-ratio/--min-wall-ms/--min-promoted-kb <n>)"
+                "unknown argument `{other}` (expected --baseline <store-dir>, \
+                 --current <store-dir>, and optionally --gates <file>)"
             ),
         }
     }
-    let baseline_path = baseline_path.expect("--baseline <path> is required");
-    let current_path = current_path.expect("--current <path> is required");
+    let baseline = baseline.expect("--baseline <store-dir> is required");
+    let current = current.expect("--current <store-dir> is required");
 
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|err| panic!("could not read {path}: {err}"))
-    };
-    let baseline = load_points(std::path::Path::new(&baseline_path))
-        .unwrap_or_else(|err| panic!("{baseline_path}: {err}"));
-    let current = load_points(std::path::Path::new(&current_path))
-        .unwrap_or_else(|err| panic!("{current_path}: {err}"));
-
-    let cmp = compare(&baseline, &current, thresholds);
-    println!("{}", markdown(&cmp, thresholds));
-
-    let mut failed = false;
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
-        eprintln!(
-            "perfdiff: {} points compared against {baseline_path}, no regression",
-            cmp.rows.len()
-        );
-    } else {
-        eprintln!(
-            "perfdiff: {} of {} points regressed beyond the thresholds",
-            regressions.len(),
-            cmp.rows.len()
-        );
-        failed = true;
-    }
-
-    if let Some(speedup_path) = speedup_path {
-        let pins = parse_speedup_thresholds(&read(&speedup_path))
-            .unwrap_or_else(|err| panic!("{speedup_path}: {err}"));
-        let rows = speedup_rows(&current, &pins);
-        let missing = missing_pinned_programs(&rows, &pins);
-        println!("{}", speedup_markdown(&rows, &missing));
-        let slow = rows.iter().filter(|r| r.failed()).count();
-        if slow == 0 && missing.is_empty() {
-            eprintln!(
-                "perfdiff: speedup gate passed for {} pinned programs",
-                pins.len()
-            );
-        } else {
-            eprintln!(
-                "perfdiff: speedup gate failed ({slow} below their pin, {} missing)",
-                missing.len()
-            );
-            failed = true;
-        }
-    }
-
-    if let Some(pause_path) = pause_path {
-        let pins = parse_pause_thresholds(&read(&pause_path))
-            .unwrap_or_else(|err| panic!("{pause_path}: {err}"));
-        let rows = pause_rows(&current, &pins);
-        let missing = missing_pause_pinned_programs(&rows, &pins);
-        println!("{}", pause_markdown(&rows, &missing));
-        let over = rows.iter().filter(|r| r.failed()).count();
-        if over == 0 && missing.is_empty() {
-            eprintln!(
-                "perfdiff: max-pause gate passed for {} pinned programs",
-                pins.len()
-            );
-        } else {
-            eprintln!(
-                "perfdiff: max-pause gate failed ({over} points over their pin, {} missing)",
-                missing.len()
-            );
-            failed = true;
-        }
-    }
-
-    if let Some(latency_path) = latency_path {
-        let pins = parse_latency_thresholds(&read(&latency_path))
-            .unwrap_or_else(|err| panic!("{latency_path}: {err}"));
-        let rows = latency_rows(&current, &pins);
-        let missing = missing_latency_pinned_programs(&rows, &pins);
-        println!("{}", latency_markdown(&rows, &missing));
-        let over = rows.iter().filter(|r| r.failed()).count();
-        if over == 0 && missing.is_empty() {
-            eprintln!(
-                "perfdiff: latency gate passed for {} pinned programs",
-                pins.len()
-            );
-        } else {
-            eprintln!(
-                "perfdiff: latency gate failed ({over} points over their pin, {} missing)",
-                missing.len()
-            );
-            failed = true;
-        }
-    }
-
-    if failed {
+    let (report, summary, failures) = mgc_bench::perfdiff::check(&baseline, &current, &gates)
+        .unwrap_or_else(|err| panic!("{err}"));
+    println!("{report}");
+    eprint!("{summary}");
+    if failures > 0 {
+        eprintln!("perfdiff: {failures} rows failed");
         std::process::exit(1);
     }
+    eprintln!("perfdiff: every gate passed");
 }

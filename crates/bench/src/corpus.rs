@@ -2,16 +2,17 @@
 //! points, swept by `sweep --corpus <manifest>` and appended to the
 //! results store as one batch.
 //!
-//! A manifest names the corpus, fixes a workload scale, and lists points;
-//! each point selects a program, a backend, one or more vproc counts, and
-//! optionally a placement policy, a pause budget, a topology, a repetition
-//! count, and whether to verify checksums:
+//! A manifest names the corpus, fixes a workload scale and a heap preset,
+//! and lists points; each point selects a program, a backend, one or more
+//! vproc counts, and optionally a placement policy, a pause budget, a
+//! topology, a repetition count, and whether to verify checksums:
 //!
 //! ```json
 //! {
 //!   "corpus_schema_version": 1,
 //!   "name": "ci-smoke",
 //!   "scale": "tiny",
+//!   "heap": "small",
 //!   "points": [
 //!     {"program": "quicksort", "backend": "threaded", "vprocs": [1, 2]},
 //!     {"program": "server", "backend": "threaded", "vprocs": [2],
@@ -23,6 +24,13 @@
 //! The manifest is parsed with the store's own JSON parser and versioned
 //! the same way the store is: an unrecognised `corpus_schema_version` is
 //! rejected with an error naming the field, not silently misread.
+//!
+//! Every sweep the harness runs is a checked-in manifest under `corpus/`:
+//! `bench-baseline.json` (the perf-gate axes: six programs × 1/2/4 vprocs ×
+//! both backends), `serve.json` (the Request-Server under open-loop load,
+//! simulated, threaded, and threaded under a 500 µs pause budget),
+//! `host-smoke.json` (one workload on the probed host topology), and
+//! `ci-smoke.json` (the tiny grid the trend report sweeps).
 
 use mgc_heap::HeapConfig;
 use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
@@ -45,6 +53,8 @@ pub struct CorpusManifest {
     pub name: String,
     /// Workload scale preset (`tiny`/`small`/`bench`/`paper`).
     pub scale: String,
+    /// Heap preset every point runs with.
+    pub heap: CorpusHeap,
     /// The run points, swept in manifest order.
     pub points: Vec<CorpusPoint>,
 }
@@ -72,12 +82,34 @@ pub struct CorpusPoint {
     pub verify: bool,
 }
 
+/// Which heap geometry a corpus runs with. The bench-scale manifests measure
+/// the default geometry; the tiny CI corpora use the small one so that even
+/// a tiny input performs many chunk leases and collections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CorpusHeap {
+    /// [`HeapConfig::default`]: 256 KiB chunks, 512 KiB local heaps.
+    Default,
+    /// [`HeapConfig::small_for_tests`]: 4 KiB chunks, 16 KiB local heaps.
+    Small,
+}
+
+impl CorpusHeap {
+    fn build(self) -> HeapConfig {
+        match self {
+            CorpusHeap::Default => HeapConfig::default(),
+            CorpusHeap::Small => HeapConfig::small_for_tests(),
+        }
+    }
+}
+
 /// Which machine a corpus point runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorpusTopology {
     /// The two-node, four-core test topology every CI gate uses.
     DualNodeTest,
-    /// The probed topology of the machine running the sweep.
+    /// The probed topology of the machine running the sweep. Vproc counts
+    /// are clamped to the cores the probe found, so a host manifest runs on
+    /// any machine.
     Host,
 }
 
@@ -105,7 +137,7 @@ pub fn scale_from_name(name: &str) -> Result<Scale, String> {
 
 /// Program keys a manifest may name, with the workload each resolves to
 /// (`server` is special-cased: it is not a figure workload).
-const PROGRAM_KEYS: [(&str, Option<Workload>); 7] = [
+pub(crate) const PROGRAM_KEYS: [(&str, Option<Workload>); 7] = [
     ("dmm", Some(Workload::Dmm)),
     ("raytracer", Some(Workload::Raytracer)),
     ("quicksort", Some(Workload::Quicksort)),
@@ -153,7 +185,7 @@ pub fn parse_corpus(text: &str) -> Result<CorpusManifest, String> {
     for (key, _) in fields {
         if !matches!(
             key.as_str(),
-            "corpus_schema_version" | "name" | "scale" | "points"
+            "corpus_schema_version" | "name" | "scale" | "heap" | "points"
         ) {
             return Err(format!("corpus manifest: unknown field \"{key}\""));
         }
@@ -169,6 +201,18 @@ pub fn parse_corpus(text: &str) -> Result<CorpusManifest, String> {
         .ok_or("corpus manifest: missing string field \"scale\"")?
         .to_string();
     scale_from_name(&scale)?;
+    let heap = match value.get("heap") {
+        None => CorpusHeap::Small,
+        Some(v) => match v.as_str() {
+            Some("small") => CorpusHeap::Small,
+            Some("default") => CorpusHeap::Default,
+            _ => {
+                return Err(format!(
+                    "corpus manifest: field \"heap\" is {v:?}, expected \"default\" or \"small\""
+                ))
+            }
+        },
+    };
     let points = value
         .get("points")
         .and_then(JsonValue::as_array)
@@ -186,6 +230,7 @@ pub fn parse_corpus(text: &str) -> Result<CorpusManifest, String> {
     Ok(CorpusManifest {
         name,
         scale,
+        heap,
         points,
     })
 }
@@ -300,16 +345,27 @@ fn point_program(point: &CorpusPoint, scale: Scale, vprocs: usize) -> Box<dyn Pr
 
 /// Runs one (point, vprocs) cell: `reps` wall-clock repetitions on the
 /// threaded backend with the median kept, one run on the deterministic
-/// simulated backend.
-fn run_cell(point: &CorpusPoint, scale: Scale, vprocs: usize) -> RunRecord {
+/// simulated backend. This is the harness's only point runner — manifests
+/// and figure 8 both come through here.
+pub(crate) fn run_cell(
+    point: &CorpusPoint,
+    scale: Scale,
+    heap: CorpusHeap,
+    requested_vprocs: usize,
+) -> RunRecord {
+    let topology = point.topology.build();
+    let vprocs = match point.topology {
+        CorpusTopology::Host => requested_vprocs.min(topology.num_cores()),
+        CorpusTopology::DualNodeTest => requested_vprocs,
+    };
     let run_once = |verify: bool| {
         let mut experiment = Experiment::new(point_program(point, scale, vprocs))
             .backend(point.backend)
-            .topology(point.topology.build())
+            .topology(topology.clone())
             .vprocs(vprocs)
             .policy(AllocPolicy::Local)
             .placement(point.placement)
-            .heap(HeapConfig::small_for_tests())
+            .heap(heap.build())
             .verify_checksum(verify);
         if point.program == "server" {
             // The simulated serve quantum must leave room for a worker to
@@ -323,7 +379,10 @@ fn run_cell(point: &CorpusPoint, scale: Scale, vprocs: usize) -> RunRecord {
             .run()
             .unwrap_or_else(|err| panic!("corpus point {}/{vprocs}v: {err}", point.program))
     };
-    let verify_first = point.verify && vprocs == point.vprocs[0];
+    // The expected checksum usually means running a sequential reference of
+    // the whole program, so it is verified at the first vproc count only —
+    // checksum stability across vproc counts is the equivalence suite's job.
+    let verify_first = point.verify && requested_vprocs == point.vprocs[0];
     let first = run_once(verify_first);
     if point.backend != Backend::Threaded || point.reps == 1 {
         return first;
@@ -351,31 +410,52 @@ pub fn run_corpus(manifest: &CorpusManifest) -> Vec<RunRecord> {
     let mut records = Vec::new();
     for point in &manifest.points {
         for &vprocs in &point.vprocs {
-            records.push(run_cell(point, scale, vprocs));
+            records.push(run_cell(point, scale, manifest.heap, vprocs));
         }
     }
     records
 }
 
-/// One summary line per corpus record, for the console.
+/// One summary line per corpus record, for the console and the CI job
+/// summaries: wall-clock next to simulated time, the GC pause tail next to
+/// the request-latency tail.
 pub fn format_corpus(records: &[RunRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<24} {:>10} {:>6} {:>12} {:>12} {:>10} {:>8}",
-        "program", "backend", "vprocs", "wall-ms", "sim-ms", "p99-pause", "checksum"
+        "{:<24} {:>10} {:>6} {:>9} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "program",
+        "backend",
+        "vprocs",
+        "budget-us",
+        "wall-ms",
+        "sim-ms",
+        "promoted-B",
+        "p99-pause",
+        "max-pause",
+        "p99-lat",
+        "rps",
+        "checksum"
     );
     for r in records {
         let ms = |ns: Option<f64>| ns.map_or("n/a".to_string(), |v| format!("{:.3}", v / 1e6));
         let _ = writeln!(
             out,
-            "{:<24} {:>10} {:>6} {:>12} {:>12} {:>10} {:>8}",
+            "{:<24} {:>10} {:>6} {:>9} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10.1} {:>8}",
             r.program,
             r.backend.to_string(),
             r.config.num_vprocs,
+            r.config
+                .gc
+                .pause_budget_us
+                .map_or("none".to_string(), |us| us.to_string()),
             ms(r.wall_clock_ns()),
             ms(r.simulated_ns()),
+            r.report.total_promoted_bytes(),
             ms(Some(r.report.pause_stats().percentile(99.0))),
+            ms(Some(r.report.max_pause_ns())),
+            ms(Some(r.report.latency_stats().percentile(99.0))),
+            r.report.throughput_rps(),
             match r.checksum_ok {
                 Some(true) => "ok",
                 Some(false) => "MISMATCH",
@@ -416,6 +496,7 @@ pub fn run_corpus_and_report(manifest_path: &Path, store_dir: &Path) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgc_store::RecordKey;
 
     fn manifest_json(points: &str) -> String {
         format!(
@@ -434,6 +515,11 @@ mod tests {
         .unwrap();
         assert_eq!(m.name, "test");
         assert_eq!(m.scale, "tiny");
+        assert_eq!(
+            m.heap,
+            CorpusHeap::Small,
+            "the heap preset defaults to small"
+        );
         assert_eq!(m.points.len(), 1);
         let p = &m.points[0];
         assert_eq!(p.program, "quicksort");
@@ -482,6 +568,62 @@ mod tests {
         let err =
             parse_corpus(&manifest_json("{\"program\": \"dmm\", \"vprocs\": []}")).unwrap_err();
         assert!(err.contains("\"vprocs\" is empty"), "{err}");
+
+        let huge = manifest_json("{\"program\": \"dmm\", \"vprocs\": [1]}")
+            .replace("\"scale\"", "\"heap\": \"huge\", \"scale\"");
+        let err = parse_corpus(&huge).unwrap_err();
+        assert!(err.contains("\"heap\" is Str(\"huge\")"), "{err}");
+    }
+
+    /// The key set a manifest expands to, without running it.
+    fn manifest_keys(manifest: &CorpusManifest) -> Vec<RecordKey> {
+        let mut keys = Vec::new();
+        for point in &manifest.points {
+            let program = match resolve_program(&point.program).unwrap() {
+                Some(workload) => workload.label(),
+                None => "Request-Server",
+            };
+            for &vprocs in &point.vprocs {
+                keys.push(RecordKey {
+                    program: program.to_string(),
+                    backend: point.backend.to_string(),
+                    vprocs: vprocs as u64,
+                    placement: point.placement.to_string(),
+                    pause_budget_us: point.pause_budget_us,
+                });
+            }
+        }
+        keys
+    }
+
+    /// The three checked-in sweep manifests load, and the two that feed the
+    /// perf gate expand to exactly the keys of the baseline store's seed
+    /// batches — so a fresh sweep re-measures every gated key and no other.
+    #[test]
+    fn checked_in_manifests_expand_to_the_seed_batch_keys() {
+        let repo = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let load = |name: &str| {
+            let text = std::fs::read_to_string(format!("{repo}/corpus/{name}.json")).unwrap();
+            parse_corpus(&text).unwrap_or_else(|err| panic!("{name}: {err}"))
+        };
+        let host = load("host-smoke");
+        assert_eq!(host.heap, CorpusHeap::Small);
+        assert_eq!(host.points[0].topology, CorpusTopology::Host);
+
+        let store = Store::open(format!("{repo}/results/store")).unwrap();
+        for (name, seq, records) in [("bench-baseline", 1, 36), ("serve", 2, 3)] {
+            let manifest = load(name);
+            assert_eq!(manifest.scale, "bench");
+            assert_eq!(manifest.heap, CorpusHeap::Default);
+            let sort = |mut keys: Vec<RecordKey>| {
+                keys.sort_by_key(|k| k.to_string());
+                keys
+            };
+            let seed = store.batch(seq).expect("the seed batch is checked in");
+            let seed_keys: Vec<RecordKey> = seed.records.iter().map(|r| r.record_key()).collect();
+            assert_eq!(seed_keys.len(), records);
+            assert_eq!(sort(manifest_keys(&manifest)), sort(seed_keys), "{name}");
+        }
     }
 
     #[test]

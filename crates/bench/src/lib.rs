@@ -1,5 +1,7 @@
 //! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation section.
+//! evaluation section, and runs every measured sweep as one pipeline —
+//! corpus manifest → [`corpus`] point runner → results-store batch →
+//! [`perfdiff`] gate table.
 //!
 //! | Artefact | Binary | What it reproduces |
 //! |----------|--------|--------------------|
@@ -8,7 +10,9 @@
 //! | Figure 6 | `fig6` | Speedups on the AMD machine, interleaved allocation |
 //! | Figure 7 | `fig7` | Speedups on the AMD machine, socket-zero allocation |
 //! | Table 1  | `table1` | Modelled bandwidth between a node and the rest of the system |
-//! | all      | `sweep` | Every figure plus Table 1, written as CSV under `results/` |
+//! | all      | `sweep` | Every figure (4–8) plus Table 1, written as CSV under `results/` |
+//! | a corpus | `sweep --corpus <manifest>` | One store batch per checked-in manifest under `corpus/` |
+//! | the gate | `perfdiff` | `results/baseline/gates.json` evaluated over two store directories |
 //!
 //! Absolute speedups depend on the workload scale (the default is a scaled
 //! down input set — set `MGC_SCALE=paper` for the published sizes); the
@@ -18,12 +22,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mgc_heap::HeapConfig;
+use corpus::{CorpusHeap, CorpusPoint, CorpusTopology};
 use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
-use mgc_runtime::{run_records_json, Backend, EnvOverrides, Experiment, Program, RunRecord};
-use mgc_server::{ServeParams, ServerProgram, SERVE_QUANTUM_NS};
-use mgc_store::{RunMeta, Store};
-use mgc_workloads::churn::{Churn, ChurnParams};
+use mgc_runtime::{Backend, RunRecord};
 use mgc_workloads::{speedup_series, Scale, SpeedupPoint, Workload};
 use std::fmt::Write as _;
 
@@ -208,268 +209,6 @@ pub fn table1() -> String {
 }
 
 // ----------------------------------------------------------------------
-// Wall-clock baselines: the simulated and the threaded backend side by
-// side. This is what the `bench-baseline` CI job runs and uploads as
-// `BENCH_threaded.json`, giving the perf trajectory its first real points.
-// ----------------------------------------------------------------------
-
-/// Vproc counts the baseline sweep covers (the CI runners have few cores,
-/// and the first perf question is simply "does adding threads help").
-pub const BASELINE_VPROCS: [usize; 3] = [1, 2, 4];
-
-/// Wall-clock repetitions per threaded baseline point; the sweep keeps the
-/// median so a single noisy run on a loaded CI machine cannot flap the
-/// perf gates.
-pub const BASELINE_REPS: usize = 3;
-
-/// Runs one baseline point through the [`Experiment`] front door. The
-/// expected checksum usually means running a sequential reference of the
-/// whole program, so the sweep verifies it only at the first vproc count
-/// of each (program, backend) pair instead of recomputing it six times —
-/// checksum stability across vproc counts is the equivalence suite's job.
-///
-/// Threaded points run [`BASELINE_REPS`] times and report the median
-/// wall-clock record (the simulated backend's virtual clock is
-/// deterministic, so one run suffices there).
-fn baseline_point(
-    make_program: &dyn Fn() -> Box<dyn Program>,
-    backend: Backend,
-    vprocs: usize,
-    placement: PlacementPolicy,
-) -> RunRecord {
-    let run_once = |verify: bool| {
-        Experiment::new(make_program())
-            .backend(backend)
-            .topology(Topology::dual_node_test())
-            .vprocs(vprocs)
-            .policy(AllocPolicy::Local)
-            .placement(placement)
-            .verify_checksum(verify)
-            .run()
-            .expect("baseline vproc counts fit the dual-node test topology")
-    };
-    let first = run_once(vprocs == BASELINE_VPROCS[0]);
-    if backend != Backend::Threaded {
-        return first;
-    }
-    // Only the first repetition pays for checksum verification; its verdict
-    // is carried over to whichever repetition ends up the median.
-    let checksum_ok = first.checksum_ok;
-    let mut records = vec![first];
-    for _ in 1..BASELINE_REPS {
-        records.push(run_once(false));
-    }
-    records.sort_by(|a, b| {
-        a.wall_clock_ns()
-            .partial_cmp(&b.wall_clock_ns())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut median = records.swap_remove(BASELINE_REPS / 2);
-    median.checksum_ok = checksum_ok;
-    median
-}
-
-/// Runs every figure workload — plus, when `churn` is given, the synthetic
-/// churn benchmark with those parameters — at 1/2/4 vprocs under **both**
-/// backends on the small test topology, so wall-clock and simulated time
-/// can be read side by side. Every point is a full [`RunRecord`].
-pub fn run_baseline(
-    scale: Scale,
-    churn: Option<ChurnParams>,
-    placement: PlacementPolicy,
-) -> Vec<RunRecord> {
-    let mut points = Vec::new();
-    for workload in Workload::FIGURES {
-        for &vprocs in &BASELINE_VPROCS {
-            for backend in Backend::ALL {
-                points.push(baseline_point(
-                    &|| workload.program(scale),
-                    backend,
-                    vprocs,
-                    placement,
-                ));
-            }
-        }
-    }
-    if let Some(params) = churn {
-        for &vprocs in &BASELINE_VPROCS {
-            for backend in Backend::ALL {
-                points.push(baseline_point(
-                    &|| Box::new(Churn::new(params)),
-                    backend,
-                    vprocs,
-                    placement,
-                ));
-            }
-        }
-    }
-    points
-}
-
-/// The program names of a baseline run, in first-seen order.
-fn baseline_programs(points: &[RunRecord]) -> Vec<&str> {
-    let mut names: Vec<&str> = Vec::new();
-    for point in points {
-        if !names.contains(&point.program.as_str()) {
-            names.push(&point.program);
-        }
-    }
-    names
-}
-
-/// Formats the baseline as an aligned table: wall-clock time next to
-/// simulated time, per program and vproc count.
-pub fn format_baseline(points: &[RunRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Wall-clock baseline — threaded vs simulated (each cell in ms)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<24} {:>6} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8} {:>12} {:>10} {:>10}",
-        "benchmark",
-        "vprocs",
-        "wall-clock",
-        "simulated",
-        "minors",
-        "globals",
-        "tasks",
-        "steals",
-        "promoted-B",
-        "p99-pause",
-        "max-pause"
-    );
-    for program in baseline_programs(points) {
-        for &vprocs in &BASELINE_VPROCS {
-            let find = |backend: Backend| {
-                points.iter().find(|p| {
-                    p.program == program && p.config.num_vprocs == vprocs && p.backend == backend
-                })
-            };
-            let (Some(threaded), Some(simulated)) =
-                (find(Backend::Threaded), find(Backend::Simulated))
-            else {
-                continue;
-            };
-            let ms = |ns: Option<f64>| ns.map_or("n/a".to_string(), |v| format!("{:.3}", v / 1e6));
-            let _ = writeln!(
-                out,
-                "{:<24} {:>6} {:>14} {:>14} {:>8} {:>8} {:>8} {:>8} {:>12} {:>10} {:>10}",
-                program,
-                vprocs,
-                ms(threaded.wall_clock_ns()),
-                ms(simulated.simulated_ns()),
-                threaded.report.gc.minor_collections,
-                threaded.report.gc.global_collections,
-                threaded.report.total_tasks(),
-                threaded.report.total_steals(),
-                threaded.report.total_promoted_bytes(),
-                ms(Some(threaded.report.pause_stats().percentile(99.0))),
-                ms(Some(threaded.report.max_pause_ns())),
-            );
-        }
-    }
-    out
-}
-
-/// One line per program comparing promoted bytes on the threaded backend
-/// against the eager-publication upper bound implied by the simulated
-/// model's promotion volume — the `bench-baseline` CI job prints this into
-/// the job summary so the lazy-promotion win is visible per PR.
-pub fn promoted_bytes_summary(points: &[RunRecord]) -> String {
-    let mut out = String::new();
-    for program in baseline_programs(points) {
-        let total = |backend: Backend| -> (u64, u64, u64) {
-            points
-                .iter()
-                .filter(|p| p.program == program && p.backend == backend)
-                .fold((0, 0, 0), |(b, s, p), point| {
-                    (
-                        b + point.report.total_promoted_bytes(),
-                        s + point.report.promotions_at_steal(),
-                        p + point.report.promotions_at_publish(),
-                    )
-                })
-        };
-        let (thr_bytes, thr_steal, thr_publish) = total(Backend::Threaded);
-        let (sim_bytes, _, _) = total(Backend::Simulated);
-        let _ = writeln!(
-            out,
-            "promoted-bytes {program:<24} threaded {thr_bytes:>10} (steal-driven ops \
-             {thr_steal:>5}, publish-driven ops {thr_publish:>5}) | simulated {sim_bytes:>10}",
-        );
-    }
-    out
-}
-
-/// Default results-store directory the sweeps append to, relative to the
-/// repo root.
-pub const STORE_DIR: &str = "results/store";
-
-/// The ambient `MGC_SCALE` name (defaulting like [`scale_from_env`] does),
-/// for recording in batch metadata.
-pub fn scale_name_from_env() -> String {
-    match std::env::var("MGC_SCALE") {
-        Ok(name) if ["tiny", "small", "bench", "paper"].contains(&name.as_str()) => name,
-        _ => "tiny".to_string(),
-    }
-}
-
-/// Persists a sweep's records both ways: appends one batch of `kind` to
-/// the results store, then writes the legacy flat array
-/// `results/<flat_name>` as an **export of that batch**
-/// ([`Batch::flat_records_json`](mgc_store::Batch::flat_records_json)) —
-/// the flat artifact is generated through the store, so the two can never
-/// drift apart. If the store append fails the flat file is still written
-/// directly, so CI artifacts survive a read-only store directory.
-fn persist_points(kind: &str, flat_name: &str, points: &[RunRecord]) {
-    let store_dir = std::path::Path::new(STORE_DIR);
-    let meta = RunMeta::capture(kind, &scale_name_from_env());
-    let flat = match Store::append(store_dir, &meta, points) {
-        Ok(seq) => {
-            println!(
-                "appended batch {seq} ({} records) to {}",
-                points.len(),
-                store_dir.display()
-            );
-            Store::open(store_dir)
-                .ok()
-                .and_then(|store| store.batch(seq).map(|b| b.flat_records_json()))
-                .unwrap_or_else(|| run_records_json(points))
-        }
-        Err(err) => {
-            eprintln!(
-                "warning: could not append to {}: {err}",
-                store_dir.display()
-            );
-            run_records_json(points)
-        }
-    };
-    let dir = std::path::Path::new("results");
-    if let Err(err) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create {}: {err}", dir.display());
-        return;
-    }
-    let path = dir.join(flat_name);
-    match std::fs::write(&path, flat) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
-    }
-}
-
-/// Runs the baseline sweep, prints the side-by-side table, appends the
-/// records to the results store, and writes `results/BENCH_threaded.json`
-/// (the flat export of that batch — the CI `bench-baseline` artifact).
-pub fn run_baseline_and_report(churn: Option<ChurnParams>, placement: PlacementPolicy) {
-    let scale = scale_from_env();
-    let points = run_baseline(scale, churn, placement);
-    println!("{}", format_baseline(&points));
-    println!("{}", promoted_bytes_summary(&points));
-    persist_points("bench-baseline", "BENCH_threaded.json", &points);
-}
-
-// ----------------------------------------------------------------------
 // Figure 8: NodeLocal vs Interleave vs Adaptive promotion-chunk placement
 // on the threaded backend. One row per (program, placement), with the
 // local/remote promoted-byte split, the same-node/cross-node steal split,
@@ -481,23 +220,24 @@ pub fn run_baseline_and_report(churn: Option<ChurnParams>, placement: PlacementP
 /// topology: two workers per node, so both steal locality classes occur).
 pub const FIGURE8_VPROCS: usize = 4;
 
-/// Runs one figure-8 point: `workload` on the threaded backend under
-/// `placement`, with the small test heap so a run performs many chunk
-/// leases (which is what makes placement observable at tiny scale).
-fn figure8_point(workload: Workload, scale: Scale, placement: PlacementPolicy) -> RunRecord {
-    workload
-        .experiment(scale)
-        .backend(Backend::Threaded)
-        .topology(Topology::dual_node_test())
-        .vprocs(FIGURE8_VPROCS)
-        .policy(AllocPolicy::Local)
-        .placement(placement)
-        .heap(HeapConfig::small_for_tests())
+/// Runs one figure-8 point: `program` (a corpus program key) on the
+/// threaded backend under `placement`, with the small heap so a run
+/// performs many chunk leases (which is what makes placement observable at
+/// tiny scale).
+fn figure8_point(program: &str, scale: Scale, placement: PlacementPolicy) -> RunRecord {
+    let point = CorpusPoint {
+        program: program.to_string(),
+        backend: Backend::Threaded,
+        vprocs: vec![FIGURE8_VPROCS],
+        placement,
+        pause_budget_us: None,
+        topology: CorpusTopology::DualNodeTest,
+        reps: 1,
         // Figure 8 reads locality counters and timings only; correctness
         // under every placement is pinned by the workloads placement suite.
-        .verify_checksum(false)
-        .run()
-        .expect("the figure-8 configuration is valid")
+        verify: false,
+    };
+    corpus::run_cell(&point, scale, CorpusHeap::Small, FIGURE8_VPROCS)
 }
 
 /// Runs all six programs under `NodeLocal`, `Interleave`, and `Adaptive`
@@ -510,8 +250,10 @@ pub fn run_figure8(scale: Scale) -> Vec<RunRecord> {
         PlacementPolicy::Interleave,
         PlacementPolicy::Adaptive,
     ] {
-        for workload in Workload::ALL {
-            points.push(figure8_point(workload, scale, placement));
+        for (program, workload) in corpus::PROGRAM_KEYS {
+            if workload.is_some() {
+                points.push(figure8_point(program, scale, placement));
+            }
         }
     }
     points
@@ -586,208 +328,14 @@ pub fn format_figure8(points: &[RunRecord]) -> String {
 /// Runs figure 8 end-to-end, printing the table and writing
 /// `results/figure8.csv` (the CI `figure-smoke` artifact).
 pub fn run_figure8_and_report() {
-    let scale = scale_from_env();
-    let points = run_figure8(scale);
+    let points = run_figure8(scale_from_env());
     println!("{}", format_figure8(&points));
-    let dir = std::path::Path::new("results");
-    if let Err(err) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create {}: {err}", dir.display());
-        return;
-    }
-    let path = dir.join("figure8.csv");
-    match std::fs::write(&path, figure8_csv(&points)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
-    }
+    write_csv("figure8", &figure8_csv(&points));
 }
 
-// ----------------------------------------------------------------------
-// Host-topology smoke: the one run that exercises `Topology::host()` — the
-// probed node/core/memory layout of the machine the harness is actually on
-// — instead of a modelled machine. CI runs it on every PR so the sysfs
-// probe, the thread-binding fallback, and the adaptive controller are all
-// exercised against a real (usually single-node) host.
-// ----------------------------------------------------------------------
-
-/// Runs one small workload on the probed host topology with adaptive
-/// placement and returns the record. Never panics on exotic hosts:
-/// `Topology::host()` degrades to a single node, and the vproc count is
-/// clamped to what the probed topology can seat.
-pub fn run_host_smoke() -> RunRecord {
-    let topology = Topology::host();
-    let vprocs = topology.num_cores().clamp(1, 4);
-    Workload::Dmm
-        .experiment(Scale::tiny())
-        .backend(Backend::Threaded)
-        .topology(topology)
-        .vprocs(vprocs)
-        .policy(AllocPolicy::Local)
-        .placement(PlacementPolicy::Adaptive)
-        .heap(HeapConfig::small_for_tests())
-        .run()
-        .expect("the host smoke configuration is valid on any probed topology")
-}
-
-/// Runs the host-topology smoke, prints the probed layout plus the
-/// per-vproc binding outcomes, and writes `results/host_smoke.json` (one
-/// `RunRecord` — the CI `host-topology` artifact, grepped for the
-/// `placement_decisions` and `node_bindings` keys).
-pub fn run_host_smoke_and_report() {
-    let record = run_host_smoke();
-    let topology = Topology::host();
-    println!(
-        "# Host-topology smoke — {} node(s) × {} core(s), {} vprocs, adaptive placement",
-        topology.num_nodes(),
-        topology.num_cores(),
-        record.config.num_vprocs,
-    );
-    for (vproc, stats) in record.report.per_vproc.iter().enumerate() {
-        println!(
-            "vproc {vproc}: binding={} switches={}",
-            if stats.node_binding_pinned {
-                "pinned"
-            } else {
-                "tagged"
-            },
-            stats.placement_switches,
-        );
-    }
-    println!(
-        "checksum_ok={:?} placement_switches={}",
-        record.checksum_ok,
-        record.report.placement_switches(),
-    );
-    let dir = std::path::Path::new("results");
-    if let Err(err) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create {}: {err}", dir.display());
-        return;
-    }
-    let path = dir.join("host_smoke.json");
-    match std::fs::write(&path, run_records_json(std::slice::from_ref(&record))) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Service scenario: the Request-Server program under open-loop load. One
-// simulated point (deterministic, correlation-ready), one plain threaded
-// point (wall-clock latency percentiles), and one threaded point under the
-// bounded-pause budget — so the latency tail can be read against the GC
-// pause tail on the same page. This is what the CI `serve-smoke` job runs
-// and uploads as `SERVE_threaded.json`.
-// ----------------------------------------------------------------------
-
-/// The soft global-collection pause budget (µs) of the bounded-pause serve
-/// point — the same budget the pause-telemetry docs quote, so the latency
-/// tail under it is directly comparable.
-pub const SERVE_PAUSE_BUDGET_US: u64 = 500;
-
-/// Serve parameters at the ambient `MGC_SCALE` (`bench`/`paper` select the
-/// benchmark preset, everything else the fast test preset), with the
-/// `MGC_SERVE_SECONDS` / `MGC_SERVE_RPS` overrides applied on top.
-pub fn serve_params_from_env() -> ServeParams {
-    let base = match std::env::var("MGC_SCALE").as_deref() {
-        Ok("bench") | Ok("paper") => ServeParams::bench(),
-        _ => ServeParams::small(),
-    };
-    base.apply_env(&EnvOverrides::capture())
-}
-
-/// Runs one serve point: the Request-Server on `backend` with one vproc per
-/// worker (clamped to the dual-node test topology's four cores), optionally
-/// under a bounded-pause budget.
-fn serve_point(params: ServeParams, backend: Backend, pause_budget_us: Option<u64>) -> RunRecord {
-    let mut experiment =
-        Experiment::new(ServerProgram::new(params).expect("the serve presets are valid"))
-            .backend(backend)
-            .topology(Topology::dual_node_test())
-            .vprocs(params.workers.clamp(1, 4))
-            .policy(AllocPolicy::Local)
-            // On the simulated backend the quantum must leave room for a
-            // worker to start behind the generator on the same vproc (see
-            // `SERVE_QUANTUM_NS`); the threaded backend ignores it.
-            .quantum_ns(SERVE_QUANTUM_NS);
-    if let Some(budget) = pause_budget_us {
-        experiment = experiment.gc_pause_budget(budget);
-    }
-    experiment
-        .run()
-        .expect("the serve configuration is valid on the dual-node test topology")
-}
-
-/// Runs the serve sweep: simulated, threaded, and threaded under the
-/// [`SERVE_PAUSE_BUDGET_US`] bounded-pause budget.
-pub fn run_serve(params: ServeParams) -> Vec<RunRecord> {
-    vec![
-        serve_point(params, Backend::Simulated, None),
-        serve_point(params, Backend::Threaded, None),
-        serve_point(params, Backend::Threaded, Some(SERVE_PAUSE_BUDGET_US)),
-    ]
-}
-
-/// Formats the serve records as an aligned table: throughput next to the
-/// latency percentiles next to the GC pause tail, one row per point.
-pub fn format_serve(points: &[RunRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Service scenario — open-loop load, end-to-end latency vs GC pauses"
-    );
-    let _ = writeln!(
-        out,
-        "{:<10} {:>9} {:>6} {:>9} {:>10} {:>9} {:>9} {:>9} {:>9} {:>12} {:>8}",
-        "backend",
-        "budget-us",
-        "vprocs",
-        "requests",
-        "rps",
-        "p50-ms",
-        "p99-ms",
-        "p99.9-ms",
-        "max-ms",
-        "gc-p99-ms",
-        "checksum"
-    );
-    for p in points {
-        let latency = p.report.latency_stats();
-        let ms = |ns: f64| format!("{:.3}", ns / 1e6);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>9} {:>6} {:>9} {:>10.1} {:>9} {:>9} {:>9} {:>9} {:>12} {:>8}",
-            p.backend.to_string(),
-            p.config
-                .gc
-                .pause_budget_us
-                .map_or("none".to_string(), |us| us.to_string()),
-            p.config.num_vprocs,
-            p.report.requests_served(),
-            p.report.throughput_rps(),
-            ms(latency.percentile(50.0)),
-            ms(latency.percentile(99.0)),
-            ms(latency.percentile(99.9)),
-            ms(latency.max_ns),
-            ms(p.report.pause_stats().percentile(99.0)),
-            match p.checksum_ok {
-                Some(true) => "ok",
-                Some(false) => "MISMATCH",
-                None => "n/a",
-            },
-        );
-    }
-    out
-}
-
-/// Runs the serve sweep end-to-end, printing the latency table, appending
-/// the records to the results store, and writing
-/// `results/SERVE_threaded.json` (the flat export of that batch — the CI
-/// `serve-smoke` artifact).
-pub fn run_serve_and_report() {
-    let params = serve_params_from_env();
-    let points = run_serve(params);
-    println!("{}", format_serve(&points));
-    persist_points("serve", "SERVE_threaded.json", &points);
-}
+/// Default results-store directory `sweep --corpus` appends to and `trend`
+/// reads, relative to the repo root.
+pub const STORE_DIR: &str = "results/store";
 
 pub mod corpus;
 pub mod perfdiff;
@@ -811,27 +359,44 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
-/// Runs a figure end-to-end, printing the table and writing CSV under
-/// `results/`.
-pub fn run_and_report(spec: &FigureSpec) {
-    let scale = scale_from_env();
-    let data = run_figure(spec, scale);
-    println!("{}", format_figure(spec, &data));
+/// Writes `results/<name>.csv`, warning instead of failing when the
+/// directory is not writable (the table was already printed).
+fn write_csv(name: &str, csv: &str) {
     let dir = std::path::Path::new("results");
     if let Err(err) = std::fs::create_dir_all(dir) {
         eprintln!("warning: could not create {}: {err}", dir.display());
         return;
     }
-    let path = dir.join(format!("{}.csv", spec.name));
-    match std::fs::write(&path, figure_csv(&data)) {
+    let path = dir.join(format!("{name}.csv"));
+    match std::fs::write(&path, csv) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
     }
 }
 
+/// Runs a figure end-to-end, printing the table and writing CSV under
+/// `results/`.
+pub fn run_and_report(spec: &FigureSpec) {
+    let data = run_figure(spec, scale_from_env());
+    println!("{}", format_figure(spec, &data));
+    write_csv(spec.name, &figure_csv(&data));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgc_server::ServeParams;
+
+    /// Runs a one-off tiny-scale manifest with the given heap preset and
+    /// points through the corpus path.
+    fn run_points(heap: &str, points: &str) -> Vec<RunRecord> {
+        let manifest = corpus::parse_corpus(&format!(
+            "{{\"corpus_schema_version\": 1, \"name\": \"test\", \"scale\": \"tiny\", \
+             \"heap\": \"{heap}\", \"points\": [{points}]}}"
+        ))
+        .expect("the test manifest parses");
+        corpus::run_corpus(&manifest)
+    }
 
     #[test]
     fn figure_specs_match_paper_axes() {
@@ -856,20 +421,12 @@ mod tests {
 
     #[test]
     fn baseline_records_are_well_formed_and_cover_both_backends() {
-        let points: Vec<RunRecord> = Backend::ALL
-            .iter()
-            .map(|&backend| {
-                baseline_point(
-                    &|| Workload::Dmm.program(Scale::tiny()),
-                    backend,
-                    1,
-                    PlacementPolicy::NodeLocal,
-                )
-            })
-            .collect();
-        let json = run_records_json(&points);
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
+        let points = run_points(
+            "default",
+            "{\"program\": \"dmm\", \"backend\": \"simulated\", \"vprocs\": [1]}, \
+             {\"program\": \"dmm\", \"backend\": \"threaded\", \"vprocs\": [1], \"reps\": 3}",
+        );
+        let json: String = points.iter().map(RunRecord::to_json).collect();
         assert!(json.contains("\"backend\": \"simulated\""));
         assert!(json.contains("\"backend\": \"threaded\""));
         assert!(json.contains("\"wall_clock_ns\": null"));
@@ -877,48 +434,36 @@ mod tests {
         assert!(json.contains("\"program\": \"Dense-Matrix-Multiply\""));
         assert!(json.contains("\"policy\": \"local\""));
         assert!(json.contains("\"topology\": \"test-dual-node\""));
+        assert!(json.contains("\"local_heap_bytes\": 524288"));
         assert!(json.contains("\"checksum_ok\": true"));
         assert!(json.contains("\"promoted_bytes\": "));
         assert!(json.contains("\"promotions_at_steal\": "));
         assert!(json.contains("\"promotions_at_publish\": "));
         // Exactly one comma-separated object per point.
         assert_eq!(json.matches("\"vprocs\"").count(), 2);
-        let table = format_baseline(&points);
-        assert!(table.contains("wall-clock"));
+        let table = corpus::format_corpus(&points);
+        assert!(table.contains("wall-ms"));
         assert!(table.contains("promoted-B"));
         assert!(table.contains("max-pause"));
         assert!(table.contains("Dense-Matrix-Multiply"));
-        let summary = promoted_bytes_summary(&points);
-        assert!(summary.contains("promoted-bytes Dense-Matrix-Multiply"));
-        assert!(summary.contains("steal-driven"));
     }
 
     #[test]
     fn churn_baseline_points_carry_their_parameters() {
-        let params = ChurnParams {
-            objects_per_worker: 400,
-            object_words: 4,
-            survive_every: 16,
-            workers: 2,
-        };
-        let point = baseline_point(
-            &|| Box::new(Churn::new(params)),
-            Backend::Simulated,
-            1,
-            PlacementPolicy::NodeLocal,
+        let points = run_points(
+            "default",
+            "{\"program\": \"churn\", \"backend\": \"simulated\", \"vprocs\": [1]}",
         );
-        assert_eq!(point.program, "Synthetic-Churn");
-        assert_eq!(point.checksum_ok, Some(true));
-        let json = point.to_json();
-        assert!(json.contains("\"objects_per_worker\": 400"));
-        assert!(json.contains("\"workers\": 2"));
-        let summary = promoted_bytes_summary(std::slice::from_ref(&point));
-        assert!(summary.contains("promoted-bytes Synthetic-Churn"));
+        assert_eq!(points[0].program, "Synthetic-Churn");
+        assert_eq!(points[0].checksum_ok, Some(true));
+        let json = points[0].to_json();
+        assert!(json.contains("\"objects_per_worker\": "));
+        assert!(json.contains("\"workers\": "));
     }
 
     #[test]
     fn figure8_adaptive_point_records_switches_and_lands_in_the_csv() {
-        let point = figure8_point(Workload::Dmm, Scale::tiny(), PlacementPolicy::Adaptive);
+        let point = figure8_point("dmm", Scale::tiny(), PlacementPolicy::Adaptive);
         assert!(
             point.report.placement_switches() >= 1,
             "the cold-start adoption alone guarantees one recorded switch"
@@ -939,9 +484,19 @@ mod tests {
 
     #[test]
     fn host_smoke_runs_on_the_probed_topology() {
-        let record = run_host_smoke();
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../corpus/host-smoke.json"
+        ))
+        .expect("the checked-in host-smoke manifest is readable");
+        let records = corpus::run_corpus(&corpus::parse_corpus(&text).unwrap());
+        assert_eq!(records.len(), 1);
+        let record = &records[0];
         assert_eq!(record.checksum_ok, Some(true));
-        assert!(record.config.num_vprocs >= 1);
+        assert!(
+            (1..=Topology::host().num_cores()).contains(&record.config.num_vprocs),
+            "the vproc count is clamped to what the probed topology seats"
+        );
         let json = record.to_json();
         assert!(json.contains("\"placement\": \"adaptive\""));
         assert!(json.contains("\"placement_decisions\": "));
@@ -952,7 +507,11 @@ mod tests {
     fn serve_points_report_latency_and_survive_the_json_schema() {
         // One simulated point at the fast preset: deterministic, and enough
         // to pin the whole serve reporting pipeline.
-        let point = serve_point(ServeParams::small(), Backend::Simulated, None);
+        let points = run_points(
+            "default",
+            "{\"program\": \"server\", \"backend\": \"simulated\", \"vprocs\": [2]}",
+        );
+        let point = &points[0];
         assert_eq!(point.program, "Request-Server");
         assert_eq!(point.checksum_ok, Some(true));
         assert_eq!(
@@ -971,23 +530,22 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        let table = format_serve(std::slice::from_ref(&point));
-        assert!(table.contains("p99.9-ms"));
+        let table = corpus::format_corpus(&points);
+        assert!(table.contains("p99-lat"));
         assert!(table.contains("simulated"));
         assert!(table.trim_end().ends_with("ok"));
     }
 
     #[test]
     fn serve_budgeted_point_carries_the_budget() {
-        let point = serve_point(
-            ServeParams::small(),
-            Backend::Simulated,
-            Some(SERVE_PAUSE_BUDGET_US),
+        let points = run_points(
+            "default",
+            "{\"program\": \"server\", \"backend\": \"simulated\", \"vprocs\": [2], \
+              \"pause_budget_us\": 500}",
         );
-        assert_eq!(point.config.gc.pause_budget_us, Some(SERVE_PAUSE_BUDGET_US));
-        assert_eq!(point.checksum_ok, Some(true));
-        let table = format_serve(std::slice::from_ref(&point));
-        assert!(table.contains("500"));
+        assert_eq!(points[0].config.gc.pause_budget_us, Some(500));
+        assert_eq!(points[0].checksum_ok, Some(true));
+        assert!(corpus::format_corpus(&points).contains("500"));
     }
 
     #[test]

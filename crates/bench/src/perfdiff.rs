@@ -1,895 +1,900 @@
-//! The CI perf gate: compares a fresh baseline sweep against the checked-in
-//! reference (`results/baseline/BENCH_threaded.json`) and fails on real
-//! regressions while tolerating runner noise.
+//! The CI perf gate: one checked-in gate table
+//! (`results/baseline/gates.json`) evaluated over two results-store
+//! directories — the baseline and the sweep under test — by one loop.
 //!
-//! Inputs are read through the typed [`mgc_store`] query API — no JSON is
-//! parsed by hand here. Each side of the comparison is either a **results
-//! store directory** (`results/store/`), read as the latest record per
-//! run-point key via [`mgc_store::Query::latest_per_key`], or a **legacy
-//! flat file**: an array of `RunRecord` JSON objects (one per line, as
-//! written by [`mgc_runtime::run_records_json`]), accepted for one PR
-//! cycle through the store's ingest shim. Records are matched by
-//! `(program, backend, vprocs, placement, pause_budget_us)` — a budgeted
-//! run is a different experiment from an unbudgeted one, so the two never
-//! compare against each other. For each matched pair two quantities are
-//! gated:
+//! Both sides are read through [`Store::open`] and
+//! [`Query::latest_per_key`], so a record is identified by its
+//! `(program, backend, vprocs, placement, pause_budget_us)` key and a
+//! re-measured key shadows its older batches. CI sweeps into a scratch store
+//! directory, so "current" holds only what that run measured and a program
+//! that stopped producing points is reported, not silently shadowed by a
+//! checked-in seed.
 //!
-//! * **wall-clock time** (threaded records only) — fails when the current
-//!   time exceeds `max_wall_ratio ×` the baseline. Runner noise is handled
-//!   by an absolute floor: a point is only gated once both sides are padded
-//!   to `min_wall_ns` (sub-floor points are pure scheduler jitter at tiny
-//!   scale);
-//! * **promoted bytes** — fails beyond `max_promoted_ratio ×` the baseline,
-//!   with the analogous `min_promoted_bytes` floor (steal timing makes tiny
-//!   promotion volumes nondeterministic on real threads).
+//! Each gate names a record **metric**, a **key filter** (program and/or
+//! backend), a **bound**, and one of three **comparisons**:
 //!
-//! A third, independent gate pins **parallel speedup**: per program, the
-//! ratio of the current sweep's 1-vproc wall-clock to its highest-vproc
-//! wall-clock on the threaded backend must stay above a checked-in
-//! threshold (`results/baseline/speedup-thresholds.json`). Speedup is
-//! computed from the *current* sweep only — a baseline recorded on a
-//! machine with a different core count says nothing about scaling here.
+//! * `ratio-to-baseline-with-floor` — for every baseline record the filter
+//!   selects, the current record with the same key must exist and keep
+//!   `max(current, floor) / max(baseline, floor)` at or under the bound.
+//!   The floor is the noise allowance: sub-floor points are scheduler jitter
+//!   (wall clock) or steal-timing nondeterminism (promoted bytes).
+//! * `absolute-max` — every current record the filter selects must carry
+//!   the metric and keep it at or under the bound. A regression is a
+//!   regression even if the baseline already had it.
+//! * `speedup-min` — per (program, placement, budget) group of current
+//!   records the filter selects, the metric at 1 vproc divided by the metric
+//!   at the highest vproc count must reach the bound. Current sweep only: a
+//!   baseline recorded on a machine with a different core count says
+//!   nothing about scaling here.
 //!
-//! A fourth gate pins **maximum pause**: per program, every threaded point
-//! in the current sweep must keep its largest recorded mutator pause under
-//! an absolute checked-in ceiling
-//! (`results/baseline/pause-thresholds.json`, milliseconds). Like speedup,
-//! it reads the current sweep only; unlike the ratio gates, the pin is
-//! absolute — a pause regression is a regression even if the baseline
-//! already had it.
+//! Nothing passes by absence: a baseline key with no current record, a
+//! selected record without the metric, and a pinning gate whose filter
+//! selects no current record at all each produce a failing row.
 //!
-//! A fifth gate pins **request latency**: per serving program, every
-//! threaded point in the current sweep must keep its 99th-percentile
-//! end-to-end request latency under an absolute checked-in ceiling
-//! (`results/baseline/latency-thresholds.json`, milliseconds). Same shape
-//! as the pause gate: current sweep only, absolute pins, and a pinned
-//! program whose records carry no latency telemetry fails loudly.
-//!
-//! The comparison renders as a Markdown table so the CI job can write it
-//! straight into `$GITHUB_STEP_SUMMARY`.
+//! The report renders as Markdown so the CI job can tee it straight into
+//! `$GITHUB_STEP_SUMMARY`.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use mgc_store::{Query, Store, StoredRecord};
+use mgc_store::json::{self, JsonValue};
+use mgc_store::{Query, RecordKey, Store, StoredRecord};
 
-/// One record's perf-relevant fields, extracted from a stored record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfPoint {
-    /// Program name.
-    pub program: String,
-    /// Backend label (`simulated`/`threaded`).
-    pub backend: String,
-    /// Vproc count.
-    pub vprocs: u64,
-    /// Placement-policy label.
-    pub placement: String,
-    /// Wall-clock nanoseconds (`None` for simulated records).
-    pub wall_clock_ns: Option<f64>,
-    /// Total promoted bytes.
-    pub promoted_bytes: u64,
-    /// Largest single mutator pause, in nanoseconds (`None` for records
-    /// that predate pause telemetry).
-    pub pause_max_ns: Option<f64>,
-    /// 99th-percentile mutator pause, in nanoseconds (`None` for records
-    /// that predate pause telemetry).
-    pub pause_p99_ns: Option<f64>,
-    /// The configured global-collection pause budget, in microseconds
-    /// (`None` for unbudgeted runs and for records that predate the knob).
-    /// Part of the matching key: a budgeted run trades throughput for
-    /// bounded pauses, so comparing it against an unbudgeted baseline would
-    /// gate apples against oranges.
-    pub pause_budget_us: Option<u64>,
-    /// 99th-percentile end-to-end request latency, in nanoseconds (`None`
-    /// for records that predate the serving scenario; zero for programs
-    /// that serve no requests).
-    pub latency_p99_ns: Option<f64>,
-    /// 99.9th-percentile end-to-end request latency, in nanoseconds
-    /// (informational alongside the gated p99).
-    pub latency_p999_ns: Option<f64>,
+/// The gate-table format this build reads.
+pub const GATES_SCHEMA_VERSION: u64 = 1;
+
+/// Record fields a gate may name as its metric.
+const METRICS: [&str; 7] = [
+    "wall_clock_ns",
+    "simulated_ns",
+    "promoted_bytes",
+    "pause_max_ns",
+    "pause_p99_ns",
+    "latency_p99_ns",
+    "latency_p999_ns",
+];
+
+/// How a gate turns records into a gated value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Comparison {
+    /// `ratio-to-baseline-with-floor`: both sides are padded up to `floor`
+    /// before the `current / baseline` ratio is taken.
+    RatioToBaseline {
+        /// The noise floor, in the metric's own unit.
+        floor: f64,
+    },
+    /// `absolute-max`: the current value itself is the gated quantity.
+    AbsoluteMax,
+    /// `speedup-min`: 1-vproc value over highest-vproc value.
+    SpeedupMin,
 }
 
-impl PerfPoint {
-    fn key(&self) -> (String, String, u64, String, Option<u64>) {
-        (
-            self.program.clone(),
-            self.backend.clone(),
-            self.vprocs,
-            self.placement.clone(),
-            self.pause_budget_us,
+/// One entry of the gate table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// Gate name; entries sharing a name render as one table.
+    pub name: String,
+    /// The record field the gate reads (one of the store's typed metrics).
+    pub metric: String,
+    /// Key filter: only records of this program are selected (`None`: all).
+    pub program: Option<String>,
+    /// Key filter: only records of this backend are selected (`None`: all).
+    pub backend: Option<String>,
+    /// How the gated value is computed.
+    pub comparison: Comparison,
+    /// The bound: a maximum for the ratio and absolute comparisons, a
+    /// minimum for speedup.
+    pub bound: f64,
+}
+
+impl Gate {
+    fn selects(&self, record: &StoredRecord) -> bool {
+        self.program
+            .as_deref()
+            .is_none_or(|p| p == record.program())
+            && self
+                .backend
+                .as_deref()
+                .is_none_or(|b| b == record.backend())
+    }
+
+    fn value(&self, record: &StoredRecord) -> Option<f64> {
+        record.f64_field(&self.metric)
+    }
+
+    /// The filter as a point label, for rows that have no record to name.
+    fn filter_label(&self) -> String {
+        format!(
+            "{}/{}/*",
+            self.program.as_deref().unwrap_or("*"),
+            self.backend.as_deref().unwrap_or("*")
         )
     }
+}
 
-    /// Extracts the gate-relevant fields from one stored record.
-    ///
-    /// Field semantics are unchanged from the old line parser: a missing
-    /// `wall_clock_ns` key or `promoted_bytes` is an error; pause and
-    /// latency telemetry, the budget knob, and the placement label are all
-    /// newer than the oldest records the gate still reads, so absent (or
-    /// `null`) values degrade to `None` / the historical default instead
-    /// of failing.
-    pub fn from_record(record: &StoredRecord) -> Result<PerfPoint, String> {
-        let missing = |key: &str| format!("record is missing \"{key}\": {}", record.raw());
-        let bad = |key: &str| format!("bad {key}: {}", record.raw());
-        // Pause telemetry is newer than the record schema: absent or null
-        // fields read as `None` so old baselines still load.
-        let optional_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match record.field(key) {
-                None => Ok(None),
-                Some(v) if v.is_null() => Ok(None),
-                Some(v) => v.as_f64().map(Some).ok_or_else(|| bad(key)),
-            }
-        };
-        let wall = record
-            .field("wall_clock_ns")
-            .ok_or_else(|| missing("wall_clock_ns"))?;
-        Ok(PerfPoint {
-            program: record
-                .str_field("program")
-                .ok_or_else(|| missing("program"))?
-                .to_string(),
-            backend: record
-                .str_field("backend")
-                .ok_or_else(|| missing("backend"))?
-                .to_string(),
-            vprocs: record.u64_field("vprocs").ok_or_else(|| bad("vprocs"))?,
-            // Older baselines predate the placement field; the accessor
-            // defaults it so the gate still matches their points.
-            placement: record.placement().to_string(),
-            wall_clock_ns: if wall.is_null() {
-                None
-            } else {
-                Some(wall.as_f64().ok_or_else(|| bad("wall_clock_ns"))?)
-            },
-            promoted_bytes: record
-                .field("promoted_bytes")
-                .ok_or_else(|| missing("promoted_bytes"))?
-                .as_u64()
-                .ok_or_else(|| bad("promoted_bytes"))?,
-            pause_max_ns: optional_f64("pause_max_ns")?,
-            pause_p99_ns: optional_f64("pause_p99_ns")?,
-            // Like the pause telemetry, the budget knob is newer than the
-            // schema: absent or null reads as `None` (an unbudgeted run).
-            pause_budget_us: match record.field("pause_budget_us") {
-                None => None,
-                Some(v) if v.is_null() => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| bad("pause_budget_us"))?),
-            },
-            latency_p99_ns: optional_f64("latency_p99_ns")?,
-            latency_p999_ns: optional_f64("latency_p999_ns")?,
-        })
+/// Rejects fields of `value` outside `known`, naming the stray one.
+fn reject_unknown_fields(value: &JsonValue, known: &[&str], context: &str) -> Result<(), String> {
+    let JsonValue::Object(fields) = value else {
+        return Err(format!("{context}: expected a JSON object"));
+    };
+    match fields
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(format!("{context}: unknown field \"{key}\"")),
+        None => Ok(()),
     }
 }
 
-/// Converts stored records — a store query result or a flat-file ingest —
-/// into perf points, preserving record order.
-pub fn points_from_records<'a>(
-    records: impl IntoIterator<Item = &'a StoredRecord>,
-) -> Result<Vec<PerfPoint>, String> {
-    records.into_iter().map(PerfPoint::from_record).collect()
-}
-
-/// Parses legacy flat `RunRecord` JSON array text into perf points via the
-/// store's ingest shim (every record, in file order — flat files carry no
-/// history, so there is nothing to deduplicate).
-pub fn parse_run_records(json: &str) -> Result<Vec<PerfPoint>, String> {
-    let records = mgc_store::parse_flat_records(json, "run records").map_err(|e| e.to_string())?;
-    points_from_records(&records)
-}
-
-/// Loads perf points from either results source:
-///
-/// * a **store directory** — opened with [`Store::open`]; the comparison
-///   set is the latest record per run-point key, so re-running a sweep
-///   appends a batch and the gate reads the fresh numbers;
-/// * a **legacy flat file** — a `RunRecord` JSON array, read through the
-///   one-PR-cycle ingest shim.
-pub fn load_points(path: &Path) -> Result<Vec<PerfPoint>, String> {
-    if path.is_dir() {
-        let store = Store::open(path).map_err(|e| e.to_string())?;
-        points_from_records(Query::new().latest_per_key(&store))
-    } else {
-        let records = mgc_store::ingest_flat_file(path).map_err(|e| e.to_string())?;
-        points_from_records(&records)
-    }
-}
-
-/// Regression thresholds; the defaults are the CI gate's contract.
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// Maximum tolerated `current / baseline` wall-clock ratio.
-    pub max_wall_ratio: f64,
-    /// Maximum tolerated `current / baseline` promoted-bytes ratio.
-    pub max_promoted_ratio: f64,
-    /// Noise floor: both sides of a wall-clock comparison are padded up to
-    /// this many nanoseconds before the ratio is taken.
-    pub min_wall_ns: f64,
-    /// Noise floor for the promoted-bytes comparison, in bytes.
-    pub min_promoted_bytes: u64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            max_wall_ratio: 2.5,
-            max_promoted_ratio: 1.5,
-            min_wall_ns: 5e6,
-            min_promoted_bytes: 64 * 1024,
+/// Parses the gate table from its JSON text. An unknown
+/// `gates_schema_version`, comparison, metric, or field is rejected with an
+/// error naming it — a gate the build half-understands must not run.
+pub fn parse_gates(text: &str) -> Result<Vec<Gate>, String> {
+    let value = json::parse(text).map_err(|err| format!("gate table: {err}"))?;
+    reject_unknown_fields(&value, &["gates_schema_version", "gates"], "gate table")?;
+    match value
+        .get("gates_schema_version")
+        .and_then(JsonValue::as_u64)
+    {
+        Some(GATES_SCHEMA_VERSION) => {}
+        _ => {
+            return Err(format!(
+                "gate table: field \"gates_schema_version\" is {}, but this build reads \
+                 version {GATES_SCHEMA_VERSION}",
+                value
+                    .get("gates_schema_version")
+                    .map_or("absent".to_string(), |v| format!("{v:?}")),
+            ))
         }
     }
+    value
+        .get("gates")
+        .and_then(JsonValue::as_array)
+        .ok_or("gate table: missing array field \"gates\"")?
+        .iter()
+        .enumerate()
+        .map(|(i, gate)| parse_gate(gate).map_err(|err| format!("gate table: gates[{i}]: {err}")))
+        .collect()
 }
 
-/// Verdict for one compared point.
+fn parse_gate(value: &JsonValue) -> Result<Gate, String> {
+    reject_unknown_fields(
+        value,
+        &["name", "metric", "filter", "comparison", "bound", "floor"],
+        "gate",
+    )?;
+    let string = |key: &str| {
+        value
+            .get(key)
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| format!("missing string field \"{key}\""))
+    };
+    let number = |key: &str| {
+        value
+            .get(key)
+            .and_then(JsonValue::as_f64)
+            .filter(|n| n.is_finite() && *n > 0.0)
+            .ok_or_else(|| format!("field \"{key}\" must be a positive number"))
+    };
+    let metric = string("metric")?;
+    if !METRICS.contains(&metric) {
+        return Err(format!(
+            "field \"metric\" is \"{metric}\", expected one of {}",
+            METRICS.join(", ")
+        ));
+    }
+    let comparison = match string("comparison")? {
+        "ratio-to-baseline-with-floor" => Comparison::RatioToBaseline {
+            floor: number("floor")?,
+        },
+        "absolute-max" => Comparison::AbsoluteMax,
+        "speedup-min" => Comparison::SpeedupMin,
+        other => {
+            return Err(format!(
+                "field \"comparison\" is \"{other}\", expected \
+                 ratio-to-baseline-with-floor, absolute-max, or speedup-min"
+            ))
+        }
+    };
+    if value.get("floor").is_some() && !matches!(comparison, Comparison::RatioToBaseline { .. }) {
+        return Err("field \"floor\" only applies to ratio-to-baseline-with-floor".to_string());
+    }
+    let filter = value
+        .get("filter")
+        .ok_or("missing object field \"filter\"")?;
+    reject_unknown_fields(filter, &["program", "backend"], "filter")?;
+    let filter_field = |key: &str| match filter.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(|s| Some(s.to_string()))
+            .ok_or_else(|| format!("filter field \"{key}\" must be a string")),
+    };
+    Ok(Gate {
+        name: string("name")?.to_string(),
+        metric: metric.to_string(),
+        program: filter_field("program")?,
+        backend: filter_field("backend")?,
+        comparison,
+        bound: number("bound")?,
+    })
+}
+
+/// Verdict for one row of the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Within thresholds.
+    /// Within the bound.
     Ok,
-    /// Wall-clock regression beyond the ratio.
-    WallRegression,
-    /// Promoted-bytes regression beyond the ratio.
-    PromotedRegression,
-    /// Present in the baseline but missing from the current sweep.
+    /// The gated value is on the wrong side of the bound.
+    Regression,
+    /// The record exists but the gated value cannot be computed from it: it
+    /// carries no such metric, or (speedup) lacks the 1-vproc or a
+    /// multi-vproc point.
+    Unmeasured,
+    /// No current record: a baseline key the sweep did not re-measure, or a
+    /// pinning gate whose filter selects nothing in the sweep.
     Missing,
 }
 
-/// One row of the comparison table.
+/// One row of the report: one gate applied to one run point.
 #[derive(Debug, Clone)]
-pub struct Row {
-    /// The matched baseline point.
-    pub baseline: PerfPoint,
-    /// The current point, when present.
-    pub current: Option<PerfPoint>,
-    /// Padded wall-clock ratio, when both sides report wall time.
-    pub wall_ratio: Option<f64>,
-    /// Padded promoted-bytes ratio.
-    pub promoted_ratio: f64,
+pub struct Row<'g> {
+    /// The gate that produced the row.
+    pub gate: &'g Gate,
+    /// The run point (for speedup, the highest-vproc one); `None` on the
+    /// row of a pinning gate whose filter selected no current record.
+    pub key: Option<RecordKey>,
+    /// What the measurement is held against: the baseline's value (ratio),
+    /// the sweep's own 1-vproc value (speedup), nothing (absolute).
+    pub reference: Option<f64>,
+    /// The current sweep's value of the metric.
+    pub measured: Option<f64>,
+    /// The gated quantity: the padded ratio, the value itself, or the
+    /// speedup.
+    pub value: Option<f64>,
     /// The verdict.
     pub verdict: Verdict,
 }
 
-/// The whole comparison.
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    /// One row per baseline point, in baseline order.
-    pub rows: Vec<Row>,
-    /// Current points with no baseline counterpart (new programs/axes —
-    /// informational, never a failure).
-    pub new_points: Vec<PerfPoint>,
-}
+impl<'g> Row<'g> {
+    /// A row with nothing measured yet: verdict [`Verdict::Missing`] until
+    /// [`Row::judged`] says otherwise.
+    fn new(gate: &'g Gate, key: Option<RecordKey>) -> Self {
+        Row {
+            gate,
+            key,
+            reference: None,
+            measured: None,
+            value: None,
+            verdict: Verdict::Missing,
+        }
+    }
 
-impl Comparison {
-    /// The rows that failed the gate.
-    pub fn regressions(&self) -> Vec<&Row> {
-        self.rows
-            .iter()
-            .filter(|r| r.verdict != Verdict::Ok)
-            .collect()
+    /// Sets the gated value and derives the verdict from the gate's bound.
+    fn judged(mut self, value: Option<f64>) -> Self {
+        self.value = value;
+        self.verdict = match (value, self.gate.comparison) {
+            (None, _) => Verdict::Unmeasured,
+            (Some(v), Comparison::SpeedupMin) if v < self.gate.bound => Verdict::Regression,
+            (Some(v), Comparison::RatioToBaseline { .. } | Comparison::AbsoluteMax)
+                if v > self.gate.bound =>
+            {
+                Verdict::Regression
+            }
+            _ => Verdict::Ok,
+        };
+        self
     }
 }
 
-/// Compares a current sweep against the baseline.
-pub fn compare(baseline: &[PerfPoint], current: &[PerfPoint], t: Thresholds) -> Comparison {
-    let rows = baseline
-        .iter()
-        .map(|base| {
-            let matched = current.iter().find(|c| c.key() == base.key()).cloned();
-            let Some(cur) = &matched else {
-                return Row {
-                    baseline: base.clone(),
-                    current: None,
-                    wall_ratio: None,
-                    promoted_ratio: 0.0,
-                    verdict: Verdict::Missing,
-                };
-            };
-            let wall_ratio = match (base.wall_clock_ns, cur.wall_clock_ns) {
-                (Some(b), Some(c)) => Some(c.max(t.min_wall_ns) / b.max(t.min_wall_ns)),
-                _ => None,
-            };
-            let floor = t.min_promoted_bytes as f64;
-            let promoted_ratio =
-                (cur.promoted_bytes as f64).max(floor) / (base.promoted_bytes as f64).max(floor);
-            let verdict = if wall_ratio.is_some_and(|r| r > t.max_wall_ratio) {
-                Verdict::WallRegression
-            } else if promoted_ratio > t.max_promoted_ratio {
-                Verdict::PromotedRegression
-            } else {
-                Verdict::Ok
-            };
-            Row {
-                baseline: base.clone(),
-                current: matched,
-                wall_ratio,
-                promoted_ratio,
-                verdict,
+/// The whole evaluation: every gate's rows, in gate-table order.
+#[derive(Debug, Clone)]
+pub struct Report<'g> {
+    /// One row per (gate, run point).
+    pub rows: Vec<Row<'g>>,
+    /// Current keys with no baseline counterpart (new programs or axes —
+    /// informational, never a failure).
+    pub new_points: Vec<RecordKey>,
+}
+
+impl<'g> Report<'g> {
+    /// The rows that fail the gate.
+    pub fn failures(&self) -> impl Iterator<Item = &Row<'g>> {
+        self.rows.iter().filter(|r| r.verdict != Verdict::Ok)
+    }
+}
+
+/// Evaluates every gate over the two record sets (each the latest record
+/// per key of its store).
+pub fn evaluate<'g>(
+    gates: &'g [Gate],
+    baseline: &[&StoredRecord],
+    current: &[&StoredRecord],
+) -> Report<'g> {
+    let mut rows = Vec::new();
+    for gate in gates {
+        let selected: Vec<&StoredRecord> = current
+            .iter()
+            .copied()
+            .filter(|r| gate.selects(r))
+            .collect();
+        match gate.comparison {
+            Comparison::RatioToBaseline { floor } => {
+                for base in baseline.iter().filter(|b| gate.selects(b)) {
+                    // A baseline record without the metric (wall clock on
+                    // the simulated backend) has nothing to hold against.
+                    let Some(reference) = gate.value(base) else {
+                        continue;
+                    };
+                    let key = base.record_key();
+                    let matched = selected.iter().find(|c| c.record_key() == key);
+                    let mut row = Row::new(gate, Some(key));
+                    row.reference = Some(reference);
+                    rows.push(match matched {
+                        None => row,
+                        Some(cur) => {
+                            row.measured = gate.value(cur);
+                            let ratio = row.measured.map(|m| m.max(floor) / reference.max(floor));
+                            row.judged(ratio)
+                        }
+                    });
+                }
             }
-        })
-        .collect();
+            // The two current-sweep-only comparisons pin a program: a filter
+            // that selects nothing means the gated benchmark is gone, which
+            // must not silently pass.
+            _ if selected.is_empty() => rows.push(Row::new(gate, None)),
+            Comparison::AbsoluteMax => rows.extend(selected.iter().map(|cur| {
+                let mut row = Row::new(gate, Some(cur.record_key()));
+                row.measured = gate.value(cur);
+                let value = row.measured;
+                row.judged(value)
+            })),
+            Comparison::SpeedupMin => {
+                // Group by the key minus the vproc count, first-seen order.
+                let mut groups: Vec<(RecordKey, Vec<&StoredRecord>)> = Vec::new();
+                for cur in selected {
+                    let group_key = RecordKey {
+                        vprocs: 0,
+                        ..cur.record_key()
+                    };
+                    match groups.iter_mut().find(|(k, _)| *k == group_key) {
+                        Some((_, members)) => members.push(cur),
+                        None => groups.push((group_key, vec![cur])),
+                    }
+                }
+                for (_, members) in groups {
+                    let top = members
+                        .iter()
+                        .max_by_key(|r| r.vprocs())
+                        .expect("a group has at least one member");
+                    let one = members.iter().find(|r| r.vprocs() == 1);
+                    let mut row = Row::new(gate, Some(top.record_key()));
+                    row.reference = one.and_then(|r| gate.value(r));
+                    row.measured = Some(top)
+                        .filter(|r| r.vprocs() > 1)
+                        .and_then(|r| gate.value(r));
+                    let speedup = match (row.reference, row.measured) {
+                        (Some(one), Some(top)) if top > 0.0 => Some(one / top),
+                        _ => None,
+                    };
+                    rows.push(row.judged(speedup));
+                }
+            }
+        }
+    }
     let new_points = current
         .iter()
-        .filter(|c| baseline.iter().all(|b| b.key() != c.key()))
-        .cloned()
+        .map(|c| c.record_key())
+        .filter(|key| baseline.iter().all(|b| b.record_key() != *key))
         .collect();
-    Comparison { rows, new_points }
+    Report { rows, new_points }
 }
 
-/// Renders the comparison as a Markdown table (for `$GITHUB_STEP_SUMMARY`).
-pub fn markdown(cmp: &Comparison, t: Thresholds) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "### Perf gate — wall-clock ≤ {:.1}×, promoted bytes ≤ {:.1}× \
-         (noise floors: {:.0} ms / {} KiB)\n",
-        t.max_wall_ratio,
-        t.max_promoted_ratio,
-        t.min_wall_ns / 1e6,
-        t.min_promoted_bytes / 1024,
-    );
-    let _ = writeln!(
-        out,
-        "| program | backend | vprocs | placement | wall base (ms) | wall now (ms) | ratio | \
-         promoted base | promoted now | ratio | verdict |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|");
-    for row in &cmp.rows {
-        let b = &row.baseline;
-        let ms = |ns: Option<f64>| ns.map_or("—".to_string(), |v| format!("{:.2}", v / 1e6));
-        let (wall_now, promoted_now) = row
-            .current
-            .as_ref()
-            .map_or(("—".to_string(), "—".to_string()), |c| {
-                (ms(c.wall_clock_ns), c.promoted_bytes.to_string())
-            });
-        let verdict = match row.verdict {
-            Verdict::Ok => "ok",
-            Verdict::WallRegression => "**WALL REGRESSION**",
-            Verdict::PromotedRegression => "**PROMOTED-BYTES REGRESSION**",
-            Verdict::Missing => "**MISSING POINT**",
-        };
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2} | {} |",
-            b.program,
-            b.backend,
-            b.vprocs,
-            b.placement,
-            ms(b.wall_clock_ns),
-            wall_now,
-            row.wall_ratio
-                .map_or("—".to_string(), |r| format!("{r:.2}")),
-            b.promoted_bytes,
-            promoted_now,
-            row.promoted_ratio,
-            verdict,
-        );
+/// Renders a metric value: nanosecond metrics as milliseconds, everything
+/// else (bytes) as an integer.
+fn metric_text(metric: &str, value: Option<f64>) -> String {
+    match value {
+        None => "—".to_string(),
+        Some(v) if metric.ends_with("_ns") => format!("{:.3} ms", v / 1e6),
+        Some(v) => format!("{v:.0}"),
     }
-    if !cmp.new_points.is_empty() {
-        let _ = writeln!(out, "\nNew points (no baseline, informational):");
-        for p in &cmp.new_points {
+}
+
+/// Renders the report as Markdown (for `$GITHUB_STEP_SUMMARY`): one table
+/// per gate name, every table in the same shape.
+pub fn markdown(report: &Report<'_>) -> String {
+    let mut out = String::new();
+    let mut heading: Option<&str> = None;
+    for (i, row) in report.rows.iter().enumerate() {
+        let gate = row.gate;
+        if heading != Some(gate.name.as_str()) {
+            heading = Some(&gate.name);
+            let (how, reference) = match gate.comparison {
+                Comparison::RatioToBaseline { floor } => (
+                    format!(
+                        "ratio to baseline, noise floor {}",
+                        metric_text(&gate.metric, Some(floor))
+                    ),
+                    "baseline",
+                ),
+                Comparison::AbsoluteMax => ("absolute ceiling".to_string(), "—"),
+                Comparison::SpeedupMin => (
+                    "1 vproc over highest vprocs, current sweep".to_string(),
+                    "at 1 vproc",
+                ),
+            };
+            let _ = writeln!(out, "### Gate `{}` — `{}`, {how}\n", gate.name, gate.metric);
             let _ = writeln!(
                 out,
-                "- {} / {} / {} vprocs / {}",
-                p.program, p.backend, p.vprocs, p.placement
+                "| point | {reference} | current | gated value | bound | verdict |"
             );
+            let _ = writeln!(out, "|---|---|---|---|---|---|");
         }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// The speedup gate
-// ----------------------------------------------------------------------
-
-/// A pinned program: its threaded speedup (1-vproc wall / highest-vproc
-/// wall) must not fall below `min_speedup`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeedupThreshold {
-    /// Program name, as it appears in the run records.
-    pub program: String,
-    /// Minimum tolerated speedup.
-    pub min_speedup: f64,
-}
-
-/// Parses the checked-in thresholds file: a JSON object with one
-/// `"program": min_speedup` pair per line (same machine-written line
-/// discipline as the run records).
-pub fn parse_speedup_thresholds(json: &str) -> Result<Vec<SpeedupThreshold>, String> {
-    let mut thresholds = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let (program, value) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("bad threshold line: {line}"))?;
-        thresholds.push(SpeedupThreshold {
-            program: program.to_string(),
-            min_speedup: value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad speedup for {program}: {e}"))?,
-        });
-    }
-    Ok(thresholds)
-}
-
-/// One program's scaling behaviour in the current sweep.
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// Program name.
-    pub program: String,
-    /// Placement-policy label.
-    pub placement: String,
-    /// `(vprocs, wall_clock_ns)` for every threaded point, ascending.
-    pub walls: Vec<(u64, f64)>,
-    /// 1-vproc wall / highest-vproc wall, when both ends exist.
-    pub speedup: Option<f64>,
-    /// The pinned minimum, when this program is gated.
-    pub min_speedup: Option<f64>,
-}
-
-impl SpeedupRow {
-    /// Whether this row fails the gate: it is pinned and either scales
-    /// worse than the pin or lacks the points to measure.
-    pub fn failed(&self) -> bool {
-        match (self.speedup, self.min_speedup) {
-            (Some(s), Some(min)) => s < min,
-            (None, Some(_)) => true,
-            _ => false,
-        }
-    }
-}
-
-/// Computes per-program speedup rows from the current sweep's threaded
-/// points and attaches the pinned thresholds.
-pub fn speedup_rows(current: &[PerfPoint], thresholds: &[SpeedupThreshold]) -> Vec<SpeedupRow> {
-    let mut rows: Vec<SpeedupRow> = Vec::new();
-    for p in current.iter().filter(|p| p.backend == "threaded") {
-        let Some(wall) = p.wall_clock_ns else {
-            continue;
-        };
-        let row = match rows
-            .iter_mut()
-            .find(|r| r.program == p.program && r.placement == p.placement)
-        {
-            Some(row) => row,
-            None => {
-                rows.push(SpeedupRow {
-                    program: p.program.clone(),
-                    placement: p.placement.clone(),
-                    walls: Vec::new(),
-                    speedup: None,
-                    min_speedup: None,
-                });
-                rows.last_mut().expect("just pushed")
+        let times = |v: Option<f64>| v.map_or("—".to_string(), |v| format!("{v:.2}×"));
+        let (value, bound) = match gate.comparison {
+            Comparison::AbsoluteMax => (
+                metric_text(&gate.metric, row.value),
+                format!("≤ {}", metric_text(&gate.metric, Some(gate.bound))),
+            ),
+            Comparison::RatioToBaseline { .. } => {
+                (times(row.value), format!("≤ {}", times(Some(gate.bound))))
             }
-        };
-        row.walls.push((p.vprocs, wall));
-    }
-    for row in &mut rows {
-        row.walls.sort_by_key(|&(v, _)| v);
-        let one = row.walls.iter().find(|&&(v, _)| v == 1).map(|&(_, w)| w);
-        let top = row.walls.last().filter(|&&(v, _)| v > 1).map(|&(_, w)| w);
-        row.speedup = match (one, top) {
-            (Some(one), Some(top)) if top > 0.0 => Some(one / top),
-            _ => None,
-        };
-        row.min_speedup = thresholds
-            .iter()
-            .find(|t| t.program == row.program)
-            .map(|t| t.min_speedup);
-    }
-    rows
-}
-
-/// Pinned programs that do not appear in the sweep at all — deleting a
-/// gated benchmark must not silently pass the gate.
-pub fn missing_pinned_programs<'a>(
-    rows: &[SpeedupRow],
-    thresholds: &'a [SpeedupThreshold],
-) -> Vec<&'a str> {
-    thresholds
-        .iter()
-        .filter(|t| rows.iter().all(|r| r.program != t.program))
-        .map(|t| t.program.as_str())
-        .collect()
-}
-
-/// Renders the speedup table as Markdown (for `$GITHUB_STEP_SUMMARY`).
-pub fn speedup_markdown(rows: &[SpeedupRow], missing: &[&str]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "### Speedup gate — threaded wall-clock, highest vprocs vs 1 (current sweep)\n"
-    );
-    let _ = writeln!(
-        out,
-        "| program | placement | wall per vprocs (ms) | speedup | pinned min | verdict |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|");
-    for row in rows {
-        let walls = row
-            .walls
-            .iter()
-            .map(|&(v, w)| format!("{v}v: {:.2}", w / 1e6))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let verdict = if row.failed() {
-            "**SPEEDUP REGRESSION**"
-        } else if row.min_speedup.is_some() {
-            "ok"
-        } else {
-            "not pinned"
+            Comparison::SpeedupMin => (times(row.value), format!("≥ {}", times(Some(gate.bound)))),
         };
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} |",
-            row.program,
-            row.placement,
-            walls,
-            row.speedup.map_or("—".to_string(), |s| format!("{s:.2}×")),
-            row.min_speedup
-                .map_or("—".to_string(), |m| format!("{m:.2}×")),
-            verdict,
+            "| {} | {} | {} | {value} | {bound} | {} |",
+            row.key
+                .as_ref()
+                .map_or(gate.filter_label(), RecordKey::to_string),
+            metric_text(&gate.metric, row.reference),
+            metric_text(&gate.metric, row.measured),
+            match row.verdict {
+                Verdict::Ok => "ok",
+                Verdict::Regression => "**REGRESSION**",
+                Verdict::Unmeasured => "**NO TELEMETRY**",
+                Verdict::Missing => "**MISSING**",
+            },
         );
-    }
-    for program in missing {
-        let _ = writeln!(
-            out,
-            "\n**MISSING PINNED PROGRAM**: `{program}` has a speedup threshold but no \
-             threaded points in the sweep."
-        );
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// The max-pause gate
-// ----------------------------------------------------------------------
-
-/// A pinned program: no threaded point in the current sweep may record a
-/// single mutator pause longer than `max_pause_ms`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PauseThreshold {
-    /// Program name, as it appears in the run records.
-    pub program: String,
-    /// Maximum tolerated single pause, in milliseconds (absolute).
-    pub max_pause_ms: f64,
-}
-
-/// Parses the checked-in pause-thresholds file: a JSON object with one
-/// `"program": max_pause_ms` pair per line (same machine-written line
-/// discipline as the speedup thresholds).
-pub fn parse_pause_thresholds(json: &str) -> Result<Vec<PauseThreshold>, String> {
-    let mut thresholds = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let (program, value) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("bad threshold line: {line}"))?;
-        thresholds.push(PauseThreshold {
-            program: program.to_string(),
-            max_pause_ms: value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad max pause for {program}: {e}"))?,
-        });
-    }
-    Ok(thresholds)
-}
-
-/// One threaded point's pause behaviour in the current sweep.
-#[derive(Debug, Clone)]
-pub struct PauseRow {
-    /// Program name.
-    pub program: String,
-    /// Placement-policy label.
-    pub placement: String,
-    /// Vproc count.
-    pub vprocs: u64,
-    /// Largest single pause of the run, in nanoseconds (`None` when the
-    /// record carries no pause telemetry).
-    pub pause_max_ns: Option<f64>,
-    /// 99th-percentile pause, in nanoseconds (informational).
-    pub pause_p99_ns: Option<f64>,
-    /// The pinned ceiling in milliseconds, when this program is gated.
-    pub max_pause_ms: Option<f64>,
-}
-
-impl PauseRow {
-    /// Whether this row fails the gate: it is pinned and either pauses
-    /// longer than the ceiling or carries no pause telemetry to check.
-    pub fn failed(&self) -> bool {
-        match (self.pause_max_ns, self.max_pause_ms) {
-            (Some(ns), Some(max_ms)) => ns > max_ms * 1e6,
-            (None, Some(_)) => true,
-            _ => false,
+        // A blank line closes a table before the next gate's heading.
+        let next = report.rows.get(i + 1);
+        if next.is_none_or(|n| n.gate.name != gate.name) {
+            let _ = writeln!(out);
         }
     }
-}
-
-/// Builds one pause row per threaded point of the current sweep and
-/// attaches the pinned ceilings.
-pub fn pause_rows(current: &[PerfPoint], thresholds: &[PauseThreshold]) -> Vec<PauseRow> {
-    current
-        .iter()
-        .filter(|p| p.backend == "threaded")
-        .map(|p| PauseRow {
-            program: p.program.clone(),
-            placement: p.placement.clone(),
-            vprocs: p.vprocs,
-            pause_max_ns: p.pause_max_ns,
-            pause_p99_ns: p.pause_p99_ns,
-            max_pause_ms: thresholds
-                .iter()
-                .find(|t| t.program == p.program)
-                .map(|t| t.max_pause_ms),
-        })
-        .collect()
-}
-
-/// Pinned programs with no threaded point in the sweep — deleting a gated
-/// benchmark must not silently pass the pause gate.
-pub fn missing_pause_pinned_programs<'a>(
-    rows: &[PauseRow],
-    thresholds: &'a [PauseThreshold],
-) -> Vec<&'a str> {
-    thresholds
-        .iter()
-        .filter(|t| rows.iter().all(|r| r.program != t.program))
-        .map(|t| t.program.as_str())
-        .collect()
-}
-
-/// Renders the pause table as Markdown (for `$GITHUB_STEP_SUMMARY`).
-pub fn pause_markdown(rows: &[PauseRow], missing: &[&str]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "### Max-pause gate — largest single mutator pause, threaded points \
-         (current sweep, absolute pins)\n"
-    );
-    let _ = writeln!(
-        out,
-        "| program | placement | vprocs | p99 pause (ms) | max pause (ms) | pinned max (ms) | verdict |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
-    for row in rows {
-        let ms = |ns: Option<f64>| ns.map_or("—".to_string(), |v| format!("{:.3}", v / 1e6));
-        let verdict = if row.failed() {
-            "**PAUSE REGRESSION**"
-        } else if row.max_pause_ms.is_some() {
-            "ok"
-        } else {
-            "not pinned"
-        };
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} |",
-            row.program,
-            row.placement,
-            row.vprocs,
-            ms(row.pause_p99_ns),
-            ms(row.pause_max_ns),
-            row.max_pause_ms
-                .map_or("—".to_string(), |m| format!("{m:.3}")),
-            verdict,
-        );
-    }
-    for program in missing {
-        let _ = writeln!(
-            out,
-            "\n**MISSING PINNED PROGRAM**: `{program}` has a pause threshold but no \
-             threaded points in the sweep."
-        );
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// The latency gate
-// ----------------------------------------------------------------------
-
-/// A pinned serving program: no threaded point in the current sweep may
-/// report a 99th-percentile end-to-end request latency above `max_p99_ms`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyThreshold {
-    /// Program name, as it appears in the run records.
-    pub program: String,
-    /// Maximum tolerated p99 request latency, in milliseconds (absolute).
-    pub max_p99_ms: f64,
-}
-
-/// Parses the checked-in latency-thresholds file: a JSON object with one
-/// `"program": max_p99_ms` pair per line (same machine-written line
-/// discipline as the speedup and pause thresholds).
-pub fn parse_latency_thresholds(json: &str) -> Result<Vec<LatencyThreshold>, String> {
-    let mut thresholds = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let (program, value) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("bad threshold line: {line}"))?;
-        thresholds.push(LatencyThreshold {
-            program: program.to_string(),
-            max_p99_ms: value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad max p99 latency for {program}: {e}"))?,
-        });
-    }
-    Ok(thresholds)
-}
-
-/// One threaded point's request-latency behaviour in the current sweep.
-#[derive(Debug, Clone)]
-pub struct LatencyRow {
-    /// Program name.
-    pub program: String,
-    /// Placement-policy label.
-    pub placement: String,
-    /// Vproc count.
-    pub vprocs: u64,
-    /// The configured pause budget, in microseconds (budgeted and
-    /// unbudgeted serve points both appear, each gated against the pin).
-    pub pause_budget_us: Option<u64>,
-    /// 99th-percentile request latency, in nanoseconds (`None` when the
-    /// record carries no latency telemetry).
-    pub latency_p99_ns: Option<f64>,
-    /// 99.9th-percentile request latency, in nanoseconds (informational).
-    pub latency_p999_ns: Option<f64>,
-    /// The pinned ceiling in milliseconds, when this program is gated.
-    pub max_p99_ms: Option<f64>,
-}
-
-impl LatencyRow {
-    /// Whether this row fails the gate: it is pinned and either misses the
-    /// p99 ceiling or carries no latency telemetry to check.
-    pub fn failed(&self) -> bool {
-        match (self.latency_p99_ns, self.max_p99_ms) {
-            (Some(ns), Some(max_ms)) => ns > max_ms * 1e6,
-            (None, Some(_)) => true,
-            _ => false,
+    if !report.new_points.is_empty() {
+        let _ = writeln!(out, "New points (no baseline, informational):");
+        for key in &report.new_points {
+            let _ = writeln!(out, "- {key}");
         }
     }
-}
-
-/// Builds one latency row per threaded point of the current sweep and
-/// attaches the pinned ceilings.
-pub fn latency_rows(current: &[PerfPoint], thresholds: &[LatencyThreshold]) -> Vec<LatencyRow> {
-    current
-        .iter()
-        .filter(|p| p.backend == "threaded")
-        .map(|p| LatencyRow {
-            program: p.program.clone(),
-            placement: p.placement.clone(),
-            vprocs: p.vprocs,
-            pause_budget_us: p.pause_budget_us,
-            latency_p99_ns: p.latency_p99_ns,
-            latency_p999_ns: p.latency_p999_ns,
-            max_p99_ms: thresholds
-                .iter()
-                .find(|t| t.program == p.program)
-                .map(|t| t.max_p99_ms),
-        })
-        .collect()
-}
-
-/// Pinned programs with no threaded point in the sweep — deleting a gated
-/// serving program must not silently pass the latency gate.
-pub fn missing_latency_pinned_programs<'a>(
-    rows: &[LatencyRow],
-    thresholds: &'a [LatencyThreshold],
-) -> Vec<&'a str> {
-    thresholds
-        .iter()
-        .filter(|t| rows.iter().all(|r| r.program != t.program))
-        .map(|t| t.program.as_str())
-        .collect()
-}
-
-/// Renders the latency table as Markdown (for `$GITHUB_STEP_SUMMARY`).
-pub fn latency_markdown(rows: &[LatencyRow], missing: &[&str]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "### Latency gate — p99 end-to-end request latency, threaded points \
-         (current sweep, absolute pins)\n"
-    );
-    let _ = writeln!(
-        out,
-        "| program | placement | vprocs | budget (µs) | p99 (ms) | p99.9 (ms) | \
-         pinned p99 (ms) | verdict |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
-    for row in rows {
-        let ms = |ns: Option<f64>| ns.map_or("—".to_string(), |v| format!("{:.3}", v / 1e6));
-        let verdict = if row.failed() {
-            "**LATENCY REGRESSION**"
-        } else if row.max_p99_ms.is_some() {
-            "ok"
-        } else {
-            "not pinned"
-        };
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} |",
-            row.program,
-            row.placement,
-            row.vprocs,
-            row.pause_budget_us
-                .map_or("—".to_string(), |us| us.to_string()),
-            ms(row.latency_p99_ns),
-            ms(row.latency_p999_ns),
-            row.max_p99_ms
-                .map_or("—".to_string(), |m| format!("{m:.3}")),
-            verdict,
-        );
-    }
-    for program in missing {
-        let _ = writeln!(
-            out,
-            "\n**MISSING PINNED PROGRAM**: `{program}` has a latency threshold but no \
-             threaded points in the sweep."
-        );
-    }
     out
+}
+
+/// The whole gate, as the `perfdiff` binary runs it: loads the gate table
+/// and both store directories, evaluates, and returns the Markdown report,
+/// a one-line-per-gate summary, and the number of failing rows (the exit
+/// code is whether that is zero).
+pub fn check(
+    baseline: &Path,
+    current: &Path,
+    gates: &Path,
+) -> Result<(String, String, usize), String> {
+    let text = std::fs::read_to_string(gates).map_err(|e| format!("{}: {e}", gates.display()))?;
+    let gates = parse_gates(&text).map_err(|e| format!("{}: {e}", gates.display()))?;
+    let open = |dir: &Path| Store::open(dir).map_err(|e| e.to_string());
+    let (baseline, current) = (open(baseline)?, open(current)?);
+    let report = evaluate(
+        &gates,
+        &Query::new().latest_per_key(&baseline),
+        &Query::new().latest_per_key(&current),
+    );
+    let mut summary = String::new();
+    let mut names: Vec<&str> = Vec::new();
+    for gate in &gates {
+        if names.contains(&gate.name.as_str()) {
+            continue;
+        }
+        names.push(&gate.name);
+        let of_gate = |r: &&Row<'_>| r.gate.name == gate.name;
+        let _ = writeln!(
+            summary,
+            "perfdiff: gate `{}`: {} rows, {} failed",
+            gate.name,
+            report.rows.iter().filter(of_gate).count(),
+            report.failures().filter(of_gate).count(),
+        );
+    }
+    Ok((markdown(&report), summary, report.failures().count()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
-    fn record_line(program: &str, backend: &str, vprocs: u64, wall: &str, promoted: u64) -> String {
+    const REPO: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+    // Test pins, one gate-table entry each (the checked-in table has the
+    // same shapes with the real programs and bounds).
+    const WALL: &str = r#"{"name": "wall-clock", "metric": "wall_clock_ns",
+        "filter": {"backend": "threaded"},
+        "comparison": "ratio-to-baseline-with-floor", "bound": 2.5, "floor": 5000000}"#;
+    const PROMOTED: &str = r#"{"name": "promoted-bytes", "metric": "promoted_bytes", "filter": {},
+        "comparison": "ratio-to-baseline-with-floor", "bound": 1.5, "floor": 65536}"#;
+    const SPEEDUP: &str = r#"{"name": "speedup", "metric": "wall_clock_ns",
+        "filter": {"program": "Dmm", "backend": "threaded"},
+        "comparison": "speedup-min", "bound": 2.0}"#;
+    const PAUSE: &str = r#"{"name": "max-pause", "metric": "pause_max_ns",
+        "filter": {"program": "Barnes-Hut", "backend": "threaded"},
+        "comparison": "absolute-max", "bound": 20000000}"#;
+    const LATENCY: &str = r#"{"name": "latency-p99", "metric": "latency_p99_ns",
+        "filter": {"program": "Request-Server", "backend": "threaded"},
+        "comparison": "absolute-max", "bound": 25000000}"#;
+
+    fn table(entries: &[&str]) -> String {
         format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"{backend}\", \
-             \"vprocs\": {vprocs}, \"topology\": \"test-dual-node\", \"policy\": \"local\", \
-             \"placement\": \"node-local\", \"wall_clock_ns\": {wall}, \
-             \"promoted_bytes\": {promoted}, \"steals\": 0}}"
+            "{{\"gates_schema_version\": 1, \"gates\": [{}]}}",
+            entries.join(", ")
         )
     }
 
-    fn json(lines: &[String]) -> String {
-        format!("[\n{}\n]\n", lines.join(",\n"))
+    /// One machine-written record line: the key fields plus `fields`.
+    fn line(program: &str, backend: &str, vprocs: u64, fields: &str) -> String {
+        format!(
+            "{{\"schema_version\": 2, \"program\": \"{program}\", \"backend\": \"{backend}\", \
+             \"vprocs\": {vprocs}, \"placement\": \"node-local\", {fields}}}"
+        )
     }
 
-    fn record_line_with_pauses(
-        program: &str,
-        vprocs: u64,
-        pause_max: &str,
-        pause_p99: &str,
-    ) -> String {
+    /// A threaded record with a wall clock (ms) and promoted bytes, plus
+    /// `extra` fields (`""` for none).
+    fn threaded(program: &str, vprocs: u64, wall_ms: f64, promoted: u64, extra: &str) -> String {
+        let wall = wall_ms * 1e6;
+        let fields = format!("\"wall_clock_ns\": {wall}, \"promoted_bytes\": {promoted}{extra}");
+        line(program, "threaded", vprocs, &fields)
+    }
+
+    fn pauses(max_ms: f64) -> String {
         format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"threaded\", \
-             \"vprocs\": {vprocs}, \"placement\": \"node-local\", \
-             \"wall_clock_ns\": 50000000, \"promoted_bytes\": 0, \
-             \"pause_count\": 12, \"pause_max_ns\": {pause_max}, \
-             \"pause_p50_ns\": 1000, \"pause_p99_ns\": {pause_p99}}}"
+            ", \"pause_max_ns\": {}, \"pause_p99_ns\": 800000",
+            max_ms * 1e6
         )
+    }
+
+    fn latency(budget: &str, p99_ms: f64) -> String {
+        format!(
+            ", \"pause_budget_us\": {budget}, \"latency_p99_ns\": {}, \"latency_p999_ns\": {}",
+            p99_ms * 1e6,
+            p99_ms * 2e6
+        )
+    }
+
+    /// The failing rows of one evaluation, as `(gate, program, vprocs,
+    /// verdict)` — the identity the acceptance criteria compare.
+    type Failing<'a> = Vec<(&'a str, &'a str, Option<u64>, Verdict)>;
+
+    fn identity<'a>(row: &'a Row<'a>) -> (&'a str, &'a str, Option<u64>, Verdict) {
+        let program = match &row.key {
+            Some(key) => &key.program,
+            None => row
+                .gate
+                .program
+                .as_ref()
+                .expect("a pinning gate names its program"),
+        };
+        let vprocs = row.key.as_ref().map(|k| k.vprocs);
+        (&row.gate.name, program, vprocs, row.verdict)
+    }
+
+    /// Evaluates `entries` over the two record-line sets and checks the
+    /// failing rows (and that the Markdown shows each failing verdict).
+    fn check_rows(entries: &[&str], baseline: &[String], current: &[String], expected: Failing) {
+        let parse = |lines: &[String]| -> Vec<StoredRecord> {
+            lines
+                .iter()
+                .enumerate()
+                .map(|(i, l)| StoredRecord::from_raw(l, 1, i, "test record").unwrap())
+                .collect()
+        };
+        let gates = parse_gates(&table(entries)).expect("the test gate table parses");
+        let (baseline, current) = (parse(baseline), parse(current));
+        let report = evaluate(
+            &gates,
+            &baseline.iter().collect::<Vec<_>>(),
+            &current.iter().collect::<Vec<_>>(),
+        );
+        let failing: Failing = report.failures().map(identity).collect();
+        assert_eq!(failing, expected, "\n{}", markdown(&report));
+        let text = markdown(&report);
+        for (_, _, _, verdict) in &expected {
+            let label = match verdict {
+                Verdict::Regression => "**REGRESSION**",
+                Verdict::Unmeasured => "**NO TELEMETRY**",
+                Verdict::Missing => "**MISSING**",
+                Verdict::Ok => unreachable!("an ok row is not a failure"),
+            };
+            assert!(text.contains(label), "{label} missing from\n{text}");
+        }
+        if expected.is_empty() && !report.rows.is_empty() {
+            assert!(text.contains("| ok |"), "{text}");
+        }
+    }
+
+    /// The table-driven suite: each row is one named test — gate entries,
+    /// baseline records, current records, expected failing rows.
+    macro_rules! gate_cases {
+        ($($name:ident: $gates:expr, $baseline:expr, $current:expr => $failing:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                check_rows(&$gates, &$baseline, &$current, $failing.to_vec());
+            }
+        )*};
+    }
+
+    use Verdict::{Missing, Regression, Unmeasured};
+    const NONE: [(&str, &str, Option<u64>, Verdict); 0] = [];
+
+    gate_cases! {
+        identical_sweeps_pass_the_gate:
+            [WALL, PROMOTED],
+            [threaded("Quicksort", 2, 20.0, 500000, "")],
+            [threaded("Quicksort", 2, 20.0, 500000, "")]
+            => NONE;
+        // 3× wall clock against the 2.5× bound.
+        injected_3x_wall_regression_fails_the_gate:
+            [WALL, PROMOTED],
+            [threaded("Barnes-Hut", 4, 100.0, 257072, "")],
+            [threaded("Barnes-Hut", 4, 300.0, 257072, "")]
+            => [("wall-clock", "Barnes-Hut", Some(4), Regression)];
+        // 2× promoted bytes fails; 0.1 ms → 2 ms and 1 KiB → 60 KiB are 20×
+        // and 60× but sit under the 5 ms / 64 KiB noise floors.
+        promoted_bytes_regression_fails_and_noise_floor_tolerates_tiny_points:
+            [WALL, PROMOTED],
+            [threaded("Churn", 2, 50.0, 200000, ""), threaded("Dmm", 1, 0.1, 1024, "")],
+            [threaded("Churn", 2, 50.0, 400000, ""), threaded("Dmm", 1, 2.0, 61440, "")]
+            => [("promoted-bytes", "Churn", Some(2), Regression)];
+        // Records as the runtime writes them: a simulated point's wall clock
+        // is `null`, which an unfiltered wall gate has nothing to hold
+        // against — it is skipped there, not failed, and still compared by
+        // the promoted-bytes gate.
+        parses_machine_written_records:
+            [&WALL.replace("{\"backend\": \"threaded\"}", "{}"), PROMOTED],
+            [threaded("Barnes-Hut", 4, 280.0, 257072, ""),
+             line("Barnes-Hut", "simulated", 4, "\"wall_clock_ns\": null, \"promoted_bytes\": 300000")],
+            [threaded("Barnes-Hut", 4, 280.0, 257072, ""),
+             line("Barnes-Hut", "simulated", 4, "\"wall_clock_ns\": null, \"promoted_bytes\": 900000")]
+            => [("promoted-bytes", "Barnes-Hut", Some(4), Regression)];
+        // A baseline key the sweep did not re-measure fails every ratio gate
+        // that selects it.
+        missing_points_are_flagged_and_new_points_reported:
+            [WALL, PROMOTED],
+            [threaded("Quicksort", 2, 20.0, 500000, ""), threaded("SMVM", 2, 20.0, 500000, "")],
+            [threaded("Quicksort", 2, 20.0, 500000, ""), threaded("Raytracer", 2, 20.0, 500000, "")]
+            => [("wall-clock", "SMVM", Some(2), Missing),
+                ("promoted-bytes", "SMVM", Some(2), Missing)];
+        // A budgeted run is a different experiment from an unbudgeted one:
+        // the two never compare against each other.
+        pause_budget_is_part_of_the_matching_key:
+            [WALL],
+            [threaded("Barnes-Hut", 4, 50.0, 0, ", \"pause_budget_us\": null")],
+            [threaded("Barnes-Hut", 4, 50.0, 0, ", \"pause_budget_us\": 250")]
+            => [("wall-clock", "Barnes-Hut", Some(4), Missing)];
+        // 100 / 30 = 3.33× against the 2× pin; the simulated point is not
+        // selected.
+        healthy_scaling_passes_the_speedup_gate:
+            [SPEEDUP],
+            [],
+            [threaded("Dmm", 1, 100.0, 0, ""), threaded("Dmm", 2, 55.0, 0, ""),
+             threaded("Dmm", 4, 30.0, 0, ""),
+             line("Dmm", "simulated", 4, "\"wall_clock_ns\": null, \"promoted_bytes\": 0")]
+            => NONE;
+        injected_scaling_regression_fails_the_speedup_gate:
+            [SPEEDUP],
+            [],
+            [threaded("Dmm", 1, 100.0, 0, ""), threaded("Dmm", 4, 90.0, 0, "")]
+            => [("speedup", "Dmm", Some(4), Regression)];
+        // Quicksort scales poorly but is not pinned; Dmm is pinned but
+        // absent from the sweep, and that must be loud.
+        unpinned_programs_and_missing_pins_are_handled:
+            [SPEEDUP],
+            [],
+            [threaded("Quicksort", 1, 100.0, 0, ""), threaded("Quicksort", 4, 95.0, 0, "")]
+            => [("speedup", "Dmm", None, Missing)];
+        single_vproc_only_sweep_cannot_satisfy_a_pin:
+            [SPEEDUP],
+            [],
+            [threaded("Dmm", 1, 100.0, 0, "")]
+            => [("speedup", "Dmm", Some(1), Unmeasured)];
+        pauses_under_the_pin_pass_the_gate:
+            [PAUSE],
+            [],
+            [threaded("Barnes-Hut", 1, 50.0, 0, &pauses(1.5)),
+             threaded("Barnes-Hut", 4, 50.0, 0, &pauses(2.5))]
+            => NONE;
+        // 50 ms against the absolute 20 ms pin — no baseline involved.
+        injected_pause_regression_fails_the_gate:
+            [PAUSE],
+            [],
+            [threaded("Barnes-Hut", 4, 50.0, 0, &pauses(50.0))]
+            => [("max-pause", "Barnes-Hut", Some(4), Regression)];
+        // An old-schema record (no pause fields) for a pinned program must
+        // not silently pass ...
+        pinned_points_without_pause_telemetry_fail_loudly:
+            [PAUSE],
+            [],
+            [threaded("Barnes-Hut", 4, 280.0, 0, "")]
+            => [("max-pause", "Barnes-Hut", Some(4), Unmeasured)];
+        // ... while an unpinned program without telemetry is nobody's row.
+        pause_fields_parse_and_default_to_none_on_old_records:
+            [PAUSE],
+            [],
+            [threaded("Barnes-Hut", 4, 280.0, 0, &pauses(2.5)), threaded("Quicksort", 2, 20.0, 0, "")]
+            => NONE;
+        missing_pause_pins_are_loud:
+            [PAUSE],
+            [],
+            [threaded("Quicksort", 2, 20.0, 0, &pauses(1.0))]
+            => [("max-pause", "Barnes-Hut", None, Missing)];
+        // Budgeted and unbudgeted serve points are both held to the pin.
+        latencies_under_the_pin_pass_the_gate:
+            [LATENCY],
+            [],
+            [threaded("Request-Server", 4, 5000.0, 0, &latency("null", 2.0)),
+             threaded("Request-Server", 4, 5000.0, 0, &latency("500", 2.5))]
+            => NONE;
+        injected_latency_regression_fails_the_gate:
+            [LATENCY],
+            [],
+            [threaded("Request-Server", 4, 5000.0, 0, &latency("null", 80.0))]
+            => [("latency-p99", "Request-Server", Some(4), Regression)];
+        pinned_points_without_latency_telemetry_fail_loudly:
+            [LATENCY],
+            [],
+            [threaded("Request-Server", 4, 5000.0, 0, "")]
+            => [("latency-p99", "Request-Server", Some(4), Unmeasured)];
+        latency_fields_parse_and_default_to_none_on_old_records:
+            [LATENCY],
+            [],
+            [threaded("Request-Server", 4, 5000.0, 0, &latency("null", 2.0)),
+             threaded("Quicksort", 2, 20.0, 0, "")]
+            => NONE;
+        missing_latency_pins_are_loud:
+            [LATENCY],
+            [],
+            [threaded("Quicksort", 2, 20.0, 0, &pauses(1.0))]
+            => [("latency-p99", "Request-Server", None, Missing)];
     }
 
     #[test]
-    fn parses_machine_written_records() {
-        let text = json(&[
-            record_line("Barnes-Hut", "threaded", 4, "280000000", 257072),
-            record_line("Barnes-Hut", "simulated", 4, "null", 300000),
-        ]);
-        let points = parse_run_records(&text).expect("the records parse");
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].program, "Barnes-Hut");
-        assert_eq!(points[0].backend, "threaded");
-        assert_eq!(points[0].vprocs, 4);
-        assert_eq!(points[0].placement, "node-local");
-        assert_eq!(points[0].wall_clock_ns, Some(280000000.0));
-        assert_eq!(points[0].promoted_bytes, 257072);
-        assert_eq!(points[1].wall_clock_ns, None);
+    fn new_points_are_listed_but_never_fail() {
+        let gates = parse_gates(&table(&[WALL])).unwrap();
+        let rec = |l: String| StoredRecord::from_raw(&l, 1, 0, "test record").unwrap();
+        let base = rec(threaded("Quicksort", 2, 20.0, 0, ""));
+        let fresh = rec(threaded("Raytracer", 2, 20.0, 0, ""));
+        let report = evaluate(&gates, &[&base], &[&base, &fresh]);
+        assert_eq!(report.failures().count(), 0);
+        assert_eq!(report.new_points, vec![fresh.record_key()]);
+        assert!(markdown(&report).contains("- Raytracer/threaded/2v/node-local"));
+    }
+
+    // ------------------------------------------------------------------
+    // The whole pipeline, through store directories and a gate file.
+    // ------------------------------------------------------------------
+
+    /// Appends each batch to a fresh temp store directory.
+    fn store_dir(tag: &str, batches: &[Vec<String>]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mgc-perfdiff-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = mgc_store::RunMeta {
+            git_rev: "test".to_string(),
+            timestamp_unix: 0,
+            host_nodes: 1,
+            host_cores: 1,
+            scale: "tiny".to_string(),
+            kind: "test".to_string(),
+        };
+        for lines in batches {
+            Store::append_lines(&dir, &meta, lines).expect("append succeeds");
+        }
+        dir
+    }
+
+    /// Runs [`check`] with `entries` as the gate file; returns its result
+    /// after removing the scratch directories.
+    fn check_stores(
+        tag: &str,
+        entries: &[&str],
+        baseline: &[Vec<String>],
+        current: &[Vec<String>],
+    ) -> Result<(String, String, usize), String> {
+        let baseline = store_dir(&format!("{tag}-base"), baseline);
+        let current = store_dir(&format!("{tag}-cur"), current);
+        let gates = baseline.join("gates.json");
+        std::fs::write(&gates, table(entries)).unwrap();
+        let result = check(&baseline, &current, &gates);
+        let _ = std::fs::remove_dir_all(&baseline);
+        let _ = std::fs::remove_dir_all(&current);
+        result
+    }
+
+    const ALL_FIVE: [&str; 5] = [WALL, PROMOTED, SPEEDUP, PAUSE, LATENCY];
+
+    fn healthy_sweep() -> Vec<String> {
+        vec![
+            threaded("Dmm", 1, 100.0, 100000, ""),
+            threaded("Dmm", 4, 40.0, 100000, ""),
+            threaded("Barnes-Hut", 4, 50.0, 100000, &pauses(2.5)),
+            threaded("Request-Server", 4, 5000.0, 100000, &latency("null", 2.0)),
+        ]
+    }
+
+    #[test]
+    fn all_five_gates_pass_on_a_healthy_store() {
+        let (report, summary, failures) =
+            check_stores("healthy", &ALL_FIVE, &[healthy_sweep()], &[healthy_sweep()]).unwrap();
+        assert_eq!(failures, 0, "{report}");
+        for gate in [
+            "wall-clock",
+            "promoted-bytes",
+            "speedup",
+            "max-pause",
+            "latency-p99",
+        ] {
+            assert!(report.contains(&format!("### Gate `{gate}`")), "{report}");
+            assert!(summary.contains(&format!("gate `{gate}`")), "{summary}");
+        }
+    }
+
+    /// One appended batch injects a regression for every gate, and each
+    /// gate catches its own.
+    #[test]
+    fn injected_regressions_fail_every_gate_from_the_store() {
+        let regressed = vec![
+            // 2.5× promoted bytes, well above the 64 KiB floor.
+            threaded("Dmm", 1, 100.0, 250000, ""),
+            // 7.5× wall clock, which also collapses the 4v/1v speedup to
+            // 0.33× against the 2× pin.
+            threaded("Dmm", 4, 300.0, 100000, ""),
+            // 50 ms max pause against the 20 ms pin.
+            threaded("Barnes-Hut", 4, 50.0, 100000, &pauses(50.0)),
+            // 80 ms p99 request latency against the 25 ms pin.
+            threaded("Request-Server", 4, 5000.0, 100000, &latency("null", 80.0)),
+        ];
+        // The regressed batch rides on top of the healthy one: latest-per-
+        // key means the gate sees only the regressed records.
+        let (_, summary, failures) = check_stores(
+            "inject",
+            &ALL_FIVE,
+            &[healthy_sweep()],
+            &[healthy_sweep(), regressed],
+        )
+        .unwrap();
+        assert_eq!(failures, 5, "{summary}");
+        assert_eq!(
+            summary.matches(", 1 failed").count(),
+            5,
+            "each of the five gates catches its own: {summary}"
+        );
+    }
+
+    #[test]
+    fn store_directories_load_the_latest_record_per_key() {
+        // The older batch regresses 5×; the newer one shadows it.
+        let (report, _, failures) = check_stores(
+            "latest",
+            &[WALL],
+            &[vec![threaded("Quicksort", 4, 40.0, 0, "")]],
+            &[
+                vec![threaded("Quicksort", 4, 200.0, 0, "")],
+                vec![threaded("Quicksort", 4, 34.0, 0, "")],
+            ],
+        )
+        .unwrap();
+        assert_eq!(failures, 0, "{report}");
+        assert!(report.contains("| 34.000 ms |"), "{report}");
     }
 
     #[test]
@@ -901,655 +906,172 @@ mod tests {
             .backend(Backend::Threaded)
             .run()
             .expect("a one-vproc DMM run is valid");
-        let text = mgc_runtime::run_records_json(std::slice::from_ref(&record));
-        let points = parse_run_records(&text).expect("real records parse");
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].program, "Dense-Matrix-Multiply");
-        assert!(points[0].wall_clock_ns.is_some());
-    }
-
-    #[test]
-    fn identical_sweeps_pass_the_gate() {
-        let text = json(&[record_line("Quicksort", "threaded", 2, "20000000", 500000)]);
-        let points = parse_run_records(&text).unwrap();
-        let cmp = compare(&points, &points, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-        assert!(markdown(&cmp, Thresholds::default()).contains("| ok |"));
-    }
-
-    /// The acceptance demonstration: an injected 3× wall-clock regression
-    /// (beyond the 2.5× gate) must turn the comparison red.
-    #[test]
-    fn injected_3x_wall_regression_fails_the_gate() {
-        let baseline = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "100000000",
-            257072,
-        )]))
-        .unwrap();
-        let slowed = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "300000000",
-            257072,
-        )]))
-        .unwrap();
-        let cmp = compare(&baseline, &slowed, Thresholds::default());
-        let regressions = cmp.regressions();
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].verdict, Verdict::WallRegression);
-        assert!(markdown(&cmp, Thresholds::default()).contains("WALL REGRESSION"));
-    }
-
-    #[test]
-    fn promoted_bytes_regression_fails_and_noise_floor_tolerates_tiny_points() {
-        let baseline = parse_run_records(&json(&[record_line(
-            "Churn", "threaded", 2, "50000000", 200000,
-        )]))
-        .unwrap();
-        let bloated = parse_run_records(&json(&[record_line(
-            "Churn", "threaded", 2, "50000000", 400000,
-        )]))
-        .unwrap();
-        let cmp = compare(&baseline, &bloated, Thresholds::default());
-        assert_eq!(cmp.regressions()[0].verdict, Verdict::PromotedRegression);
-
-        // Sub-floor points never regress: 0.1 ms → 2 ms is 20× but both are
-        // noise next to the 5 ms floor; 1 KiB → 60 KiB promoted likewise.
-        let tiny_base =
-            parse_run_records(&json(&[record_line("Dmm", "threaded", 1, "100000", 1024)])).unwrap();
-        let tiny_now = parse_run_records(&json(&[record_line(
-            "Dmm", "threaded", 1, "2000000", 61440,
-        )]))
-        .unwrap();
-        let cmp = compare(&tiny_base, &tiny_now, Thresholds::default());
-        assert!(cmp.regressions().is_empty(), "noise must not fail the gate");
-    }
-
-    #[test]
-    fn speedup_thresholds_file_round_trips() {
-        let text = "{\n  \"Dense-Matrix-Multiply\": 2.0,\n  \"Raytracer\": 1.8\n}\n";
-        let thresholds = parse_speedup_thresholds(text).expect("thresholds parse");
-        assert_eq!(thresholds.len(), 2);
-        assert_eq!(thresholds[0].program, "Dense-Matrix-Multiply");
-        assert_eq!(thresholds[0].min_speedup, 2.0);
-        assert_eq!(thresholds[1].min_speedup, 1.8);
-    }
-
-    #[test]
-    fn healthy_scaling_passes_the_speedup_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line("Dmm", "threaded", 1, "100000000", 0),
-            record_line("Dmm", "threaded", 2, "55000000", 0),
-            record_line("Dmm", "threaded", 4, "30000000", 0),
-            record_line("Dmm", "simulated", 4, "null", 0),
-        ]))
-        .unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].walls.len(), 3, "simulated points are excluded");
-        let speedup = rows[0].speedup.expect("both ends present");
-        assert!((speedup - 100.0 / 30.0).abs() < 1e-9);
-        assert!(!rows[0].failed());
-        assert!(missing_pinned_programs(&rows, &thresholds).is_empty());
-        assert!(speedup_markdown(&rows, &[]).contains("| ok |"));
-    }
-
-    /// The acceptance demonstration for the speedup gate: a sweep whose
-    /// 4-vproc time barely improves on 1 vproc (an injected scaling
-    /// regression) must fail a 2× pin.
-    #[test]
-    fn injected_scaling_regression_fails_the_speedup_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line("Dmm", "threaded", 1, "100000000", 0),
-            record_line("Dmm", "threaded", 4, "90000000", 0),
-        ]))
-        .unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        assert!(rows[0].failed(), "1.11× must fail a 2× pin");
-        assert!(speedup_markdown(&rows, &[]).contains("SPEEDUP REGRESSION"));
-    }
-
-    #[test]
-    fn unpinned_programs_and_missing_pins_are_handled() {
-        let sweep = parse_run_records(&json(&[
-            record_line("Quicksort", "threaded", 1, "100000000", 0),
-            record_line("Quicksort", "threaded", 4, "95000000", 0),
-        ]))
-        .unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        // Quicksort scales poorly but is not pinned: no failure.
-        assert!(!rows[0].failed());
-        // Dmm is pinned but absent from the sweep: that must be loud.
-        let missing = missing_pinned_programs(&rows, &thresholds);
-        assert_eq!(missing, vec!["Dmm"]);
-        assert!(speedup_markdown(&rows, &missing).contains("MISSING PINNED PROGRAM"));
-    }
-
-    #[test]
-    fn single_vproc_only_sweep_cannot_satisfy_a_pin() {
-        let sweep =
-            parse_run_records(&json(&[record_line("Dmm", "threaded", 1, "100000000", 0)])).unwrap();
-        let thresholds = vec![SpeedupThreshold {
-            program: "Dmm".to_string(),
-            min_speedup: 2.0,
-        }];
-        let rows = speedup_rows(&sweep, &thresholds);
-        assert_eq!(rows[0].speedup, None);
-        assert!(
-            rows[0].failed(),
-            "a pinned program without a multi-vproc point must fail"
-        );
-    }
-
-    #[test]
-    fn pause_fields_parse_and_default_to_none_on_old_records() {
-        let text = json(&[
-            record_line_with_pauses("Barnes-Hut", 4, "2500000", "800000"),
-            record_line("Barnes-Hut", "threaded", 2, "280000000", 0),
-        ]);
-        let points = parse_run_records(&text).expect("the records parse");
-        assert_eq!(points[0].pause_max_ns, Some(2500000.0));
-        assert_eq!(points[0].pause_p99_ns, Some(800000.0));
-        assert_eq!(points[1].pause_max_ns, None, "old records lack the field");
-        assert_eq!(points[1].pause_p99_ns, None);
-    }
-
-    #[test]
-    fn pause_thresholds_file_round_trips() {
-        let text = "{\n  \"Barnes-Hut\": 20.0,\n  \"Quicksort\": 5.5\n}\n";
-        let thresholds = parse_pause_thresholds(text).expect("thresholds parse");
-        assert_eq!(thresholds.len(), 2);
-        assert_eq!(thresholds[0].program, "Barnes-Hut");
-        assert_eq!(thresholds[0].max_pause_ms, 20.0);
-        assert_eq!(thresholds[1].max_pause_ms, 5.5);
-    }
-
-    #[test]
-    fn pauses_under_the_pin_pass_the_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line_with_pauses("Barnes-Hut", 1, "1500000", "900000"),
-            record_line_with_pauses("Barnes-Hut", 4, "2500000", "800000"),
-        ]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| !r.failed()));
-        assert!(missing_pause_pinned_programs(&rows, &thresholds).is_empty());
-        assert!(pause_markdown(&rows, &[]).contains("| ok |"));
-    }
-
-    /// The acceptance demonstration for the pause gate: a sweep whose max
-    /// pause blows past its absolute pin must turn the comparison red.
-    #[test]
-    fn injected_pause_regression_fails_the_gate() {
-        // 50 ms max pause against a 20 ms pin.
-        let sweep = parse_run_records(&json(&[record_line_with_pauses(
-            "Barnes-Hut",
-            4,
-            "50000000",
-            "3000000",
-        )]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        assert!(rows[0].failed(), "50 ms must fail a 20 ms pin");
-        assert!(pause_markdown(&rows, &[]).contains("PAUSE REGRESSION"));
-    }
-
-    #[test]
-    fn pinned_points_without_pause_telemetry_fail_loudly() {
-        // An old-schema record (no pause fields) for a pinned program must
-        // not silently pass.
-        let sweep = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "280000000",
-            0,
-        )]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        assert!(rows[0].failed());
-
-        // Unpinned programs without telemetry are merely "not pinned".
-        let rows = pause_rows(&sweep, &[]);
-        assert!(!rows[0].failed());
-        assert!(pause_markdown(&rows, &[]).contains("not pinned"));
-    }
-
-    #[test]
-    fn missing_pause_pins_are_loud() {
-        let sweep = parse_run_records(&json(&[record_line_with_pauses(
-            "Quicksort",
-            2,
-            "1000000",
-            "500000",
-        )]))
-        .unwrap();
-        let thresholds = vec![PauseThreshold {
-            program: "Barnes-Hut".to_string(),
-            max_pause_ms: 20.0,
-        }];
-        let rows = pause_rows(&sweep, &thresholds);
-        let missing = missing_pause_pinned_programs(&rows, &thresholds);
-        assert_eq!(missing, vec!["Barnes-Hut"]);
-        assert!(pause_markdown(&rows, &missing).contains("MISSING PINNED PROGRAM"));
-    }
-
-    fn record_line_with_budget(program: &str, vprocs: u64, budget: &str) -> String {
-        format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"threaded\", \
-             \"vprocs\": {vprocs}, \"placement\": \"node-local\", \
-             \"wall_clock_ns\": 50000000, \"promoted_bytes\": 0, \
-             \"pause_budget_us\": {budget}}}"
-        )
-    }
-
-    #[test]
-    fn pause_budget_is_part_of_the_matching_key() {
-        let unbudgeted =
-            parse_run_records(&json(&[record_line_with_budget("Barnes-Hut", 4, "null")])).unwrap();
-        let budgeted =
-            parse_run_records(&json(&[record_line_with_budget("Barnes-Hut", 4, "250")])).unwrap();
-        assert_eq!(unbudgeted[0].pause_budget_us, None);
-        assert_eq!(budgeted[0].pause_budget_us, Some(250));
-
-        // Same program/backend/vprocs/placement, different budget: the
-        // budgeted point must NOT be compared against the unbudgeted
-        // baseline — it shows up as a missing baseline point plus a new
-        // current point instead.
-        let cmp = compare(&unbudgeted, &budgeted, Thresholds::default());
-        assert_eq!(cmp.regressions().len(), 1);
-        assert_eq!(cmp.regressions()[0].verdict, Verdict::Missing);
-        assert_eq!(cmp.new_points.len(), 1);
-
-        // Identical budgets still match.
-        let cmp = compare(&budgeted, &budgeted, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-
-        // Records that predate the knob parse as unbudgeted and keep
-        // matching each other.
-        let old = parse_run_records(&json(&[record_line(
-            "Barnes-Hut",
-            "threaded",
-            4,
-            "50000000",
-            0,
-        )]))
-        .unwrap();
-        assert_eq!(old[0].pause_budget_us, None);
-        let cmp = compare(&old, &unbudgeted, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-    }
-
-    fn record_line_with_latency(
-        program: &str,
-        vprocs: u64,
-        budget: &str,
-        p99: &str,
-        p999: &str,
-    ) -> String {
-        format!(
-            "  {{\"program\": \"{program}\", \"params\": {{}}, \"backend\": \"threaded\", \
-             \"vprocs\": {vprocs}, \"placement\": \"node-local\", \
-             \"wall_clock_ns\": 5000000000, \"promoted_bytes\": 0, \
-             \"pause_budget_us\": {budget}, \"requests_served\": 10000, \
-             \"throughput_rps\": 1999.2, \"latency_p50_ns\": 700000, \
-             \"latency_p99_ns\": {p99}, \"latency_p999_ns\": {p999}, \
-             \"latency_max_ns\": 9000000}}"
-        )
-    }
-
-    #[test]
-    fn latency_fields_parse_and_default_to_none_on_old_records() {
-        let text = json(&[
-            record_line_with_latency("Request-Server", 4, "null", "2000000", "4000000"),
-            record_line("Request-Server", "threaded", 4, "5000000000", 0),
-        ]);
-        let points = parse_run_records(&text).expect("the records parse");
-        assert_eq!(points[0].latency_p99_ns, Some(2000000.0));
-        assert_eq!(points[0].latency_p999_ns, Some(4000000.0));
-        assert_eq!(points[1].latency_p99_ns, None, "old records lack the field");
-        assert_eq!(points[1].latency_p999_ns, None);
-    }
-
-    #[test]
-    fn latency_thresholds_file_round_trips() {
-        let text = "{\n  \"Request-Server\": 25.0\n}\n";
-        let thresholds = parse_latency_thresholds(text).expect("thresholds parse");
-        assert_eq!(thresholds.len(), 1);
-        assert_eq!(thresholds[0].program, "Request-Server");
-        assert_eq!(thresholds[0].max_p99_ms, 25.0);
-    }
-
-    #[test]
-    fn latencies_under_the_pin_pass_the_gate() {
-        let sweep = parse_run_records(&json(&[
-            record_line_with_latency("Request-Server", 4, "null", "2000000", "4000000"),
-            record_line_with_latency("Request-Server", 4, "500", "2500000", "5000000"),
-        ]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| !r.failed()));
-        assert_eq!(rows[1].pause_budget_us, Some(500));
-        assert!(missing_latency_pinned_programs(&rows, &thresholds).is_empty());
-        assert!(latency_markdown(&rows, &[]).contains("| ok |"));
-    }
-
-    /// The acceptance demonstration for the latency gate: a sweep whose p99
-    /// request latency blows past its absolute pin must turn the comparison
-    /// red.
-    #[test]
-    fn injected_latency_regression_fails_the_gate() {
-        // 80 ms p99 against a 25 ms pin.
-        let sweep = parse_run_records(&json(&[record_line_with_latency(
-            "Request-Server",
-            4,
-            "null",
-            "80000000",
-            "120000000",
-        )]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        assert!(rows[0].failed(), "80 ms must fail a 25 ms pin");
-        assert!(latency_markdown(&rows, &[]).contains("LATENCY REGRESSION"));
-    }
-
-    #[test]
-    fn pinned_points_without_latency_telemetry_fail_loudly() {
-        // An old-schema record (no latency fields) for a pinned program must
-        // not silently pass.
-        let sweep = parse_run_records(&json(&[record_line(
-            "Request-Server",
-            "threaded",
-            4,
-            "5000000000",
-            0,
-        )]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        assert!(rows[0].failed());
-
-        // Unpinned programs without telemetry are merely "not pinned".
-        let rows = latency_rows(&sweep, &[]);
-        assert!(!rows[0].failed());
-        assert!(latency_markdown(&rows, &[]).contains("not pinned"));
-    }
-
-    #[test]
-    fn missing_latency_pins_are_loud() {
-        let sweep = parse_run_records(&json(&[record_line_with_pauses(
-            "Quicksort",
-            2,
-            "1000000",
-            "500000",
-        )]))
-        .unwrap();
-        let thresholds = vec![LatencyThreshold {
-            program: "Request-Server".to_string(),
-            max_p99_ms: 25.0,
-        }];
-        let rows = latency_rows(&sweep, &thresholds);
-        let missing = missing_latency_pinned_programs(&rows, &thresholds);
-        assert_eq!(missing, vec!["Request-Server"]);
-        assert!(latency_markdown(&rows, &missing).contains("MISSING PINNED PROGRAM"));
-    }
-
-    #[test]
-    fn missing_points_are_flagged_and_new_points_reported() {
-        let baseline = parse_run_records(&json(&[
-            record_line("Quicksort", "threaded", 2, "20000000", 500000),
-            record_line("SMVM", "threaded", 2, "20000000", 500000),
-        ]))
-        .unwrap();
-        let current = parse_run_records(&json(&[
-            record_line("Quicksort", "threaded", 2, "20000000", 500000),
-            record_line("Raytracer", "threaded", 2, "20000000", 500000),
-        ]))
-        .unwrap();
-        let cmp = compare(&baseline, &current, Thresholds::default());
-        assert_eq!(cmp.regressions().len(), 1);
-        assert_eq!(cmp.regressions()[0].verdict, Verdict::Missing);
-        assert_eq!(cmp.new_points.len(), 1);
-        assert_eq!(cmp.new_points[0].program, "Raytracer");
-    }
-
-    // ------------------------------------------------------------------
-    // Store-backed queries: the same gates, fed from a results-store
-    // directory through `load_points` instead of a flat file.
-    // ------------------------------------------------------------------
-
-    fn store_line(program: &str, vprocs: u64, promoted: u64, extra: &str) -> String {
-        format!(
-            "{{\"schema_version\": 2, \"program\": \"{program}\", \"params\": {{}}, \
-             \"backend\": \"threaded\", \"vprocs\": {vprocs}, \
-             \"placement\": \"node-local\", \"promoted_bytes\": {promoted}{extra}}}"
-        )
-    }
-
-    /// Appends each batch to a fresh temp store and loads it back through
-    /// the directory path of `load_points`.
-    fn load_store(tag: &str, batches: &[Vec<String>]) -> Vec<PerfPoint> {
-        let dir = std::env::temp_dir().join(format!("mgc-perfdiff-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let meta = mgc_store::RunMeta {
-            git_rev: "test".to_string(),
-            timestamp_unix: 0,
-            host_nodes: 1,
-            host_cores: 1,
-            scale: "tiny".to_string(),
-            kind: "test".to_string(),
-        };
-        for lines in batches {
-            mgc_store::Store::append_lines(&dir, &meta, lines).expect("append succeeds");
-        }
-        let points = load_points(&dir).expect("the store loads");
-        let _ = std::fs::remove_dir_all(&dir);
-        points
-    }
-
-    #[test]
-    fn store_directories_load_the_latest_record_per_key() {
-        let points = load_store(
-            "latest",
-            &[
-                vec![
-                    store_line("Quicksort", 1, 100000, ", \"wall_clock_ns\": 90000000"),
-                    store_line("Quicksort", 4, 100000, ", \"wall_clock_ns\": 40000000"),
-                ],
-                vec![store_line(
-                    "Quicksort",
-                    4,
-                    100000,
-                    ", \"wall_clock_ns\": 34000000",
-                )],
-            ],
-        );
-        assert_eq!(points.len(), 2, "re-run keys collapse to one point each");
-        assert_eq!(points[0].wall_clock_ns, Some(90000000.0));
-        assert_eq!(
-            points[1].wall_clock_ns,
-            Some(34000000.0),
-            "the newer batch shadows the older one"
-        );
-    }
-
-    fn healthy_sweep() -> Vec<String> {
-        vec![
-            store_line(
-                "Dmm",
-                1,
-                100000,
-                ", \"wall_clock_ns\": 100000000, \"pause_max_ns\": 2000000, \
-                 \"pause_p99_ns\": 1000000",
-            ),
-            store_line(
-                "Dmm",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 40000000, \"pause_max_ns\": 2500000, \
-                 \"pause_p99_ns\": 1200000",
-            ),
-            store_line(
-                "Request-Server",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 5000000000, \"pause_budget_us\": null, \
-                 \"latency_p99_ns\": 2000000, \"latency_p999_ns\": 4000000",
-            ),
-        ]
-    }
-
-    fn gate_pins() -> (
-        Vec<SpeedupThreshold>,
-        Vec<PauseThreshold>,
-        Vec<LatencyThreshold>,
-    ) {
-        (
-            vec![SpeedupThreshold {
-                program: "Dmm".to_string(),
-                min_speedup: 2.0,
-            }],
-            vec![PauseThreshold {
-                program: "Dmm".to_string(),
-                max_pause_ms: 20.0,
-            }],
-            vec![LatencyThreshold {
-                program: "Request-Server".to_string(),
-                max_p99_ms: 25.0,
-            }],
-        )
-    }
-
-    #[test]
-    fn all_five_gates_pass_on_a_healthy_store() {
-        let baseline = load_store("healthy-base", &[healthy_sweep()]);
-        let current = load_store("healthy-cur", &[healthy_sweep()]);
-        let (speedup_pins, pause_pins, latency_pins) = gate_pins();
-
-        // Gates 1+2: wall-clock and promoted-bytes ratios.
-        let cmp = compare(&baseline, &current, Thresholds::default());
-        assert!(cmp.regressions().is_empty());
-        // Gate 3: parallel speedup (2.5× measured vs a 2.0× pin).
-        let rows = speedup_rows(&current, &speedup_pins);
-        assert!(rows.iter().all(|r| !r.failed()));
-        assert!(missing_pinned_programs(&rows, &speedup_pins).is_empty());
-        // Gate 4: max pause (2.5 ms vs a 20 ms pin).
-        let rows = pause_rows(&current, &pause_pins);
-        assert!(rows.iter().all(|r| !r.failed()));
-        // Gate 5: p99 request latency (2 ms vs a 25 ms pin).
-        let rows = latency_rows(&current, &latency_pins);
-        assert!(rows.iter().all(|r| !r.failed()));
-    }
-
-    /// The exit-1 scenarios, through the store: one appended batch injects
-    /// a regression for every gate, and each gate catches its own.
-    #[test]
-    fn injected_regressions_fail_every_gate_from_the_store() {
-        let baseline = load_store("inject-base", &[healthy_sweep()]);
-        let regressed = vec![
-            // 2.5× promoted bytes (gate 2), well above the 64 KiB floor.
-            store_line(
-                "Dmm",
-                1,
-                250000,
-                ", \"wall_clock_ns\": 100000000, \"pause_max_ns\": 2000000, \
-                 \"pause_p99_ns\": 1000000",
-            ),
-            // 7.5× wall clock (gate 1), which also collapses the 4v/1v
-            // speedup to 0.33× against the 2× pin (gate 3), and a 50 ms
-            // max pause against the 20 ms pin (gate 4).
-            store_line(
-                "Dmm",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 300000000, \"pause_max_ns\": 50000000, \
-                 \"pause_p99_ns\": 12000000",
-            ),
-            // An 80 ms p99 request latency against the 25 ms pin (gate 5).
-            store_line(
-                "Request-Server",
-                4,
-                100000,
-                ", \"wall_clock_ns\": 5000000000, \"pause_budget_us\": null, \
-                 \"latency_p99_ns\": 80000000, \"latency_p999_ns\": 120000000",
-            ),
-        ];
-        // The regressed batch rides on top of the healthy one: latest-per-
-        // key means the gate sees only the regressed records.
-        let current = load_store("inject-cur", &[healthy_sweep(), regressed]);
-        let (speedup_pins, pause_pins, latency_pins) = gate_pins();
-
-        let cmp = compare(&baseline, &current, Thresholds::default());
-        let verdicts: Vec<Verdict> = cmp.regressions().iter().map(|r| r.verdict).collect();
-        assert!(verdicts.contains(&Verdict::WallRegression), "{verdicts:?}");
-        assert!(
-            verdicts.contains(&Verdict::PromotedRegression),
-            "{verdicts:?}"
-        );
-
-        let rows = speedup_rows(&current, &speedup_pins);
-        assert!(rows.iter().any(|r| r.failed()), "0.33× must fail a 2× pin");
-        let rows = pause_rows(&current, &pause_pins);
-        assert!(
-            rows.iter().any(|r| r.failed()),
-            "50 ms must fail a 20 ms pin"
-        );
-        let rows = latency_rows(&current, &latency_pins);
-        assert!(
-            rows.iter().any(|r| r.failed()),
-            "80 ms must fail a 25 ms pin"
-        );
+        let sweep = [vec![record.to_json()]];
+        let (report, summary, failures) =
+            check_stores("real", &[WALL, PROMOTED], &sweep, &sweep).unwrap();
+        assert_eq!(failures, 0, "{report}");
+        assert!(summary.contains("gate `wall-clock`: 1 rows"), "{summary}");
+        assert!(report.contains("Dense-Matrix-Multiply/threaded/1v/node-local"));
     }
 
     #[test]
     fn future_schema_versions_are_rejected_at_load() {
-        let err = parse_run_records(
-            "[\n  {\"schema_version\": 99, \"program\": \"Dmm\", \"backend\": \"threaded\", \
-             \"vprocs\": 1, \"wall_clock_ns\": 1, \"promoted_bytes\": 0}\n]\n",
+        let current = store_dir("future", &[]);
+        std::fs::write(
+            current.join("run-000001.json"),
+            "{\"store_schema_version\": 1, \"meta\": {}, \"records\": [\n  \
+             {\"schema_version\": 99, \"program\": \"Dmm\", \"backend\": \"threaded\", \
+             \"vprocs\": 1, \"wall_clock_ns\": 1, \"promoted_bytes\": 0}\n]}\n",
         )
-        .unwrap_err();
+        .unwrap();
+        let gates = current.join("gates.json");
+        std::fs::write(&gates, table(&[WALL])).unwrap();
+        let err = check(&current, &current, &gates).unwrap_err();
+        let _ = std::fs::remove_dir_all(&current);
         assert!(err.contains("\"schema_version\""), "{err}");
         assert!(err.contains("99"), "{err}");
+    }
+
+    // ------------------------------------------------------------------
+    // The checked-in gate table and baseline store.
+    // ------------------------------------------------------------------
+
+    fn checked_in_gates() -> Vec<Gate> {
+        let text = std::fs::read_to_string(format!("{REPO}/results/baseline/gates.json")).unwrap();
+        parse_gates(&text).expect("the checked-in gate table parses")
+    }
+
+    /// `(program, bound)` of every checked-in entry named `gate`.
+    fn pins(gate: &str) -> Vec<(String, f64)> {
+        checked_in_gates()
+            .into_iter()
+            .filter(|g| g.name == gate)
+            .map(|g| (g.program.unwrap_or_default(), g.bound))
+            .collect()
+    }
+
+    fn pin_list(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|(p, b)| (p.to_string(), *b)).collect()
+    }
+
+    #[test]
+    fn speedup_thresholds_file_round_trips() {
+        assert_eq!(
+            pins("speedup"),
+            pin_list(&[
+                ("Dense-Matrix-Multiply", 2.0),
+                ("Raytracer", 2.0),
+                ("Synthetic-Churn", 2.0),
+                ("Quicksort", 1.5),
+                ("SMVM", 1.2),
+                ("Barnes-Hut", 1.1),
+            ])
+        );
+    }
+
+    #[test]
+    fn pause_thresholds_file_round_trips() {
+        assert_eq!(
+            pins("max-pause"),
+            pin_list(&[
+                ("Dense-Matrix-Multiply", 5e6),
+                ("Raytracer", 5e6),
+                ("Quicksort", 60e6),
+                ("Barnes-Hut", 25e6),
+                ("SMVM", 10e6),
+                ("Synthetic-Churn", 25e6),
+            ])
+        );
+    }
+
+    #[test]
+    fn latency_thresholds_file_round_trips() {
+        assert_eq!(pins("latency-p99"), pin_list(&[("Request-Server", 2000e6)]));
+        // The two ratio gates ride in the same table.
+        let gates = checked_in_gates();
+        let ratio = |name: &str| {
+            let gate = gates.iter().find(|g| g.name == name).unwrap();
+            (gate.bound, gate.comparison)
+        };
+        assert_eq!(
+            ratio("wall-clock"),
+            (2.5, Comparison::RatioToBaseline { floor: 5e6 })
+        );
+        assert_eq!(
+            ratio("promoted-bytes"),
+            (1.5, Comparison::RatioToBaseline { floor: 65536.0 })
+        );
+    }
+
+    #[test]
+    fn gate_tables_with_unknown_versions_comparisons_or_metrics_are_rejected() {
+        let err =
+            parse_gates(&table(&[WALL]).replace("_version\": 1", "_version\": 9")).unwrap_err();
+        assert!(err.contains("\"gates_schema_version\""), "{err}");
+        assert!(err.contains("reads version 1"), "{err}");
+        let err =
+            parse_gates(&table(&[&PAUSE.replace("absolute-max", "relative-min")])).unwrap_err();
+        assert!(err.contains("\"comparison\" is \"relative-min\""), "{err}");
+        let err =
+            parse_gates(&table(&[&PAUSE.replace("pause_max_ns", "pause_mean_ns")])).unwrap_err();
+        assert!(err.contains("\"metric\" is \"pause_mean_ns\""), "{err}");
+        let err = parse_gates(&table(&[&PAUSE.replace("\"program\"", "\"vprocs\"")])).unwrap_err();
+        assert!(err.contains("unknown field \"vprocs\""), "{err}");
+        let err = parse_gates(&table(&[&WALL.replace(", \"floor\": 5000000", "")])).unwrap_err();
+        assert!(err.contains("\"floor\""), "{err}");
+    }
+
+    /// The blind spot this gate used to have: the checked-in seeds sat in
+    /// the "current" store and shadowed every baseline key, so a sweep that
+    /// measured nothing still compared 36 points and exited 0.
+    #[test]
+    fn an_empty_current_store_fails_with_every_baseline_key_missing() {
+        let baseline = PathBuf::from(format!("{REPO}/results/store"));
+        let current = store_dir("empty", &[]);
+        let (report, _, failures) = check(
+            &baseline,
+            &current,
+            &PathBuf::from(format!("{REPO}/results/baseline/gates.json")),
+        )
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&current);
+        assert!(failures > 0, "an empty sweep must exit 1");
+        let store = Store::open(&baseline).unwrap();
+        let keys = Query::new().latest_per_key(&store);
+        assert_eq!(keys.len(), 39, "36 bench + 3 serve seed keys");
+        for record in keys {
+            let row = format!("| {} |", record.record_key());
+            assert!(
+                report
+                    .lines()
+                    .any(|l| l.starts_with(&row) && l.ends_with("| **MISSING** |")),
+                "{row} not reported missing"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dropped_program_is_named_under_every_gate_that_pins_it() {
+        let store = Store::open(format!("{REPO}/results/store")).unwrap();
+        let baseline = Query::new().latest_per_key(&store);
+        let current: Vec<&StoredRecord> = baseline
+            .iter()
+            .copied()
+            .filter(|r| r.program() != "Barnes-Hut")
+            .collect();
+        let gates = checked_in_gates();
+        let report = evaluate(&gates, &baseline, &current);
+        let missing_under = |gate: &str| {
+            report
+                .failures()
+                .map(identity)
+                .filter(|row| (row.0, row.1, row.3) == (gate, "Barnes-Hut", Missing))
+                .count()
+        };
+        assert_eq!(missing_under("wall-clock"), 3, "three threaded keys");
+        assert_eq!(missing_under("promoted-bytes"), 6, "both backends");
+        assert_eq!(missing_under("speedup"), 1);
+        assert_eq!(missing_under("max-pause"), 1);
+        assert_eq!(missing_under("latency-p99"), 0, "not a serving program");
     }
 }

@@ -1,13 +1,11 @@
 //! Collector configuration and tuning knobs.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the garbage collector's triggers and policies.
 ///
 /// The defaults follow the paper, scaled down to the reproduction's smaller
 /// workloads (the paper's global threshold is 32 MB per vproc on a machine
 /// with 128 GB of RAM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
     /// A minor collection triggers a major collection when the size of the
     /// freshly re-divided nursery falls below this fraction of the local

@@ -8,7 +8,6 @@
 //! placement) shows up in the reproduced figures.
 
 use mgc_numa::{NodeId, Traffic, VprocRoundCost};
-use serde::{Deserialize, Serialize};
 
 /// CPU nanoseconds charged per word the collector copies.
 pub const CPU_NS_PER_WORD_COPIED: f64 = 1.0;
@@ -24,7 +23,7 @@ pub const CHUNK_ACQUIRE_NS: f64 = 1_500.0;
 pub const GLOBAL_BARRIER_NS: f64 = 25_000.0;
 
 /// Accumulated cost of one or more collector operations.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GcCost {
     /// Pure CPU time in nanoseconds.
     pub cpu_ns: f64,

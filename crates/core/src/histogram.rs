@@ -6,8 +6,6 @@
 //! the same alias). Keeping them literally the same code means the
 //! percentile and merge semantics are tested once and hold everywhere.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of log2 buckets in a [`Histogram`]. Bucket `i` counts durations in
 /// `[2^i, 2^(i+1))` nanoseconds; `2^48` ns is ~3.3 days, far beyond any pause
 /// or request latency this runtime can produce, so the last bucket never
@@ -29,7 +27,7 @@ pub const HISTOGRAM_BUCKETS: usize = 48;
 /// holding the requested rank, capped at the observed maximum — an
 /// over-approximation by at most 2x, which is plenty for p50/p99/p999
 /// reporting and for a CI gate on the (exact) maximum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Histogram {
     /// Number of durations recorded.
     pub count: u64,

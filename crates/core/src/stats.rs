@@ -1,10 +1,9 @@
 //! Collector statistics.
 
 use crate::histogram::{Histogram, HISTOGRAM_BUCKETS};
-use serde::{Deserialize, Serialize};
 
 /// The kind of a collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectionKind {
     /// Minor collection: nursery survivors copied into the old-data area.
     Minor,
@@ -49,7 +48,7 @@ pub type PauseStats = Histogram;
 
 /// Counters for one vproc's collector activity (or the whole machine's when
 /// aggregated).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GcStats {
     /// Number of minor collections.
     pub minor_collections: u64,

@@ -9,11 +9,10 @@
 use crate::addr::{Addr, Word, WORD_BYTES};
 use crate::error::HeapError;
 use mgc_numa::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a global-heap chunk.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub u32);
 
 impl ChunkId {
@@ -36,7 +35,7 @@ impl fmt::Display for ChunkId {
 }
 
 /// Lifecycle state of a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkState {
     /// On a per-node free list, available for reuse.
     Free,
@@ -54,7 +53,7 @@ pub enum ChunkState {
 }
 
 /// One fixed-size chunk of the global heap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Chunk {
     id: ChunkId,
     base: Addr,

@@ -19,7 +19,6 @@
 //! the role of the compiler-generated scanning functions described in §3.2.
 
 use crate::addr::{Addr, Word};
-use serde::{Deserialize, Serialize};
 
 /// Reserved header ID for raw-data objects (no pointer fields).
 pub const RAW_ID: u16 = 1;
@@ -33,7 +32,7 @@ pub const MAX_ID: u16 = 0x7FFF;
 pub const MAX_LEN_WORDS: u64 = (1 << 48) - 1;
 
 /// The kind of a heap object, as determined by its header ID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// Raw data: no payload word is a pointer (e.g. strings, float arrays).
     Raw,
@@ -70,7 +69,7 @@ impl ObjectKind {
 }
 
 /// A decoded object header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Header {
     /// The object kind (decoded from the 15-bit ID field).
     pub kind: ObjectKind,

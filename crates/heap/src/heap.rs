@@ -16,10 +16,9 @@ use crate::header::{Header, HeaderSlot, ObjectKind};
 use crate::local::{LocalHeap, LocalRegion};
 use crate::space::{AddressSpace, RegionOwner};
 use mgc_numa::{AllocPolicy, NodeId, PageMap, PagePlacer, PlacementPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the heap geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapConfig {
     /// Size of a global-heap chunk in bytes. The paper uses large chunks on
     /// a 128 GB machine; the default here is scaled down to match the scaled
@@ -172,7 +171,7 @@ impl HeapGeometry {
 }
 
 /// Which heap space an address belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Space {
     /// The nursery of a vproc's local heap.
     LocalNursery {
@@ -252,7 +251,7 @@ pub enum EvacTarget {
 }
 
 /// Heap-wide counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
     /// Number of global-chunk acquisitions (each is a synchronisation point
     /// in the real runtime, §3.3).

@@ -29,10 +29,9 @@ use crate::addr::{Addr, Word, WORD_BYTES};
 use crate::error::HeapError;
 use crate::header::Header;
 use mgc_numa::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Which part of a local heap an address falls in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LocalRegion {
     /// The old-data area `[0, young_start)` — candidates for promotion at
     /// the next major collection.
@@ -49,7 +48,7 @@ pub enum LocalRegion {
 }
 
 /// Statistics maintained by a local heap across its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalHeapStats {
     /// Total words ever allocated in the nursery.
     pub nursery_allocated_words: u64,
@@ -58,7 +57,7 @@ pub struct LocalHeapStats {
 }
 
 /// A per-vproc local heap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalHeap {
     vproc: usize,
     node: NodeId,

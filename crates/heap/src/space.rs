@@ -8,10 +8,9 @@
 
 use crate::addr::{Addr, WORD_BYTES};
 use crate::chunk::ChunkId;
-use serde::{Deserialize, Serialize};
 
 /// The owner of one block of the address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionOwner {
     /// Not mapped to any heap region.
     Unmapped,
@@ -28,7 +27,7 @@ pub enum RegionOwner {
 }
 
 /// A flat address space divided into fixed-size blocks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AddressSpace {
     block_words: usize,
     regions: Vec<RegionOwner>,

@@ -36,7 +36,6 @@
 //! decision trail.
 
 use crate::policy::PlacementPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Default promotions per sample window.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 32;
@@ -50,7 +49,7 @@ pub const DEFAULT_LO_REMOTE_PERMILLE: u32 = 125;
 pub const DEFAULT_PATIENCE: u32 = 2;
 
 /// The two effective behaviours an adaptive controller toggles between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementMode {
     /// Lease promotion chunks on the consumer's node.
     NodeLocal,
@@ -83,7 +82,7 @@ impl std::fmt::Display for PlacementMode {
 }
 
 /// Why a controller switched modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionReason {
     /// First promotion with no ledger evidence: adopt the paper default.
     ColdStart,
@@ -108,7 +107,7 @@ impl DecisionReason {
 
 /// One mode switch, recorded for the `placement_decisions` field of a run
 /// record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementDecision {
     /// Promotion count (on this controller) at which the switch took effect.
     pub at_promotion: u64,

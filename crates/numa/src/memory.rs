@@ -25,7 +25,6 @@
 
 use crate::ids::{CoreId, NodeId};
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Memory-level parallelism factor: how many cache-miss latencies overlap.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_MLP: f64 = 4.0;
 
 /// Traffic from one vproc to one destination node during a round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// Bytes read or written.
     pub bytes: u64,
@@ -63,7 +62,7 @@ impl Traffic {
 }
 
 /// Everything one vproc did during a scheduling round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VprocRoundCost {
     /// The core the vproc is pinned to.
     pub core: CoreId,
@@ -110,7 +109,7 @@ impl VprocRoundCost {
 }
 
 /// What limited the duration of a round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Bottleneck {
     /// No vproc did any work.
     Idle,
@@ -135,7 +134,7 @@ pub enum Bottleneck {
 }
 
 /// Result of costing one scheduling round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundBreakdown {
     /// Elapsed virtual time of the round in nanoseconds.
     pub duration_ns: f64,

@@ -16,11 +16,10 @@
 //! differently.
 
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which node should back a new page or global-heap chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AllocPolicy {
     /// Allocate on the node of the requesting vproc (the paper's default).
     #[default]
@@ -103,7 +102,7 @@ impl std::str::FromStr for AllocPolicy {
 ///   cannot flap. The runtime resolves `Adaptive` to one of the two static
 ///   behaviours *before* every chunk lease, so the heap layer below only
 ///   ever sees an effective static policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlacementPolicy {
     /// Lease chunks from the consuming worker's node (thief-node at steal).
     #[default]

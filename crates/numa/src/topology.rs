@@ -14,12 +14,11 @@
 
 use crate::error::TopologyError;
 use crate::ids::{CoreId, NodeId, PackageId};
-use serde::{Deserialize, Serialize};
 
 /// Cache sizes for a node, in bytes. Only the L3 size matters to the heap
 /// (the paper sizes local heaps to fit in L3, §3.1), but the L1/L2 sizes are
 /// kept for completeness and for the cache-aware cost heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheSpec {
     /// Per-core L1 data cache size in bytes.
     pub l1_data: usize,
@@ -58,7 +57,7 @@ impl Default for CacheSpec {
 }
 
 /// Description of one NUMA node (a die with its own memory controller).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// The package (socket) this node belongs to.
     pub package: PackageId,
@@ -73,7 +72,7 @@ pub struct NodeSpec {
 }
 
 /// Description of one core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreSpec {
     /// The node this core belongs to.
     pub node: NodeId,
@@ -85,7 +84,7 @@ pub struct CoreSpec {
 ///
 /// Construct one with [`Topology::amd_magny_cours_48`],
 /// [`Topology::intel_xeon_32`], or [`TopologyBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     nodes: Vec<NodeSpec>,

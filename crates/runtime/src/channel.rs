@@ -14,11 +14,10 @@
 //! real CML is orthogonal to the collector and is not reproduced.
 
 use mgc_heap::Addr;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Identifier of a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChannelId(pub(crate) usize);
 
 impl ChannelId {
@@ -29,7 +28,7 @@ impl ChannelId {
 }
 
 /// Identifier of an object proxy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProxyId(pub(crate) usize);
 
 impl ProxyId {
@@ -61,7 +60,7 @@ pub(crate) struct ChannelState {
 }
 
 /// Per-run channel statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Messages sent across all channels.
     pub sends: u64,

@@ -11,8 +11,6 @@
 //! | `MGC_PLACEMENT` | Promotion-chunk NUMA placement | `node-local`, `interleave`, `first-touch`, `adaptive` |
 //! | `MGC_MAX_ROUNDS` | Simulated scheduler's runaway-program round cap | a positive integer |
 //! | `MGC_PAUSE_BUDGET_US` | Soft per-increment global-collection pause budget, in microseconds | a positive integer |
-//! | `MGC_SERVE_SECONDS` | Serving programs' threaded-backend run duration, in seconds | a positive integer |
-//! | `MGC_SERVE_RPS` | Serving programs' open-loop arrival rate, in requests per second | a positive integer |
 //!
 //! [`Experiment`](crate::Experiment) applies `MGC_BACKEND`, `MGC_VPROCS`,
 //! `MGC_PLACEMENT`, and `MGC_PAUSE_BUDGET_US` as *defaults* — an explicit
@@ -42,12 +40,6 @@ pub struct EnvOverrides {
     /// `MGC_PAUSE_BUDGET_US`: the soft per-increment pause budget for
     /// global collections, in microseconds.
     pub pause_budget_us: Option<u64>,
-    /// `MGC_SERVE_SECONDS`: how long a serving program runs on the threaded
-    /// backend, in seconds.
-    pub serve_seconds: Option<u64>,
-    /// `MGC_SERVE_RPS`: a serving program's open-loop arrival rate, in
-    /// requests per second.
-    pub serve_rps: Option<u64>,
 }
 
 impl EnvOverrides {
@@ -67,8 +59,6 @@ impl EnvOverrides {
             placement: parse_placement(lookup("MGC_PLACEMENT")),
             max_rounds: parse_positive("MGC_MAX_ROUNDS", lookup("MGC_MAX_ROUNDS")),
             pause_budget_us: parse_positive("MGC_PAUSE_BUDGET_US", lookup("MGC_PAUSE_BUDGET_US")),
-            serve_seconds: parse_positive("MGC_SERVE_SECONDS", lookup("MGC_SERVE_SECONDS")),
-            serve_rps: parse_positive("MGC_SERVE_RPS", lookup("MGC_SERVE_RPS")),
         }
     }
 }
@@ -142,8 +132,6 @@ mod tests {
         assert_eq!(env.placement, None);
         assert_eq!(env.max_rounds, None);
         assert_eq!(env.pause_budget_us, None);
-        assert_eq!(env.serve_seconds, None);
-        assert_eq!(env.serve_rps, None);
     }
 
     #[test]
@@ -154,16 +142,12 @@ mod tests {
             ("MGC_PLACEMENT", "interleave"),
             ("MGC_MAX_ROUNDS", "1000"),
             ("MGC_PAUSE_BUDGET_US", "250"),
-            ("MGC_SERVE_SECONDS", "7"),
-            ("MGC_SERVE_RPS", "2500"),
         ]));
         assert_eq!(env.backend, Some(Backend::Threaded));
         assert_eq!(env.vprocs, Some(4));
         assert_eq!(env.placement, Some(PlacementPolicy::Interleave));
         assert_eq!(env.max_rounds, Some(1000));
         assert_eq!(env.pause_budget_us, Some(250));
-        assert_eq!(env.serve_seconds, Some(7));
-        assert_eq!(env.serve_rps, Some(2500));
     }
 
     #[test]
@@ -188,8 +172,6 @@ mod tests {
             ("MGC_PLACEMENT", "everywhere"),
             ("MGC_MAX_ROUNDS", "-3"),
             ("MGC_PAUSE_BUDGET_US", "soon"),
-            ("MGC_SERVE_SECONDS", "forever"),
-            ("MGC_SERVE_RPS", "9.5"),
         ]));
         assert_eq!(env, EnvOverrides::default());
     }
@@ -200,14 +182,10 @@ mod tests {
             ("MGC_VPROCS", "0"),
             ("MGC_MAX_ROUNDS", "0"),
             ("MGC_PAUSE_BUDGET_US", "0"),
-            ("MGC_SERVE_SECONDS", "0"),
-            ("MGC_SERVE_RPS", "0"),
         ]));
         assert_eq!(env.vprocs, None);
         assert_eq!(env.max_rounds, None);
         assert_eq!(env.pause_budget_us, None);
-        assert_eq!(env.serve_seconds, None);
-        assert_eq!(env.serve_rps, None);
     }
 
     #[test]

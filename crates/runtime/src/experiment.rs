@@ -63,7 +63,6 @@ use crate::threaded::ThreadedMachine;
 use mgc_core::GcConfig;
 use mgc_heap::{HeapConfig, Word};
 use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The scheduling quantum experiments default to, in virtual nanoseconds.
@@ -126,8 +125,7 @@ pub enum ConfigError {
         budget_us: u64,
     },
     /// A serving program's run duration resolved to zero seconds (nothing
-    /// would be served; `MGC_SERVE_SECONDS` and the builder both demand a
-    /// positive duration).
+    /// would be served).
     ZeroServeSeconds,
     /// A serving program's open-loop arrival rate resolved to zero requests
     /// per second (the generator would never emit a request).
@@ -468,10 +466,9 @@ pub const RUN_RECORD_SCHEMA_VERSION: u64 = 2;
 
 /// The complete, self-describing result of one experiment run: the resolved
 /// configuration, the program identity, the root result, and the full
-/// [`RunReport`]. This is the one output format shared by the sweep JSON,
-/// `results/BENCH_threaded.json`, the equivalence suite, and the CI
-/// bench-baseline job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// [`RunReport`]. This is the one output format shared by the results
+/// store's batches, the equivalence suite, and the CI sweep jobs.
+#[derive(Debug, Clone)]
 pub struct RunRecord {
     /// The program's name ([`Program::name`]).
     pub program: String,
@@ -507,8 +504,7 @@ impl RunRecord {
         }
     }
 
-    /// Serialises the record as one JSON object (hand-rolled: the vendored
-    /// `serde` shim does not serialise). This is the schema the CI
+    /// Serialises the record as one JSON object. This is the schema the CI
     /// bench-baseline job asserts on; every key is declared exactly once in
     /// the `JsonFields` calls below, so the emitted schema cannot drift
     /// from the field list.
@@ -671,18 +667,6 @@ fn node_bindings_json(per_vproc: &[crate::stats::VprocRunStats]) -> String {
         });
     }
     out.push(']');
-    out
-}
-
-/// Serialises a slice of records as a JSON array, one record per line (the
-/// format of `results/BENCH_threaded.json`).
-pub fn run_records_json(records: &[RunRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, record) in records.iter().enumerate() {
-        let _ = write!(out, "  {}", record.to_json());
-        let _ = writeln!(out, "{}", if i + 1 < records.len() { "," } else { "" });
-    }
-    out.push_str("]\n");
     out
 }
 
@@ -876,8 +860,6 @@ mod tests {
             placement: Some(PlacementPolicy::Interleave),
             max_rounds: None,
             pause_budget_us: Some(500),
-            serve_seconds: None,
-            serve_rps: None,
         };
         let config = Experiment::new(Constant(1))
             .env_overrides(env)
@@ -1056,10 +1038,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        let array = run_records_json(&[record.clone(), record]);
-        assert!(array.starts_with("[\n"));
-        assert!(array.trim_end().ends_with(']'));
-        assert_eq!(array.matches("\"program\"").count(), 2);
     }
 
     #[test]

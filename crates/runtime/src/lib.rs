@@ -91,7 +91,7 @@ pub use ctx::{FieldInit, TaskCtx};
 pub use env::EnvOverrides;
 pub use executor::{Backend, Executor};
 pub use experiment::{
-    run_records_json, ConfigError, Experiment, ExperimentConfig, RunRecord, DEFAULT_QUANTUM_NS,
+    ConfigError, Experiment, ExperimentConfig, RunRecord, DEFAULT_QUANTUM_NS,
     RUN_RECORD_SCHEMA_VERSION,
 };
 pub use machine::{Machine, MachineConfig, MutatorCostModel};

@@ -31,7 +31,6 @@ use mgc_numa::{
     AdaptiveController, AllocPolicy, MemoryModel, PlacementPolicy, Topology, Traffic, TrafficStats,
     VprocRoundCost,
 };
-use serde::{Deserialize, Serialize};
 
 /// Fixed scheduling overhead charged per executed task, in nanoseconds.
 const TASK_OVERHEAD_NS: f64 = 400.0;
@@ -63,7 +62,7 @@ fn round_limit_from_env() -> u64 {
 /// mutator accesses to it are cache hits and never reach DRAM; accesses to
 /// the global heap miss much more often. These rates determine what fraction
 /// of the touched bytes is charged to the memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutatorCostModel {
     /// Fraction of local-heap bytes that reach DRAM.
     pub local_heap_miss_rate: f64,
@@ -317,11 +316,9 @@ impl RuntimeState {
     fn gather_roots(&self, vproc: usize, extra: &[Addr]) -> Vec<Addr> {
         let mut roots: Vec<Addr> = Vec::with_capacity(extra.len() + 16);
         roots.extend_from_slice(extra);
-        self.vprocs[vproc].deque.with_tasks(|tasks| {
-            for task in tasks.iter() {
-                roots.extend_from_slice(&task.roots);
-            }
-        });
+        for task in &self.vprocs[vproc].deque {
+            roots.extend_from_slice(&task.roots);
+        }
         for join in self.joins.iter().flatten() {
             for slot in &join.slots {
                 if slot.filled && slot.is_ptr {
@@ -352,14 +349,12 @@ impl RuntimeState {
             *slot = roots[cursor];
             cursor += 1;
         }
-        self.vprocs[vproc].deque.with_tasks(|tasks| {
-            for task in tasks.iter_mut() {
-                for slot in task.roots.iter_mut() {
-                    *slot = roots[cursor];
-                    cursor += 1;
-                }
+        for task in self.vprocs[vproc].deque.iter_mut() {
+            for slot in task.roots.iter_mut() {
+                *slot = roots[cursor];
+                cursor += 1;
             }
-        });
+        }
         for join in self.joins.iter_mut().flatten() {
             for slot in join.slots.iter_mut() {
                 if slot.filled && slot.is_ptr {
@@ -976,9 +971,11 @@ impl Machine {
             if vproc == 0 {
                 roots_per_vproc.push(self.state.gather_roots(0, &extra));
             } else {
-                let roots: Vec<Addr> = self.state.vprocs[vproc].deque.with_tasks(|tasks| {
-                    tasks.iter().flat_map(|t| t.roots.iter().copied()).collect()
-                });
+                let roots: Vec<Addr> = self.state.vprocs[vproc]
+                    .deque
+                    .iter()
+                    .flat_map(|t| t.roots.iter().copied())
+                    .collect();
                 roots_per_vproc.push(roots);
             }
         }
@@ -991,16 +988,14 @@ impl Machine {
         // Scatter the rewritten roots back.
         for vproc in (1..num_vprocs).rev() {
             let roots = &roots_per_vproc[vproc];
-            self.state.vprocs[vproc].deque.with_tasks(|tasks| {
-                let mut cursor = 0;
-                for task in tasks.iter_mut() {
-                    for slot in task.roots.iter_mut() {
-                        *slot = roots[cursor];
-                        cursor += 1;
-                    }
+            let mut cursor = 0;
+            for task in self.state.vprocs[vproc].deque.iter_mut() {
+                for slot in task.roots.iter_mut() {
+                    *slot = roots[cursor];
+                    cursor += 1;
                 }
-                debug_assert_eq!(cursor, roots.len());
-            });
+            }
+            debug_assert_eq!(cursor, roots.len());
         }
         let mut extra: Vec<Addr> = Vec::new();
         self.state.scatter_roots(0, &mut extra, &roots_per_vproc[0]);

@@ -8,8 +8,8 @@
 //!
 //! The two execution backends queue work differently:
 //!
-//! * the **simulated** machine uses the [`WorkDeque`], a mutex-guarded
-//!   double-ended queue locked uncontended from the single driver thread;
+//! * the **simulated** machine keeps a plain `VecDeque` per [`VProc`]: its
+//!   single driver thread is the only one that ever touches it;
 //! * the **threaded** machine splits each vproc's deque into a *private end*
 //!   (a plain `VecDeque` owned by the worker thread — push and pop take no
 //!   lock at all) and a *published end*: the [`StealMailbox`]. A thief never
@@ -25,56 +25,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// A mutex-guarded work-stealing deque of [`Task`]s, used by the
-/// **simulated** execution backend only (the threaded backend's deques are
-/// split into a worker-private `VecDeque` and a [`StealMailbox`]).
-///
-/// The owner pushes and pops at the back (LIFO — the most recently spawned,
-/// most cache-friendly work); thieves steal from the front (FIFO — the
-/// oldest, typically largest unit of work). The single driver thread locks
-/// it uncontended for a handful of instructions per operation.
-#[derive(Debug, Default)]
-pub(crate) struct WorkDeque {
-    inner: Mutex<VecDeque<Task>>,
-}
-
-impl WorkDeque {
-    pub(crate) fn new() -> Self {
-        WorkDeque::default()
-    }
-
-    /// Pushes a task on the owner's end.
-    pub(crate) fn push(&self, task: Task) {
-        self.inner.lock().expect("deque poisoned").push_back(task);
-    }
-
-    /// Pops a task from the owner's end (LIFO).
-    pub(crate) fn pop_local(&self) -> Option<Task> {
-        self.inner.lock().expect("deque poisoned").pop_back()
-    }
-
-    /// Steals a task from the thief-facing end (FIFO).
-    pub(crate) fn steal(&self) -> Option<Task> {
-        self.inner.lock().expect("deque poisoned").pop_front()
-    }
-
-    /// Number of queued tasks.
-    pub(crate) fn len(&self) -> usize {
-        self.inner.lock().expect("deque poisoned").len()
-    }
-
-    /// True if no task is queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Runs `f` with exclusive access to the queued tasks (used by the
-    /// collectors to gather and rewrite the roots of queued work).
-    pub(crate) fn with_tasks<R>(&self, f: impl FnOnce(&mut VecDeque<Task>) -> R) -> R {
-        f(&mut self.inner.lock().expect("deque poisoned"))
-    }
-}
 
 // ----------------------------------------------------------------------
 // The threaded backend's steal-request mailbox.
@@ -271,7 +221,9 @@ pub(crate) struct VProc {
     pub(crate) id: usize,
     pub(crate) core: CoreId,
     pub(crate) node: NodeId,
-    pub(crate) deque: WorkDeque,
+    /// The work-stealing deque: the owner pushes and pops at the back
+    /// (LIFO), thieves take from the front (FIFO).
+    pub(crate) deque: VecDeque<Task>,
     pub(crate) round_cost: VprocRoundCost,
     pub(crate) stats: VprocRunStats,
 }
@@ -293,7 +245,7 @@ impl VProc {
             id,
             core,
             node,
-            deque: WorkDeque::new(),
+            deque: VecDeque::new(),
             round_cost: VprocRoundCost::new(core, num_nodes),
             stats: VprocRunStats::default(),
         }
@@ -301,19 +253,19 @@ impl VProc {
 
     /// Pushes a task on the owner's end of the deque.
     pub(crate) fn push(&mut self, task: Task) {
-        self.deque.push(task);
+        self.deque.push_back(task);
     }
 
     /// Pops a task from the owner's end of the deque (LIFO: the most recently
     /// spawned work, which is the most cache- and locality-friendly).
     pub(crate) fn pop_local(&mut self) -> Option<Task> {
-        self.deque.pop_local()
+        self.deque.pop_back()
     }
 
     /// Steals a task from the thief-facing end of the deque (FIFO: the
     /// oldest, typically largest, unit of work).
     pub(crate) fn steal_from(&mut self) -> Option<Task> {
-        self.deque.steal()
+        self.deque.pop_front()
     }
 
     /// Takes the accumulated round cost, leaving an empty one behind.
@@ -366,19 +318,6 @@ mod tests {
         let mut vp = VProc::new(0, CoreId::new(0), NodeId::new(0), 1);
         vp.push(task("x"));
         assert!(format!("{vp:?}").contains("queued_tasks: 1"));
-    }
-
-    #[test]
-    fn deque_is_shareable_across_threads() {
-        let deque = std::sync::Arc::new(WorkDeque::new());
-        deque.push(task("steal-me"));
-        let thief = {
-            let deque = deque.clone();
-            std::thread::spawn(move || deque.steal().map(|t| t.name()))
-        };
-        assert_eq!(thief.join().unwrap(), Some("steal-me"));
-        assert!(deque.is_empty());
-        deque.with_tasks(|tasks| assert!(tasks.is_empty()));
     }
 
     fn tagged_task(tag: u64) -> Task {

@@ -34,9 +34,8 @@
 
 use mgc_heap::i64_to_word;
 use mgc_runtime::{
-    ChannelId, Checksum, ConfigError, EnvOverrides, Executor, Handle, Program, TaskResult, TaskSpec,
+    ChannelId, Checksum, ConfigError, Executor, Handle, Program, TaskResult, TaskSpec,
 };
-use serde::{Deserialize, Serialize};
 
 /// Heavy requests allocate this many times the churn of light ones.
 const HEAVY_FACTOR: usize = 4;
@@ -88,20 +87,18 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// Parameters of the serving scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeParams {
     /// Number of worker tasks serving requests (ideally one per vproc).
     pub workers: usize,
     /// Total number of sessions, partitioned over the workers
     /// (`session % workers`). Session state survives across requests.
     pub sessions: usize,
-    /// Open-loop arrival rate, in requests per second. Overridable at run
-    /// time via `MGC_SERVE_RPS` (see [`ServeParams::apply_env`]).
+    /// Open-loop arrival rate, in requests per second.
     pub rps: u64,
     /// How long the request stream runs, in seconds: wall-clock seconds on
     /// the threaded backend, virtual seconds on the simulated one. The
-    /// total request count is `rps * duration_secs`. Overridable via
-    /// `MGC_SERVE_SECONDS`.
+    /// total request count is `rps * duration_secs`.
     pub duration_secs: u64,
     /// Per-thousand fraction of requests that are "heavy" (allocate 4x
     /// the churn of a light request).
@@ -162,20 +159,6 @@ impl ServeParams {
     /// req/s for 5 s — 10,000 requests).
     pub fn bench() -> Self {
         ServeParams::default()
-    }
-
-    /// Applies the `MGC_SERVE_SECONDS` / `MGC_SERVE_RPS` environment
-    /// overrides (parsed once, in
-    /// [`EnvOverrides`]) on top of these
-    /// parameters. Unset or unparseable variables leave the field alone.
-    pub fn apply_env(mut self, env: &EnvOverrides) -> Self {
-        if let Some(secs) = env.serve_seconds {
-            self.duration_secs = secs;
-        }
-        if let Some(rps) = env.serve_rps {
-            self.rps = rps;
-        }
-        self
     }
 
     /// Validates the parameters into a typed error: a zero duration is
@@ -549,7 +532,7 @@ pub fn spawn(executor: &mut dyn Executor, params: ServeParams) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgc_runtime::{Backend, Experiment};
+    use mgc_runtime::{Backend, EnvOverrides, Experiment};
 
     fn sim_record(params: ServeParams) -> mgc_runtime::RunRecord {
         Experiment::new(ServerProgram::new(params).unwrap())
@@ -587,20 +570,6 @@ mod tests {
         assert_eq!(p.validate(), Err(ConfigError::ZeroServeRps));
         assert!(ServeParams::small().validate().is_ok());
         assert!(ServerProgram::new(p).is_err());
-    }
-
-    #[test]
-    fn env_overrides_apply_to_duration_and_rate_only() {
-        let env = EnvOverrides {
-            serve_seconds: Some(9),
-            serve_rps: Some(123),
-            ..EnvOverrides::default()
-        };
-        let p = ServeParams::small().apply_env(&env);
-        assert_eq!(p.duration_secs, 9);
-        assert_eq!(p.rps, 123);
-        let q = ServeParams::small().apply_env(&EnvOverrides::default());
-        assert_eq!(q, ServeParams::small());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! The vendored `serde` shim derives but does not serialise or parse, so
-//! the store reads its inputs — batch files, legacy flat arrays, corpus
-//! manifests — with this parser instead of the hand-rolled line scanning
-//! `perfdiff` used to do. Two properties matter here:
+//! The workspace has no third-party JSON dependency, so the store reads its
+//! inputs — batch files, corpus manifests, the perf-gate table — with this
+//! parser. Two properties matter here:
 //!
 //! * object fields keep **file order** (the flat record schema is
 //!   order-sensitive for humans diffing it);

@@ -22,11 +22,8 @@
 //!   ingest rejects versions it does not understand with a typed error
 //!   naming the offending field instead of silently misreading the data.
 //! * **Raw fidelity.** A [`StoredRecord`] keeps the exact source text of
-//!   its record object alongside the parsed fields, so exporting a batch
-//!   back to the legacy flat-array format
-//!   ([`Batch::flat_records_json`](store::Batch::flat_records_json)) and
-//!   round-tripping a record through the store are byte-identical
-//!   operations.
+//!   its record object alongside the parsed fields, so round-tripping a
+//!   record through the store is byte-identical.
 //!
 //! Reading happens through [`Query`]: a typed filter builder
 //! (`Query::new().program("Quicksort").backend("threaded").vprocs(4)`)
@@ -46,9 +43,7 @@ pub mod store;
 pub use json::{JsonError, JsonValue};
 pub use query::{diff, DiffRow, Query};
 pub use record::{RecordKey, StoredRecord, LEGACY_RECORD_VERSION};
-pub use store::{
-    ingest_flat_file, parse_flat_records, Batch, RunMeta, Store, STORE_SCHEMA_VERSION,
-};
+pub use store::{Batch, RunMeta, Store, STORE_SCHEMA_VERSION};
 
 use std::fmt;
 use std::io;
@@ -65,8 +60,8 @@ pub enum StoreError {
         /// The underlying I/O error.
         source: io::Error,
     },
-    /// A batch file, record, or flat input was not valid JSON or not the
-    /// shape the store expects.
+    /// A batch file or record was not valid JSON or not the shape the
+    /// store expects.
     Malformed {
         /// Where the bad input came from (file path or a description).
         context: String,

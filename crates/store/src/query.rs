@@ -112,7 +112,7 @@ impl Query {
     }
 
     /// All matching records from any record iterator (a single batch, a
-    /// flat-file ingest, ...), preserving the input order.
+    /// previous query's result, ...), preserving the input order.
     pub fn run_over<'a>(
         &self,
         records: impl IntoIterator<Item = &'a StoredRecord>,

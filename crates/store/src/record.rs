@@ -4,9 +4,7 @@ use crate::json::{self, JsonValue};
 use crate::StoreError;
 
 /// The schema version assumed for records that predate the
-/// `schema_version` field — the flat `results/baseline/*.json` arrays
-/// written before the store existed. The ingest shim accepts them for one
-/// PR cycle; everything the store writes carries
+/// `schema_version` field; everything the store writes carries
 /// [`mgc_runtime::RUN_RECORD_SCHEMA_VERSION`].
 pub const LEGACY_RECORD_VERSION: u64 = 1;
 
@@ -43,9 +41,8 @@ impl std::fmt::Display for RecordKey {
     }
 }
 
-/// One run record as read from the store (or from a legacy flat file via
-/// the ingest shim): the exact source text it was parsed from, the parsed
-/// field tree, and where in the store it came from.
+/// One run record as read from the store: the exact source text it was
+/// parsed from, the parsed field tree, and where in the store it came from.
 #[derive(Debug, Clone)]
 pub struct StoredRecord {
     raw: String,
@@ -57,8 +54,8 @@ pub struct StoredRecord {
 
 impl StoredRecord {
     /// Parses one record object from its source text. `batch_seq` is the
-    /// sequence number of the batch it came from (0 for legacy flat files)
-    /// and `index` its position within that batch.
+    /// sequence number of the batch it came from (0 for a record validated
+    /// before it is appended) and `index` its position within that batch.
     ///
     /// Rejects records whose `schema_version` is not one this build reads
     /// (absent counts as [`LEGACY_RECORD_VERSION`]) and records missing an
@@ -129,8 +126,7 @@ impl StoredRecord {
         self.version
     }
 
-    /// Sequence number of the batch this record came from (0 for records
-    /// ingested from legacy flat files).
+    /// Sequence number of the batch this record came from.
     pub fn batch_seq(&self) -> u64 {
         self.batch_seq
     }

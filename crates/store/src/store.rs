@@ -166,27 +166,6 @@ pub struct Batch {
     pub records: Vec<StoredRecord>,
 }
 
-impl Batch {
-    /// Renders the batch's records in the legacy flat-array format
-    /// (`results/baseline/*.json`), byte-for-byte from the stored record
-    /// text. This is how the checked-in flat baselines are generated now:
-    /// the store is written first and the flat file is an export of it, so
-    /// the two can never drift apart.
-    pub fn flat_records_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, record) in self.records.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(record.raw());
-            if i + 1 < self.records.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        out
-    }
-}
-
 /// A store directory opened for reading: every batch, parsed and ordered
 /// by sequence number.
 #[derive(Debug)]
@@ -313,39 +292,6 @@ impl Store {
             attempts: APPEND_ATTEMPTS,
         })
     }
-}
-
-/// Parses a legacy flat RunRecord-JSON array (the pre-store
-/// `results/*.json` format) into stored records, batch sequence 0. This is
-/// the one-PR-cycle ingest shim that keeps `perfdiff` working against flat
-/// files while baselines migrate into the store.
-pub fn parse_flat_records(text: &str, context: &str) -> Result<Vec<StoredRecord>, StoreError> {
-    let mut p = Parser::new(text);
-    p.skip_ws();
-    let spans = record_array_spans(&mut p, context)?;
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(StoreError::Malformed {
-            context: context.to_string(),
-            message: "trailing data after the record array".to_string(),
-        });
-    }
-    spans
-        .into_iter()
-        .enumerate()
-        .map(|(i, raw)| StoredRecord::from_raw(raw, 0, i, context))
-        .collect()
-}
-
-/// Reads and parses a legacy flat RunRecord-JSON file (see
-/// [`parse_flat_records`]).
-pub fn ingest_flat_file(path: impl AsRef<Path>) -> Result<Vec<StoredRecord>, StoreError> {
-    let path = path.as_ref();
-    let text = fs::read_to_string(path).map_err(|source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    parse_flat_records(&text, &path.display().to_string())
 }
 
 /// Extracts the sequence number from a batch file name
@@ -552,13 +498,6 @@ mod tests {
         let raws: Vec<&str> = batch.records.iter().map(|r| r.raw()).collect();
         assert_eq!(raws, lines.iter().map(String::as_str).collect::<Vec<_>>());
 
-        // The flat export is the classic format, built from the same bytes.
-        let flat = batch.flat_records_json();
-        assert_eq!(flat, format!("[\n  {},\n  {}\n]\n", lines[0], lines[1]));
-        let reingested = parse_flat_records(&flat, "export").unwrap();
-        assert_eq!(reingested.len(), 2);
-        assert_eq!(reingested[0].raw(), lines[0]);
-
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -669,20 +608,6 @@ mod tests {
             1
         );
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn flat_ingest_accepts_legacy_records_without_versions() {
-        let text = "[\n  {\"program\": \"DMM\", \"backend\": \"threaded\", \"vprocs\": 1, \
-                    \"wall_clock_ns\": 55990000, \"promoted_bytes\": 128},\n  \
-                    {\"program\": \"DMM\", \"backend\": \"threaded\", \"vprocs\": 4, \
-                    \"wall_clock_ns\": 30264000, \"promoted_bytes\": 128}\n]\n";
-        let records = parse_flat_records(text, "legacy").unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].schema_version(), crate::LEGACY_RECORD_VERSION);
-        assert_eq!(records[0].batch_seq(), 0);
-        assert_eq!(records[1].index(), 1);
-        assert_eq!(records[1].wall_clock_ns(), Some(30264000.0));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::scale::Scale;
 use mgc_heap::{f64_to_word, word_to_f64};
 use mgc_runtime::{Checksum, Executor, Program, TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Matrix dimension at the benchmark preset: cost grows with the cube of
 /// the edge, so 320 lands the run near 40 ms on one core.
@@ -25,7 +24,7 @@ pub fn dimension(scale: Scale) -> usize {
 }
 
 /// Parameters of the DMM benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmmParams {
     /// Edge length of the square operand matrices (the paper uses 600).
     pub dimension: usize,

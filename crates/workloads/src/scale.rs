@@ -7,10 +7,8 @@
 //! scale that preserves every qualitative behaviour (allocation rate, data
 //! sharing pattern, sequential fractions).
 
-use serde::{Deserialize, Serialize};
-
 /// A multiplicative scale factor applied to workload input sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale(pub f64);
 
 impl Scale {
