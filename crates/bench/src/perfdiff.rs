@@ -976,7 +976,7 @@ mod tests {
             pin_list(&[
                 ("Dense-Matrix-Multiply", 5e6),
                 ("Raytracer", 5e6),
-                ("Quicksort", 60e6),
+                ("Quicksort", 35e6),
                 ("Barnes-Hut", 25e6),
                 ("SMVM", 10e6),
                 ("Synthetic-Churn", 25e6),

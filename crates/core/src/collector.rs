@@ -151,11 +151,16 @@ impl Collector {
         self.global_pending = false;
     }
 
-    /// True if the global-heap occupancy exceeds the configured threshold
-    /// (§3.4: number of vprocs × 32 MB at paper scale).
+    /// True if the global-heap occupancy exceeds the trigger: the larger of
+    /// the configured floor (§3.4: number of vprocs × 32 MB at paper scale)
+    /// and [`GcConfig::global_growth_factor`] × what the last global
+    /// collection left in use. The heap records the latter when it releases
+    /// from-space, so every vproc's collector reads one agreed value.
     pub fn needs_global<H: GcHeap>(&self, heap: &H) -> bool {
-        let threshold = self.config.global_threshold_per_vproc_bytes * heap.num_vprocs();
-        heap.global_bytes_in_use() > threshold
+        let floor = self.config.global_threshold_per_vproc_bytes * heap.num_vprocs();
+        let proportional =
+            self.config.global_growth_factor * heap.global_bytes_after_last_collection() as f64;
+        heap.global_bytes_in_use() > floor.max(proportional as usize)
     }
 
     /// The full local-collection entry point used when a vproc's nursery is

@@ -12,10 +12,20 @@ pub struct GcConfig {
     /// heap (§3.3: "when the size of the new nursery area falls below a
     /// certain threshold").
     pub nursery_threshold_fraction: f64,
-    /// A global collection is triggered when the bytes of global-heap chunks
-    /// in use exceed `num_vprocs * global_threshold_per_vproc_bytes`
-    /// (§3.4: "the number of vprocs times 32MB").
+    /// The *floor* of the global-collection trigger: none is requested while
+    /// the bytes of global-heap chunks in use stay at or below
+    /// `num_vprocs * global_threshold_per_vproc_bytes` (§3.4: "the number of
+    /// vprocs times 32MB"). Above it [`GcConfig::global_growth_factor`] rules.
     pub global_threshold_per_vproc_bytes: usize,
+    /// A global collection is requested when the bytes in use exceed
+    /// `max(floor, global_growth_factor × bytes in use right after the last
+    /// global collection)`, so a collection copies at most about
+    /// `factor / (factor − 1)` bytes per byte promoted since the previous
+    /// one, however large the live set. `0.0` leaves only the floor — the
+    /// paper's fixed rule, under which a live set above the floor is copied
+    /// in full at every check; [`GcConfig::paper_scale`] and the figure
+    /// pipeline pin it to reproduce the paper's numbers.
+    pub global_growth_factor: f64,
     /// Ablation knob: when `true`, a major collection also promotes the
     /// young data instead of exempting it (disables the Appel optimisation
     /// the paper relies on to avoid premature promotion).
@@ -50,6 +60,7 @@ impl Default for GcConfig {
         GcConfig {
             nursery_threshold_fraction: 0.20,
             global_threshold_per_vproc_bytes: 2 * 1024 * 1024,
+            global_growth_factor: 2.0,
             promote_young_in_major: false,
             chunk_node_affinity: true,
             eager_publication: false,
@@ -66,19 +77,18 @@ impl GcConfig {
         GcConfig {
             nursery_threshold_fraction: 0.25,
             global_threshold_per_vproc_bytes: 32 * 1024,
-            promote_young_in_major: false,
-            chunk_node_affinity: true,
-            eager_publication: false,
             verify_after_gc: true,
-            pause_budget_us: None,
+            ..GcConfig::default()
         }
     }
 
-    /// The paper's configuration: 32 MB of global-heap chunks per vproc
-    /// before a global collection is triggered.
+    /// The paper's configuration: a global collection whenever more than
+    /// 32 MB of global-heap chunks per vproc are in use — the fixed rule,
+    /// with no proportional growth.
     pub fn paper_scale() -> Self {
         GcConfig {
             global_threshold_per_vproc_bytes: 32 * 1024 * 1024,
+            global_growth_factor: 0.0,
             ..GcConfig::default()
         }
     }
@@ -102,6 +112,13 @@ mod tests {
             GcConfig::paper_scale().global_threshold_per_vproc_bytes,
             32 * 1024 * 1024
         );
+    }
+
+    #[test]
+    fn only_paper_scale_pins_the_fixed_global_trigger() {
+        assert_eq!(GcConfig::paper_scale().global_growth_factor, 0.0);
+        assert_eq!(GcConfig::default().global_growth_factor, 2.0);
+        assert_eq!(GcConfig::small_for_tests().global_growth_factor, 2.0);
     }
 
     #[test]

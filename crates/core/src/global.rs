@@ -1,11 +1,14 @@
 //! The global stop-the-world parallel collection (paper §3.4).
 //!
 //! A global collection is triggered when the amount of global-heap chunk
-//! space in use exceeds the threshold (number of vprocs × 32 MB at paper
-//! scale). The leader vproc signals every other vproc by zeroing its
-//! allocation-limit pointer; each vproc reaches a safe point, performs its
-//! own minor and major collections (so all of its live data except the young
-//! data is in the global heap), and then joins the parallel copying phase:
+//! space in use exceeds the threshold: the larger of a floor (number of
+//! vprocs × 32 MB at paper scale, the paper's whole rule) and a multiple of
+//! what the previous global collection retained
+//! ([`Collector::needs_global`]). The leader vproc signals every other vproc
+//! by zeroing its allocation-limit pointer; each vproc reaches a safe point,
+//! performs its own minor and major collections (so all of its live data
+//! except the young data is in the global heap), and then joins the parallel
+//! copying phase:
 //!
 //! 1. every in-use global chunk becomes *from-space*, gathered per node;
 //! 2. each vproc obtains a fresh chunk and scans its roots and local heap,
@@ -152,6 +155,7 @@ impl Collector {
             heap.global_mut().release_chunk(id);
             released_chunks += 1;
         }
+        heap.global_mut().mark_collection_end();
         let to_space_chunks = heap.global().chunks_in_use();
 
         for vproc in 0..num_vprocs {
@@ -541,13 +545,15 @@ pub fn scan_pass_budgeted(
 }
 
 /// Leader-only reclamation: returns every from-space chunk to the
-/// mutex-guarded free pool (keeping node affinity). Returns the number of
+/// mutex-guarded free pool (keeping node affinity) and records what the
+/// collection retained for the next trigger check. Returns the number of
 /// chunks released.
 pub fn release_from_space(global: &SharedGlobalHeap, from_space: &[usize]) -> usize {
     for &index in from_space {
         let chunk = global.chunk_at(index);
         global.release(&chunk);
     }
+    global.mark_collection_end();
     from_space.len()
 }
 
@@ -667,30 +673,73 @@ mod tests {
         }
     }
 
+    /// Promotes 33-word live objects from vproc 0, keeping each as a root,
+    /// until `done` says so.
+    fn promote_live_until(
+        heap: &mut Heap,
+        collector: &mut Collector,
+        roots: &mut Vec<Addr>,
+        done: impl Fn(&Collector, &Heap) -> bool,
+    ) {
+        for _ in 0..2000 {
+            if done(collector, heap) {
+                return;
+            }
+            let Ok(obj) = heap.alloc_raw(0, &[1; 32]) else {
+                collector.collect_local(heap, 0, &mut []);
+                continue;
+            };
+            let (promoted, outcome) = collector.promote(heap, 0, obj);
+            assert_eq!(outcome.needs_global, collector.needs_global(heap));
+            roots.push(promoted);
+        }
+        panic!("sustained promotion must eventually satisfy the condition");
+    }
+
     #[test]
     fn needs_global_trips_after_enough_promotion() {
         let (mut heap, mut collector) = setup(1);
+        let floor = collector.config().global_threshold_per_vproc_bytes;
+        let chunk = heap.global().chunk_size_bytes();
+        let tripped = |c: &Collector, h: &Heap| c.needs_global(h);
+        let mut roots = vec![Vec::new()];
+
+        // An empty heap, and a heap no collection has run on yet (nothing
+        // retained to scale), trip at the floor.
         assert!(!collector.needs_global(&heap));
-        // Promote until the (tiny, test-sized) threshold is crossed.
-        let mut trips = false;
-        for _ in 0..200 {
-            let obj = match heap.alloc_raw(0, &[1; 32]) {
-                Ok(obj) => obj,
-                Err(_) => {
-                    let mut roots: Vec<Addr> = Vec::new();
-                    collector.collect_local(&mut heap, 0, &mut roots);
-                    continue;
-                }
-            };
-            let (_, outcome) = collector.promote(&mut heap, 0, obj);
-            if outcome.needs_global {
-                trips = true;
-                break;
-            }
-        }
+        promote_live_until(&mut heap, &mut collector, &mut roots[0], tripped);
+        let in_use = heap.global().bytes_in_use();
+        assert!(in_use > floor && in_use <= floor + chunk, "{in_use}");
+
+        // Grow the live set to several floors, then collect: everything
+        // survives, so the collection retains more than the floor.
+        promote_live_until(&mut heap, &mut collector, &mut roots[0], |_, h| {
+            h.global().bytes_in_use() > 3 * floor
+        });
+        collector.global(&mut heap, &mut roots);
+        let retained = heap.global().bytes_in_use();
+        assert_eq!(heap.global().bytes_after_last_collection(), retained);
+        assert!(retained > 2 * floor, "{retained}");
+
+        // The paper's fixed rule (factor 0.0) asks for the next collection
+        // at once — and would after every collection from here on.
+        let fixed = Collector::new(
+            GcConfig {
+                global_growth_factor: 0.0,
+                ..GcConfig::small_for_tests()
+            },
+            1,
+            2,
+        );
+        assert!(fixed.needs_global(&heap));
+
+        // The proportional rule waits until occupancy has doubled.
+        assert!(!collector.needs_global(&heap));
+        promote_live_until(&mut heap, &mut collector, &mut roots[0], tripped);
+        let in_use = heap.global().bytes_in_use();
         assert!(
-            trips,
-            "sustained promotion must eventually request a global collection"
+            in_use > 2 * retained && in_use <= 2 * retained + chunk,
+            "{in_use} vs {retained}"
         );
     }
 
@@ -701,6 +750,7 @@ mod tests {
         let outcome = collector.global(&mut heap, &mut roots);
         assert_eq!(outcome.copied_bytes, 0);
         assert!(mgc_heap::verify_heap(&heap).is_empty());
+        assert!(!collector.needs_global(&heap));
     }
 
     #[test]
@@ -785,6 +835,7 @@ mod tests {
         }
         let released = release_from_space(&global, &from_space);
         assert_eq!(released, from_space.len());
+        assert_eq!(global.bytes_after_last_collection(), global.bytes_in_use());
 
         // Live data survived with identical contents; garbage was dropped.
         for v in 0..2 {
@@ -881,8 +932,12 @@ mod tests {
         // 80 list cells + 80 values per the two workers: far more than one
         // stride, so the expired deadline must have forced multiple passes.
         assert!(increments > 2, "expected many budgeted increments");
+        // What the collection retained is recorded at the release, never at
+        // an increment that merely ran out of budget.
+        assert_eq!(global.bytes_after_last_collection(), 0);
         let released = release_from_space(&global, &from_space);
         assert_eq!(released, from_space.len());
+        assert_eq!(global.bytes_after_last_collection(), global.bytes_in_use());
         for v in 0..2 {
             assert_eq!(shared_values(&workers[v], roots[v][0]), before[v]);
         }
@@ -895,11 +950,15 @@ mod tests {
         let mut roots = populate(&mut heap, &mut collector, 2);
         collector.global(&mut heap, &mut roots);
         let live_after_first = heap.global().live_bytes_upper_bound();
+        let retained_first = heap.global().bytes_after_last_collection();
+        assert_eq!(retained_first, heap.global().bytes_in_use());
         let copied_first: Vec<Vec<u64>> = roots.iter().map(|r| list_values(&heap, r[0])).collect();
         collector.global(&mut heap, &mut roots);
         // A second collection with no new garbage copies the same live set.
         let live_after_second = heap.global().live_bytes_upper_bound();
         assert_eq!(live_after_first, live_after_second);
+        assert_eq!(heap.global().bytes_after_last_collection(), retained_first);
+        assert!(!collector.needs_global(&heap));
         for (vproc, expected) in copied_first.iter().enumerate() {
             assert_eq!(&list_values(&heap, roots[vproc][0]), expected);
         }

@@ -113,6 +113,11 @@ pub trait GcHeap {
     /// collection trigger compares against its threshold (§3.4).
     fn global_bytes_in_use(&self) -> usize;
 
+    /// [`GcHeap::global_bytes_in_use`] as it stood when the last global
+    /// collection released its from-space (0 before the first) — the figure
+    /// the proportional part of the trigger scales.
+    fn global_bytes_after_last_collection(&self) -> usize;
+
     /// Re-checks the heap invariants, returning human-readable violations.
     /// Views that cannot see the whole machine return an empty list.
     fn verify_violations(&self) -> Vec<String> {
@@ -177,6 +182,10 @@ impl GcHeap for crate::Heap {
         self.global().bytes_in_use()
     }
 
+    fn global_bytes_after_last_collection(&self) -> usize {
+        self.global().bytes_after_last_collection()
+    }
+
     fn verify_violations(&self) -> Vec<String> {
         crate::verify::verify_heap(self)
             .iter()
@@ -209,6 +218,7 @@ mod tests {
         assert_eq!(view.forwarded_to(obj), None);
         assert_eq!(view.chunk_acquisitions(), 0);
         assert_eq!(view.global_bytes_in_use(), 0);
+        assert_eq!(view.global_bytes_after_last_collection(), 0);
         assert!(view.verify_violations().is_empty());
     }
 }

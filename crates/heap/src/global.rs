@@ -31,6 +31,11 @@ pub struct GlobalHeap {
     chunk_size_words: usize,
     chunks: Vec<Chunk>,
     free_by_node: Vec<Vec<ChunkId>>,
+    /// Chunks acquired and not yet released (the collection trigger reads
+    /// this on every minor, major and promotion).
+    chunks_in_use: usize,
+    /// `chunks_in_use` at the end of the last global collection.
+    chunks_after_last_collection: usize,
     /// Whether chunk reuse honours node affinity (the paper's design). The
     /// ablation benchmark disables this.
     node_affinity: bool,
@@ -51,6 +56,8 @@ impl GlobalHeap {
             chunk_size_words,
             chunks: Vec::new(),
             free_by_node: vec![Vec::new(); num_nodes],
+            chunks_in_use: 0,
+            chunks_after_last_collection: 0,
             node_affinity: true,
             stats: GlobalHeapStats::default(),
         }
@@ -86,27 +93,38 @@ impl GlobalHeap {
         self.chunks.len()
     }
 
-    /// Number of chunks currently in use (not on a free list).
+    /// Number of chunks currently in use (acquired and not yet released).
     pub fn chunks_in_use(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|c| c.state() != ChunkState::Free)
-            .count()
+        self.chunks_in_use
     }
 
     /// Bytes of chunk space currently in use; this is the quantity the
     /// global-collection trigger compares against its threshold (§3.4).
     pub fn bytes_in_use(&self) -> usize {
-        self.chunks_in_use() * self.chunk_size_bytes()
+        self.chunks_in_use * self.chunk_size_bytes()
+    }
+
+    /// Bytes of chunk space that were in use when the last global collection
+    /// finished (0 before the first) — what the proportional trigger scales.
+    pub fn bytes_after_last_collection(&self) -> usize {
+        self.chunks_after_last_collection * self.chunk_size_bytes()
+    }
+
+    /// Records the current occupancy as what the global collection that just
+    /// released its from-space chunks retained.
+    pub fn mark_collection_end(&mut self) {
+        debug_assert_eq!(self.chunks_in_use, self.in_use_chunks().count());
+        self.chunks_after_last_collection = self.chunks_in_use;
+    }
+
+    /// Every chunk not in the [`ChunkState::Free`] state, by scanning.
+    fn in_use_chunks(&self) -> impl Iterator<Item = &Chunk> + '_ {
+        self.chunks.iter().filter(|c| c.state() != ChunkState::Free)
     }
 
     /// Bytes actually occupied by objects in in-use chunks.
     pub fn live_bytes_upper_bound(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|c| c.state() != ChunkState::Free)
-            .map(Chunk::used_bytes)
-            .sum()
+        self.in_use_chunks().map(Chunk::used_bytes).sum()
     }
 
     /// Borrow a chunk.
@@ -145,9 +163,11 @@ impl GlobalHeap {
     /// (already resolved through the placement policy). Reuses a free chunk
     /// with node affinity when possible, otherwise maps a fresh chunk.
     ///
-    /// The returned chunk is empty and in the [`ChunkState::Free`] state; the
-    /// caller decides its new state.
+    /// The returned chunk is empty and still in the [`ChunkState::Free`]
+    /// state; the caller decides its new state. It counts as in use from
+    /// here until [`GlobalHeap::release_chunk`].
     pub fn acquire_chunk(&mut self, node: NodeId, space: &mut AddressSpace) -> ChunkId {
+        self.chunks_in_use += 1;
         // Node-affine reuse first.
         if let Some(id) = self.free_by_node[node.index()].pop() {
             self.stats.chunks_reused_local += 1;
@@ -189,6 +209,7 @@ impl GlobalHeap {
         chunk.reset();
         let node = chunk.node();
         self.free_by_node[node.index()].push(id);
+        self.chunks_in_use -= 1;
     }
 
     /// Number of free chunks currently available on `node`.
@@ -448,6 +469,7 @@ mod tests {
         let b = heap.acquire_chunk(NodeId::new(1), &mut space);
         heap.chunk_mut(b).set_state(ChunkState::Filled);
         assert_eq!(heap.chunks_in_use(), 2);
+        debug_assert_eq!(heap.chunks_in_use(), heap.in_use_chunks().count());
         assert_eq!(heap.bytes_in_use(), 2 * 256 * 8);
         heap.chunk_mut(a)
             .alloc(Header::new(ObjectKind::Raw, 3).encode(), &[1, 2, 3])
@@ -455,6 +477,11 @@ mod tests {
         assert_eq!(heap.live_bytes_upper_bound(), 4 * 8);
         heap.release_chunk(b);
         assert_eq!(heap.chunks_in_use(), 1);
+        debug_assert_eq!(heap.chunks_in_use(), heap.in_use_chunks().count());
+        // The after-collection figure only moves when a collection ends.
+        assert_eq!(heap.bytes_after_last_collection(), 0);
+        heap.mark_collection_end();
+        assert_eq!(heap.bytes_after_last_collection(), 256 * 8);
     }
 
     #[test]

@@ -462,6 +462,8 @@ pub struct SharedGlobalHeap {
     grow: std::sync::Mutex<()>,
     pool: SharedChunkPool,
     chunks_in_use: AtomicUsize,
+    /// `chunks_in_use` at the end of the last global collection.
+    chunks_after_last_collection: AtomicUsize,
     chunks_created: AtomicU64,
     /// Round-robin cursor for [`PlacementPolicy::Interleave`].
     interleave_cursor: AtomicUsize,
@@ -488,6 +490,7 @@ impl SharedGlobalHeap {
             grow: std::sync::Mutex::new(()),
             pool: SharedChunkPool::new(num_nodes),
             chunks_in_use: AtomicUsize::new(0),
+            chunks_after_last_collection: AtomicUsize::new(0),
             chunks_created: AtomicU64::new(0),
             interleave_cursor: AtomicUsize::new(0),
         }
@@ -598,6 +601,21 @@ impl SharedGlobalHeap {
     /// (§3.4).
     pub fn bytes_in_use(&self) -> usize {
         self.chunks_in_use() * self.chunk_size_bytes()
+    }
+
+    /// Bytes of chunk space that were in use when the last global collection
+    /// finished (0 before the first) — what the proportional trigger scales.
+    pub fn bytes_after_last_collection(&self) -> usize {
+        self.chunks_after_last_collection.load(Ordering::Acquire) * self.chunk_size_bytes()
+    }
+
+    /// Records the current occupancy as what the global collection that just
+    /// released its from-space chunks retained. Leader-only, inside the
+    /// collection's final barrier: the barrier orders this store before
+    /// every worker's next trigger check, so all of them read one value.
+    pub fn mark_collection_end(&self) {
+        self.chunks_after_last_collection
+            .store(self.chunks_in_use(), Ordering::Release);
     }
 
     /// A snapshot of the chunk directory.
@@ -1363,6 +1381,10 @@ impl GcHeap for WorkerHeap {
 
     fn global_bytes_in_use(&self) -> usize {
         self.global.bytes_in_use()
+    }
+
+    fn global_bytes_after_last_collection(&self) -> usize {
+        self.global.bytes_after_last_collection()
     }
 }
 

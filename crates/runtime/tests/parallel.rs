@@ -464,3 +464,84 @@ fn threaded_parallel_allocation_pressure_survives_global_collections() {
         assert!(report.total_steals() > 0, "expected work stealing");
     }
 }
+
+#[test]
+fn threaded_global_collections_are_amortised_against_promotion() {
+    // Each child builds two lists longer than its local heap (so major
+    // collections promote both as they grow), returns one and drops the
+    // other: the retained lists pile up in the global heap to dozens of
+    // times the trigger's floor, with about as much promoted garbage. A
+    // trigger that ignores what the last collection retained re-copies that
+    // whole live set at every check once it passes the floor.
+    const CHILDREN: u64 = 32;
+    const CELLS: u64 = 400;
+    for vprocs in [1usize, 2] {
+        let config = MachineConfig::small_for_tests(vprocs);
+        let floor = (config.gc.global_threshold_per_vproc_bytes * vprocs) as f64;
+        let mut m = ThreadedMachine::new(config);
+        m.spawn_root(TaskSpec::new("amortise-root", |ctx| {
+            let children: Vec<_> = (0..CHILDREN)
+                .map(|seed| {
+                    (
+                        TaskSpec::new("two-lists", move |ctx| {
+                            let (mut kept, mut dropped) = (None, None);
+                            for i in 0..CELLS {
+                                let mark = ctx.root_mark();
+                                let value = ctx.alloc_raw(&[seed * CELLS + i; 8]);
+                                let cons = ctx.alloc_vector(&[Some(value), kept]);
+                                kept = Some(ctx.keep(cons, mark));
+                                let mark = ctx.root_mark();
+                                let value = ctx.alloc_raw(&[i; 8]);
+                                let cons = ctx.alloc_vector(&[Some(value), dropped]);
+                                dropped = Some(ctx.keep(cons, mark));
+                            }
+                            TaskResult::Ptr(kept.expect("CELLS > 0"))
+                        }),
+                        vec![],
+                    )
+                })
+                .collect();
+            ctx.fork_join(
+                children,
+                TaskSpec::new("sum-lists", |ctx| {
+                    let mut total = 0u64;
+                    for i in 0..ctx.num_roots() {
+                        let mut cursor = Some(ctx.input(i));
+                        while let Some(cell) = cursor {
+                            let value = ctx.read_ptr(cell, 0).expect("cells hold a value");
+                            total += ctx.read_raw(value, 0);
+                            cursor = ctx.read_ptr(cell, 1);
+                        }
+                    }
+                    TaskResult::Value(total)
+                }),
+                &[],
+            );
+            TaskResult::Unit
+        }));
+        let report = m.run();
+        let expected: u64 = (0..CHILDREN * CELLS).sum();
+        assert_eq!(
+            m.take_result(),
+            Some((expected, false)),
+            "vprocs = {vprocs}"
+        );
+
+        let promoted = report.total_promoted_bytes() as f64;
+        let copied = report.gc.global_copied_bytes as f64;
+        // Every worker counts every collection it took part in.
+        let collections = (report.gc.global_collections / vprocs as u64) as f64;
+        assert!(
+            promoted > 16.0 * floor,
+            "vprocs = {vprocs}: promoted only {promoted} bytes over a {floor}-byte floor"
+        );
+        assert!(
+            copied <= 2.0 * promoted,
+            "vprocs = {vprocs}: {copied} bytes re-copied for {promoted} promoted"
+        );
+        assert!(
+            collections <= 8.0 + 2.0 * (promoted / floor).log2(),
+            "vprocs = {vprocs}: {collections} global collections for {promoted} promoted bytes"
+        );
+    }
+}

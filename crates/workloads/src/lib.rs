@@ -76,7 +76,7 @@ pub use rope::{build_f64_rope, build_i64_rope, read_f64_rope, read_i64_rope, rop
 pub use scale::Scale;
 
 use mgc_numa::{AllocPolicy, Topology};
-use mgc_runtime::{Executor, Experiment, Program};
+use mgc_runtime::{Executor, Experiment, GcConfig, Program};
 
 /// The benchmarks of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,8 +147,15 @@ impl Workload {
     /// An [`Experiment`] around [`Workload::program`] — the front door for
     /// running one of the paper's benchmarks. Chain the scenario dimensions
     /// (topology, vprocs, policy, backend, heap, gc) before `run()`.
+    ///
+    /// This is the constructor the figure pipeline goes through, so it pins
+    /// the paper's fixed global-collection trigger
+    /// (`global_growth_factor: 0.0`); a chained `.gc(..)` replaces the pin.
     pub fn experiment(self, scale: Scale) -> Experiment<Box<dyn Program>> {
-        Experiment::new(self.program(scale))
+        Experiment::new(self.program(scale)).gc(GcConfig {
+            global_growth_factor: 0.0,
+            ..GcConfig::default()
+        })
     }
 
     /// Spawns this workload onto a machine at the given scale.

@@ -16,11 +16,15 @@
 //! tolerance only.
 //!
 //! Both runs go through the [`Experiment`] front door with an explicit
-//! `backend(..)`, which pins the backend regardless of `MGC_BACKEND`.
+//! `backend(..)`, which pins the backend regardless of `MGC_BACKEND`, once
+//! under the paper's fixed global-collection trigger
+//! (`global_growth_factor` 0.0) and once under the proportional default
+//! (2.0): the trigger moves *when* global collections happen, never what a
+//! run computes.
 
 use mgc_heap::word_to_f64;
 use mgc_numa::{AllocPolicy, Topology};
-use mgc_runtime::{Backend, EnvOverrides, Experiment, RunRecord};
+use mgc_runtime::{Backend, EnvOverrides, Experiment, GcConfig, RunRecord};
 use mgc_workloads::{churn, Scale, Workload};
 
 /// Thread count for the threaded backend; override with `MGC_VPROCS` (the
@@ -34,9 +38,19 @@ fn threaded_vprocs() -> usize {
         .min(Topology::dual_node_test().num_cores())
 }
 
-fn run_on(backend: Backend, vprocs: usize, workload: Workload, scale: Scale) -> RunRecord {
+fn run_on(
+    backend: Backend,
+    vprocs: usize,
+    workload: Workload,
+    scale: Scale,
+    global_growth_factor: f64,
+) -> RunRecord {
     workload
         .experiment(scale)
+        .gc(GcConfig {
+            global_growth_factor,
+            ..GcConfig::default()
+        })
         .backend(backend)
         .topology(Topology::dual_node_test())
         .vprocs(vprocs)
@@ -68,9 +82,13 @@ fn checksums_agree(workload: Workload, sim: u64, threaded: u64) -> bool {
 fn backends_agree_on_deterministic_invariants_for_every_workload() {
     let scale = Scale::tiny();
     let vprocs = threaded_vprocs();
-    for workload in Workload::FIGURES {
-        let sim = run_on(Backend::Simulated, 2, workload, scale);
-        let threaded = run_on(Backend::Threaded, vprocs, workload, scale);
+    let cases = Workload::FIGURES
+        .into_iter()
+        .flat_map(|workload| [0.0, 2.0].map(|factor| (workload, factor)));
+    let mut previous = None;
+    for (workload, factor) in cases {
+        let sim = run_on(Backend::Simulated, 2, workload, scale, factor);
+        let threaded = run_on(Backend::Threaded, vprocs, workload, scale, factor);
 
         let (sim_word, sim_is_ptr) = sim.result.expect("simulated run produces a checksum");
         let (thr_word, thr_is_ptr) = threaded.result.expect("threaded run produces a checksum");
@@ -79,6 +97,16 @@ fn backends_agree_on_deterministic_invariants_for_every_workload() {
             checksums_agree(workload, sim_word, thr_word),
             "{workload}: checksums diverge (simulated {sim_word:#x} vs threaded {thr_word:#x})"
         );
+        // A workload's two cases are adjacent: the second trigger setting
+        // must reproduce the first's results bit for bit.
+        if let Some((_, words)) = previous.filter(|&(w, _)| w == workload) {
+            assert_eq!(
+                words,
+                (sim_word, thr_word),
+                "{workload}: the global-collection trigger changed a result"
+            );
+        }
+        previous = Some((workload, (sim_word, thr_word)));
         // Every figure workload computes for real and declares an expected
         // checksum, so both backends must positively verify the math —
         // `None` would mean the reference silently stopped being checked.

@@ -43,8 +43,9 @@ fn run(workload: Workload, backend: Backend, vprocs: usize, budget_us: Option<u6
 
 /// Churn with the small-for-tests heap and collector geometry and a
 /// survivor-heavy parameterisation: the survivors outgrow the tiny global
-/// threshold, so the run crosses the global-collection trigger many times —
-/// the pause series the budget bounds.
+/// floor several times over, so the run crosses the (proportional)
+/// global-collection trigger repeatedly — the pause series the budget
+/// bounds.
 fn run_churn(backend: Backend, vprocs: usize, budget_us: Option<u64>) -> RunRecord {
     let params = churn::ChurnParams {
         objects_per_worker: 4_000,
@@ -128,6 +129,22 @@ fn threaded_global_pauses_respect_the_budget_within_slack() {
         record.report.gc.global_collections
     );
     assert_eq!(record.checksum_ok, Some(true));
+    // The proportional trigger (factor 2.0, from `small_for_tests`) reads
+    // what the last collection retained; an incremental collection re-enters
+    // the collector many times but records that figure once, when it
+    // releases from-space. Losing it would fall back to the floor and
+    // re-copy the survivors at every check (25x the promoted volume here).
+    assert_eq!(record.config.gc.global_growth_factor, 2.0);
+    assert!(
+        record.report.gc.global_collections >= 2 * record.report.vprocs as u64,
+        "the second trigger must have fired off a recorded figure"
+    );
+    assert!(
+        record.report.gc.global_copied_bytes <= 2 * record.report.total_promoted_bytes(),
+        "{} bytes re-copied for {} promoted",
+        record.report.gc.global_copied_bytes,
+        record.report.total_promoted_bytes()
+    );
 }
 
 #[test]
