@@ -51,5 +51,5 @@ fn main() {
         eprintln!("perfdiff: {failures} rows failed");
         std::process::exit(1);
     }
-    eprintln!("perfdiff: every gate passed");
+    eprintln!("perfdiff: no row failed");
 }

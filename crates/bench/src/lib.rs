@@ -5,12 +5,7 @@
 //!
 //! | Artefact | Binary | What it reproduces |
 //! |----------|--------|--------------------|
-//! | Figure 4 | `fig4` | Speedups of the five benchmarks on the Intel Xeon machine |
-//! | Figure 5 | `fig5` | Speedups on the AMD Opteron machine, local allocation |
-//! | Figure 6 | `fig6` | Speedups on the AMD machine, interleaved allocation |
-//! | Figure 7 | `fig7` | Speedups on the AMD machine, socket-zero allocation |
-//! | Table 1  | `table1` | Modelled bandwidth between a node and the rest of the system |
-//! | all      | `sweep` | Every figure (4–8) plus Table 1, written as CSV under `results/` |
+//! | Table 1, figures 4–8 | `sweep` | Modelled node bandwidth, then every speedup figure, written as CSV under `results/` |
 //! | a corpus | `sweep --corpus <manifest>` | One store batch per checked-in manifest under `corpus/` |
 //! | the gate | `perfdiff` | `results/baseline/gates.json` evaluated over two store directories |
 //!

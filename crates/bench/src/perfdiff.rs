@@ -25,7 +25,9 @@
 //!   records the filter selects, the metric at 1 vproc divided by the metric
 //!   at the highest vproc count must reach the bound. Current sweep only: a
 //!   baseline recorded on a machine with a different core count says
-//!   nothing about scaling here.
+//!   nothing about scaling here. Nor does a current batch recorded on fewer
+//!   cores than the row's vprocs: such a row is `UNRESOLVED` — neither `ok`
+//!   nor a failure — whatever ratio it shows.
 //!
 //! Nothing passes by absence: a baseline key with no current record, a
 //! selected record without the metric, and a pinning gate whose filter
@@ -234,6 +236,13 @@ pub enum Verdict {
     /// No current record: a baseline key the sweep did not re-measure, or a
     /// pinning gate whose filter selects nothing in the sweep.
     Missing,
+    /// A speed-up measured on a host with fewer cores than the row's vprocs:
+    /// the ratio cannot show scaling, so it is neither [`Verdict::Ok`] nor a
+    /// failure.
+    Unresolved {
+        /// Cores of the host that recorded the row's batch.
+        host_cores: u64,
+    },
 }
 
 /// One row of the report: one gate applied to one run point.
@@ -298,18 +307,32 @@ pub struct Report<'g> {
 }
 
 impl<'g> Report<'g> {
-    /// The rows that fail the gate.
+    /// The rows that fail the gate (an unresolved row neither passes nor
+    /// fails).
     pub fn failures(&self) -> impl Iterator<Item = &Row<'g>> {
-        self.rows.iter().filter(|r| r.verdict != Verdict::Ok)
+        self.rows
+            .iter()
+            .filter(|r| !matches!(r.verdict, Verdict::Ok | Verdict::Unresolved { .. }))
+    }
+
+    /// The speed-up rows recorded on too few cores to judge.
+    pub fn unresolved(&self) -> impl Iterator<Item = &Row<'g>> {
+        self.rows
+            .iter()
+            .filter(|r| matches!(r.verdict, Verdict::Unresolved { .. }))
     }
 }
 
 /// Evaluates every gate over the two record sets (each the latest record
-/// per key of its store).
+/// per key of its store). `host_cores` maps a current record's batch
+/// sequence number to the core count of the host that recorded the batch
+/// (`None` when unknown): a speed-up over more vprocs than that is
+/// [`Verdict::Unresolved`].
 pub fn evaluate<'g>(
     gates: &'g [Gate],
     baseline: &[&StoredRecord],
     current: &[&StoredRecord],
+    host_cores: impl Fn(u64) -> Option<u64>,
 ) -> Report<'g> {
     let mut rows = Vec::new();
     for gate in gates {
@@ -378,7 +401,12 @@ pub fn evaluate<'g>(
                         (Some(one), Some(top)) if top > 0.0 => Some(one / top),
                         _ => None,
                     };
-                    rows.push(row.judged(speedup));
+                    let mut row = row.judged(speedup);
+                    let cores = host_cores(top.batch_seq()).filter(|&c| c < top.vprocs());
+                    if let (Some(_), Some(host_cores)) = (speedup, cores) {
+                        row.verdict = Verdict::Unresolved { host_cores };
+                    }
+                    rows.push(row);
                 }
             }
         }
@@ -451,10 +479,14 @@ pub fn markdown(report: &Report<'_>) -> String {
             metric_text(&gate.metric, row.reference),
             metric_text(&gate.metric, row.measured),
             match row.verdict {
-                Verdict::Ok => "ok",
-                Verdict::Regression => "**REGRESSION**",
-                Verdict::Unmeasured => "**NO TELEMETRY**",
-                Verdict::Missing => "**MISSING**",
+                Verdict::Ok => "ok".to_string(),
+                Verdict::Regression => "**REGRESSION**".to_string(),
+                Verdict::Unmeasured => "**NO TELEMETRY**".to_string(),
+                Verdict::Missing => "**MISSING**".to_string(),
+                Verdict::Unresolved { host_cores } => format!(
+                    "**UNRESOLVED ({host_cores} cores < {} vprocs)**",
+                    row.key.as_ref().map_or(0, |k| k.vprocs)
+                ),
             },
         );
         // A blank line closes a table before the next gate's heading.
@@ -475,7 +507,8 @@ pub fn markdown(report: &Report<'_>) -> String {
 /// The whole gate, as the `perfdiff` binary runs it: loads the gate table
 /// and both store directories, evaluates, and returns the Markdown report,
 /// a one-line-per-gate summary, and the number of failing rows (the exit
-/// code is whether that is zero).
+/// code is whether that is zero; an `UNRESOLVED` row is counted in the
+/// summary but neither passes nor fails).
 pub fn check(
     baseline: &Path,
     current: &Path,
@@ -489,6 +522,7 @@ pub fn check(
         &gates,
         &Query::new().latest_per_key(&baseline),
         &Query::new().latest_per_key(&current),
+        |seq| current.batch(seq).map(|b| b.meta.host_cores),
     );
     let mut summary = String::new();
     let mut names: Vec<&str> = Vec::new();
@@ -500,10 +534,11 @@ pub fn check(
         let of_gate = |r: &&Row<'_>| r.gate.name == gate.name;
         let _ = writeln!(
             summary,
-            "perfdiff: gate `{}`: {} rows, {} failed",
+            "perfdiff: gate `{}`: {} rows, {} failed, {} unresolved",
             gate.name,
             report.rows.iter().filter(of_gate).count(),
             report.failures().filter(of_gate).count(),
+            report.unresolved().filter(of_gate).count(),
         );
     }
     Ok((markdown(&report), summary, report.failures().count()))
@@ -604,6 +639,7 @@ mod tests {
             &gates,
             &baseline.iter().collect::<Vec<_>>(),
             &current.iter().collect::<Vec<_>>(),
+            |_| None,
         );
         let failing: Failing = report.failures().map(identity).collect();
         assert_eq!(failing, expected, "\n{}", markdown(&report));
@@ -613,7 +649,9 @@ mod tests {
                 Verdict::Regression => "**REGRESSION**",
                 Verdict::Unmeasured => "**NO TELEMETRY**",
                 Verdict::Missing => "**MISSING**",
-                Verdict::Ok => unreachable!("an ok row is not a failure"),
+                Verdict::Ok | Verdict::Unresolved { .. } => {
+                    unreachable!("neither an ok nor an unresolved row is a failure")
+                }
             };
             assert!(text.contains(label), "{label} missing from\n{text}");
         }
@@ -773,7 +811,7 @@ mod tests {
         let rec = |l: String| StoredRecord::from_raw(&l, 1, 0, "test record").unwrap();
         let base = rec(threaded("Quicksort", 2, 20.0, 0, ""));
         let fresh = rec(threaded("Raytracer", 2, 20.0, 0, ""));
-        let report = evaluate(&gates, &[&base], &[&base, &fresh]);
+        let report = evaluate(&gates, &[&base], &[&base, &fresh], |_| None);
         assert_eq!(report.failures().count(), 0);
         assert_eq!(report.new_points, vec![fresh.record_key()]);
         assert!(markdown(&report).contains("- Raytracer/threaded/2v/node-local"));
@@ -783,8 +821,9 @@ mod tests {
     // The whole pipeline, through store directories and a gate file.
     // ------------------------------------------------------------------
 
-    /// Appends each batch to a fresh temp store directory.
-    fn store_dir(tag: &str, batches: &[Vec<String>]) -> PathBuf {
+    /// Appends each batch to a fresh temp store directory, recorded as if on
+    /// a host with `host_cores` cores.
+    fn store_dir(tag: &str, host_cores: u64, batches: &[Vec<String>]) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mgc-perfdiff-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -792,7 +831,7 @@ mod tests {
             git_rev: "test".to_string(),
             timestamp_unix: 0,
             host_nodes: 1,
-            host_cores: 1,
+            host_cores,
             scale: "tiny".to_string(),
             kind: "test".to_string(),
         };
@@ -802,16 +841,18 @@ mod tests {
         dir
     }
 
-    /// Runs [`check`] with `entries` as the gate file; returns its result
-    /// after removing the scratch directories.
+    /// Runs [`check`] with `entries` as the gate file and the current store
+    /// recorded on `host_cores` cores; returns its result after removing the
+    /// scratch directories.
     fn check_stores(
+        host_cores: u64,
         tag: &str,
         entries: &[&str],
         baseline: &[Vec<String>],
         current: &[Vec<String>],
     ) -> Result<(String, String, usize), String> {
-        let baseline = store_dir(&format!("{tag}-base"), baseline);
-        let current = store_dir(&format!("{tag}-cur"), current);
+        let baseline = store_dir(&format!("{tag}-base"), 1, baseline);
+        let current = store_dir(&format!("{tag}-cur"), host_cores, current);
         let gates = baseline.join("gates.json");
         std::fs::write(&gates, table(entries)).unwrap();
         let result = check(&baseline, &current, &gates);
@@ -833,8 +874,14 @@ mod tests {
 
     #[test]
     fn all_five_gates_pass_on_a_healthy_store() {
-        let (report, summary, failures) =
-            check_stores("healthy", &ALL_FIVE, &[healthy_sweep()], &[healthy_sweep()]).unwrap();
+        let (report, summary, failures) = check_stores(
+            4,
+            "healthy",
+            &ALL_FIVE,
+            &[healthy_sweep()],
+            &[healthy_sweep()],
+        )
+        .unwrap();
         assert_eq!(failures, 0, "{report}");
         for gate in [
             "wall-clock",
@@ -866,6 +913,7 @@ mod tests {
         // The regressed batch rides on top of the healthy one: latest-per-
         // key means the gate sees only the regressed records.
         let (_, summary, failures) = check_stores(
+            4,
             "inject",
             &ALL_FIVE,
             &[healthy_sweep()],
@@ -880,10 +928,53 @@ mod tests {
         );
     }
 
+    /// The speedup gate judges a 4-vproc row only on a host with four
+    /// cores: on two, even a 3× ratio is `UNRESOLVED`, never `ok`.
+    #[test]
+    fn an_under_cored_batch_cannot_produce_a_green_speedup_verdict() {
+        let sweep = |wall_4v: f64| {
+            vec![vec![
+                threaded("Dmm", 1, 120.0, 0, ""),
+                threaded("Dmm", 4, wall_4v, 0, ""),
+            ]]
+        };
+        let run = |cores: u64, wall_4v: f64| {
+            let tag = format!("cores{cores}-{wall_4v}");
+            check_stores(cores, &tag, &[SPEEDUP], &[], &sweep(wall_4v)).unwrap()
+        };
+
+        let (report, summary, failures) = run(2, 40.0);
+        assert_eq!(failures, 0, "{report}");
+        assert!(report.contains("| 3.00× |"), "{report}");
+        assert!(
+            report.contains("UNRESOLVED (2 cores < 4 vprocs)"),
+            "{report}"
+        );
+        assert!(!report.contains("| ok |"), "{report}");
+        assert!(
+            summary.contains("1 rows, 0 failed, 1 unresolved"),
+            "{summary}"
+        );
+
+        let (report, summary, failures) = run(4, 40.0);
+        assert_eq!(failures, 0, "{report}");
+        assert!(report.contains("| ok |"), "{report}");
+        assert!(
+            summary.contains("1 rows, 0 failed, 0 unresolved"),
+            "{summary}"
+        );
+
+        // 0.9× with enough cores is a real regression.
+        let (report, _, failures) = run(4, 133.0);
+        assert_eq!(failures, 1, "{report}");
+        assert!(report.contains("**REGRESSION**"), "{report}");
+    }
+
     #[test]
     fn store_directories_load_the_latest_record_per_key() {
         // The older batch regresses 5×; the newer one shadows it.
         let (report, _, failures) = check_stores(
+            4,
             "latest",
             &[WALL],
             &[vec![threaded("Quicksort", 4, 40.0, 0, "")]],
@@ -908,7 +999,7 @@ mod tests {
             .expect("a one-vproc DMM run is valid");
         let sweep = [vec![record.to_json()]];
         let (report, summary, failures) =
-            check_stores("real", &[WALL, PROMOTED], &sweep, &sweep).unwrap();
+            check_stores(4, "real", &[WALL, PROMOTED], &sweep, &sweep).unwrap();
         assert_eq!(failures, 0, "{report}");
         assert!(summary.contains("gate `wall-clock`: 1 rows"), "{summary}");
         assert!(report.contains("Dense-Matrix-Multiply/threaded/1v/node-local"));
@@ -916,7 +1007,7 @@ mod tests {
 
     #[test]
     fn future_schema_versions_are_rejected_at_load() {
-        let current = store_dir("future", &[]);
+        let current = store_dir("future", 4, &[]);
         std::fs::write(
             current.join("run-000001.json"),
             "{\"store_schema_version\": 1, \"meta\": {}, \"records\": [\n  \
@@ -1027,7 +1118,7 @@ mod tests {
     #[test]
     fn an_empty_current_store_fails_with_every_baseline_key_missing() {
         let baseline = PathBuf::from(format!("{REPO}/results/store"));
-        let current = store_dir("empty", &[]);
+        let current = store_dir("empty", 4, &[]);
         let (report, _, failures) = check(
             &baseline,
             &current,
@@ -1060,7 +1151,7 @@ mod tests {
             .filter(|r| r.program() != "Barnes-Hut")
             .collect();
         let gates = checked_in_gates();
-        let report = evaluate(&gates, &baseline, &current);
+        let report = evaluate(&gates, &baseline, &current, |_| None);
         let missing_under = |gate: &str| {
             report
                 .failures()

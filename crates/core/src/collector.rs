@@ -316,8 +316,8 @@ impl Collector {
 
     /// Forwards one pointer towards the global heap, used by major
     /// collections and promotions. `include_young` selects whether young
-    /// data is promoted too (the paper keeps it local; the ablation and the
-    /// promotion path copy it).
+    /// data is promoted too (a major collection keeps it local, §3.3; the
+    /// promotion path copies it).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_to_global<H: GcHeap>(
         &mut self,

@@ -26,14 +26,7 @@ pub struct GcConfig {
     /// in full at every check; [`GcConfig::paper_scale`] and the figure
     /// pipeline pin it to reproduce the paper's numbers.
     pub global_growth_factor: f64,
-    /// Ablation knob: when `true`, a major collection also promotes the
-    /// young data instead of exempting it (disables the Appel optimisation
-    /// the paper relies on to avoid premature promotion).
-    pub promote_young_in_major: bool,
-    /// Ablation knob: when `false`, freed global-heap chunks lose their node
-    /// affinity and are handed to whichever vproc asks first.
-    pub chunk_node_affinity: bool,
-    /// Ablation knob (threaded backend): when `true`, every task pushed to a
+    /// Reference mode (threaded backend): when `true`, every task pushed to a
     /// deque has its roots promoted eagerly at publication time — the
     /// pre-lazy-promotion behaviour. The default (`false`) promotes a task's
     /// roots only when the task is actually stolen (§3.1), so promotion
@@ -61,8 +54,6 @@ impl Default for GcConfig {
             nursery_threshold_fraction: 0.20,
             global_threshold_per_vproc_bytes: 2 * 1024 * 1024,
             global_growth_factor: 2.0,
-            promote_young_in_major: false,
-            chunk_node_affinity: true,
             eager_publication: false,
             verify_after_gc: false,
             pause_budget_us: None,
@@ -101,8 +92,7 @@ mod tests {
     #[test]
     fn defaults_follow_paper_design() {
         let c = GcConfig::default();
-        assert!(!c.promote_young_in_major);
-        assert!(c.chunk_node_affinity);
+        assert!(!c.eager_publication);
         assert!(c.nursery_threshold_fraction > 0.0 && c.nursery_threshold_fraction < 1.0);
     }
 

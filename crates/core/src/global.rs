@@ -57,9 +57,6 @@ impl Collector {
             num_vprocs,
             "one root set per vproc is required"
         );
-        heap.global_mut()
-            .set_node_affinity(self.config().chunk_node_affinity);
-
         let mut costs: Vec<GcCost> = (0..num_vprocs)
             .map(|_| GcCost::new(self.num_nodes()))
             .collect();

@@ -42,7 +42,8 @@ impl Collector {
         let mut cost = GcCost::new(self.num_nodes());
         cost.charge_cpu(COLLECTION_FIXED_NS);
         let local_node = heap.local(vproc).node();
-        let include_young = self.config().promote_young_in_major;
+        // The young data is exempt (§3.3); only promotion copies it.
+        let include_young = false;
         let mut tally = PromotionTally::new(self.num_nodes());
         let mut worklist: Vec<Addr> = Vec::new();
 
@@ -64,34 +65,30 @@ impl Collector {
 
         // --- Phase 2: the young data acts as an additional root set. ------
         // Young objects may point to old objects; those old objects must be
-        // promoted and the young fields redirected. (When the ablation
-        // promotes young data too, phase 1 and the worklist drain already
-        // cover it and this phase finds nothing young-resident.)
-        if !include_young {
-            let young: Vec<Addr> = heap.local(vproc).young_objects().map(|(a, _)| a).collect();
-            for obj in young {
-                let header = heap.header_of(obj);
-                cost.charge_scan(local_node, header.total_bytes());
-                let fields = heap
-                    .pointer_field_indices(header)
-                    .expect("all mixed-object descriptors are registered before allocation");
-                for index in fields {
-                    let value = heap.read_field(obj, index);
-                    let Some(ptr) = word_as_pointer(value) else {
-                        continue;
-                    };
-                    let new = self.forward_to_global(
-                        heap,
-                        vproc,
-                        ptr,
-                        include_young,
-                        &mut worklist,
-                        &mut tally,
-                        &mut cost,
-                    );
-                    if new != ptr {
-                        heap.write_field(obj, index, new.raw());
-                    }
+        // promoted and the young fields redirected.
+        let young: Vec<Addr> = heap.local(vproc).young_objects().map(|(a, _)| a).collect();
+        for obj in young {
+            let header = heap.header_of(obj);
+            cost.charge_scan(local_node, header.total_bytes());
+            let fields = heap
+                .pointer_field_indices(header)
+                .expect("all mixed-object descriptors are registered before allocation");
+            for index in fields {
+                let value = heap.read_field(obj, index);
+                let Some(ptr) = word_as_pointer(value) else {
+                    continue;
+                };
+                let new = self.forward_to_global(
+                    heap,
+                    vproc,
+                    ptr,
+                    include_young,
+                    &mut worklist,
+                    &mut tally,
+                    &mut cost,
+                );
+                if new != ptr {
+                    heap.write_field(obj, index, new.raw());
                 }
             }
         }
@@ -317,24 +314,6 @@ mod tests {
         assert!(heap.is_global(promoted));
         assert_eq!(heap.payload(promoted), vec![111]);
         assert_eq!(collector.vproc_stats(0).major_collections, 1);
-    }
-
-    #[test]
-    fn major_with_promote_young_ablation_empties_local_heap() {
-        let heap_cfg = HeapConfig::small_for_tests();
-        let mut heap = Heap::new(heap_cfg, &[NodeId::new(0)], 2);
-        let config = GcConfig {
-            promote_young_in_major: true,
-            ..GcConfig::small_for_tests()
-        };
-        let mut collector = Collector::new(config, 1, 2);
-        let young_root = build_generations(&mut heap, &mut collector);
-
-        let mut roots = vec![young_root];
-        let outcome = collector.major(&mut heap, 0, &mut roots);
-        // Both the old object and the young vector were promoted.
-        assert!(outcome.promoted_bytes >= 4 * 8);
-        assert!(heap.is_global(roots[0]));
     }
 
     #[test]

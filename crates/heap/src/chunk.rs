@@ -96,13 +96,6 @@ impl Chunk {
         self.node
     }
 
-    /// Re-places the chunk on a different node (used when a free chunk is
-    /// recycled under a placement policy that ignores affinity — the ablation
-    /// case).
-    pub fn set_node(&mut self, node: NodeId) {
-        self.node = node;
-    }
-
     /// The chunk's lifecycle state.
     pub fn state(&self) -> ChunkState {
         self.state

@@ -3,13 +3,13 @@
 //! The global heap is a collection of fixed-size [`Chunk`]s. Chunks carry
 //! the NUMA node they were physically allocated on; when a chunk is freed
 //! (after a global collection) it goes onto its node's free list and is
-//! preferentially reused by vprocs on that node, preserving node affinity.
+//! reused only by vprocs on that node, preserving node affinity.
 
 use crate::addr::Addr;
 use crate::chunk::{Chunk, ChunkId, ChunkState};
 use crate::space::{AddressSpace, RegionOwner};
 use mgc_numa::NodeId;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Counters describing global-heap activity.
@@ -19,10 +19,6 @@ pub struct GlobalHeapStats {
     pub chunks_created: u64,
     /// Chunk acquisitions satisfied from a node-local free list.
     pub chunks_reused_local: u64,
-    /// Chunk acquisitions satisfied from another node's free list (only when
-    /// affinity is disabled or the local list is empty and stealing is
-    /// allowed).
-    pub chunks_reused_remote: u64,
 }
 
 /// The global heap: all chunks plus the per-node free lists.
@@ -36,9 +32,6 @@ pub struct GlobalHeap {
     chunks_in_use: usize,
     /// `chunks_in_use` at the end of the last global collection.
     chunks_after_last_collection: usize,
-    /// Whether chunk reuse honours node affinity (the paper's design). The
-    /// ablation benchmark disables this.
-    node_affinity: bool,
     stats: GlobalHeapStats,
 }
 
@@ -58,19 +51,8 @@ impl GlobalHeap {
             free_by_node: vec![Vec::new(); num_nodes],
             chunks_in_use: 0,
             chunks_after_last_collection: 0,
-            node_affinity: true,
             stats: GlobalHeapStats::default(),
         }
-    }
-
-    /// Enables or disables node-affine chunk reuse (enabled by default).
-    pub fn set_node_affinity(&mut self, enabled: bool) {
-        self.node_affinity = enabled;
-    }
-
-    /// Whether node-affine chunk reuse is enabled.
-    pub fn node_affinity(&self) -> bool {
-        self.node_affinity
     }
 
     /// Chunk size in words.
@@ -161,29 +143,17 @@ impl GlobalHeap {
 
     /// Acquires a chunk for use by a vproc whose preferred node is `node`
     /// (already resolved through the placement policy). Reuses a free chunk
-    /// with node affinity when possible, otherwise maps a fresh chunk.
+    /// of that node when there is one, otherwise maps a fresh chunk; a chunk
+    /// never changes node (§3.1).
     ///
     /// The returned chunk is empty and still in the [`ChunkState::Free`]
     /// state; the caller decides its new state. It counts as in use from
     /// here until [`GlobalHeap::release_chunk`].
     pub fn acquire_chunk(&mut self, node: NodeId, space: &mut AddressSpace) -> ChunkId {
         self.chunks_in_use += 1;
-        // Node-affine reuse first.
         if let Some(id) = self.free_by_node[node.index()].pop() {
             self.stats.chunks_reused_local += 1;
             return id;
-        }
-        if !self.node_affinity {
-            // Affinity disabled: take any free chunk and pretend it now lives
-            // on the requested node (modelling a page migration / ignoring
-            // placement, as the ablation does).
-            for list in self.free_by_node.iter_mut() {
-                if let Some(id) = list.pop() {
-                    self.stats.chunks_reused_remote += 1;
-                    self.chunks[id.index()].set_node(node);
-                    return id;
-                }
-            }
         }
         // Map a brand new chunk.
         let id = ChunkId(self.chunks.len() as u32);
@@ -285,9 +255,7 @@ pub struct SharedChunkPool {
     /// Per-node free-chunk counts (maintained separately so sizing queries
     /// never walk a concurrently mutating list).
     free_counts: Vec<AtomicUsize>,
-    node_affinity: AtomicBool,
     chunks_reused_local: AtomicU64,
-    chunks_reused_remote: AtomicU64,
 }
 
 impl SharedChunkPool {
@@ -302,24 +270,16 @@ impl SharedChunkPool {
             heads: (0..num_nodes).map(|_| AtomicU64::new(0)).collect(),
             links: LinkTable::new(),
             free_counts: (0..num_nodes).map(|_| AtomicUsize::new(0)).collect(),
-            node_affinity: AtomicBool::new(true),
             chunks_reused_local: AtomicU64::new(0),
-            chunks_reused_remote: AtomicU64::new(0),
         }
     }
 
-    /// Enables or disables node-affine chunk reuse (enabled by default).
-    pub fn set_node_affinity(&self, enabled: bool) {
-        self.node_affinity.store(enabled, Ordering::Release);
-    }
-
-    /// Whether node-affine chunk reuse is enabled.
-    pub fn node_affinity(&self) -> bool {
-        self.node_affinity.load(Ordering::Acquire)
-    }
-
-    /// Pops the top chunk of `node`'s Treiber stack.
-    fn pop_from(&self, node: usize) -> Option<ChunkId> {
+    /// Pops a free chunk for a vproc whose preferred node is `node` off that
+    /// node's Treiber stack — never another node's, exactly as
+    /// [`GlobalHeap::acquire_chunk`]. Returns `None` when the caller must
+    /// map a fresh chunk.
+    pub fn pop(&self, node: NodeId) -> Option<ChunkId> {
+        let node = node.index();
         let head = &self.heads[node];
         let mut current = head.load(Ordering::Acquire);
         loop {
@@ -339,36 +299,12 @@ impl SharedChunkPool {
             ) {
                 Ok(_) => {
                     self.free_counts[node].fetch_sub(1, Ordering::AcqRel);
+                    self.chunks_reused_local.fetch_add(1, Ordering::Relaxed);
                     return Some(ChunkId(id));
                 }
                 Err(observed) => current = observed,
             }
         }
-    }
-
-    /// Pops a free chunk for a vproc whose preferred node is `node`,
-    /// honouring node affinity exactly as [`GlobalHeap::acquire_chunk`]
-    /// does. Returns `None` when the caller must map a fresh chunk. The
-    /// second tuple element says whether the reuse crossed nodes.
-    pub fn pop(&self, node: NodeId) -> Option<(ChunkId, bool)> {
-        if let Some(id) = self.pop_from(node.index()) {
-            self.chunks_reused_local.fetch_add(1, Ordering::Relaxed);
-            return Some((id, false));
-        }
-        if !self.node_affinity.load(Ordering::Acquire) {
-            for other in 0..self.heads.len() {
-                if other == node.index() {
-                    // Already probed above; a chunk pushed here since then
-                    // would be a node-local reuse, not a remote one.
-                    continue;
-                }
-                if let Some(id) = self.pop_from(other) {
-                    self.chunks_reused_remote.fetch_add(1, Ordering::Relaxed);
-                    return Some((id, true));
-                }
-            }
-        }
-        None
     }
 
     /// Returns a chunk to `node`'s free list.
@@ -403,11 +339,6 @@ impl SharedChunkPool {
     /// Chunk acquisitions satisfied from a node-local free list.
     pub fn reused_local(&self) -> u64 {
         self.chunks_reused_local.load(Ordering::Relaxed)
-    }
-
-    /// Chunk acquisitions that had to cross nodes (affinity disabled).
-    pub fn reused_remote(&self) -> u64 {
-        self.chunks_reused_remote.load(Ordering::Relaxed)
     }
 }
 
@@ -445,19 +376,6 @@ mod tests {
         assert_ne!(c, b);
         assert_eq!(heap.chunk(c).node(), NodeId::new(0));
         assert_eq!(heap.stats().chunks_created, 2);
-    }
-
-    #[test]
-    fn affinity_disabled_steals_any_free_chunk() {
-        let (mut heap, mut space) = setup();
-        heap.set_node_affinity(false);
-        let a = heap.acquire_chunk(NodeId::new(3), &mut space);
-        heap.chunk_mut(a).set_state(ChunkState::Filled);
-        heap.release_chunk(a);
-        let b = heap.acquire_chunk(NodeId::new(1), &mut space);
-        assert_eq!(a, b);
-        assert_eq!(heap.chunk(b).node(), NodeId::new(1));
-        assert_eq!(heap.stats().chunks_reused_remote, 1);
     }
 
     #[test]
@@ -520,20 +438,11 @@ mod tests {
         let pool = SharedChunkPool::new(2);
         assert_eq!(pool.pop(NodeId::new(0)), None);
         pool.push(NodeId::new(1), ChunkId(9));
-        // Affinity on: node 0 does not take node 1's chunk.
+        // Node 0 does not take node 1's chunk.
         assert_eq!(pool.pop(NodeId::new(0)), None);
         assert_eq!(pool.free_chunks_on(NodeId::new(1)), 1);
-        assert_eq!(pool.pop(NodeId::new(1)), Some((ChunkId(9), false)));
+        assert_eq!(pool.pop(NodeId::new(1)), Some(ChunkId(9)));
         assert_eq!(pool.reused_local(), 1);
-    }
-
-    #[test]
-    fn shared_pool_without_affinity_steals_any_chunk() {
-        let pool = SharedChunkPool::new(2);
-        pool.set_node_affinity(false);
-        pool.push(NodeId::new(1), ChunkId(4));
-        assert_eq!(pool.pop(NodeId::new(0)), Some((ChunkId(4), true)));
-        assert_eq!(pool.reused_remote(), 1);
     }
 
     #[test]
@@ -544,11 +453,11 @@ mod tests {
         pool.push(node, ChunkId(2));
         pool.push(node, ChunkId(3));
         assert_eq!(pool.free_chunks_on(node), 3);
-        assert_eq!(pool.pop(node), Some((ChunkId(3), false)));
-        assert_eq!(pool.pop(node), Some((ChunkId(2), false)));
+        assert_eq!(pool.pop(node), Some(ChunkId(3)));
+        assert_eq!(pool.pop(node), Some(ChunkId(2)));
         pool.push(node, ChunkId(7));
-        assert_eq!(pool.pop(node), Some((ChunkId(7), false)));
-        assert_eq!(pool.pop(node), Some((ChunkId(1), false)));
+        assert_eq!(pool.pop(node), Some(ChunkId(7)));
+        assert_eq!(pool.pop(node), Some(ChunkId(1)));
         assert_eq!(pool.pop(node), None);
         assert_eq!(pool.free_chunks_on(node), 0);
     }
@@ -574,7 +483,7 @@ mod tests {
                     scope.spawn(move || {
                         let mut held = Vec::new();
                         for round in 0..2000usize {
-                            if let Some((id, _)) = pool.pop(node) {
+                            if let Some(id) = pool.pop(node) {
                                 if round % 3 == 0 {
                                     pool.push(node, id);
                                 } else {
@@ -596,7 +505,7 @@ mod tests {
         });
 
         let mut seen: Vec<u32> = held.into_iter().flatten().map(|id| id.0).collect();
-        while let Some((id, _)) = pool.pop(node) {
+        while let Some(id) = pool.pop(node) {
             seen.push(id.0);
         }
         seen.sort_unstable();

@@ -727,13 +727,9 @@ impl Heap {
 
     /// The node the next chunk acquisition is *bound* to, when the
     /// combination of placement policy and page policy pins one
-    /// deterministically (`None` under `Interleave` placement, an
-    /// interleaved page policy, or the affinity-off ablation — retiring
-    /// chunks would only churn there).
+    /// deterministically (`None` under `Interleave` placement or an
+    /// interleaved page policy — retiring chunks would only churn there).
     fn bound_chunk_node(&self, vproc: usize) -> Option<NodeId> {
-        if !self.global.node_affinity() {
-            return None;
-        }
         let target = match self.effective_placement(vproc) {
             PlacementPolicy::NodeLocal | PlacementPolicy::Adaptive => self.promotion_target[vproc],
             PlacementPolicy::FirstTouch => self.vproc_nodes[vproc],

@@ -252,10 +252,7 @@ pub struct SharedChunk {
     id: ChunkId,
     base: Addr,
     /// The chunk's NUMA node. Immutable: the node is baked into the chunk's
-    /// address band, so a chunk can never migrate — when the affinity
-    /// ablation hands a node-1 chunk to a node-0 worker, the memory stays
-    /// on node 1 and the promotion is accounted as remote, exactly as real
-    /// pages would behave.
+    /// address band, so a chunk can never migrate.
     node: NodeId,
     state: AtomicU8,
     /// Bump pointer: next free word offset. Published with `Release` after
@@ -539,12 +536,6 @@ impl SharedGlobalHeap {
         self.node_span_bytes
     }
 
-    /// Resolves the node a new chunk lease should come from, given the
-    /// requesting worker's preferred (consumer) node.
-    pub fn place_node(&self, preferred: NodeId) -> NodeId {
-        self.place_node_as(self.placement, preferred)
-    }
-
     /// Resolves a lease node under an explicit *effective* policy. This is
     /// how [`PlacementPolicy::Adaptive`] reaches the heap: the runtime's
     /// controller resolves the adaptive mode to node-local or interleave
@@ -577,7 +568,7 @@ impl SharedGlobalHeap {
         self.num_nodes
     }
 
-    /// The free pool (for affinity knobs and inspection).
+    /// The free pool (for inspection).
     pub fn pool(&self) -> &SharedChunkPool {
         &self.pool
     }
@@ -636,13 +627,9 @@ impl SharedGlobalHeap {
 
     /// Acquires a chunk for a worker whose preferred (consumer) node is
     /// `preferred`, first resolving the actual node through the placement
-    /// policy, then reusing a pooled chunk when affinity allows, otherwise
-    /// mapping a fresh one in the node's address band. The returned chunk is
-    /// in [`SharedChunkState::Current`].
-    ///
-    /// With node affinity disabled (the ablation) the pool may hand back a
-    /// chunk from *another* node; it keeps its true node — memory does not
-    /// migrate — so subsequent promotions into it are accounted as remote.
+    /// policy, then reusing a chunk pooled on that node, otherwise mapping a
+    /// fresh one in the node's address band. The returned chunk is in
+    /// [`SharedChunkState::Current`].
     pub fn acquire(&self, preferred: NodeId) -> Arc<SharedChunk> {
         self.acquire_as(self.placement, preferred)
     }
@@ -651,7 +638,7 @@ impl SharedGlobalHeap {
     /// (see [`SharedGlobalHeap::place_node_as`]).
     pub fn acquire_as(&self, effective: PlacementPolicy, preferred: NodeId) -> Arc<SharedChunk> {
         let node = self.place_node_as(effective, preferred);
-        if let Some((id, _crossed)) = self.pool.pop(node) {
+        if let Some(id) = self.pool.pop(node) {
             let chunk = self.chunk_at(id.index());
             debug_assert_eq!(chunk.state(), SharedChunkState::Free);
             chunk.set_state(SharedChunkState::Current);
@@ -696,15 +683,6 @@ impl SharedGlobalHeap {
         chunk.reset();
         self.pool.push(chunk.node(), chunk.id());
         self.chunks_in_use.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// A snapshot of one node's directory (address order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn snapshot_node(&self, node: NodeId) -> Vec<Arc<SharedChunk>> {
-        self.by_node[node.index()].to_vec()
     }
 
     /// A segment-sharing snapshot of one node's directory (what worker
@@ -1078,14 +1056,9 @@ impl WorkerHeap {
     }
 
     /// True when the current chunk satisfies the promotion target under the
-    /// worker's *effective* placement policy. `Interleave` never binds; and
-    /// when the affinity ablation is on, the pool may legitimately hand
-    /// back wrong-node chunks, so retiring them would only churn.
+    /// worker's *effective* placement policy (`Interleave` never binds).
     fn current_chunk_matches_target(&self, chunk: &SharedChunk) -> bool {
-        if !self.effective_placement.binds_node() || !self.global.pool().node_affinity() {
-            return true;
-        }
-        chunk.node() == self.promotion_target
+        !self.effective_placement.binds_node() || chunk.node() == self.promotion_target
     }
 
     /// Allocates an object into the worker's current global chunk, acquiring
@@ -1506,23 +1479,6 @@ mod tests {
     }
 
     #[test]
-    fn affinity_disabled_reuses_remote_chunks_without_migrating_them() {
-        let (_, global, _) = setup();
-        global.pool().set_node_affinity(false);
-        let chunk = global.acquire(NodeId::new(1));
-        assert_eq!(chunk.node(), NodeId::new(1));
-        global.release(&chunk);
-        // Cross-node reuse hands the chunk over, but the memory stays where
-        // it is: the chunk keeps its true node (its address band), so
-        // promotions into it are accounted as remote.
-        let again = global.acquire(NodeId::new(0));
-        assert_eq!(again.id(), chunk.id());
-        assert_eq!(again.node(), NodeId::new(1));
-        assert_eq!(global_node_of(again.base()), Some(NodeId::new(1)));
-        assert_eq!(global.pool().reused_remote(), 1);
-    }
-
-    #[test]
     fn interleave_placement_round_robins_chunk_nodes() {
         let config = HeapConfig::small_for_tests();
         let layout = ThreadedLayout::new(&config, 1, 2);
@@ -1639,7 +1595,7 @@ mod tests {
                     let mut seen = Vec::new();
                     for round in 0..300 {
                         let chunk = global.acquire(node);
-                        assert_eq!(chunk.node(), node, "affinity-on leases stay node-local");
+                        assert_eq!(chunk.node(), node, "leases stay node-local");
                         seen.push(chunk.id());
                         held.push(chunk);
                         // Release every other round so the pool path and the

@@ -292,16 +292,6 @@ impl Topology {
         self.latency_ns[src.index()][dst.index()]
     }
 
-    /// Usable L3 cache of a node, in bytes. The paper sizes each vproc's
-    /// local heap so that it fits into the node's L3 cache (§3.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn l3_bytes(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].cache.l3
-    }
-
     /// Classification of an access from `src` to `dst`: local, within the
     /// same package, or across packages.
     pub fn access_class(&self, src: NodeId, dst: NodeId) -> crate::stats::AccessClass {

@@ -41,16 +41,6 @@ impl Backend {
             Backend::Threaded => "threaded",
         }
     }
-
-    /// The `MGC_BACKEND` environment override: `simulated` (or `sim`) /
-    /// `threaded` (or `threads`). Parsed by
-    /// [`crate::env::EnvOverrides`] — the one place `MGC_*` variables are
-    /// interpreted. Returns `None` when the variable is unset; an
-    /// unparseable value warns (naming the knob) and falls back to `None`
-    /// so the caller's default applies.
-    pub fn from_env() -> Option<Backend> {
-        crate::env::EnvOverrides::capture().backend
-    }
 }
 
 impl fmt::Display for Backend {

@@ -233,7 +233,6 @@ pub struct Experiment<P: Program> {
     heap: Option<HeapConfig>,
     gc: Option<GcConfig>,
     pause_budget_us: Option<u64>,
-    mutator_costs: Option<MutatorCostModel>,
     quantum_ns: Option<f64>,
     env: Option<EnvOverrides>,
     verify_checksum: bool,
@@ -270,7 +269,6 @@ impl<P: Program> Experiment<P> {
             heap: None,
             gc: None,
             pause_budget_us: None,
-            mutator_costs: None,
             quantum_ns: None,
             env: None,
             verify_checksum: true,
@@ -336,12 +334,6 @@ impl<P: Program> Experiment<P> {
         self
     }
 
-    /// Sets the mutator cache-cost model (simulated backend).
-    pub fn mutator_costs(mut self, costs: MutatorCostModel) -> Self {
-        self.mutator_costs = Some(costs);
-        self
-    }
-
     /// Sets the scheduling quantum in virtual nanoseconds.
     pub fn quantum_ns(mut self, quantum_ns: f64) -> Self {
         self.quantum_ns = Some(quantum_ns);
@@ -358,9 +350,9 @@ impl<P: Program> Experiment<P> {
 
     /// Whether to check the result against [`Program::expected_checksum`]
     /// after the run (the default). Computing the expected value usually
-    /// means running a *sequential* reference of the whole program, so hot
-    /// paths that only read timings — the figure pipeline, the criterion
-    /// benches — pass `false` to skip it; `checksum_ok` is then `None`.
+    /// means running a *sequential* reference of the whole program, so a hot
+    /// path that only reads timings — the figure pipeline — passes `false`
+    /// to skip it; `checksum_ok` is then `None`.
     pub fn verify_checksum(mut self, verify: bool) -> Self {
         self.verify_checksum = verify;
         self
@@ -414,7 +406,7 @@ impl<P: Program> Experiment<P> {
                 heap,
                 placement,
                 gc,
-                mutator_costs: self.mutator_costs.unwrap_or_default(),
+                mutator_costs: MutatorCostModel::default(),
                 quantum_ns,
             },
         })

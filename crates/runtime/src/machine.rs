@@ -137,12 +137,6 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the heap configuration.
-    pub fn with_heap(mut self, heap: HeapConfig) -> Self {
-        self.heap = heap;
-        self
-    }
-
     /// Sets the collector configuration.
     pub fn with_gc(mut self, gc: GcConfig) -> Self {
         self.gc = gc;
@@ -761,12 +755,7 @@ impl Machine {
         let nodes: Vec<_> = cores.iter().map(|&c| topology.node_of_core(c)).collect();
         let mut heap = Heap::new(config.heap, &nodes, topology.num_nodes());
         heap.set_placement(config.placement);
-        let mut collector = Collector::new(config.gc, config.num_vprocs, topology.num_nodes());
-        if !config.gc.chunk_node_affinity {
-            // propagated to the heap lazily by the global collection; nothing
-            // to do here, but keep the collector aware.
-            let _ = &mut collector;
-        }
+        let collector = Collector::new(config.gc, config.num_vprocs, topology.num_nodes());
         let vprocs: Vec<VProc> = cores
             .iter()
             .enumerate()

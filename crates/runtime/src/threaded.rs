@@ -1294,9 +1294,6 @@ impl ThreadedMachine {
                 .with_placement(self.config.placement)
                 .with_node_span_bytes(self.config.heap.node_span_bytes),
         );
-        global
-            .pool()
-            .set_node_affinity(self.config.gc.chunk_node_affinity);
         let descriptors = Arc::new(std::mem::replace(
             &mut self.descriptors,
             DescriptorTable::new(),

@@ -184,16 +184,6 @@ impl DiffRow<'_> {
     pub fn promoted_ratio(&self) -> Option<f64> {
         self.ratio(|r| r.promoted_bytes().map(|b| b as f64))
     }
-
-    /// p99-pause ratio (newer/older).
-    pub fn pause_p99_ratio(&self) -> Option<f64> {
-        self.ratio(StoredRecord::pause_p99_ns)
-    }
-
-    /// p99-latency ratio (newer/older).
-    pub fn latency_p99_ratio(&self) -> Option<f64> {
-        self.ratio(StoredRecord::latency_p99_ns)
-    }
 }
 
 /// Pairs two record sets by run-point key: one row per key present in

@@ -110,7 +110,7 @@ impl Program for BarnesHut {
     }
 }
 
-/// Opening criterion of the Barnes-Hut approximation.
+/// Opening threshold of the Barnes-Hut approximation.
 const THETA: f64 = 0.5;
 /// Integration time step.
 const DT: f64 = 0.01;
@@ -474,7 +474,7 @@ fn build_ref_tree(
     }))
 }
 
-/// Mirrors [`accel_from`]: same opening criterion, same accumulation order.
+/// Mirrors [`accel_from`]: same opening test, same accumulation order.
 fn ref_accel(node: &RefNode, px: f64, py: f64, cell_size: f64) -> (f64, f64) {
     let dx = node.cx - px;
     let dy = node.cy - py;

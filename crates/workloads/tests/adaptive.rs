@@ -36,7 +36,7 @@ fn run_churn(backend: Backend, placement: PlacementPolicy) -> RunRecord {
         .expect("the adaptive churn configuration is valid")
 }
 
-/// The acceptance criterion for the adaptive integration: a churning
+/// The acceptance test for the adaptive integration: a churning
 /// workload makes the controller record at least one switch on both
 /// backends, the first recorded decision is the cold-start adoption of
 /// node-local placement, and the checksum still verifies.

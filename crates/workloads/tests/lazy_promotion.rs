@@ -3,7 +3,7 @@
 //! The `eager_publication` ablation knob reproduces the pre-lazy-promotion
 //! behaviour (every deque push promotes the task's whole reachable graph —
 //! Barnes-Hut published its entire tree once per iteration), so these tests
-//! pin the acceptance criterion of the refactor: promotion volume must be
+//! pin the acceptance condition of the refactor: promotion volume must be
 //! proportional to *steals*, not to *spawns*.
 //!
 //! `barnes_hut_runs_threaded_at_four_vprocs` doubles as the CI
@@ -37,7 +37,7 @@ fn run_barnes_hut(vprocs: usize, eager: bool) -> RunReport {
     report
 }
 
-/// The acceptance criterion of the lazy-promotion refactor: on the threaded
+/// The acceptance condition of the lazy-promotion refactor: on the threaded
 /// backend Barnes-Hut promotes **at least 50% fewer bytes** than under the
 /// eager promote-at-publication scheme of PR 2. At one vproc nothing is
 /// ever stolen, so this is deterministic: the eager run promotes the whole

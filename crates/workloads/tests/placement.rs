@@ -1,6 +1,6 @@
 //! NUMA placement-policy behaviour over the real workloads.
 //!
-//! Covers the acceptance criterion of the NUMA-awareness PR — Barnes-Hut
+//! Covers the acceptance condition of the NUMA-awareness PR — Barnes-Hut
 //! must promote strictly fewer remote-node bytes under `NodeLocal` than
 //! under `Interleave` — plus the placement edge cases: a single-node
 //! topology (everything is local by construction), vproc counts that do not
@@ -59,7 +59,7 @@ fn run_small_chunks(workload: Workload, vprocs: usize, placement: PlacementPolic
         .expect("the placement test configurations are valid")
 }
 
-/// The acceptance criterion: on the threaded backend Barnes-Hut promotes
+/// The acceptance condition: on the threaded backend Barnes-Hut promotes
 /// strictly fewer remote-node bytes under `NodeLocal` than under
 /// `Interleave`.
 ///
