@@ -52,6 +52,26 @@ impl GcOutcome {
             .unwrap_or(0);
         (local, self.promoted_bytes.saturating_sub(local))
     }
+
+    /// Folds the outcome of the major collection that followed this minor
+    /// one into it, so the pair reads as one local collection.
+    pub fn absorb_major(&mut self, major: GcOutcome) {
+        self.cost.merge(&major.cost);
+        self.promoted_bytes += major.promoted_bytes;
+        if self.promoted_bytes_by_node.is_empty() {
+            self.promoted_bytes_by_node = major.promoted_bytes_by_node;
+        } else {
+            for (slot, bytes) in self
+                .promoted_bytes_by_node
+                .iter_mut()
+                .zip(major.promoted_bytes_by_node)
+            {
+                *slot += bytes;
+            }
+        }
+        self.needs_global = major.needs_global;
+        self.triggered_major = true;
+    }
 }
 
 /// Running per-node tally of one collection's promoted bytes.
@@ -163,9 +183,19 @@ impl Collector {
         heap.global_bytes_in_use() > floor.max(proportional as usize)
     }
 
+    /// Whether the paper's triggers ask for a major collection after the
+    /// minor collection that produced `minor`: the re-divided nursery fell
+    /// below the threshold, or a global collection is pending.
+    pub fn major_due(&self, minor: &GcOutcome) -> bool {
+        minor.triggered_major || self.global_pending
+    }
+
     /// The full local-collection entry point used when a vproc's nursery is
     /// exhausted: a minor collection, followed by a major collection when the
-    /// paper's triggers say so.
+    /// paper's triggers say so. A caller that can hand the minor phase fewer
+    /// roots than the major one (the threaded backend's watermark) composes
+    /// the same three steps itself: [`Collector::minor`],
+    /// [`Collector::major_due`], [`GcOutcome::absorb_major`].
     pub fn collect_local<H: GcHeap>(
         &mut self,
         heap: &mut H,
@@ -173,23 +203,8 @@ impl Collector {
         roots: &mut [Addr],
     ) -> GcOutcome {
         let mut outcome = self.minor(heap, vproc, roots);
-        if outcome.triggered_major || self.global_pending {
-            let major = self.major(heap, vproc, roots);
-            outcome.cost.merge(&major.cost);
-            outcome.promoted_bytes += major.promoted_bytes;
-            if outcome.promoted_bytes_by_node.is_empty() {
-                outcome.promoted_bytes_by_node = major.promoted_bytes_by_node;
-            } else {
-                for (slot, bytes) in outcome
-                    .promoted_bytes_by_node
-                    .iter_mut()
-                    .zip(major.promoted_bytes_by_node)
-                {
-                    *slot += bytes;
-                }
-            }
-            outcome.needs_global = major.needs_global;
-            outcome.triggered_major = true;
+        if self.major_due(&outcome) {
+            outcome.absorb_major(self.major(heap, vproc, roots));
         }
         outcome
     }
@@ -202,6 +217,10 @@ impl Collector {
     /// because nothing outside this vproc can point into its nursery (§2.3);
     /// on the real-threads backend's [`WorkerHeap`](mgc_heap::WorkerHeap)
     /// this path takes no locks at all.
+    ///
+    /// Exactly the roots handed over are visited — the caller may leave out
+    /// any root it knows holds no nursery pointer, since a minor collection
+    /// moves nothing else. [`GcStats::minor_roots_visited`] counts them.
     pub fn minor<H: GcHeap>(
         &mut self,
         heap: &mut H,
@@ -260,6 +279,7 @@ impl Collector {
         let stats = &mut self.per_vproc[vproc];
         stats.minor_collections += 1;
         stats.minor_copied_bytes += copied_bytes;
+        stats.minor_roots_visited += roots.len() as u64;
 
         let local = heap.local(vproc);
         let nursery_fraction = local.nursery_size_words() as f64 / local.size_words() as f64;

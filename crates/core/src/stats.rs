@@ -60,6 +60,11 @@ pub struct GcStats {
     pub global_collections: u64,
     /// Bytes copied within the local heap by minor collections.
     pub minor_copied_bytes: u64,
+    /// Root slots handed to minor collections, summed over all of them — the
+    /// root-scan work of the minor path as a count. The threaded backend
+    /// hands over only the roots registered since the last local collection,
+    /// so there it stays at or below the number of objects allocated.
+    pub minor_roots_visited: u64,
     /// Bytes promoted to the global heap by major collections.
     pub major_promoted_bytes: u64,
     /// Bytes promoted to the global heap by explicit promotions.
@@ -116,6 +121,7 @@ impl GcStats {
         self.promotions += other.promotions;
         self.global_collections += other.global_collections;
         self.minor_copied_bytes += other.minor_copied_bytes;
+        self.minor_roots_visited += other.minor_roots_visited;
         self.major_promoted_bytes += other.major_promoted_bytes;
         self.promotion_bytes += other.promotion_bytes;
         self.global_copied_bytes += other.global_copied_bytes;
@@ -134,14 +140,17 @@ mod tests {
         let mut a = GcStats::new();
         a.minor_collections = 3;
         a.minor_copied_bytes = 100;
+        a.minor_roots_visited = 4;
         a.minor_pauses.record(5.0);
         let mut b = GcStats::new();
         b.major_collections = 1;
+        b.minor_roots_visited = 3;
         b.major_promoted_bytes = 50;
         b.global_pauses.record(7.0);
         a.merge(&b);
         assert_eq!(a.total_collections(), 4);
         assert_eq!(a.total_moved_bytes(), 150);
+        assert_eq!(a.minor_roots_visited, 7);
         assert!((a.total_pause_ns() - 12.0).abs() < 1e-12);
         let all = a.all_pauses();
         assert_eq!(all.count, 2);

@@ -1218,11 +1218,13 @@ impl GcHeap for WorkerHeap {
     fn space_of(&self, addr: Addr) -> Space {
         match self.layout.owner_of(addr) {
             ThreadedOwner::Unmapped => Space::Unmapped,
-            // The flat ChunkId requires a directory lookup; the hot-path
-            // classifications (`is_local`/`is_global`/`node_of`) stay pure
-            // arithmetic via the overrides below.
+            // The flat ChunkId requires a directory lookup (no `Arc` clone
+            // on a cache hit: the collector classifies every pointer it
+            // meets); the hot-path classifications
+            // (`is_local`/`is_global`/`node_of`) stay pure arithmetic via the
+            // overrides below.
             ThreadedOwner::Global { .. } => Space::Global {
-                chunk: self.chunk_of(addr).id(),
+                chunk: self.with_chunk(addr, |chunk| chunk.id()),
             },
             ThreadedOwner::Local(v) if v == self.vproc => match self.local.region_of(addr) {
                 LocalRegion::Old => Space::LocalOld { vproc: v },

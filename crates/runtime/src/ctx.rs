@@ -4,6 +4,9 @@
 //! any allocation may trigger a collection that moves objects. Instead they
 //! hold [`Handle`]s, which index the task's root set; the collector rewrites
 //! the root set in place, so handles stay valid for the task's lifetime.
+//! On the threaded backend a minor collection visits only the roots
+//! registered since the last local collection (the root set carries a
+//! nursery-free watermark); major and global collections visit all of them.
 //!
 //! Besides allocation and field access, the context exposes:
 //!
@@ -25,7 +28,7 @@
 
 use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
-use crate::task::{Delivery, Handle, JoinCell, Task, TaskResult, TaskSpec};
+use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
 use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, Word};
 
@@ -52,7 +55,7 @@ enum CtxState<'a> {
 pub struct TaskCtx<'a> {
     state: CtxState<'a>,
     vproc: usize,
-    roots: &'a mut Vec<Addr>,
+    roots: &'a mut RootSet,
     values: &'a [Word],
     delivery_taken: &'a mut bool,
     delivery: Delivery,
@@ -72,7 +75,7 @@ impl<'a> TaskCtx<'a> {
     pub(crate) fn new(
         state: &'a mut RuntimeState,
         vproc: usize,
-        roots: &'a mut Vec<Addr>,
+        roots: &'a mut RootSet,
         values: &'a [Word],
         delivery_taken: &'a mut bool,
         delivery: Delivery,
@@ -89,7 +92,7 @@ impl<'a> TaskCtx<'a> {
 
     pub(crate) fn new_threaded(
         worker: &'a mut WorkerState,
-        roots: &'a mut Vec<Addr>,
+        roots: &'a mut RootSet,
         values: &'a [Word],
         delivery_taken: &'a mut bool,
         delivery: Delivery,
@@ -222,7 +225,9 @@ impl<'a> TaskCtx<'a> {
 
     fn reserve_nursery(&mut self, payload_words: usize) {
         match &mut self.state {
-            CtxState::Sim(state) => state.reserve_nursery(self.vproc, self.roots, payload_words),
+            CtxState::Sim(state) => {
+                state.reserve_nursery(self.vproc, self.roots.slots_mut(), payload_words)
+            }
             CtxState::Threaded(worker) => worker.reserve_nursery(self.roots, payload_words),
         }
     }
@@ -411,7 +416,9 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Drops every root registered after `mark`. Handles issued after the
-    /// mark become invalid.
+    /// mark become invalid. The root set's nursery-free watermark (see
+    /// `RootSet` in `task.rs`) drops with it, so slots re-used after the
+    /// truncation are visited by the next minor collection.
     ///
     /// On the threaded backend this is also a safe point: loops that shed
     /// intermediate roots here (rather than at allocations) would otherwise
@@ -438,10 +445,12 @@ impl<'a> TaskCtx<'a> {
     /// slot so later accesses are direct.
     fn resolve(&mut self, handle: Handle) -> Addr {
         let resolved = match &self.state {
-            CtxState::Sim(state) => state.resolve_addr(self.roots[handle.index()]),
-            CtxState::Threaded(worker) => worker.resolve_addr(self.roots[handle.index()]),
+            CtxState::Sim(state) => state.resolve_addr(self.roots.slots()[handle.index()]),
+            CtxState::Threaded(worker) => worker.resolve_addr(self.roots.slots()[handle.index()]),
         };
-        self.roots[handle.index()] = resolved;
+        // Never a nursery address the slot did not already hold: forwarding
+        // pointers lead out of the local heap, so the watermark stands.
+        self.roots.slots_mut()[handle.index()] = resolved;
         resolved
     }
 
@@ -515,7 +524,7 @@ impl<'a> TaskCtx<'a> {
                 // may run on any worker: its roots are promoted now, by
                 // their owner. (Child tasks stay private — and local — until
                 // they are actually stolen.)
-                worker.publish_roots(&mut cont_task.roots, PromoteWhy::Publish);
+                worker.publish_roots(cont_task.roots.slots_mut(), PromoteWhy::Publish);
                 let join = worker.new_join(JoinCell::new(resolved_children.len(), cont_task));
                 for (slot, (mut spec, addrs)) in resolved_children.into_iter().enumerate() {
                     spec.ptr_inputs = addrs;

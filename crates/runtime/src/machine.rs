@@ -306,12 +306,14 @@ impl RuntimeState {
     /// Collects every root the runtime knows about for `vproc`: the supplied
     /// extra roots (the running task), every task waiting in the vproc's
     /// deque, every filled pointer slot of every join cell, and every queued
-    /// channel message.
+    /// channel message. Every slot of every root set is handed over and no
+    /// watermark is ever raised here: only the threaded backend scans
+    /// generationally, so this backend's virtual costs stay what they were.
     fn gather_roots(&self, vproc: usize, extra: &[Addr]) -> Vec<Addr> {
         let mut roots: Vec<Addr> = Vec::with_capacity(extra.len() + 16);
         roots.extend_from_slice(extra);
         for task in &self.vprocs[vproc].deque {
-            roots.extend_from_slice(&task.roots);
+            roots.extend_from_slice(task.roots.slots());
         }
         for join in self.joins.iter().flatten() {
             for slot in &join.slots {
@@ -320,7 +322,7 @@ impl RuntimeState {
                 }
             }
             if let Some(cont) = &join.continuation {
-                roots.extend_from_slice(&cont.roots);
+                roots.extend_from_slice(cont.roots.slots());
             }
         }
         for channel in &self.channels {
@@ -344,7 +346,7 @@ impl RuntimeState {
             cursor += 1;
         }
         for task in self.vprocs[vproc].deque.iter_mut() {
-            for slot in task.roots.iter_mut() {
+            for slot in task.roots.slots_mut() {
                 *slot = roots[cursor];
                 cursor += 1;
             }
@@ -357,7 +359,7 @@ impl RuntimeState {
                 }
             }
             if let Some(cont) = &mut join.continuation {
-                for slot in cont.roots.iter_mut() {
+                for slot in cont.roots.slots_mut() {
                     *slot = roots[cursor];
                     cursor += 1;
                 }
@@ -546,7 +548,7 @@ impl RuntimeState {
                 }
             }
             if let Some(cont) = &mut join.continuation {
-                for root in cont.roots.iter_mut() {
+                for root in cont.roots.slots_mut() {
                     *root = self.ensure_global(*root);
                 }
             }
@@ -620,7 +622,7 @@ impl RuntimeState {
                     // so they are promoted lazily here — the same lazy
                     // promotion the paper applies to stolen work.
                     let mut roots = std::mem::take(&mut continuation.roots);
-                    for root in roots.iter_mut() {
+                    for root in roots.slots_mut() {
                         *root = self.promote_for(vproc, *root, PromoteWhy::Publish);
                     }
                     continuation.roots = roots;
@@ -655,7 +657,7 @@ impl RuntimeState {
         };
         let victim = fullest(self, true).or_else(|| fullest(self, false))?;
         let mut task = self.vprocs[victim].steal_from()?;
-        for root in task.roots.iter_mut() {
+        for root in task.roots.slots_mut() {
             *root = self.promote_for(thief, *root, PromoteWhy::Steal);
         }
         let stats = &mut self.vprocs[thief].stats;
@@ -924,7 +926,10 @@ impl Machine {
         let (word, is_ptr) = match result {
             TaskResult::Unit => (0, false),
             TaskResult::Value(w) => (w, false),
-            TaskResult::Ptr(handle) => (self.state.resolve_addr(roots[handle.index()]).raw(), true),
+            TaskResult::Ptr(handle) => (
+                self.state.resolve_addr(roots.slots()[handle.index()]).raw(),
+                true,
+            ),
         };
         match delivery {
             Delivery::Discard => {
@@ -963,7 +968,7 @@ impl Machine {
                 let roots: Vec<Addr> = self.state.vprocs[vproc]
                     .deque
                     .iter()
-                    .flat_map(|t| t.roots.iter().copied())
+                    .flat_map(|t| t.roots.slots().iter().copied())
                     .collect();
                 roots_per_vproc.push(roots);
             }
@@ -979,7 +984,7 @@ impl Machine {
             let roots = &roots_per_vproc[vproc];
             let mut cursor = 0;
             for task in self.state.vprocs[vproc].deque.iter_mut() {
-                for slot in task.roots.iter_mut() {
+                for slot in task.roots.slots_mut() {
                     *slot = roots[cursor];
                     cursor += 1;
                 }

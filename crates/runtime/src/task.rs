@@ -37,6 +37,82 @@ impl Handle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JoinId(pub(crate) usize);
 
+/// A task's heap roots plus a **nursery-free watermark**: the slots below
+/// `clean` hold no pointer into the owning vproc's nursery, so a minor
+/// collection only has to visit the slots above it — the ones registered
+/// since the last local collection — instead of every handle the task holds
+/// (the stack-watermark idea of generational stack collection).
+///
+/// The watermark needs no write barrier because nothing can put a nursery
+/// pointer below it: heap objects are immutable (no old→nursery pointer can
+/// appear, §2.3/§3.3), a slot is only written by [`RootSet::push`], by handle
+/// resolution (the end of a forwarding chain, never a nursery address the
+/// slot did not already hold) and by the collector, and every local
+/// collection leaves the nursery empty. Only the threaded backend advances
+/// the watermark; the simulated one hands every slot to every collection.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RootSet {
+    slots: Vec<Addr>,
+    /// Invariant: `clean <= slots.len()`.
+    clean: usize,
+}
+
+impl From<Vec<Addr>> for RootSet {
+    /// Every slot starts above the watermark: spawn-time inputs may be
+    /// nursery addresses.
+    fn from(slots: Vec<Addr>) -> Self {
+        RootSet { slots, clean: 0 }
+    }
+}
+
+impl RootSet {
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Registers a new root above the watermark.
+    pub(crate) fn push(&mut self, addr: Addr) {
+        self.slots.push(addr);
+    }
+
+    /// Drops every slot from `mark` on. The watermark follows the length
+    /// down, so slots re-used afterwards are scanned again.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        self.slots.truncate(mark);
+        self.clean = self.clean.min(self.slots.len());
+    }
+
+    /// Every slot (major and global collections move non-nursery data, so
+    /// they see all of them).
+    pub(crate) fn slots(&self) -> &[Addr] {
+        &self.slots
+    }
+
+    /// Every slot, writable. Callers may store only addresses outside the
+    /// owner's nursery below the watermark (the collector and forwarding
+    /// resolution qualify).
+    pub(crate) fn slots_mut(&mut self) -> &mut [Addr] {
+        &mut self.slots
+    }
+
+    /// The slots below the watermark.
+    pub(crate) fn clean_slots(&self) -> &[Addr] {
+        &self.slots[..self.clean]
+    }
+
+    /// The slots above the watermark: all a minor collection has to visit.
+    pub(crate) fn dirty_mut(&mut self) -> &mut [Addr] {
+        &mut self.slots[self.clean..]
+    }
+
+    /// Raises the watermark over every slot. Call only when the owner's
+    /// nursery is empty, i.e. right after a local collection that was handed
+    /// at least [`RootSet::dirty_mut`].
+    pub(crate) fn mark_clean(&mut self) {
+        self.clean = self.slots.len();
+    }
+}
+
 /// The result a task body returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskResult {
@@ -118,8 +194,10 @@ pub(crate) enum Delivery {
 /// A runnable unit of work sitting in a vproc's deque.
 pub struct Task {
     pub(crate) name: &'static str,
-    /// The task's heap roots. The collector rewrites these in place.
-    pub(crate) roots: Vec<Addr>,
+    /// The task's heap roots. The collector rewrites these in place; the
+    /// watermark travels with the task into [`TaskCtx`](crate::ctx::TaskCtx)
+    /// and back.
+    pub(crate) roots: RootSet,
     /// Raw input values.
     pub(crate) values: Vec<Word>,
     pub(crate) body: TaskBody,
@@ -145,7 +223,7 @@ impl Task {
     pub(crate) fn from_spec(spec: TaskSpec, delivery: Delivery, origin_vproc: usize) -> Self {
         Task {
             name: spec.name,
-            roots: spec.ptr_inputs,
+            roots: spec.ptr_inputs.into(),
             values: spec.value_inputs,
             body: spec.body,
             delivery,
@@ -204,6 +282,54 @@ mod tests {
         assert_eq!(Handle(3).index(), 3);
     }
 
+    fn addrs(words: &[u64]) -> Vec<Addr> {
+        words.iter().map(|&w| Addr::new(w)).collect()
+    }
+
+    #[test]
+    fn root_set_watermark_follows_truncation_but_not_pushes() {
+        let mut set = RootSet::from(addrs(&[8, 16, 24]));
+        // Spawn-time inputs may be nursery addresses: everything is dirty.
+        assert!(set.clean_slots().is_empty());
+        assert_eq!(set.dirty_mut().to_vec(), addrs(&[8, 16, 24]));
+
+        set.mark_clean();
+        assert_eq!(set.clean_slots(), addrs(&[8, 16, 24]));
+        assert!(set.dirty_mut().is_empty());
+
+        // A push lands above the watermark and does not raise it.
+        set.push(Addr::new(32));
+        assert_eq!(set.clean_slots().len(), 3);
+        assert_eq!(set.dirty_mut().to_vec(), addrs(&[32]));
+
+        // Truncating above the watermark leaves it alone …
+        set.truncate(3);
+        assert_eq!(set.clean_slots().len(), 3);
+        // … truncating below lowers it, so a re-used slot is dirty again.
+        set.truncate(1);
+        assert_eq!(set.clean_slots(), addrs(&[8]));
+        set.push(Addr::new(40));
+        assert_eq!(set.clean_slots(), addrs(&[8]));
+        assert_eq!(set.dirty_mut().to_vec(), addrs(&[40]));
+        assert_eq!(set.slots(), addrs(&[8, 40]));
+        assert_eq!(set.len(), 2);
+
+        // Truncating past the end changes nothing.
+        set.truncate(10);
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.clean_slots().len(), 1);
+    }
+
+    #[test]
+    fn root_set_dirty_slots_are_written_in_place() {
+        let mut set = RootSet::from(addrs(&[8]));
+        set.mark_clean();
+        set.push(Addr::new(16));
+        set.dirty_mut()[0] = Addr::new(48);
+        assert_eq!(set.slots(), addrs(&[8, 48]));
+        assert_eq!(RootSet::default().len(), 0);
+    }
+
     #[test]
     fn task_spec_builders() {
         let spec = TaskSpec::new("t", |_| TaskResult::Unit)
@@ -220,6 +346,7 @@ mod tests {
         let task = Task::from_spec(spec, Delivery::Discard, 2);
         assert_eq!(task.origin_vproc, 2);
         assert_eq!(task.values, vec![1]);
+        assert!(task.roots.clean_slots().is_empty());
         assert_eq!(task.name(), "child");
         assert!(format!("{task:?}").contains("child"));
     }

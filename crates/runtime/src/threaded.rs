@@ -6,7 +6,10 @@
 //! * each vproc is an OS thread owning a
 //!   [`WorkerHeap`](mgc_heap::WorkerHeap) — nursery allocation and
 //!   minor/major collections touch only thread-owned state, so the local-GC
-//!   path takes **zero locks**, exactly the §3.3 claim;
+//!   path takes **zero locks**, exactly the §3.3 claim. A minor collection
+//!   visits only the roots registered since the last local collection
+//!   (each `RootSet` carries a nursery-free watermark), so its cost
+//!   follows what survives the nursery, not how many handles the task holds;
 //! * the global heap is shared: atomic words, a lock-free Treiber-stack
 //!   chunk pool (chunk lease/return — the §3.3 synchronisation point — is a
 //!   handful of CAS operations), and an append-only chunk directory that
@@ -77,15 +80,15 @@ use crate::ctx::TaskCtx;
 use crate::executor::{Backend, Executor};
 use crate::machine::MachineConfig;
 use crate::stats::{RunReport, VprocPlacementDecision, VprocRunStats};
-use crate::task::{Delivery, JoinCell, JoinId, Task, TaskResult, TaskSpec};
+use crate::task::{Delivery, JoinCell, JoinId, RootSet, Task, TaskResult, TaskSpec};
 use crate::vproc::{StealMailbox, StealRequest};
 use mgc_core::{
     evacuate_roots, flip_to_from_space, forward_parallel, release_from_space, scan_pass_budgeted,
-    scan_young_fields, Collector, GcStats, ParallelGcState,
+    scan_young_fields, Collector, GcOutcome, GcStats, ParallelGcState,
 };
 use mgc_heap::{
-    Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, SharedGlobalHeap,
-    ThreadedLayout, Word, WorkerHeap,
+    Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, LocalRegion,
+    SharedGlobalHeap, ThreadedLayout, Word, WorkerHeap,
 };
 use mgc_numa::{AdaptiveController, NodeId, PlacementDecision, PlacementPolicy, TrafficStats};
 use std::collections::VecDeque;
@@ -317,6 +320,9 @@ pub(crate) struct WorkerState {
     /// local heap until the task is stolen (or run here). Thieves never see
     /// this queue; they go through the steal mailbox.
     private: VecDeque<Task>,
+    /// Scratch buffer the local root sets are gathered into for a
+    /// collection; kept here so a collection allocates nothing for it.
+    gather: Vec<Addr>,
     /// This worker's NUMA node (== its heap's home node).
     node: NodeId,
     /// The node of the *consumer* of the next promotion: the thief's node
@@ -370,7 +376,7 @@ impl WorkerState {
     /// load generator waiting out an arrival gap never stalls the rest of
     /// the machine. Yields the OS thread between polls; returns immediately
     /// when the target is already past.
-    pub(crate) fn wait_until_ns(&mut self, target_ns: f64, roots: &mut [Addr]) {
+    pub(crate) fn wait_until_ns(&mut self, target_ns: f64, roots: &mut RootSet) {
         while self.now_ns() < target_ns {
             self.safe_point(roots);
             std::thread::yield_now();
@@ -385,7 +391,7 @@ impl WorkerState {
     /// collection (rooted at the running task's roots **and** the private
     /// deque's tasks — their graphs live in this local heap until stolen)
     /// if it cannot. Every reservation is also a mid-task safe point.
-    pub(crate) fn reserve_nursery(&mut self, roots: &mut [Addr], payload_words: usize) {
+    pub(crate) fn reserve_nursery(&mut self, roots: &mut RootSet, payload_words: usize) {
         self.safe_point(roots);
         let needed = payload_words + 1;
         if self.heap.local(self.vproc).nursery_free_words() >= needed {
@@ -410,7 +416,7 @@ impl WorkerState {
     /// worker until the slowest running task finished (pause ∝ the longest
     /// task, multiplied by the number of collections). Both checks are
     /// single atomic loads, so the fast path costs nothing measurable.
-    pub(crate) fn safe_point(&mut self, roots: &mut [Addr]) {
+    pub(crate) fn safe_point(&mut self, roots: &mut RootSet) {
         if self.shared.mailboxes[self.vproc].has_requests() {
             self.service_steal_requests(false);
         }
@@ -420,32 +426,67 @@ impl WorkerState {
         }
     }
 
-    /// Gathers this worker's full local root set — the supplied extra roots
-    /// (the running task) plus every private task's roots — runs `collect`
-    /// over it, and scatters the rewritten roots back.
-    fn with_local_roots(
+    /// Every local root set, the running task's first.
+    fn local_root_sets<'a>(
+        running: &'a mut RootSet,
+        private: &'a mut VecDeque<Task>,
+    ) -> impl Iterator<Item = &'a mut RootSet> {
+        std::iter::once(running).chain(private.iter_mut().map(|task| &mut task.roots))
+    }
+
+    /// Gathers `part` of each of this worker's local root sets — the running
+    /// task's and every private task's — into the reusable scratch buffer,
+    /// runs `collect` over it, and scatters the rewritten roots back.
+    ///
+    /// `part` is [`RootSet::dirty_mut`] for a minor collection (the slots
+    /// below a set's watermark cannot point into the nursery, and a minor
+    /// collection moves nothing else) and [`RootSet::slots_mut`] for
+    /// anything that runs a major collection, which slides the young data
+    /// and therefore must see every root.
+    fn with_local_roots<R>(
         &mut self,
-        extra: &mut [Addr],
-        collect: impl FnOnce(&mut Collector, &mut WorkerHeap, usize, &mut Vec<Addr>),
-    ) {
-        let mut roots: Vec<Addr> = Vec::with_capacity(extra.len() + 4 * self.private.len());
-        roots.extend_from_slice(extra);
-        for task in &self.private {
-            roots.extend_from_slice(&task.roots);
+        running: &mut RootSet,
+        part: fn(&mut RootSet) -> &mut [Addr],
+        collect: impl FnOnce(&mut Collector, &mut WorkerHeap, usize, &mut [Addr]) -> R,
+    ) -> R {
+        debug_assert!(
+            self.watermarks_hold(running),
+            "a root below the watermark points into vproc {}'s nursery",
+            self.vproc
+        );
+        let mut roots = std::mem::take(&mut self.gather);
+        roots.clear();
+        for set in Self::local_root_sets(running, &mut self.private) {
+            roots.extend_from_slice(part(set));
         }
-        collect(&mut self.collector, &mut self.heap, self.vproc, &mut roots);
-        let mut cursor = 0;
-        for slot in extra.iter_mut() {
-            *slot = roots[cursor];
-            cursor += 1;
+        let result = collect(&mut self.collector, &mut self.heap, self.vproc, &mut roots);
+        let mut rewritten = roots.as_slice();
+        for set in Self::local_root_sets(running, &mut self.private) {
+            let slots = part(set);
+            let (head, rest) = rewritten.split_at(slots.len());
+            slots.copy_from_slice(head);
+            rewritten = rest;
         }
-        for task in self.private.iter_mut() {
-            for slot in task.roots.iter_mut() {
-                *slot = roots[cursor];
-                cursor += 1;
-            }
-        }
-        debug_assert_eq!(cursor, roots.len());
+        debug_assert!(rewritten.is_empty());
+        self.gather = roots;
+        result
+    }
+
+    /// The watermark invariant, checked before every collection in debug
+    /// builds: no slot below a local root set's watermark points into this
+    /// vproc's nursery (pure address arithmetic, no heap reads).
+    fn watermarks_hold(&self, running: &RootSet) -> bool {
+        let local = self.heap.local(self.vproc);
+        std::iter::once(running)
+            .chain(self.private.iter().map(|task| &task.roots))
+            .flat_map(RootSet::clean_slots)
+            .all(|&addr| {
+                !local.contains(addr)
+                    || !matches!(
+                        local.region_of(addr),
+                        LocalRegion::Nursery | LocalRegion::NurseryFree
+                    )
+            })
     }
 
     /// Resolves the adaptive controller's mode into the heap's effective
@@ -466,36 +507,50 @@ impl WorkerState {
         }
     }
 
-    fn local_gc(&mut self, roots: &mut [Addr]) {
-        let start = Instant::now();
-        let mut needs_global = false;
-        let mut triggered_major = false;
-        let consumer = self.promotion_consumer;
-        let mut split = (0u64, 0u64);
+    /// The collection both local-collection sites run: a minor collection
+    /// over the roots registered since the last one, then — when the
+    /// triggers ask, or `force_major` (the global ramp-down) — a major
+    /// collection over every root; afterwards the nursery is empty and
+    /// every watermark is raised. The major phase promotes old data for
+    /// this worker's own benefit; its bytes enter the local/remote ledger
+    /// like any other promotion.
+    fn collect_local(&mut self, roots: &mut RootSet, force_major: bool) -> GcOutcome {
         self.adaptive_pre_promotion();
-        self.with_local_roots(roots, |collector, heap, vproc, all_roots| {
-            let outcome = collector.collect_local(heap, vproc, all_roots);
-            needs_global = outcome.needs_global;
-            triggered_major = outcome.triggered_major;
-            split = outcome.promoted_split(consumer);
-        });
-        // A local collection's major phase promotes old data for this
-        // worker's own benefit; its bytes are part of the local/remote
-        // ledger like any other promotion.
-        self.stats.promoted_bytes_local += split.0;
-        self.stats.promoted_bytes_remote += split.1;
-        self.adaptive_record(split.0, split.1);
+        let mut outcome = self.with_local_roots(
+            roots,
+            RootSet::dirty_mut,
+            |collector, heap, vproc, dirty| collector.minor(heap, vproc, dirty),
+        );
+        if force_major || self.collector.major_due(&outcome) {
+            outcome.absorb_major(self.with_local_roots(
+                roots,
+                RootSet::slots_mut,
+                |collector, heap, vproc, all| collector.major(heap, vproc, all),
+            ));
+        }
+        // The nursery is empty: no root of any local set points into it.
+        Self::local_root_sets(roots, &mut self.private).for_each(RootSet::mark_clean);
+        let (local, remote) = outcome.promoted_split(self.promotion_consumer);
+        self.stats.promoted_bytes_local += local;
+        self.stats.promoted_bytes_remote += remote;
+        self.adaptive_record(local, remote);
+        outcome
+    }
+
+    fn local_gc(&mut self, roots: &mut RootSet) {
+        let start = Instant::now();
+        let outcome = self.collect_local(roots, false);
         // The mutator was stopped once for the whole local collection, so it
         // is one recorded pause — classified by the heaviest phase that ran.
         let pause = start.elapsed().as_nanos() as f64;
         self.stats.pauses.record(pause);
         let stats = self.collector.vproc_stats_mut(self.vproc);
-        if triggered_major {
+        if outcome.triggered_major {
             stats.major_pauses.record(pause);
         } else {
             stats.minor_pauses.record(pause);
         }
-        if needs_global {
+        if outcome.needs_global {
             self.request_global();
         }
     }
@@ -581,7 +636,7 @@ impl WorkerState {
     pub(crate) fn push_task(&mut self, mut task: Task) {
         if self.shared.eager_publication {
             let mut roots = std::mem::take(&mut task.roots);
-            self.publish_roots(&mut roots, PromoteWhy::Publish);
+            self.publish_roots(roots.slots_mut(), PromoteWhy::Publish);
             task.roots = roots;
         }
         self.shared.pending_tasks.fetch_add(1, Ordering::AcqRel);
@@ -763,7 +818,7 @@ impl WorkerState {
             self.heap.set_promotion_target(target);
             self.promotion_consumer = thief_node;
             let mut roots = std::mem::take(&mut task.roots);
-            self.publish_roots(&mut roots, PromoteWhy::Steal);
+            self.publish_roots(roots.slots_mut(), PromoteWhy::Steal);
             task.roots = roots;
             self.heap.set_promotion_target(self.node);
             self.promotion_consumer = self.node;
@@ -875,7 +930,8 @@ impl WorkerState {
                 TaskResult::Ptr(handle) => {
                     // Results land in the machine-global join table (or the
                     // root-result slot): promote before delivering.
-                    let addr = self.promote_shared(roots[handle.index()], PromoteWhy::Publish);
+                    let addr =
+                        self.promote_shared(roots.slots()[handle.index()], PromoteWhy::Publish);
                     (addr.raw(), true)
                 }
             };
@@ -949,7 +1005,7 @@ impl WorkerState {
                         continue;
                     }
                 }
-                self.participate_global_gc(&mut []);
+                self.participate_global_gc(&mut RootSet::default());
                 continue;
             }
             // A task boundary is the safe point where steal requests are
@@ -1026,7 +1082,7 @@ impl WorkerState {
     /// or a deadline timeout — i.e. with the mutators stopped ever since
     /// the last full root evacuation, so nothing can still point into
     /// from-space. Each increment records its own pause.
-    fn participate_global_gc(&mut self, task_roots: &mut [Addr]) {
+    fn participate_global_gc(&mut self, task_roots: &mut RootSet) {
         let start = Instant::now();
         let shared = self.shared.clone();
         let budget = self
@@ -1046,17 +1102,7 @@ impl WorkerState {
         // runs the same pair as a catch-up: anything it allocated between
         // increments moves out of the nursery so the young rescan below
         // covers it.
-        let consumer = self.promotion_consumer;
-        let mut split = (0u64, 0u64);
-        self.adaptive_pre_promotion();
-        self.with_local_roots(task_roots, |collector, heap, vproc, roots| {
-            collector.minor(heap, vproc, roots);
-            let major = collector.major(heap, vproc, roots);
-            split = major.promoted_split(consumer);
-        });
-        self.stats.promoted_bytes_local += split.0;
-        self.stats.promoted_bytes_remote += split.1;
-        self.adaptive_record(split.0, split.1);
+        self.collect_local(task_roots, true);
         if !resuming {
             // Chunks promoted into between increments are to-space Current
             // chunks the scan passes already cover; only the pre-flip chunk
@@ -1084,7 +1130,7 @@ impl WorkerState {
         // running task's roots count as owned: nobody else will forward them.
         // Re-run on every increment: both may have picked up new from-space
         // references while the mutators ran.
-        evacuate_roots(&mut self.heap, task_roots, &shared.gc.state);
+        evacuate_roots(&mut self.heap, task_roots.slots_mut(), &shared.gc.state);
         self.evacuate_owned_roots();
         scan_young_fields(&mut self.heap, &shared.gc.state);
         shared.gc.barrier.wait_with(|| {});
@@ -1163,7 +1209,7 @@ impl WorkerState {
         let stride = shared.num_vprocs;
 
         for task in self.private.iter_mut() {
-            evacuate_roots(&mut self.heap, &mut task.roots, state);
+            evacuate_roots(&mut self.heap, task.roots.slots_mut(), state);
         }
 
         {
@@ -1176,7 +1222,7 @@ impl WorkerState {
                     }
                 }
                 if let Some(continuation) = &mut cell.continuation {
-                    evacuate_roots(&mut self.heap, &mut continuation.roots, state);
+                    evacuate_roots(&mut self.heap, continuation.roots.slots_mut(), state);
                 }
             }
         }
@@ -1364,6 +1410,7 @@ impl ThreadedMachine {
                     shared: shared.clone(),
                     stats: VprocRunStats::default(),
                     private,
+                    gather: Vec::new(),
                     node,
                     promotion_consumer: node,
                     same_node_victims,
