@@ -15,7 +15,7 @@
 use crate::config::GcConfig;
 use crate::cost::{GcCost, CHUNK_ACQUIRE_NS, COLLECTION_FIXED_NS};
 use crate::stats::{CollectionKind, GcStats};
-use mgc_heap::{word_as_pointer, Addr, EvacTarget, GcHeap, Space};
+use mgc_heap::{word_as_pointer, Addr, EvacTarget, GcHeap, Header, Space};
 
 /// Result of a single (per-vproc) collection.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +71,29 @@ impl GcOutcome {
         }
         self.needs_global = major.needs_global;
         self.triggered_major = true;
+    }
+}
+
+/// The loop every scan shares: rewrites each pointer field of `obj` (whose
+/// header is `header`) to what `forward` makes of it, in ascending field
+/// order, writing only the fields that changed.
+pub(crate) fn forward_fields<H: GcHeap>(
+    heap: &mut H,
+    obj: Addr,
+    header: Header,
+    mut forward: impl FnMut(&mut H, Addr) -> Addr,
+) {
+    let fields = heap
+        .pointer_field_indices(header)
+        .expect("all mixed-object descriptors are registered before allocation");
+    for index in fields {
+        let Some(ptr) = word_as_pointer(heap.read_field(obj, index)) else {
+            continue;
+        };
+        let new = forward(heap, ptr);
+        if new != ptr {
+            heap.write_field(obj, index, new.raw());
+        }
     }
 }
 
@@ -252,26 +275,16 @@ impl Collector {
         while let Some(obj) = worklist.pop() {
             let header = heap.header_of(obj);
             cost.charge_scan(node, header.total_bytes());
-            let fields = heap
-                .pointer_field_indices(header)
-                .expect("all mixed-object descriptors are registered before allocation");
-            for index in fields {
-                let value = heap.read_field(obj, index);
-                let Some(ptr) = word_as_pointer(value) else {
-                    continue;
-                };
-                let new = self.forward_minor(
+            forward_fields(heap, obj, header, |heap, ptr| {
+                self.forward_minor(
                     heap,
                     vproc,
                     ptr,
                     &mut worklist,
                     &mut copied_bytes,
                     &mut cost,
-                );
-                if new != ptr {
-                    heap.write_field(obj, index, new.raw());
-                }
-            }
+                )
+            });
         }
 
         heap.local_mut(vproc).finish_minor();

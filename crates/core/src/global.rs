@@ -22,9 +22,9 @@
 //! it, so the runtime's memory model can reconstruct the parallel pause time
 //! and its bus traffic.
 
-use crate::collector::Collector;
+use crate::collector::{forward_fields, Collector};
 use crate::cost::{GcCost, GLOBAL_BARRIER_NS};
-use mgc_heap::{word_as_pointer, Addr, ChunkId, ChunkState, EvacTarget, Heap};
+use mgc_heap::{Addr, ChunkId, ChunkState, EvacTarget, Heap};
 use mgc_numa::NodeId;
 
 /// Result of a global collection.
@@ -107,19 +107,9 @@ impl Collector {
             for obj in young {
                 let header = heap.header_of(obj);
                 cost.charge_scan(local_node, header.total_bytes());
-                let fields = heap
-                    .pointer_field_indices(header)
-                    .expect("all mixed-object descriptors are registered before allocation");
-                for index in fields {
-                    let value = heap.read_field(obj, index);
-                    let Some(ptr) = word_as_pointer(value) else {
-                        continue;
-                    };
-                    let new = forward_global(heap, vproc, ptr, &mut copied_bytes, cost);
-                    if new != ptr {
-                        heap.write_field(obj, index, new.raw());
-                    }
-                }
+                forward_fields(heap, obj, header, |heap, ptr| {
+                    forward_global(heap, vproc, ptr, &mut copied_bytes, cost)
+                });
             }
         }
 
@@ -247,19 +237,9 @@ fn scan_to_space_chunk(
             .expect("to-space chunks contain only live objects");
         let obj = base.add_words(scan + 1);
         cost.charge_scan(node, header.total_bytes());
-        let fields = heap
-            .pointer_field_indices(header)
-            .expect("all mixed-object descriptors are registered before allocation");
-        for index in fields {
-            let value = heap.read_field(obj, index);
-            let Some(ptr) = word_as_pointer(value) else {
-                continue;
-            };
-            let new = forward_global(heap, vproc, ptr, copied_bytes, cost);
-            if new != ptr {
-                heap.write_field(obj, index, new.raw());
-            }
-        }
+        forward_fields(heap, obj, header, |heap, ptr| {
+            forward_global(heap, vproc, ptr, copied_bytes, cost)
+        });
         heap.global_mut()
             .chunk_mut(chunk)
             .set_scan(scan + header.total_words());
@@ -356,39 +336,19 @@ pub fn flip_to_from_space(global: &SharedGlobalHeap) -> Vec<usize> {
 
 /// Forwards one pointer during the parallel collection: from-space objects
 /// are copied into `worker`'s current to-space chunk, with a CAS resolving
-/// races against other workers evacuating the same object.
+/// races against other workers evacuating the same object
+/// ([`WorkerHeap::evacuate_from_space`] is the mechanism). A non-global
+/// pointer is left alone — local objects never live in from-space; under
+/// lazy promotion the worker's surviving young data is instead scanned as an
+/// extra root set by [`scan_young_fields`].
 pub fn forward_parallel(worker: &mut WorkerHeap, ptr: Addr, state: &ParallelGcState) -> Addr {
-    if ptr.is_null() || !worker.is_global(ptr) {
-        // Local objects never live in from-space (only global chunks flip),
-        // so a non-global pointer is left alone; under lazy promotion the
-        // worker's surviving young data is instead scanned as an extra root
-        // set by [`scan_young_fields`].
-        return ptr;
+    let (new, copied_bytes) = worker.evacuate_from_space(ptr);
+    if copied_bytes > 0 {
+        state
+            .copied_bytes
+            .fetch_add(copied_bytes as u64, Ordering::Relaxed);
     }
-    let chunk = worker.chunk_of(ptr);
-    if chunk.state() != SharedChunkState::FromSpace {
-        return ptr;
-    }
-    match worker.header_slot(ptr) {
-        mgc_heap::HeaderSlot::Forwarded(winner) => winner,
-        mgc_heap::HeaderSlot::Header(header) => {
-            let payload = worker.payload(ptr);
-            let copy = worker
-                .alloc_in_global(header.encode(), &payload)
-                .expect("to-space allocation cannot fail during a global collection");
-            match worker.cas_forward_global(ptr, header.encode(), copy) {
-                Ok(()) => {
-                    state
-                        .copied_bytes
-                        .fetch_add(header.total_bytes() as u64, Ordering::Relaxed);
-                    copy
-                }
-                // Another worker won the race; our copy is unreachable
-                // garbage in to-space and dies at the next collection.
-                Err(winner) => winner,
-            }
-        }
-    }
+    new
 }
 
 /// Evacuates a worker-owned root set (its deque tasks' roots, its slice of
@@ -419,19 +379,9 @@ pub fn scan_young_fields(worker: &mut WorkerHeap, state: &ParallelGcState) {
         .collect();
     for obj in young {
         let header = worker.header_of(obj);
-        let fields = worker
-            .pointer_field_indices(header)
-            .expect("all mixed-object descriptors are registered before allocation");
-        for index in fields {
-            let value = worker.read_field(obj, index);
-            let Some(ptr) = word_as_pointer(value) else {
-                continue;
-            };
-            let new = forward_parallel(worker, ptr, state);
-            if new != ptr {
-                worker.write_field(obj, index, new.raw());
-            }
-        }
+        forward_fields(worker, obj, header, |worker, ptr| {
+            forward_parallel(worker, ptr, state)
+        });
     }
 }
 
@@ -844,6 +794,112 @@ mod tests {
         assert!(global.bytes_in_use() <= in_use_before);
         // Far fewer bytes were copied than the garbage that was promoted.
         assert!(state.copied_bytes.load(Ordering::Relaxed) < (20 * 17 * 8) * 2);
+    }
+
+    /// The collector copies an object's words straight from where they are
+    /// to where they go — no staging buffer. Three shapes that stress the
+    /// copy (interleaved pointer / raw fields, a single word, a whole chunk)
+    /// travel every path: nursery → old area (minor), old area → global
+    /// chunk (major) and nursery → global chunk (promote), both rolling the
+    /// chunk over mid-graph, then from-space → to-space (parallel global).
+    #[test]
+    fn every_copy_path_keeps_every_word() {
+        use mgc_heap::{Descriptor, DescriptorTable, HeapConfig, ObjectKind, ThreadedLayout, Word};
+        use std::sync::Arc;
+
+        let config = HeapConfig::small_for_tests();
+        let layout = ThreadedLayout::new(&config, 1, 1);
+        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 1));
+        let mut table = DescriptorTable::new();
+        let shape = table.register(Descriptor::new("ptr-raw-ptr-raw-ptr", 5, 0b10101));
+        let mut w = WorkerHeap::new(0, layout, NodeId::new(0), global.clone(), Arc::new(table));
+        let mut collector = Collector::new(GcConfig::small_for_tests(), 1, 1);
+
+        let big: Vec<Word> = (0..layout.chunk_words() as u64 - 1)
+            .map(|i| 2 * i + 1)
+            .collect();
+        let build = |w: &mut WorkerHeap, tag: Word| -> Addr {
+            let one = w.alloc_raw(&[tag]).unwrap();
+            let filler = w.alloc_raw(&big).unwrap();
+            w.alloc_mixed(shape, &[one.raw(), 0xAAAA, filler.raw(), 0xBBBB, 0])
+                .unwrap()
+        };
+        let check = |w: &WorkerHeap, root: Addr, tag: Word| {
+            let header = w.header_of(root);
+            assert_eq!((header.kind, header.len_words), (shape.kind(), 5));
+            assert_eq!(w.read_field(root, 1), 0xAAAA);
+            assert_eq!(w.read_field(root, 3), 0xBBBB);
+            assert_eq!(w.read_field(root, 4), 0);
+            let one = Addr::new(w.read_field(root, 0));
+            assert_eq!(w.header_of(one).kind, ObjectKind::Raw);
+            assert_eq!(w.payload(one), vec![tag]);
+            assert_eq!(w.payload(Addr::new(w.read_field(root, 2))), big);
+        };
+
+        // Graph A: nursery -> young (minor) -> old (the next minor).
+        let mut roots = vec![build(&mut w, 71)];
+        check(&w, roots[0], 71);
+        collector.minor(&mut w, 0, &mut roots);
+        assert_eq!(
+            w.space_of(roots[0]),
+            mgc_heap::Space::LocalYoung { vproc: 0 }
+        );
+        check(&w, roots[0], 71);
+        collector.minor(&mut w, 0, &mut roots);
+        assert_eq!(w.space_of(roots[0]), mgc_heap::Space::LocalOld { vproc: 0 });
+        check(&w, roots[0], 71);
+
+        // Old -> global (major): the chunk-filling object cannot share a
+        // chunk with anything, so the current chunk rolls over mid-graph.
+        collector.major(&mut w, 0, &mut roots);
+        assert!(w.is_global(roots[0]));
+        assert!(
+            global.chunks_in_use() >= 2,
+            "the big object forced a rollover"
+        );
+        check(&w, roots[0], 71);
+
+        // Graph B: nursery -> global (promote), next to a bystander that
+        // stays behind. The dead originals keep their header in the first
+        // payload word, so a walk of the nursery steps over all three and
+        // yields only the bystander.
+        let local_b = build(&mut w, 72);
+        let bystander = w.alloc_raw(&[9, 9]).unwrap();
+        let (promoted, outcome) = collector.promote(&mut w, 0, local_b);
+        roots.push(promoted);
+        assert_eq!(
+            outcome.promoted_bytes,
+            ((1 + 1) + (big.len() + 1) + (5 + 1)) as u64 * 8
+        );
+        assert_eq!(w.forwarded_to(local_b), Some(promoted));
+        check(&w, promoted, 72);
+        let walked: Vec<Addr> = w.local(0).nursery_objects().map(|(a, _)| a).collect();
+        assert_eq!(walked, vec![bystander]);
+
+        // Global -> global: the parallel collection's from-space copy.
+        let mut none: Vec<Addr> = Vec::new();
+        collector.minor(&mut w, 0, &mut none);
+        collector.major(&mut w, 0, &mut none);
+        w.retire_current_chunk();
+        let from_space = flip_to_from_space(&global);
+        let state = ParallelGcState::new();
+        let stale = roots.clone();
+        evacuate_roots(&mut w, &mut roots, &state);
+        loop {
+            state.reset_work_index();
+            if !scan_pass(&mut w, &state) {
+                break;
+            }
+        }
+        assert!(roots.iter().zip(&stale).all(|(new, old)| new != old));
+        let live_words = 2 * ((1 + 1) + (big.len() + 1) + (5 + 1));
+        assert_eq!(
+            state.copied_bytes.load(Ordering::Relaxed),
+            (live_words * 8) as u64
+        );
+        assert_eq!(release_from_space(&global, &from_space), from_space.len());
+        check(&w, roots[0], 71);
+        check(&w, roots[1], 72);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! CML message passing requires this because of the no-cross-heap-pointer
 //! invariants).
 
-use crate::collector::{Collector, GcOutcome, PromotionTally};
+use crate::collector::{forward_fields, Collector, GcOutcome, PromotionTally};
 use crate::cost::{GcCost, COLLECTION_FIXED_NS};
 use crate::stats::CollectionKind;
-use mgc_heap::{word_as_pointer, Addr, GcHeap, WORD_BYTES};
+use mgc_heap::{Addr, GcHeap, WORD_BYTES};
 
 impl Collector {
     /// Runs a major collection for `vproc`.
@@ -70,15 +70,8 @@ impl Collector {
         for obj in young {
             let header = heap.header_of(obj);
             cost.charge_scan(local_node, header.total_bytes());
-            let fields = heap
-                .pointer_field_indices(header)
-                .expect("all mixed-object descriptors are registered before allocation");
-            for index in fields {
-                let value = heap.read_field(obj, index);
-                let Some(ptr) = word_as_pointer(value) else {
-                    continue;
-                };
-                let new = self.forward_to_global(
+            forward_fields(heap, obj, header, |heap, ptr| {
+                self.forward_to_global(
                     heap,
                     vproc,
                     ptr,
@@ -86,11 +79,8 @@ impl Collector {
                     &mut worklist,
                     &mut tally,
                     &mut cost,
-                );
-                if new != ptr {
-                    heap.write_field(obj, index, new.raw());
-                }
-            }
+                )
+            });
         }
 
         // --- Phase 3: Cheney drain of the freshly promoted objects. -------
@@ -181,20 +171,9 @@ impl Collector {
         while let Some(obj) = worklist.pop() {
             let header = heap.header_of(obj);
             cost.charge_scan(heap.node_of(obj), header.total_bytes());
-            let fields = heap
-                .pointer_field_indices(header)
-                .expect("all mixed-object descriptors are registered before allocation");
-            for index in fields {
-                let value = heap.read_field(obj, index);
-                let Some(ptr) = word_as_pointer(value) else {
-                    continue;
-                };
-                let new =
-                    self.forward_to_global(heap, vproc, ptr, include_young, worklist, tally, cost);
-                if new != ptr {
-                    heap.write_field(obj, index, new.raw());
-                }
-            }
+            forward_fields(heap, obj, header, |heap, ptr| {
+                self.forward_to_global(heap, vproc, ptr, include_young, worklist, tally, cost)
+            });
         }
     }
 
@@ -239,19 +218,7 @@ impl Collector {
             local.objects_in(0, local.old_top()).collect()
         };
         for (obj, header) in moved {
-            let fields = heap
-                .pointer_field_indices(header)
-                .expect("all mixed-object descriptors are registered before allocation");
-            for index in fields {
-                let value = heap.read_field(obj, index);
-                let Some(ptr) = word_as_pointer(value) else {
-                    continue;
-                };
-                let new = relocate(ptr);
-                if new != ptr {
-                    heap.write_field(obj, index, new.raw());
-                }
-            }
+            forward_fields(heap, obj, header, |_, ptr| relocate(ptr));
         }
 
         cost.charge_copy(local_node, local_node, young_bytes as usize);

@@ -30,6 +30,7 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if `raw` is not word-aligned.
+    #[inline]
     pub fn new(raw: u64) -> Self {
         assert!(
             raw.is_multiple_of(WORD_BYTES as u64),
@@ -49,6 +50,7 @@ impl Addr {
     }
 
     /// The address `count` words above this one.
+    #[inline]
     pub fn add_words(self, count: usize) -> Addr {
         Addr(self.0 + (count * WORD_BYTES) as u64)
     }
@@ -58,6 +60,7 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if the result would underflow.
+    #[inline]
     pub fn sub_words(self, count: usize) -> Addr {
         Addr(
             self.0
@@ -71,6 +74,7 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if `self < base`.
+    #[inline]
     pub fn words_from(self, base: Addr) -> usize {
         assert!(self.0 >= base.0, "address {self:?} is below base {base:?}");
         ((self.0 - base.0) / WORD_BYTES as u64) as usize
@@ -111,6 +115,7 @@ impl From<Addr> for Word {
 /// assert_eq!(word_as_pointer(0), None);
 /// assert_eq!(word_as_pointer(64), Some(Addr::new(64)));
 /// ```
+#[inline]
 pub fn word_as_pointer(word: Word) -> Option<Addr> {
     if word == 0 {
         None

@@ -7,7 +7,39 @@
 //! each [`Descriptor`] records which payload words hold pointers, and the
 //! [`DescriptorTable`] hands out the 15-bit IDs that go into object headers.
 
-use crate::header::{ObjectKind, FIRST_MIXED_ID, MAX_ID};
+use crate::error::HeapError;
+use crate::header::{Header, ObjectKind, FIRST_MIXED_ID, MAX_ID};
+use std::ops::Range;
+
+/// The payload indices of one object's pointer fields, in ascending order:
+/// none for raw data, every index for a vector, the descriptor's mask for a
+/// mixed object. It owns its state — a range or a copy of the mask — so a
+/// collector can rewrite the heap while it iterates, and building one
+/// allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PointerFields {
+    /// Every index in the range (empty for a raw object).
+    Range(Range<usize>),
+    /// The set bits of a descriptor's pointer mask, lowest first.
+    Mask(u64),
+}
+
+impl Iterator for PointerFields {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            PointerFields::Range(range) => range.next(),
+            PointerFields::Mask(0) => None,
+            PointerFields::Mask(mask) => {
+                let index = mask.trailing_zeros() as usize;
+                *mask &= *mask - 1;
+                Some(index)
+            }
+        }
+    }
+}
 
 /// Layout description of one mixed-type object shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,8 +78,13 @@ impl Descriptor {
     }
 
     /// Indices of the payload words that hold pointers.
-    pub fn pointer_offsets(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.size_words as usize).filter(|i| self.pointer_mask & (1 << i) != 0)
+    pub fn pointer_offsets(&self) -> PointerFields {
+        // The fields are public: ignore mask bits beyond the object's size.
+        let in_size = match self.size_words {
+            0 => 0,
+            words => u64::MAX >> 64u32.saturating_sub(words),
+        };
+        PointerFields::Mask(self.pointer_mask & in_size)
     }
 
     /// True if payload word `index` holds a pointer.
@@ -124,6 +161,25 @@ impl DescriptorTable {
         self.descriptors.get((id - FIRST_MIXED_ID) as usize)
     }
 
+    /// The payload indices of the pointer fields of an object with header
+    /// `header` — the one scanning rule both heaps share.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::UnknownDescriptor`] if a mixed object's ID has no
+    /// registered descriptor.
+    #[inline]
+    pub fn pointer_fields(&self, header: Header) -> Result<PointerFields, HeapError> {
+        match header.kind {
+            ObjectKind::Raw => Ok(PointerFields::Range(0..0)),
+            ObjectKind::Vector => Ok(PointerFields::Range(0..header.len_words as usize)),
+            ObjectKind::Mixed(id) => self
+                .get(id)
+                .map(Descriptor::pointer_offsets)
+                .ok_or(HeapError::UnknownDescriptor { id }),
+        }
+    }
+
     /// Number of registered descriptors.
     pub fn len(&self) -> usize {
         self.descriptors.len()
@@ -177,6 +233,31 @@ mod tests {
         assert!(!d.is_pointer(0));
         assert!(!d.is_pointer(10));
         assert_eq!(d.pointer_count(), 2);
+    }
+
+    #[test]
+    fn pointer_fields_follow_the_header_kind() {
+        use crate::header::Header;
+        let mut t = DescriptorTable::new();
+        let id = t.register(Descriptor::new("interleaved", 6, 0b101001));
+        let fields = |kind, len| t.pointer_fields(Header::new(kind, len)).map(Vec::from_iter);
+        assert_eq!(fields(ObjectKind::Raw, 9), Ok(vec![]));
+        assert_eq!(fields(ObjectKind::Vector, 3), Ok(vec![0, 1, 2]));
+        assert_eq!(fields(id.kind(), 6), Ok(vec![0, 3, 5]));
+        assert_eq!(
+            fields(ObjectKind::Mixed(id.id() + 1), 1),
+            Err(HeapError::UnknownDescriptor { id: id.id() + 1 })
+        );
+        // Ascending to the last bit, and nothing beyond the object's size
+        // even if the public fields were filled in by hand.
+        let wide = Descriptor::new("wide", 64, 1 << 63 | 1);
+        assert_eq!(wide.pointer_offsets().collect::<Vec<_>>(), vec![0, 63]);
+        let sloppy = Descriptor {
+            name: "sloppy".into(),
+            pointer_mask: 0b1111,
+            size_words: 2,
+        };
+        assert_eq!(sloppy.pointer_offsets().collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! mutator-facing allocation stays on the concrete types.
 
 use crate::addr::{Addr, Word};
+use crate::descriptor::PointerFields;
 use crate::error::HeapError;
 use crate::header::{Header, HeaderSlot};
 use crate::heap::{EvacTarget, Space};
@@ -89,13 +90,14 @@ pub trait GcHeap {
     }
 
     /// The payload indices of the pointer fields for an object with header
-    /// `header`.
+    /// `header`, ascending. The iterator borrows nothing, so the caller may
+    /// rewrite fields while it runs.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::UnknownDescriptor`] for an unregistered mixed
     /// object.
-    fn pointer_field_indices(&self, header: Header) -> Result<Vec<usize>, HeapError>;
+    fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError>;
 
     /// Copies the object at `obj` into `target`, installing a forwarding
     /// pointer, and returns the new address plus bytes copied.
@@ -166,7 +168,7 @@ impl GcHeap for crate::Heap {
         crate::Heap::write_field(self, obj, index, value)
     }
 
-    fn pointer_field_indices(&self, header: Header) -> Result<Vec<usize>, HeapError> {
+    fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
         crate::Heap::pointer_field_indices(self, header)
     }
 

@@ -58,6 +58,7 @@ impl ObjectKind {
     /// # Panics
     ///
     /// Panics if `id` is zero (IDs start at 1) or exceeds [`MAX_ID`].
+    #[inline]
     pub fn from_id(id: u16) -> Self {
         assert!((1..=MAX_ID).contains(&id), "object ID {id} out of range");
         match id {
@@ -92,6 +93,7 @@ impl Header {
     }
 
     /// Encodes this header into its word representation (low bit set).
+    #[inline]
     pub fn encode(self) -> Word {
         1 | ((self.kind.id() as Word) << 1) | (self.len_words << 16)
     }
@@ -100,6 +102,7 @@ impl Header {
     ///
     /// Returns `None` if the word is a forwarding pointer (low bit clear)
     /// rather than a header.
+    #[inline]
     pub fn decode(word: Word) -> Option<Header> {
         if word & 1 == 0 {
             return None;
@@ -135,6 +138,7 @@ pub enum HeaderSlot {
 
 impl HeaderSlot {
     /// Decodes the word found in an object's header slot.
+    #[inline]
     pub fn decode(word: Word) -> HeaderSlot {
         match Header::decode(word) {
             Some(h) => HeaderSlot::Header(h),
@@ -143,6 +147,7 @@ impl HeaderSlot {
     }
 
     /// Returns the forwarding address, if this slot is a forward.
+    #[inline]
     pub fn forwarded_to(self) -> Option<Addr> {
         match self {
             HeaderSlot::Forwarded(a) => Some(a),
@@ -155,6 +160,7 @@ impl HeaderSlot {
     /// # Panics
     ///
     /// Panics if the slot holds a forwarding pointer.
+    #[inline]
     pub fn expect_header(self) -> Header {
         match self {
             HeaderSlot::Header(h) => h,

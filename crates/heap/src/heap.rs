@@ -9,7 +9,7 @@
 
 use crate::addr::{Addr, Word, WORD_BYTES};
 use crate::chunk::{ChunkId, ChunkState};
-use crate::descriptor::{Descriptor, DescriptorId, DescriptorTable};
+use crate::descriptor::{Descriptor, DescriptorId, DescriptorTable, PointerFields};
 use crate::error::HeapError;
 use crate::global::GlobalHeap;
 use crate::header::{Header, HeaderSlot, ObjectKind};
@@ -609,18 +609,8 @@ impl Heap {
     ///
     /// Returns [`HeapError::UnknownDescriptor`] if a mixed object's ID has no
     /// registered descriptor.
-    pub fn pointer_field_indices(&self, header: Header) -> Result<Vec<usize>, HeapError> {
-        match header.kind {
-            ObjectKind::Raw => Ok(Vec::new()),
-            ObjectKind::Vector => Ok((0..header.len_words as usize).collect()),
-            ObjectKind::Mixed(id) => {
-                let descriptor = self
-                    .descriptors
-                    .get(id)
-                    .ok_or(HeapError::UnknownDescriptor { id })?;
-                Ok(descriptor.pointer_offsets().collect())
-            }
-        }
+    pub fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
+        self.descriptors.pointer_fields(header)
     }
 
     /// The total size in bytes of the object at `obj`, including its header.
@@ -962,7 +952,7 @@ mod tests {
         let a = heap.alloc_raw(0, &[i64_to_word(42)]).unwrap();
         let v = heap.alloc_vector(0, &[a.raw(), 0]).unwrap();
         let header = heap.header_of(v);
-        assert_eq!(heap.pointer_field_indices(header).unwrap(), vec![0, 1]);
+        assert!(heap.pointer_field_indices(header).unwrap().eq([0, 1]));
     }
 
     #[test]
@@ -972,7 +962,7 @@ mod tests {
         let a = heap.alloc_raw(0, &[7]).unwrap();
         let obj = heap.alloc_mixed(0, desc, &[5, a.raw()]).unwrap();
         let header = heap.header_of(obj);
-        assert_eq!(heap.pointer_field_indices(header).unwrap(), vec![1]);
+        assert!(heap.pointer_field_indices(header).unwrap().eq([1]));
         // Wrong payload size is rejected.
         assert!(matches!(
             heap.alloc_mixed(0, desc, &[1]),

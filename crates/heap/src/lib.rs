@@ -56,7 +56,7 @@ mod verify;
 
 pub use addr::{word_as_pointer, Addr, Word, WORD_BYTES};
 pub use chunk::{Chunk, ChunkId, ChunkObjects, ChunkState};
-pub use descriptor::{Descriptor, DescriptorId, DescriptorTable};
+pub use descriptor::{Descriptor, DescriptorId, DescriptorTable, PointerFields};
 pub use error::HeapError;
 pub use gc_heap::GcHeap;
 pub use global::{GlobalHeap, GlobalHeapStats, SharedChunkPool};
@@ -70,9 +70,9 @@ pub use heap::{
 pub use local::{LocalHeap, LocalHeapStats, LocalObjects, LocalRegion};
 pub use object::{f64_to_word, i64_to_word, word_to_f64, word_to_i64};
 pub use shared::{
-    global_node_of, ChunkDirectory, DirSegment, DirectorySnapshot, SharedChunk, SharedChunkState,
-    SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE,
-    LOCAL_BASE, MAX_NODE_SPAN_SHIFT, NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
+    global_node_of, Place, SharedChunk, SharedChunkState, SharedGlobalHeap, ThreadedLayout,
+    ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE, LOCAL_BASE, MAX_NODE_SPAN_SHIFT,
+    NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
 };
 pub use space::{AddressSpace, RegionOwner};
 pub use verify::{verify_global_heap, verify_heap, verify_local_heap, InvariantViolation};

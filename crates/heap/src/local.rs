@@ -178,6 +178,7 @@ impl LocalHeap {
     }
 
     /// True if `addr` is inside this heap's address range.
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         addr >= self.base && addr < self.base.add_words(self.data.len())
     }
@@ -187,6 +188,7 @@ impl LocalHeap {
     /// # Panics
     ///
     /// Panics if `addr` is not inside this heap.
+    #[inline]
     pub fn offset_of(&self, addr: Addr) -> usize {
         assert!(
             self.contains(addr),
@@ -226,11 +228,20 @@ impl LocalHeap {
     }
 
     /// Reads the word at word offset `offset`.
+    #[inline]
     pub fn read(&self, offset: usize) -> Word {
         self.data[offset]
     }
 
+    /// Every word of the heap, indexed by word offset — what a reader that
+    /// has already located an object indexes directly.
+    #[inline]
+    pub fn words(&self) -> &[Word] {
+        &self.data
+    }
+
     /// Writes the word at word offset `offset`.
+    #[inline]
     pub fn write(&mut self, offset: usize, value: Word) {
         self.data[offset] = value;
     }
@@ -270,21 +281,44 @@ impl LocalHeap {
     /// Returns [`HeapError::OldAreaFull`] if the object would overrun the
     /// nursery; the Appel reserve normally prevents this.
     pub fn alloc_in_old(&mut self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
-        assert!(
-            !payload.is_empty(),
-            "empty objects are not supported; allocate a one-word raw object instead"
-        );
-        let total = payload.len() + 1;
-        if self.old_top + total > self.nursery_start {
-            return Err(HeapError::OldAreaFull {
-                requested_words: total,
-            });
-        }
-        let header_offset = self.old_top;
+        let header_offset = self.bump_old(payload.len() + 1)?;
         self.data[header_offset] = header;
         self.data[header_offset + 1..header_offset + 1 + payload.len()].copy_from_slice(payload);
-        self.old_top += total;
         Ok(self.addr_of(header_offset + 1))
+    }
+
+    /// [`LocalHeap::alloc_in_old`] for an object already in this heap: its
+    /// `total_words` words, from the header at word offset `header_offset`,
+    /// are copied straight to the end of the old-data area.
+    ///
+    /// # Errors
+    ///
+    /// As [`LocalHeap::alloc_in_old`].
+    pub fn copy_into_old(
+        &mut self,
+        header_offset: usize,
+        total_words: usize,
+    ) -> Result<Addr, HeapError> {
+        let copy = self.bump_old(total_words)?;
+        self.data
+            .copy_within(header_offset..header_offset + total_words, copy);
+        Ok(self.addr_of(copy + 1))
+    }
+
+    /// Claims `total_words` at the end of the old-data area, returning the
+    /// word offset of the claimed header slot.
+    fn bump_old(&mut self, total_words: usize) -> Result<usize, HeapError> {
+        assert!(
+            total_words > 1,
+            "empty objects are not supported; allocate a one-word raw object instead"
+        );
+        if self.old_top + total_words > self.nursery_start {
+            return Err(HeapError::OldAreaFull {
+                requested_words: total_words,
+            });
+        }
+        self.old_top += total_words;
+        Ok(self.old_top - total_words)
     }
 
     /// Marks the start of a minor collection: everything currently in the

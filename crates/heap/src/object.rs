@@ -14,11 +14,13 @@ use crate::addr::Word;
 /// let w = f64_to_word(3.25);
 /// assert_eq!(word_to_f64(w), 3.25);
 /// ```
+#[inline]
 pub fn f64_to_word(value: f64) -> Word {
     value.to_bits()
 }
 
 /// Decodes an `f64` from a heap word.
+#[inline]
 pub fn word_to_f64(word: Word) -> f64 {
     f64::from_bits(word)
 }
@@ -31,11 +33,13 @@ pub fn word_to_f64(word: Word) -> f64 {
 /// # use mgc_heap::{i64_to_word, word_to_i64};
 /// assert_eq!(word_to_i64(i64_to_word(-7)), -7);
 /// ```
+#[inline]
 pub fn i64_to_word(value: i64) -> Word {
     value as Word
 }
 
 /// Decodes an `i64` from a heap word.
+#[inline]
 pub fn word_to_i64(word: Word) -> i64 {
     word as i64
 }

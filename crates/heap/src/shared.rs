@@ -14,8 +14,8 @@
 //!   atomics suffice), the chunk pool is the lock-free Treiber-stack
 //!   [`SharedChunkPool`] — so the promotion path's only synchronisation is
 //!   a handful of CAS operations per chunk lease — and the chunk directory
-//!   is an append-only list behind an [`RwLock`] that workers shadow with a
-//!   thread-local cache so the common-case global read takes no lock.
+//!   is an append-only table of write-once slots, so resolving a global
+//!   address to its chunk takes no lock and hands out a plain reference.
 //!
 //! Address arithmetic replaces the simulation's
 //! [`AddressSpace`](crate::AddressSpace): worker `w`'s local heap lives at
@@ -24,11 +24,14 @@
 //! `GLOBAL_BASE + n * NODE_SPAN_BYTES ..`, chunk `i` of that node at
 //! `band_base + i * chunk_span`. Classifying an address *and finding the
 //! node that backs it* are therefore pure arithmetic; no shared state, no
-//! chunk-directory lookup.
+//! chunk-directory lookup. Every access a worker makes goes through one
+//! primitive, [`WorkerHeap::locate`]: classify the address once (shifts, for
+//! the power-of-two geometries every configuration ships), then index the
+//! region that holds it — the owned local slice or the shared chunk.
 
 use crate::addr::{Addr, Word, WORD_BYTES};
 use crate::chunk::ChunkId;
-use crate::descriptor::DescriptorTable;
+use crate::descriptor::{DescriptorTable, PointerFields};
 use crate::error::HeapError;
 use crate::gc_heap::GcHeap;
 use crate::global::SharedChunkPool;
@@ -36,9 +39,8 @@ use crate::header::{Header, HeaderSlot, ObjectKind};
 use crate::heap::{EvacTarget, HeapConfig, HeapStats, Space};
 use crate::local::{LocalHeap, LocalRegion};
 use mgc_numa::{NodeId, PlacementPolicy};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// Base address of the first worker's local heap.
 pub const LOCAL_BASE: u64 = 1 << 20;
@@ -71,44 +73,33 @@ pub fn global_node_of(addr: Addr) -> Option<NodeId> {
     (band <= u64::from(u16::MAX)).then(|| NodeId::new(band as u16))
 }
 
-/// Chunks per directory segment. Small enough that a heap with a handful of
-/// chunks wastes little, large enough that a GB-scale heap (hundreds of
-/// thousands of chunks) stays at a few hundred segments.
+/// Chunks in a directory's first segment; every later segment is twice as
+/// long as the one before, so a heap with a handful of chunks wastes little
+/// and a GB-scale heap (hundreds of thousands of chunks) needs a dozen.
 pub const DIR_SEG_CHUNKS: usize = 512;
 
-/// One append-only segment of a [`ChunkDirectory`]. Slots are `OnceLock`s:
-/// a published entry never moves and never changes, so holders of a segment
-/// `Arc` read it without any lock — including entries published *after*
-/// they snapshotted the segment list.
-#[derive(Debug)]
-pub struct DirSegment {
-    slots: Vec<std::sync::OnceLock<Arc<SharedChunk>>>,
+/// Enough doubling segments for every [`ChunkId`] (a `u32`).
+const DIR_SEGMENTS: usize = 24;
+
+/// One directory segment: write-once slots, so a published entry never moves.
+type DirSegment = Box<[OnceLock<Arc<SharedChunk>>]>;
+
+/// The segment holding directory entry `index`, and the entry's slot in it.
+#[inline]
+fn dir_slot(index: usize) -> (usize, usize) {
+    let segment = (index / DIR_SEG_CHUNKS + 1).ilog2() as usize;
+    let first = ((1usize << segment) - 1) * DIR_SEG_CHUNKS;
+    (segment, index - first)
 }
 
-impl DirSegment {
-    fn new() -> Self {
-        DirSegment {
-            slots: (0..DIR_SEG_CHUNKS)
-                .map(|_| std::sync::OnceLock::new())
-                .collect(),
-        }
-    }
-
-    /// The chunk in `slot`, if one has been published there.
-    pub fn get(&self, slot: usize) -> Option<&Arc<SharedChunk>> {
-        self.slots[slot].get()
-    }
-}
-
-/// A growable chunk directory: an append-only list of fixed-size
-/// [`DirSegment`]s. Unlike a flat `Vec`, growth *appends a segment* — no
-/// existing entry is ever moved or reallocated — so readers holding segment
-/// `Arc`s (worker thread-local caches, GC work-index snapshots) stay valid
-/// across concurrent growth, and refreshing a snapshot clones only the
-/// segment list (O(chunks / [`DIR_SEG_CHUNKS`])), not every chunk `Arc`.
+/// A growable chunk directory: a fixed spine of doubling segments whose
+/// slots are `OnceLock`s. A published entry never moves and never changes,
+/// and growth only ever initialises a fresh segment, so readers resolve an
+/// index with no lock — including entries published after they first looked
+/// — and keep the reference for as long as they hold the directory.
 #[derive(Debug)]
-pub struct ChunkDirectory {
-    segments: RwLock<Vec<Arc<DirSegment>>>,
+struct ChunkDirectory {
+    segments: [OnceLock<DirSegment>; DIR_SEGMENTS],
     /// Published length: entries `0..len` are readable. Bumped with
     /// `Release` *after* the slot's `OnceLock` is set.
     len: AtomicUsize,
@@ -117,98 +108,40 @@ pub struct ChunkDirectory {
 impl ChunkDirectory {
     fn new() -> Self {
         ChunkDirectory {
-            segments: RwLock::new(Vec::new()),
+            segments: std::array::from_fn(|_| OnceLock::new()),
             len: AtomicUsize::new(0),
         }
     }
 
     /// Number of published entries.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
     }
 
-    /// True when no chunk has been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The chunk at `index`, if published.
-    pub fn get(&self, index: usize) -> Option<Arc<SharedChunk>> {
-        if index >= self.len() {
-            return None;
-        }
-        let segments = self.segments.read().expect("chunk directory poisoned");
-        segments
-            .get(index / DIR_SEG_CHUNKS)?
-            .get(index % DIR_SEG_CHUNKS)
-            .cloned()
+    #[inline]
+    fn get(&self, index: usize) -> Option<&Arc<SharedChunk>> {
+        let (segment, slot) = dir_slot(index);
+        self.segments.get(segment)?.get()?.get(slot)?.get()
     }
 
-    /// Appends a chunk, growing by a fresh segment when the last one is
+    /// Appends a chunk, initialising the next segment when the last one is
     /// full, and returns its index. Appends are serialised by the caller
-    /// (the heap's acquire path holds the flat directory's append lock);
-    /// concurrent readers are never blocked out of published entries.
+    /// (the heap's acquire path holds the grow lock); concurrent readers are
+    /// never blocked.
     fn push(&self, chunk: Arc<SharedChunk>) -> usize {
         let index = self.len.load(Ordering::Relaxed);
-        let (seg, slot) = (index / DIR_SEG_CHUNKS, index % DIR_SEG_CHUNKS);
-        if slot == 0 {
-            self.segments
-                .write()
-                .expect("chunk directory poisoned")
-                .push(Arc::new(DirSegment::new()));
-        }
-        {
-            let segments = self.segments.read().expect("chunk directory poisoned");
-            segments[seg].slots[slot]
-                .set(chunk)
-                .expect("directory slots are published exactly once");
-        }
+        let (segment, slot) = dir_slot(index);
+        let slots = self.segments[segment].get_or_init(|| {
+            (0..DIR_SEG_CHUNKS << segment)
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        slots[slot]
+            .set(chunk)
+            .expect("directory slots are published exactly once");
         self.len.store(index + 1, Ordering::Release);
         index
-    }
-
-    /// A point-in-time view sharing the directory's segments.
-    pub fn snapshot(&self) -> DirectorySnapshot {
-        DirectorySnapshot {
-            segments: self
-                .segments
-                .read()
-                .expect("chunk directory poisoned")
-                .clone(),
-        }
-    }
-
-    /// Materialises the published entries as a flat vector (index order).
-    pub fn to_vec(&self) -> Vec<Arc<SharedChunk>> {
-        let len = self.len();
-        let snapshot = self.snapshot();
-        (0..len)
-            .map(|i| {
-                snapshot
-                    .get(i)
-                    .expect("published entries are readable")
-                    .clone()
-            })
-            .collect()
-    }
-}
-
-/// A lock-free view of a [`ChunkDirectory`] taken at some instant. Because
-/// segments are append-only, a snapshot can also resolve entries published
-/// *after* it was taken, as long as they landed in a segment it already
-/// holds — which is what lets worker caches go many promotions between
-/// refreshes.
-#[derive(Debug, Clone, Default)]
-pub struct DirectorySnapshot {
-    segments: Vec<Arc<DirSegment>>,
-}
-
-impl DirectorySnapshot {
-    /// The chunk at `index`, if it is visible through this snapshot.
-    pub fn get(&self, index: usize) -> Option<&Arc<SharedChunk>> {
-        self.segments
-            .get(index / DIR_SEG_CHUNKS)?
-            .get(index % DIR_SEG_CHUNKS)
     }
 }
 
@@ -295,6 +228,7 @@ impl SharedChunk {
     }
 
     /// The chunk's lifecycle state.
+    #[inline]
     pub fn state(&self) -> SharedChunkState {
         SharedChunkState::from_u8(self.state.load(Ordering::Acquire))
     }
@@ -325,6 +259,7 @@ impl SharedChunk {
     }
 
     /// True if `addr` lies inside this chunk.
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         addr >= self.base && addr < self.base.add_words(self.data.len())
     }
@@ -334,17 +269,20 @@ impl SharedChunk {
     /// # Panics
     ///
     /// Panics if `addr` is outside the chunk.
+    #[inline]
     pub fn offset_of(&self, addr: Addr) -> usize {
         assert!(self.contains(addr), "{addr:?} is not inside {:?}", self.id);
         addr.words_from(self.base)
     }
 
     /// Reads the word at word offset `offset`.
+    #[inline]
     pub fn read(&self, offset: usize) -> Word {
         self.data[offset].load(Ordering::Acquire)
     }
 
     /// Writes the word at word offset `offset`.
+    #[inline]
     pub fn write(&self, offset: usize, value: Word) {
         self.data[offset].store(value, Ordering::Release);
     }
@@ -356,20 +294,37 @@ impl SharedChunk {
     ///
     /// Returns [`HeapError::ChunkFull`] when the object does not fit.
     pub fn alloc(&self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
+        self.alloc_with(header, payload.len(), |i| payload[i])
+    }
+
+    /// [`SharedChunk::alloc`] with payload word `i` supplied by `word(i)`,
+    /// so a collector copies an object straight out of the local heap or a
+    /// from-space chunk without staging it in a buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::ChunkFull`] when the object does not fit.
+    pub fn alloc_with(
+        &self,
+        header: Word,
+        payload_words: usize,
+        word: impl Fn(usize) -> Word,
+    ) -> Result<Addr, HeapError> {
         assert!(
-            !payload.is_empty(),
+            payload_words > 0,
             "empty objects are not supported; allocate a one-word raw object instead"
         );
-        let total = payload.len() + 1;
+        let total = payload_words + 1;
         let top = self.top.load(Ordering::Relaxed);
         if self.data.len() - top < total {
             return Err(HeapError::ChunkFull {
                 requested_words: total,
             });
         }
-        self.data[top].store(header, Ordering::Release);
-        for (i, &word) in payload.iter().enumerate() {
-            self.data[top + 1 + i].store(word, Ordering::Release);
+        let slots = &self.data[top..top + total];
+        slots[0].store(header, Ordering::Release);
+        for (i, slot) in slots[1..].iter().enumerate() {
+            slot.store(word(i), Ordering::Release);
         }
         // Publish the object: readers that see the new top see every word.
         self.top.store(top + total, Ordering::Release);
@@ -611,7 +566,9 @@ impl SharedGlobalHeap {
 
     /// A snapshot of the chunk directory.
     pub fn snapshot(&self) -> Vec<Arc<SharedChunk>> {
-        self.chunks.to_vec()
+        (0..self.num_chunks())
+            .map(|index| self.chunk_at(index))
+            .collect()
     }
 
     /// The chunk at directory index `index`.
@@ -623,6 +580,16 @@ impl SharedGlobalHeap {
         self.chunks
             .get(index)
             .expect("chunk index out of directory range")
+            .clone()
+    }
+
+    /// Chunk `index` of `node`'s address band — what
+    /// [`ThreadedOwner::Global`] names — if one is mapped there. Lock-free,
+    /// and the reference lives as long as the heap: chunks are recycled
+    /// through the pool, never unmapped.
+    #[inline]
+    pub fn chunk_in_band(&self, node: usize, index: usize) -> Option<&SharedChunk> {
+        self.by_node.get(node)?.get(index).map(|chunk| &**chunk)
     }
 
     /// Acquires a chunk for a worker whose preferred (consumer) node is
@@ -647,7 +614,7 @@ impl SharedGlobalHeap {
         }
         // Map a fresh chunk in `node`'s address band. The grow mutex
         // serialises id assignment and the two directory appends; readers
-        // are never blocked (directories grow by appending segments, so
+        // are never blocked (directories grow by initialising segments, so
         // published entries stay valid throughout).
         let _grow = self.grow.lock().expect("grow lock poisoned");
         let on_node = &self.by_node[node.index()];
@@ -685,16 +652,6 @@ impl SharedGlobalHeap {
         self.chunks_in_use.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// A segment-sharing snapshot of one node's directory (what worker
-    /// caches hold — refreshing clones segment `Arc`s, not chunk `Arc`s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn snapshot_node_dir(&self, node: NodeId) -> DirectorySnapshot {
-        self.by_node[node.index()].snapshot()
-    }
-
     /// Number of chunks mapped in `node`'s address band.
     ///
     /// # Panics
@@ -712,13 +669,46 @@ impl SharedGlobalHeap {
 pub struct ThreadedLayout {
     num_vprocs: usize,
     num_nodes: usize,
-    /// Words per local heap (also the per-worker address stride).
-    local_words: usize,
-    /// Words per global chunk.
-    chunk_words: usize,
+    /// Bytes per local heap (also the per-worker address stride).
+    local: Stride,
+    /// Bytes per global chunk.
+    chunk: Stride,
     /// log2 of the per-node global-heap address band (from
     /// [`HeapConfig::node_span_bytes`]).
     node_span_shift: u32,
+}
+
+/// A region size in bytes with, when it is a power of two, its log2 worked
+/// out once — so finding which region an offset falls in is a shift. Every
+/// shipped geometry is a power of two; any other size keeps the exact
+/// quotient.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stride {
+    bytes: u64,
+    shift: Option<u32>,
+}
+
+impl Stride {
+    fn of_words(words: usize) -> Self {
+        let bytes = (words * WORD_BYTES) as u64;
+        Stride {
+            bytes,
+            shift: bytes.is_power_of_two().then(|| bytes.trailing_zeros()),
+        }
+    }
+
+    fn words(self) -> usize {
+        self.bytes as usize / WORD_BYTES
+    }
+
+    /// `offset / bytes`.
+    #[inline]
+    fn index_of(self, offset: u64) -> usize {
+        (match self.shift {
+            Some(shift) => offset >> shift,
+            None => offset / self.bytes,
+        }) as usize
+    }
 }
 
 /// Who owns an address under a [`ThreadedLayout`].
@@ -772,8 +762,8 @@ impl ThreadedLayout {
         ThreadedLayout {
             num_vprocs,
             num_nodes,
-            local_words,
-            chunk_words,
+            local: Stride::of_words(local_words),
+            chunk: Stride::of_words(chunk_words),
             node_span_shift,
         }
     }
@@ -790,12 +780,12 @@ impl ThreadedLayout {
 
     /// Words per local heap.
     pub fn local_words(&self) -> usize {
-        self.local_words
+        self.local.words()
     }
 
     /// Words per global chunk.
     pub fn chunk_words(&self) -> usize {
-        self.chunk_words
+        self.chunk.words()
     }
 
     /// log2 of the per-node global-heap address band.
@@ -810,10 +800,12 @@ impl ThreadedLayout {
 
     /// Base address of vproc `v`'s local heap.
     pub fn local_base(&self, vproc: usize) -> Addr {
-        Addr::new(LOCAL_BASE + (vproc * self.local_words * WORD_BYTES) as u64)
+        Addr::new(LOCAL_BASE + vproc as u64 * self.local.bytes)
     }
 
-    /// Which region `addr` falls in, by pure arithmetic.
+    /// Which region `addr` falls in, by pure arithmetic: compares, and a
+    /// shift per power-of-two region size.
+    #[inline]
     pub fn owner_of(&self, addr: Addr) -> ThreadedOwner {
         let raw = addr.raw();
         if raw >= GLOBAL_BASE {
@@ -822,10 +814,10 @@ impl ThreadedLayout {
                 return ThreadedOwner::Unmapped;
             }
             let offset = (raw - GLOBAL_BASE) & (self.node_span_bytes() - 1);
-            let index = (offset as usize) / (self.chunk_words * WORD_BYTES);
+            let index = self.chunk.index_of(offset);
             ThreadedOwner::Global { node, index }
         } else if raw >= LOCAL_BASE {
-            let vproc = ((raw - LOCAL_BASE) as usize) / (self.local_words * WORD_BYTES);
+            let vproc = self.local.index_of(raw - LOCAL_BASE);
             if vproc < self.num_vprocs {
                 ThreadedOwner::Local(vproc)
             } else {
@@ -861,11 +853,6 @@ pub struct WorkerHeap {
     /// between `NodeLocal` and `Interleave` as the locality ledger moves.
     effective_placement: PlacementPolicy,
     current: Option<Arc<SharedChunk>>,
-    /// Thread-local shadow of the per-node chunk directories; a node's
-    /// snapshot shares the directory's append-only segments (so it also
-    /// resolves chunks published after it was taken, within known
-    /// segments) and is refreshed only when an address points past it.
-    cache: RefCell<Vec<DirectorySnapshot>>,
     stats: HeapStats,
 }
 
@@ -894,7 +881,6 @@ impl WorkerHeap {
         descriptors: Arc<DescriptorTable>,
     ) -> Self {
         let base = layout.local_base(vproc);
-        let num_nodes = layout.num_nodes();
         // Adaptive controllers cold-start in node-local mode; static
         // policies are their own effective policy.
         let effective_placement = match global.placement() {
@@ -911,7 +897,6 @@ impl WorkerHeap {
             promotion_target: node,
             effective_placement,
             current: None,
-            cache: RefCell::new(vec![DirectorySnapshot::default(); num_nodes]),
             stats: HeapStats::default(),
         }
     }
@@ -1045,142 +1030,121 @@ impl WorkerHeap {
         }
     }
 
-    fn fresh_current_chunk(&mut self) -> Arc<SharedChunk> {
+    fn fresh_current_chunk(&mut self) {
         self.retire_current_chunk();
         let chunk = self
             .global
             .acquire_as(self.effective_placement, self.promotion_target);
         self.stats.chunk_acquisitions += 1;
-        self.current = Some(chunk.clone());
-        chunk
+        self.current = Some(chunk);
     }
 
-    /// True when the current chunk satisfies the promotion target under the
-    /// worker's *effective* placement policy (`Interleave` never binds).
-    fn current_chunk_matches_target(&self, chunk: &SharedChunk) -> bool {
-        !self.effective_placement.binds_node() || chunk.node() == self.promotion_target
+    /// Makes the worker's current global chunk one that can take an object
+    /// of `total_words` (header included): a fresh chunk is acquired when
+    /// the current one is full, or sits on another node than the promotion
+    /// target while the *effective* placement policy binds one
+    /// (`Interleave` never does).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::ObjectTooLarge`] if no chunk can hold the object.
+    fn reserve_in_global(&mut self, total_words: usize) -> Result<(), HeapError> {
+        if total_words > self.global.chunk_size_words() {
+            return Err(HeapError::ObjectTooLarge {
+                requested_words: total_words,
+                max_words: self.global.chunk_size_words(),
+            });
+        }
+        let bound = self.effective_placement.binds_node();
+        let fits = self.current.as_deref().is_some_and(|chunk| {
+            chunk.free_words() >= total_words && (!bound || chunk.node() == self.promotion_target)
+        });
+        if !fits {
+            self.fresh_current_chunk();
+        }
+        Ok(())
     }
 
-    /// Allocates an object into the worker's current global chunk, acquiring
-    /// a fresh chunk transparently when the current one fills up — or when
-    /// the current chunk's node no longer matches the promotion target under
-    /// a node-binding placement policy.
+    /// The chunk [`WorkerHeap::reserve_in_global`] just made room in.
+    fn reserved_chunk(&self) -> &SharedChunk {
+        self.current
+            .as_deref()
+            .expect("reserving global space leaves a current chunk")
+    }
+
+    /// Allocates an object into the worker's current global chunk, rolling
+    /// over to a fresh one when it is full or on the wrong node.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::ObjectTooLarge`] if the object cannot fit in any
     /// chunk.
     pub fn alloc_in_global(&mut self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
-        let total = payload.len() + 1;
-        if total > self.global.chunk_size_words() {
-            return Err(HeapError::ObjectTooLarge {
-                requested_words: total,
-                max_words: self.global.chunk_size_words(),
-            });
-        }
-        let chunk = match &self.current {
-            Some(chunk) if self.current_chunk_matches_target(chunk) => chunk.clone(),
-            _ => self.fresh_current_chunk(),
-        };
-        match chunk.alloc(header, payload) {
-            Ok(addr) => Ok(addr),
-            Err(HeapError::ChunkFull { .. }) => self.fresh_current_chunk().alloc(header, payload),
-            Err(e) => Err(e),
-        }
+        self.reserve_in_global(payload.len() + 1)?;
+        self.reserved_chunk().alloc(header, payload)
     }
 
-    /// The shared chunk containing `addr`.
+    // ------------------------------------------------------------------
+    // Address location (the one primitive every access is built on)
+    // ------------------------------------------------------------------
+
+    /// Locates the object at `obj`: classifies the address once and returns
+    /// the region that holds it with the object's word offset, so every
+    /// further access is an index.
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not a mapped global address.
-    pub fn chunk_of(&self, addr: Addr) -> Arc<SharedChunk> {
-        let ThreadedOwner::Global { node, index } = self.layout.owner_of(addr) else {
-            panic!("{addr:?} is not a global-heap address");
-        };
-        {
-            let cache = self.cache.borrow();
-            if let Some(chunk) = cache[node].get(index) {
-                return chunk.clone();
-            }
-        }
-        self.refresh_cached_chunk(addr, node, index)
+    /// Panics if `obj` lies in another worker's local heap (the
+    /// no-cross-heap-pointer invariant of §2.3 was violated), past the
+    /// mapped end of a node's global band, or outside every region.
+    #[inline]
+    pub fn locate(&self, obj: Addr) -> Place<'_> {
+        self.place(self.layout.owner_of(obj), obj)
     }
 
-    /// Cache miss: the node's directory grew a segment since we last looked.
-    fn refresh_cached_chunk(&self, addr: Addr, node: usize, index: usize) -> Arc<SharedChunk> {
-        let snapshot = self.global.snapshot_node_dir(NodeId::new(node as u16));
-        let chunk = snapshot
-            .get(index)
-            .unwrap_or_else(|| {
-                panic!("{addr:?} points past the end of node {node}'s global-heap band")
-            })
-            .clone();
-        self.cache.borrow_mut()[node] = snapshot;
-        chunk
-    }
-
-    /// Runs `f` against the shared chunk containing `addr` *without*
-    /// cloning the `Arc` on the cache-hit path. Every global-heap field
-    /// access lands here, and an `Arc` clone per word is two atomic RMWs on
-    /// a refcount that every worker reading the chunk shares — under real
-    /// parallelism that cache line ping-pongs between cores and serialises
-    /// exactly the reads the global heap exists to make shareable.
-    fn with_chunk<R>(&self, addr: Addr, f: impl FnOnce(&SharedChunk) -> R) -> R {
-        let ThreadedOwner::Global { node, index } = self.layout.owner_of(addr) else {
-            panic!("{addr:?} is not a global-heap address");
-        };
-        {
-            let cache = self.cache.borrow();
-            if let Some(chunk) = cache[node].get(index) {
-                return f(chunk);
-            }
-        }
-        f(&self.refresh_cached_chunk(addr, node, index))
-    }
-
-    fn read_word(&self, addr: Addr) -> Word {
-        match self.layout.owner_of(addr) {
-            ThreadedOwner::Local(v) => {
-                assert_eq!(
-                    v, self.vproc,
-                    "worker {} read from vproc {v}'s local heap — the no-cross-heap-pointer \
-                     invariant was violated",
-                    self.vproc
-                );
-                self.local.read(self.local.offset_of(addr))
-            }
-            ThreadedOwner::Global { .. } => {
-                self.with_chunk(addr, |chunk| chunk.read(chunk.offset_of(addr)))
-            }
-            ThreadedOwner::Unmapped => panic!("read from unmapped address {addr:?}"),
+    /// The mapped chunk `index` of `node`'s band, which `addr` points into.
+    #[inline]
+    fn band_chunk(&self, node: usize, index: usize, addr: Addr) -> &SharedChunk {
+        match self.global.chunk_in_band(node, index) {
+            Some(chunk) => chunk,
+            None => unmapped_access(addr, Some(node)),
         }
     }
 
-    fn write_word(&mut self, addr: Addr, value: Word) {
-        match self.layout.owner_of(addr) {
-            ThreadedOwner::Local(v) => {
-                assert_eq!(
-                    v, self.vproc,
-                    "worker {} wrote to vproc {v}'s local heap — the no-cross-heap-pointer \
-                     invariant was violated",
-                    self.vproc
-                );
-                let offset = self.local.offset_of(addr);
-                self.local.write(offset, value);
+    #[inline]
+    fn place(&self, owner: ThreadedOwner, addr: Addr) -> Place<'_> {
+        match owner {
+            ThreadedOwner::Local(v) if v == self.vproc => {
+                Place::Local(self.local.words(), self.local.offset_of(addr))
             }
-            ThreadedOwner::Global { .. } => {
-                self.with_chunk(addr, |chunk| chunk.write(chunk.offset_of(addr), value));
+            ThreadedOwner::Global { node, index } => {
+                let chunk = self.band_chunk(node, index, addr);
+                Place::Global(chunk, chunk.offset_of(addr))
             }
-            ThreadedOwner::Unmapped => panic!("write to unmapped address {addr:?}"),
+            ThreadedOwner::Local(v) => foreign_local_access(self.vproc, v),
+            ThreadedOwner::Unmapped => unmapped_access(addr, None),
         }
     }
 
-    /// Installs a forwarding pointer over a *local* object's header (global
-    /// from-space objects go through [`WorkerHeap::cas_forward_global`]).
-    fn set_forward_local(&mut self, obj: Addr, target: Addr) {
-        debug_assert!(!target.is_null());
-        self.write_word(obj.sub_words(1), target.raw());
+    /// Follows forwarding pointers from `addr` to the current copy of its
+    /// object and locates it. A local header is always checked (a promotion
+    /// may have overwritten it — a plain slice read); a global header is read
+    /// only when `global_may_forward`, i.e. when the caller knows a global
+    /// collection is between its flip and its release. Otherwise a global
+    /// address is final and resolving it is just [`WorkerHeap::locate`].
+    #[inline]
+    pub fn resolve(&self, mut addr: Addr, global_may_forward: bool) -> (Addr, Place<'_>) {
+        loop {
+            let place = self.locate(addr);
+            let may_forward = match place {
+                Place::Local(..) => true,
+                Place::Global(..) => global_may_forward,
+            };
+            match place.header_slot() {
+                HeaderSlot::Forwarded(target) if may_forward => addr = target,
+                _ => return (addr, place),
+            }
+        }
     }
 
     /// Race-safe forwarding for the parallel global collection: tries to
@@ -1195,8 +1159,116 @@ impl WorkerHeap {
         expected_header: Word,
         new_addr: Addr,
     ) -> Result<(), Addr> {
-        let chunk = self.chunk_of(obj);
-        chunk.try_forward(obj, expected_header, new_addr)
+        match self.locate(obj) {
+            Place::Global(chunk, _) => chunk.try_forward(obj, expected_header, new_addr),
+            Place::Local(..) => panic!("{obj:?} is not a global-heap address"),
+        }
+    }
+
+    /// Forwards one pointer for the parallel global collection. A pointer
+    /// that is not into a from-space chunk comes back unchanged; otherwise
+    /// the object's words go straight into this worker's current to-space
+    /// chunk and a CAS on the from-space header slot publishes the copy — or
+    /// loses to another worker's, whose address is returned (our copy is
+    /// then garbage that dies at the next collection). The second value is
+    /// the bytes this call copied and won with, else 0.
+    pub fn evacuate_from_space(&mut self, ptr: Addr) -> (Addr, usize) {
+        let ThreadedOwner::Global { node, index } = self.layout.owner_of(ptr) else {
+            // Local objects never live in from-space: only global chunks flip.
+            return (ptr, 0);
+        };
+        let from = self.band_chunk(node, index, ptr);
+        if from.state() != SharedChunkState::FromSpace {
+            return (ptr, 0);
+        }
+        let offset = from.offset_of(ptr);
+        let encoded = from.read(offset - 1);
+        let header = match HeaderSlot::decode(encoded) {
+            HeaderSlot::Forwarded(winner) => return (winner, 0),
+            HeaderSlot::Header(header) => header,
+        };
+        // Rolling the to-space chunk over needs the whole worker; `from` is
+        // looked up again afterwards (a directory index, no classification).
+        self.reserve_in_global(header.total_words())
+            .expect("to-space allocation cannot fail during a global collection");
+        let from = self.band_chunk(node, index, ptr);
+        let copy = self
+            .reserved_chunk()
+            .alloc_with(encoded, header.len_words as usize, |i| {
+                from.read(offset + i)
+            })
+            .expect("the to-space chunk was reserved for this object");
+        match from.try_forward(ptr, encoded, copy) {
+            Ok(()) => (copy, header.total_bytes()),
+            Err(winner) => (winner, 0),
+        }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn foreign_local_access(worker: usize, owner: usize) -> ! {
+    panic!(
+        "worker {worker} reached into vproc {owner}'s local heap — the no-cross-heap-pointer \
+         invariant was violated"
+    )
+}
+
+#[cold]
+#[inline(never)]
+fn unmapped_access(addr: Addr, band: Option<usize>) -> ! {
+    match band {
+        Some(node) => panic!("{addr:?} points past the end of node {node}'s global-heap band"),
+        None => panic!("access to unmapped address {addr:?}"),
+    }
+}
+
+/// Where [`WorkerHeap::locate`] found an object: the region holding it and
+/// the word offset of its first payload word in that region.
+#[derive(Debug, Clone, Copy)]
+pub enum Place<'a> {
+    /// In the worker's own local heap: plain words nobody else touches.
+    Local(&'a [Word], usize),
+    /// In a chunk of the shared global heap.
+    Global(&'a SharedChunk, usize),
+}
+
+impl Place<'_> {
+    /// Payload field `index` of the object.
+    #[inline]
+    pub fn read(&self, index: usize) -> Word {
+        match *self {
+            Place::Local(words, offset) => words[offset + index],
+            Place::Global(chunk, offset) => chunk.read(offset + index),
+        }
+    }
+
+    /// The object's header slot: a header or a forwarding pointer.
+    #[inline]
+    pub fn header_slot(&self) -> HeaderSlot {
+        HeaderSlot::decode(match *self {
+            Place::Local(words, offset) => words[offset - 1],
+            Place::Global(chunk, offset) => chunk.read(offset - 1),
+        })
+    }
+
+    /// The object's header.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object has been forwarded.
+    #[inline]
+    pub fn header(&self) -> Header {
+        self.header_slot().expect_header()
+    }
+
+    /// The whole payload (rope leaves are read this way).
+    pub fn payload(&self) -> Vec<Word> {
+        let len = self.header().len_words as usize;
+        match *self {
+            Place::Local(words, offset) => words[offset..offset + len].to_vec(),
+            Place::Global(chunk, offset) => (offset..offset + len).map(|i| chunk.read(i)).collect(),
+        }
     }
 }
 
@@ -1216,33 +1288,36 @@ impl GcHeap for WorkerHeap {
     }
 
     fn space_of(&self, addr: Addr) -> Space {
-        match self.layout.owner_of(addr) {
+        let owner = self.layout.owner_of(addr);
+        match owner {
             ThreadedOwner::Unmapped => Space::Unmapped,
-            // The flat ChunkId requires a directory lookup (no `Arc` clone
-            // on a cache hit: the collector classifies every pointer it
-            // meets); the hot-path classifications
-            // (`is_local`/`is_global`/`node_of`) stay pure arithmetic via the
-            // overrides below.
-            ThreadedOwner::Global { .. } => Space::Global {
-                chunk: self.with_chunk(addr, |chunk| chunk.id()),
-            },
-            ThreadedOwner::Local(v) if v == self.vproc => match self.local.region_of(addr) {
-                LocalRegion::Old => Space::LocalOld { vproc: v },
-                LocalRegion::Young => Space::LocalYoung { vproc: v },
-                LocalRegion::Nursery => Space::LocalNursery { vproc: v },
-                LocalRegion::Reserve | LocalRegion::NurseryFree => Space::LocalFree { vproc: v },
-            },
             // Another worker's local heap: we may classify it (pure
             // arithmetic) but never read it. The collector only needs the
             // owner to decide "not mine — leave the pointer alone".
-            ThreadedOwner::Local(v) => Space::LocalOld { vproc: v },
+            ThreadedOwner::Local(v) if v != self.vproc => Space::LocalOld { vproc: v },
+            _ => match self.place(owner, addr) {
+                Place::Global(chunk, _) => Space::Global { chunk: chunk.id() },
+                Place::Local(_, offset) => {
+                    let vproc = self.vproc;
+                    match self.local.region_of_offset(offset) {
+                        LocalRegion::Old => Space::LocalOld { vproc },
+                        LocalRegion::Young => Space::LocalYoung { vproc },
+                        LocalRegion::Nursery => Space::LocalNursery { vproc },
+                        LocalRegion::Reserve | LocalRegion::NurseryFree => {
+                            Space::LocalFree { vproc }
+                        }
+                    }
+                }
+            },
         }
     }
 
+    #[inline]
     fn is_local(&self, addr: Addr) -> bool {
         matches!(self.layout.owner_of(addr), ThreadedOwner::Local(_))
     }
 
+    #[inline]
     fn is_global(&self, addr: Addr) -> bool {
         matches!(self.layout.owner_of(addr), ThreadedOwner::Global { .. })
     }
@@ -1257,94 +1332,65 @@ impl GcHeap for WorkerHeap {
         }
     }
 
+    #[inline]
     fn header_slot(&self, obj: Addr) -> HeaderSlot {
-        HeaderSlot::decode(self.read_word(obj.sub_words(1)))
+        self.locate(obj).header_slot()
     }
 
+    #[inline]
     fn read_field(&self, obj: Addr, index: usize) -> Word {
-        self.read_word(obj.add_words(index))
+        self.locate(obj).read(index)
     }
 
     fn write_field(&mut self, obj: Addr, index: usize, value: Word) {
-        self.write_word(obj.add_words(index), value);
-    }
-
-    // Bulk payload reads resolve the containing region once and stream the
-    // words out, instead of paying the owner classification (and, for
-    // global objects, the chunk lookup) on every word. Rope leaves are read
-    // this way on the workloads' hot paths.
-    fn payload(&self, obj: Addr) -> Vec<Word> {
-        match self.layout.owner_of(obj) {
-            ThreadedOwner::Local(v) => {
-                assert_eq!(
-                    v, self.vproc,
-                    "worker {} read from vproc {v}'s local heap — the no-cross-heap-pointer \
-                     invariant was violated",
-                    self.vproc
-                );
-                let base = self.local.offset_of(obj);
-                let header = HeaderSlot::decode(self.local.read(base - 1)).expect_header();
-                (0..header.len_words as usize)
-                    .map(|i| self.local.read(base + i))
-                    .collect()
-            }
-            ThreadedOwner::Global { .. } => self.with_chunk(obj, |chunk| {
-                let base = chunk.offset_of(obj);
-                let header = HeaderSlot::decode(chunk.read(base - 1)).expect_header();
-                (0..header.len_words as usize)
-                    .map(|i| chunk.read(base + i))
-                    .collect()
-            }),
-            ThreadedOwner::Unmapped => panic!("read from unmapped address {obj:?}"),
+        match self.locate(obj) {
+            Place::Local(_, offset) => self.local.write(offset + index, value),
+            Place::Global(chunk, offset) => chunk.write(offset + index, value),
         }
     }
 
-    fn pointer_field_indices(&self, header: Header) -> Result<Vec<usize>, HeapError> {
-        match header.kind {
-            ObjectKind::Raw => Ok(Vec::new()),
-            ObjectKind::Vector => Ok((0..header.len_words as usize).collect()),
-            ObjectKind::Mixed(id) => {
-                let descriptor = self
-                    .descriptors
-                    .get(id)
-                    .ok_or(HeapError::UnknownDescriptor { id })?;
-                Ok(descriptor.pointer_offsets().collect())
-            }
-        }
+    fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
+        self.descriptors.pointer_fields(header)
     }
 
     fn evacuate(&mut self, obj: Addr, target: EvacTarget) -> Result<(Addr, usize), HeapError> {
-        let header = self.header_of(obj);
-        let payload = self.payload(obj);
-        let encoded = header.encode();
+        // The original must be in this worker's local heap (minor/major
+        // collections and promotions only move owned objects; contended
+        // global evacuation is `evacuate_from_space`).
+        let Place::Local(_, offset) = self.locate(obj) else {
+            panic!("{obj:?} is not in worker {}'s local heap", self.vproc);
+        };
+        let encoded = self.local.read(offset - 1);
+        let header = HeaderSlot::decode(encoded).expect_header();
+        let len = header.len_words as usize;
+        // The words go straight from the local heap to the destination.
         let new_addr = match target {
             EvacTarget::OldArea { vproc } => {
                 assert_eq!(
                     vproc, self.vproc,
                     "a worker only evacuates into its own heap"
                 );
-                self.local.alloc_in_old(encoded, &payload)?
+                self.local.copy_into_old(offset - 1, len + 1)?
             }
             EvacTarget::GlobalCurrent { vproc } => {
                 assert_eq!(
                     vproc, self.vproc,
                     "a worker only fills its own current chunk"
                 );
-                self.alloc_in_global(encoded, &payload)?
+                self.reserve_in_global(len + 1)?;
+                let payload = &self.local.words()[offset..offset + len];
+                self.reserved_chunk().alloc(encoded, payload)?
             }
             EvacTarget::Chunk(chunk) => panic!(
                 "threaded evacuation into a specific chunk ({chunk:?}) goes through the \
                  parallel global collection, not the generic path"
             ),
         };
-        // The original must be in this worker's local heap (minor/major
-        // collections and promotions only move owned objects; contended
-        // global evacuation uses `cas_forward_global`).
-        self.set_forward_local(obj, new_addr);
+        self.local.write(offset - 1, new_addr.raw());
         // Preserve the header in the first payload word of the dead copy so
         // linear walks of the local heap can still skip it.
-        if header.len_words >= 1 {
-            self.write_field(obj, 0, encoded);
+        if len >= 1 {
+            self.local.write(offset, encoded);
         }
         self.stats.evacuated_words += header.total_words() as u64;
         Ok((new_addr, header.total_bytes()))
@@ -1418,6 +1464,168 @@ mod tests {
         // A band past the machine's node count is unmapped.
         let beyond = Addr::new(GLOBAL_BASE + 2 * NODE_SPAN_BYTES);
         assert_eq!(layout.owner_of(beyond), ThreadedOwner::Unmapped);
+    }
+
+    /// `owner_of` as it was before the shifts: a division per region size.
+    fn owner_by_division(
+        raw: u64,
+        vprocs: usize,
+        nodes: usize,
+        local_bytes: u64,
+        chunk_bytes: u64,
+        span: u64,
+    ) -> ThreadedOwner {
+        if raw >= GLOBAL_BASE {
+            let node = ((raw - GLOBAL_BASE) / span) as usize;
+            if node >= nodes {
+                return ThreadedOwner::Unmapped;
+            }
+            let index = (((raw - GLOBAL_BASE) % span) / chunk_bytes) as usize;
+            ThreadedOwner::Global { node, index }
+        } else if raw >= LOCAL_BASE && ((raw - LOCAL_BASE) / local_bytes) < vprocs as u64 {
+            ThreadedOwner::Local(((raw - LOCAL_BASE) / local_bytes) as usize)
+        } else {
+            ThreadedOwner::Unmapped
+        }
+    }
+
+    #[test]
+    fn owner_of_by_shift_agrees_with_division_for_every_geometry() {
+        // Power-of-two sizes take the shift, the others the exact quotient;
+        // both must classify every address as the division did.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            // splitmix64
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let geometries = [
+            (4096usize, 16 * 1024usize, 3usize, 2usize, NODE_SPAN_BYTES),
+            (256 * 1024, 512 * 1024, 2, 1, NODE_SPAN_BYTES),
+            (4096, 16 * 1024, 4, 2, 1 << 20),
+            // Neither size a power of two.
+            (4096 + 512, 16 * 1024 + 8, 3, 2, 1 << 20),
+            (3 * 1024, 40 * 1024, 5, 3, 1 << 22),
+            // One of each.
+            (4096, 24 * 1024, 2, 2, NODE_SPAN_BYTES),
+            (5 * 1024, 16 * 1024, 2, 2, 1 << 20),
+        ];
+        for (chunk_bytes, local_bytes, vprocs, nodes, span) in geometries {
+            let config = HeapConfig {
+                chunk_size_bytes: chunk_bytes,
+                local_heap_bytes: local_bytes,
+                node_span_bytes: span,
+                ..HeapConfig::small_for_tests()
+            };
+            let layout = ThreadedLayout::new(&config, vprocs, nodes);
+            assert_eq!(layout.chunk_words() * WORD_BYTES, chunk_bytes);
+            assert_eq!(layout.local_words() * WORD_BYTES, local_bytes);
+            let (chunk, local) = (chunk_bytes as u64, local_bytes as u64);
+            let check = |raw: u64| {
+                assert_eq!(
+                    layout.owner_of(Addr::new(raw)),
+                    owner_by_division(raw, vprocs, nodes, local, chunk, span),
+                    "{raw:#x} under chunk {chunk_bytes} local {local_bytes} span {span:#x}"
+                );
+            };
+            // The edges: around both bases, the first and last word of a
+            // chunk and of a local heap, the last word of a node band, one
+            // past the last vproc's local heap, one past the last band.
+            let local_end = LOCAL_BASE + vprocs as u64 * local;
+            let global_end = GLOBAL_BASE + nodes as u64 * span;
+            for raw in [
+                0,
+                8,
+                LOCAL_BASE - 8,
+                LOCAL_BASE,
+                LOCAL_BASE + local - 8,
+                LOCAL_BASE + local,
+                local_end - 8,
+                local_end,
+                GLOBAL_BASE - 8,
+                GLOBAL_BASE,
+                GLOBAL_BASE + chunk - 8,
+                GLOBAL_BASE + chunk,
+                GLOBAL_BASE + 7 * chunk - 8,
+                GLOBAL_BASE + span - 8,
+                GLOBAL_BASE + span,
+                global_end - 8,
+                global_end,
+            ] {
+                check(raw);
+            }
+            assert_eq!(
+                layout.owner_of(Addr::new(local_end)),
+                ThreadedOwner::Unmapped
+            );
+            assert_eq!(
+                layout.owner_of(Addr::new(GLOBAL_BASE - 8)),
+                ThreadedOwner::Unmapped
+            );
+            for _ in 0..2_000 {
+                // Random words of the local heaps (and a little beyond), and
+                // of the node bands (and one band beyond).
+                check(LOCAL_BASE + next() % (local_end - LOCAL_BASE + 4 * local) / 8 * 8);
+                check(GLOBAL_BASE + next() % ((nodes as u64 + 1) * span) / 8 * 8);
+            }
+        }
+    }
+
+    #[test]
+    fn every_access_path_rides_the_one_location_primitive() {
+        // A non-power-of-two geometry end to end: allocate, promote by hand,
+        // and read local and global objects through every accessor.
+        let config = HeapConfig {
+            chunk_size_bytes: 4096 + 512,
+            local_heap_bytes: 16 * 1024 + 8,
+            ..HeapConfig::small_for_tests()
+        };
+        let layout = ThreadedLayout::new(&config, 2, 2);
+        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
+        let descriptors = Arc::new(DescriptorTable::new());
+        let mut w1 = worker(1, layout, &global, &descriptors);
+        let local = w1.alloc_raw(&[10, 11, 12]).unwrap();
+        assert_eq!(w1.space_of(local), Space::LocalNursery { vproc: 1 });
+        assert_eq!(w1.read_field(local, 2), 12);
+        assert_eq!(w1.header_of(local).len_words, 3);
+        assert_eq!(w1.forwarded_to(local), None);
+        assert_eq!(w1.locate(local).payload(), vec![10, 11, 12]);
+        // Fill a chunk and a half so the second object is in chunk 1.
+        let header = Header::new(ObjectKind::Raw, 400).encode();
+        let first = w1.alloc_in_global(header, &[1; 400]).unwrap();
+        let second = w1.alloc_in_global(header, &[2; 400]).unwrap();
+        assert_eq!(
+            layout.owner_of(second),
+            ThreadedOwner::Global { node: 1, index: 1 }
+        );
+        let w0 = worker(0, layout, &global, &descriptors);
+        for (obj, value) in [(first, 1), (second, 2)] {
+            assert!(w0.is_global(obj) && !w0.is_local(obj));
+            assert_eq!(w0.read_field(obj, 399), value);
+            assert_eq!(w0.header_of(obj).len_words, 400);
+            assert_eq!(w0.node_of(obj), NodeId::new(1));
+            assert_eq!(w0.resolve(obj, true).0, obj);
+        }
+        assert_eq!(
+            w0.space_of(second),
+            Space::Global {
+                chunk: w1.current_chunk().unwrap().id()
+            }
+        );
+        // A foreign local address classifies (arithmetic) but never reads.
+        assert!(w0.is_local(local));
+        assert_eq!(w0.space_of(local), Space::LocalOld { vproc: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of node 0's global-heap band")]
+    fn unmapped_band_addresses_fail_fast() {
+        let (layout, global, descriptors) = setup();
+        let w0 = worker(0, layout, &global, &descriptors);
+        let _ = GcHeap::read_field(&w0, Addr::new(GLOBAL_BASE + 8), 0);
     }
 
     #[test]
@@ -1528,35 +1736,132 @@ mod tests {
             Err(copy_a)
         );
         assert_eq!(GcHeap::forwarded_to(&w0, obj), Some(copy_a));
+
+        // The same race through the collector's copy path, for real: two
+        // workers evacuate the same from-space objects at once. Whoever
+        // loses an object's CAS must come back with the winner's address,
+        // and exactly one of the two is credited with its bytes.
+        let mut w1 = worker(1, layout, &global, &descriptors);
+        let objs: Vec<Addr> = (0..300u64)
+            .map(|i| {
+                let header = Header::new(ObjectKind::Raw, 3).encode();
+                w0.alloc_in_global(header, &[i, i + 1, i + 2]).unwrap()
+            })
+            .collect();
+        w0.retire_current_chunk();
+        for chunk in global.snapshot() {
+            chunk.set_state(SharedChunkState::FromSpace);
+        }
+        let start = std::sync::Barrier::new(2);
+        let race = |w: &mut WorkerHeap| -> Vec<(Addr, usize)> {
+            start.wait();
+            objs.iter().map(|&obj| w.evacuate_from_space(obj)).collect()
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| race(&mut w0));
+            let b = scope.spawn(|| race(&mut w1));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (i, (&(to_a, bytes_a), &(to_b, bytes_b))) in a.iter().zip(&b).enumerate() {
+            assert_eq!(to_a, to_b, "object {i} has one surviving copy");
+            assert_eq!(bytes_a + bytes_b, 4 * WORD_BYTES, "credited exactly once");
+            let i = i as u64;
+            assert_eq!(GcHeap::payload(&w0, to_a), vec![i, i + 1, i + 2]);
+        }
     }
 
     #[test]
-    fn directory_grows_by_segments_and_snapshots_see_later_entries() {
+    fn from_space_evacuation_copies_every_word_and_yields_to_a_lost_race() {
+        let (layout, global, descriptors) = setup();
+        let mut w0 = worker(0, layout, &global, &descriptors);
+        let mut w1 = worker(1, layout, &global, &descriptors);
+        // Three shapes in one chunk: one word, interleaved words, and one
+        // that fills a whole to-space chunk by itself.
+        let words = global.chunk_size_words();
+        let big: Vec<Word> = (0..words as u64 - 1).map(|i| i * 3 + 1).collect();
+        let shapes: [&[Word]; 3] = [&[7], &[1, 0, 2, 0, 3], &big];
+        let objs: Vec<Addr> = shapes
+            .iter()
+            .map(|payload| {
+                let header = Header::new(ObjectKind::Raw, payload.len() as u64).encode();
+                w0.alloc_in_global(header, payload).unwrap()
+            })
+            .collect();
+        // Not from-space yet: pointers come back unchanged, nothing copied.
+        assert_eq!(w1.evacuate_from_space(objs[1]), (objs[1], 0));
+        let local = w1.alloc_raw(&[1]).unwrap();
+        assert_eq!(w1.evacuate_from_space(local), (local, 0));
+        w0.retire_current_chunk();
+        for chunk in global.snapshot() {
+            assert_eq!(chunk.state(), SharedChunkState::Filled);
+            chunk.set_state(SharedChunkState::FromSpace);
+        }
+        // Worker 1 wins objects 0 and 2 outright.
+        for i in [0, 2] {
+            let (copy, bytes) = w1.evacuate_from_space(objs[i]);
+            assert_ne!(copy, objs[i]);
+            assert_eq!(bytes, (shapes[i].len() + 1) * WORD_BYTES);
+            assert_eq!(GcHeap::payload(&w0, copy), shapes[i]);
+            assert_eq!(GcHeap::forwarded_to(&w0, objs[i]), Some(copy));
+            // Already forwarded: every later visitor gets the winner, free.
+            assert_eq!(w0.evacuate_from_space(objs[i]), (copy, 0));
+        }
+        // Object 1: worker 0 forwards it between worker 1's copy and its
+        // CAS — the interleaving of a lost race, replayed by hand.
+        let header = Header::new(ObjectKind::Raw, 5).encode();
+        let winner = w0.alloc_in_global(header, shapes[1]).unwrap();
+        let loser = w1.alloc_in_global(header, shapes[1]).unwrap();
+        w0.cas_forward_global(objs[1], header, winner).unwrap();
+        assert_eq!(w1.cas_forward_global(objs[1], header, loser), Err(winner));
+        assert_eq!(w1.evacuate_from_space(objs[1]), (winner, 0));
+        assert_eq!(GcHeap::payload(&w1, winner), shapes[1]);
+        // The from-space payloads are untouched (only the header slot is
+        // CAS'd), so a reader still holding the stale address sees the data.
+        assert_eq!(GcHeap::read_field(&w1, objs[1], 4), 3);
+    }
+
+    #[test]
+    fn directory_grows_by_segments_and_readers_see_later_entries() {
         let config = HeapConfig::small_for_tests();
         let layout = ThreadedLayout::new(&config, 1, 1);
         let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 1));
-        // Take a snapshot while the directory is empty, then grow past one
-        // segment boundary.
-        let early = global.snapshot_node_dir(NodeId::new(0));
-        assert!(early.get(0).is_none());
-        let total = DIR_SEG_CHUNKS + 3;
+        assert!(global.chunk_in_band(0, 0).is_none());
+        // Grow past the first two segment boundaries (512, then 512 + 1024).
+        let total = 3 * DIR_SEG_CHUNKS + 3;
         let chunks: Vec<_> = (0..total).map(|_| global.acquire(NodeId::new(0))).collect();
         assert_eq!(global.num_chunks(), total);
         assert_eq!(global.chunks_on_node(NodeId::new(0)), total);
-        // A fresh snapshot resolves every entry; entries keep address order.
-        let snap = global.snapshot_node_dir(NodeId::new(0));
+        // Every entry resolves, in address order, to the chunk the acquire
+        // returned — the very allocation, not a copy that moved on growth.
         for (i, chunk) in chunks.iter().enumerate() {
-            assert_eq!(snap.get(i).unwrap().id(), chunk.id());
+            let entry = global.chunk_in_band(0, i).unwrap();
+            assert!(std::ptr::eq(entry, &**chunk));
+            assert_eq!(entry.base(), layout_base(&global, i));
         }
-        assert!(snap.get(total).is_none());
-        // The append-only segments mean the *old* snapshot still can't see
-        // anything (it held no segments), but a mid-growth snapshot sees
-        // entries published later into segments it already holds.
-        let mid = global.snapshot_node_dir(NodeId::new(0));
+        assert!(global.chunk_in_band(0, total).is_none());
+        assert!(global.chunk_in_band(1, 0).is_none(), "no such node");
+        // A reference taken before the directory grew stays valid, and the
+        // same reader resolves entries published afterwards.
+        let early = global.chunk_in_band(0, 0).unwrap();
         let more = global.acquire(NodeId::new(0));
-        assert_eq!(mid.get(total).unwrap().id(), more.id());
+        assert_eq!(global.chunk_in_band(0, total).unwrap().id(), more.id());
+        assert_eq!(early.id(), chunks[0].id());
         // The flat directory agrees.
         assert_eq!(global.snapshot().len(), total + 1);
+        // Slot arithmetic at the segment edges.
+        assert_eq!(dir_slot(0), (0, 0));
+        assert_eq!(dir_slot(DIR_SEG_CHUNKS - 1), (0, DIR_SEG_CHUNKS - 1));
+        assert_eq!(dir_slot(DIR_SEG_CHUNKS), (1, 0));
+        assert_eq!(
+            dir_slot(3 * DIR_SEG_CHUNKS - 1),
+            (1, 2 * DIR_SEG_CHUNKS - 1)
+        );
+        assert_eq!(dir_slot(3 * DIR_SEG_CHUNKS), (2, 0));
+        assert_eq!(dir_slot(u32::MAX as usize).0, DIR_SEGMENTS - 1);
+    }
+
+    fn layout_base(global: &SharedGlobalHeap, index: usize) -> Addr {
+        Addr::new(GLOBAL_BASE + (index * global.chunk_size_bytes()) as u64)
     }
 
     #[test]
@@ -1579,10 +1884,8 @@ mod tests {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Acquire) {
                         let node = NodeId::new(n as u16);
-                        let len = global.chunks_on_node(node);
-                        let snap = global.snapshot_node_dir(node);
-                        for i in 0..len {
-                            assert_eq!(snap.get(i).unwrap().node(), node);
+                        for i in 0..global.chunks_on_node(node) {
+                            assert_eq!(global.chunk_in_band(n, i).unwrap().node(), node);
                         }
                     }
                 })

@@ -18,6 +18,14 @@
 //! * [`TaskCtx::create_proxy`] / [`TaskCtx::resolve_proxy`] — object proxies
 //!   for global structures that need to reference vproc-local objects.
 //!
+//! A read through a handle is resolve-and-read in one step: on the threaded
+//! backend the handle's address is classified once, a forwarding pointer is
+//! chased only where one can exist (this worker's local heap after a
+//! promotion; the global heap only while a budgeted collection is between
+//! increments — `WorkerState::resolve_place` states the invariant), and the
+//! field is then an index into the region found. Outside a collection a
+//! global-heap read is a load, as the paper's split heap intends (§2.3).
+//!
 //! One `TaskCtx` type serves **both** execution backends (see
 //! [`Executor`](crate::Executor)): on the simulated [`Machine`]
 //! (crate::Machine) every operation charges the NUMA cost model; on the
@@ -30,7 +38,7 @@ use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
-use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, Word};
+use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, Place, Word};
 
 /// How one field of a mixed-type object is initialised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -238,12 +246,6 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
-    fn charge_access(&mut self, addr: Addr, bytes: usize) {
-        if let CtxState::Sim(state) = &mut self.state {
-            state.charge_access(self.vproc, addr, bytes);
-        }
-    }
-
     /// Allocates a raw-data object and returns a handle to it.
     pub fn alloc_raw(&mut self, payload: &[Word]) -> Handle {
         self.reserve_nursery(payload.len());
@@ -329,25 +331,42 @@ impl<'a> TaskCtx<'a> {
     // Field access
     // ------------------------------------------------------------------
 
-    fn heap_read_field(&self, addr: Addr, index: usize) -> Word {
-        match &self.state {
-            CtxState::Sim(state) => state.heap.read_field(addr, index),
-            CtxState::Threaded(worker) => worker.heap.read_field(addr, index),
-        }
-    }
-
-    fn heap_object_bytes(&self, addr: Addr) -> usize {
-        match &self.state {
-            CtxState::Sim(state) => state.heap.object_bytes(addr),
-            CtxState::Threaded(worker) => worker.heap.object_bytes(addr),
+    /// Resolves `handle` to the current copy of its object — updating the
+    /// root slot so later accesses are direct — and reads from it in the
+    /// same step: `sim` gets the resolved address on the simulated backend,
+    /// `threaded` the already-located object on the threaded one.
+    fn access<R>(
+        &mut self,
+        handle: Handle,
+        sim: impl FnOnce(&mut RuntimeState, usize, Addr) -> R,
+        threaded: impl FnOnce(Place<'_>) -> R,
+    ) -> R {
+        // Never a nursery address the slot did not already hold: forwarding
+        // pointers lead out of the local heap, so the watermark stands.
+        let slot = &mut self.roots.slots_mut()[handle.index()];
+        match &mut self.state {
+            CtxState::Sim(state) => {
+                *slot = state.resolve_addr(*slot);
+                sim(state, self.vproc, *slot)
+            }
+            CtxState::Threaded(worker) => {
+                let (addr, place) = worker.resolve_place(*slot);
+                *slot = addr;
+                threaded(place)
+            }
         }
     }
 
     /// Reads a raw field of the object behind `handle`.
     pub fn read_raw(&mut self, handle: Handle, index: usize) -> Word {
-        let addr = self.resolve(handle);
-        self.charge_access(addr, 8);
-        self.heap_read_field(addr, index)
+        self.access(
+            handle,
+            |state, vproc, addr| {
+                state.charge_access(vproc, addr, 8);
+                state.heap.read_field(addr, index)
+            },
+            |place| place.read(index),
+        )
     }
 
     /// Reads a raw field as an `f64`.
@@ -358,26 +377,23 @@ impl<'a> TaskCtx<'a> {
     /// Reads a pointer field and registers the target as a new root,
     /// returning its handle (or `None` for a null field).
     pub fn read_ptr(&mut self, handle: Handle, index: usize) -> Option<Handle> {
-        let addr = self.resolve(handle);
-        self.charge_access(addr, 8);
-        let word = self.heap_read_field(addr, index);
-        if word == 0 {
-            None
-        } else {
-            Some(self.push_root(Addr::new(word)))
+        match self.read_raw(handle, index) {
+            0 => None,
+            word => Some(self.push_root(Addr::new(word))),
         }
     }
 
     /// Reads the whole payload of a raw object as words, charging a single
     /// bulk access (the workloads use this for rope leaves).
     pub fn read_words(&mut self, handle: Handle) -> Vec<Word> {
-        let addr = self.resolve(handle);
-        let bytes = self.heap_object_bytes(addr);
-        self.charge_access(addr, bytes);
-        match &self.state {
-            CtxState::Sim(state) => state.heap.payload(addr),
-            CtxState::Threaded(worker) => worker.heap.payload(addr),
-        }
+        self.access(
+            handle,
+            |state, vproc, addr| {
+                state.charge_access(vproc, addr, state.heap.object_bytes(addr));
+                state.heap.payload(addr)
+            },
+            |place| place.payload(),
+        )
     }
 
     /// Reads the whole payload of a raw object as `f64`s.
@@ -390,11 +406,11 @@ impl<'a> TaskCtx<'a> {
 
     /// The number of payload words of the object behind `handle`.
     pub fn len(&mut self, handle: Handle) -> usize {
-        let addr = self.resolve(handle);
-        let header = match &self.state {
-            CtxState::Sim(state) => state.heap.header_of(addr),
-            CtxState::Threaded(worker) => worker.heap.header_of(addr),
-        };
+        let header = self.access(
+            handle,
+            |state, _, addr| state.heap.header_of(addr),
+            |place| place.header(),
+        );
         header.len_words as usize
     }
 
@@ -444,14 +460,12 @@ impl<'a> TaskCtx<'a> {
     /// forwarding pointers left behind by promotions and updating the root
     /// slot so later accesses are direct.
     fn resolve(&mut self, handle: Handle) -> Addr {
-        let resolved = match &self.state {
-            CtxState::Sim(state) => state.resolve_addr(self.roots.slots()[handle.index()]),
-            CtxState::Threaded(worker) => worker.resolve_addr(self.roots.slots()[handle.index()]),
+        let slot = &mut self.roots.slots_mut()[handle.index()];
+        *slot = match &self.state {
+            CtxState::Sim(state) => state.resolve_addr(*slot),
+            CtxState::Threaded(worker) => worker.resolve_addr(*slot),
         };
-        // Never a nursery address the slot did not already hold: forwarding
-        // pointers lead out of the local heap, so the watermark stands.
-        self.roots.slots_mut()[handle.index()] = resolved;
-        resolved
+        *slot
     }
 
     fn push_root(&mut self, addr: Addr) -> Handle {

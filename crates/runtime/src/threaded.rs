@@ -87,7 +87,7 @@ use mgc_core::{
     scan_young_fields, Collector, GcOutcome, GcStats, ParallelGcState,
 };
 use mgc_heap::{
-    Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, LocalRegion,
+    Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, LocalRegion, Place,
     SharedGlobalHeap, ThreadedLayout, Word, WorkerHeap,
 };
 use mgc_numa::{AdaptiveController, NodeId, PlacementDecision, PlacementPolicy, TrafficStats};
@@ -565,15 +565,31 @@ impl WorkerState {
     // Promotion (on steal, and at publication to global structures)
     // ------------------------------------------------------------------
 
-    /// Follows forwarding pointers left by promotions.
-    pub(crate) fn resolve_addr(&self, mut addr: Addr) -> Addr {
+    /// Resolves `addr` to the current copy of its object and locates it, so
+    /// the caller reads the object without classifying the address again.
+    ///
+    /// Where a forwarding pointer can exist — the one place this is stated:
+    /// the language is mutation-free, so one is only ever left (a) in this
+    /// worker's **local** heap by a promotion, which the heap checks with a
+    /// plain slice read, and (b) in **global** from-space by a collection
+    /// that has flipped but not yet released. A mutator runs inside that
+    /// window only between the increments of a budgeted collection, which is
+    /// exactly while `in_scan_phase` is set (the flag is written by barrier
+    /// leaders with every worker stopped, and every root is re-evacuated
+    /// before the release clears it). With the flag clear a global handle is
+    /// final and its header is not read: a global-heap read is a load.
+    pub(crate) fn resolve_place(&self, addr: Addr) -> (Addr, Place<'_>) {
+        let global_may_forward = self.shared.gc.in_scan_phase.load(Ordering::Acquire);
+        self.heap.resolve(addr, global_may_forward)
+    }
+
+    /// [`WorkerState::resolve_place`] for callers that only want the
+    /// address; null stays null.
+    pub(crate) fn resolve_addr(&self, addr: Addr) -> Addr {
         if addr.is_null() {
             return addr;
         }
-        while let Some(forwarded) = self.heap.forwarded_to(addr) {
-            addr = forwarded;
-        }
-        addr
+        self.resolve_place(addr).0
     }
 
     /// Promotes `addr` to the global heap if it still lives in this worker's
@@ -1318,19 +1334,11 @@ impl ThreadedMachine {
         self.channel_stats
     }
 
-    /// Runs the program to completion across real threads, returning the
-    /// wall-clock run report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (e.g. a deadlocked join or a heap
-    /// invariant violation).
-    pub fn run(&mut self) -> RunReport {
+    /// Builds the shared machine state and one [`WorkerState`] per vproc,
+    /// with `root` on worker 0's private deque — everything
+    /// [`ThreadedMachine::run`] then hands to the threads.
+    fn assemble(&mut self, root: Task) -> (Arc<Shared>, Vec<WorkerState>) {
         let num_vprocs = self.config.num_vprocs;
-        let Some(root) = self.root.take() else {
-            return self.empty_report(num_vprocs);
-        };
-
         let topology = self.config.topology.clone();
         let cores = topology.spread_cores(num_vprocs);
         let placer = mgc_numa::PagePlacer::new(self.config.heap.policy, topology.num_nodes());
@@ -1422,6 +1430,22 @@ impl ThreadedMachine {
                 }
             })
             .collect();
+        (shared, workers)
+    }
+
+    /// Runs the program to completion across real threads, returning the
+    /// wall-clock run report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panics (e.g. a deadlocked join or a heap
+    /// invariant violation).
+    pub fn run(&mut self) -> RunReport {
+        let num_vprocs = self.config.num_vprocs;
+        let Some(root) = self.root.take() else {
+            return self.empty_report(num_vprocs);
+        };
+        let (shared, workers) = self.assemble(root);
 
         let start = Instant::now();
         let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
@@ -1722,6 +1746,65 @@ mod tests {
             report.per_vproc[0].steal_requests_served, 0,
             "nobody can request a steal on a single-vproc machine"
         );
+    }
+
+    /// The guard in `resolve_place`: a global header is read — and a
+    /// forwarding pointer in it chased — only while `in_scan_phase` is set.
+    /// Fails if the chase for global addresses is deleted or the flag test
+    /// inverted: `len` and `read_words` need the header, and a forwarded
+    /// from-space copy no longer has one.
+    #[test]
+    fn global_forwards_are_chased_only_during_a_scan_phase() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let root = Task::from_spec(
+            TaskSpec::new("unused", |_| TaskResult::Unit),
+            Delivery::Discard,
+            0,
+        );
+        let (shared, mut workers) = machine(1).assemble(root);
+        let worker = &mut workers[0];
+
+        // A promoted object: the local original forwards to the global copy
+        // (chased whatever the flag says), the global copy is final.
+        let local = worker.heap.alloc_raw(&[1, 2, 3]).unwrap();
+        let old = worker.promote_shared(local, PromoteWhy::Publish);
+        assert!(worker.heap.is_global(old));
+        assert_eq!(worker.resolve_addr(local), old);
+        assert_eq!(worker.resolve_addr(old), old);
+
+        // What a budgeted collection leaves between two increments: the
+        // object's chunk is from-space, the object forwarded to a to-space
+        // copy (given a different payload here so the reads below tell the
+        // two apart), and mutators running with `in_scan_phase` set.
+        worker.heap.retire_current_chunk();
+        assert_eq!(flip_to_from_space(&shared.global).len(), 1);
+        let header = worker.heap.header_of(old).encode();
+        let copy_header = Header::new(ObjectKind::Raw, 5).encode();
+        let copy = worker
+            .heap
+            .alloc_in_global(copy_header, &[5, 6, 7, 8, 9])
+            .unwrap();
+        worker.heap.cas_forward_global(old, header, copy).unwrap();
+        shared.gc.in_scan_phase.store(true, Ordering::Release);
+
+        assert_eq!(worker.resolve_addr(old), copy);
+        assert_eq!(worker.resolve_addr(local), copy, "local, then global");
+        let mut roots = RootSet::default();
+        roots.push(old);
+        let mut delivery_taken = false;
+        let mut ctx = TaskCtx::new_threaded(
+            worker,
+            &mut roots,
+            &[],
+            &mut delivery_taken,
+            Delivery::Discard,
+        );
+        let handle = ctx.input(0);
+        assert_eq!(ctx.len(handle), 5);
+        assert_eq!(ctx.read_words(handle), vec![5, 6, 7, 8, 9]);
+        assert_eq!(ctx.read_raw(handle, 4), 9);
+        assert_eq!(roots.slots(), [copy], "the root slot now holds the copy");
     }
 
     #[test]
