@@ -202,8 +202,8 @@ impl Collector {
     pub fn needs_global<H: GcHeap>(&self, heap: &H) -> bool {
         let floor = self.config.global_threshold_per_vproc_bytes * heap.num_vprocs();
         let proportional =
-            self.config.global_growth_factor * heap.global_bytes_after_last_collection() as f64;
-        heap.global_bytes_in_use() > floor.max(proportional as usize)
+            self.config.global_growth_factor * heap.global().bytes_after_last_collection() as f64;
+        heap.global().bytes_in_use() > floor.max(proportional as usize)
     }
 
     /// Whether the paper's triggers ask for a major collection after the
@@ -394,7 +394,11 @@ impl Collector {
 
     pub(crate) fn maybe_verify<H: GcHeap>(&self, heap: &H) {
         if self.config.verify_after_gc {
-            let violations = heap.verify_violations();
+            let violations: Vec<String> = heap
+                .verify_violations()
+                .iter()
+                .map(ToString::to_string)
+                .collect();
             assert!(
                 violations.is_empty(),
                 "heap invariant violated after collection: {}",
@@ -405,10 +409,13 @@ impl Collector {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use mgc_heap::{Heap, HeapConfig, Space};
+    use mgc_heap::{
+        DescriptorTable, Heap, HeapConfig, SharedGlobalHeap, Space, ThreadedLayout, WorkerHeap,
+    };
     use mgc_numa::NodeId;
+    use std::sync::Arc;
 
     fn setup(vprocs: usize) -> (Heap, Collector) {
         let nodes: Vec<NodeId> = (0..vprocs).map(|v| NodeId::new((v % 2) as u16)).collect();
@@ -513,6 +520,62 @@ mod tests {
             "keeping everything alive must eventually shrink the nursery below the threshold"
         );
         assert!(collector.vproc_stats(0).minor_collections >= 1);
+    }
+
+    /// The two workers of a small threaded heap, vproc `v` on node `v`.
+    pub(crate) fn two_workers() -> (Vec<WorkerHeap>, Arc<SharedGlobalHeap>) {
+        let layout = ThreadedLayout::new(&HeapConfig::small_for_tests(), 2, 2);
+        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
+        let table = Arc::new(DescriptorTable::new());
+        let worker = |v| {
+            WorkerHeap::new(
+                v,
+                layout,
+                NodeId::new(v as u16),
+                global.clone(),
+                table.clone(),
+            )
+        };
+        (vec![worker(0), worker(1)], global)
+    }
+
+    /// Worker 0, its neighbour, and a collector that verifies after every
+    /// collection.
+    fn threaded_setup() -> (WorkerHeap, WorkerHeap, Collector) {
+        let (mut workers, _) = two_workers();
+        let config = GcConfig::small_for_tests();
+        assert!(config.verify_after_gc);
+        let w1 = workers.pop().unwrap();
+        (workers.pop().unwrap(), w1, Collector::new(config, 2, 2))
+    }
+
+    #[test]
+    #[should_panic(expected = "heap invariant violated")]
+    fn threaded_minor_catches_a_forged_cross_local_pointer() {
+        let (mut w0, mut w1, mut collector) = threaded_setup();
+        let foreign = w1.alloc_raw(&[5]).unwrap();
+        let mut roots = vec![w0.alloc_vector(&[0]).unwrap()];
+        // A clean collection passes; its survivor is young data now.
+        collector.minor(&mut w0, 0, &mut roots);
+        assert_eq!(w0.space_of(roots[0]), Space::LocalYoung { vproc: 0 });
+        w0.write_field(roots[0], 0, foreign.raw());
+        collector.minor(&mut w0, 0, &mut roots);
+    }
+
+    #[test]
+    #[should_panic(expected = "heap invariant violated")]
+    fn threaded_minor_catches_a_pointer_into_a_released_chunk() {
+        let (mut w0, _w1, mut collector) = threaded_setup();
+        let header = Header::new(mgc_heap::ObjectKind::Raw, 1).encode();
+        let promoted = w0.alloc_in_global(header, &[5]).unwrap();
+        let chunk = w0.current_chunk().unwrap().clone();
+        let mut roots = vec![w0.alloc_vector(&[promoted.raw()]).unwrap()];
+        w0.retire_current_chunk();
+        collector.minor(&mut w0, 0, &mut roots);
+        // Releasing the chunk under a live pointer is the collector bug the
+        // walk exists to catch.
+        w0.global().release(&chunk);
+        collector.minor(&mut w0, 0, &mut roots);
     }
 
     #[test]

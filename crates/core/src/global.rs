@@ -24,8 +24,12 @@
 
 use crate::collector::{forward_fields, Collector};
 use crate::cost::{GcCost, GLOBAL_BARRIER_NS};
-use mgc_heap::{Addr, ChunkId, ChunkState, EvacTarget, Heap};
+use mgc_heap::{
+    Addr, GcHeap, Header, Heap, SharedChunk, SharedChunkState, SharedGlobalHeap, WorkerHeap,
+};
 use mgc_numa::NodeId;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Result of a global collection.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,17 +78,8 @@ impl Collector {
         for vproc in 0..num_vprocs {
             heap.retire_current_chunk(vproc);
         }
-        let from_space: Vec<ChunkId> = heap
-            .global()
-            .iter()
-            .filter(|c| c.state() == ChunkState::Filled)
-            .map(|c| c.id())
-            .collect();
-        for &id in &from_space {
-            heap.global_mut()
-                .chunk_mut(id)
-                .set_state(ChunkState::FromSpace);
-        }
+        let global = Arc::clone(heap.global());
+        let from_space = flip_to_from_space(&global);
         let from_space_chunks = from_space.len();
 
         // --- Root scan: each vproc forwards its roots and its local heap. --
@@ -118,32 +113,33 @@ impl Collector {
         // exactly as the per-node chunk lists of §3.4 arrange.
         let mut node_cursor = vec![0usize; self.num_nodes()];
         loop {
-            let pending: Vec<(ChunkId, NodeId)> = heap
-                .global()
-                .iter()
-                .filter(|c| {
-                    matches!(c.state(), ChunkState::Current { .. } | ChunkState::Filled)
-                        && !c.fully_scanned()
-                })
-                .map(|c| (c.id(), c.node()))
-                .collect();
+            // The snapshot is in chunk-id order, i.e. the order the chunks
+            // were first leased in.
+            let mut pending = global.snapshot();
+            pending.retain(|c| {
+                matches!(
+                    c.state(),
+                    SharedChunkState::Current | SharedChunkState::Filled
+                ) && !c.fully_scanned()
+            });
             if pending.is_empty() {
                 break;
             }
-            for (chunk, node) in pending {
-                let scanner = pick_scanner(heap, node, &mut node_cursor);
-                scan_to_space_chunk(heap, scanner, chunk, &mut copied_bytes, &mut costs[scanner]);
+            for chunk in pending {
+                let scanner = pick_scanner(heap, chunk.node(), &mut node_cursor);
+                scan_to_space_chunk(
+                    heap,
+                    scanner,
+                    &chunk,
+                    &mut copied_bytes,
+                    &mut costs[scanner],
+                );
             }
         }
 
         // --- Reclaim from-space. -------------------------------------------
-        let mut released_chunks = 0;
-        for id in from_space {
-            heap.global_mut().release_chunk(id);
-            released_chunks += 1;
-        }
-        heap.global_mut().mark_collection_end();
-        let to_space_chunks = heap.global().chunks_in_use();
+        let released_chunks = release_from_space(&global, &from_space);
+        let to_space_chunks = global.chunks_in_use();
 
         for vproc in 0..num_vprocs {
             let stats = self.vproc_stats_mut(vproc);
@@ -196,22 +192,13 @@ fn forward_global(
     copied_bytes: &mut u64,
     cost: &mut GcCost,
 ) -> Addr {
-    let Some(chunk) = global_chunk_of(heap, ptr) else {
-        return ptr;
-    };
-    if heap.global().chunk(chunk).state() != ChunkState::FromSpace {
-        return ptr;
+    // Nothing races on this backend, so bytes come back whenever this call
+    // made the copy.
+    let (new, bytes) = heap.worker_mut(vproc).evacuate_from_space(ptr);
+    if bytes > 0 {
+        cost.charge_copy(heap.node_of(ptr), heap.node_of(new), bytes);
+        *copied_bytes += bytes as u64;
     }
-    if let Some(forwarded) = heap.forwarded_to(ptr) {
-        return forwarded;
-    }
-    let src_node = heap.node_of(ptr);
-    let (new, bytes) = heap
-        .evacuate(ptr, EvacTarget::GlobalCurrent { vproc })
-        .expect("to-space allocation cannot fail during a global collection");
-    let dst_node = heap.node_of(new);
-    cost.charge_copy(src_node, dst_node, bytes);
-    *copied_bytes += bytes as u64;
     new
 }
 
@@ -220,37 +207,21 @@ fn forward_global(
 fn scan_to_space_chunk(
     heap: &mut Heap,
     vproc: usize,
-    chunk: ChunkId,
+    chunk: &SharedChunk,
     copied_bytes: &mut u64,
     cost: &mut GcCost,
 ) {
-    loop {
-        let (scan, top, base, node) = {
-            let c = heap.global().chunk(chunk);
-            (c.scan(), c.used_words(), c.base(), c.node())
-        };
-        if scan >= top {
-            break;
-        }
-        let header_word = heap.global().chunk(chunk).read(scan);
-        let header = mgc_heap::Header::decode(header_word)
-            .expect("to-space chunks contain only live objects");
-        let obj = base.add_words(scan + 1);
-        cost.charge_scan(node, header.total_bytes());
+    // Chase the bump pointer: scanning may append copies to this very chunk.
+    while !chunk.fully_scanned() {
+        let scan = chunk.scan();
+        let header =
+            Header::decode(chunk.read(scan)).expect("to-space chunks contain only live objects");
+        let obj = chunk.base().add_words(scan + 1);
+        cost.charge_scan(chunk.node(), header.total_bytes());
         forward_fields(heap, obj, header, |heap, ptr| {
             forward_global(heap, vproc, ptr, copied_bytes, cost)
         });
-        heap.global_mut()
-            .chunk_mut(chunk)
-            .set_scan(scan + header.total_words());
-    }
-}
-
-/// The chunk containing `ptr`, if `ptr` is a global-heap address.
-fn global_chunk_of(heap: &Heap, ptr: Addr) -> Option<ChunkId> {
-    match heap.space_of(ptr) {
-        mgc_heap::Space::Global { chunk } => Some(chunk),
-        _ => None,
+        chunk.set_scan(scan + header.total_words());
     }
 }
 
@@ -258,8 +229,9 @@ fn global_chunk_of(heap: &Heap, ptr: Addr) -> Option<ChunkId> {
 // The parallel global collection of the real-threads backend.
 // ----------------------------------------------------------------------
 //
-// The sequential `Collector::global` above *attributes* parallel work; the
-// pieces below *perform* it. The runtime's ramp-down barrier stops every
+// The sequential `Collector::global` above *attributes* parallel work (and
+// borrows the leader-only flip and release from below); the pieces below
+// *perform* it. The runtime's ramp-down barrier stops every
 // worker at a safe point (each has finished its local collections and
 // retired its current chunk), then drives these phases:
 //
@@ -282,9 +254,6 @@ fn global_chunk_of(heap: &Heap, ptr: Addr) -> Option<ChunkId> {
 // resumes where the pass left off. A timed-out pass reports
 // [`ScanPassOutcome::out_of_time`] so termination is never concluded from a
 // pass that merely ran out of budget.
-
-use mgc_heap::{GcHeap, Header, SharedChunkState, SharedGlobalHeap, WorkerHeap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Shared coordination state of one parallel global collection: the work
 /// index workers claim to-space chunks from, and the copied-byte total.
@@ -434,7 +403,7 @@ pub fn scan_pass_budgeted(
         progress: false,
         out_of_time: false,
     };
-    let global = worker.shared_global().clone();
+    let global = worker.global().clone();
     let mut until_check = DEADLINE_STRIDE;
     'pass: loop {
         let index = state.work_index.fetch_add(1, Ordering::AcqRel);
@@ -541,6 +510,15 @@ mod tests {
         roots_per_vproc
     }
 
+    /// Bytes occupied by objects in the chunks that are in use.
+    fn live_bytes_upper_bound(heap: &Heap) -> usize {
+        let chunks = heap.global().snapshot();
+        let in_use = chunks
+            .iter()
+            .filter(|c| c.state() != SharedChunkState::Free);
+        in_use.map(|c| c.used_bytes()).sum()
+    }
+
     fn list_values(heap: &Heap, mut cursor: Addr) -> Vec<u64> {
         let mut values = Vec::new();
         while !cursor.is_null() {
@@ -604,19 +582,21 @@ mod tests {
         collector.global(&mut heap, &mut roots);
         // Every free chunk sits on the free list of the node it was
         // originally allocated on.
-        for node in 0..heap.num_nodes() {
-            let node = NodeId::new(node as u16);
-            let _ = heap.global().free_chunks_on(node);
-        }
-        let total_free: usize = (0..heap.num_nodes())
-            .map(|n| heap.global().free_chunks_on(NodeId::new(n as u16)))
+        let pool = heap.global().pool();
+        let total_free: usize = (0..heap.global().num_nodes())
+            .map(|n| pool.free_chunks_on(NodeId::new(n as u16)))
             .sum();
         assert!(total_free > 0);
+        for chunk in heap.global().snapshot() {
+            if chunk.state() == SharedChunkState::Free {
+                assert!(pool.free_chunks_on(chunk.node()) > 0);
+            }
+        }
         // Acquiring a chunk for a vproc on node 0 must return a node-0 chunk.
-        let freed_on_zero = heap.global().free_chunks_on(NodeId::new(0));
+        let freed_on_zero = pool.free_chunks_on(NodeId::new(0));
         if freed_on_zero > 0 {
             let chunk = heap.fresh_current_chunk(0);
-            assert_eq!(heap.global().chunk(chunk).node(), NodeId::new(0));
+            assert_eq!(heap.global().chunk_at(chunk.index()).node(), NodeId::new(0));
         }
     }
 
@@ -702,24 +682,7 @@ mod tests {
 
     #[test]
     fn parallel_pieces_collect_shared_data_single_threaded() {
-        use mgc_heap::{DescriptorTable, HeapConfig, ThreadedLayout};
-        use std::sync::Arc;
-
-        let config = HeapConfig::small_for_tests();
-        let layout = ThreadedLayout::new(&config, 2, 2);
-        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
-        let descriptors = Arc::new(DescriptorTable::new());
-        let mut workers: Vec<WorkerHeap> = (0..2)
-            .map(|v| {
-                WorkerHeap::new(
-                    v,
-                    layout,
-                    NodeId::new(v as u16),
-                    global.clone(),
-                    descriptors.clone(),
-                )
-            })
-            .collect();
+        let (mut workers, global) = crate::collector::tests::two_workers();
         let mut collectors: Vec<Collector> = (0..2)
             .map(|_| Collector::new(GcConfig::small_for_tests(), 2, 2))
             .collect();
@@ -904,24 +867,7 @@ mod tests {
 
     #[test]
     fn budgeted_scan_passes_converge_and_preserve_data() {
-        use mgc_heap::{DescriptorTable, HeapConfig, ThreadedLayout};
-        use std::sync::Arc;
-
-        let config = HeapConfig::small_for_tests();
-        let layout = ThreadedLayout::new(&config, 2, 2);
-        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
-        let descriptors = Arc::new(DescriptorTable::new());
-        let mut workers: Vec<WorkerHeap> = (0..2)
-            .map(|v| {
-                WorkerHeap::new(
-                    v,
-                    layout,
-                    NodeId::new(v as u16),
-                    global.clone(),
-                    descriptors.clone(),
-                )
-            })
-            .collect();
+        let (mut workers, global) = crate::collector::tests::two_workers();
         let mut collectors: Vec<Collector> = (0..2)
             .map(|_| Collector::new(GcConfig::small_for_tests(), 2, 2))
             .collect();
@@ -1002,13 +948,13 @@ mod tests {
         let (mut heap, mut collector) = setup(2);
         let mut roots = populate(&mut heap, &mut collector, 2);
         collector.global(&mut heap, &mut roots);
-        let live_after_first = heap.global().live_bytes_upper_bound();
+        let live_after_first = live_bytes_upper_bound(&heap);
         let retained_first = heap.global().bytes_after_last_collection();
         assert_eq!(retained_first, heap.global().bytes_in_use());
         let copied_first: Vec<Vec<u64>> = roots.iter().map(|r| list_values(&heap, r[0])).collect();
         collector.global(&mut heap, &mut roots);
         // A second collection with no new garbage copies the same live set.
-        let live_after_second = heap.global().live_bytes_upper_bound();
+        let live_after_second = live_bytes_upper_bound(&heap);
         assert_eq!(live_after_first, live_after_second);
         assert_eq!(heap.global().bytes_after_last_collection(), retained_first);
         assert!(!collector.needs_global(&heap));

@@ -3,15 +3,16 @@
 //!
 //! `mgc-core`'s minor collection, major collection, and promotion are pure
 //! *policy*: they decide what to copy and where, but every actual memory
-//! operation goes through this trait. Two implementations exist:
+//! operation goes through this trait. Two implementations exist, over one
+//! chunk store:
 //!
-//! * [`Heap`](crate::Heap) — the discrete-event simulation's monolithic
-//!   heap, where one thread owns every vproc's local heap and the global
-//!   heap;
-//! * [`WorkerHeap`](crate::WorkerHeap) — the real-threads backend's
-//!   per-thread view: the worker owns its local heap outright (so the
-//!   minor-GC path takes no locks at all, §3.3) and reaches the shared
-//!   global heap through atomic words and a lock-free chunk pool.
+//! * [`WorkerHeap`](crate::WorkerHeap) — one vproc's view: the worker owns
+//!   its local heap outright (so the minor-GC path takes no locks at all,
+//!   §3.3) and reaches the shared global heap through atomic words and a
+//!   lock-free chunk pool;
+//! * [`Heap`](crate::Heap) — the discrete-event simulation's whole machine:
+//!   every vproc's `WorkerHeap` behind one vproc-indexed interface, each
+//!   call handed to the worker that owns the vproc or the address.
 //!
 //! The trait deliberately exposes only what the collection algorithms need;
 //! mutator-facing allocation stays on the concrete types.
@@ -22,7 +23,10 @@ use crate::error::HeapError;
 use crate::header::{Header, HeaderSlot};
 use crate::heap::{EvacTarget, Space};
 use crate::local::LocalHeap;
+use crate::shared::SharedGlobalHeap;
+use crate::verify::InvariantViolation;
 use mgc_numa::NodeId;
+use std::sync::Arc;
 
 /// Heap mechanism used by the collection algorithms in `mgc-core`.
 pub trait GcHeap {
@@ -111,89 +115,13 @@ pub trait GcHeap {
     /// synchronisation point of §3.3; the collector charges for increases).
     fn chunk_acquisitions(&self) -> u64;
 
-    /// Bytes of global-heap chunk space in use — the quantity the global
-    /// collection trigger compares against its threshold (§3.4).
-    fn global_bytes_in_use(&self) -> usize;
+    /// The global heap this view allocates promotions in. The collection
+    /// trigger reads its occupancy (§3.4); the verifier its chunk states.
+    fn global(&self) -> &Arc<SharedGlobalHeap>;
 
-    /// [`GcHeap::global_bytes_in_use`] as it stood when the last global
-    /// collection released its from-space (0 before the first) — the figure
-    /// the proportional part of the trigger scales.
-    fn global_bytes_after_last_collection(&self) -> usize;
-
-    /// Re-checks the heap invariants, returning human-readable violations.
-    /// Views that cannot see the whole machine return an empty list.
-    fn verify_violations(&self) -> Vec<String> {
-        Vec::new()
-    }
-}
-
-impl GcHeap for crate::Heap {
-    fn num_vprocs(&self) -> usize {
-        crate::Heap::num_vprocs(self)
-    }
-
-    fn local(&self, vproc: usize) -> &LocalHeap {
-        crate::Heap::local(self, vproc)
-    }
-
-    fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
-        crate::Heap::local_mut(self, vproc)
-    }
-
-    fn space_of(&self, addr: Addr) -> Space {
-        crate::Heap::space_of(self, addr)
-    }
-
-    fn is_local(&self, addr: Addr) -> bool {
-        crate::Heap::is_local(self, addr)
-    }
-
-    fn is_global(&self, addr: Addr) -> bool {
-        crate::Heap::is_global(self, addr)
-    }
-
-    fn node_of(&self, addr: Addr) -> NodeId {
-        crate::Heap::node_of(self, addr)
-    }
-
-    fn header_slot(&self, obj: Addr) -> HeaderSlot {
-        crate::Heap::header_slot(self, obj)
-    }
-
-    fn read_field(&self, obj: Addr, index: usize) -> Word {
-        crate::Heap::read_field(self, obj, index)
-    }
-
-    fn write_field(&mut self, obj: Addr, index: usize, value: Word) {
-        crate::Heap::write_field(self, obj, index, value)
-    }
-
-    fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
-        crate::Heap::pointer_field_indices(self, header)
-    }
-
-    fn evacuate(&mut self, obj: Addr, target: EvacTarget) -> Result<(Addr, usize), HeapError> {
-        crate::Heap::evacuate(self, obj, target)
-    }
-
-    fn chunk_acquisitions(&self) -> u64 {
-        self.stats().chunk_acquisitions
-    }
-
-    fn global_bytes_in_use(&self) -> usize {
-        self.global().bytes_in_use()
-    }
-
-    fn global_bytes_after_last_collection(&self) -> usize {
-        self.global().bytes_after_last_collection()
-    }
-
-    fn verify_violations(&self) -> Vec<String> {
-        crate::verify::verify_heap(self)
-            .iter()
-            .map(ToString::to_string)
-            .collect()
-    }
+    /// Re-checks the heap invariants of §2.3 over everything this view may
+    /// read.
+    fn verify_violations(&self) -> Vec<InvariantViolation>;
 }
 
 #[cfg(test)]
@@ -219,8 +147,8 @@ mod tests {
         assert_eq!(view.object_bytes(obj), 24);
         assert_eq!(view.forwarded_to(obj), None);
         assert_eq!(view.chunk_acquisitions(), 0);
-        assert_eq!(view.global_bytes_in_use(), 0);
-        assert_eq!(view.global_bytes_after_last_collection(), 0);
+        assert_eq!(view.global().bytes_in_use(), 0);
+        assert_eq!(view.global().bytes_after_last_collection(), 0);
         assert!(view.verify_violations().is_empty());
     }
 }

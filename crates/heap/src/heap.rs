@@ -1,21 +1,23 @@
-//! The heap facade: local heaps, the global heap, and the object-level
-//! mechanism the collector is built from.
+//! The heap configuration and the simulated backend's whole-machine view.
 //!
-//! [`Heap`] owns every memory region of the simulated runtime. It provides
-//! *mechanism* only — allocate an object, read or write a field, evacuate an
-//! object to another space, acquire a global-heap chunk. The collection
-//! *policy* (when to collect, the Cheney loops, the per-node chunk lists of
-//! the global collection) lives in the `mgc-core` crate.
+//! [`Heap`] is every vproc's [`WorkerHeap`] behind one vproc-indexed
+//! interface. It provides *mechanism* only — allocate an object, read or
+//! write a field, evacuate an object to another space, acquire a global-heap
+//! chunk — and each operation is a hand-off to the worker that implements it.
+//! The collection *policy* (when to collect, the Cheney loops, the per-node
+//! chunk lists of the global collection) lives in the `mgc-core` crate.
 
-use crate::addr::{Addr, Word, WORD_BYTES};
-use crate::chunk::{ChunkId, ChunkState};
+use crate::addr::{Addr, Word};
+use crate::chunk::ChunkId;
 use crate::descriptor::{Descriptor, DescriptorId, DescriptorTable, PointerFields};
 use crate::error::HeapError;
-use crate::global::GlobalHeap;
-use crate::header::{Header, HeaderSlot, ObjectKind};
-use crate::local::{LocalHeap, LocalRegion};
-use crate::space::{AddressSpace, RegionOwner};
-use mgc_numa::{AllocPolicy, NodeId, PageMap, PagePlacer, PlacementPolicy};
+use crate::gc_heap::GcHeap;
+use crate::header::{Header, HeaderSlot};
+use crate::local::LocalHeap;
+use crate::shared::{SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap};
+use crate::verify::InvariantViolation;
+use mgc_numa::{AllocPolicy, NodeId, PlacementPolicy};
+use std::sync::Arc;
 
 /// Configuration of the heap geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,10 +29,10 @@ pub struct HeapConfig {
     /// Size of each vproc's local heap in bytes. The paper sizes local heaps
     /// to fit the node's L3 cache (§3.1).
     pub local_heap_bytes: usize,
-    /// Bytes of global-heap address band reserved per NUMA node in the
-    /// threaded backend (a power of two). The default,
-    /// [`NODE_SPAN_BYTES`](crate::NODE_SPAN_BYTES), is 256 GiB of *virtual*
-    /// span; host-scale runs may derive it from probed node memory instead.
+    /// Bytes of global-heap address band reserved per NUMA node (a power of
+    /// two). The default, [`NODE_SPAN_BYTES`](crate::NODE_SPAN_BYTES), is
+    /// 256 GiB of *virtual* span; host-scale runs may derive it from probed
+    /// node memory instead.
     pub node_span_bytes: u64,
     /// Physical placement policy for local heaps and global chunks (§4.3).
     pub policy: AllocPolicy,
@@ -246,8 +248,6 @@ pub enum EvacTarget {
         /// The vproc whose current chunk receives the copy.
         vproc: usize,
     },
-    /// Copy into a specific chunk (global collection to-space).
-    Chunk(ChunkId),
 }
 
 /// Heap-wide counters.
@@ -260,303 +260,157 @@ pub struct HeapStats {
     pub evacuated_words: u64,
 }
 
-/// The complete simulated heap.
+/// The whole machine's heap, as the discrete-event simulation drives it: one
+/// [`WorkerHeap`] per vproc over one [`SharedGlobalHeap`], one
+/// [`ThreadedLayout`] and one descriptor table. It holds no memory of its
+/// own. A vproc-keyed operation goes to that vproc's worker; an address-keyed
+/// one classifies the address once and goes to the worker that owns it
+/// (global addresses to worker 0 — every worker reads the global heap alike).
+///
+/// The collector-facing operations are its [`GcHeap`] implementation; the
+/// four object readers ([`Heap::read_field`], [`Heap::header_of`],
+/// [`Heap::forwarded_to`], [`Heap::payload`]) are inherent as well, so
+/// reading an object needs no trait import.
 #[derive(Debug)]
 pub struct Heap {
-    config: HeapConfig,
-    num_nodes: usize,
-    vproc_nodes: Vec<NodeId>,
-    placer: PagePlacer,
-    page_map: PageMap,
-    descriptors: DescriptorTable,
-    space: AddressSpace,
-    locals: Vec<LocalHeap>,
-    global: GlobalHeap,
-    current_chunk: Vec<Option<ChunkId>>,
-    /// Which node's free list promotion chunks are preferred from (the
-    /// threaded backend's [`PlacementPolicy`], mirrored here so the
-    /// simulated backend covers the same scenario axis).
-    placement: PlacementPolicy,
-    /// Round-robin cursor for [`PlacementPolicy::Interleave`].
-    interleave_cursor: usize,
-    /// Per-vproc promotion target: the node the consumer of the vproc's
-    /// next promotion lives on. Defaults to the vproc's home node; the
-    /// runtime retargets it at the thief's node around a steal handoff.
-    promotion_target: Vec<NodeId>,
-    /// Per-vproc *effective* static policy under
-    /// [`PlacementPolicy::Adaptive`]: the runtime's controller resolves the
-    /// adaptive mode to `NodeLocal` or `Interleave` before each promotion.
-    /// Ignored for static heap-wide policies.
-    effective_placement: Vec<PlacementPolicy>,
-    stats: HeapStats,
+    layout: ThreadedLayout,
+    global: Arc<SharedGlobalHeap>,
+    workers: Vec<WorkerHeap>,
 }
 
 impl Heap {
-    /// Creates a heap for `vproc_nodes.len()` vprocs. `vproc_nodes[i]` is the
-    /// NUMA node of the core that vproc `i` is pinned to; the placement
-    /// policy decides where the backing pages actually land.
+    /// Creates a heap for `vproc_nodes.len()` vprocs with the default
+    /// ([`PlacementPolicy::NodeLocal`]) promotion-chunk placement.
+    /// `vproc_nodes[i]` is the NUMA node of the core that vproc `i` is pinned
+    /// to; the page policy ([`HeapConfig::policy`]) decides where the backing
+    /// pages of its local heap and of every chunk actually land.
     ///
     /// # Panics
     ///
     /// Panics if `vproc_nodes` is empty, `num_nodes` is zero, or any home
     /// node is out of range.
     pub fn new(config: HeapConfig, vproc_nodes: &[NodeId], num_nodes: usize) -> Self {
-        assert!(!vproc_nodes.is_empty(), "at least one vproc is required");
-        assert!(num_nodes > 0, "at least one NUMA node is required");
+        Heap::with_placement(config, vproc_nodes, num_nodes, PlacementPolicy::NodeLocal)
+    }
+
+    /// [`Heap::new`] with an explicit promotion-chunk placement policy.
+    pub fn with_placement(
+        config: HeapConfig,
+        vproc_nodes: &[NodeId],
+        num_nodes: usize,
+        placement: PlacementPolicy,
+    ) -> Self {
+        let layout = ThreadedLayout::new(&config, vproc_nodes.len(), num_nodes);
         for node in vproc_nodes {
             assert!(
                 node.index() < num_nodes,
                 "vproc home node {node} out of range (machine has {num_nodes} nodes)"
             );
         }
-        let chunk_words = (config.chunk_size_bytes / WORD_BYTES).max(64);
-        let local_words_raw = (config.local_heap_bytes / WORD_BYTES).max(64);
-        // Local heaps are mapped in whole blocks of the address space.
-        let local_blocks = local_words_raw.div_ceil(chunk_words);
-        let local_words = local_blocks * chunk_words;
-
-        let placer = PagePlacer::new(config.policy, num_nodes);
-        let mut page_map = PageMap::new();
-        let mut space = AddressSpace::new(chunk_words);
-        let mut locals = Vec::with_capacity(vproc_nodes.len());
-        for (vproc, &home) in vproc_nodes.iter().enumerate() {
-            let node = placer.place(home);
-            let base = space.map(RegionOwner::Local { vproc }, local_blocks);
-            page_map.place(base.raw(), local_words * WORD_BYTES, node);
-            locals.push(LocalHeap::new(vproc, node, base, local_words));
-        }
-        let global = GlobalHeap::new(chunk_words, num_nodes);
-
+        let global = Arc::new(
+            SharedGlobalHeap::new(layout.chunk_words(), num_nodes)
+                .with_placement(placement)
+                .with_node_span_bytes(config.node_span_bytes)
+                .with_page_policy(config.policy),
+        );
+        let descriptors = Arc::new(DescriptorTable::new());
+        let workers = vproc_nodes
+            .iter()
+            .enumerate()
+            .map(|(vproc, &home)| {
+                WorkerHeap::with_local_node(
+                    vproc,
+                    layout,
+                    home,
+                    global.place_page(home),
+                    global.clone(),
+                    descriptors.clone(),
+                )
+            })
+            .collect();
         Heap {
-            config,
-            num_nodes,
-            vproc_nodes: vproc_nodes.to_vec(),
-            placer,
-            page_map,
-            descriptors: DescriptorTable::new(),
-            space,
-            locals,
+            layout,
             global,
-            current_chunk: vec![None; vproc_nodes.len()],
-            placement: PlacementPolicy::NodeLocal,
-            interleave_cursor: 0,
-            promotion_target: vproc_nodes.to_vec(),
-            // Adaptive controllers cold-start in node-local mode.
-            effective_placement: vec![PlacementPolicy::NodeLocal; vproc_nodes.len()],
-            stats: HeapStats::default(),
+            workers,
         }
     }
 
-    /// Sets the promotion-chunk placement policy (see [`PlacementPolicy`]).
-    pub fn set_placement(&mut self, placement: PlacementPolicy) {
-        self.placement = placement;
-    }
-
-    /// The promotion-chunk placement policy.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.placement
-    }
-
-    /// Points `vproc`'s subsequent promotions at `node` (used around a steal
-    /// handoff so the stolen graph lands on the thief's node under
-    /// [`PlacementPolicy::NodeLocal`]).
+    /// Points `vproc`'s subsequent promotions at `node` (the thief's node
+    /// around a steal handoff, so the stolen graph lands there under
+    /// [`PlacementPolicy::NodeLocal`]; the vproc's home node otherwise).
     pub fn set_promotion_target(&mut self, vproc: usize, node: NodeId) {
-        self.promotion_target[vproc] = node;
-    }
-
-    /// Restores `vproc`'s promotion target to its home node.
-    pub fn reset_promotion_target(&mut self, vproc: usize) {
-        self.promotion_target[vproc] = self.vproc_nodes[vproc];
-    }
-
-    /// The node `vproc`'s next promotion targets.
-    pub fn promotion_target(&self, vproc: usize) -> NodeId {
-        self.promotion_target[vproc]
-    }
-
-    /// The static policy `vproc`'s chunk acquisitions currently follow:
-    /// the heap-wide policy, except under [`PlacementPolicy::Adaptive`],
-    /// where it is the controller-resolved per-vproc mode.
-    pub fn effective_placement(&self, vproc: usize) -> PlacementPolicy {
-        match self.placement {
-            PlacementPolicy::Adaptive => self.effective_placement[vproc],
-            fixed => fixed,
-        }
+        self.workers[vproc].set_promotion_target(node);
     }
 
     /// Resolves `vproc`'s effective policy under
-    /// [`PlacementPolicy::Adaptive`] (no effect on static heap-wide
-    /// policies). The runtime's adaptive controller calls this before each
-    /// promotion.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `effective` is itself `Adaptive`.
+    /// [`PlacementPolicy::Adaptive`] (see
+    /// [`WorkerHeap::set_effective_placement`]). The runtime's adaptive
+    /// controller calls this before each promotion.
     pub fn set_effective_placement(&mut self, vproc: usize, effective: PlacementPolicy) {
-        debug_assert!(
-            effective != PlacementPolicy::Adaptive,
-            "the adaptive controller resolves to a concrete static policy"
-        );
-        self.effective_placement[vproc] = effective;
-    }
-
-    /// The heap configuration.
-    pub fn config(&self) -> &HeapConfig {
-        &self.config
-    }
-
-    /// Number of vprocs this heap serves.
-    pub fn num_vprocs(&self) -> usize {
-        self.locals.len()
-    }
-
-    /// Number of NUMA nodes in the machine.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.workers[vproc].set_effective_placement(effective);
     }
 
     /// The home node (core location) of a vproc.
     pub fn vproc_home_node(&self, vproc: usize) -> NodeId {
-        self.vproc_nodes[vproc]
+        self.workers[vproc].home_node()
     }
 
     /// Heap-wide counters.
     pub fn stats(&self) -> HeapStats {
-        self.stats
-    }
-
-    /// The page map recording where every region physically lives.
-    pub fn page_map(&self) -> &PageMap {
-        &self.page_map
-    }
-
-    /// The descriptor table for mixed-type objects.
-    pub fn descriptors(&self) -> &DescriptorTable {
-        &self.descriptors
+        HeapStats {
+            chunk_acquisitions: self.global.chunk_acquisitions(),
+            evacuated_words: self.workers.iter().map(|w| w.stats().evacuated_words).sum(),
+        }
     }
 
     /// Registers a mixed-object descriptor and returns its ID.
     pub fn register_descriptor(&mut self, descriptor: Descriptor) -> DescriptorId {
-        self.descriptors.register(descriptor)
+        // The workers share the table read-only; re-point them at the grown
+        // copy (registration happens a handful of times, before the run).
+        let mut table = DescriptorTable::clone(self.workers[0].descriptors_mut());
+        let id = table.register(descriptor);
+        let table = Arc::new(table);
+        for worker in &mut self.workers {
+            *worker.descriptors_mut() = table.clone();
+        }
+        id
     }
 
-    /// Borrow a vproc's local heap.
-    pub fn local(&self, vproc: usize) -> &LocalHeap {
-        &self.locals[vproc]
-    }
-
-    /// Mutably borrow a vproc's local heap.
-    pub fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
-        &mut self.locals[vproc]
-    }
-
-    /// Borrow the global heap.
-    pub fn global(&self) -> &GlobalHeap {
-        &self.global
-    }
-
-    /// Mutably borrow the global heap.
-    pub fn global_mut(&mut self) -> &mut GlobalHeap {
-        &mut self.global
+    /// Mutably borrow a vproc's view of the heap.
+    pub fn worker_mut(&mut self, vproc: usize) -> &mut WorkerHeap {
+        &mut self.workers[vproc]
     }
 
     /// The vproc's current global-heap chunk, if it has one.
     pub fn current_chunk(&self, vproc: usize) -> Option<ChunkId> {
-        self.current_chunk[vproc]
+        self.workers[vproc].current_chunk().map(|chunk| chunk.id())
+    }
+
+    /// Classifies `addr` once: the index of the worker an access to it goes
+    /// to, and what the layout says it is.
+    #[inline]
+    fn owner_of(&self, addr: Addr) -> (usize, ThreadedOwner) {
+        let owner = self.layout.owner_of(addr);
+        let worker = match owner {
+            ThreadedOwner::Local(vproc) => vproc,
+            _ => 0,
+        };
+        (worker, owner)
     }
 
     // ------------------------------------------------------------------
-    // Address resolution
+    // Object readers
     // ------------------------------------------------------------------
 
-    /// Which space `addr` belongs to.
-    pub fn space_of(&self, addr: Addr) -> Space {
-        match self.space.owner_of(addr) {
-            RegionOwner::Unmapped => Space::Unmapped,
-            RegionOwner::Global { chunk } => Space::Global { chunk },
-            RegionOwner::Local { vproc } => {
-                let local = &self.locals[vproc];
-                match local.region_of(addr) {
-                    LocalRegion::Old => Space::LocalOld { vproc },
-                    LocalRegion::Young => Space::LocalYoung { vproc },
-                    LocalRegion::Nursery => Space::LocalNursery { vproc },
-                    LocalRegion::Reserve | LocalRegion::NurseryFree => Space::LocalFree { vproc },
-                }
-            }
-        }
-    }
-
-    /// True if `addr` lies in any local heap.
-    pub fn is_local(&self, addr: Addr) -> bool {
-        matches!(self.space.owner_of(addr), RegionOwner::Local { .. })
-    }
-
-    /// True if `addr` lies in the global heap.
-    pub fn is_global(&self, addr: Addr) -> bool {
-        matches!(self.space.owner_of(addr), RegionOwner::Global { .. })
-    }
-
-    /// The NUMA node whose memory backs `addr`.
+    /// Reads payload field `index` of the object at `obj`.
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is unmapped.
-    pub fn node_of(&self, addr: Addr) -> NodeId {
-        match self.space.owner_of(addr) {
-            RegionOwner::Local { vproc } => self.locals[vproc].node(),
-            RegionOwner::Global { chunk } => self.global.chunk(chunk).node(),
-            RegionOwner::Unmapped => panic!("{addr:?} is not mapped to any heap region"),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Word and object access
-    // ------------------------------------------------------------------
-
-    /// Reads the word at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is unmapped.
-    pub fn read_word(&self, addr: Addr) -> Word {
-        match self.space.owner_of(addr) {
-            RegionOwner::Local { vproc } => {
-                let local = &self.locals[vproc];
-                local.read(local.offset_of(addr))
-            }
-            RegionOwner::Global { chunk } => {
-                let chunk = self.global.chunk(chunk);
-                chunk.read(chunk.offset_of(addr))
-            }
-            RegionOwner::Unmapped => panic!("read from unmapped address {addr:?}"),
-        }
-    }
-
-    /// Writes the word at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is unmapped.
-    pub fn write_word(&mut self, addr: Addr, value: Word) {
-        match self.space.owner_of(addr) {
-            RegionOwner::Local { vproc } => {
-                let local = &mut self.locals[vproc];
-                let off = local.offset_of(addr);
-                local.write(off, value);
-            }
-            RegionOwner::Global { chunk } => {
-                let chunk = self.global.chunk_mut(chunk);
-                let off = chunk.offset_of(addr);
-                chunk.write(off, value);
-            }
-            RegionOwner::Unmapped => panic!("write to unmapped address {addr:?}"),
-        }
-    }
-
-    /// Reads the header slot of the object at `obj` (the word below the
-    /// payload): either a header or a forwarding pointer.
-    pub fn header_slot(&self, obj: Addr) -> HeaderSlot {
-        HeaderSlot::decode(self.read_word(obj.sub_words(1)))
+    /// Panics if `obj` is unmapped.
+    #[inline]
+    pub fn read_field(&self, obj: Addr, index: usize) -> Word {
+        let (worker, owner) = self.owner_of(obj);
+        self.workers[worker].place(owner, obj).read(index)
     }
 
     /// Reads the header of the object at `obj`.
@@ -574,48 +428,10 @@ impl Heap {
         self.header_slot(obj).forwarded_to()
     }
 
-    /// Overwrites the object's header with a forwarding pointer to `target`.
-    pub fn set_forward(&mut self, obj: Addr, target: Addr) {
-        debug_assert!(!target.is_null());
-        self.write_word(obj.sub_words(1), target.raw());
-    }
-
-    /// Reads payload field `index` of the object at `obj`.
-    pub fn read_field(&self, obj: Addr, index: usize) -> Word {
-        self.read_word(obj.add_words(index))
-    }
-
-    /// Writes payload field `index` of the object at `obj`.
-    ///
-    /// The mutator never calls this (the language is mutation-free); it is
-    /// used by the collector to redirect pointer fields and by the runtime to
-    /// initialise objects it builds by hand (channel buffers, proxies).
-    pub fn write_field(&mut self, obj: Addr, index: usize, value: Word) {
-        self.write_word(obj.add_words(index), value);
-    }
-
     /// Reads the whole payload of the object at `obj`.
     pub fn payload(&self, obj: Addr) -> Vec<Word> {
-        let header = self.header_of(obj);
-        (0..header.len_words as usize)
-            .map(|i| self.read_field(obj, i))
-            .collect()
-    }
-
-    /// The payload indices of the pointer fields of an object with header
-    /// `header`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapError::UnknownDescriptor`] if a mixed object's ID has no
-    /// registered descriptor.
-    pub fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
-        self.descriptors.pointer_fields(header)
-    }
-
-    /// The total size in bytes of the object at `obj`, including its header.
-    pub fn object_bytes(&self, obj: Addr) -> usize {
-        self.header_of(obj).total_bytes()
+        let (worker, owner) = self.owner_of(obj);
+        self.workers[worker].place(owner, obj).payload()
     }
 
     // ------------------------------------------------------------------
@@ -628,8 +444,7 @@ impl Heap {
     ///
     /// Returns [`HeapError::NurseryFull`] when a minor collection is needed.
     pub fn alloc_raw(&mut self, vproc: usize, payload: &[Word]) -> Result<Addr, HeapError> {
-        let header = Header::new(ObjectKind::Raw, payload.len() as u64).encode();
-        self.locals[vproc].alloc(header, payload)
+        self.workers[vproc].alloc_raw(payload)
     }
 
     /// Allocates a pointer-vector object in `vproc`'s nursery. Every element
@@ -639,125 +454,45 @@ impl Heap {
     ///
     /// Returns [`HeapError::NurseryFull`] when a minor collection is needed.
     pub fn alloc_vector(&mut self, vproc: usize, elements: &[Word]) -> Result<Addr, HeapError> {
-        let header = Header::new(ObjectKind::Vector, elements.len() as u64).encode();
-        self.locals[vproc].alloc(header, elements)
+        self.workers[vproc].alloc_vector(elements)
     }
 
     /// Allocates a mixed-type object in `vproc`'s nursery.
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::UnknownDescriptor`] for an unregistered
-    /// descriptor, [`HeapError::PayloadSizeMismatch`] if the payload does not
-    /// match the descriptor's declared size, and [`HeapError::NurseryFull`]
-    /// when a minor collection is needed.
+    /// As [`WorkerHeap::alloc_mixed`].
     pub fn alloc_mixed(
         &mut self,
         vproc: usize,
         descriptor: DescriptorId,
         payload: &[Word],
     ) -> Result<Addr, HeapError> {
-        let desc = self
-            .descriptors
-            .get(descriptor.id())
-            .ok_or(HeapError::UnknownDescriptor {
-                id: descriptor.id(),
-            })?;
-        if desc.size_words as usize != payload.len() {
-            return Err(HeapError::PayloadSizeMismatch {
-                expected: desc.size_words as usize,
-                supplied: payload.len(),
-            });
-        }
-        let header = Header::new(ObjectKind::Mixed(descriptor.id()), payload.len() as u64).encode();
-        self.locals[vproc].alloc(header, payload)
+        self.workers[vproc].alloc_mixed(descriptor, payload)
     }
 
     // ------------------------------------------------------------------
-    // Collector allocation (old area, global chunks)
+    // Collector allocation (global chunks)
     // ------------------------------------------------------------------
 
     /// Acquires a fresh current chunk for `vproc`, retiring the previous one
-    /// (if any) to the [`ChunkState::Filled`] state. Returns the new chunk.
+    /// (if any) to the filled state. Returns the new chunk.
     ///
     /// This corresponds to the synchronisation point of §3.3: in the real
     /// runtime this takes a node-local or global lock; here we count it in
     /// [`HeapStats::chunk_acquisitions`] so the scheduler can charge for it.
     pub fn fresh_current_chunk(&mut self, vproc: usize) -> ChunkId {
-        if let Some(old) = self.current_chunk[vproc] {
-            self.global.chunk_mut(old).set_state(ChunkState::Filled);
-        }
-        // The placement policy picks the target node (consumer node under
-        // `NodeLocal`, home node under `FirstTouch`, round-robin under
-        // `Interleave`, whichever of those the controller resolved under
-        // `Adaptive`); the page placer then resolves it exactly as it does
-        // for any other region.
-        let target = match self.effective_placement(vproc) {
-            PlacementPolicy::NodeLocal | PlacementPolicy::Adaptive => self.promotion_target[vproc],
-            PlacementPolicy::FirstTouch => self.vproc_nodes[vproc],
-            PlacementPolicy::Interleave => {
-                let node = NodeId::new((self.interleave_cursor % self.num_nodes) as u16);
-                self.interleave_cursor += 1;
-                node
-            }
-        };
-        let preferred = self.placer.place(target);
-        let id = self.global.acquire_chunk(preferred, &mut self.space);
-        let base = self.global.chunk_base(id);
-        let bytes = self.global.chunk_size_bytes();
-        let node = self.global.chunk(id).node();
-        self.page_map.place(base.raw(), bytes, node);
-        self.global
-            .chunk_mut(id)
-            .set_state(ChunkState::Current { vproc });
-        self.current_chunk[vproc] = Some(id);
-        self.stats.chunk_acquisitions += 1;
-        id
-    }
-
-    /// The node the next chunk acquisition is *bound* to, when the
-    /// combination of placement policy and page policy pins one
-    /// deterministically (`None` under `Interleave` placement or an
-    /// interleaved page policy — retiring chunks would only churn there).
-    fn bound_chunk_node(&self, vproc: usize) -> Option<NodeId> {
-        let target = match self.effective_placement(vproc) {
-            PlacementPolicy::NodeLocal | PlacementPolicy::Adaptive => self.promotion_target[vproc],
-            PlacementPolicy::FirstTouch => self.vproc_nodes[vproc],
-            PlacementPolicy::Interleave => return None,
-        };
-        match self.placer.policy() {
-            AllocPolicy::Local | AllocPolicy::FirstTouch => Some(target),
-            AllocPolicy::SocketZero => Some(NodeId::new(0)),
-            AllocPolicy::Interleaved => None,
-        }
-    }
-
-    /// Ensures `vproc` has a current chunk on the node the placement policy
-    /// binds it to, acquiring (or replacing a wrong-node chunk with) a fresh
-    /// one if necessary — the same retarget-on-mismatch rule the threaded
-    /// `WorkerHeap` applies, so the backends' placement behaviour agrees.
-    pub fn ensure_current_chunk(&mut self, vproc: usize) -> ChunkId {
-        match self.current_chunk[vproc] {
-            Some(id) => match self.bound_chunk_node(vproc) {
-                Some(want) if self.global.chunk(id).node() != want => {
-                    self.fresh_current_chunk(vproc)
-                }
-                _ => id,
-            },
-            None => self.fresh_current_chunk(vproc),
-        }
+        self.workers[vproc].fresh_current_chunk()
     }
 
     /// Drops `vproc`'s claim on its current chunk, marking it filled.
     pub fn retire_current_chunk(&mut self, vproc: usize) {
-        if let Some(id) = self.current_chunk[vproc].take() {
-            self.global.chunk_mut(id).set_state(ChunkState::Filled);
-        }
+        self.workers[vproc].retire_current_chunk();
     }
 
     /// Allocates an object with an explicit header into `vproc`'s current
     /// global chunk, acquiring a fresh chunk transparently when the current
-    /// one fills up.
+    /// one fills up or sits on the wrong node.
     ///
     /// # Errors
     ///
@@ -769,82 +504,89 @@ impl Heap {
         header: Word,
         payload: &[Word],
     ) -> Result<Addr, HeapError> {
-        let total = payload.len() + 1;
-        if total > self.global.chunk_size_words() {
-            return Err(HeapError::ObjectTooLarge {
-                requested_words: total,
-                max_words: self.global.chunk_size_words(),
-            });
-        }
-        let chunk = self.ensure_current_chunk(vproc);
-        match self.global.chunk_mut(chunk).alloc(header, payload) {
-            Ok(addr) => Ok(addr),
-            Err(HeapError::ChunkFull { .. }) => {
-                let fresh = self.fresh_current_chunk(vproc);
-                self.global.chunk_mut(fresh).alloc(header, payload)
-            }
-            Err(e) => Err(e),
-        }
+        self.workers[vproc].alloc_in_global(header, payload)
+    }
+}
+
+impl GcHeap for Heap {
+    fn num_vprocs(&self) -> usize {
+        self.workers.len()
     }
 
-    /// Allocates an object into a specific chunk (used by the global
-    /// collection when filling to-space chunks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapError::ChunkFull`] if the chunk has no room.
-    pub fn alloc_in_chunk(
-        &mut self,
-        chunk: ChunkId,
-        header: Word,
-        payload: &[Word],
-    ) -> Result<Addr, HeapError> {
-        self.global.chunk_mut(chunk).alloc(header, payload)
+    fn local(&self, vproc: usize) -> &LocalHeap {
+        self.workers[vproc].local(vproc)
     }
 
-    // ------------------------------------------------------------------
-    // Evacuation (the copying mechanism shared by all collections)
-    // ------------------------------------------------------------------
+    fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
+        self.workers[vproc].local_mut(vproc)
+    }
 
-    /// Copies the object at `obj` into `target`, installs a forwarding
-    /// pointer in the original header slot, and returns the new address plus
-    /// the number of bytes copied (header included).
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation errors from the target space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object has already been forwarded.
-    pub fn evacuate(&mut self, obj: Addr, target: EvacTarget) -> Result<(Addr, usize), HeapError> {
-        let header = self.header_of(obj);
-        let payload = self.payload(obj);
-        let encoded = header.encode();
-        let new_addr = match target {
-            EvacTarget::OldArea { vproc } => self.locals[vproc].alloc_in_old(encoded, &payload)?,
-            EvacTarget::GlobalCurrent { vproc } => {
-                self.alloc_in_global(vproc, encoded, &payload)?
-            }
-            EvacTarget::Chunk(chunk) => self.alloc_in_chunk(chunk, encoded, &payload)?,
-        };
-        self.set_forward(obj, new_addr);
-        // Preserve the original header in the first payload word of the dead
-        // copy so linear heap walks can still compute the object's footprint
-        // and skip over it (the payload itself is dead — every reader must
-        // follow the forwarding pointer).
-        if header.len_words >= 1 {
-            self.write_field(obj, 0, encoded);
-        }
-        self.stats.evacuated_words += header.total_words() as u64;
-        Ok((new_addr, header.total_bytes()))
+    fn space_of(&self, addr: Addr) -> Space {
+        let (worker, owner) = self.owner_of(addr);
+        self.workers[worker].space_at(owner, addr)
+    }
+
+    #[inline]
+    fn is_local(&self, addr: Addr) -> bool {
+        matches!(self.layout.owner_of(addr), ThreadedOwner::Local(_))
+    }
+
+    #[inline]
+    fn is_global(&self, addr: Addr) -> bool {
+        matches!(self.layout.owner_of(addr), ThreadedOwner::Global { .. })
+    }
+
+    fn node_of(&self, addr: Addr) -> NodeId {
+        let (worker, owner) = self.owner_of(addr);
+        self.workers[worker].node_at(owner, addr)
+    }
+
+    #[inline]
+    fn header_slot(&self, obj: Addr) -> HeaderSlot {
+        let (worker, owner) = self.owner_of(obj);
+        self.workers[worker].place(owner, obj).header_slot()
+    }
+
+    #[inline]
+    fn read_field(&self, obj: Addr, index: usize) -> Word {
+        Heap::read_field(self, obj, index)
+    }
+
+    fn write_field(&mut self, obj: Addr, index: usize, value: Word) {
+        let (worker, owner) = self.owner_of(obj);
+        self.workers[worker].write_at(owner, obj, index, value);
+    }
+
+    fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
+        self.workers[0].pointer_field_indices(header)
+    }
+
+    /// The object must live in the target vproc's local heap.
+    fn evacuate(&mut self, obj: Addr, target: EvacTarget) -> Result<(Addr, usize), HeapError> {
+        let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
+        self.workers[vproc].evacuate(obj, target)
+    }
+
+    fn chunk_acquisitions(&self) -> u64 {
+        self.global.chunk_acquisitions()
+    }
+
+    fn global(&self) -> &Arc<SharedGlobalHeap> {
+        &self.global
+    }
+
+    /// The whole machine: the global heap and every local heap.
+    fn verify_violations(&self) -> Vec<InvariantViolation> {
+        crate::verify::verify_heap(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::ObjectKind;
     use crate::object::i64_to_word;
+    use crate::shared::SharedChunkState;
 
     fn two_vproc_heap() -> Heap {
         Heap::new(
@@ -861,7 +603,39 @@ mod tests {
         assert_eq!(heap.local(0).node(), NodeId::new(0));
         assert_eq!(heap.local(1).node(), NodeId::new(1));
         assert_eq!(heap.vproc_home_node(1), NodeId::new(1));
-        assert!(heap.page_map().mapped_pages() > 0);
+        // Both local heaps are mapped, back to back; no chunk is yet.
+        let last_word = heap
+            .local(1)
+            .base()
+            .add_words(heap.local(1).size_words() - 1);
+        assert_eq!(heap.space_of(last_word), Space::LocalFree { vproc: 1 });
+        assert_eq!(heap.layout.local_base(1), heap.local(1).base());
+        assert_eq!(heap.global().num_chunks(), 0);
+    }
+
+    #[test]
+    fn both_backends_size_a_local_heap_the_same_way() {
+        // 20 KiB is not a whole number of 16 KiB chunks: the simulated heap
+        // used to round it up to 32 KiB, the threaded layout never did.
+        let config = HeapConfig {
+            chunk_size_bytes: 16 * 1024,
+            local_heap_bytes: 20 * 1024,
+            ..HeapConfig::small_for_tests()
+        };
+        let heap = Heap::new(config, &[NodeId::new(0), NodeId::new(1)], 2);
+        let layout = ThreadedLayout::new(&config, 2, 2);
+        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
+        let table = Arc::new(DescriptorTable::new());
+        for vproc in 0..2 {
+            let node = NodeId::new(vproc as u16);
+            let worker = WorkerHeap::new(vproc, layout, node, global.clone(), table.clone());
+            let (sim, threaded) = (heap.local(vproc), worker.local(vproc));
+            assert_eq!(sim.size_bytes(), 20 * 1024);
+            assert_eq!(sim.size_words(), threaded.size_words());
+            assert_eq!(sim.base(), threaded.base());
+            assert_eq!(sim.nursery_start(), threaded.nursery_start());
+            assert_eq!(sim.nursery_free_words(), threaded.nursery_free_words());
+        }
     }
 
     #[test]
@@ -931,7 +705,17 @@ mod tests {
         let mut heap = Heap::new(config, &[NodeId::new(0), NodeId::new(1)], 2);
         assert_eq!(heap.local(1).node(), NodeId::new(0));
         let chunk = heap.fresh_current_chunk(1);
-        assert_eq!(heap.global().chunk(chunk).node(), NodeId::new(0));
+        assert_eq!(heap.global().chunk_at(chunk.index()).node(), NodeId::new(0));
+        // Every lease comes from node 0 whatever the consumer's node, so a
+        // node-0 chunk is never "on the wrong node": allocating for a
+        // consumer on node 1 keeps filling it instead of leasing per object.
+        heap.set_promotion_target(1, NodeId::new(1));
+        let header = Header::new(ObjectKind::Raw, 1).encode();
+        for _ in 0..8 {
+            heap.alloc_in_global(1, header, &[7]).unwrap();
+        }
+        assert_eq!(heap.current_chunk(1), Some(chunk));
+        assert_eq!(heap.stats().chunk_acquisitions, 1);
     }
 
     #[test]
@@ -1013,7 +797,10 @@ mod tests {
         let second = heap.current_chunk(0).unwrap();
         assert_ne!(first, second);
         assert_eq!(heap.space_of(obj), Space::Global { chunk: second });
-        assert_eq!(heap.global().chunk(first).state(), ChunkState::Filled);
+        assert_eq!(
+            heap.global().chunk_at(first.index()).state(),
+            SharedChunkState::Filled
+        );
     }
 
     #[test]
@@ -1034,7 +821,7 @@ mod tests {
         assert!(heap.space_of(nursery_obj).is_local());
         assert_eq!(heap.space_of(nursery_obj).vproc(), Some(0));
         let chunk = heap.fresh_current_chunk(0);
-        let base = heap.global().chunk_base(chunk);
+        let base = heap.global().chunk_at(chunk.index()).base();
         assert_eq!(heap.space_of(base), Space::Global { chunk });
         assert!(heap.space_of(base).is_global());
         assert_eq!(heap.space_of(Addr::new(8)), Space::Unmapped);
@@ -1044,7 +831,7 @@ mod tests {
     #[should_panic(expected = "unmapped")]
     fn reading_unmapped_address_panics() {
         let heap = two_vproc_heap();
-        let _ = heap.read_word(Addr::new(8));
+        let _ = heap.read_field(Addr::new(8), 0);
     }
 
     #[test]
@@ -1053,7 +840,10 @@ mod tests {
         let chunk = heap.fresh_current_chunk(0);
         heap.retire_current_chunk(0);
         assert_eq!(heap.current_chunk(0), None);
-        assert_eq!(heap.global().chunk(chunk).state(), ChunkState::Filled);
+        assert_eq!(
+            heap.global().chunk_at(chunk.index()).state(),
+            SharedChunkState::Filled
+        );
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //!   scanning functions ([`DescriptorTable`], §3.2);
 //! * per-vproc [`LocalHeap`]s with the Appel semi-generational nursery /
 //!   young / old geometry (Figures 2 and 3);
-//! * the chunked [`GlobalHeap`] with per-node free lists and node-affine
-//!   chunk reuse (§3.1, §3.4);
-//! * the [`Heap`] facade tying them together over a simulated NUMA-aware
-//!   address space, including the evacuation primitive every collection is
-//!   built from; and
+//! * the one chunked global heap, [`SharedGlobalHeap`]: chunks in per-node
+//!   address bands, leased to vprocs, pooled on lock-free per-node free
+//!   lists and reused with node affinity (§3.1, §3.4);
+//! * [`WorkerHeap`], one vproc's view — its own local heap plus the shared
+//!   global heap — with the evacuation primitive every collection is built
+//!   from; the threaded backend gives one to each OS thread, and the
+//!   simulated backend's [`Heap`] is all of them behind a vproc-indexed
+//!   interface; and
 //! * invariant checkers for the two no-cross-heap-pointer rules (§2.3).
 //!
 //! The collection algorithms themselves (minor, major, promotion, global)
@@ -51,15 +54,14 @@ mod heap;
 mod local;
 mod object;
 mod shared;
-mod space;
 mod verify;
 
 pub use addr::{word_as_pointer, Addr, Word, WORD_BYTES};
-pub use chunk::{Chunk, ChunkId, ChunkObjects, ChunkState};
+pub use chunk::ChunkId;
 pub use descriptor::{Descriptor, DescriptorId, DescriptorTable, PointerFields};
 pub use error::HeapError;
 pub use gc_heap::GcHeap;
-pub use global::{GlobalHeap, GlobalHeapStats, SharedChunkPool};
+pub use global::SharedChunkPool;
 pub use header::{
     Header, HeaderSlot, ObjectKind, FIRST_MIXED_ID, MAX_ID, MAX_LEN_WORDS, RAW_ID, VECTOR_ID,
 };
@@ -74,5 +76,4 @@ pub use shared::{
     ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE, LOCAL_BASE, MAX_NODE_SPAN_SHIFT,
     NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
 };
-pub use space::{AddressSpace, RegionOwner};
 pub use verify::{verify_global_heap, verify_heap, verify_local_heap, InvariantViolation};

@@ -111,12 +111,6 @@ impl LocalHeap {
         self.node
     }
 
-    /// Re-places the heap's pages on a different node (placement policies
-    /// other than local allocation do this at creation time).
-    pub fn set_node(&mut self, node: NodeId) {
-        self.node = node;
-    }
-
     /// Base address of the heap.
     pub fn base(&self) -> Addr {
         self.base

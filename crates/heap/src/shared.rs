@@ -1,9 +1,10 @@
-//! The concurrent heap substrate for the real-threads execution backend.
+//! The one chunk store and the per-vproc view of it.
 //!
-//! The discrete-event simulation owns every memory region from one thread,
-//! so its [`Heap`](crate::Heap) can be a plain data structure. Running each
-//! vproc on a real OS thread splits the picture exactly along the paper's
-//! §3.3 synchronisation boundary:
+//! Both execution backends run on this module: the real-threads backend
+//! gives each OS thread one [`WorkerHeap`], the discrete-event simulation
+//! steps all of them from one thread behind the vproc-indexed
+//! [`Heap`](crate::Heap). The split follows the paper's §3.3
+//! synchronisation boundary:
 //!
 //! * each worker thread **owns** its [`LocalHeap`] outright — allocation,
 //!   minor collections, and major collections touch only thread-local state
@@ -17,8 +18,7 @@
 //!   is an append-only table of write-once slots, so resolving a global
 //!   address to its chunk takes no lock and hands out a plain reference.
 //!
-//! Address arithmetic replaces the simulation's
-//! [`AddressSpace`](crate::AddressSpace): worker `w`'s local heap lives at
+//! Addresses are arithmetic: worker `w`'s local heap lives at
 //! `LOCAL_BASE + w * local_span`, and the global heap is **partitioned by
 //! NUMA node** — node `n`'s chunks live in the address band
 //! `GLOBAL_BASE + n * NODE_SPAN_BYTES ..`, chunk `i` of that node at
@@ -38,7 +38,8 @@ use crate::global::SharedChunkPool;
 use crate::header::{Header, HeaderSlot, ObjectKind};
 use crate::heap::{EvacTarget, HeapConfig, HeapStats, Space};
 use crate::local::{LocalHeap, LocalRegion};
-use mgc_numa::{NodeId, PlacementPolicy};
+use crate::verify::InvariantViolation;
+use mgc_numa::{AllocPolicy, NodeId, PagePlacer, PlacementPolicy};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -145,8 +146,7 @@ impl ChunkDirectory {
     }
 }
 
-/// Lifecycle state of a shared chunk (the payload-free counterpart of
-/// [`ChunkState`](crate::ChunkState); the owning vproc of a current chunk is
+/// Lifecycle state of a chunk (the owning vproc of a current chunk is
 /// implicit in which worker holds the `Arc`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -198,7 +198,7 @@ pub struct SharedChunk {
 }
 
 impl SharedChunk {
-    fn new(id: ChunkId, base: Addr, node: NodeId, size_words: usize) -> Self {
+    pub(crate) fn new(id: ChunkId, base: Addr, node: NodeId, size_words: usize) -> Self {
         SharedChunk {
             id,
             base,
@@ -206,7 +206,13 @@ impl SharedChunk {
             state: AtomicU8::new(SharedChunkState::Free as u8),
             top: AtomicUsize::new(0),
             scan: AtomicUsize::new(0),
-            data: (0..size_words).map(|_| AtomicU64::new(0)).collect(),
+            // Zeroed words straight from the allocator, turned into atomics
+            // in place: the pages of a chunk's unused tail are never written,
+            // so they cost no memory until an object lands on them.
+            data: vec![0; size_words]
+                .into_iter()
+                .map(AtomicU64::new)
+                .collect(),
         }
     }
 
@@ -375,6 +381,32 @@ impl SharedChunk {
         self.scan.store(scan, Ordering::Release);
     }
 
+    /// True if every allocated object in this chunk has been scanned.
+    pub fn fully_scanned(&self) -> bool {
+        self.scan() >= self.used_words()
+    }
+
+    /// The objects allocated in this chunk, in allocation order, by payload
+    /// address.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics on a forwarding pointer: only from-space chunks
+    /// hold any, and a from-space chunk is dead — nothing walks it.
+    pub fn objects(&self) -> impl Iterator<Item = Addr> + '_ {
+        let mut offset = 0;
+        std::iter::from_fn(move || {
+            if offset >= self.used_words() {
+                return None;
+            }
+            let header = Header::decode(self.read(offset))
+                .expect("a walked chunk holds only objects, never forwards");
+            let obj = self.base.add_words(offset + 1);
+            offset += header.total_words();
+            Some(obj)
+        })
+    }
+
     /// Resets the chunk to empty and [`SharedChunkState::Free`].
     pub fn reset(&self) {
         self.top.store(0, Ordering::Release);
@@ -386,7 +418,7 @@ impl SharedChunk {
     }
 }
 
-/// The shared global heap of the real-threads backend, **partitioned by
+/// The global heap, **partitioned by
 /// NUMA node**: each node owns a contiguous address band (so `addr → node`
 /// is arithmetic, see [`global_node_of`]), its own append-only chunk
 /// directory, and its own lock-free Treiber free stack inside the
@@ -400,6 +432,11 @@ pub struct SharedGlobalHeap {
     /// [`PlacementPolicy`]); fixed at construction. `Adaptive` is resolved
     /// per lease by the caller through [`SharedGlobalHeap::acquire_as`].
     placement: PlacementPolicy,
+    /// The page policy every lease node is resolved through (§4.3). The
+    /// default, [`AllocPolicy::Local`], is the identity: callers that place
+    /// their vproc nodes themselves (the threaded backend) lease where they
+    /// ask.
+    pages: PagePlacer,
     /// Bytes of address band per node (a power of two; default
     /// [`NODE_SPAN_BYTES`]).
     node_span_bytes: u64,
@@ -436,6 +473,7 @@ impl SharedGlobalHeap {
             chunk_size_words,
             num_nodes,
             placement: PlacementPolicy::NodeLocal,
+            pages: PagePlacer::new(AllocPolicy::Local, num_nodes),
             node_span_bytes: NODE_SPAN_BYTES,
             chunks: ChunkDirectory::new(),
             by_node: (0..num_nodes).map(|_| ChunkDirectory::new()).collect(),
@@ -452,6 +490,14 @@ impl SharedGlobalHeap {
     /// heap is shared between threads).
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
+        self
+    }
+
+    /// Resolves every lease node (and, through
+    /// [`SharedGlobalHeap::place_page`], the simulated backend's local
+    /// heaps) through `policy` from here on.
+    pub(crate) fn with_page_policy(mut self, policy: AllocPolicy) -> Self {
+        self.pages = PagePlacer::new(policy, self.num_nodes);
         self
     }
 
@@ -491,21 +537,44 @@ impl SharedGlobalHeap {
         self.node_span_bytes
     }
 
-    /// Resolves a lease node under an explicit *effective* policy. This is
-    /// how [`PlacementPolicy::Adaptive`] reaches the heap: the runtime's
-    /// controller resolves the adaptive mode to node-local or interleave
-    /// first, so the heap only ever executes static behaviours (an
-    /// unresolved `Adaptive` behaves as node-local, its cold-start mode).
-    pub fn place_node_as(&self, effective: PlacementPolicy, preferred: NodeId) -> NodeId {
-        match effective {
-            PlacementPolicy::NodeLocal
-            | PlacementPolicy::FirstTouch
-            | PlacementPolicy::Adaptive => preferred,
-            PlacementPolicy::Interleave => {
-                let next = self.interleave_cursor.fetch_add(1, Ordering::Relaxed);
-                NodeId::new((next % self.num_nodes) as u16)
-            }
+    /// The node the page policy backs a region requested from `requesting`
+    /// with. Shares the interleave cursor with the chunk leases.
+    pub(crate) fn place_page(&self, requesting: NodeId) -> NodeId {
+        self.pages.place(requesting)
+    }
+
+    /// The one node every lease under `effective` placement for a consumer
+    /// on `preferred` comes from, or `None` when leases rotate over the
+    /// nodes — `Interleave` placement, or an interleaving page policy — so
+    /// that no chunk is ever on the wrong one. Both the acquire path and a
+    /// worker's "is my current chunk still acceptable" check ask here, so
+    /// they cannot disagree (under `SocketZero` the answer is node 0 whatever
+    /// the consumer: comparing against `preferred` would lease per object).
+    pub fn bound_lease_node(
+        &self,
+        effective: PlacementPolicy,
+        preferred: NodeId,
+    ) -> Option<NodeId> {
+        if !effective.binds_node() {
+            return None;
         }
+        match self.pages.policy() {
+            AllocPolicy::Local | AllocPolicy::FirstTouch => Some(preferred),
+            AllocPolicy::SocketZero => Some(NodeId::new(0)),
+            AllocPolicy::Interleaved => None,
+        }
+    }
+
+    /// The node of the next lease when none is bound: the placement policy's
+    /// round-robin pick (or `preferred`), resolved through the page policy.
+    fn rotating_lease_node(&self, effective: PlacementPolicy, preferred: NodeId) -> NodeId {
+        let target = if effective.binds_node() {
+            preferred
+        } else {
+            let next = self.interleave_cursor.fetch_add(1, Ordering::Relaxed);
+            NodeId::new((next % self.num_nodes) as u16)
+        };
+        self.pages.place(target)
     }
 
     /// Chunk size in words.
@@ -536,6 +605,12 @@ impl SharedGlobalHeap {
     /// Chunks created from fresh address space.
     pub fn chunks_created(&self) -> u64 {
         self.chunks_created.load(Ordering::Relaxed)
+    }
+
+    /// Chunk leases so far, fresh or pooled (each is the synchronisation
+    /// point of §3.3).
+    pub fn chunk_acquisitions(&self) -> u64 {
+        self.chunks_created() + self.pool.reused_local()
     }
 
     /// Number of chunks currently in use (not on the free pool).
@@ -594,17 +669,22 @@ impl SharedGlobalHeap {
 
     /// Acquires a chunk for a worker whose preferred (consumer) node is
     /// `preferred`, first resolving the actual node through the placement
-    /// policy, then reusing a chunk pooled on that node, otherwise mapping a
-    /// fresh one in the node's address band. The returned chunk is in
-    /// [`SharedChunkState::Current`].
+    /// and page policies, then reusing a chunk pooled on that node, otherwise
+    /// mapping a fresh one in the node's address band. The returned chunk is
+    /// in [`SharedChunkState::Current`].
     pub fn acquire(&self, preferred: NodeId) -> Arc<SharedChunk> {
         self.acquire_as(self.placement, preferred)
     }
 
-    /// [`SharedGlobalHeap::acquire`] under an explicit effective policy
-    /// (see [`SharedGlobalHeap::place_node_as`]).
+    /// [`SharedGlobalHeap::acquire`] under an explicit *effective* policy.
+    /// This is how [`PlacementPolicy::Adaptive`] reaches the heap: the
+    /// runtime's controller resolves the adaptive mode to node-local or
+    /// interleave first, so the heap only ever executes static behaviours
+    /// (an unresolved `Adaptive` behaves as node-local, its cold-start mode).
     pub fn acquire_as(&self, effective: PlacementPolicy, preferred: NodeId) -> Arc<SharedChunk> {
-        let node = self.place_node_as(effective, preferred);
+        let node = self
+            .bound_lease_node(effective, preferred)
+            .unwrap_or_else(|| self.rotating_lease_node(effective, preferred));
         if let Some(id) = self.pool.pop(node) {
             let chunk = self.chunk_at(id.index());
             debug_assert_eq!(chunk.state(), SharedChunkState::Free);
@@ -662,9 +742,8 @@ impl SharedGlobalHeap {
     }
 }
 
-/// The fixed address-space layout of a threaded machine: pure arithmetic
-/// replaces the simulation's shared [`AddressSpace`](crate::AddressSpace),
-/// so classifying an address is lock-free.
+/// The fixed address-space layout of a machine: classifying an address is
+/// pure arithmetic, so it takes no lock and no table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadedLayout {
     num_vprocs: usize,
@@ -788,11 +867,6 @@ impl ThreadedLayout {
         self.chunk.words()
     }
 
-    /// log2 of the per-node global-heap address band.
-    pub fn node_span_shift(&self) -> u32 {
-        self.node_span_shift
-    }
-
     /// Bytes of global-heap address band per node.
     pub fn node_span_bytes(&self) -> u64 {
         1 << self.node_span_shift
@@ -829,18 +903,21 @@ impl ThreadedLayout {
     }
 }
 
-/// A worker thread's view of the heap: its own [`LocalHeap`] plus the shared
+/// One vproc's view of the heap: its own [`LocalHeap`] plus the shared
 /// global heap. Implements [`GcHeap`], so the generic minor/major/promotion
 /// algorithms of `mgc-core` run on it unchanged — with the crucial property
 /// that the minor-collection path touches only owned state (no locks,
-/// §3.3).
+/// §3.3). A worker thread owns one outright; the simulated backend's
+/// [`Heap`](crate::Heap) holds one per vproc.
 pub struct WorkerHeap {
     vproc: usize,
     layout: ThreadedLayout,
     local: LocalHeap,
     global: Arc<SharedGlobalHeap>,
     descriptors: Arc<DescriptorTable>,
-    /// The worker's home node (where its local heap was placed).
+    /// The node of the core the vproc runs on. The local heap's pages sit
+    /// wherever the page policy put them (`local.node()`), which is the same
+    /// node unless the simulated backend runs a non-local page policy.
     home_node: NodeId,
     /// The node the *consumer* of the next promotion lives on. Defaults to
     /// the home node; the runtime points it at the thief's node for the
@@ -880,6 +957,19 @@ impl WorkerHeap {
         global: Arc<SharedGlobalHeap>,
         descriptors: Arc<DescriptorTable>,
     ) -> Self {
+        Self::with_local_node(vproc, layout, node, node, global, descriptors)
+    }
+
+    /// [`WorkerHeap::new`] for a vproc running on `home` whose local heap the
+    /// page policy backed with `local_node`'s memory.
+    pub(crate) fn with_local_node(
+        vproc: usize,
+        layout: ThreadedLayout,
+        home: NodeId,
+        local_node: NodeId,
+        global: Arc<SharedGlobalHeap>,
+        descriptors: Arc<DescriptorTable>,
+    ) -> Self {
         let base = layout.local_base(vproc);
         // Adaptive controllers cold-start in node-local mode; static
         // policies are their own effective policy.
@@ -890,11 +980,11 @@ impl WorkerHeap {
         WorkerHeap {
             vproc,
             layout,
-            local: LocalHeap::new(vproc, node, base, layout.local_words()),
+            local: LocalHeap::new(vproc, local_node, base, layout.local_words()),
             global,
             descriptors,
-            home_node: node,
-            promotion_target: node,
+            home_node: home,
+            promotion_target: home,
             effective_placement,
             current: None,
             stats: HeapStats::default(),
@@ -911,24 +1001,12 @@ impl WorkerHeap {
         self.home_node
     }
 
-    /// The node the next promotion's consumer lives on (see
-    /// [`WorkerHeap::set_promotion_target`]).
-    pub fn promotion_target(&self) -> NodeId {
-        self.promotion_target
-    }
-
     /// Points subsequent promotions at `node`'s chunk pool (honoured by
     /// node-binding placement policies; `Interleave` ignores it). The
     /// runtime sets this to the thief's node around a steal handoff and
     /// restores it to the home node afterwards.
     pub fn set_promotion_target(&mut self, node: NodeId) {
         self.promotion_target = node;
-    }
-
-    /// The static policy this worker's leases currently follow (differs
-    /// from the heap's policy only under [`PlacementPolicy::Adaptive`]).
-    pub fn effective_placement(&self) -> PlacementPolicy {
-        self.effective_placement
     }
 
     /// Retargets the worker's effective lease policy. Only meaningful when
@@ -948,14 +1026,10 @@ impl WorkerHeap {
         self.effective_placement = effective;
     }
 
-    /// The shared global heap.
-    pub fn shared_global(&self) -> &Arc<SharedGlobalHeap> {
-        &self.global
-    }
-
-    /// The address layout.
-    pub fn layout(&self) -> ThreadedLayout {
-        self.layout
+    /// The descriptor table, replaceable: the simulated backend registers
+    /// descriptors after its workers exist.
+    pub(crate) fn descriptors_mut(&mut self) -> &mut Arc<DescriptorTable> {
+        &mut self.descriptors
     }
 
     /// This worker's heap counters.
@@ -1030,20 +1104,34 @@ impl WorkerHeap {
         }
     }
 
-    fn fresh_current_chunk(&mut self) {
+    /// The consumer node the next lease is asked for: the promotion target,
+    /// except under `FirstTouch`, which leases where the promoting vproc
+    /// runs whoever consumes the data.
+    fn lease_preference(&self) -> NodeId {
+        match self.effective_placement {
+            PlacementPolicy::FirstTouch => self.home_node,
+            _ => self.promotion_target,
+        }
+    }
+
+    /// Retires the current chunk and leases a fresh one (the synchronisation
+    /// point of §3.3, counted in [`HeapStats::chunk_acquisitions`]).
+    pub(crate) fn fresh_current_chunk(&mut self) -> ChunkId {
         self.retire_current_chunk();
         let chunk = self
             .global
-            .acquire_as(self.effective_placement, self.promotion_target);
+            .acquire_as(self.effective_placement, self.lease_preference());
         self.stats.chunk_acquisitions += 1;
+        let id = chunk.id();
         self.current = Some(chunk);
+        id
     }
 
     /// Makes the worker's current global chunk one that can take an object
     /// of `total_words` (header included): a fresh chunk is acquired when
-    /// the current one is full, or sits on another node than the promotion
-    /// target while the *effective* placement policy binds one
-    /// (`Interleave` never does).
+    /// the current one is full, or sits on another node than the one the
+    /// placement and page policies bind this worker's leases to
+    /// ([`SharedGlobalHeap::bound_lease_node`]; rotating leases bind none).
     ///
     /// # Errors
     ///
@@ -1055,9 +1143,16 @@ impl WorkerHeap {
                 max_words: self.global.chunk_size_words(),
             });
         }
-        let bound = self.effective_placement.binds_node();
+        let prefer = self.lease_preference();
         let fits = self.current.as_deref().is_some_and(|chunk| {
-            chunk.free_words() >= total_words && (!bound || chunk.node() == self.promotion_target)
+            // A chunk on the node we would ask for is right under every
+            // policy; only another node's needs the policies' verdict.
+            chunk.free_words() >= total_words
+                && (chunk.node() == prefer
+                    || self
+                        .global
+                        .bound_lease_node(self.effective_placement, prefer)
+                        .is_none_or(|node| chunk.node() == node))
         });
         if !fits {
             self.fresh_current_chunk();
@@ -1111,8 +1206,9 @@ impl WorkerHeap {
         }
     }
 
+    /// [`WorkerHeap::locate`] for an address already classified as `owner`.
     #[inline]
-    fn place(&self, owner: ThreadedOwner, addr: Addr) -> Place<'_> {
+    pub(crate) fn place(&self, owner: ThreadedOwner, addr: Addr) -> Place<'_> {
         match owner {
             ThreadedOwner::Local(v) if v == self.vproc => {
                 Place::Local(self.local.words(), self.local.offset_of(addr))
@@ -1123,6 +1219,50 @@ impl WorkerHeap {
             }
             ThreadedOwner::Local(v) => foreign_local_access(self.vproc, v),
             ThreadedOwner::Unmapped => unmapped_access(addr, None),
+        }
+    }
+
+    /// [`GcHeap::space_of`] for an address already classified as `owner`.
+    pub(crate) fn space_at(&self, owner: ThreadedOwner, addr: Addr) -> Space {
+        match owner {
+            // Another worker's local heap: we may classify it (pure
+            // arithmetic) but never read it. The collector only needs the
+            // owner to decide "not mine — leave the pointer alone".
+            ThreadedOwner::Local(v) if v != self.vproc => Space::LocalOld { vproc: v },
+            ThreadedOwner::Local(vproc) => {
+                match self.local.region_of_offset(self.local.offset_of(addr)) {
+                    LocalRegion::Old => Space::LocalOld { vproc },
+                    LocalRegion::Young => Space::LocalYoung { vproc },
+                    LocalRegion::Nursery => Space::LocalNursery { vproc },
+                    LocalRegion::Reserve | LocalRegion::NurseryFree => Space::LocalFree { vproc },
+                }
+            }
+            // A band address no chunk is mapped at is as unmapped as one
+            // outside every band.
+            ThreadedOwner::Global { node, index } => match self.global.chunk_in_band(node, index) {
+                Some(chunk) => Space::Global { chunk: chunk.id() },
+                None => Space::Unmapped,
+            },
+            ThreadedOwner::Unmapped => Space::Unmapped,
+        }
+    }
+
+    /// [`GcHeap::node_of`] for an address already classified as `owner`.
+    pub(crate) fn node_at(&self, owner: ThreadedOwner, addr: Addr) -> NodeId {
+        match owner {
+            ThreadedOwner::Local(v) if v == self.vproc => self.local.node(),
+            ThreadedOwner::Local(_) => self.home_node,
+            // Arithmetic: the node is baked into the address band.
+            ThreadedOwner::Global { node, .. } => NodeId::new(node as u16),
+            ThreadedOwner::Unmapped => panic!("{addr:?} is not mapped to any heap region"),
+        }
+    }
+
+    /// [`GcHeap::write_field`] for an object already classified as `owner`.
+    pub(crate) fn write_at(&mut self, owner: ThreadedOwner, obj: Addr, index: usize, value: Word) {
+        match self.place(owner, obj) {
+            Place::Local(_, offset) => self.local.write(offset + index, value),
+            Place::Global(chunk, offset) => chunk.write(offset + index, value),
         }
     }
 
@@ -1288,28 +1428,7 @@ impl GcHeap for WorkerHeap {
     }
 
     fn space_of(&self, addr: Addr) -> Space {
-        let owner = self.layout.owner_of(addr);
-        match owner {
-            ThreadedOwner::Unmapped => Space::Unmapped,
-            // Another worker's local heap: we may classify it (pure
-            // arithmetic) but never read it. The collector only needs the
-            // owner to decide "not mine — leave the pointer alone".
-            ThreadedOwner::Local(v) if v != self.vproc => Space::LocalOld { vproc: v },
-            _ => match self.place(owner, addr) {
-                Place::Global(chunk, _) => Space::Global { chunk: chunk.id() },
-                Place::Local(_, offset) => {
-                    let vproc = self.vproc;
-                    match self.local.region_of_offset(offset) {
-                        LocalRegion::Old => Space::LocalOld { vproc },
-                        LocalRegion::Young => Space::LocalYoung { vproc },
-                        LocalRegion::Nursery => Space::LocalNursery { vproc },
-                        LocalRegion::Reserve | LocalRegion::NurseryFree => {
-                            Space::LocalFree { vproc }
-                        }
-                    }
-                }
-            },
-        }
+        self.space_at(self.layout.owner_of(addr), addr)
     }
 
     #[inline]
@@ -1323,13 +1442,7 @@ impl GcHeap for WorkerHeap {
     }
 
     fn node_of(&self, addr: Addr) -> NodeId {
-        match self.layout.owner_of(addr) {
-            ThreadedOwner::Local(v) if v == self.vproc => self.local.node(),
-            ThreadedOwner::Local(_) => self.home_node,
-            // Arithmetic: the node is baked into the address band.
-            ThreadedOwner::Global { node, .. } => NodeId::new(node as u16),
-            ThreadedOwner::Unmapped => panic!("{addr:?} is not mapped to any heap region"),
-        }
+        self.node_at(self.layout.owner_of(addr), addr)
     }
 
     #[inline]
@@ -1343,10 +1456,7 @@ impl GcHeap for WorkerHeap {
     }
 
     fn write_field(&mut self, obj: Addr, index: usize, value: Word) {
-        match self.locate(obj) {
-            Place::Local(_, offset) => self.local.write(offset + index, value),
-            Place::Global(chunk, offset) => chunk.write(offset + index, value),
-        }
+        self.write_at(self.layout.owner_of(obj), obj, index, value);
     }
 
     fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
@@ -1381,10 +1491,6 @@ impl GcHeap for WorkerHeap {
                 let payload = &self.local.words()[offset..offset + len];
                 self.reserved_chunk().alloc(encoded, payload)?
             }
-            EvacTarget::Chunk(chunk) => panic!(
-                "threaded evacuation into a specific chunk ({chunk:?}) goes through the \
-                 parallel global collection, not the generic path"
-            ),
         };
         self.local.write(offset - 1, new_addr.raw());
         // Preserve the header in the first payload word of the dead copy so
@@ -1400,12 +1506,16 @@ impl GcHeap for WorkerHeap {
         self.stats.chunk_acquisitions
     }
 
-    fn global_bytes_in_use(&self) -> usize {
-        self.global.bytes_in_use()
+    fn global(&self) -> &Arc<SharedGlobalHeap> {
+        &self.global
     }
 
-    fn global_bytes_after_last_collection(&self) -> usize {
-        self.global.bytes_after_last_collection()
+    /// The per-worker half of the invariant walk: this vproc's local heap,
+    /// by address arithmetic and chunk states only — no other worker's
+    /// memory is read and no global object is dereferenced, so it is safe
+    /// to run while the other workers mutate.
+    fn verify_violations(&self) -> Vec<InvariantViolation> {
+        crate::verify::verify_local_heap(self, self.vproc)
     }
 }
 

@@ -8,12 +8,16 @@
 //!
 //! The checkers in this module walk every live-ish object (everything that
 //! has been allocated and not superseded) and report any violation. They are
-//! used throughout the test suites and by the runtime's debug mode after
-//! every collection.
+//! used throughout the test suites and, with `GcConfig::verify_after_gc`,
+//! after every collection on both backends: the simulated [`Heap`] walks the
+//! whole machine ([`verify_heap`]), a threaded `WorkerHeap` its own local
+//! heap ([`verify_local_heap`] — classification by address arithmetic and
+//! chunk states only, so nothing another worker owns is read).
 
 use crate::addr::{word_as_pointer, Addr};
-use crate::chunk::ChunkState;
+use crate::gc_heap::GcHeap;
 use crate::heap::{Heap, Space};
+use crate::shared::SharedChunkState;
 use std::fmt;
 
 /// A single violation of the heap invariants.
@@ -48,8 +52,8 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-fn check_fields(
-    heap: &Heap,
+fn check_fields<H: GcHeap>(
+    heap: &H,
     obj: Addr,
     violations: &mut Vec<InvariantViolation>,
     rule: impl Fn(Space, Space) -> Option<&'static str>,
@@ -80,8 +84,11 @@ fn check_fields(
 }
 
 /// Checks the pointer discipline of one vproc's local heap: every pointer
-/// field must target the same vproc's local heap or the global heap.
-pub fn verify_local_heap(heap: &Heap, vproc: usize) -> Vec<InvariantViolation> {
+/// field must target an allocated part of the same vproc's local heap or a
+/// global chunk that is in use. A from-space chunk counts as in use: between
+/// the increments of a budgeted global collection live objects still point
+/// into it.
+pub fn verify_local_heap<H: GcHeap>(heap: &H, vproc: usize) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
     let local = heap.local(vproc);
     let objects: Vec<Addr> = local
@@ -102,7 +109,10 @@ pub fn verify_local_heap(heap: &Heap, vproc: usize) -> Vec<InvariantViolation> {
                 }
             }
             Space::LocalFree { .. } => Some("pointer into reclaimed local-heap space"),
-            Space::Global { .. } => None,
+            Space::Global { chunk } => {
+                let state = heap.global().chunk_at(chunk.index()).state();
+                (state == SharedChunkState::Free).then_some("pointer into a released global chunk")
+            }
             Space::Unmapped => Some("pointer to unmapped memory"),
         });
     }
@@ -110,23 +120,22 @@ pub fn verify_local_heap(heap: &Heap, vproc: usize) -> Vec<InvariantViolation> {
 }
 
 /// Checks the pointer discipline of the global heap: no pointer field of any
-/// global object may target a local heap.
+/// object in a live chunk (some vproc's current one, or a filled one) may
+/// target a local heap.
 pub fn verify_global_heap(heap: &Heap) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
-    let chunk_ids: Vec<_> = heap
-        .global()
-        .iter()
-        .filter(|c| c.state() != ChunkState::Free)
-        .map(|c| c.id())
-        .collect();
-    for chunk_id in chunk_ids {
-        let objects: Vec<Addr> = heap.global().chunk(chunk_id).objects().collect();
-        for obj in objects {
-            check_fields(heap, obj, &mut violations, |_holder, target| match target {
-                Space::Global { .. } => None,
-                Space::Unmapped => Some("pointer to unmapped memory"),
-                _ => Some("no pointers from the global heap into a local heap"),
-            });
+    for chunk in heap.global().snapshot() {
+        if matches!(
+            chunk.state(),
+            SharedChunkState::Current | SharedChunkState::Filled
+        ) {
+            for obj in chunk.objects() {
+                check_fields(heap, obj, &mut violations, |_holder, target| match target {
+                    Space::Global { .. } => None,
+                    Space::Unmapped => Some("pointer to unmapped memory"),
+                    _ => Some("no pointers from the global heap into a local heap"),
+                });
+            }
         }
     }
     violations
@@ -197,6 +206,66 @@ mod tests {
         heap.alloc_in_global(1, vec_header, &[global_obj.raw()])
             .unwrap();
         assert!(verify_heap(&heap).is_empty());
+    }
+
+    #[test]
+    fn worker_walk_classifies_every_target_without_reading_it() {
+        use crate::header::{Header, ObjectKind};
+        use crate::shared::{SharedGlobalHeap, ThreadedLayout, WorkerHeap, GLOBAL_BASE};
+        use crate::{Addr, DescriptorTable};
+        use std::sync::Arc;
+
+        let layout = ThreadedLayout::new(&HeapConfig::small_for_tests(), 2, 2);
+        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
+        let table = Arc::new(DescriptorTable::new());
+        let worker = |v| {
+            WorkerHeap::new(
+                v,
+                layout,
+                NodeId::new(v as u16),
+                global.clone(),
+                table.clone(),
+            )
+        };
+        let (mut w0, mut w1) = (worker(0), worker(1));
+
+        // Legal: its own objects, and global objects in a current, filled or
+        // from-space chunk (live objects still point into from-space between
+        // the increments of a budgeted global collection).
+        let own = w0.alloc_raw(&[1]).unwrap();
+        let raw = Header::new(ObjectKind::Raw, 1).encode();
+        let promoted = w0.alloc_in_global(raw, &[2]).unwrap();
+        let chunk = w0.current_chunk().unwrap().clone();
+        w0.alloc_vector(&[own.raw(), promoted.raw(), 0]).unwrap();
+        assert!(w0.verify_violations().is_empty());
+        w0.retire_current_chunk();
+        assert!(w0.verify_violations().is_empty());
+        chunk.set_state(SharedChunkState::FromSpace);
+        assert!(w0.verify_violations().is_empty());
+
+        // Illegal, one field each: another vproc's local heap (classified by
+        // arithmetic — reading it would panic), this heap's free space, an
+        // address no region maps, a band address no chunk is mapped at, and
+        // — once the chunk is released — a pooled chunk.
+        let foreign = w1.alloc_raw(&[3]).unwrap();
+        let free = w0.local(0).addr_of(w0.local(0).old_top() + 1);
+        let beyond = Addr::new(GLOBAL_BASE + 64 * layout.chunk_words() as u64);
+        w0.alloc_vector(&[foreign.raw(), free.raw(), 8, beyond.raw()])
+            .unwrap();
+        global.release(&chunk);
+        let violations = w0.verify_violations();
+        for (violation, rule) in violations.iter().zip([
+            "released global chunk",
+            "distinct local heaps",
+            "reclaimed local-heap space",
+            "unmapped memory",
+            "unmapped memory",
+        ]) {
+            assert!(violation.rule.contains(rule), "{violation} vs {rule}");
+        }
+        assert_eq!(violations.len(), 5);
+        // The other worker's heap is clean, and says nothing about this one.
+        assert!(w1.verify_violations().is_empty());
     }
 
     #[test]

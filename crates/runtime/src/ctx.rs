@@ -38,7 +38,7 @@ use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
-use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, Place, Word};
+use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, Place, Word};
 
 /// How one field of a mixed-type object is initialised.
 #[derive(Debug, Clone, Copy, PartialEq)]

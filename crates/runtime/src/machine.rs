@@ -26,7 +26,7 @@ use crate::task::{Delivery, JoinCell, Task, TaskResult, TaskSpec};
 use crate::threaded::PromoteWhy;
 use crate::vproc::VProc;
 use mgc_core::{Collector, GcConfig};
-use mgc_heap::{Addr, Descriptor, DescriptorId, Heap, HeapConfig, HeapError, Word};
+use mgc_heap::{Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, HeapError, Word};
 use mgc_numa::{
     AdaptiveController, AllocPolicy, MemoryModel, PlacementPolicy, Topology, Traffic, TrafficStats,
     VprocRoundCost,
@@ -395,7 +395,7 @@ impl RuntimeState {
         self.charge_gc_cost(vproc, &outcome.cost);
         // A local collection's major phase promotes for the collecting
         // vproc's own benefit: the consumer is the vproc itself.
-        let (local, remote) = outcome.promoted_split(self.heap.promotion_target(vproc));
+        let (local, remote) = outcome.promoted_split(self.vprocs[vproc].node);
         self.adaptive_record(vproc, local, remote);
         let stats = &mut self.vprocs[vproc].stats;
         stats.promoted_bytes_local += local;
@@ -495,7 +495,8 @@ impl RuntimeState {
         self.heap.set_promotion_target(owner, consumer);
         self.adaptive_pre_promotion(owner);
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
-        self.heap.reset_promotion_target(owner);
+        self.heap
+            .set_promotion_target(owner, self.vprocs[owner].node);
         self.charge_gc_cost(owner, &outcome.cost);
         let (local, remote) = outcome.promoted_split(consumer);
         self.adaptive_record(owner, local, remote);
@@ -755,8 +756,8 @@ impl Machine {
         let topology = config.topology.clone();
         let cores = topology.spread_cores(config.num_vprocs);
         let nodes: Vec<_> = cores.iter().map(|&c| topology.node_of_core(c)).collect();
-        let mut heap = Heap::new(config.heap, &nodes, topology.num_nodes());
-        heap.set_placement(config.placement);
+        let heap =
+            Heap::with_placement(config.heap, &nodes, topology.num_nodes(), config.placement);
         let collector = Collector::new(config.gc, config.num_vprocs, topology.num_nodes());
         let vprocs: Vec<VProc> = cores
             .iter()
@@ -1017,8 +1018,6 @@ impl Machine {
                     .record(slice);
             }
         }
-        // The pending flag is satisfied by this collection.
-        self.state.collector_clear_pending();
     }
 
     fn close_round(&mut self) {
@@ -1124,15 +1123,6 @@ impl RuntimeState {
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
         self.charge_gc_cost(owner, &outcome.cost);
         new.raw()
-    }
-
-    fn collector_clear_pending(&mut self) {
-        // `Collector` exposes `request_global` but clears the flag itself when
-        // a global collection runs; recreate the behaviour by checking and
-        // resetting through a fresh request cycle.
-        if self.collector.global_pending() {
-            self.collector.clear_global_pending();
-        }
     }
 }
 
