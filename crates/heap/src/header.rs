@@ -45,6 +45,7 @@ pub enum ObjectKind {
 
 impl ObjectKind {
     /// The header ID for this kind.
+    #[inline]
     pub fn id(self) -> u16 {
         match self {
             ObjectKind::Raw => RAW_ID,
@@ -84,6 +85,7 @@ impl Header {
     /// # Panics
     ///
     /// Panics if `len_words` exceeds [`MAX_LEN_WORDS`].
+    #[inline]
     pub fn new(kind: ObjectKind, len_words: u64) -> Self {
         assert!(
             len_words <= MAX_LEN_WORDS,

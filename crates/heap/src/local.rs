@@ -240,6 +240,38 @@ impl LocalHeap {
         self.data[offset] = value;
     }
 
+    /// The word offset the nursery ends at — the whole heap's size, whatever
+    /// the collections have done to the nursery's start. It is the limit
+    /// under which [`LocalHeap::bump`] allocates when nothing else asks.
+    #[inline]
+    pub fn nursery_end(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Bump-allocates an object in the nursery if it ends at or below word
+    /// offset `limit`, returning its payload address; `None` leaves the heap
+    /// untouched. With `limit` at [`LocalHeap::nursery_end`] this fails only
+    /// when the nursery is full; a limit of 0 fails every call, which is how
+    /// the threaded runtime makes the allocation test its safe point.
+    #[inline]
+    pub fn bump(&mut self, header: Word, payload: &[Word], limit: usize) -> Option<Addr> {
+        assert!(
+            !payload.is_empty(),
+            "empty objects are not supported; allocate a one-word raw object instead"
+        );
+        let header_offset = self.nursery_alloc;
+        let end = header_offset + 1 + payload.len();
+        if end > limit {
+            return None;
+        }
+        self.data[header_offset] = header;
+        self.data[header_offset + 1..end].copy_from_slice(payload);
+        self.nursery_alloc = end;
+        self.stats.nursery_allocated_words += (end - header_offset) as u64;
+        self.stats.nursery_allocated_objects += 1;
+        Some(self.addr_of(header_offset + 1))
+    }
+
     /// Bump-allocates an object in the nursery. Returns the payload address.
     ///
     /// # Errors
@@ -247,24 +279,11 @@ impl LocalHeap {
     /// Returns [`HeapError::NurseryFull`] if the nursery cannot hold the
     /// object; the caller should run a minor collection and retry.
     pub fn alloc(&mut self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
-        assert!(
-            !payload.is_empty(),
-            "empty objects are not supported; allocate a one-word raw object instead"
-        );
-        let total = payload.len() + 1;
-        if self.nursery_free_words() < total {
-            return Err(HeapError::NurseryFull {
-                requested_words: total,
+        self.bump(header, payload, self.nursery_end())
+            .ok_or_else(|| HeapError::NurseryFull {
+                requested_words: payload.len() + 1,
                 free_words: self.nursery_free_words(),
-            });
-        }
-        let header_offset = self.nursery_alloc;
-        self.data[header_offset] = header;
-        self.data[header_offset + 1..header_offset + 1 + payload.len()].copy_from_slice(payload);
-        self.nursery_alloc += total;
-        self.stats.nursery_allocated_words += total as u64;
-        self.stats.nursery_allocated_objects += 1;
-        Ok(self.addr_of(header_offset + 1))
+            })
     }
 
     /// Bump-allocates an object at the end of the old-data area. This is how
@@ -479,6 +498,21 @@ mod tests {
         h.alloc(raw_header(400), &payload).unwrap();
         let err = h.alloc(raw_header(400), &payload).unwrap_err();
         assert!(matches!(err, HeapError::NurseryFull { .. }));
+    }
+
+    #[test]
+    fn bump_allocates_only_below_its_limit() {
+        let mut h = heap();
+        let start = h.nursery_start();
+        // A zeroed limit refuses everything and leaves the heap untouched.
+        assert_eq!(h.bump(raw_header(2), &[1, 2], 0), None);
+        assert_eq!(h.nursery_used_words(), 0);
+        // The object may end exactly at the limit, not one word past it.
+        assert_eq!(h.bump(raw_header(2), &[1, 2], start + 2), None);
+        let a = h.bump(raw_header(2), &[1, 2], start + 3).unwrap();
+        assert_eq!(a, h.addr_of(start + 1));
+        assert_eq!(h.stats().nursery_allocated_objects, 1);
+        assert_eq!(h.stats().nursery_allocated_words, 3);
     }
 
     #[test]

@@ -1076,20 +1076,52 @@ impl WorkerHeap {
         descriptor: crate::DescriptorId,
         payload: &[Word],
     ) -> Result<Addr, HeapError> {
+        let kind = self.mixed_kind(descriptor, payload.len())?;
+        let header = Header::new(kind, payload.len() as u64).encode();
+        self.local.alloc(header, payload)
+    }
+
+    /// The object kind of a `len_words`-word object laid out by
+    /// `descriptor`, checked against the registered descriptor.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::UnknownDescriptor`] or [`HeapError::PayloadSizeMismatch`].
+    pub fn mixed_kind(
+        &self,
+        descriptor: crate::DescriptorId,
+        len_words: usize,
+    ) -> Result<ObjectKind, HeapError> {
         let desc = self
             .descriptors
             .get(descriptor.id())
             .ok_or(HeapError::UnknownDescriptor {
                 id: descriptor.id(),
             })?;
-        if desc.size_words as usize != payload.len() {
+        if desc.size_words as usize != len_words {
             return Err(HeapError::PayloadSizeMismatch {
                 expected: desc.size_words as usize,
-                supplied: payload.len(),
+                supplied: len_words,
             });
         }
-        let header = Header::new(ObjectKind::Mixed(descriptor.id()), payload.len() as u64).encode();
-        self.local.alloc(header, payload)
+        Ok(ObjectKind::Mixed(descriptor.id()))
+    }
+
+    /// Bump-allocates an object of `kind` in the nursery if it ends at or
+    /// below word offset `limit` ([`LocalHeap::bump`]): the threaded
+    /// mutator's only test per object, against its vproc's limit word. A
+    /// `Mixed` kind must come from [`WorkerHeap::mixed_kind`].
+    #[inline]
+    pub fn bump(&mut self, kind: ObjectKind, payload: &[Word], limit: usize) -> Option<Addr> {
+        let header = Header::new(kind, payload.len() as u64).encode();
+        self.local.bump(header, payload, limit)
+    }
+
+    /// The limit under which [`WorkerHeap::bump`] fills the whole nursery
+    /// ([`LocalHeap::nursery_end`]).
+    #[inline]
+    pub fn nursery_end(&self) -> usize {
+        self.local.nursery_end()
     }
 
     // ------------------------------------------------------------------

@@ -38,7 +38,7 @@ use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
-use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, Place, Word};
+use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, ObjectKind, Place, Word};
 
 /// How one field of a mixed-type object is initialised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,6 +49,28 @@ pub enum FieldInit {
     Raw(Word),
     /// A raw floating-point value.
     F64(f64),
+}
+
+/// The payload words of an object initialised by `fields`: each pointer
+/// handle resolved through `resolve` — its root slot updated so later
+/// accesses are direct — and null for `Ptr(None)`.
+fn init_words(
+    roots: &mut RootSet,
+    fields: impl Iterator<Item = FieldInit>,
+    resolve: impl Fn(Addr) -> Addr,
+) -> Vec<Word> {
+    fields
+        .map(|field| match field {
+            FieldInit::Ptr(Some(handle)) => {
+                let slot = &mut roots.slots_mut()[handle.index()];
+                *slot = resolve(*slot);
+                slot.raw()
+            }
+            FieldInit::Ptr(None) => 0,
+            FieldInit::Raw(w) => w,
+            FieldInit::F64(v) => f64_to_word(v),
+        })
+        .collect()
 }
 
 /// Which backend is executing the task.
@@ -203,8 +225,8 @@ impl<'a> TaskCtx<'a> {
     /// `target_ns` — the open-loop load generator's pacing primitive.
     /// On the simulated backend the gap is charged as idle virtual time (so
     /// the wait is free of real time and fully deterministic); on the
-    /// threaded backend the worker polls the wall clock, servicing steal
-    /// requests and pending global collections at every poll so waiting
+    /// threaded backend the worker polls the wall clock, and every poll is a
+    /// safe point (steal requests, pending global collections) so waiting
     /// never stalls the rest of the machine. Returns immediately when the
     /// target is already past.
     pub fn wait_until_ns(&mut self, target_ns: f64) {
@@ -231,34 +253,28 @@ impl<'a> TaskCtx<'a> {
     // Allocation
     // ------------------------------------------------------------------
 
-    fn reserve_nursery(&mut self, payload_words: usize) {
-        match &mut self.state {
-            CtxState::Sim(state) => {
-                state.reserve_nursery(self.vproc, self.roots.slots_mut(), payload_words)
-            }
-            CtxState::Threaded(worker) => worker.reserve_nursery(self.roots, payload_words),
-        }
-    }
-
-    fn charge_alloc(&mut self, bytes: usize) {
-        if let CtxState::Sim(state) = &mut self.state {
-            state.charge_alloc(self.vproc, bytes);
-        }
-    }
+    // Each allocation matches on the backend once. On the threaded one the
+    // object is then bumped under the vproc's allocation limit word — one
+    // compare per object, which is also the safe point (`WorkerState::alloc`).
+    // Handles are resolved to addresses only once there is room: making
+    // room may collect, which moves the referenced objects.
 
     /// Allocates a raw-data object and returns a handle to it.
     pub fn alloc_raw(&mut self, payload: &[Word]) -> Handle {
-        self.reserve_nursery(payload.len());
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
-                state.alloc_reserved(self.vproc, |heap, vproc| heap.alloc_raw(vproc, payload))
+                state.reserve_nursery(self.vproc, self.roots.slots_mut(), payload.len());
+                let addr =
+                    state.alloc_reserved(self.vproc, |heap, vproc| heap.alloc_raw(vproc, payload));
+                state.charge_alloc(self.vproc, (payload.len() + 1) * 8);
+                addr
             }
-            CtxState::Threaded(worker) => worker
-                .heap
-                .alloc_raw(payload)
-                .expect("allocation failed after reserving nursery space"),
+            CtxState::Threaded(worker) => {
+                worker.alloc(self.roots, payload.len(), |worker, _, limit| {
+                    worker.heap.bump(ObjectKind::Raw, payload, limit)
+                })
+            }
         };
-        self.charge_alloc((payload.len() + 1) * 8);
         self.push_root(addr)
     }
 
@@ -270,27 +286,23 @@ impl<'a> TaskCtx<'a> {
 
     /// Allocates a vector of pointers; `None` entries become null.
     pub fn alloc_vector(&mut self, elements: &[Option<Handle>]) -> Handle {
-        // Reserve first: a collection here may move the referenced objects,
-        // so handles are resolved to addresses only afterwards.
-        self.reserve_nursery(elements.len());
-        let words: Vec<Word> = elements
-            .iter()
-            .copied()
-            .map(|h| match h {
-                Some(handle) => self.resolve(handle).raw(),
-                None => 0,
-            })
-            .collect();
+        let fields = || elements.iter().map(|&h| FieldInit::Ptr(h));
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
-                state.alloc_reserved(self.vproc, |heap, vproc| heap.alloc_vector(vproc, &words))
+                state.reserve_nursery(self.vproc, self.roots.slots_mut(), elements.len());
+                let words = init_words(self.roots, fields(), |a| state.resolve_addr(a));
+                let addr = state
+                    .alloc_reserved(self.vproc, |heap, vproc| heap.alloc_vector(vproc, &words));
+                state.charge_alloc(self.vproc, (words.len() + 1) * 8);
+                addr
             }
-            CtxState::Threaded(worker) => worker
-                .heap
-                .alloc_vector(&words)
-                .expect("allocation failed after reserving nursery space"),
+            CtxState::Threaded(worker) => {
+                worker.alloc(self.roots, elements.len(), |worker, roots, limit| {
+                    let words = init_words(roots, fields(), |a| worker.resolve_addr(a));
+                    worker.heap.bump(ObjectKind::Vector, &words, limit)
+                })
+            }
         };
-        self.charge_alloc((words.len() + 1) * 8);
         self.push_root(addr)
     }
 
@@ -301,29 +313,30 @@ impl<'a> TaskCtx<'a> {
     /// Panics if the field kinds disagree with the registered descriptor
     /// (pointer fields must be `FieldInit::Ptr`).
     pub fn alloc_mixed(&mut self, descriptor: DescriptorId, fields: &[FieldInit]) -> Handle {
-        // Reserve first: a collection here may move the referenced objects,
-        // so handles are resolved to addresses only afterwards.
-        self.reserve_nursery(fields.len());
-        let words: Vec<Word> = fields
-            .iter()
-            .copied()
-            .map(|f| match f {
-                FieldInit::Ptr(Some(handle)) => self.resolve(handle).raw(),
-                FieldInit::Ptr(None) => 0,
-                FieldInit::Raw(w) => w,
-                FieldInit::F64(v) => f64_to_word(v),
-            })
-            .collect();
         let addr = match &mut self.state {
-            CtxState::Sim(state) => state.alloc_reserved(self.vproc, |heap, vproc| {
-                heap.alloc_mixed(vproc, descriptor, &words)
-            }),
-            CtxState::Threaded(worker) => worker
-                .heap
-                .alloc_mixed(descriptor, &words)
-                .expect("allocation failed after reserving nursery space"),
+            CtxState::Sim(state) => {
+                state.reserve_nursery(self.vproc, self.roots.slots_mut(), fields.len());
+                let words = init_words(self.roots, fields.iter().copied(), |a| {
+                    state.resolve_addr(a)
+                });
+                let addr = state.alloc_reserved(self.vproc, |heap, vproc| {
+                    heap.alloc_mixed(vproc, descriptor, &words)
+                });
+                state.charge_alloc(self.vproc, (words.len() + 1) * 8);
+                addr
+            }
+            CtxState::Threaded(worker) => {
+                let kind = match worker.heap.mixed_kind(descriptor, fields.len()) {
+                    Ok(kind) => kind,
+                    Err(e) => panic!("allocation failed: {e}"),
+                };
+                worker.alloc(self.roots, fields.len(), |worker, roots, limit| {
+                    let words =
+                        init_words(roots, fields.iter().copied(), |a| worker.resolve_addr(a));
+                    worker.heap.bump(kind, &words, limit)
+                })
+            }
         };
-        self.charge_alloc((words.len() + 1) * 8);
         self.push_root(addr)
     }
 
@@ -436,14 +449,16 @@ impl<'a> TaskCtx<'a> {
     /// `RootSet` in `task.rs`) drops with it, so slots re-used after the
     /// truncation are visited by the next minor collection.
     ///
-    /// On the threaded backend this is also a safe point: loops that shed
-    /// intermediate roots here (rather than at allocations) would otherwise
-    /// never answer steal requests or a pending stop-the-world, and a long
-    /// task would serialise the whole machine.
+    /// On the threaded backend this is also a safe point, so a loop that
+    /// never allocates still answers steal requests and joins a pending
+    /// stop-the-world instead of serialising the whole machine. It costs
+    /// one relaxed load of the vproc's allocation limit word — the same word
+    /// every allocation compares against — and does nothing more unless a
+    /// thief or a collection has zeroed it (`WorkerState::poll`).
     pub fn truncate_roots(&mut self, mark: usize) {
         self.roots.truncate(mark);
         if let CtxState::Threaded(worker) = &mut self.state {
-            worker.safe_point(self.roots);
+            worker.poll(self.roots);
         }
     }
 

@@ -32,6 +32,13 @@ pub struct VprocRunStats {
     /// Steal requests this vproc declined because its private deque was
     /// empty (threaded backend only).
     pub steal_requests_declined: u64,
+    /// Times this vproc took the safe-point slow path: an object that did
+    /// not fit under its allocation limit word, or a safe-point poll that
+    /// found the word zeroed (threaded backend only). Each entry re-arms the
+    /// word, so this stays near one (the first, which arms it) + minor
+    /// collections + global-collection increments + steal requests
+    /// received; a lost re-arm sends every allocation here.
+    pub alloc_slow_paths: u64,
     /// Promotion operations performed because work was actually stolen
     /// (the stolen task's roots).
     pub promotions_at_steal: u64,
@@ -202,6 +209,12 @@ impl RunReport {
             .iter()
             .map(|v| v.steal_requests_declined)
             .sum()
+    }
+
+    /// Total safe-point slow paths across all vprocs (threaded backend
+    /// only; see [`VprocRunStats::alloc_slow_paths`]).
+    pub fn alloc_slow_paths(&self) -> u64 {
+        self.per_vproc.iter().map(|v| v.alloc_slow_paths).sum()
     }
 
     /// Fraction of total virtual time spent in garbage collection.

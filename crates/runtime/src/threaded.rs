@@ -12,16 +12,20 @@
 //!   follows what survives the nursery, not how many handles the task holds;
 //! * the global heap is shared: atomic words, a lock-free Treiber-stack
 //!   chunk pool (chunk lease/return — the §3.3 synchronisation point — is a
-//!   handful of CAS operations), and an append-only chunk directory that
-//!   workers shadow with a thread-local cache;
+//!   handful of CAS operations), and a lock-free write-once chunk directory;
+//! * a vproc is told to stop — a steal request, a pending global collection
+//!   — the way the paper's vprocs are: by **zeroing its allocation limit
+//!   word**, so the compare every allocation makes anyway is the safe point
+//!   and nothing polls a flag (`WorkerState::alloc` states the protocol);
 //! * each vproc's deque is **split**: the worker pushes and pops spawned
 //!   tasks on a *private* `VecDeque` it owns outright (no lock, no atomics,
 //!   and — crucially — **no promotion**: a spawned task's heap roots stay in
 //!   the spawner's local heap). A thief posts a
 //!   [`StealRequest`](crate::vproc::StealRequest) to the victim's
-//!   [`StealMailbox`](crate::vproc::StealMailbox); the victim services
-//!   requests at its safe points (task boundaries and the ramp-down ack
-//!   path) by promoting **only the stolen task's roots** and handing the
+//!   [`StealMailbox`](crate::vproc::StealMailbox) and zeroes the victim's
+//!   limit word; the victim services requests at its next safe point (an
+//!   allocation, `truncate_roots`, a task boundary) by promoting **only the
+//!   stolen task's roots** and handing the
 //!   task over. Promotion volume is therefore proportional to *steals*, not
 //!   to *spawns* — the paper's lazy promotion-on-steal, §3.1. Data that
 //!   lands in machine-global structures (fork/join continuations, delivered
@@ -183,9 +187,9 @@ impl PhaseBarrier {
 /// Coordination state of the stop-the-world global collection.
 #[derive(Debug)]
 struct GcControl {
-    /// The §3.4 pending flag: set by whichever worker trips the trigger;
-    /// every worker acknowledges it at its next safe point by entering the
-    /// barrier.
+    /// The §3.4 pending flag: set by whichever worker trips the trigger,
+    /// which then zeroes every limit word; every worker acknowledges it at
+    /// its next safe point by entering the barrier.
     pending: AtomicBool,
     barrier: PhaseBarrier,
     state: ParallelGcState,
@@ -205,6 +209,14 @@ struct GcControl {
     collections: AtomicU64,
 }
 
+/// One vproc's allocation limit word: the nursery end while the vproc is
+/// armed, 0 once a thief or a collection has signalled it. Padded to its own
+/// pair of cache lines (the adjacent-line prefetcher pulls lines in twos),
+/// so a signal to one vproc never disturbs another's allocation loads.
+#[derive(Debug)]
+#[repr(align(128))]
+struct LimitWord(AtomicUsize);
+
 /// State shared by every worker thread.
 pub(crate) struct Shared {
     num_vprocs: usize,
@@ -217,6 +229,9 @@ pub(crate) struct Shared {
     /// Per-vproc steal mailboxes: the published end of each worker's split
     /// deque (the private end lives inside [`WorkerState`]).
     pub(crate) mailboxes: Vec<StealMailbox>,
+    /// Per-vproc allocation limit words — how a vproc is told to stop at
+    /// its next safe point (see [`WorkerState::alloc`]).
+    limits: Vec<LimitWord>,
     /// Ablation knob (mirrors the pre-lazy-promotion behaviour): when set,
     /// every pushed task's roots are promoted at publication time.
     eager_publication: bool,
@@ -272,6 +287,12 @@ impl Shared {
     fn notify_workers_always(&self) {
         let _guard = self.idle_lock.lock().expect("idle lock poisoned");
         self.work_cv.notify_all();
+    }
+
+    /// Signals `vproc`: its next allocation or safe-point poll takes the
+    /// slow path. Store the request (mailbox post, `pending`) first.
+    fn signal(&self, vproc: usize) {
+        self.limits[vproc].0.store(0, Ordering::SeqCst);
     }
 
     /// Marks the machine dead after a worker panic: unblocks the barrier
@@ -371,58 +392,106 @@ impl WorkerState {
         self.shared.epoch.elapsed().as_nanos() as f64
     }
 
-    /// Spins until the machine clock reaches `target_ns`, servicing steal
-    /// requests and pending global collections at every poll so an open-loop
-    /// load generator waiting out an arrival gap never stalls the rest of
-    /// the machine. Yields the OS thread between polls; returns immediately
-    /// when the target is already past.
+    /// Spins until the machine clock reaches `target_ns`. Every poll is a
+    /// safe point ([`WorkerState::poll`]), so an open-loop load generator
+    /// waiting out an arrival gap never stalls the rest of the machine.
+    /// Yields the OS thread between polls; returns immediately when the
+    /// target is already past.
     pub(crate) fn wait_until_ns(&mut self, target_ns: f64, roots: &mut RootSet) {
         while self.now_ns() < target_ns {
-            self.safe_point(roots);
+            self.poll(roots);
             std::thread::yield_now();
         }
     }
 
     // ------------------------------------------------------------------
-    // Allocation and local collection (the lock-free path)
+    // Allocation and the safe point (the lock-free path)
     // ------------------------------------------------------------------
 
-    /// Makes sure the nursery can hold `payload_words`, running a local
-    /// collection (rooted at the running task's roots **and** the private
-    /// deque's tasks — their graphs live in this local heap until stolen)
-    /// if it cannot. Every reservation is also a mid-task safe point.
-    pub(crate) fn reserve_nursery(&mut self, roots: &mut RootSet, payload_words: usize) {
-        self.safe_point(roots);
-        let needed = payload_words + 1;
-        if self.heap.local(self.vproc).nursery_free_words() >= needed {
-            return;
-        }
-        self.local_gc(roots);
-        assert!(
-            self.heap.local(self.vproc).nursery_free_words() >= needed,
-            "an object of {payload_words} payload words does not fit in the nursery even after \
-             a collection — build large arrays as rope leaves"
-        );
+    /// This vproc's allocation limit word, as the fast path reads it.
+    #[inline]
+    fn limit(&self) -> usize {
+        self.shared.limits[self.vproc].0.load(Ordering::Relaxed)
     }
 
-    /// A mid-task safe point: answers queued steal requests and joins a
-    /// pending global collection *now*, rooted at the running task, instead
-    /// of making the rest of the machine wait for the task boundary.
+    /// Allocates one object of `payload_words` words: `bump` is called with
+    /// the vproc's allocation limit and returns the object if it fits below
+    /// it. That compare is both the nursery-full test and the safe point.
     ///
-    /// This is the fix for the two serialisation modes that dominated the
-    /// real-compute profiles: a thief's steal request used to sit unanswered
-    /// for the victim's whole current task (ramp-up latency ∝ task length),
-    /// and a pending stop-the-world collection used to stall every *stopped*
-    /// worker until the slowest running task finished (pause ∝ the longest
-    /// task, multiplied by the number of collections). Both checks are
-    /// single atomic loads, so the fast path costs nothing measurable.
-    pub(crate) fn safe_point(&mut self, roots: &mut RootSet) {
+    /// **The limit-word protocol** (the paper's: a vproc is signalled by
+    /// zeroing its allocation limit, so the nursery-overflow test the
+    /// mutator makes anyway is the safe point, §3.4). Each vproc's word in
+    /// [`Shared`] holds the nursery end while the vproc is armed and 0 once
+    /// it has been signalled. A thief zeroes its victim's word after posting
+    /// the steal request; whoever raises the global-collection `pending`
+    /// flag zeroes every word after raising it. Allocation, `truncate_roots`,
+    /// `wait_until_ns` and the scheduler loop read the word and — only when
+    /// an object does not fit, or the word is 0 — take the one slow path,
+    /// [`WorkerState::slow_path`], which re-arms the word *before* it looks
+    /// at the mailbox and `pending`. No signal is lost: the signaller's
+    /// request store precedes its zeroing, the owner's re-arm precedes its
+    /// flag loads, and all four are `SeqCst`, so if the zero landed before
+    /// the re-arm the flag loads see the request, and if it landed after,
+    /// the word stays 0 and the next safe point comes back here (Dekker's
+    /// handshake). At worst a signal costs one slow path that finds nothing.
+    #[inline]
+    pub(crate) fn alloc(
+        &mut self,
+        roots: &mut RootSet,
+        payload_words: usize,
+        mut bump: impl FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
+    ) -> Addr {
+        if let Some(addr) = bump(self, roots, self.limit()) {
+            return addr;
+        }
+        self.slow_path(roots, payload_words + 1);
+        // The slow path made room; the word may be 0 again (a budgeted
+        // collection still running), which is for the *next* safe point.
+        let end = self.heap.nursery_end();
+        bump(self, roots, end).expect("the slow path leaves room in the nursery")
+    }
+
+    /// A safe point that allocates nothing: one relaxed load of the limit
+    /// word, and the slow path only once the vproc has been signalled.
+    #[inline]
+    pub(crate) fn poll(&mut self, roots: &mut RootSet) {
+        if self.limit() == 0 {
+            self.slow_path(roots, 0);
+        }
+    }
+
+    /// The one slow path behind every safe point: re-arm the limit word,
+    /// answer queued steal requests, join a pending global collection
+    /// rooted at the running task (`roots`), and — when the nursery cannot
+    /// hold `needed_words` — run a local collection rooted at that task
+    /// **and** the private deque's tasks, whose graphs live in this local
+    /// heap until stolen. A budgeted collection that is still pending after
+    /// this vproc's increment zeroes the word again, so the next safe point
+    /// rejoins it.
+    #[cold]
+    fn slow_path(&mut self, roots: &mut RootSet, needed_words: usize) {
+        self.stats.alloc_slow_paths += 1;
+        self.shared.limits[self.vproc]
+            .0
+            .store(self.heap.nursery_end(), Ordering::SeqCst);
         if self.shared.mailboxes[self.vproc].has_requests() {
             self.service_steal_requests(false);
         }
-        if self.shared.gc.pending.load(Ordering::Acquire) {
+        if self.shared.gc.pending.load(Ordering::SeqCst) {
             self.service_steal_requests(true);
             self.participate_global_gc(roots);
+            if self.shared.gc.pending.load(Ordering::SeqCst) {
+                self.shared.signal(self.vproc);
+            }
+        }
+        if self.heap.local(self.vproc).nursery_free_words() < needed_words {
+            self.local_gc(roots);
+            assert!(
+                self.heap.local(self.vproc).nursery_free_words() >= needed_words,
+                "an object of {} payload words does not fit in the nursery even after a \
+                 collection — build large arrays as rope leaves",
+                needed_words - 1
+            );
         }
     }
 
@@ -449,11 +518,14 @@ impl WorkerState {
         part: fn(&mut RootSet) -> &mut [Addr],
         collect: impl FnOnce(&mut Collector, &mut WorkerHeap, usize, &mut [Addr]) -> R,
     ) -> R {
-        debug_assert!(
-            self.watermarks_hold(running),
-            "a root below the watermark points into vproc {}'s nursery",
-            self.vproc
-        );
+        if cfg!(debug_assertions) || self.collector.config().verify_after_gc {
+            assert!(
+                self.watermarks_hold(running),
+                "heap invariant violated: a root below the watermark points into vproc {}'s \
+                 nursery",
+                self.vproc
+            );
+        }
         let mut roots = std::mem::take(&mut self.gather);
         roots.clear();
         for set in Self::local_root_sets(running, &mut self.private) {
@@ -473,8 +545,9 @@ impl WorkerState {
     }
 
     /// The watermark invariant, checked before every collection in debug
-    /// builds: no slot below a local root set's watermark points into this
-    /// vproc's nursery (pure address arithmetic, no heap reads).
+    /// builds and under `GcConfig::verify_after_gc`: no slot below a local
+    /// root set's watermark points into this vproc's nursery (pure address
+    /// arithmetic, no heap reads).
     fn watermarks_hold(&self, running: &RootSet) -> bool {
         let local = self.heap.local(self.vproc);
         std::iter::once(running)
@@ -555,8 +628,11 @@ impl WorkerState {
         }
     }
 
+    /// Raises `pending` and signals every vproc, this one included (the
+    /// limit-word protocol, [`WorkerState::alloc`]).
     fn request_global(&self) {
-        if !self.shared.gc.pending.swap(true, Ordering::AcqRel) {
+        if !self.shared.gc.pending.swap(true, Ordering::SeqCst) {
+            (0..self.shared.num_vprocs).for_each(|vproc| self.shared.signal(vproc));
             self.shared.notify_workers_always();
         }
     }
@@ -782,6 +858,7 @@ impl WorkerState {
     fn request_steal(&mut self, victim: usize) -> Option<Task> {
         let request = StealRequest::new(self.vproc);
         self.shared.mailboxes[victim].post(Arc::clone(&request));
+        self.shared.signal(victim);
         // The victim may be asleep in the idle wait; it services its mailbox
         // at the top of its scheduler loop once woken.
         self.shared.notify_workers();
@@ -1004,29 +1081,23 @@ impl WorkerState {
                 // panic is the one that reaches the caller.
                 break;
             }
-            if self.shared.gc.pending.load(Ordering::Acquire) {
-                // The ramp-down ack path is a servicing point too: decline
-                // outstanding steal requests so no thief waits on a victim
-                // that is heading into the barrier.
-                self.service_steal_requests(true);
+            // A task boundary is a safe point like any other: the same limit
+            // word, the same slow path (steal requests answered, a pending
+            // collection joined with no running task's roots).
+            if self.limit() == 0 {
+                self.slow_path(&mut RootSet::default(), 0);
                 // Between increments of a budgeted collection the mutator is
-                // actually released: run one task before rejoining (its
-                // allocation safe points rejoin the collection mid-task, so
-                // the other workers never wait longer than one inter-safe-
-                // point interval).
+                // actually released: run one task before rejoining (its safe
+                // points rejoin the collection mid-task, so the other workers
+                // never wait longer than one inter-safe-point interval).
                 if self.shared.gc.in_scan_phase.load(Ordering::Acquire) {
                     if let Some(task) = self.private.pop_back() {
                         self.publish_work_hint();
                         self.run_task(task);
-                        continue;
                     }
+                    continue;
                 }
-                self.participate_global_gc(&mut RootSet::default());
-                continue;
             }
-            // A task boundary is the safe point where steal requests are
-            // answered (handing work over promotes only that work's roots).
-            self.service_steal_requests(false);
             if let Some(task) = self.private.pop_back() {
                 self.publish_work_hint();
                 self.run_task(task);
@@ -1041,7 +1112,8 @@ impl WorkerState {
                 // served by everyone before exiting (the barrier counts all
                 // workers). The counter read above synchronises with the
                 // final decrement, so a pending flag set during that task is
-                // visible here.
+                // visible here. (The exit test reads the flag itself, not the
+                // word: a stray signal must not keep a finished run alive.)
                 if self.shared.gc.pending.load(Ordering::Acquire) {
                     continue;
                 }
@@ -1050,8 +1122,8 @@ impl WorkerState {
                 self.service_steal_requests(true);
                 break;
             }
-            if self.shared.mailboxes[self.vproc].has_requests() {
-                continue; // a request arrived while we were stealing: serve it
+            if self.limit() == 0 {
+                continue; // signalled while we were stealing: serve it
             }
             // Register as an idler *after* taking the lock: a push that sees
             // the count non-zero then notifies under this same lock, so the
@@ -1365,6 +1437,11 @@ impl ThreadedMachine {
             vproc_nodes: vproc_nodes.clone(),
             placement: self.config.placement,
             mailboxes: (0..num_vprocs).map(|_| StealMailbox::new()).collect(),
+            // Disarmed: each worker's first safe point arms its own word
+            // (one slow path per vproc, the same re-arm as every other).
+            limits: (0..num_vprocs)
+                .map(|_| LimitWord(AtomicUsize::new(0)))
+                .collect(),
             eager_publication: self.config.gc.eager_publication,
             pending_tasks: AtomicUsize::new(1),
             idle_lock: Mutex::new(()),
@@ -1805,6 +1882,29 @@ mod tests {
         assert_eq!(ctx.read_words(handle), vec![5, 6, 7, 8, 9]);
         assert_eq!(ctx.read_raw(handle, 4), 9);
         assert_eq!(roots.slots(), [copy], "the root slot now holds the copy");
+    }
+
+    /// The below-watermark root check runs under `verify_after_gc` in
+    /// release builds too, not only as a debug assertion: a nursery address
+    /// planted below a root set's watermark — what a watermark left standing
+    /// over a re-used slot would hide from the next minor collection — is
+    /// reported before the collection runs.
+    #[test]
+    #[should_panic(expected = "heap invariant violated")]
+    fn a_nursery_root_below_the_watermark_is_caught_before_a_collection() {
+        let root = Task::from_spec(
+            TaskSpec::new("unused", |_| TaskResult::Unit),
+            Delivery::Discard,
+            0,
+        );
+        let (_shared, mut workers) = machine(1).assemble(root);
+        let worker = &mut workers[0];
+        assert!(worker.collector.config().verify_after_gc);
+        let young = worker.heap.alloc_raw(&[7; 8]).unwrap();
+        let mut roots = RootSet::default();
+        roots.push(young);
+        roots.mark_clean();
+        worker.local_gc(&mut roots);
     }
 
     #[test]

@@ -156,10 +156,10 @@ impl StealRequest {
 pub(crate) struct StealMailbox {
     requests: Mutex<VecDeque<Arc<StealRequest>>>,
     /// Count of posted-but-not-taken requests, maintained alongside the
-    /// queue so the owner's per-allocation safe-point check is a single
-    /// atomic load instead of a mutex acquisition. Incremented *before* the
-    /// push (so it never undercounts a queued request relative to a
-    /// successful pop) and decremented only on an actual pop.
+    /// queue so the owner's slow path can tell "nothing queued" without a
+    /// mutex acquisition. Incremented *before* the push (so it never
+    /// undercounts a queued request relative to a successful pop) and
+    /// decremented only on an actual pop.
     pending: AtomicUsize,
     /// Owner-published length of the private deque (`Release` stores by the
     /// owner, `Acquire` loads by thieves). Purely a heuristic: a stale hint
@@ -172,9 +172,11 @@ impl StealMailbox {
         StealMailbox::default()
     }
 
-    /// Thief side: posts a request.
+    /// Thief side: posts a request. The caller then zeroes the victim's
+    /// allocation limit word; the `SeqCst` increment is the request half of
+    /// that handshake (`WorkerState::alloc` in `threaded.rs`).
     pub(crate) fn post(&self, request: Arc<StealRequest>) {
-        self.pending.fetch_add(1, Ordering::Release);
+        self.pending.fetch_add(1, Ordering::SeqCst);
         self.requests
             .lock()
             .expect("steal mailbox poisoned")
@@ -197,12 +199,11 @@ impl StealMailbox {
         taken
     }
 
-    /// True if a request is queued. A lock-free check: the owner calls this
-    /// at *every* allocation-time safe point, so it must cost one atomic
-    /// load, not a mutex round trip. A momentarily stale answer is fine —
-    /// the next safe point re-checks.
+    /// True if a request is queued. The owner asks only on its slow path,
+    /// after re-arming its limit word; the `SeqCst` load pairs with the
+    /// increment in [`StealMailbox::post`].
     pub(crate) fn has_requests(&self) -> bool {
-        self.pending.load(Ordering::Acquire) > 0
+        self.pending.load(Ordering::SeqCst) > 0
     }
 
     /// Owner side: publishes the current private-deque length.
