@@ -865,6 +865,48 @@ mod tests {
         check(&w, roots[1], 72);
     }
 
+    /// A released chunk keeps its old words (`SharedChunk::reset` does not
+    /// zero them) and nothing reads them. Here the stale words are vectors
+    /// pointing into from-space, so a scan that read past `top` would copy.
+    /// Re-acquired and given one smaller object, the chunk walks as that
+    /// object alone and a scan pass over it copies nothing.
+    #[test]
+    fn a_reused_chunk_exposes_none_of_its_old_words() {
+        use mgc_heap::{DescriptorTable, HeapConfig, ObjectKind, ThreadedLayout};
+        use std::sync::Arc;
+
+        let layout = ThreadedLayout::new(&HeapConfig::small_for_tests(), 1, 1);
+        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 1));
+        let descriptors = Arc::new(DescriptorTable::new());
+        let mut w = WorkerHeap::new(0, layout, NodeId::new(0), global.clone(), descriptors);
+
+        // One chunk holds a target; a second is filled with vectors to it.
+        let raw = |len| Header::new(ObjectKind::Raw, len).encode();
+        let target = w.alloc_in_global(raw(1), &[7]).unwrap();
+        w.retire_current_chunk();
+        let vector = Header::new(ObjectKind::Vector, 1).encode();
+        for _ in 0..layout.chunk_words() / 2 {
+            w.alloc_in_global(vector, &[target.raw()]).unwrap();
+        }
+        let filled = w.current_chunk().unwrap().clone();
+        assert_eq!(filled.free_words(), 0);
+        w.retire_current_chunk();
+        global.release(&filled);
+
+        // The target's chunk flips to from-space; the released one is free.
+        assert_eq!(flip_to_from_space(&global).len(), 1);
+        let fresh = w.alloc_in_global(raw(2), &[1, 2]).unwrap();
+        let reused = w.current_chunk().unwrap().clone();
+        assert_eq!(reused.id(), filled.id(), "the pool hands the chunk back");
+        assert_eq!(reused.objects().collect::<Vec<_>>(), vec![fresh]);
+
+        let state = ParallelGcState::new();
+        assert!(scan_pass(&mut w, &state), "the new object is scanned");
+        assert_eq!(reused.scan(), 3, "and nothing past it");
+        assert_eq!(state.copied_bytes.load(Ordering::Relaxed), 0);
+        assert_eq!(w.payload(fresh), vec![1, 2]);
+    }
+
     #[test]
     fn budgeted_scan_passes_converge_and_preserve_data() {
         let (mut workers, global) = crate::collector::tests::two_workers();

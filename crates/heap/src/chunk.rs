@@ -97,7 +97,6 @@ mod tests {
         assert_eq!(c.used_words(), 0);
         assert_eq!(c.state(), SharedChunkState::Free);
         assert_eq!(c.node(), NodeId::new(2));
-        assert_eq!(c.read(0), 0);
     }
 
     #[test]

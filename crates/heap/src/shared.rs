@@ -407,13 +407,15 @@ impl SharedChunk {
         })
     }
 
-    /// Resets the chunk to empty and [`SharedChunkState::Free`].
+    /// Resets the chunk to empty and [`SharedChunkState::Free`]: `top`,
+    /// `scan` and the state only. The old words stay behind, unread:
+    /// allocation writes every word of an object before it publishes `top`,
+    /// and every walk ([`SharedChunk::objects`], the collectors' scan passes,
+    /// the verifier) stops at [`SharedChunk::used_words`]. A stale pointer
+    /// into a released chunk is caught by the chunk's state, not by zeros.
     pub fn reset(&self) {
         self.top.store(0, Ordering::Release);
         self.scan.store(0, Ordering::Release);
-        for word in &self.data {
-            word.store(0, Ordering::Relaxed);
-        }
         self.set_state(SharedChunkState::Free);
     }
 }
@@ -716,7 +718,8 @@ impl SharedGlobalHeap {
         chunk
     }
 
-    /// Returns a chunk to the free pool, clearing its contents.
+    /// Returns a chunk to the free pool, empty ([`SharedChunk::reset`]; its
+    /// old words are not cleared).
     ///
     /// # Panics
     ///
@@ -1299,22 +1302,30 @@ impl WorkerHeap {
     }
 
     /// Follows forwarding pointers from `addr` to the current copy of its
-    /// object and locates it. A local header is always checked (a promotion
-    /// may have overwritten it — a plain slice read); a global header is read
-    /// only when `global_may_forward`, i.e. when the caller knows a global
-    /// collection is between its flip and its release. Otherwise a global
-    /// address is final and resolving it is just [`WorkerHeap::locate`].
-    #[inline]
+    /// object and locates it — the read rule of the threaded backend, stated
+    /// here once.
+    ///
+    /// The language is mutation-free (§2.3), so a forwarding pointer is only
+    /// ever left in two places: in this worker's **local** heap by a
+    /// promotion, and in **global** from-space by a collection that has
+    /// flipped but not yet released. A local header is therefore always
+    /// checked (a plain slice read). A global header is read only when
+    /// `global_may_forward`: the caller passes the collector's
+    /// `in_scan_phase` flag, which is set exactly while a budgeted collection
+    /// lets mutators run between its increments (barrier leaders write it
+    /// with every worker stopped, and every root is re-evacuated before the
+    /// release clears it). With the flag clear a global address is final:
+    /// resolving it is classify and locate, and the header is not loaded.
+    #[inline(always)]
     pub fn resolve(&self, mut addr: Addr, global_may_forward: bool) -> (Addr, Place<'_>) {
         loop {
             let place = self.locate(addr);
-            let may_forward = match place {
-                Place::Local(..) => true,
-                Place::Global(..) => global_may_forward,
-            };
+            if matches!(place, Place::Global(..)) && !global_may_forward {
+                return (addr, place);
+            }
             match place.header_slot() {
-                HeaderSlot::Forwarded(target) if may_forward => addr = target,
-                _ => return (addr, place),
+                HeaderSlot::Forwarded(target) => addr = target,
+                HeaderSlot::Header(_) => return (addr, place),
             }
         }
     }

@@ -22,9 +22,11 @@
 //! backend the handle's address is classified once, a forwarding pointer is
 //! chased only where one can exist (this worker's local heap after a
 //! promotion; the global heap only while a budgeted collection is between
-//! increments — `WorkerState::resolve_place` states the invariant), and the
-//! field is then an index into the region found. Outside a collection a
-//! global-heap read is a load, as the paper's split heap intends (§2.3).
+//! increments — [`WorkerHeap::resolve`](mgc_heap::WorkerHeap::resolve)
+//! states the rule), and the field is then an index into the region found.
+//! Outside a collection a global-heap read is a load, as the paper's split
+//! heap intends (§2.3). The read accessors are `#[inline]`, so the whole
+//! chain — classify, locate, load — inlines into the program.
 //!
 //! One `TaskCtx` type serves **both** execution backends (see
 //! [`Executor`](crate::Executor)): on the simulated [`Machine`]
@@ -348,6 +350,7 @@ impl<'a> TaskCtx<'a> {
     /// root slot so later accesses are direct — and reads from it in the
     /// same step: `sim` gets the resolved address on the simulated backend,
     /// `threaded` the already-located object on the threaded one.
+    #[inline]
     fn access<R>(
         &mut self,
         handle: Handle,
@@ -371,6 +374,7 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Reads a raw field of the object behind `handle`.
+    #[inline]
     pub fn read_raw(&mut self, handle: Handle, index: usize) -> Word {
         self.access(
             handle,
@@ -383,12 +387,14 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Reads a raw field as an `f64`.
+    #[inline]
     pub fn read_f64(&mut self, handle: Handle, index: usize) -> f64 {
         word_to_f64(self.read_raw(handle, index))
     }
 
     /// Reads a pointer field and registers the target as a new root,
     /// returning its handle (or `None` for a null field).
+    #[inline]
     pub fn read_ptr(&mut self, handle: Handle, index: usize) -> Option<Handle> {
         match self.read_raw(handle, index) {
             0 => None,

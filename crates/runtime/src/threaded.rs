@@ -643,17 +643,10 @@ impl WorkerState {
 
     /// Resolves `addr` to the current copy of its object and locates it, so
     /// the caller reads the object without classifying the address again.
-    ///
-    /// Where a forwarding pointer can exist — the one place this is stated:
-    /// the language is mutation-free, so one is only ever left (a) in this
-    /// worker's **local** heap by a promotion, which the heap checks with a
-    /// plain slice read, and (b) in **global** from-space by a collection
-    /// that has flipped but not yet released. A mutator runs inside that
-    /// window only between the increments of a budgeted collection, which is
-    /// exactly while `in_scan_phase` is set (the flag is written by barrier
-    /// leaders with every worker stopped, and every root is re-evacuated
-    /// before the release clears it). With the flag clear a global handle is
-    /// final and its header is not read: a global-heap read is a load.
+    /// [`WorkerHeap::resolve`] states the read rule; this supplies its one
+    /// input, whether a budgeted global collection is between increments.
+    /// Forced inline: it sits on every `TaskCtx` field read.
+    #[inline(always)]
     pub(crate) fn resolve_place(&self, addr: Addr) -> (Addr, Place<'_>) {
         let global_may_forward = self.shared.gc.in_scan_phase.load(Ordering::Acquire);
         self.heap.resolve(addr, global_may_forward)
@@ -1825,8 +1818,8 @@ mod tests {
         );
     }
 
-    /// The guard in `resolve_place`: a global header is read — and a
-    /// forwarding pointer in it chased — only while `in_scan_phase` is set.
+    /// The read rule of `WorkerHeap::resolve`: a global header is read — and
+    /// a forwarding pointer in it chased — only while `in_scan_phase` is set.
     /// Fails if the chase for global addresses is deleted or the flag test
     /// inverted: `len` and `read_words` need the header, and a forwarded
     /// from-space copy no longer has one.
@@ -1882,6 +1875,57 @@ mod tests {
         assert_eq!(ctx.read_words(handle), vec![5, 6, 7, 8, 9]);
         assert_eq!(ctx.read_raw(handle, 4), 9);
         assert_eq!(roots.slots(), [copy], "the root slot now holds the copy");
+    }
+
+    /// The other half of the read rule (`WorkerHeap::resolve`): with
+    /// `in_scan_phase` clear a global address is final, so its header is not
+    /// read — a forwarding word forged into it is never followed — while a
+    /// forwarded local original is still chased. Fails if the early return
+    /// for global objects is dropped or inverted.
+    #[test]
+    fn global_headers_are_not_read_outside_a_scan_phase() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let root = Task::from_spec(
+            TaskSpec::new("unused", |_| TaskResult::Unit),
+            Delivery::Discard,
+            0,
+        );
+        let (shared, mut workers) = machine(1).assemble(root);
+        let worker = &mut workers[0];
+        let local = worker.heap.alloc_raw(&[1, 2, 3]).unwrap();
+        let promoted = worker.promote_shared(local, PromoteWhy::Publish);
+        let decoy = worker
+            .heap
+            .alloc_in_global(Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
+            .unwrap();
+        let header = worker.heap.header_of(promoted).encode();
+        worker
+            .heap
+            .cas_forward_global(promoted, header, decoy)
+            .unwrap();
+        assert!(!shared.gc.in_scan_phase.load(Ordering::Acquire));
+
+        assert_eq!(worker.resolve_addr(promoted), promoted);
+        assert_eq!(worker.resolve_addr(local), promoted, "local, then stop");
+        let mut roots = RootSet::default();
+        roots.push(promoted);
+        roots.push(local);
+        let mut delivery_taken = false;
+        let mut ctx = TaskCtx::new_threaded(
+            worker,
+            &mut roots,
+            &[],
+            &mut delivery_taken,
+            Delivery::Discard,
+        );
+        assert_eq!(ctx.read_raw(ctx.input(0), 2), 3, "the object's own payload");
+        assert_eq!(ctx.read_raw(ctx.input(1), 0), 1);
+        assert_eq!(
+            roots.slots(),
+            [promoted, promoted],
+            "the global slot is unchanged; the local one now holds the copy"
+        );
     }
 
     /// The below-watermark root check runs under `verify_after_gc` in
