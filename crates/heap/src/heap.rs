@@ -14,7 +14,7 @@ use crate::error::HeapError;
 use crate::gc_heap::GcHeap;
 use crate::header::{Header, HeaderSlot};
 use crate::local::LocalHeap;
-use crate::shared::{SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap};
+use crate::shared::{Place, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap};
 use crate::verify::InvariantViolation;
 use mgc_numa::{AllocPolicy, NodeId, PlacementPolicy};
 use std::sync::Arc;
@@ -260,6 +260,19 @@ pub struct HeapStats {
     pub evacuated_words: u64,
 }
 
+/// An object found by [`Heap::resolve`]: its current copy, located, and the
+/// node the NUMA cost model charges an access to it to.
+#[derive(Debug, Clone, Copy)]
+pub struct Resolved<'a> {
+    /// The current copy's address (the input unless it was forwarded).
+    pub addr: Addr,
+    /// Where the current copy lives.
+    pub place: Place<'a>,
+    /// The node whose memory backs it: the local heap's page node, or the
+    /// chunk's.
+    pub node: NodeId,
+}
+
 /// The whole machine's heap, as the discrete-event simulation drives it: one
 /// [`WorkerHeap`] per vproc over one [`SharedGlobalHeap`], one
 /// [`ThreadedLayout`] and one descriptor table. It holds no memory of its
@@ -268,9 +281,9 @@ pub struct HeapStats {
 /// (global addresses to worker 0 — every worker reads the global heap alike).
 ///
 /// The collector-facing operations are its [`GcHeap`] implementation; the
-/// four object readers ([`Heap::read_field`], [`Heap::header_of`],
-/// [`Heap::forwarded_to`], [`Heap::payload`]) are inherent as well, so
-/// reading an object needs no trait import.
+/// object readers ([`Heap::resolve`], the mutator's, and [`Heap::read_field`],
+/// [`Heap::header_of`], [`Heap::forwarded_to`], [`Heap::payload`]) are
+/// inherent as well, so reading an object needs no trait import.
 #[derive(Debug)]
 pub struct Heap {
     layout: ThreadedLayout,
@@ -401,6 +414,28 @@ impl Heap {
     // ------------------------------------------------------------------
     // Object readers
     // ------------------------------------------------------------------
+
+    /// Follows forwarding pointers from `addr` to the current copy of its
+    /// object and locates it: the simulated backend's read path. The address
+    /// is classified once, and the worker that owns it (its vproc for a
+    /// local address, worker 0 for a global one) runs
+    /// [`WorkerHeap::resolve`] — the read rule of both backends, which also
+    /// says what `global_may_forward` means — from that classification.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is unmapped.
+    #[inline]
+    pub fn resolve(&self, addr: Addr, global_may_forward: bool) -> Resolved<'_> {
+        let (worker, owner) = self.owner_of(addr);
+        let worker = &self.workers[worker];
+        let (addr, place) = worker.resolve_from(owner, addr, global_may_forward);
+        let node = match place {
+            Place::Local(..) => worker.local_node(),
+            Place::Global(chunk, _) => chunk.node(),
+        };
+        Resolved { addr, place, node }
+    }
 
     /// Reads payload field `index` of the object at `obj`.
     ///
@@ -780,6 +815,24 @@ mod tests {
         assert_eq!(heap.node_of(copy), NodeId::new(1));
         assert_eq!(heap.payload(copy), vec![4]);
         assert_eq!(heap.stats().chunk_acquisitions, 1);
+    }
+
+    #[test]
+    fn resolve_chases_a_local_forward_and_names_the_node_of_the_copy() {
+        let mut heap = two_vproc_heap();
+        let obj = heap.alloc_raw(1, &[4, 5]).unwrap();
+        let found = heap.resolve(obj, false);
+        assert_eq!((found.addr, found.node), (obj, NodeId::new(1)));
+        assert!(found.place.is_local());
+        // Promote vproc 1's object into a chunk on node 0.
+        heap.set_promotion_target(1, NodeId::new(0));
+        let (copy, _) = heap
+            .evacuate(obj, EvacTarget::GlobalCurrent { vproc: 1 })
+            .unwrap();
+        let found = heap.resolve(obj, false);
+        assert_eq!((found.addr, found.node), (copy, NodeId::new(0)));
+        assert!(!found.place.is_local());
+        assert_eq!(found.place.read(1), 5);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use header::{
     Header, HeaderSlot, ObjectKind, FIRST_MIXED_ID, MAX_ID, MAX_LEN_WORDS, RAW_ID, VECTOR_ID,
 };
 pub use heap::{
-    EvacTarget, GeometryViolation, Heap, HeapConfig, HeapGeometry, HeapStats, Space,
+    EvacTarget, GeometryViolation, Heap, HeapConfig, HeapGeometry, HeapStats, Resolved, Space,
     MIN_CHUNK_BYTES, MIN_LOCAL_HEAP_BYTES,
 };
 pub use local::{LocalHeap, LocalHeapStats, LocalObjects, LocalRegion};

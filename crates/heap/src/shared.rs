@@ -1004,6 +1004,12 @@ impl WorkerHeap {
         self.home_node
     }
 
+    /// The node whose memory backs the local heap (see `home_node`'s field).
+    #[inline]
+    pub(crate) fn local_node(&self) -> NodeId {
+        self.local.node()
+    }
+
     /// Points subsequent promotions at `node`'s chunk pool (honoured by
     /// node-binding placement policies; `Interleave` ignores it). The
     /// runtime sets this to the thief's node around a steal handoff and
@@ -1285,7 +1291,7 @@ impl WorkerHeap {
     /// [`GcHeap::node_of`] for an address already classified as `owner`.
     pub(crate) fn node_at(&self, owner: ThreadedOwner, addr: Addr) -> NodeId {
         match owner {
-            ThreadedOwner::Local(v) if v == self.vproc => self.local.node(),
+            ThreadedOwner::Local(v) if v == self.vproc => self.local_node(),
             ThreadedOwner::Local(_) => self.home_node,
             // Arithmetic: the node is baked into the address band.
             ThreadedOwner::Global { node, .. } => NodeId::new(node as u16),
@@ -1316,15 +1322,36 @@ impl WorkerHeap {
     /// with every worker stopped, and every root is re-evacuated before the
     /// release clears it). With the flag clear a global address is final:
     /// resolving it is classify and locate, and the header is not loaded.
+    ///
+    /// What each backend passes: a threaded worker passes `in_scan_phase`
+    /// (`WorkerState::resolve_place`). The simulated backend passes `false`:
+    /// its global collection runs between rounds with every task quiescent
+    /// and rewrites every root before it returns, so a running mutator never
+    /// meets a global forwarding word (`RuntimeState::locate`).
     #[inline(always)]
-    pub fn resolve(&self, mut addr: Addr, global_may_forward: bool) -> (Addr, Place<'_>) {
+    pub fn resolve(&self, addr: Addr, global_may_forward: bool) -> (Addr, Place<'_>) {
+        self.resolve_from(self.layout.owner_of(addr), addr, global_may_forward)
+    }
+
+    /// [`WorkerHeap::resolve`] for an address already classified as `owner`
+    /// — the one forwarding loop of both backends.
+    #[inline(always)]
+    pub(crate) fn resolve_from(
+        &self,
+        mut owner: ThreadedOwner,
+        mut addr: Addr,
+        global_may_forward: bool,
+    ) -> (Addr, Place<'_>) {
         loop {
-            let place = self.locate(addr);
+            let place = self.place(owner, addr);
             if matches!(place, Place::Global(..)) && !global_may_forward {
                 return (addr, place);
             }
             match place.header_slot() {
-                HeaderSlot::Forwarded(target) => addr = target,
+                HeaderSlot::Forwarded(target) => {
+                    addr = target;
+                    owner = self.layout.owner_of(addr);
+                }
                 HeaderSlot::Header(_) => return (addr, place),
             }
         }
@@ -1417,6 +1444,12 @@ pub enum Place<'a> {
 }
 
 impl Place<'_> {
+    /// True for an object in the worker's own local heap.
+    #[inline]
+    pub fn is_local(&self) -> bool {
+        matches!(self, Place::Local(..))
+    }
+
     /// Payload field `index` of the object.
     #[inline]
     pub fn read(&self, index: usize) -> Word {

@@ -18,15 +18,19 @@
 //! * [`TaskCtx::create_proxy`] / [`TaskCtx::resolve_proxy`] — object proxies
 //!   for global structures that need to reference vproc-local objects.
 //!
-//! A read through a handle is resolve-and-read in one step: on the threaded
-//! backend the handle's address is classified once, a forwarding pointer is
-//! chased only where one can exist (this worker's local heap after a
-//! promotion; the global heap only while a budgeted collection is between
-//! increments — [`WorkerHeap::resolve`](mgc_heap::WorkerHeap::resolve)
-//! states the rule), and the field is then an index into the region found.
-//! Outside a collection a global-heap read is a load, as the paper's split
-//! heap intends (§2.3). The read accessors are `#[inline]`, so the whole
-//! chain — classify, locate, load — inlines into the program.
+//! A read through a handle is resolve-and-read in one step, under one rule
+//! on both backends: the handle's address is classified once, a forwarding
+//! pointer is chased only where one can exist (the owning vproc's local heap
+//! after a promotion; the global heap only while a threaded budgeted
+//! collection is between increments, never on the simulated backend, whose
+//! global collection runs with every task quiescent —
+//! [`WorkerHeap::resolve`](mgc_heap::WorkerHeap::resolve) states the rule),
+//! and the field is then an index into the region found. Outside a
+//! collection a global-heap read is a load, as the paper's split heap
+//! intends (§2.3). The simulated backend charges the access to the node and
+//! region that same lookup returned ([`Heap::resolve`](mgc_heap::Heap::resolve)).
+//! The read accessors are `#[inline]`, so the whole chain — classify,
+//! locate, load — inlines into the program.
 //!
 //! One `TaskCtx` type serves **both** execution backends (see
 //! [`Executor`](crate::Executor)): on the simulated [`Machine`]
@@ -40,7 +44,7 @@ use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
-use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, ObjectKind, Place, Word};
+use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, ObjectKind, Place, Resolved, Word};
 
 /// How one field of a mixed-type object is initialised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -348,27 +352,31 @@ impl<'a> TaskCtx<'a> {
 
     /// Resolves `handle` to the current copy of its object — updating the
     /// root slot so later accesses are direct — and reads from it in the
-    /// same step: `sim` gets the resolved address on the simulated backend,
-    /// `threaded` the already-located object on the threaded one.
+    /// same step: `read` gets the located object on either backend. The
+    /// simulated backend then charges `bytes(place)` bytes to the node and
+    /// region the object was found in.
     #[inline]
     fn access<R>(
         &mut self,
         handle: Handle,
-        sim: impl FnOnce(&mut RuntimeState, usize, Addr) -> R,
-        threaded: impl FnOnce(Place<'_>) -> R,
+        bytes: impl FnOnce(Place<'_>) -> usize,
+        read: impl FnOnce(Place<'_>) -> R,
     ) -> R {
         // Never a nursery address the slot did not already hold: forwarding
         // pointers lead out of the local heap, so the watermark stands.
         let slot = &mut self.roots.slots_mut()[handle.index()];
         match &mut self.state {
             CtxState::Sim(state) => {
-                *slot = state.resolve_addr(*slot);
-                sim(state, self.vproc, *slot)
+                let Resolved { addr, place, node } = state.locate(*slot);
+                *slot = addr;
+                let (value, local, bytes) = (read(place), place.is_local(), bytes(place));
+                state.charge_access(self.vproc, node, local, bytes);
+                value
             }
             CtxState::Threaded(worker) => {
                 let (addr, place) = worker.resolve_place(*slot);
                 *slot = addr;
-                threaded(place)
+                read(place)
             }
         }
     }
@@ -376,14 +384,7 @@ impl<'a> TaskCtx<'a> {
     /// Reads a raw field of the object behind `handle`.
     #[inline]
     pub fn read_raw(&mut self, handle: Handle, index: usize) -> Word {
-        self.access(
-            handle,
-            |state, vproc, addr| {
-                state.charge_access(vproc, addr, 8);
-                state.heap.read_field(addr, index)
-            },
-            |place| place.read(index),
-        )
+        self.access(handle, |_| 8, |place| place.read(index))
     }
 
     /// Reads a raw field as an `f64`.
@@ -407,10 +408,7 @@ impl<'a> TaskCtx<'a> {
     pub fn read_words(&mut self, handle: Handle) -> Vec<Word> {
         self.access(
             handle,
-            |state, vproc, addr| {
-                state.charge_access(vproc, addr, state.heap.object_bytes(addr));
-                state.heap.payload(addr)
-            },
+            |place| place.header().total_bytes(),
             |place| place.payload(),
         )
     }
@@ -425,12 +423,7 @@ impl<'a> TaskCtx<'a> {
 
     /// The number of payload words of the object behind `handle`.
     pub fn len(&mut self, handle: Handle) -> usize {
-        let header = self.access(
-            handle,
-            |state, _, addr| state.heap.header_of(addr),
-            |place| place.header(),
-        );
-        header.len_words as usize
+        self.access(handle, |_| 0, |place| place.header()).len_words as usize
     }
 
     /// True if the object behind `handle` has no payload (never the case for

@@ -26,10 +26,12 @@ use crate::task::{Delivery, JoinCell, Task, TaskResult, TaskSpec};
 use crate::threaded::PromoteWhy;
 use crate::vproc::VProc;
 use mgc_core::{Collector, GcConfig};
-use mgc_heap::{Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, HeapError, Word};
+use mgc_heap::{
+    Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, HeapError, Resolved, Word,
+};
 use mgc_numa::{
-    AdaptiveController, AllocPolicy, MemoryModel, PlacementPolicy, Topology, Traffic, TrafficStats,
-    VprocRoundCost,
+    AccessClass, AdaptiveController, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology,
+    Traffic, TrafficStats, VprocRoundCost,
 };
 
 /// Fixed scheduling overhead charged per executed task, in nanoseconds.
@@ -168,6 +170,9 @@ pub(crate) struct RuntimeState {
     pub(crate) proxies: Vec<Proxy>,
     pub(crate) channel_stats: ChannelStats,
     pub(crate) topology: Topology,
+    /// `topology.access_class(src, dst)` at `src * num_nodes + dst`: a
+    /// mutator access is charged per field read, so its class is a load.
+    access_classes: Vec<AccessClass>,
     pub(crate) mutator_costs: MutatorCostModel,
     pub(crate) traffic: TrafficStats,
     pub(crate) ns_per_op: f64,
@@ -229,19 +234,21 @@ impl RuntimeState {
         }
     }
 
-    /// Charges a mutator access of `bytes` bytes at `addr` by `vproc`,
-    /// applying the cache model.
-    pub(crate) fn charge_access(&mut self, vproc: usize, addr: Addr, bytes: usize) {
-        if addr.is_null() || bytes == 0 {
+    /// Charges a mutator access by `vproc` of `bytes` bytes of an object on
+    /// `node`, in a local heap or (`local` false) the global heap, applying
+    /// the cache model. [`RuntimeState::locate`] supplies the node and the
+    /// region.
+    #[inline]
+    pub(crate) fn charge_access(&mut self, vproc: usize, node: NodeId, local: bool, bytes: usize) {
+        if bytes == 0 {
             return;
         }
-        let target_node = self.heap.node_of(addr);
-        let miss_rate = if self.heap.is_local(addr) {
+        let miss_rate = if local {
             self.mutator_costs.local_heap_miss_rate
         } else {
             self.mutator_costs.global_heap_miss_rate
         };
-        self.charge_traffic(vproc, target_node, bytes, miss_rate);
+        self.charge_traffic(vproc, node, bytes, miss_rate);
         // Touching data costs a couple of instructions per word even on a
         // cache hit.
         self.charge_work(vproc, (bytes as u64 / 8).max(1));
@@ -273,7 +280,8 @@ impl RuntimeState {
         }
     }
 
-    fn charge_traffic(&mut self, vproc: usize, node: mgc_numa::NodeId, bytes: usize, rate: f64) {
+    #[inline]
+    fn charge_traffic(&mut self, vproc: usize, node: NodeId, bytes: usize, rate: f64) {
         let dram_bytes = (bytes as f64 * rate).ceil() as u64;
         if dram_bytes == 0 {
             return;
@@ -282,8 +290,15 @@ impl RuntimeState {
         self.vprocs[vproc]
             .round_cost
             .add_traffic(node, Traffic::new(dram_bytes, accesses));
-        let class = self.topology.access_class(self.vprocs[vproc].node, node);
+        let class = self.access_class(self.vprocs[vproc].node, node);
         self.traffic.record_mutator(class, dram_bytes);
+    }
+
+    /// The topology's access class of a `src` → `dst` access, from the
+    /// table built once per machine.
+    #[inline]
+    fn access_class(&self, src: NodeId, dst: NodeId) -> AccessClass {
+        self.access_classes[src.index() * self.topology.num_nodes() + dst.index()]
     }
 
     fn charge_gc_cost(&mut self, vproc: usize, cost: &mgc_core::GcCost) {
@@ -291,9 +306,7 @@ impl RuntimeState {
         let src = self.vprocs[vproc].node;
         for (node, &bytes) in cost.bytes_to_node.iter().enumerate() {
             if bytes > 0 {
-                let class = self
-                    .topology
-                    .access_class(src, mgc_numa::NodeId::new(node as u16));
+                let class = self.access_class(src, NodeId::new(node as u16));
                 self.traffic.record_gc(class, bytes);
             }
         }
@@ -458,16 +471,24 @@ impl RuntimeState {
         }
     }
 
-    /// Follows forwarding pointers left by promotions so stale references
-    /// converge on the surviving copy of an object.
-    pub(crate) fn resolve_addr(&self, mut addr: Addr) -> Addr {
+    /// Resolves `addr` to the current copy of its object and locates it
+    /// ([`Heap::resolve`]), so a read classifies the address once. A global
+    /// header is never read: the global collection runs between rounds with
+    /// every task quiescent (`Machine::run_global_gc`) and rewrites every
+    /// root before it returns, so a running mutator never meets a global
+    /// forwarding word — only a promoted local original holds one.
+    #[inline]
+    pub(crate) fn locate(&self, addr: Addr) -> Resolved<'_> {
+        self.heap.resolve(addr, false)
+    }
+
+    /// [`RuntimeState::locate`] for callers that only want the address; null
+    /// stays null.
+    pub(crate) fn resolve_addr(&self, addr: Addr) -> Addr {
         if addr.is_null() {
             return addr;
         }
-        while let Some(forwarded) = self.heap.forwarded_to(addr) {
-            addr = forwarded;
-        }
-        addr
+        self.locate(addr).addr
     }
 
     /// Promotes `addr` if it lives in a local heap other than `target_vproc`'s,
@@ -706,8 +727,9 @@ impl RuntimeState {
         self.channels[channel.0].receives += 1;
         self.channel_stats.receives += 1;
         // Reading the message pulls it across the interconnect.
-        let bytes = self.heap.object_bytes(message);
-        self.charge_access(vproc, message, bytes);
+        let Resolved { place, node, .. } = self.locate(message);
+        let (local, bytes) = (place.is_local(), place.header().total_bytes());
+        self.charge_access(vproc, node, local, bytes);
         Some(message)
     }
 
@@ -768,6 +790,11 @@ impl Machine {
             .collect();
         let ns_per_op = 1.0 / topology.core_ghz();
         let model = MemoryModel::new(topology.clone());
+        let nodes = || (0..topology.num_nodes()).map(|n| NodeId::new(n as u16));
+        let access_classes = nodes()
+            .flat_map(|src| nodes().map(move |dst| (src, dst)))
+            .map(|(src, dst)| topology.access_class(src, dst))
+            .collect();
         Machine {
             state: RuntimeState {
                 heap,
@@ -777,6 +804,7 @@ impl Machine {
                 channels: Vec::new(),
                 proxies: Vec::new(),
                 channel_stats: ChannelStats::default(),
+                access_classes,
                 topology,
                 mutator_costs: config.mutator_costs,
                 traffic: TrafficStats::new(),
@@ -1129,7 +1157,7 @@ impl RuntimeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskResult;
+    use crate::task::{RootSet, TaskResult};
     use mgc_heap::i64_to_word;
 
     #[test]
@@ -1168,5 +1196,100 @@ mod tests {
     #[should_panic(expected = "at least one vproc")]
     fn zero_vprocs_rejected() {
         let _ = MachineConfig::new(Topology::dual_node_test(), 0);
+    }
+
+    /// Runs `body` as vproc 0's task over `roots`.
+    fn on_vproc0<R>(
+        state: &mut RuntimeState,
+        roots: &mut RootSet,
+        body: impl FnOnce(&mut TaskCtx<'_>) -> R,
+    ) -> R {
+        let mut delivery_taken = false;
+        let mut ctx = TaskCtx::new(state, 0, roots, &[], &mut delivery_taken, Delivery::Discard);
+        body(&mut ctx)
+    }
+
+    /// A simulated read is charged where it lands: vproc 0 (node 0) reads
+    /// through a root naming its own local original, which a promotion
+    /// forwarded to a chunk on node 1, so the bytes go to the node-1 copy's
+    /// access class at the global miss rate — not to the local original's.
+    #[test]
+    fn a_simulated_read_charges_where_the_read_lands() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(2));
+        let state = &mut machine.state;
+        let original = state.heap.alloc_raw(0, &[10, 20, 30]).unwrap();
+        let copy = state.promote_for(1, original, PromoteWhy::Steal);
+        assert_eq!(state.heap.forwarded_to(original), Some(copy));
+        assert!(state.heap.is_global(copy));
+        assert_eq!(state.heap.node_of(copy), NodeId::new(1));
+        let remote = AccessClass::CrossPackage as usize;
+        assert_eq!(
+            state.access_class(NodeId::new(0), NodeId::new(1)) as usize,
+            remote
+        );
+        assert_eq!(state.traffic.mutator_bytes, [0; 3]);
+
+        let mut roots = RootSet::default();
+        roots.push(original);
+        let word = on_vproc0(state, &mut roots, |ctx| ctx.read_raw(ctx.input(0), 1));
+        assert_eq!(word, 20, "the copy's word");
+        assert_eq!(roots.slots(), [copy], "the root slot now names the copy");
+        // ceil(8 bytes x 0.65 global miss rate) = 6.
+        let mut expected = [0; 3];
+        expected[remote] = 6;
+        assert_eq!(machine.report().traffic.mutator_bytes, expected);
+
+        let state = &mut machine.state;
+        let len = on_vproc0(state, &mut roots, |ctx| ctx.len(ctx.input(0)));
+        assert_eq!(len, 3);
+        assert_eq!(state.traffic.mutator_bytes, expected, "len is not charged");
+
+        let words = on_vproc0(state, &mut roots, |ctx| ctx.read_words(ctx.input(0)));
+        assert_eq!(words, [10, 20, 30]);
+        // The header's total_bytes(), 32: ceil(32 x 0.65) = 21.
+        expected[remote] += 21;
+        assert_eq!(machine.report().traffic.mutator_bytes, expected);
+    }
+
+    /// The simulated backend's global collection runs between rounds with
+    /// every task quiescent, so a running mutator never meets a global
+    /// forwarding word and its resolve never reads a global header: a word
+    /// forged into a promoted object's header is not followed, while a
+    /// forwarded local original is still chased to its copy. Fails if
+    /// `RuntimeState::locate` passes `true`.
+    #[test]
+    fn global_headers_are_never_followed_on_the_simulated_backend() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let state = &mut machine.state;
+        let local = state.heap.alloc_raw(0, &[1, 2, 3]).unwrap();
+        let promoted = state.ensure_global(local);
+        let decoy = state
+            .heap
+            .alloc_in_global(0, Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
+            .unwrap();
+        let header = state.heap.header_of(promoted).encode();
+        state
+            .heap
+            .worker_mut(0)
+            .cas_forward_global(promoted, header, decoy)
+            .unwrap();
+        assert_eq!(state.heap.forwarded_to(promoted), Some(decoy));
+
+        assert_eq!(state.resolve_addr(promoted), promoted);
+        assert_eq!(state.resolve_addr(local), promoted, "local, then stop");
+        let mut roots = RootSet::default();
+        roots.push(promoted);
+        roots.push(local);
+        let (own, copied) = on_vproc0(state, &mut roots, |ctx| {
+            (ctx.read_raw(ctx.input(0), 2), ctx.read_raw(ctx.input(1), 0))
+        });
+        assert_eq!((own, copied), (3, 1), "the object's own payload");
+        assert_eq!(
+            roots.slots(),
+            [promoted, promoted],
+            "the global slot is unchanged; the local one now holds the copy"
+        );
     }
 }
