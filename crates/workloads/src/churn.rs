@@ -127,11 +127,14 @@ pub fn spawn(machine: &mut dyn Executor, params: ChurnParams) {
                     TaskSpec::new("churn-worker", move |ctx| {
                         let mut survivors: Vec<Handle> = Vec::new();
                         let base_mark = ctx.root_mark();
+                        // One payload buffer, refilled per object: the
+                        // allocation copies it into the nursery.
+                        let mut payload = vec![0; params.object_words];
                         for i in 0..params.objects_per_worker {
                             let base = (worker * 1_000_000 + i) as i64;
-                            let payload: Vec<_> = (0..params.object_words)
-                                .map(|j| i64_to_word(base + j as i64))
-                                .collect();
+                            for (j, word) in payload.iter_mut().enumerate() {
+                                *word = i64_to_word(base + j as i64);
+                            }
                             let obj = ctx.alloc_raw(&payload);
                             if i % params.survive_every == 0 {
                                 survivors.push(obj);
@@ -140,13 +143,7 @@ pub fn spawn(machine: &mut dyn Executor, params: ChurnParams) {
                                 // survivor; the survivors keep their handles
                                 // because handles index the root set, which
                                 // only ever grows here.
-                                let keep = survivors.len();
-                                let _ = keep;
-                                if survivors.is_empty() {
-                                    ctx.truncate_roots(base_mark);
-                                } else {
-                                    ctx.truncate_roots(base_mark + survivors.len());
-                                }
+                                ctx.truncate_roots(base_mark + survivors.len());
                             }
                             ctx.work(params.object_words as u64 * 4);
                         }
