@@ -14,7 +14,9 @@ use crate::error::HeapError;
 use crate::gc_heap::GcHeap;
 use crate::header::{Header, HeaderSlot};
 use crate::local::LocalHeap;
-use crate::shared::{Place, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap};
+use crate::shared::{
+    Location, Place, Resolved, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap,
+};
 use crate::verify::InvariantViolation;
 use mgc_numa::{AllocPolicy, NodeId, PlacementPolicy};
 use std::sync::Arc;
@@ -260,19 +262,6 @@ pub struct HeapStats {
     pub evacuated_words: u64,
 }
 
-/// An object found by [`Heap::resolve`]: its current copy, located, and the
-/// node the NUMA cost model charges an access to it to.
-#[derive(Debug, Clone, Copy)]
-pub struct Resolved<'a> {
-    /// The current copy's address (the input unless it was forwarded).
-    pub addr: Addr,
-    /// Where the current copy lives.
-    pub place: Place<'a>,
-    /// The node whose memory backs it: the local heap's page node, or the
-    /// chunk's.
-    pub node: NodeId,
-}
-
 /// The whole machine's heap, as the discrete-event simulation drives it: one
 /// [`WorkerHeap`] per vproc over one [`SharedGlobalHeap`], one
 /// [`ThreadedLayout`] and one descriptor table. It holds no memory of its
@@ -420,21 +409,31 @@ impl Heap {
     /// is classified once, and the worker that owns it (its vproc for a
     /// local address, worker 0 for a global one) runs
     /// [`WorkerHeap::resolve`] — the read rule of both backends, which also
-    /// says what `global_may_forward` means — from that classification.
+    /// says what `global` and `global_may_forward` mean — from that
+    /// classification.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is unmapped.
-    #[inline]
-    pub fn resolve(&self, addr: Addr, global_may_forward: bool) -> Resolved<'_> {
+    #[inline(always)]
+    pub fn resolve<'g>(
+        &self,
+        global: &'g SharedGlobalHeap,
+        addr: Addr,
+        global_may_forward: bool,
+    ) -> Resolved<'g> {
         let (worker, owner) = self.owner_of(addr);
-        let worker = &self.workers[worker];
-        let (addr, place) = worker.resolve_from(owner, addr, global_may_forward);
-        let node = match place {
-            Place::Local(..) => worker.local_node(),
-            Place::Global(chunk, _) => chunk.node(),
-        };
-        Resolved { addr, place, node }
+        self.workers[worker].resolve_from(global, owner, addr, global_may_forward)
+    }
+
+    /// The [`Place`] of a location [`Heap::resolve`] returned, indexed in
+    /// the owning vproc's local heap or the chunk.
+    #[inline(always)]
+    pub fn place_of<'a>(&'a self, location: Location<'a>) -> Place<'a> {
+        match location {
+            Location::Local { vproc, .. } => self.workers[vproc].place_of(location),
+            Location::Global(chunk, offset) => Place::Global(chunk, offset),
+        }
     }
 
     /// Reads payload field `index` of the object at `obj`.
@@ -820,19 +819,21 @@ mod tests {
     #[test]
     fn resolve_chases_a_local_forward_and_names_the_node_of_the_copy() {
         let mut heap = two_vproc_heap();
+        let global = heap.global().clone();
         let obj = heap.alloc_raw(1, &[4, 5]).unwrap();
-        let found = heap.resolve(obj, false);
+        let found = heap.resolve(&global, obj, false);
         assert_eq!((found.addr, found.node), (obj, NodeId::new(1)));
-        assert!(found.place.is_local());
+        assert!(heap.place_of(found.location).is_local());
         // Promote vproc 1's object into a chunk on node 0.
         heap.set_promotion_target(1, NodeId::new(0));
         let (copy, _) = heap
             .evacuate(obj, EvacTarget::GlobalCurrent { vproc: 1 })
             .unwrap();
-        let found = heap.resolve(obj, false);
+        let found = heap.resolve(&global, obj, false);
         assert_eq!((found.addr, found.node), (copy, NodeId::new(0)));
-        assert!(!found.place.is_local());
-        assert_eq!(found.place.read(1), 5);
+        let place = heap.place_of(found.location);
+        assert!(!place.is_local());
+        assert_eq!(place.read(1), 5);
     }
 
     #[test]

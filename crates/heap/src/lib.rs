@@ -66,14 +66,14 @@ pub use header::{
     Header, HeaderSlot, ObjectKind, FIRST_MIXED_ID, MAX_ID, MAX_LEN_WORDS, RAW_ID, VECTOR_ID,
 };
 pub use heap::{
-    EvacTarget, GeometryViolation, Heap, HeapConfig, HeapGeometry, HeapStats, Resolved, Space,
+    EvacTarget, GeometryViolation, Heap, HeapConfig, HeapGeometry, HeapStats, Space,
     MIN_CHUNK_BYTES, MIN_LOCAL_HEAP_BYTES,
 };
 pub use local::{LocalHeap, LocalHeapStats, LocalObjects, LocalRegion};
 pub use object::{f64_to_word, i64_to_word, word_to_f64, word_to_i64};
 pub use shared::{
-    global_node_of, Place, SharedChunk, SharedChunkState, SharedGlobalHeap, ThreadedLayout,
-    ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE, LOCAL_BASE, MAX_NODE_SPAN_SHIFT,
-    NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
+    global_node_of, Location, Place, Resolved, SharedChunk, SharedChunkState, SharedGlobalHeap,
+    ThreadedLayout, ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE, LOCAL_BASE,
+    MAX_NODE_SPAN_SHIFT, NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
 };
 pub use verify::{verify_global_heap, verify_heap, verify_local_heap, InvariantViolation};

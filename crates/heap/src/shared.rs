@@ -86,7 +86,7 @@ const DIR_SEGMENTS: usize = 24;
 type DirSegment = Box<[OnceLock<Arc<SharedChunk>>]>;
 
 /// The segment holding directory entry `index`, and the entry's slot in it.
-#[inline]
+#[inline(always)]
 fn dir_slot(index: usize) -> (usize, usize) {
     let segment = (index / DIR_SEG_CHUNKS + 1).ilog2() as usize;
     let first = ((1usize << segment) - 1) * DIR_SEG_CHUNKS;
@@ -120,7 +120,7 @@ impl ChunkDirectory {
     }
 
     /// The chunk at `index`, if published.
-    #[inline]
+    #[inline(always)]
     fn get(&self, index: usize) -> Option<&Arc<SharedChunk>> {
         let (segment, slot) = dir_slot(index);
         self.segments.get(segment)?.get()?.get(slot)?.get()
@@ -664,9 +664,22 @@ impl SharedGlobalHeap {
     /// [`ThreadedOwner::Global`] names — if one is mapped there. Lock-free,
     /// and the reference lives as long as the heap: chunks are recycled
     /// through the pool, never unmapped.
-    #[inline]
+    #[inline(always)]
     pub fn chunk_in_band(&self, node: usize, index: usize) -> Option<&SharedChunk> {
         self.by_node.get(node)?.get(index).map(|chunk| &**chunk)
+    }
+
+    /// The mapped chunk `index` of `node`'s band, which `addr` points into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no chunk is mapped there.
+    #[inline(always)]
+    fn band_chunk(&self, node: usize, index: usize, addr: Addr) -> &SharedChunk {
+        match self.chunk_in_band(node, index) {
+            Some(chunk) => chunk,
+            None => unmapped_access(addr, Some(node)),
+        }
     }
 
     /// Acquires a chunk for a worker whose preferred (consumer) node is
@@ -1238,28 +1251,47 @@ impl WorkerHeap {
         self.place(self.layout.owner_of(obj), obj)
     }
 
-    /// The mapped chunk `index` of `node`'s band, which `addr` points into.
-    #[inline]
-    fn band_chunk(&self, node: usize, index: usize, addr: Addr) -> &SharedChunk {
-        match self.global.chunk_in_band(node, index) {
-            Some(chunk) => chunk,
-            None => unmapped_access(addr, Some(node)),
-        }
+    /// [`WorkerHeap::locate`] for an address already classified as `owner`.
+    #[inline(always)]
+    pub(crate) fn place(&self, owner: ThreadedOwner, addr: Addr) -> Place<'_> {
+        self.place_of(self.location(&self.global, owner, addr))
     }
 
-    /// [`WorkerHeap::locate`] for an address already classified as `owner`.
-    #[inline]
-    pub(crate) fn place(&self, owner: ThreadedOwner, addr: Addr) -> Place<'_> {
+    /// Where the object at `addr`, classified as `owner`, lives — with a
+    /// global chunk looked up in `global`, this worker's global heap, so the
+    /// location borrows that heap rather than the worker.
+    #[inline(always)]
+    fn location<'g>(
+        &self,
+        global: &'g SharedGlobalHeap,
+        owner: ThreadedOwner,
+        addr: Addr,
+    ) -> Location<'g> {
         match owner {
-            ThreadedOwner::Local(v) if v == self.vproc => {
-                Place::Local(self.local.words(), self.local.offset_of(addr))
-            }
+            ThreadedOwner::Local(vproc) if vproc == self.vproc => Location::Local {
+                vproc,
+                offset: self.local.offset_of(addr),
+            },
             ThreadedOwner::Global { node, index } => {
-                let chunk = self.band_chunk(node, index, addr);
-                Place::Global(chunk, chunk.offset_of(addr))
+                let chunk = global.band_chunk(node, index, addr);
+                Location::Global(chunk, chunk.offset_of(addr))
             }
             ThreadedOwner::Local(v) => foreign_local_access(self.vproc, v),
             ThreadedOwner::Unmapped => unmapped_access(addr, None),
+        }
+    }
+
+    /// The [`Place`] of a location this worker found: a local one indexes
+    /// this worker's words again (one slice index), a global one is already
+    /// a chunk and offset.
+    #[inline(always)]
+    pub fn place_of<'a>(&'a self, location: Location<'a>) -> Place<'a> {
+        match location {
+            Location::Local { vproc, offset } => {
+                debug_assert_eq!(vproc, self.vproc, "a location in another worker's heap");
+                Place::Local(self.local.words(), offset)
+            }
+            Location::Global(chunk, offset) => Place::Global(chunk, offset),
         }
     }
 
@@ -1301,15 +1333,17 @@ impl WorkerHeap {
 
     /// [`GcHeap::write_field`] for an object already classified as `owner`.
     pub(crate) fn write_at(&mut self, owner: ThreadedOwner, obj: Addr, index: usize, value: Word) {
-        match self.place(owner, obj) {
-            Place::Local(_, offset) => self.local.write(offset + index, value),
-            Place::Global(chunk, offset) => chunk.write(offset + index, value),
+        match self.location(&self.global, owner, obj) {
+            Location::Local { offset, .. } => self.local.write(offset + index, value),
+            Location::Global(chunk, offset) => chunk.write(offset + index, value),
         }
     }
 
     /// Follows forwarding pointers from `addr` to the current copy of its
-    /// object and locates it — the read rule of the threaded backend, stated
-    /// here once.
+    /// object and locates it — the read rule of both backends, stated here
+    /// once. `global` must be this worker's global heap: the result borrows
+    /// it rather than the worker, so a mutator can keep the location while it
+    /// uses the worker mutably (`TaskCtx` does, until its next safe point).
     ///
     /// The language is mutation-free (§2.3), so a forwarding pointer is only
     /// ever left in two places: in this worker's **local** heap by a
@@ -1324,36 +1358,53 @@ impl WorkerHeap {
     /// resolving it is classify and locate, and the header is not loaded.
     ///
     /// What each backend passes: a threaded worker passes `in_scan_phase`
-    /// (`WorkerState::resolve_place`). The simulated backend passes `false`:
-    /// its global collection runs between rounds with every task quiescent
-    /// and rewrites every root before it returns, so a running mutator never
+    /// (`WorkerState::locate`). The simulated backend passes `false`: its
+    /// global collection runs between rounds with every task quiescent and
+    /// rewrites every root before it returns, so a running mutator never
     /// meets a global forwarding word (`RuntimeState::locate`).
     #[inline(always)]
-    pub fn resolve(&self, addr: Addr, global_may_forward: bool) -> (Addr, Place<'_>) {
-        self.resolve_from(self.layout.owner_of(addr), addr, global_may_forward)
+    pub fn resolve<'g>(
+        &self,
+        global: &'g SharedGlobalHeap,
+        addr: Addr,
+        global_may_forward: bool,
+    ) -> Resolved<'g> {
+        self.resolve_from(global, self.layout.owner_of(addr), addr, global_may_forward)
     }
 
     /// [`WorkerHeap::resolve`] for an address already classified as `owner`
     /// — the one forwarding loop of both backends.
     #[inline(always)]
-    pub(crate) fn resolve_from(
+    pub(crate) fn resolve_from<'g>(
         &self,
+        global: &'g SharedGlobalHeap,
         mut owner: ThreadedOwner,
         mut addr: Addr,
         global_may_forward: bool,
-    ) -> (Addr, Place<'_>) {
+    ) -> Resolved<'g> {
+        debug_assert!(
+            std::ptr::eq(global, &*self.global),
+            "resolved against another global heap"
+        );
         loop {
-            let place = self.place(owner, addr);
-            if matches!(place, Place::Global(..)) && !global_may_forward {
-                return (addr, place);
-            }
-            match place.header_slot() {
-                HeaderSlot::Forwarded(target) => {
+            let location = self.location(global, owner, addr);
+            let is_final = matches!(location, Location::Global(..)) && !global_may_forward;
+            if !is_final {
+                if let HeaderSlot::Forwarded(target) = self.place_of(location).header_slot() {
                     addr = target;
                     owner = self.layout.owner_of(addr);
+                    continue;
                 }
-                HeaderSlot::Header(_) => return (addr, place),
             }
+            let node = match location {
+                Location::Local { .. } => self.local_node(),
+                Location::Global(chunk, _) => chunk.node(),
+            };
+            return Resolved {
+                addr,
+                location,
+                node,
+            };
         }
     }
 
@@ -1387,7 +1438,7 @@ impl WorkerHeap {
             // Local objects never live in from-space: only global chunks flip.
             return (ptr, 0);
         };
-        let from = self.band_chunk(node, index, ptr);
+        let from = self.global.band_chunk(node, index, ptr);
         if from.state() != SharedChunkState::FromSpace {
             return (ptr, 0);
         }
@@ -1401,7 +1452,7 @@ impl WorkerHeap {
         // looked up again afterwards (a directory index, no classification).
         self.reserve_in_global(header.total_words())
             .expect("to-space allocation cannot fail during a global collection");
-        let from = self.band_chunk(node, index, ptr);
+        let from = self.global.band_chunk(node, index, ptr);
         let copy = self
             .reserved_chunk()
             .alloc_with(encoded, header.len_words as usize, |i| {
@@ -1441,6 +1492,38 @@ pub enum Place<'a> {
     Local(&'a [Word], usize),
     /// In a chunk of the shared global heap.
     Global(&'a SharedChunk, usize),
+}
+
+/// Where [`WorkerHeap::resolve`] found an object, borrowing only the global
+/// heap: the owning vproc and word offset of a local object, or the chunk
+/// and word offset of a global one. A [`Place`] borrows the worker too; a
+/// location becomes one again through [`WorkerHeap::place_of`] (or
+/// [`Heap::place_of`](crate::Heap::place_of)), so a mutator can keep a
+/// location across reads while it uses its worker mutably.
+#[derive(Debug, Clone, Copy)]
+pub enum Location<'g> {
+    /// In `vproc`'s local heap, at word offset `offset`.
+    Local {
+        /// The owning vproc.
+        vproc: usize,
+        /// Word offset of the object's first payload word.
+        offset: usize,
+    },
+    /// In a chunk of the shared global heap, at a word offset.
+    Global(&'g SharedChunk, usize),
+}
+
+/// An object found by [`WorkerHeap::resolve`]: its current copy, located,
+/// and the node the simulated NUMA cost model charges an access to it to.
+#[derive(Debug, Clone, Copy)]
+pub struct Resolved<'g> {
+    /// The current copy's address (the input unless it was forwarded).
+    pub addr: Addr,
+    /// Where the current copy lives.
+    pub location: Location<'g>,
+    /// The node whose memory backs it: the local heap's page node, or the
+    /// chunk's.
+    pub node: NodeId,
 }
 
 impl Place<'_> {
@@ -1793,7 +1876,7 @@ mod tests {
             assert_eq!(w0.read_field(obj, 399), value);
             assert_eq!(w0.header_of(obj).len_words, 400);
             assert_eq!(w0.node_of(obj), NodeId::new(1));
-            assert_eq!(w0.resolve(obj, true).0, obj);
+            assert_eq!(w0.resolve(&global, obj, true).addr, obj);
         }
         assert_eq!(
             w0.space_of(second),

@@ -29,8 +29,32 @@
 //! collection a global-heap read is a load, as the paper's split heap
 //! intends (§2.3). The simulated backend charges the access to the node and
 //! region that same lookup returned ([`Heap::resolve`](mgc_heap::Heap::resolve)).
-//! The read accessors are `#[inline]`, so the whole chain — classify,
-//! locate, load — inlines into the program.
+//!
+//! **A read reuses the object the last read located.** The context keeps
+//! the last resolve's result: the address it ended at, the object's
+//! [`Location`](mgc_heap::Location) (owning vproc and word offset of a
+//! local object, chunk and offset of a global one) and the node a simulated
+//! read is charged to. A read whose root slot holds that same address is
+//! served from the stored location: no classification, no chunk-directory
+//! walk, no forwarding check. Visiting one object field by field therefore
+//! resolves it once, as the paper's mutator keeps a raw pointer in a
+//! register between GC points (§2.3, §3.3). The key is the slot's address,
+//! not the handle, so two handles to one object share it, and `read_ptr`'s
+//! new root keeps it.
+//!
+//! The clearing rule: every operation that can reach a safe point, promote
+//! or allocate forgets the stored object — `alloc_*`, `truncate_roots`,
+//! `keep`, `wait_until_ns`, `spawn`, `fork_join`, `send`, `recv` and the
+//! proxy calls. That is sound because objects move, and forwarding words
+//! appear, only inside those calls. A local object moves only in its
+//! owner's collections and promotions, and those run inside them. A threaded
+//! global collection, a budgeted increment included, forwards only while
+//! every worker is inside its barriers, and a worker enters them only at a
+//! safe point. The simulated global collection runs between tasks. So a
+//! stored location is exact until the next clear, and only an address that
+//! passed a full resolve since then — the unmapped and foreign-heap checks
+//! and the containment assert included — is ever served. A simulated hit
+//! charges exactly what the miss charged, so virtual time does not change.
 //!
 //! One `TaskCtx` type serves **both** execution backends (see
 //! [`Executor`](crate::Executor)): on the simulated [`Machine`]
@@ -44,7 +68,10 @@ use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
-use mgc_heap::{f64_to_word, word_to_f64, Addr, DescriptorId, ObjectKind, Place, Resolved, Word};
+use mgc_heap::{
+    f64_to_word, word_to_f64, Addr, DescriptorId, ObjectKind, Place, Resolved, SharedGlobalHeap,
+    Word,
+};
 
 /// How one field of a mixed-type object is initialised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,6 +117,12 @@ enum CtxState<'a> {
 /// The execution context handed to every task body.
 pub struct TaskCtx<'a> {
     state: CtxState<'a>,
+    /// The machine's global heap, held by the caller for the whole task, so
+    /// `last` can keep a chunk reference.
+    global: &'a SharedGlobalHeap,
+    /// The object the last read located, until the next operation that can
+    /// move objects (the clearing rule in the module doc).
+    last: Option<Resolved<'a>>,
     vproc: usize,
     roots: &'a mut RootSet,
     values: &'a [Word],
@@ -108,8 +141,11 @@ impl std::fmt::Debug for TaskCtx<'_> {
 }
 
 impl<'a> TaskCtx<'a> {
+    /// A context for a task on the simulated backend; `global` is `state`'s
+    /// global heap.
     pub(crate) fn new(
         state: &'a mut RuntimeState,
+        global: &'a SharedGlobalHeap,
         vproc: usize,
         roots: &'a mut RootSet,
         values: &'a [Word],
@@ -118,6 +154,8 @@ impl<'a> TaskCtx<'a> {
     ) -> Self {
         TaskCtx {
             state: CtxState::Sim(state),
+            global,
+            last: None,
             vproc,
             roots,
             values,
@@ -126,8 +164,11 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
+    /// A context for a task on a threaded worker; `global` is the worker's
+    /// global heap.
     pub(crate) fn new_threaded(
         worker: &'a mut WorkerState,
+        global: &'a SharedGlobalHeap,
         roots: &'a mut RootSet,
         values: &'a [Word],
         delivery_taken: &'a mut bool,
@@ -136,6 +177,8 @@ impl<'a> TaskCtx<'a> {
         let vproc = worker.vproc;
         TaskCtx {
             state: CtxState::Threaded(worker),
+            global,
+            last: None,
             vproc,
             roots,
             values,
@@ -236,6 +279,7 @@ impl<'a> TaskCtx<'a> {
     /// never stalls the rest of the machine. Returns immediately when the
     /// target is already past.
     pub fn wait_until_ns(&mut self, target_ns: f64) {
+        self.last = None;
         match &mut self.state {
             CtxState::Sim(state) => state.wait_until_ns(self.vproc, target_ns),
             CtxState::Threaded(worker) => worker.wait_until_ns(target_ns, self.roots),
@@ -263,10 +307,12 @@ impl<'a> TaskCtx<'a> {
     // object is then bumped under the vproc's allocation limit word — one
     // compare per object, which is also the safe point (`WorkerState::alloc`).
     // Handles are resolved to addresses only once there is room: making
-    // room may collect, which moves the referenced objects.
+    // room may collect, which moves the referenced objects, so every
+    // allocation also forgets the object the last read located.
 
     /// Allocates a raw-data object and returns a handle to it.
     pub fn alloc_raw(&mut self, payload: &[Word]) -> Handle {
+        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
                 state.reserve_nursery(self.vproc, self.roots.slots_mut(), payload.len());
@@ -292,6 +338,7 @@ impl<'a> TaskCtx<'a> {
 
     /// Allocates a vector of pointers; `None` entries become null.
     pub fn alloc_vector(&mut self, elements: &[Option<Handle>]) -> Handle {
+        self.last = None;
         let fields = || elements.iter().map(|&h| FieldInit::Ptr(h));
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
@@ -319,6 +366,7 @@ impl<'a> TaskCtx<'a> {
     /// Panics if the field kinds disagree with the registered descriptor
     /// (pointer fields must be `FieldInit::Ptr`).
     pub fn alloc_mixed(&mut self, descriptor: DescriptorId, fields: &[FieldInit]) -> Handle {
+        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
                 state.reserve_nursery(self.vproc, self.roots.slots_mut(), fields.len());
@@ -354,30 +402,39 @@ impl<'a> TaskCtx<'a> {
     /// root slot so later accesses are direct — and reads from it in the
     /// same step: `read` gets the located object on either backend. The
     /// simulated backend then charges `bytes(place)` bytes to the node and
-    /// region the object was found in.
-    #[inline]
+    /// region the object was found in. A slot holding the address the last
+    /// read resolved to is served from that read's location (module doc).
+    #[inline(always)]
     fn access<R>(
         &mut self,
         handle: Handle,
         bytes: impl FnOnce(Place<'_>) -> usize,
         read: impl FnOnce(Place<'_>) -> R,
     ) -> R {
-        // Never a nursery address the slot did not already hold: forwarding
-        // pointers lead out of the local heap, so the watermark stands.
         let slot = &mut self.roots.slots_mut()[handle.index()];
+        let found = match self.last {
+            Some(last) if last.addr == *slot => last,
+            _ => {
+                let found = match &self.state {
+                    CtxState::Sim(state) => state.locate(self.global, *slot),
+                    CtxState::Threaded(worker) => worker.locate(self.global, *slot),
+                };
+                // Never a nursery address the slot did not already hold:
+                // forwarding pointers lead out of the local heap, so the
+                // watermark stands.
+                *slot = found.addr;
+                self.last = Some(found);
+                found
+            }
+        };
         match &mut self.state {
             CtxState::Sim(state) => {
-                let Resolved { addr, place, node } = state.locate(*slot);
-                *slot = addr;
+                let place = state.heap.place_of(found.location);
                 let (value, local, bytes) = (read(place), place.is_local(), bytes(place));
-                state.charge_access(self.vproc, node, local, bytes);
+                state.charge_access(self.vproc, found.node, local, bytes);
                 value
             }
-            CtxState::Threaded(worker) => {
-                let (addr, place) = worker.resolve_place(*slot);
-                *slot = addr;
-                read(place)
-            }
+            CtxState::Threaded(worker) => read(worker.heap.place_of(found.location)),
         }
     }
 
@@ -455,6 +512,7 @@ impl<'a> TaskCtx<'a> {
     /// every allocation compares against — and does nothing more unless a
     /// thief or a collection has zeroed it (`WorkerState::poll`).
     pub fn truncate_roots(&mut self, mark: usize) {
+        self.last = None;
         self.roots.truncate(mark);
         if let CtxState::Threaded(worker) = &mut self.state {
             worker.poll(self.roots);
@@ -465,6 +523,7 @@ impl<'a> TaskCtx<'a> {
     /// [`TaskCtx::truncate_roots`] call with an earlier mark, returning the
     /// new handle.
     pub fn keep(&mut self, handle: Handle, mark: usize) -> Handle {
+        self.last = None;
         let addr = self.resolve(handle);
         self.roots.truncate(mark);
         self.push_root(addr)
@@ -494,6 +553,7 @@ impl<'a> TaskCtx<'a> {
     /// Spawns an independent task (no result delivery) on this vproc's
     /// deque, where it can be stolen by idle vprocs.
     pub fn spawn(&mut self, mut spec: TaskSpec, ptr_inputs: &[Handle]) {
+        self.last = None;
         spec.ptr_inputs = ptr_inputs.iter().map(|h| self.resolve(*h)).collect();
         let task = Task::from_spec(spec, Delivery::Discard, self.vproc);
         match &mut self.state {
@@ -520,6 +580,7 @@ impl<'a> TaskCtx<'a> {
             !children.is_empty(),
             "fork_join requires at least one child"
         );
+        self.last = None;
         let mut cont_spec = continuation;
         cont_spec.ptr_inputs = continuation_inputs
             .iter()
@@ -570,6 +631,7 @@ impl<'a> TaskCtx<'a> {
     /// Sends the object behind `message` on `channel`. The message is
     /// promoted to the global heap (§3.1) so any vproc may receive it.
     pub fn send(&mut self, channel: ChannelId, message: Handle) {
+        self.last = None;
         let addr = self.resolve(message);
         match &mut self.state {
             CtxState::Sim(state) => state.channel_send(self.vproc, channel, addr),
@@ -579,6 +641,7 @@ impl<'a> TaskCtx<'a> {
 
     /// Receives the oldest message from `channel`, if any.
     pub fn recv(&mut self, channel: ChannelId) -> Option<Handle> {
+        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => state.channel_recv(self.vproc, channel)?,
             CtxState::Threaded(worker) => worker.channel_recv(channel)?,
@@ -589,6 +652,7 @@ impl<'a> TaskCtx<'a> {
     /// Creates an object proxy for a local object, so that global runtime
     /// structures can refer to it without violating the heap invariants.
     pub fn create_proxy(&mut self, handle: Handle) -> ProxyId {
+        self.last = None;
         let addr = self.resolve(handle);
         match &mut self.state {
             CtxState::Sim(state) => state.create_proxy(self.vproc, addr),
@@ -599,6 +663,7 @@ impl<'a> TaskCtx<'a> {
     /// Resolves a proxy. Resolving from a vproc other than the owner forces
     /// the underlying object to be promoted to the global heap.
     pub fn resolve_proxy(&mut self, proxy: ProxyId) -> Handle {
+        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => state.resolve_proxy(self.vproc, proxy),
             CtxState::Threaded(worker) => worker.resolve_proxy(proxy),

@@ -27,7 +27,8 @@ use crate::threaded::PromoteWhy;
 use crate::vproc::VProc;
 use mgc_core::{Collector, GcConfig};
 use mgc_heap::{
-    Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, HeapError, Resolved, Word,
+    Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, HeapError, Resolved,
+    SharedGlobalHeap, Word,
 };
 use mgc_numa::{
     AccessClass, AdaptiveController, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology,
@@ -472,14 +473,15 @@ impl RuntimeState {
     }
 
     /// Resolves `addr` to the current copy of its object and locates it
-    /// ([`Heap::resolve`]), so a read classifies the address once. A global
-    /// header is never read: the global collection runs between rounds with
-    /// every task quiescent (`Machine::run_global_gc`) and rewrites every
-    /// root before it returns, so a running mutator never meets a global
-    /// forwarding word — only a promoted local original holds one.
-    #[inline]
-    pub(crate) fn locate(&self, addr: Addr) -> Resolved<'_> {
-        self.heap.resolve(addr, false)
+    /// ([`Heap::resolve`]; `global` is this machine's global heap), so a read
+    /// classifies the address once. A global header is never read: the
+    /// global collection runs between rounds with every task quiescent
+    /// (`Machine::run_global_gc`) and rewrites every root before it returns,
+    /// so a running mutator never meets a global forwarding word — only a
+    /// promoted local original holds one.
+    #[inline(always)]
+    pub(crate) fn locate<'g>(&self, global: &'g SharedGlobalHeap, addr: Addr) -> Resolved<'g> {
+        self.heap.resolve(global, addr, false)
     }
 
     /// [`RuntimeState::locate`] for callers that only want the address; null
@@ -488,7 +490,7 @@ impl RuntimeState {
         if addr.is_null() {
             return addr;
         }
-        self.locate(addr).addr
+        self.locate(self.heap.global(), addr).addr
     }
 
     /// Promotes `addr` if it lives in a local heap other than `target_vproc`'s,
@@ -727,7 +729,8 @@ impl RuntimeState {
         self.channels[channel.0].receives += 1;
         self.channel_stats.receives += 1;
         // Reading the message pulls it across the interconnect.
-        let Resolved { place, node, .. } = self.locate(message);
+        let Resolved { location, node, .. } = self.locate(self.heap.global(), message);
+        let place = self.heap.place_of(location);
         let (local, bytes) = (place.is_local(), place.header().total_bytes());
         self.charge_access(vproc, node, local, bytes);
         Some(message)
@@ -934,9 +937,12 @@ impl Machine {
         let delivery = task.delivery;
         let body = task.body;
         let mut delivery_taken = false;
+        // Held for the task's run: its reads keep chunk references.
+        let global = std::sync::Arc::clone(self.state.heap.global());
         let result = {
             let mut ctx = TaskCtx::new(
                 &mut self.state,
+                &global,
                 vproc,
                 &mut roots,
                 &values,
@@ -1205,7 +1211,16 @@ mod tests {
         body: impl FnOnce(&mut TaskCtx<'_>) -> R,
     ) -> R {
         let mut delivery_taken = false;
-        let mut ctx = TaskCtx::new(state, 0, roots, &[], &mut delivery_taken, Delivery::Discard);
+        let global = state.heap.global().clone();
+        let mut ctx = TaskCtx::new(
+            state,
+            &global,
+            0,
+            roots,
+            &[],
+            &mut delivery_taken,
+            Delivery::Discard,
+        );
         body(&mut ctx)
     }
 
@@ -1249,6 +1264,85 @@ mod tests {
         // The header's total_bytes(), 32: ceil(32 x 0.65) = 21.
         expected[remote] += 21;
         assert_eq!(machine.report().traffic.mutator_bytes, expected);
+    }
+
+    /// A read served from the object the previous read located charges what
+    /// a resolving read charges: three reads of the node-1 copy through one
+    /// context, two of them remembered, record three reads' traffic in the
+    /// run report and three reads' compute, as three reads through three
+    /// contexts (each one resolving) do.
+    #[test]
+    fn a_remembered_read_is_charged_like_a_resolving_one() {
+        let run = |reads_per_context: usize| {
+            let mut machine = Machine::new(MachineConfig::small_for_tests(2));
+            let state = &mut machine.state;
+            let original = state.heap.alloc_raw(0, &[10, 20, 30]).unwrap();
+            state.promote_for(1, original, PromoteWhy::Steal);
+            let mut roots = RootSet::default();
+            roots.push(original);
+            let mut words = Vec::new();
+            for first in (0..3).step_by(reads_per_context) {
+                on_vproc0(state, &mut roots, |ctx| {
+                    let fields = first..first + reads_per_context;
+                    words.extend(fields.map(|i| ctx.read_raw(ctx.input(0), i)));
+                });
+            }
+            assert_eq!(words, [10, 20, 30]);
+            let cpu_ns = machine.state.vprocs[0].round_cost.cpu_ns;
+            (machine.report().traffic.mutator_bytes, cpu_ns)
+        };
+        let (traffic, cpu_ns) = run(3);
+        // ceil(8 bytes x 0.65 global miss rate) = 6 per read, cross-package.
+        let mut expected = [0; 3];
+        expected[AccessClass::CrossPackage as usize] = 3 * 6;
+        assert_eq!(traffic, expected);
+        assert_eq!((traffic, cpu_ns), run(1));
+    }
+
+    /// An allocation that runs a minor collection between two reads: the
+    /// second read finds the copy the collection made.
+    #[test]
+    fn a_remembered_read_after_an_allocation_that_collects() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let state = &mut machine.state;
+        let obj = state.heap.alloc_raw(0, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        let free = state.heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        roots.push(obj);
+        let reads = on_vproc0(state, &mut roots, |ctx| {
+            let handle = ctx.input(0);
+            let first = ctx.read_raw(handle, 1);
+            // One word more than the nursery has left.
+            ctx.alloc_raw(&vec![0; free]);
+            (first, ctx.read_raw(handle, 7))
+        });
+        assert_eq!(reads, (2, 8));
+        assert_eq!(state.collector.vproc_stats(0).minor_collections, 1);
+        assert_ne!(
+            roots.slots()[0],
+            obj,
+            "the slot names the collection's copy"
+        );
+    }
+
+    /// `send` promotes the message: a local original the last read located
+    /// is now forwarded, and the next read follows it to the global copy and
+    /// rewrites the slot. Fails if `send` keeps the remembered location.
+    #[test]
+    fn a_remembered_read_after_send_promotes_the_object() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let channel = machine.create_channel();
+        let state = &mut machine.state;
+        let obj = state.heap.alloc_raw(0, &[1, 2, 3]).unwrap();
+        let mut roots = RootSet::default();
+        roots.push(obj);
+        on_vproc0(state, &mut roots, |ctx| {
+            let handle = ctx.input(0);
+            assert_eq!(ctx.read_raw(handle, 0), 1);
+            ctx.send(channel, handle);
+            assert_eq!(ctx.read_raw(handle, 1), 2);
+        });
+        assert!(state.heap.is_global(roots.slots()[0]));
     }
 
     /// The simulated backend's global collection runs between rounds with

@@ -91,7 +91,7 @@ use mgc_core::{
     scan_young_fields, Collector, GcOutcome, GcStats, ParallelGcState,
 };
 use mgc_heap::{
-    Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, LocalRegion, Place,
+    Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, LocalRegion, Resolved,
     SharedGlobalHeap, ThreadedLayout, Word, WorkerHeap,
 };
 use mgc_numa::{AdaptiveController, NodeId, PlacementDecision, PlacementPolicy, TrafficStats};
@@ -641,24 +641,26 @@ impl WorkerState {
     // Promotion (on steal, and at publication to global structures)
     // ------------------------------------------------------------------
 
-    /// Resolves `addr` to the current copy of its object and locates it, so
-    /// the caller reads the object without classifying the address again.
+    /// Resolves `addr` to the current copy of its object and locates it
+    /// (`global` is this machine's global heap), so the caller reads the
+    /// object without classifying the address again.
     /// [`WorkerHeap::resolve`] states the read rule; this supplies its one
     /// input, whether a budgeted global collection is between increments.
-    /// Forced inline: it sits on every `TaskCtx` field read.
+    /// Forced inline: it sits on every `TaskCtx` read that is not served
+    /// from the object the previous read located.
     #[inline(always)]
-    pub(crate) fn resolve_place(&self, addr: Addr) -> (Addr, Place<'_>) {
+    pub(crate) fn locate<'g>(&self, global: &'g SharedGlobalHeap, addr: Addr) -> Resolved<'g> {
         let global_may_forward = self.shared.gc.in_scan_phase.load(Ordering::Acquire);
-        self.heap.resolve(addr, global_may_forward)
+        self.heap.resolve(global, addr, global_may_forward)
     }
 
-    /// [`WorkerState::resolve_place`] for callers that only want the
-    /// address; null stays null.
+    /// [`WorkerState::locate`] for callers that only want the address; null
+    /// stays null.
     pub(crate) fn resolve_addr(&self, addr: Addr) -> Addr {
         if addr.is_null() {
             return addr;
         }
-        self.resolve_place(addr).0
+        self.locate(&self.shared.global, addr).addr
     }
 
     /// Promotes `addr` to the global heap if it still lives in this worker's
@@ -996,7 +998,10 @@ impl WorkerState {
     // The scheduler loop
     // ------------------------------------------------------------------
 
-    fn run_task(&mut self, mut task: Task) {
+    /// Runs `task` to completion. `global` is the machine's global heap,
+    /// borrowed for the worker's lifetime: the task's reads keep chunk
+    /// references into it.
+    fn run_task(&mut self, mut task: Task, global: &SharedGlobalHeap) {
         let start = Instant::now();
         let mut roots = std::mem::take(&mut task.roots);
         let values = std::mem::take(&mut task.values);
@@ -1004,8 +1009,14 @@ impl WorkerState {
         let body = task.body;
         let mut delivery_taken = false;
         let result = {
-            let mut ctx =
-                TaskCtx::new_threaded(self, &mut roots, &values, &mut delivery_taken, delivery);
+            let mut ctx = TaskCtx::new_threaded(
+                self,
+                global,
+                &mut roots,
+                &values,
+                &mut delivery_taken,
+                delivery,
+            );
             body(&mut ctx)
         };
         self.stats.tasks_run += 1;
@@ -1043,8 +1054,9 @@ impl WorkerState {
 
     fn worker_main(mut self) -> WorkerOutcome {
         let shared = self.shared.clone();
+        let global = &*shared.global;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            self.main_loop();
+            self.main_loop(global);
             self.stats.placement_switches = self.adaptive.as_ref().map_or(0, |c| c.switches());
             WorkerOutcome {
                 run: self.stats,
@@ -1067,7 +1079,7 @@ impl WorkerState {
         }
     }
 
-    fn main_loop(&mut self) {
+    fn main_loop(&mut self, global: &SharedGlobalHeap) {
         loop {
             if self.shared.gc.barrier.is_poisoned() {
                 // Another worker panicked; exit quietly so the original
@@ -1086,18 +1098,18 @@ impl WorkerState {
                 if self.shared.gc.in_scan_phase.load(Ordering::Acquire) {
                     if let Some(task) = self.private.pop_back() {
                         self.publish_work_hint();
-                        self.run_task(task);
+                        self.run_task(task, global);
                     }
                     continue;
                 }
             }
             if let Some(task) = self.private.pop_back() {
                 self.publish_work_hint();
-                self.run_task(task);
+                self.run_task(task, global);
                 continue;
             }
             if let Some(task) = self.try_steal() {
-                self.run_task(task);
+                self.run_task(task, global);
                 continue;
             }
             if self.shared.pending_tasks.load(Ordering::Acquire) == 0 {
@@ -1660,6 +1672,38 @@ mod tests {
         ThreadedMachine::new(MachineConfig::small_for_tests(vprocs))
     }
 
+    /// The workers of a machine built from `config` but never started, with
+    /// empty deques, so a test can drive a `TaskCtx` on one by hand.
+    fn assembled(config: MachineConfig) -> (Arc<Shared>, Vec<WorkerState>) {
+        let root = Task::from_spec(
+            TaskSpec::new("unused", |_| TaskResult::Unit),
+            Delivery::Discard,
+            0,
+        );
+        let (shared, mut workers) = ThreadedMachine::new(config).assemble(root);
+        workers[0].private.clear();
+        (shared, workers)
+    }
+
+    /// Runs `body` as a task on `worker` over `roots`.
+    fn on_worker<R>(
+        worker: &mut WorkerState,
+        shared: &Shared,
+        roots: &mut RootSet,
+        body: impl FnOnce(&mut TaskCtx<'_>) -> R,
+    ) -> R {
+        let mut delivery_taken = false;
+        let mut ctx = TaskCtx::new_threaded(
+            worker,
+            &shared.global,
+            roots,
+            &[],
+            &mut delivery_taken,
+            Delivery::Discard,
+        );
+        body(&mut ctx)
+    }
+
     #[test]
     fn runs_a_single_task_on_a_real_thread() {
         let mut m = machine(1);
@@ -1827,12 +1871,7 @@ mod tests {
     fn global_forwards_are_chased_only_during_a_scan_phase() {
         use mgc_heap::{Header, ObjectKind};
 
-        let root = Task::from_spec(
-            TaskSpec::new("unused", |_| TaskResult::Unit),
-            Delivery::Discard,
-            0,
-        );
-        let (shared, mut workers) = machine(1).assemble(root);
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
         let worker = &mut workers[0];
 
         // A promoted object: the local original forwards to the global copy
@@ -1862,18 +1901,12 @@ mod tests {
         assert_eq!(worker.resolve_addr(local), copy, "local, then global");
         let mut roots = RootSet::default();
         roots.push(old);
-        let mut delivery_taken = false;
-        let mut ctx = TaskCtx::new_threaded(
-            worker,
-            &mut roots,
-            &[],
-            &mut delivery_taken,
-            Delivery::Discard,
-        );
-        let handle = ctx.input(0);
-        assert_eq!(ctx.len(handle), 5);
-        assert_eq!(ctx.read_words(handle), vec![5, 6, 7, 8, 9]);
-        assert_eq!(ctx.read_raw(handle, 4), 9);
+        on_worker(worker, &shared, &mut roots, |ctx| {
+            let handle = ctx.input(0);
+            assert_eq!(ctx.len(handle), 5);
+            assert_eq!(ctx.read_words(handle), vec![5, 6, 7, 8, 9]);
+            assert_eq!(ctx.read_raw(handle, 4), 9);
+        });
         assert_eq!(roots.slots(), [copy], "the root slot now holds the copy");
     }
 
@@ -1886,12 +1919,7 @@ mod tests {
     fn global_headers_are_not_read_outside_a_scan_phase() {
         use mgc_heap::{Header, ObjectKind};
 
-        let root = Task::from_spec(
-            TaskSpec::new("unused", |_| TaskResult::Unit),
-            Delivery::Discard,
-            0,
-        );
-        let (shared, mut workers) = machine(1).assemble(root);
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
         let worker = &mut workers[0];
         let local = worker.heap.alloc_raw(&[1, 2, 3]).unwrap();
         let promoted = worker.promote_shared(local, PromoteWhy::Publish);
@@ -1911,20 +1939,119 @@ mod tests {
         let mut roots = RootSet::default();
         roots.push(promoted);
         roots.push(local);
-        let mut delivery_taken = false;
-        let mut ctx = TaskCtx::new_threaded(
-            worker,
-            &mut roots,
-            &[],
-            &mut delivery_taken,
-            Delivery::Discard,
-        );
-        assert_eq!(ctx.read_raw(ctx.input(0), 2), 3, "the object's own payload");
-        assert_eq!(ctx.read_raw(ctx.input(1), 0), 1);
+        on_worker(worker, &shared, &mut roots, |ctx| {
+            assert_eq!(ctx.read_raw(ctx.input(0), 2), 3, "the object's own payload");
+            assert_eq!(ctx.read_raw(ctx.input(1), 0), 1);
+        });
         assert_eq!(
             roots.slots(),
             [promoted, promoted],
             "the global slot is unchanged; the local one now holds the copy"
+        );
+    }
+
+    // The clearing rule of `TaskCtx`'s remembered read (the `ctx.rs` module
+    // doc): each test reads an object, runs one operation that moves or
+    // forwards it, and reads it again through the same context.
+
+    /// An allocation that runs a minor collection between two reads: the
+    /// second read finds the copy the collection made.
+    #[test]
+    fn remembered_read_after_an_allocation_that_collects() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let worker = &mut workers[0];
+        let obj = worker.heap.alloc_raw(&[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        let free = worker.heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        roots.push(obj);
+        let reads = on_worker(worker, &shared, &mut roots, |ctx| {
+            let handle = ctx.input(0);
+            let first = ctx.read_raw(handle, 1);
+            // One word more than the nursery has left.
+            ctx.alloc_raw(&vec![0; free]);
+            (first, ctx.read_raw(handle, 7))
+        });
+        assert_eq!(reads, (2, 8));
+        assert_eq!(workers[0].collector.vproc_stats(0).minor_collections, 1);
+        assert_ne!(
+            roots.slots()[0],
+            obj,
+            "the slot names the collection's copy"
+        );
+    }
+
+    /// `fork_join` promotes the continuation's inputs: a local original the
+    /// last read located is now forwarded, and the next read follows it to
+    /// the global copy and rewrites the slot.
+    #[test]
+    fn remembered_read_after_fork_join_promotes_the_object() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            let obj = ctx.alloc_raw(&[1, 2, 3]);
+            assert_eq!(ctx.read_raw(obj, 0), 1);
+            let child = TaskSpec::new("child", |_| TaskResult::Unit);
+            let cont = TaskSpec::new("cont", |_| TaskResult::Unit);
+            ctx.fork_join(vec![(child, vec![])], cont, &[obj]);
+            assert_eq!(ctx.read_raw(obj, 1), 2);
+        });
+        assert!(workers[0].heap.is_global(roots.slots()[0]));
+    }
+
+    /// A steal served at an allocation's safe point promotes the stolen
+    /// task's roots, one of which the last read located: the next read
+    /// follows the forward to the global copy. Fails if `alloc_raw` keeps the
+    /// remembered location.
+    #[test]
+    fn remembered_read_after_a_steal_at_an_allocation() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(2));
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            let obj = ctx.alloc_raw(&[1, 2, 3]);
+            ctx.spawn(TaskSpec::new("stolen", |_| TaskResult::Unit), &[obj]);
+            assert_eq!(ctx.read_raw(obj, 0), 1);
+            // What a thief does: post the request, then zero the limit word.
+            shared.mailboxes[0].post(StealRequest::new(1));
+            shared.signal(0);
+            ctx.alloc_raw(&[4]);
+            assert_eq!(ctx.read_raw(obj, 1), 2);
+        });
+        assert_eq!(
+            workers[0].stats.promotions_at_steal, 1,
+            "the steal was served"
+        );
+        assert!(workers[0].heap.is_global(roots.slots()[0]));
+    }
+
+    /// A budgeted global-collection increment taken at `truncate_roots`
+    /// between two reads of a global object: the increment evacuated the
+    /// root, and the second read finds the to-space copy.
+    #[test]
+    fn remembered_read_after_a_budgeted_increment_at_truncate_roots() {
+        let mut config = MachineConfig::small_for_tests(1);
+        config.gc.pause_budget_us = Some(1);
+        let (shared, mut workers) = assembled(config);
+        let worker = &mut workers[0];
+        let local = worker.heap.alloc_raw(&[1, 2, 3]).unwrap();
+        let old = worker.promote_shared(local, PromoteWhy::Publish);
+        let mut roots = RootSet::default();
+        roots.push(old);
+        let reads = on_worker(worker, &shared, &mut roots, |ctx| {
+            let handle = ctx.input(0);
+            let first = ctx.read_raw(handle, 0);
+            // What `request_global` does: raise `pending`, zero the word.
+            shared.gc.pending.store(true, Ordering::SeqCst);
+            shared.signal(0);
+            ctx.truncate_roots(ctx.root_mark());
+            (first, ctx.read_raw(handle, 2))
+        });
+        assert_eq!(reads, (1, 3));
+        let worker = &workers[0];
+        assert!(!worker.collector.vproc_stats(0).global_pauses.is_empty());
+        let copy = roots.slots()[0];
+        assert!(
+            copy != old && worker.heap.is_global(copy),
+            "the to-space copy"
         );
     }
 
@@ -1936,12 +2063,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "heap invariant violated")]
     fn a_nursery_root_below_the_watermark_is_caught_before_a_collection() {
-        let root = Task::from_spec(
-            TaskSpec::new("unused", |_| TaskResult::Unit),
-            Delivery::Discard,
-            0,
-        );
-        let (_shared, mut workers) = machine(1).assemble(root);
+        let (_shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
         let worker = &mut workers[0];
         assert!(worker.collector.config().verify_after_gc);
         let young = worker.heap.alloc_raw(&[7; 8]).unwrap();
