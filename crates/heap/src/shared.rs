@@ -1561,13 +1561,24 @@ impl Place<'_> {
         self.header_slot().expect_header()
     }
 
-    /// The whole payload (rope leaves are read this way).
-    pub fn payload(&self) -> Vec<Word> {
+    /// Appends the whole payload to `out` (rope leaves are read this way);
+    /// allocates only if `out` has to grow.
+    #[inline]
+    pub fn payload_into(&self, out: &mut Vec<Word>) {
         let len = self.header().len_words as usize;
         match *self {
-            Place::Local(words, offset) => words[offset..offset + len].to_vec(),
-            Place::Global(chunk, offset) => (offset..offset + len).map(|i| chunk.read(i)).collect(),
+            Place::Local(words, offset) => out.extend_from_slice(&words[offset..offset + len]),
+            Place::Global(chunk, offset) => {
+                out.extend((offset..offset + len).map(|i| chunk.read(i)))
+            }
         }
+    }
+
+    /// The whole payload in a fresh `Vec`: [`Place::payload_into`].
+    pub fn payload(&self) -> Vec<Word> {
+        let mut out = Vec::new();
+        self.payload_into(&mut out);
+        out
     }
 }
 

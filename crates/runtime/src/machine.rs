@@ -59,6 +59,20 @@ fn round_limit_from_env() -> u64 {
     .unwrap_or(MAX_ROUNDS)
 }
 
+/// `x.ceil() as u64` in integer arithmetic, exact for finite `0 <= x < 2^53`
+/// (the truncation is then the floor, and converting it back is exact).
+/// Every simulated access rounds its DRAM bytes up this way; baseline x86-64
+/// has no `roundsd`, so `f64::ceil` would be a library call per access.
+#[inline]
+fn ceil_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t + 1
+    } else {
+        t
+    }
+}
+
 /// Cache behaviour of mutator memory accesses.
 ///
 /// The local heap is sized to fit in the node's L3 cache (§3.1), so most
@@ -187,6 +201,10 @@ pub(crate) struct RuntimeState {
     /// One hysteresis controller per vproc under
     /// [`PlacementPolicy::Adaptive`]; `None` under the static policies.
     pub(crate) adaptive: Option<Vec<AdaptiveController>>,
+    /// Scratch buffer an object's payload is staged in before it is
+    /// allocated (`TaskCtx::alloc_vector`/`alloc_mixed`/`alloc_f64_slice`);
+    /// kept here so an allocation allocates nothing on the host heap.
+    pub(crate) scratch: Vec<Word>,
 }
 
 impl std::fmt::Debug for RuntimeState {
@@ -283,7 +301,7 @@ impl RuntimeState {
 
     #[inline]
     fn charge_traffic(&mut self, vproc: usize, node: NodeId, bytes: usize, rate: f64) {
-        let dram_bytes = (bytes as f64 * rate).ceil() as u64;
+        let dram_bytes = ceil_to_u64(bytes as f64 * rate);
         if dram_bytes == 0 {
             return;
         }
@@ -819,6 +837,7 @@ impl Machine {
                         .map(|_| AdaptiveController::new())
                         .collect()
                 }),
+                scratch: Vec::new(),
             },
             model,
             config,
@@ -1163,7 +1182,8 @@ impl RuntimeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{RootSet, TaskResult};
+    use crate::ctx::FieldInit;
+    use crate::task::{Handle, RootSet, TaskResult};
     use mgc_heap::i64_to_word;
 
     #[test]
@@ -1343,6 +1363,163 @@ mod tests {
             assert_eq!(ctx.read_raw(handle, 1), 2);
         });
         assert!(state.heap.is_global(roots.slots()[0]));
+    }
+
+    /// The integer ceil `charge_traffic` rounds with agrees with `f64::ceil`
+    /// on every byte count up to 1 MiB at the three default miss rates, and
+    /// on random byte counts at 1,000 seeded random rates in [0, 1].
+    #[test]
+    fn ceil_to_u64_matches_f64_ceil() {
+        let check = |bytes: usize, rate: f64| {
+            let x = bytes as f64 * rate;
+            assert_eq!(ceil_to_u64(x), x.ceil() as u64, "{bytes} bytes x {rate}");
+        };
+        let costs = MutatorCostModel::default();
+        let defaults = [
+            costs.local_heap_miss_rate,
+            costs.global_heap_miss_rate,
+            costs.alloc_miss_rate,
+        ];
+        for bytes in 0..=1 << 20 {
+            for rate in defaults {
+                check(bytes, rate);
+            }
+        }
+        // SplitMix64 over a fixed seed.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000 {
+            let rate = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            for bytes in [0, 1, 8, 64, 1 << 20] {
+                check(bytes, rate);
+            }
+            for _ in 0..1_000 {
+                check((next() % ((1 << 20) + 1)) as usize, rate);
+            }
+        }
+        check(1 << 20, 1.0);
+    }
+
+    /// `read_words_into` appends exactly the words `read_words` returns,
+    /// after what the buffer already holds, for a local object, a global
+    /// one, and a promoted local original read through its forwarding word.
+    #[test]
+    fn read_words_into_appends_what_read_words_returns() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let mut machine = Machine::new(MachineConfig::small_for_tests(2));
+        let state = &mut machine.state;
+        let local = state.heap.alloc_raw(0, &[1, 2, 3]).unwrap();
+        let global = state
+            .heap
+            .alloc_in_global(0, Header::new(ObjectKind::Raw, 2).encode(), &[4, 5])
+            .unwrap();
+        let original = state.heap.alloc_raw(0, &[6, 7, 8, 9]).unwrap();
+        let promoted = state.promote_for(1, original, PromoteWhy::Steal);
+        assert!(state.heap.is_local(local));
+        assert!(state.heap.is_global(global) && state.heap.is_global(promoted));
+        let mut roots = RootSet::default();
+        for addr in [local, global, original] {
+            roots.push(addr);
+        }
+        on_vproc0(state, &mut roots, |ctx| {
+            let mut out = vec![u64::MAX];
+            let expected: [&[Word]; 3] = [&[1, 2, 3], &[4, 5], &[6, 7, 8, 9]];
+            for (i, words) in expected.into_iter().enumerate() {
+                let start = out.len();
+                ctx.read_words_into(ctx.input(i), &mut out);
+                assert_eq!(&out[start..], words);
+                assert_eq!(ctx.read_words(ctx.input(i)), words);
+            }
+            assert_eq!(out[0], u64::MAX, "appended, not overwritten");
+        });
+        assert_eq!(roots.slots(), [local, global, promoted]);
+    }
+
+    /// N `read_words_into` calls into one reused buffer charge exactly what
+    /// N `read_words` calls charge: the run's traffic and its virtual
+    /// elapsed time are bit-identical, for a local and a promoted object.
+    #[test]
+    fn read_words_into_is_charged_like_read_words() {
+        let run = |into: bool| {
+            let mut machine = Machine::new(MachineConfig::small_for_tests(2));
+            let channel = machine.create_channel();
+            machine.spawn_root(TaskSpec::new("bulk-reads", move |ctx| {
+                let local = ctx.alloc_raw(&[1, 2, 3, 4, 5]);
+                let promoted = ctx.alloc_raw(&[6, 7, 8]);
+                ctx.send(channel, promoted);
+                let mut words = Vec::new();
+                let mut sum = 0u64;
+                for _ in 0..100 {
+                    for handle in [local, promoted] {
+                        if into {
+                            words.clear();
+                            ctx.read_words_into(handle, &mut words);
+                        } else {
+                            words = ctx.read_words(handle);
+                        }
+                        sum += words.iter().sum::<u64>();
+                    }
+                }
+                TaskResult::Value(sum)
+            }));
+            let report = machine.run();
+            let result = machine.take_result();
+            (report.traffic, report.elapsed_ns.to_bits(), result)
+        };
+        let (traffic, elapsed, result) = run(true);
+        assert_eq!(result, Some((100 * (15 + 21), false)));
+        assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
+        assert_eq!((traffic, elapsed, result), run(false));
+    }
+
+    /// Runs `alloc` on a target object once vproc 0's nursery is exactly
+    /// full, so the allocation must collect first, and returns the pointer
+    /// field the new object holds and the target's address after the
+    /// collection.
+    fn alloc_after_a_full_nursery(
+        alloc: impl FnOnce(&mut TaskCtx<'_>, Handle, DescriptorId) -> Handle,
+    ) -> (Word, Addr) {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let pair = machine.register_descriptor(Descriptor::new("pair", 2, 0b01));
+        let state = &mut machine.state;
+        let target = state.heap.alloc_raw(0, &[1, 2, 3]).unwrap();
+        let free = state.heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        roots.push(target);
+        let field = on_vproc0(state, &mut roots, |ctx| {
+            let mark = ctx.root_mark();
+            // Header plus `free - 1` words: the nursery is then full.
+            ctx.alloc_raw(&vec![0; free - 1]);
+            ctx.truncate_roots(mark);
+            let object = alloc(ctx, ctx.input(0), pair);
+            let copy = ctx.read_ptr(object, 0).expect("the pointer field");
+            assert_eq!(ctx.read_words(copy), [1, 2, 3]);
+            ctx.read_raw(object, 0)
+        });
+        assert_eq!(state.collector.vproc_stats(0).minor_collections, 1);
+        assert_ne!(roots.slots()[0], target, "the collection moved the target");
+        (field, roots.slots()[0])
+    }
+
+    /// `alloc_vector` and `alloc_mixed` whose allocation runs a minor
+    /// collection: the pointer field names the moved copy, because handles
+    /// are resolved into the scratch buffer only after the nursery has room.
+    #[test]
+    fn alloc_that_collects_points_at_the_moved_copy() {
+        let (field, copy) =
+            alloc_after_a_full_nursery(|ctx, target, _| ctx.alloc_vector(&[Some(target), None]));
+        assert_eq!(field, copy.raw());
+        let (field, copy) = alloc_after_a_full_nursery(|ctx, target, pair| {
+            ctx.alloc_mixed(pair, &[FieldInit::Ptr(Some(target)), FieldInit::Raw(9)])
+        });
+        assert_eq!(field, copy.raw());
     }
 
     /// The simulated backend's global collection runs between rounds with

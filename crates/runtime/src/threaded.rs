@@ -344,6 +344,10 @@ pub(crate) struct WorkerState {
     /// Scratch buffer the local root sets are gathered into for a
     /// collection; kept here so a collection allocates nothing for it.
     gather: Vec<Addr>,
+    /// Scratch buffer an object's payload is staged in before it is bumped
+    /// (`TaskCtx::alloc_vector`/`alloc_mixed`/`alloc_f64_slice`); kept here
+    /// so an allocation allocates nothing on the host heap.
+    pub(crate) scratch: Vec<Word>,
     /// This worker's NUMA node (== its heap's home node).
     node: NodeId,
     /// The node of the *consumer* of the next promotion: the thief's node
@@ -1501,6 +1505,7 @@ impl ThreadedMachine {
                     stats: VprocRunStats::default(),
                     private,
                     gather: Vec::new(),
+                    scratch: Vec::new(),
                     node,
                     promotion_consumer: node,
                     same_node_victims,
@@ -1666,6 +1671,8 @@ impl Executor for ThreadedMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::FieldInit;
+    use crate::task::Handle;
     use mgc_heap::{i64_to_word, word_to_i64};
 
     fn machine(vprocs: usize) -> ThreadedMachine {
@@ -1675,12 +1682,18 @@ mod tests {
     /// The workers of a machine built from `config` but never started, with
     /// empty deques, so a test can drive a `TaskCtx` on one by hand.
     fn assembled(config: MachineConfig) -> (Arc<Shared>, Vec<WorkerState>) {
+        assembled_from(ThreadedMachine::new(config))
+    }
+
+    /// [`assembled`] for a machine the test has already set up (descriptors
+    /// registered).
+    fn assembled_from(mut machine: ThreadedMachine) -> (Arc<Shared>, Vec<WorkerState>) {
         let root = Task::from_spec(
             TaskSpec::new("unused", |_| TaskResult::Unit),
             Delivery::Discard,
             0,
         );
-        let (shared, mut workers) = ThreadedMachine::new(config).assemble(root);
+        let (shared, mut workers) = machine.assemble(root);
         workers[0].private.clear();
         (shared, workers)
     }
@@ -2053,6 +2066,89 @@ mod tests {
             copy != old && worker.heap.is_global(copy),
             "the to-space copy"
         );
+    }
+
+    // The bulk read and the scratch-buffer allocations (the no-host-allocation
+    // rule in the `ctx.rs` module doc).
+
+    /// `read_words_into` appends exactly the words `read_words` returns,
+    /// after what the buffer already holds, for a local object, a global
+    /// one, and a promoted local original read through its forwarding word.
+    #[test]
+    fn ctx_read_words_into_appends_what_read_words_returns() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let worker = &mut workers[0];
+        let local = worker.heap.alloc_raw(&[1, 2, 3]).unwrap();
+        let global = worker
+            .heap
+            .alloc_in_global(Header::new(ObjectKind::Raw, 2).encode(), &[4, 5])
+            .unwrap();
+        let original = worker.heap.alloc_raw(&[6, 7, 8, 9]).unwrap();
+        let promoted = worker.promote_shared(original, PromoteWhy::Publish);
+        assert!(worker.heap.is_local(local));
+        assert!(worker.heap.is_global(global) && worker.heap.is_global(promoted));
+        let mut roots = RootSet::default();
+        for addr in [local, global, original] {
+            roots.push(addr);
+        }
+        on_worker(worker, &shared, &mut roots, |ctx| {
+            let mut out = vec![u64::MAX];
+            let expected: [&[Word]; 3] = [&[1, 2, 3], &[4, 5], &[6, 7, 8, 9]];
+            for (i, words) in expected.into_iter().enumerate() {
+                let start = out.len();
+                ctx.read_words_into(ctx.input(i), &mut out);
+                assert_eq!(&out[start..], words);
+                assert_eq!(ctx.read_words(ctx.input(i)), words);
+            }
+            assert_eq!(out[0], u64::MAX, "appended, not overwritten");
+        });
+        assert_eq!(roots.slots(), [local, global, promoted]);
+    }
+
+    /// Runs `alloc` on a target object once the nursery is exactly full, so
+    /// the allocation must collect first, and returns the pointer field the
+    /// new object holds and the target's address after the collection.
+    fn alloc_after_a_full_nursery(
+        alloc: impl FnOnce(&mut TaskCtx<'_>, Handle, DescriptorId) -> Handle,
+    ) -> (Word, Addr) {
+        let mut machine = ThreadedMachine::new(MachineConfig::small_for_tests(1));
+        let pair = machine.register_descriptor(Descriptor::new("pair", 2, 0b01));
+        let (shared, mut workers) = assembled_from(machine);
+        let worker = &mut workers[0];
+        let target = worker.heap.alloc_raw(&[1, 2, 3]).unwrap();
+        let free = worker.heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        roots.push(target);
+        let field = on_worker(worker, &shared, &mut roots, |ctx| {
+            let mark = ctx.root_mark();
+            // Header plus `free - 1` words: the nursery is then full.
+            ctx.alloc_raw(&vec![0; free - 1]);
+            ctx.truncate_roots(mark);
+            let object = alloc(ctx, ctx.input(0), pair);
+            let copy = ctx.read_ptr(object, 0).expect("the pointer field");
+            assert_eq!(ctx.read_words(copy), [1, 2, 3]);
+            ctx.read_raw(object, 0)
+        });
+        assert_eq!(workers[0].collector.vproc_stats(0).minor_collections, 1);
+        assert_ne!(roots.slots()[0], target, "the collection moved the target");
+        (field, roots.slots()[0])
+    }
+
+    /// `alloc_vector` and `alloc_mixed` whose allocation runs a minor
+    /// collection: the pointer field names the moved copy, because handles
+    /// are resolved into the scratch buffer only after the slow path made
+    /// room.
+    #[test]
+    fn ctx_alloc_that_collects_points_at_the_moved_copy() {
+        let (field, copy) =
+            alloc_after_a_full_nursery(|ctx, target, _| ctx.alloc_vector(&[Some(target), None]));
+        assert_eq!(field, copy.raw());
+        let (field, copy) = alloc_after_a_full_nursery(|ctx, target, pair| {
+            ctx.alloc_mixed(pair, &[FieldInit::Ptr(Some(target)), FieldInit::Raw(9)])
+        });
+        assert_eq!(field, copy.raw());
     }
 
     /// The below-watermark root check runs under `verify_after_gc` in

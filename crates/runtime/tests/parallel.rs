@@ -6,10 +6,11 @@
 //! them with `MGC_VPROCS=4 --test-threads=1` under a job timeout, so a
 //! deadlock in the stop-the-world barrier fails fast instead of hanging).
 
-use mgc_heap::{i64_to_word, word_to_i64, HeapConfig};
+use mgc_heap::{i64_to_word, word_to_i64, Descriptor, HeapConfig};
 use mgc_numa::{AllocPolicy, Topology};
 use mgc_runtime::{
-    Executor, Handle, Machine, MachineConfig, TaskCtx, TaskResult, TaskSpec, ThreadedMachine,
+    Executor, FieldInit, Handle, Machine, MachineConfig, TaskCtx, TaskResult, TaskSpec,
+    ThreadedMachine,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -746,5 +747,97 @@ fn threaded_queued_tasks_with_nursery_inputs_survive_their_parents_collections()
             report.gc.minor_roots_visited <= report.allocated_objects + (CHILDREN * INPUTS) as u64,
             "vprocs = {vprocs}"
         );
+    }
+}
+
+// ----------------------------------------------------------------------
+// Scratch buffers: a task's own reused read buffer and the runtime's
+// allocation scratch buffer, used in one loop.
+// ----------------------------------------------------------------------
+
+const SCRATCH_CHILDREN: u64 = 8;
+const SCRATCH_ROUNDS: u64 = 2_000;
+const SCRATCH_LEAF_WORDS: u64 = 16;
+
+/// Each child reads a leaf into a reused buffer, appends a fresh `f64`
+/// slice to it, and conses a mixed list node — three scratch users nested in
+/// one loop, under enough allocation to collect — then walks its list.
+fn spawn_scratch_users(exec: &mut dyn Executor) {
+    let node = exec.register_descriptor(Descriptor::new("list-node", 3, 0b001));
+    exec.spawn_root(TaskSpec::new("scratch-root", move |ctx| {
+        let children: Vec<_> = (0..SCRATCH_CHILDREN)
+            .map(|child| {
+                let task = TaskSpec::new("scratch-child", move |ctx| {
+                    let leaf_words: Vec<u64> =
+                        (0..SCRATCH_LEAF_WORDS).map(|j| child * 1_000 + j).collect();
+                    let leaf = ctx.alloc_raw(&leaf_words);
+                    let mark = ctx.root_mark();
+                    let mut list = None;
+                    let mut buf = Vec::new();
+                    for i in 0..SCRATCH_ROUNDS {
+                        buf.clear();
+                        ctx.read_words_into(leaf, &mut buf);
+                        let slice = ctx.alloc_f64_slice(&[i as f64; 4]);
+                        ctx.read_words_into(slice, &mut buf);
+                        assert_eq!(buf[..leaf_words.len()], leaf_words[..]);
+                        assert_eq!(buf[leaf_words.len()..], [(i as f64).to_bits(); 4]);
+                        let sum: u64 = leaf_words.iter().sum();
+                        let fields = [
+                            FieldInit::Ptr(list),
+                            FieldInit::Raw(sum + i),
+                            FieldInit::Raw(i),
+                        ];
+                        let cell = ctx.alloc_mixed(node, &fields);
+                        list = Some(ctx.keep(cell, mark));
+                    }
+                    let mut total = 0u64;
+                    while let Some(cell) = list {
+                        total += ctx.read_raw(cell, 1);
+                        list = ctx.read_ptr(cell, 0);
+                    }
+                    TaskResult::Value(total)
+                });
+                (task, vec![])
+            })
+            .collect();
+        ctx.fork_join(
+            children,
+            TaskSpec::new("scratch-sum", |ctx| {
+                TaskResult::Value((0..ctx.num_values()).map(|i| ctx.value(i)).sum())
+            }),
+            &[],
+        );
+        TaskResult::Unit
+    }));
+}
+
+/// The checksum `spawn_scratch_users` must produce.
+fn scratch_users_expected() -> u64 {
+    (0..SCRATCH_CHILDREN)
+        .map(|child| {
+            let sum: u64 = (0..SCRATCH_LEAF_WORDS).map(|j| child * 1_000 + j).sum();
+            SCRATCH_ROUNDS * sum + SCRATCH_ROUNDS * (SCRATCH_ROUNDS - 1) / 2
+        })
+        .sum()
+}
+
+#[test]
+fn nested_scratch_users_survive_collections_on_both_backends() {
+    let mut sim = machine(2);
+    spawn_scratch_users(&mut sim);
+    let sim_report = sim.run();
+    let mut threaded = threaded_machine();
+    spawn_scratch_users(&mut threaded);
+    let threaded_report = threaded.run();
+    for (name, exec, report) in [
+        ("simulated", &mut sim as &mut dyn Executor, sim_report),
+        ("threaded", &mut threaded, threaded_report),
+    ] {
+        assert_eq!(
+            exec.take_result(),
+            Some((scratch_users_expected(), false)),
+            "{name}"
+        );
+        assert!(report.gc.minor_collections > 0, "{name}");
     }
 }

@@ -387,10 +387,15 @@ fn worker_body(
     // Root slot 1: this worker's session table. It is re-allocated (a
     // functional update) on every request; `keep` swaps the fresh table
     // into the same root slot.
-    let table_words: Vec<u64> = params.initial_table(worker);
-    let mut table = ctx.alloc_raw(&table_words);
+    let mut current = params.initial_table(worker);
+    let mut table = ctx.alloc_raw(&current);
     let mark = ctx.root_mark(); // == 2
     let mut sum = 0i64;
+    // One buffer each for the churn payload, the words read back (request
+    // and churn objects) and the session table (`current`), refilled per
+    // use: a request allocates nothing on the host heap.
+    let mut payload = Vec::with_capacity(params.payload_words);
+    let mut words = Vec::new();
     // The worker's stream epoch: arrival deadlines are `epoch + offset` on
     // the worker's own clock, so pacing (and therefore the open-loop
     // property — arrivals never wait for service) holds no matter when the
@@ -401,7 +406,8 @@ fn worker_body(
         let req = ctx
             .recv(requests)
             .expect("the generator queued every request before the workers spawned");
-        let words = ctx.read_words(req);
+        words.clear();
+        ctx.read_words_into(req, &mut words);
         let (session, heavy, payload_seed, offset_ns) =
             (words[0], words[1] != 0, words[2], words[3]);
         let arrival_ns = epoch_ns + offset_ns as f64;
@@ -417,9 +423,12 @@ fn worker_body(
         let mut rng = SplitMix64::new(payload_seed);
         let mut churn = 0u64;
         for _ in 0..reps {
-            let payload: Vec<u64> = (0..params.payload_words).map(|_| rng.next_u64()).collect();
+            payload.clear();
+            payload.extend((0..params.payload_words).map(|_| rng.next_u64()));
             let obj = ctx.alloc_raw(&payload);
-            for word in ctx.read_words(obj) {
+            words.clear();
+            ctx.read_words_into(obj, &mut words);
+            for &word in &words {
                 churn = churn.wrapping_add(word);
             }
             ctx.truncate_roots(mark + 1);
@@ -438,7 +447,8 @@ fn worker_body(
         // allocate the successor table, and swap it into root slot 1.
         let local = (session as usize) / params.workers;
         let state_idx = local * params.session_words;
-        let mut current = ctx.read_words(table);
+        current.clear();
+        ctx.read_words_into(table, &mut current);
         let (response, next) = respond(current[state_idx], churn, cache_word, heavy);
         current[state_idx] = next;
         let successor = ctx.alloc_raw(&current);
@@ -450,7 +460,9 @@ fn worker_body(
     }
     // Fold the surviving session state into the checksum so a table word
     // the collector corrupted is caught even if no later request read it.
-    for word in ctx.read_words(table) {
+    current.clear();
+    ctx.read_words_into(table, &mut current);
+    for &word in &current {
         sum = sum.wrapping_add(word as i64);
     }
     TaskResult::Value(i64_to_word(sum))

@@ -151,7 +151,9 @@ pub fn spawn(machine: &mut dyn Executor, params: ChurnParams) {
                         // work of this benchmark is touching its live data.
                         let mut sum = 0i64;
                         for handle in survivors.iter() {
-                            for word in ctx.read_words(*handle) {
+                            payload.clear();
+                            ctx.read_words_into(*handle, &mut payload);
+                            for &word in &payload {
                                 sum = sum.wrapping_add(word_to_i64(word));
                             }
                         }

@@ -136,20 +136,25 @@ pub fn spawn_with(machine: &mut dyn Executor, params: DmmParams) {
             children.push((
                 TaskSpec::new("dmm-block", move |ctx| {
                     let mut checksum = 0.0;
+                    let mut row = Vec::with_capacity(n);
+                    let mut result_row = Vec::with_capacity(n);
+                    let mut back = Vec::with_capacity(n);
                     for i in lo..hi {
                         let mark = ctx.root_mark();
                         // Materialise row i of A in the local heap, as the
                         // PML program's rope leaf would be.
-                        let row: Vec<f64> = (0..n).map(|k| a_elem(i, k)).collect();
+                        row.clear();
+                        row.extend((0..n).map(|k| a_elem(i, k)));
                         let row_handle = ctx.alloc_f64_slice(&row);
-                        let row_back = ctx.read_f64s(row_handle);
+                        back.clear();
+                        ctx.read_words_into(row_handle, &mut back);
                         // Multiply against B (generated on the fly: B is not
                         // shared between blocks).
-                        let mut result_row = Vec::with_capacity(n);
+                        result_row.clear();
                         for j in 0..n {
                             let mut c = 0.0;
-                            for (k, &a) in row_back.iter().enumerate() {
-                                c += a * b_elem(k, j);
+                            for (k, &a) in back.iter().enumerate() {
+                                c += word_to_f64(a) * b_elem(k, j);
                             }
                             result_row.push(c);
                         }
@@ -157,8 +162,9 @@ pub fn spawn_with(machine: &mut dyn Executor, params: DmmParams) {
                         ctx.work(2 * (n * n) as u64);
                         // The result row is a fresh local allocation.
                         let out = ctx.alloc_f64_slice(&result_row);
-                        let out_back = ctx.read_f64s(out);
-                        checksum += out_back.iter().sum::<f64>();
+                        back.clear();
+                        ctx.read_words_into(out, &mut back);
+                        checksum += back.iter().map(|&w| word_to_f64(w)).sum::<f64>();
                         ctx.truncate_roots(mark);
                     }
                     TaskResult::Value(f64_to_word(checksum))

@@ -166,15 +166,20 @@ pub fn spawn_with(machine: &mut dyn Executor, params: RaytracerParams) {
             children.push((
                 TaskSpec::new("ray-band", move |ctx| {
                     let mut checksum = 0.0;
+                    let mut row = Vec::with_capacity(size);
+                    let mut back = Vec::with_capacity(size);
                     for y in lo..hi {
                         let mark = ctx.root_mark();
-                        let row: Vec<f64> = (0..size)
-                            .map(|x| trace(pixel_coord(x, size), pixel_coord(y, size)))
-                            .collect();
+                        row.clear();
+                        row.extend(
+                            (0..size).map(|x| trace(pixel_coord(x, size), pixel_coord(y, size))),
+                        );
                         // ~70 floating-point operations per pixel per sphere.
                         ctx.work((size * SPHERES.len() * 70) as u64);
                         let leaf = ctx.alloc_f64_slice(&row);
-                        checksum += ctx.read_f64s(leaf).iter().sum::<f64>();
+                        back.clear();
+                        ctx.read_words_into(leaf, &mut back);
+                        checksum += back.iter().map(|&w| word_to_f64(w)).sum::<f64>();
                         ctx.truncate_roots(mark);
                     }
                     TaskResult::Value(f64_to_word(checksum))

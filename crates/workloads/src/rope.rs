@@ -78,7 +78,7 @@ fn read_word_rope(ctx: &mut TaskCtx<'_>, rope: Handle) -> Vec<Word> {
     for i in 0..leaves {
         let mark = ctx.root_mark();
         let leaf = ctx.read_ptr(rope, i).expect("rope leaves are never null");
-        out.extend(ctx.read_words(leaf));
+        ctx.read_words_into(leaf, &mut out);
         ctx.truncate_roots(mark);
     }
     out

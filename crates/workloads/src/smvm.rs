@@ -177,7 +177,7 @@ pub fn spawn_with(machine: &mut dyn Executor, params: SmvmParams) {
                         let leaf = ctx
                             .read_ptr(x_rope, i)
                             .expect("vector leaves are never null");
-                        x.extend(ctx.read_f64s(leaf));
+                        ctx.read_words_into(leaf, &mut x);
                         ctx.truncate_roots(mark);
                     }
 
@@ -186,7 +186,7 @@ pub fn spawn_with(machine: &mut dyn Executor, params: SmvmParams) {
                     for r in lo..hi {
                         let mut dot = 0.0;
                         for k in 0..NNZ_PER_ROW {
-                            dot += val_of(r, k) * x[col_of(r, k, cols)];
+                            dot += val_of(r, k) * word_to_f64(x[col_of(r, k, cols)]);
                         }
                         result.push(dot);
                         checksum += dot;
