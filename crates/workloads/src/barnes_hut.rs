@@ -246,7 +246,7 @@ fn accel_from(ctx: &mut TaskCtx<'_>, node: Handle, px: f64, py: f64, cell_size: 
     let dist = dist2.sqrt();
     ctx.work(16);
 
-    let children: Vec<Option<Handle>> = (0..4).map(|i| ctx.read_ptr(node, i)).collect();
+    let children: [Option<Handle>; 4] = std::array::from_fn(|i| ctx.read_ptr(node, i));
     let is_leaf = children.iter().all(Option::is_none);
     if is_leaf || cell_size / dist < THETA {
         let f = G * mass / (dist2 * dist);
@@ -270,17 +270,14 @@ fn particles_to_words(particles: &[Particle]) -> Vec<u64> {
         .collect()
 }
 
-fn words_to_particles(words: &[u64]) -> Vec<Particle> {
-    words
-        .chunks(5)
-        .map(|c| Particle {
-            mass: word_to_f64(c[0]),
-            x: word_to_f64(c[1]),
-            y: word_to_f64(c[2]),
-            vx: word_to_f64(c[3]),
-            vy: word_to_f64(c[4]),
-        })
-        .collect()
+fn words_to_particles(words: &[u64]) -> impl Iterator<Item = Particle> + '_ {
+    words.chunks(5).map(|c| Particle {
+        mass: word_to_f64(c[0]),
+        x: word_to_f64(c[1]),
+        y: word_to_f64(c[2]),
+        vx: word_to_f64(c[3]),
+        vy: word_to_f64(c[4]),
+    })
 }
 
 /// One iteration: build the tree, fork the force phase, update the
@@ -291,12 +288,15 @@ fn iteration_task(desc: DescriptorId, remaining: usize, blocks: usize) -> TaskSp
         let particle_rope = ctx.input(0);
         let leaves = ctx.len(particle_rope);
         let mut particles = Vec::new();
+        let mut words = Vec::new();
         for i in 0..leaves {
             let mark = ctx.root_mark();
             let leaf = ctx
                 .read_ptr(particle_rope, i)
                 .expect("particle leaves are never null");
-            particles.extend(words_to_particles(&ctx.read_words(leaf)));
+            words.clear();
+            ctx.read_words_into(leaf, &mut words);
+            particles.extend(words_to_particles(&words));
             ctx.truncate_roots(mark);
         }
 
@@ -364,9 +364,11 @@ fn iteration_task(desc: DescriptorId, remaining: usize, blocks: usize) -> TaskSp
         } else {
             TaskSpec::new("bh-checksum", |ctx| {
                 let mut checksum = 0.0;
+                let mut words = Vec::new();
                 for i in 0..ctx.num_roots() {
-                    let leaf = ctx.input(i);
-                    for p in words_to_particles(&ctx.read_words(leaf)) {
+                    words.clear();
+                    ctx.read_words_into(ctx.input(i), &mut words);
+                    for p in words_to_particles(&words) {
                         checksum += p.x.abs() + p.y.abs();
                     }
                 }
