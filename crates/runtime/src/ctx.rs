@@ -56,17 +56,17 @@
 //! and the containment assert included — is ever served. A simulated hit
 //! charges exactly what the miss charged, so virtual time does not change.
 //!
-//! **Reading or allocating an object allocates nothing on the host heap.**
-//! The paper's mutator allocates only in its own nursery (§3.3), and so does
-//! this one: [`TaskCtx::read_words_into`] is the one bulk read, and it
-//! appends a payload to a buffer the caller owns and reuses;
+//! **Reading an object allocates nothing on the host heap.** The paper's
+//! mutator touches no allocator but its own nursery (§3.3), and neither do
+//! this one's reads: [`TaskCtx::read_words_into`] is the one bulk read, and
+//! it appends a payload to a buffer the caller owns and reuses;
 //! [`TaskCtx::read_words`] wraps it to return a fresh `Vec`, for tests and
-//! cold paths. `alloc_vector`, `alloc_mixed` and `alloc_f64_slice` stage the
-//! payload in one scratch buffer owned by the backend (the worker, or the
-//! simulated runtime state), refilled per object after the nursery has
-//! room. Field reads, `len` and `alloc_raw` copy nothing. A buffer grows
-//! only past its high-water mark, as the root set does. The calls that build
-//! host-side records — `spawn` and `fork_join` (tasks and their input
+//! cold paths. Field reads, `len` and `alloc_raw` copy nothing. The
+//! allocations that take an initialiser list — `alloc_vector`,
+//! `alloc_mixed` and `alloc_f64_slice` — still collect the payload into a
+//! `Vec` per object: their hot callers build host-side inputs of their own
+//! anyway, and no measured workload spends time there. The calls that
+//! build host-side records — `spawn` and `fork_join` (tasks and their input
 //! lists), `send` (queue entries) and the proxy calls — are outside the
 //! rule.
 //!
@@ -83,8 +83,8 @@ use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
 use mgc_heap::{
-    f64_to_word, word_to_f64, Addr, DescriptorId, Heap, HeapError, ObjectKind, Place, Resolved,
-    SharedGlobalHeap, Word,
+    f64_to_word, word_to_f64, Addr, DescriptorId, ObjectKind, Place, Resolved, SharedGlobalHeap,
+    Word,
 };
 
 /// How one field of a mixed-type object is initialised.
@@ -98,63 +98,26 @@ pub enum FieldInit {
     F64(f64),
 }
 
-/// Fills `words` with the payload words of an object initialised by
-/// `fields`: each pointer handle resolved through `resolve` — its root slot
-/// updated so later accesses are direct — and null for `Ptr(None)`.
+/// The payload words of an object initialised by `fields`: each pointer
+/// handle resolved through `resolve` — its root slot updated so later
+/// accesses are direct — and null for `Ptr(None)`.
 fn init_words(
-    words: &mut Vec<Word>,
     roots: &mut RootSet,
     fields: impl Iterator<Item = FieldInit>,
     resolve: impl Fn(Addr) -> Addr,
-) {
-    words.clear();
-    words.extend(fields.map(|field| match field {
-        FieldInit::Ptr(Some(handle)) => {
-            let slot = &mut roots.slots_mut()[handle.index()];
-            *slot = resolve(*slot);
-            slot.raw()
-        }
-        FieldInit::Ptr(None) => 0,
-        FieldInit::Raw(w) => w,
-        FieldInit::F64(v) => f64_to_word(v),
-    }));
-}
-
-/// Allocates an object initialised by `fields` on the simulated backend:
-/// makes room first (which may collect), then stages the payload in the
-/// state's scratch buffer and hands it to `alloc`.
-fn sim_alloc_fields(
-    state: &mut RuntimeState,
-    vproc: usize,
-    roots: &mut RootSet,
-    fields: impl ExactSizeIterator<Item = FieldInit>,
-    alloc: impl FnOnce(&mut Heap, usize, &[Word]) -> Result<Addr, HeapError>,
-) -> Addr {
-    state.reserve_nursery(vproc, roots.slots_mut(), fields.len());
-    let mut words = std::mem::take(&mut state.scratch);
-    init_words(&mut words, roots, fields, |a| state.resolve_addr(a));
-    let addr = state.alloc_reserved(vproc, |heap, vproc| alloc(heap, vproc, &words));
-    state.charge_alloc(vproc, (words.len() + 1) * 8);
-    state.scratch = words;
-    addr
-}
-
-/// Bumps an object of `kind` initialised by `fields` below `limit` on a
-/// threaded worker, its payload staged in the worker's scratch buffer; the
-/// bump closure of [`WorkerState::alloc`], so handles are resolved only once
-/// there is room.
-fn bump_fields(
-    worker: &mut WorkerState,
-    roots: &mut RootSet,
-    kind: ObjectKind,
-    fields: impl Iterator<Item = FieldInit>,
-    limit: usize,
-) -> Option<Addr> {
-    let mut words = std::mem::take(&mut worker.scratch);
-    init_words(&mut words, roots, fields, |a| worker.resolve_addr(a));
-    let addr = worker.heap.bump(kind, &words, limit);
-    worker.scratch = words;
-    addr
+) -> Vec<Word> {
+    fields
+        .map(|field| match field {
+            FieldInit::Ptr(Some(handle)) => {
+                let slot = &mut roots.slots_mut()[handle.index()];
+                *slot = resolve(*slot);
+                slot.raw()
+            }
+            FieldInit::Ptr(None) => 0,
+            FieldInit::Raw(w) => w,
+            FieldInit::F64(v) => f64_to_word(v),
+        })
+        .collect()
 }
 
 /// Which backend is executing the task.
@@ -383,12 +346,8 @@ impl<'a> TaskCtx<'a> {
 
     /// Allocates a raw-data object holding `f64` values.
     pub fn alloc_f64_slice(&mut self, values: &[f64]) -> Handle {
-        let mut words = std::mem::take(self.scratch());
-        words.clear();
-        words.extend(values.iter().map(|&v| f64_to_word(v)));
-        let handle = self.alloc_raw(&words);
-        *self.scratch() = words;
-        handle
+        let words: Vec<Word> = values.iter().map(|&v| f64_to_word(v)).collect();
+        self.alloc_raw(&words)
     }
 
     /// Allocates a vector of pointers; `None` entries become null.
@@ -396,16 +355,18 @@ impl<'a> TaskCtx<'a> {
         self.last = None;
         let fields = || elements.iter().map(|&h| FieldInit::Ptr(h));
         let addr = match &mut self.state {
-            CtxState::Sim(state) => sim_alloc_fields(
-                state,
-                self.vproc,
-                self.roots,
-                fields(),
-                |heap, vproc, words| heap.alloc_vector(vproc, words),
-            ),
+            CtxState::Sim(state) => {
+                state.reserve_nursery(self.vproc, self.roots.slots_mut(), elements.len());
+                let words = init_words(self.roots, fields(), |a| state.resolve_addr(a));
+                let addr = state
+                    .alloc_reserved(self.vproc, |heap, vproc| heap.alloc_vector(vproc, &words));
+                state.charge_alloc(self.vproc, (words.len() + 1) * 8);
+                addr
+            }
             CtxState::Threaded(worker) => {
                 worker.alloc(self.roots, elements.len(), |worker, roots, limit| {
-                    bump_fields(worker, roots, ObjectKind::Vector, fields(), limit)
+                    let words = init_words(roots, fields(), |a| worker.resolve_addr(a));
+                    worker.heap.bump(ObjectKind::Vector, &words, limit)
                 })
             }
         };
@@ -422,10 +383,15 @@ impl<'a> TaskCtx<'a> {
         self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
-                let init = fields.iter().copied();
-                sim_alloc_fields(state, self.vproc, self.roots, init, |heap, vproc, words| {
-                    heap.alloc_mixed(vproc, descriptor, words)
-                })
+                state.reserve_nursery(self.vproc, self.roots.slots_mut(), fields.len());
+                let words = init_words(self.roots, fields.iter().copied(), |a| {
+                    state.resolve_addr(a)
+                });
+                let addr = state.alloc_reserved(self.vproc, |heap, vproc| {
+                    heap.alloc_mixed(vproc, descriptor, &words)
+                });
+                state.charge_alloc(self.vproc, (words.len() + 1) * 8);
+                addr
             }
             CtxState::Threaded(worker) => {
                 let kind = match worker.heap.mixed_kind(descriptor, fields.len()) {
@@ -433,7 +399,9 @@ impl<'a> TaskCtx<'a> {
                     Err(e) => panic!("allocation failed: {e}"),
                 };
                 worker.alloc(self.roots, fields.len(), |worker, roots, limit| {
-                    bump_fields(worker, roots, kind, fields.iter().copied(), limit)
+                    let words =
+                        init_words(roots, fields.iter().copied(), |a| worker.resolve_addr(a));
+                    worker.heap.bump(kind, &words, limit)
                 })
             }
         };
@@ -587,14 +555,6 @@ impl<'a> TaskCtx<'a> {
             CtxState::Threaded(worker) => worker.resolve_addr(*slot),
         };
         *slot
-    }
-
-    /// The backend's scratch buffer for staging an object's payload.
-    fn scratch(&mut self) -> &mut Vec<Word> {
-        match &mut self.state {
-            CtxState::Sim(state) => &mut state.scratch,
-            CtxState::Threaded(worker) => &mut worker.scratch,
-        }
     }
 
     fn push_root(&mut self, addr: Addr) -> Handle {

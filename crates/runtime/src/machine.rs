@@ -201,10 +201,6 @@ pub(crate) struct RuntimeState {
     /// One hysteresis controller per vproc under
     /// [`PlacementPolicy::Adaptive`]; `None` under the static policies.
     pub(crate) adaptive: Option<Vec<AdaptiveController>>,
-    /// Scratch buffer an object's payload is staged in before it is
-    /// allocated (`TaskCtx::alloc_vector`/`alloc_mixed`/`alloc_f64_slice`);
-    /// kept here so an allocation allocates nothing on the host heap.
-    pub(crate) scratch: Vec<Word>,
 }
 
 impl std::fmt::Debug for RuntimeState {
@@ -837,7 +833,6 @@ impl Machine {
                         .map(|_| AdaptiveController::new())
                         .collect()
                 }),
-                scratch: Vec::new(),
             },
             model,
             config,
@@ -1510,7 +1505,7 @@ mod tests {
 
     /// `alloc_vector` and `alloc_mixed` whose allocation runs a minor
     /// collection: the pointer field names the moved copy, because handles
-    /// are resolved into the scratch buffer only after the nursery has room.
+    /// are resolved only after the nursery has room.
     #[test]
     fn alloc_that_collects_points_at_the_moved_copy() {
         let (field, copy) =

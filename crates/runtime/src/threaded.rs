@@ -344,10 +344,6 @@ pub(crate) struct WorkerState {
     /// Scratch buffer the local root sets are gathered into for a
     /// collection; kept here so a collection allocates nothing for it.
     gather: Vec<Addr>,
-    /// Scratch buffer an object's payload is staged in before it is bumped
-    /// (`TaskCtx::alloc_vector`/`alloc_mixed`/`alloc_f64_slice`); kept here
-    /// so an allocation allocates nothing on the host heap.
-    pub(crate) scratch: Vec<Word>,
     /// This worker's NUMA node (== its heap's home node).
     node: NodeId,
     /// The node of the *consumer* of the next promotion: the thief's node
@@ -1505,7 +1501,6 @@ impl ThreadedMachine {
                     stats: VprocRunStats::default(),
                     private,
                     gather: Vec::new(),
-                    scratch: Vec::new(),
                     node,
                     promotion_consumer: node,
                     same_node_victims,
@@ -2068,8 +2063,8 @@ mod tests {
         );
     }
 
-    // The bulk read and the scratch-buffer allocations (the no-host-allocation
-    // rule in the `ctx.rs` module doc).
+    // The bulk read (the no-host-allocation rule in the `ctx.rs` module doc)
+    // and the handle-resolution order of an allocation that collects.
 
     /// `read_words_into` appends exactly the words `read_words` returns,
     /// after what the buffer already holds, for a local object, a global
@@ -2138,8 +2133,7 @@ mod tests {
 
     /// `alloc_vector` and `alloc_mixed` whose allocation runs a minor
     /// collection: the pointer field names the moved copy, because handles
-    /// are resolved into the scratch buffer only after the slow path made
-    /// room.
+    /// are resolved only after the slow path made room.
     #[test]
     fn ctx_alloc_that_collects_points_at_the_moved_copy() {
         let (field, copy) =

@@ -751,30 +751,30 @@ fn threaded_queued_tasks_with_nursery_inputs_survive_their_parents_collections()
 }
 
 // ----------------------------------------------------------------------
-// Scratch buffers: a task's own reused read buffer and the runtime's
-// allocation scratch buffer, used in one loop.
+// A reused read buffer: a task's bulk reads append to one buffer across
+// allocations that collect.
 // ----------------------------------------------------------------------
 
-const SCRATCH_CHILDREN: u64 = 8;
-const SCRATCH_ROUNDS: u64 = 2_000;
-const SCRATCH_LEAF_WORDS: u64 = 16;
+const READER_CHILDREN: u64 = 8;
+const READER_ROUNDS: u64 = 2_000;
+const READER_LEAF_WORDS: u64 = 16;
 
 /// Each child reads a leaf into a reused buffer, appends a fresh `f64`
-/// slice to it, and conses a mixed list node — three scratch users nested in
-/// one loop, under enough allocation to collect — then walks its list.
-fn spawn_scratch_users(exec: &mut dyn Executor) {
+/// slice to it, and conses a mixed list node — under enough allocation to
+/// collect — then walks its list.
+fn spawn_buffer_readers(exec: &mut dyn Executor) {
     let node = exec.register_descriptor(Descriptor::new("list-node", 3, 0b001));
-    exec.spawn_root(TaskSpec::new("scratch-root", move |ctx| {
-        let children: Vec<_> = (0..SCRATCH_CHILDREN)
+    exec.spawn_root(TaskSpec::new("reader-root", move |ctx| {
+        let children: Vec<_> = (0..READER_CHILDREN)
             .map(|child| {
-                let task = TaskSpec::new("scratch-child", move |ctx| {
+                let task = TaskSpec::new("reader-child", move |ctx| {
                     let leaf_words: Vec<u64> =
-                        (0..SCRATCH_LEAF_WORDS).map(|j| child * 1_000 + j).collect();
+                        (0..READER_LEAF_WORDS).map(|j| child * 1_000 + j).collect();
                     let leaf = ctx.alloc_raw(&leaf_words);
                     let mark = ctx.root_mark();
                     let mut list = None;
                     let mut buf = Vec::new();
-                    for i in 0..SCRATCH_ROUNDS {
+                    for i in 0..READER_ROUNDS {
                         buf.clear();
                         ctx.read_words_into(leaf, &mut buf);
                         let slice = ctx.alloc_f64_slice(&[i as f64; 4]);
@@ -802,7 +802,7 @@ fn spawn_scratch_users(exec: &mut dyn Executor) {
             .collect();
         ctx.fork_join(
             children,
-            TaskSpec::new("scratch-sum", |ctx| {
+            TaskSpec::new("reader-sum", |ctx| {
                 TaskResult::Value((0..ctx.num_values()).map(|i| ctx.value(i)).sum())
             }),
             &[],
@@ -811,23 +811,23 @@ fn spawn_scratch_users(exec: &mut dyn Executor) {
     }));
 }
 
-/// The checksum `spawn_scratch_users` must produce.
-fn scratch_users_expected() -> u64 {
-    (0..SCRATCH_CHILDREN)
+/// The checksum `spawn_buffer_readers` must produce.
+fn buffer_readers_expected() -> u64 {
+    (0..READER_CHILDREN)
         .map(|child| {
-            let sum: u64 = (0..SCRATCH_LEAF_WORDS).map(|j| child * 1_000 + j).sum();
-            SCRATCH_ROUNDS * sum + SCRATCH_ROUNDS * (SCRATCH_ROUNDS - 1) / 2
+            let sum: u64 = (0..READER_LEAF_WORDS).map(|j| child * 1_000 + j).sum();
+            READER_ROUNDS * sum + READER_ROUNDS * (READER_ROUNDS - 1) / 2
         })
         .sum()
 }
 
 #[test]
-fn nested_scratch_users_survive_collections_on_both_backends() {
+fn a_reused_read_buffer_survives_collections_on_both_backends() {
     let mut sim = machine(2);
-    spawn_scratch_users(&mut sim);
+    spawn_buffer_readers(&mut sim);
     let sim_report = sim.run();
     let mut threaded = threaded_machine();
-    spawn_scratch_users(&mut threaded);
+    spawn_buffer_readers(&mut threaded);
     let threaded_report = threaded.run();
     for (name, exec, report) in [
         ("simulated", &mut sim as &mut dyn Executor, sim_report),
@@ -835,7 +835,7 @@ fn nested_scratch_users_survive_collections_on_both_backends() {
     ] {
         assert_eq!(
             exec.take_result(),
-            Some((scratch_users_expected(), false)),
+            Some((buffer_readers_expected(), false)),
             "{name}"
         );
         assert!(report.gc.minor_collections > 0, "{name}");
