@@ -478,7 +478,25 @@ impl Heap {
     ///
     /// Returns [`HeapError::NurseryFull`] when a minor collection is needed.
     pub fn alloc_raw(&mut self, vproc: usize, payload: &[Word]) -> Result<Addr, HeapError> {
-        self.workers[vproc].alloc_raw(payload)
+        self.alloc_raw_with(vproc, payload.len(), |i| payload[i])
+    }
+
+    /// Allocates a raw-data object of `len` words in `vproc`'s nursery,
+    /// word `i` written in place as `fill(i)`
+    /// ([`WorkerHeap::alloc_raw_with`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::NurseryFull`] when a minor collection is needed;
+    /// `fill` is then never called.
+    #[inline]
+    pub fn alloc_raw_with(
+        &mut self,
+        vproc: usize,
+        len: usize,
+        fill: impl FnMut(usize) -> Word,
+    ) -> Result<Addr, HeapError> {
+        self.workers[vproc].alloc_raw_with(len, fill)
     }
 
     /// Allocates a pointer-vector object in `vproc`'s nursery. Every element

@@ -248,42 +248,80 @@ impl LocalHeap {
         self.data.len()
     }
 
-    /// Bump-allocates an object in the nursery if it ends at or below word
-    /// offset `limit`, returning its payload address; `None` leaves the heap
-    /// untouched. With `limit` at [`LocalHeap::nursery_end`] this fails only
-    /// when the nursery is full; a limit of 0 fails every call, which is how
-    /// the threaded runtime makes the allocation test its safe point.
-    #[inline]
-    pub fn bump(&mut self, header: Word, payload: &[Word], limit: usize) -> Option<Addr> {
+    /// Bump-allocates an object of `len` payload words in the nursery if it
+    /// ends at or below word offset `limit`, writing it where it lives:
+    /// payload word `i` is `fill(i)`, called exactly once per index, in
+    /// order, and only once the object fits — so every word is written and
+    /// no stale nursery word can be observed. Returns the payload address;
+    /// `None` leaves the heap untouched and never calls `fill`. With `limit`
+    /// at [`LocalHeap::nursery_end`] this fails only when the nursery is
+    /// full; a limit of 0 fails every call, which is how the threaded
+    /// runtime makes the allocation test its safe point.
+    ///
+    /// The one nursery allocation: every other one wraps it.
+    #[inline(always)]
+    pub fn bump_with(
+        &mut self,
+        header: Word,
+        len: usize,
+        limit: usize,
+        mut fill: impl FnMut(usize) -> Word,
+    ) -> Option<Addr> {
         assert!(
-            !payload.is_empty(),
+            len != 0,
             "empty objects are not supported; allocate a one-word raw object instead"
         );
         let header_offset = self.nursery_alloc;
-        let end = header_offset + 1 + payload.len();
+        let end = header_offset + 1 + len;
         if end > limit {
             return None;
         }
-        self.data[header_offset] = header;
-        self.data[header_offset + 1..end].copy_from_slice(payload);
+        let object = &mut self.data[header_offset..end];
+        object[0] = header;
+        for (i, word) in object[1..].iter_mut().enumerate() {
+            *word = fill(i);
+        }
         self.nursery_alloc = end;
         self.stats.nursery_allocated_words += (end - header_offset) as u64;
         self.stats.nursery_allocated_objects += 1;
         Some(self.addr_of(header_offset + 1))
     }
 
-    /// Bump-allocates an object in the nursery. Returns the payload address.
+    /// [`LocalHeap::bump_with`] copying `payload`.
+    #[inline]
+    pub fn bump(&mut self, header: Word, payload: &[Word], limit: usize) -> Option<Addr> {
+        self.bump_with(header, payload.len(), limit, |i| payload[i])
+    }
+
+    /// [`LocalHeap::bump_with`] under the whole nursery. Returns the payload
+    /// address.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::NurseryFull`] if the nursery cannot hold the
-    /// object; the caller should run a minor collection and retry.
-    pub fn alloc(&mut self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
-        self.bump(header, payload, self.nursery_end())
+    /// object (`fill` is then never called); the caller should run a minor
+    /// collection and retry.
+    #[inline]
+    pub fn alloc_with(
+        &mut self,
+        header: Word,
+        len: usize,
+        fill: impl FnMut(usize) -> Word,
+    ) -> Result<Addr, HeapError> {
+        self.bump_with(header, len, self.nursery_end(), fill)
             .ok_or_else(|| HeapError::NurseryFull {
-                requested_words: payload.len() + 1,
+                requested_words: len + 1,
                 free_words: self.nursery_free_words(),
             })
+    }
+
+    /// [`LocalHeap::alloc_with`] copying `payload`.
+    ///
+    /// # Errors
+    ///
+    /// As [`LocalHeap::alloc_with`].
+    pub fn alloc(&mut self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
+        self.alloc_with(header, payload.len(), |i| payload[i])
     }
 
     /// Bump-allocates an object at the end of the old-data area. This is how
@@ -513,6 +551,26 @@ mod tests {
         assert_eq!(a, h.addr_of(start + 1));
         assert_eq!(h.stats().nursery_allocated_objects, 1);
         assert_eq!(h.stats().nursery_allocated_words, 3);
+    }
+
+    #[test]
+    fn bump_with_fills_in_place_only_once_the_object_fits() {
+        let mut h = heap();
+        let start = h.nursery_start();
+        let refuse = |_| -> Word { panic!("fill called for an object that does not fit") };
+        assert_eq!(h.bump_with(raw_header(3), 3, start + 3, refuse), None);
+        assert_eq!(h.nursery_used_words(), 0);
+        let mut calls = Vec::new();
+        let a = h
+            .bump_with(raw_header(3), 3, start + 4, |i| {
+                calls.push(i);
+                10 + i as Word
+            })
+            .unwrap();
+        assert_eq!(calls, [0, 1, 2]);
+        assert_eq!(a, h.addr_of(start + 1));
+        assert_eq!(&h.words()[start..start + 4], [raw_header(3), 10, 11, 12]);
+        assert_eq!(h.stats().nursery_allocated_words, 4);
     }
 
     #[test]

@@ -1074,8 +1074,24 @@ impl WorkerHeap {
     ///
     /// Returns [`HeapError::NurseryFull`] when a minor collection is needed.
     pub fn alloc_raw(&mut self, payload: &[Word]) -> Result<Addr, HeapError> {
-        let header = Header::new(ObjectKind::Raw, payload.len() as u64).encode();
-        self.local.alloc(header, payload)
+        self.alloc_raw_with(payload.len(), |i| payload[i])
+    }
+
+    /// Allocates a raw-data object of `len` words in the nursery, word `i`
+    /// written in place as `fill(i)` ([`LocalHeap::bump_with`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::NurseryFull`] when a minor collection is needed;
+    /// `fill` is then never called.
+    #[inline]
+    pub fn alloc_raw_with(
+        &mut self,
+        len: usize,
+        fill: impl FnMut(usize) -> Word,
+    ) -> Result<Addr, HeapError> {
+        let header = Header::new(ObjectKind::Raw, len as u64).encode();
+        self.local.alloc_with(header, len, fill)
     }
 
     /// Allocates a pointer-vector object in the nursery.
@@ -1129,14 +1145,27 @@ impl WorkerHeap {
         Ok(ObjectKind::Mixed(descriptor.id()))
     }
 
-    /// Bump-allocates an object of `kind` in the nursery if it ends at or
-    /// below word offset `limit` ([`LocalHeap::bump`]): the threaded
-    /// mutator's only test per object, against its vproc's limit word. A
-    /// `Mixed` kind must come from [`WorkerHeap::mixed_kind`].
+    /// Bump-allocates an object of `kind` and `len` words in the nursery if
+    /// it ends at or below word offset `limit`, word `i` written in place as
+    /// `fill(i)` ([`LocalHeap::bump_with`]): the threaded mutator's only test
+    /// per object, against its vproc's limit word. A `Mixed` kind must come
+    /// from [`WorkerHeap::mixed_kind`].
+    #[inline(always)]
+    pub fn bump_with(
+        &mut self,
+        kind: ObjectKind,
+        len: usize,
+        limit: usize,
+        fill: impl FnMut(usize) -> Word,
+    ) -> Option<Addr> {
+        let header = Header::new(kind, len as u64).encode();
+        self.local.bump_with(header, len, limit, fill)
+    }
+
+    /// [`WorkerHeap::bump_with`] copying `payload`.
     #[inline]
     pub fn bump(&mut self, kind: ObjectKind, payload: &[Word], limit: usize) -> Option<Addr> {
-        let header = Header::new(kind, payload.len() as u64).encode();
-        self.local.bump(header, payload, limit)
+        self.bump_with(kind, payload.len(), limit, |i| payload[i])
     }
 
     /// The limit under which [`WorkerHeap::bump`] fills the whole nursery

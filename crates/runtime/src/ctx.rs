@@ -61,14 +61,26 @@
 //! this one's reads: [`TaskCtx::read_words_into`] is the one bulk read, and
 //! it appends a payload to a buffer the caller owns and reuses;
 //! [`TaskCtx::read_words`] wraps it to return a fresh `Vec`, for tests and
-//! cold paths. Field reads, `len` and `alloc_raw` copy nothing. The
-//! allocations that take an initialiser list — `alloc_vector`,
-//! `alloc_mixed` and `alloc_f64_slice` — still collect the payload into a
-//! `Vec` per object: their hot callers build host-side inputs of their own
-//! anyway, and no measured workload spends time there. The calls that
-//! build host-side records — `spawn` and `fork_join` (tasks and their input
+//! cold paths. Field reads and `len` copy nothing. The calls that build
+//! host-side records — `spawn` and `fork_join` (tasks and their input
 //! lists), `send` (queue entries) and the proxy calls — are outside the
 //! rule.
+//!
+//! **An object is initialised where it lives.** The paper's mutator bumps
+//! its nursery pointer against the limit and then writes the new object's
+//! fields in place (§3.3). [`TaskCtx::alloc_raw_with`] is the one raw
+//! allocation and does the same: word `i` of the object is `fill(i)`,
+//! written straight into the claimed nursery slot, once per index and in
+//! order, only after the object fits (after any collection it runs), so no
+//! staging buffer is filled and copied and no stale nursery word is ever
+//! visible. `alloc_raw` (a slice) and `alloc_f64_slice` wrap it. The
+//! allocations that take an initialiser list — `alloc_vector` and
+//! `alloc_mixed` — still collect the payload into a `Vec` per object: their
+//! handles must be resolved while the nursery is borrowed, and no measured
+//! workload spends time there.
+//!
+//! Per-object calls inline into the workload across the crate boundary;
+//! slow paths are `#[cold]` (the threaded safe point's, which collects).
 //!
 //! One `TaskCtx` type serves **both** execution backends (see
 //! [`Executor`](crate::Executor)): on the simulated [`Machine`]
@@ -222,6 +234,7 @@ impl<'a> TaskCtx<'a> {
     ///
     /// For a fork/join continuation, the children's pointer results follow
     /// the continuation's own pointer inputs, in child order.
+    #[inline]
     pub fn input(&self, i: usize) -> Handle {
         assert!(
             i < self.roots.len(),
@@ -232,12 +245,14 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Number of pointer inputs / live handles.
+    #[inline]
     pub fn num_roots(&self) -> usize {
         self.roots.len()
     }
 
     /// The `i`-th raw input value. For a fork/join continuation, the
     /// children's value results follow the continuation's own value inputs.
+    #[inline]
     pub fn value(&self, i: usize) -> Word {
         self.values[i]
     }
@@ -259,6 +274,7 @@ impl<'a> TaskCtx<'a> {
     /// Charges `ops` machine operations of pure compute (arithmetic,
     /// branches) to this vproc's virtual clock. On the threaded backend
     /// real time passes instead, so this is a no-op.
+    #[inline]
     pub fn work(&mut self, ops: u64) {
         match &mut self.state {
             CtxState::Sim(state) => state.charge_work(self.vproc, ops),
@@ -324,30 +340,40 @@ impl<'a> TaskCtx<'a> {
     // room may collect, which moves the referenced objects, so every
     // allocation also forgets the object the last read located.
 
-    /// Allocates a raw-data object and returns a handle to it.
-    pub fn alloc_raw(&mut self, payload: &[Word]) -> Handle {
+    /// Allocates a raw-data object of `len` words and returns a handle to it.
+    /// The object is written where it lives: word `i` is `fill(i)`, called
+    /// exactly once per index, in order, once the nursery has room (after
+    /// any collection the allocation runs). The one raw allocation.
+    #[inline]
+    pub fn alloc_raw_with(&mut self, len: usize, mut fill: impl FnMut(usize) -> Word) -> Handle {
         self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
-                state.reserve_nursery(self.vproc, self.roots.slots_mut(), payload.len());
-                let addr =
-                    state.alloc_reserved(self.vproc, |heap, vproc| heap.alloc_raw(vproc, payload));
-                state.charge_alloc(self.vproc, (payload.len() + 1) * 8);
+                state.reserve_nursery(self.vproc, self.roots.slots_mut(), len);
+                let addr = state.alloc_reserved(self.vproc, |heap, vproc| {
+                    heap.alloc_raw_with(vproc, len, fill)
+                });
+                state.charge_alloc(self.vproc, (len + 1) * 8);
                 addr
             }
-            CtxState::Threaded(worker) => {
-                worker.alloc(self.roots, payload.len(), |worker, _, limit| {
-                    worker.heap.bump(ObjectKind::Raw, payload, limit)
-                })
-            }
+            CtxState::Threaded(worker) => worker.alloc(self.roots, len, |worker, _, limit| {
+                worker
+                    .heap
+                    .bump_with(ObjectKind::Raw, len, limit, &mut fill)
+            }),
         };
         self.push_root(addr)
     }
 
+    /// Allocates a raw-data object holding a copy of `payload`.
+    #[inline]
+    pub fn alloc_raw(&mut self, payload: &[Word]) -> Handle {
+        self.alloc_raw_with(payload.len(), |i| payload[i])
+    }
+
     /// Allocates a raw-data object holding `f64` values.
     pub fn alloc_f64_slice(&mut self, values: &[f64]) -> Handle {
-        let words: Vec<Word> = values.iter().map(|&v| f64_to_word(v)).collect();
-        self.alloc_raw(&words)
+        self.alloc_raw_with(values.len(), |i| f64_to_word(values[i]))
     }
 
     /// Allocates a vector of pointers; `None` entries become null.
@@ -479,6 +505,7 @@ impl<'a> TaskCtx<'a> {
     /// workloads use this for rope leaves). The one bulk read: it allocates
     /// nothing unless `out` has to grow, so a caller that reuses `out`
     /// allocates nothing per read.
+    #[inline]
     pub fn read_words_into(&mut self, handle: Handle, out: &mut Vec<Word>) {
         self.access(
             handle,
@@ -495,6 +522,7 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// The number of payload words of the object behind `handle`.
+    #[inline]
     pub fn len(&mut self, handle: Handle) -> usize {
         self.access(handle, |_| 0, |place| place.header()).len_words as usize
     }
@@ -512,6 +540,7 @@ impl<'a> TaskCtx<'a> {
     /// A mark of the current number of roots; combined with
     /// [`TaskCtx::truncate_roots`] it lets loops discard intermediate
     /// handles so the root set does not grow without bound.
+    #[inline]
     pub fn root_mark(&self) -> usize {
         self.roots.len()
     }
@@ -527,6 +556,7 @@ impl<'a> TaskCtx<'a> {
     /// one relaxed load of the vproc's allocation limit word — the same word
     /// every allocation compares against — and does nothing more unless a
     /// thief or a collection has zeroed it (`WorkerState::poll`).
+    #[inline]
     pub fn truncate_roots(&mut self, mark: usize) {
         self.last = None;
         self.roots.truncate(mark);
@@ -538,6 +568,7 @@ impl<'a> TaskCtx<'a> {
     /// Re-registers the object behind `handle` so it survives a
     /// [`TaskCtx::truncate_roots`] call with an earlier mark, returning the
     /// new handle.
+    #[inline]
     pub fn keep(&mut self, handle: Handle, mark: usize) -> Handle {
         self.last = None;
         let addr = self.resolve(handle);
@@ -557,6 +588,7 @@ impl<'a> TaskCtx<'a> {
         *slot
     }
 
+    #[inline]
     fn push_root(&mut self, addr: Addr) -> Handle {
         self.roots.push(addr);
         Handle(self.roots.len() - 1)
@@ -699,5 +731,82 @@ impl<'a> TaskCtx<'a> {
     /// Convenience constructor for returning an `f64` result.
     pub fn result_f64(&self, value: f64) -> TaskResult {
         TaskResult::Value(f64_to_word(value))
+    }
+}
+
+/// Checks of [`TaskCtx::alloc_raw_with`] that must hold on both backends;
+/// each backend's tests run them on a context it drives by hand.
+#[cfg(test)]
+pub(crate) mod alloc_checks {
+    use super::*;
+
+    /// What the checks' `fill` stores at index `i`: never a garbage word.
+    fn fill_word(i: usize) -> Word {
+        0x5eed_0000 + i as Word
+    }
+
+    /// `alloc_raw_with` of `len` words whose `fill` records every index it
+    /// is called with. Checks that those are `0..len`, once each and in
+    /// order, and that the object holds exactly what `fill` returned.
+    fn alloc_counted(ctx: &mut TaskCtx<'_>, len: usize) -> Handle {
+        let mut calls = Vec::new();
+        let obj = ctx.alloc_raw_with(len, |i| {
+            calls.push(i);
+            fill_word(i)
+        });
+        assert_eq!(calls, (0..len).collect::<Vec<_>>(), "fill once per index");
+        let expected: Vec<Word> = (0..len).map(fill_word).collect();
+        assert_eq!(ctx.read_words(obj), expected);
+        obj
+    }
+
+    /// Fills the `free` words left in the nursery exactly with non-zero
+    /// garbage objects and drops them, so the next allocation collects.
+    fn fill_nursery_with_garbage(ctx: &mut TaskCtx<'_>, free: usize) {
+        let mark = ctx.root_mark();
+        let mut left = free;
+        while left > 18 {
+            ctx.alloc_raw(&[u64::MAX; 8]);
+            left -= 9;
+        }
+        ctx.alloc_raw(&vec![u64::MAX; left - 1]);
+        ctx.truncate_roots(mark);
+    }
+
+    /// Objects of several sizes hold exactly `fill(i)`, and `fill` runs once
+    /// per index, in order.
+    pub(crate) fn stores_fill_once_per_index_in_order(ctx: &mut TaskCtx<'_>) {
+        for len in [1, 2, 8, 37] {
+            alloc_counted(ctx, len);
+        }
+    }
+
+    /// With the nursery exactly full, `alloc_raw_with` collects first and
+    /// only then calls `fill`, once per index. The caller checks that one
+    /// minor collection ran.
+    pub(crate) fn fills_once_after_a_collection(ctx: &mut TaskCtx<'_>, free: usize) {
+        fill_nursery_with_garbage(ctx, free);
+        alloc_counted(ctx, 8);
+    }
+
+    /// After a collection resets a nursery full of non-zero garbage, objects
+    /// allocated over that garbage read back only what `fill` wrote, every
+    /// word of every one. The caller checks that exactly one minor
+    /// collection ran, so all of them lie over the garbage.
+    pub(crate) fn shows_no_stale_words(ctx: &mut TaskCtx<'_>, free: usize) {
+        fill_nursery_with_garbage(ctx, free);
+        let mut objects = Vec::new();
+        let mut used = 0;
+        for len in (1..=8).cycle() {
+            if used + len + 1 > free {
+                break;
+            }
+            objects.push((alloc_counted(ctx, len), len));
+            used += len + 1;
+        }
+        for (obj, len) in objects {
+            let expected: Vec<Word> = (0..len).map(fill_word).collect();
+            assert_eq!(ctx.read_words(obj), expected);
+        }
     }
 }

@@ -1177,7 +1177,7 @@ impl RuntimeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::FieldInit;
+    use crate::ctx::{alloc_checks, FieldInit};
     use crate::task::{Handle, RootSet, TaskResult};
     use mgc_heap::i64_to_word;
 
@@ -1515,6 +1515,76 @@ mod tests {
             ctx.alloc_mixed(pair, &[FieldInit::Ptr(Some(target)), FieldInit::Raw(9)])
         });
         assert_eq!(field, copy.raw());
+    }
+
+    // In-place initialisation (`ctx::alloc_checks` holds the bodies; the
+    // threaded backend runs the same ones).
+
+    #[test]
+    fn alloc_raw_with_stores_fill_once_per_index_in_order() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            alloc_checks::stores_fill_once_per_index_in_order(ctx)
+        });
+    }
+
+    /// `reserve_nursery` collects on a full nursery before `fill` runs.
+    #[test]
+    fn alloc_raw_with_that_collects_fills_once_per_index() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let state = &mut machine.state;
+        let free = state.heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        on_vproc0(state, &mut roots, |ctx| {
+            alloc_checks::fills_once_after_a_collection(ctx, free)
+        });
+        assert_eq!(state.collector.vproc_stats(0).minor_collections, 1);
+    }
+
+    #[test]
+    fn alloc_raw_with_shows_no_stale_nursery_words() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let state = &mut machine.state;
+        let free = state.heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        on_vproc0(state, &mut roots, |ctx| {
+            alloc_checks::shows_no_stale_words(ctx, free)
+        });
+        assert_eq!(state.collector.vproc_stats(0).minor_collections, 1);
+    }
+
+    /// N `alloc_raw_with` calls charge exactly what N `alloc_raw` calls
+    /// charge: the run's traffic and its virtual elapsed time are
+    /// bit-identical, minor collections included.
+    #[test]
+    fn alloc_raw_with_is_charged_like_alloc_raw() {
+        let run = |in_place: bool| {
+            let mut machine = Machine::new(MachineConfig::small_for_tests(2));
+            machine.spawn_root(TaskSpec::new("allocs", move |ctx| {
+                let mark = ctx.root_mark();
+                let mut payload = [0; 8];
+                for n in 0..2_000u64 {
+                    let fill = |i: usize| n * 8 + i as Word;
+                    if in_place {
+                        ctx.alloc_raw_with(payload.len(), fill);
+                    } else {
+                        for (i, word) in payload.iter_mut().enumerate() {
+                            *word = fill(i);
+                        }
+                        ctx.alloc_raw(&payload);
+                    }
+                    ctx.truncate_roots(mark);
+                }
+                TaskResult::Unit
+            }));
+            let report = machine.run();
+            assert!(report.gc.minor_collections > 0);
+            (report.traffic, report.elapsed_ns.to_bits())
+        };
+        let (traffic, elapsed) = run(true);
+        assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
+        assert_eq!((traffic, elapsed), run(false));
     }
 
     /// The simulated backend's global collection runs between rounds with

@@ -66,17 +66,20 @@ impl From<Vec<Addr>> for RootSet {
 }
 
 impl RootSet {
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Registers a new root above the watermark.
+    #[inline]
     pub(crate) fn push(&mut self, addr: Addr) {
         self.slots.push(addr);
     }
 
     /// Drops every slot from `mark` on. The watermark follows the length
     /// down, so slots re-used afterwards are scanned again.
+    #[inline]
     pub(crate) fn truncate(&mut self, mark: usize) {
         self.slots.truncate(mark);
         self.clean = self.clean.min(self.slots.len());

@@ -1666,7 +1666,7 @@ impl Executor for ThreadedMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::FieldInit;
+    use crate::ctx::{alloc_checks, FieldInit};
     use crate::task::Handle;
     use mgc_heap::{i64_to_word, word_to_i64};
 
@@ -2143,6 +2143,42 @@ mod tests {
             ctx.alloc_mixed(pair, &[FieldInit::Ptr(Some(target)), FieldInit::Raw(9)])
         });
         assert_eq!(field, copy.raw());
+    }
+
+    // In-place initialisation (`ctx::alloc_checks` holds the bodies; the
+    // simulated backend runs the same ones).
+
+    #[test]
+    fn ctx_alloc_raw_with_stores_fill_once_per_index_in_order() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            alloc_checks::stores_fill_once_per_index_in_order(ctx)
+        });
+    }
+
+    /// The first bump fails on a full nursery: the slow path collects, and
+    /// only the second bump calls `fill`.
+    #[test]
+    fn ctx_alloc_raw_with_that_collects_fills_once_per_index() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let free = workers[0].heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            alloc_checks::fills_once_after_a_collection(ctx, free)
+        });
+        assert_eq!(workers[0].collector.vproc_stats(0).minor_collections, 1);
+    }
+
+    #[test]
+    fn ctx_alloc_raw_with_shows_no_stale_nursery_words() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let free = workers[0].heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            alloc_checks::shows_no_stale_words(ctx, free)
+        });
+        assert_eq!(workers[0].collector.vproc_stats(0).minor_collections, 1);
     }
 
     /// The below-watermark root check runs under `verify_after_gc` in

@@ -391,10 +391,10 @@ fn worker_body(
     let mut table = ctx.alloc_raw(&current);
     let mark = ctx.root_mark(); // == 2
     let mut sum = 0i64;
-    // One buffer each for the churn payload, the words read back (request
-    // and churn objects) and the session table (`current`), refilled per
-    // use: a request allocates nothing on the host heap.
-    let mut payload = Vec::with_capacity(params.payload_words);
+    // One buffer each for the words read back (request and churn objects)
+    // and the session table (`current`), refilled per use; churn objects are
+    // filled from the RNG in place: a request allocates nothing on the host
+    // heap.
     let mut words = Vec::new();
     // The worker's stream epoch: arrival deadlines are `epoch + offset` on
     // the worker's own clock, so pacing (and therefore the open-loop
@@ -423,9 +423,7 @@ fn worker_body(
         let mut rng = SplitMix64::new(payload_seed);
         let mut churn = 0u64;
         for _ in 0..reps {
-            payload.clear();
-            payload.extend((0..params.payload_words).map(|_| rng.next_u64()));
-            let obj = ctx.alloc_raw(&payload);
+            let obj = ctx.alloc_raw_with(params.payload_words, |_| rng.next_u64());
             words.clear();
             ctx.read_words_into(obj, &mut words);
             for &word in &words {

@@ -127,15 +127,12 @@ pub fn spawn(machine: &mut dyn Executor, params: ChurnParams) {
                     TaskSpec::new("churn-worker", move |ctx| {
                         let mut survivors: Vec<Handle> = Vec::new();
                         let base_mark = ctx.root_mark();
-                        // One payload buffer, refilled per object: the
-                        // allocation copies it into the nursery.
-                        let mut payload = vec![0; params.object_words];
                         for i in 0..params.objects_per_worker {
+                            // Each object is written where it lives.
                             let base = (worker * 1_000_000 + i) as i64;
-                            for (j, word) in payload.iter_mut().enumerate() {
-                                *word = i64_to_word(base + j as i64);
-                            }
-                            let obj = ctx.alloc_raw(&payload);
+                            let obj = ctx.alloc_raw_with(params.object_words, |j| {
+                                i64_to_word(base + j as i64)
+                            });
                             if i % params.survive_every == 0 {
                                 survivors.push(obj);
                             } else {
@@ -150,6 +147,7 @@ pub fn spawn(machine: &mut dyn Executor, params: ChurnParams) {
                         // Sum every word of every survivor: the real mutator
                         // work of this benchmark is touching its live data.
                         let mut sum = 0i64;
+                        let mut payload = Vec::with_capacity(params.object_words);
                         for handle in survivors.iter() {
                             payload.clear();
                             ctx.read_words_into(*handle, &mut payload);

@@ -21,9 +21,7 @@ pub const LEAF_SIZE: usize = 256;
 ///
 /// Panics if `values` is empty (ropes always have at least one leaf).
 pub fn build_f64_rope(ctx: &mut TaskCtx<'_>, values: &[f64]) -> Handle {
-    assert!(!values.is_empty(), "ropes must hold at least one element");
-    let words: Vec<Word> = values.iter().map(|&v| f64_to_word(v)).collect();
-    build_word_rope(ctx, &words)
+    build_rope(ctx, values, f64_to_word)
 }
 
 /// Builds a rope of `i64` values, returning a handle to its spine.
@@ -32,15 +30,16 @@ pub fn build_f64_rope(ctx: &mut TaskCtx<'_>, values: &[f64]) -> Handle {
 ///
 /// Panics if `values` is empty (ropes always have at least one leaf).
 pub fn build_i64_rope(ctx: &mut TaskCtx<'_>, values: &[i64]) -> Handle {
-    assert!(!values.is_empty(), "ropes must hold at least one element");
-    let words: Vec<Word> = values.iter().map(|&v| i64_to_word(v)).collect();
-    build_word_rope(ctx, &words)
+    build_rope(ctx, values, i64_to_word)
 }
 
-fn build_word_rope(ctx: &mut TaskCtx<'_>, words: &[Word]) -> Handle {
+/// Writes each leaf straight from its chunk of `values`, converted by
+/// `to_word` (generic, so the conversion inlines into the fill loop).
+fn build_rope<T: Copy>(ctx: &mut TaskCtx<'_>, values: &[T], to_word: impl Fn(T) -> Word) -> Handle {
+    assert!(!values.is_empty(), "ropes must hold at least one element");
     let mut leaves = Vec::new();
-    for chunk in words.chunks(LEAF_SIZE) {
-        leaves.push(Some(ctx.alloc_raw(chunk)));
+    for chunk in values.chunks(LEAF_SIZE) {
+        leaves.push(Some(ctx.alloc_raw_with(chunk.len(), |i| to_word(chunk[i]))));
     }
     ctx.alloc_vector(&leaves)
 }
