@@ -262,12 +262,13 @@ fn accel_from(ctx: &mut TaskCtx<'_>, node: Handle, px: f64, py: f64, cell_size: 
     (ax, ay)
 }
 
-fn particles_to_words(particles: &[Particle]) -> Vec<u64> {
-    particles
-        .iter()
-        .flat_map(|p| [p.mass, p.x, p.y, p.vx, p.vy])
-        .map(f64_to_word)
-        .collect()
+/// Allocates one leaf holding `particles`, five words each, written in
+/// place.
+fn alloc_particle_leaf(ctx: &mut TaskCtx<'_>, particles: &[Particle]) -> Handle {
+    ctx.alloc_raw_with(particles.len() * 5, |i| {
+        let p = &particles[i / 5];
+        f64_to_word([p.mass, p.x, p.y, p.vx, p.vy][i % 5])
+    })
 }
 
 fn words_to_particles(words: &[u64]) -> impl Iterator<Item = Particle> + '_ {
@@ -340,7 +341,7 @@ fn iteration_task(desc: DescriptorId, remaining: usize, blocks: usize) -> TaskSp
                         });
                     }
                     ctx.work(mine.len() as u64 * 40);
-                    let leaf = ctx.alloc_raw(&particles_to_words(&updated));
+                    let leaf = alloc_particle_leaf(ctx, &updated);
                     TaskResult::Ptr(leaf)
                 }),
                 vec![tree],
@@ -399,7 +400,7 @@ pub fn spawn_with(machine: &mut dyn Executor, params: BarnesHutParams) {
         let per_block = particles.len().div_ceil(blocks);
         let mut leaves = Vec::new();
         for chunk in particles.chunks(per_block) {
-            let leaf = ctx.alloc_raw(&particles_to_words(chunk));
+            let leaf = alloc_particle_leaf(ctx, chunk);
             leaves.push(Some(leaf));
         }
         let rope = ctx.alloc_vector(&leaves);
