@@ -434,16 +434,38 @@ impl WorkerState {
     /// the re-arm the flag loads see the request, and if it landed after,
     /// the word stays 0 and the next safe point comes back here (Dekker's
     /// handshake). At worst a signal costs one slow path that finds nothing.
-    #[inline]
-    pub(crate) fn alloc(
+    ///
+    /// The retry lives in [`WorkerState::alloc_after_slow_path`], so `bump`
+    /// has one call site on the fast path and inlines into the caller.
+    #[inline(always)]
+    pub(crate) fn alloc<B>(
         &mut self,
         roots: &mut RootSet,
         payload_words: usize,
-        mut bump: impl FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
-    ) -> Addr {
-        if let Some(addr) = bump(self, roots, self.limit()) {
-            return addr;
+        mut bump: B,
+    ) -> Addr
+    where
+        B: FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
+    {
+        match bump(self, roots, self.limit()) {
+            Some(addr) => addr,
+            None => self.alloc_after_slow_path(roots, payload_words, bump),
         }
+    }
+
+    /// [`WorkerState::alloc`] once the fast path's bump failed: take the slow
+    /// path, then bump under the whole nursery.
+    #[cold]
+    #[inline(never)]
+    fn alloc_after_slow_path<B>(
+        &mut self,
+        roots: &mut RootSet,
+        payload_words: usize,
+        mut bump: B,
+    ) -> Addr
+    where
+        B: FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
+    {
         self.slow_path(roots, payload_words + 1);
         // The slow path made room; the word may be 0 again (a budgeted
         // collection still running), which is for the *next* safe point.
