@@ -1556,7 +1556,9 @@ mod tests {
 
     /// N `alloc_raw_with` calls charge exactly what N `alloc_raw` calls
     /// charge: the run's traffic and its virtual elapsed time are
-    /// bit-identical, minor collections included.
+    /// bit-identical, minor collections included. `alloc_raw` now wraps
+    /// `alloc_raw_with`, so both are also pinned to what `alloc_raw`
+    /// charged when it copied a staged payload through its own path.
     #[test]
     fn alloc_raw_with_is_charged_like_alloc_raw() {
         let run = |in_place: bool| {
@@ -1579,12 +1581,15 @@ mod tests {
                 TaskResult::Unit
             }));
             let report = machine.run();
-            assert!(report.gc.minor_collections > 0);
+            assert_eq!(report.gc.minor_collections, 17);
             (report.traffic, report.elapsed_ns.to_bits())
         };
-        let (traffic, elapsed) = run(true);
-        assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
-        assert_eq!((traffic, elapsed), run(false));
+        let pinned = TrafficStats {
+            mutator_bytes: [36_000, 0, 0],
+            gc_bytes: [0; 3],
+        };
+        assert_eq!(run(true), (pinned, 0x40ea_7700_0000_0000));
+        assert_eq!(run(false), (pinned, 0x40ea_7700_0000_0000));
     }
 
     /// The simulated backend's global collection runs between rounds with
