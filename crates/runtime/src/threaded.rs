@@ -438,15 +438,12 @@ impl WorkerState {
     /// The retry lives in [`WorkerState::alloc_after_slow_path`], so `bump`
     /// has one call site on the fast path and inlines into the caller.
     #[inline(always)]
-    pub(crate) fn alloc<B>(
+    pub(crate) fn alloc(
         &mut self,
         roots: &mut RootSet,
         payload_words: usize,
-        mut bump: B,
-    ) -> Addr
-    where
-        B: FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
-    {
+        mut bump: impl FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
+    ) -> Addr {
         match bump(self, roots, self.limit()) {
             Some(addr) => addr,
             None => self.alloc_after_slow_path(roots, payload_words, bump),
@@ -457,15 +454,12 @@ impl WorkerState {
     /// path, then bump under the whole nursery.
     #[cold]
     #[inline(never)]
-    fn alloc_after_slow_path<B>(
+    fn alloc_after_slow_path(
         &mut self,
         roots: &mut RootSet,
         payload_words: usize,
-        mut bump: B,
-    ) -> Addr
-    where
-        B: FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
-    {
+        mut bump: impl FnMut(&mut Self, &mut RootSet, usize) -> Option<Addr>,
+    ) -> Addr {
         self.slow_path(roots, payload_words + 1);
         // The slow path made room; the word may be 0 again (a budgeted
         // collection still running), which is for the *next* safe point.
