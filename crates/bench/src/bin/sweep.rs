@@ -1,17 +1,16 @@
 //! The sweep driver. Two modes:
 //!
 //! * **no arguments** — regenerates Table 1 and every figure (4–7 on the
-//!   simulated machine models, 8 on the threaded backend under node-local,
-//!   interleave, and adaptive placement), writing CSV files under
-//!   `results/`. Control the workload scale with
-//!   `MGC_SCALE=tiny|small|bench|paper`.
+//!   simulated machine models, 8 on the threaded backend under node-local
+//!   and interleave placement), writing CSV files under `results/`. Control
+//!   the workload scale with `MGC_SCALE=tiny|small|bench|paper`.
 //! * **`--corpus <manifest.json> [--store <dir>]`** — sweeps the run points
 //!   a checked-in corpus manifest describes (`corpus/bench-baseline.json`,
-//!   `corpus/serve.json`, `corpus/host-smoke.json`, `corpus/ci-smoke.json`)
-//!   and appends them to the results store as one batch of kind
-//!   `corpus:<name>`. `--store` overrides the store directory (default
-//!   `results/store`); CI sweeps into a scratch directory so the perf gate
-//!   sees only what this run measured.
+//!   `corpus/serve.json`, `corpus/ci-smoke.json`) and appends them to the
+//!   results store as one batch of kind `corpus:<name>`. `--store`
+//!   overrides the store directory (default `results/store`); CI sweeps
+//!   into a scratch directory so the perf gate sees only what this run
+//!   measured.
 
 fn main() {
     let mut corpus: Option<String> = None;

@@ -5,7 +5,8 @@
 //! A manifest names the corpus, fixes a workload scale and a heap preset,
 //! and lists points; each point selects a program, a backend, one or more
 //! vproc counts, and optionally a placement policy, a pause budget, a
-//! topology, a repetition count, and whether to verify checksums:
+//! repetition count, and whether to verify checksums. Every point runs on
+//! the two-node, four-core test topology:
 //!
 //! ```json
 //! {
@@ -28,8 +29,7 @@
 //! Every sweep the harness runs is a checked-in manifest under `corpus/`:
 //! `bench-baseline.json` (the perf-gate axes: six programs × 1/2/4 vprocs ×
 //! both backends), `serve.json` (the Request-Server under open-loop load,
-//! simulated, threaded, and threaded under a 500 µs pause budget),
-//! `host-smoke.json` (one workload on the probed host topology), and
+//! simulated, threaded, and threaded under a 500 µs pause budget), and
 //! `ci-smoke.json` (the tiny grid the trend report sweeps).
 
 use mgc_heap::HeapConfig;
@@ -74,8 +74,6 @@ pub struct CorpusPoint {
     pub placement: PlacementPolicy,
     /// Soft global-collection pause budget in µs, if any.
     pub pause_budget_us: Option<u64>,
-    /// `"dual-node-test"` (default) or `"host"` — the machine model.
-    pub topology: CorpusTopology,
     /// Wall-clock repetitions per threaded point; the median is kept.
     pub reps: usize,
     /// Whether to verify the program checksum at the first vproc count.
@@ -98,26 +96,6 @@ impl CorpusHeap {
         match self {
             CorpusHeap::Default => HeapConfig::default(),
             CorpusHeap::Small => HeapConfig::small_for_tests(),
-        }
-    }
-}
-
-/// Which machine a corpus point runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorpusTopology {
-    /// The two-node, four-core test topology every CI gate uses.
-    DualNodeTest,
-    /// The probed topology of the machine running the sweep. Vproc counts
-    /// are clamped to the cores the probe found, so a host manifest runs on
-    /// any machine.
-    Host,
-}
-
-impl CorpusTopology {
-    fn build(self) -> Topology {
-        match self {
-            CorpusTopology::DualNodeTest => Topology::dual_node_test(),
-            CorpusTopology::Host => Topology::host(),
         }
     }
 }
@@ -242,14 +220,7 @@ fn parse_point(value: &JsonValue) -> Result<CorpusPoint, String> {
     for (key, _) in fields {
         if !matches!(
             key.as_str(),
-            "program"
-                | "backend"
-                | "vprocs"
-                | "placement"
-                | "pause_budget_us"
-                | "topology"
-                | "reps"
-                | "verify"
+            "program" | "backend" | "vprocs" | "placement" | "pause_budget_us" | "reps" | "verify"
         ) {
             return Err(format!("unknown field \"{key}\""));
         }
@@ -290,15 +261,6 @@ fn parse_point(value: &JsonValue) -> Result<CorpusPoint, String> {
             format!("bad \"pause_budget_us\" {v:?} (expected a non-negative integer or null)")
         })?),
     };
-    let topology = match value.get("topology").and_then(JsonValue::as_str) {
-        None | Some("dual-node-test") => CorpusTopology::DualNodeTest,
-        Some("host") => CorpusTopology::Host,
-        Some(other) => {
-            return Err(format!(
-                "unknown topology \"{other}\" (expected dual-node-test or host)"
-            ))
-        }
-    };
     let reps = match value.get("reps") {
         None => 1,
         Some(v) => v
@@ -319,7 +281,6 @@ fn parse_point(value: &JsonValue) -> Result<CorpusPoint, String> {
         vprocs,
         placement,
         pause_budget_us,
-        topology,
         reps,
         verify,
     })
@@ -351,17 +312,12 @@ pub(crate) fn run_cell(
     point: &CorpusPoint,
     scale: Scale,
     heap: CorpusHeap,
-    requested_vprocs: usize,
+    vprocs: usize,
 ) -> RunRecord {
-    let topology = point.topology.build();
-    let vprocs = match point.topology {
-        CorpusTopology::Host => requested_vprocs.min(topology.num_cores()),
-        CorpusTopology::DualNodeTest => requested_vprocs,
-    };
     let run_once = |verify: bool| {
         let mut experiment = Experiment::new(point_program(point, scale, vprocs))
             .backend(point.backend)
-            .topology(topology.clone())
+            .topology(Topology::dual_node_test())
             .vprocs(vprocs)
             .policy(AllocPolicy::Local)
             .placement(point.placement)
@@ -382,7 +338,7 @@ pub(crate) fn run_cell(
     // The expected checksum usually means running a sequential reference of
     // the whole program, so it is verified at the first vproc count only —
     // checksum stability across vproc counts is the equivalence suite's job.
-    let verify_first = point.verify && requested_vprocs == point.vprocs[0];
+    let verify_first = point.verify && vprocs == point.vprocs[0];
     let first = run_once(verify_first);
     if point.backend != Backend::Threaded || point.reps == 1 {
         return first;
@@ -510,7 +466,7 @@ mod tests {
         let m = parse_corpus(&manifest_json(
             "{\"program\": \"quicksort\", \"backend\": \"threaded\", \"vprocs\": [1, 2], \
              \"placement\": \"interleave\", \"pause_budget_us\": 500, \
-             \"topology\": \"host\", \"reps\": 3, \"verify\": false}",
+             \"reps\": 3, \"verify\": false}",
         ))
         .unwrap();
         assert_eq!(m.name, "test");
@@ -527,7 +483,6 @@ mod tests {
         assert_eq!(p.vprocs, vec![1, 2]);
         assert_eq!(p.placement, PlacementPolicy::Interleave);
         assert_eq!(p.pause_budget_us, Some(500));
-        assert_eq!(p.topology, CorpusTopology::Host);
         assert_eq!(p.reps, 3);
         assert!(!p.verify);
     }
@@ -539,7 +494,6 @@ mod tests {
         assert_eq!(p.backend, Backend::Threaded);
         assert_eq!(p.placement, PlacementPolicy::default());
         assert_eq!(p.pause_budget_us, None);
-        assert_eq!(p.topology, CorpusTopology::DualNodeTest);
         assert_eq!(p.reps, 1);
         assert!(p.verify);
     }
@@ -564,6 +518,12 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("unknown field \"warp\""), "{err}");
+
+        let err = parse_corpus(&manifest_json(
+            "{\"program\": \"dmm\", \"vprocs\": [1], \"topology\": \"host\"}",
+        ))
+        .unwrap_err();
+        assert!(err.contains("unknown field \"topology\""), "{err}");
 
         let err =
             parse_corpus(&manifest_json("{\"program\": \"dmm\", \"vprocs\": []}")).unwrap_err();
@@ -596,9 +556,9 @@ mod tests {
         keys
     }
 
-    /// The three checked-in sweep manifests load, and the two that feed the
-    /// perf gate expand to exactly the keys of the baseline store's seed
-    /// batches — so a fresh sweep re-measures every gated key and no other.
+    /// The two checked-in manifests that feed the perf gate load and expand
+    /// to exactly the keys of the baseline store's seed batches — so a fresh
+    /// sweep re-measures every gated key and no other.
     #[test]
     fn checked_in_manifests_expand_to_the_seed_batch_keys() {
         let repo = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -606,10 +566,6 @@ mod tests {
             let text = std::fs::read_to_string(format!("{repo}/corpus/{name}.json")).unwrap();
             parse_corpus(&text).unwrap_or_else(|err| panic!("{name}: {err}"))
         };
-        let host = load("host-smoke");
-        assert_eq!(host.heap, CorpusHeap::Small);
-        assert_eq!(host.points[0].topology, CorpusTopology::Host);
-
         let store = Store::open(format!("{repo}/results/store")).unwrap();
         for (name, seq, records) in [("bench-baseline", 1, 36), ("serve", 2, 3)] {
             let manifest = load(name);

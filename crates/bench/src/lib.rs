@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use corpus::{CorpusHeap, CorpusPoint, CorpusTopology};
+use corpus::{CorpusHeap, CorpusPoint};
 use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
 use mgc_runtime::{Backend, RunRecord};
 use mgc_workloads::{speedup_series, Scale, SpeedupPoint, Workload};
@@ -204,11 +204,10 @@ pub fn table1() -> String {
 }
 
 // ----------------------------------------------------------------------
-// Figure 8: NodeLocal vs Interleave vs Adaptive promotion-chunk placement
-// on the threaded backend. One row per (program, placement), with the
-// local/remote promoted-byte split, the same-node/cross-node steal split,
-// and the adaptive controller's switch count that together make the
-// locality win (and the controller's convergence) visible.
+// Figure 8: NodeLocal vs Interleave promotion-chunk placement on the
+// threaded backend. One row per (program, placement), with the local/remote
+// promoted-byte split and the same-node/cross-node steal split that
+// together make the locality win visible.
 // ----------------------------------------------------------------------
 
 /// Vproc count of the figure-8 sweep (4 OS threads on the dual-node test
@@ -226,7 +225,6 @@ fn figure8_point(program: &str, scale: Scale, placement: PlacementPolicy) -> Run
         vprocs: vec![FIGURE8_VPROCS],
         placement,
         pause_budget_us: None,
-        topology: CorpusTopology::DualNodeTest,
         reps: 1,
         // Figure 8 reads locality counters and timings only; correctness
         // under every placement is pinned by the workloads placement suite.
@@ -235,16 +233,11 @@ fn figure8_point(program: &str, scale: Scale, placement: PlacementPolicy) -> Run
     corpus::run_cell(&point, scale, CorpusHeap::Small, FIGURE8_VPROCS)
 }
 
-/// Runs all six programs under `NodeLocal`, `Interleave`, and `Adaptive`
-/// placement — the two static extremes plus the controller that moves
-/// between them.
+/// Runs all six programs under `NodeLocal` and `Interleave` placement —
+/// the locality-first default and the locality-blind baseline.
 pub fn run_figure8(scale: Scale) -> Vec<RunRecord> {
     let mut points = Vec::new();
-    for placement in [
-        PlacementPolicy::NodeLocal,
-        PlacementPolicy::Interleave,
-        PlacementPolicy::Adaptive,
-    ] {
+    for placement in [PlacementPolicy::NodeLocal, PlacementPolicy::Interleave] {
         for (program, workload) in corpus::PROGRAM_KEYS {
             if workload.is_some() {
                 points.push(figure8_point(program, scale, placement));
@@ -259,12 +252,12 @@ pub fn run_figure8(scale: Scale) -> Vec<RunRecord> {
 pub fn figure8_csv(points: &[RunRecord]) -> String {
     let mut out = String::from(
         "program,placement,vprocs,wall_clock_ns,promoted_bytes,promoted_bytes_local,\
-         promoted_bytes_remote,steals,steals_same_node,steals_cross_node,placement_switches\n",
+         promoted_bytes_remote,steals,steals_same_node,steals_cross_node\n",
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{},{},{},{:.0},{},{},{},{},{},{},{}",
+            "{},{},{},{:.0},{},{},{},{},{},{}",
             p.program,
             p.config.placement,
             p.config.num_vprocs,
@@ -275,7 +268,6 @@ pub fn figure8_csv(points: &[RunRecord]) -> String {
             p.report.total_steals(),
             p.report.steals_same_node(),
             p.report.steals_cross_node(),
-            p.report.placement_switches(),
         );
     }
     out
@@ -286,12 +278,12 @@ pub fn format_figure8(points: &[RunRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# Figure 8 — promotion-chunk placement: node-local vs interleave vs adaptive \
+        "# Figure 8 — promotion-chunk placement: node-local vs interleave \
          (threaded, {FIGURE8_VPROCS} vprocs)"
     );
     let _ = writeln!(
         out,
-        "{:<24} {:>12} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
+        "{:<24} {:>12} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
         "benchmark",
         "placement",
         "wall-ms",
@@ -299,13 +291,12 @@ pub fn format_figure8(points: &[RunRecord]) -> String {
         "remote-B",
         "steals",
         "same-node",
-        "cross-node",
-        "switches"
+        "cross-node"
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{:<24} {:>12} {:>12.3} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
+            "{:<24} {:>12} {:>12.3} {:>12} {:>12} {:>8} {:>10} {:>10}",
             p.program,
             p.config.placement.label(),
             p.wall_clock_ns().unwrap_or(0.0) / 1e6,
@@ -314,7 +305,6 @@ pub fn format_figure8(points: &[RunRecord]) -> String {
             p.report.total_steals(),
             p.report.steals_same_node(),
             p.report.steals_cross_node(),
-            p.report.placement_switches(),
         );
     }
     out
@@ -457,45 +447,20 @@ mod tests {
     }
 
     #[test]
-    fn figure8_adaptive_point_records_switches_and_lands_in_the_csv() {
-        let point = figure8_point("dmm", Scale::tiny(), PlacementPolicy::Adaptive);
-        assert!(
-            point.report.placement_switches() >= 1,
-            "the cold-start adoption alone guarantees one recorded switch"
-        );
+    fn figure8_point_lands_in_the_csv() {
+        let point = figure8_point("dmm", Scale::tiny(), PlacementPolicy::Interleave);
         let csv = figure8_csv(std::slice::from_ref(&point));
         let mut lines = csv.lines();
         assert!(lines
             .next()
             .expect("header row")
-            .ends_with("placement_switches"));
+            .ends_with("steals_cross_node"));
         let row = lines.next().expect("data row");
-        assert!(row.starts_with("Dense-Matrix-Multiply,adaptive,"));
-        assert_eq!(row.split(',').count(), 11);
+        assert!(row.starts_with("Dense-Matrix-Multiply,interleave,4,"));
+        assert_eq!(row.split(',').count(), 10);
         let table = format_figure8(std::slice::from_ref(&point));
-        assert!(table.contains("switches"));
-        assert!(table.contains("adaptive"));
-    }
-
-    #[test]
-    fn host_smoke_runs_on_the_probed_topology() {
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../corpus/host-smoke.json"
-        ))
-        .expect("the checked-in host-smoke manifest is readable");
-        let records = corpus::run_corpus(&corpus::parse_corpus(&text).unwrap());
-        assert_eq!(records.len(), 1);
-        let record = &records[0];
-        assert_eq!(record.checksum_ok, Some(true));
-        assert!(
-            (1..=Topology::host().num_cores()).contains(&record.config.num_vprocs),
-            "the vproc count is clamped to what the probed topology seats"
-        );
-        let json = record.to_json();
-        assert!(json.contains("\"placement\": \"adaptive\""));
-        assert!(json.contains("\"placement_decisions\": "));
-        assert!(json.contains("\"node_bindings\": "));
+        assert!(table.contains("cross-node"));
+        assert!(table.contains("interleave"));
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub struct GcConfig {
     /// deque has its roots promoted eagerly at publication time — the
     /// pre-lazy-promotion behaviour. The default (`false`) promotes a task's
     /// roots only when the task is actually stolen (§3.1), so promotion
-    /// volume is proportional to steals rather than spawns. The proptest
-    /// suite uses the eager mode as the promotion-volume upper bound.
+    /// volume is proportional to steals rather than spawns. The
+    /// lazy-promotion property test uses the eager mode as the
+    /// promotion-volume upper bound.
     pub eager_publication: bool,
     /// When `true`, the heap invariants (§2.3) are re-verified after every
     /// collection; expensive, intended for tests.

@@ -137,7 +137,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn bucket_indices_follow_log2() {
@@ -276,20 +275,44 @@ mod tests {
         assert_eq!(left.count, 21);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// A splitmix64 stream seeded by the case number, so every run sees the
+    /// same cases.
+    struct CaseRng(u64);
 
-        // Splitting a sample series across per-vproc histograms and merging
-        // must report the same percentiles as one histogram fed the
-        // concatenation: identical, in fact, since the buckets add exactly
-        // and max takes the max. (The satellite only asks for agreement
-        // within one bucket; the merge being lossless gives equality.)
-        #[test]
-        fn merged_percentiles_match_concatenated(
-            samples in proptest::collection::vec(1u64..1_000_000_000u64, 1..200),
-            split in 0usize..200,
-        ) {
-            let split = split % samples.len();
+    impl CaseRng {
+        fn for_case(case: u64) -> Self {
+            let mut rng = CaseRng(0x5EED_C0DE ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            rng.next_u64();
+            rng.next_u64();
+            rng
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// A uniform value in `range`.
+        fn in_range(&mut self, range: std::ops::Range<u64>) -> u64 {
+            range.start + self.next_u64() % (range.end - range.start)
+        }
+    }
+
+    // Splitting a sample series across per-vproc histograms and merging
+    // must report the same percentiles as one histogram fed the
+    // concatenation: identical, in fact, since the buckets add exactly
+    // and max takes the max. (Agreement within one bucket would do; the
+    // merge being lossless gives equality.)
+    #[test]
+    fn merged_percentiles_match_concatenated() {
+        for case in 0..64 {
+            let mut rng = CaseRng::for_case(case);
+            let len = rng.in_range(1..200);
+            let samples: Vec<u64> = (0..len).map(|_| rng.in_range(1..1_000_000_000)).collect();
+            let split = rng.in_range(0..200) as usize % samples.len();
             let mut whole = Histogram::new();
             let mut left = Histogram::new();
             let mut right = Histogram::new();
@@ -304,12 +327,12 @@ mod tests {
             }
             let mut merged = left;
             merged.merge(&right);
-            prop_assert_eq!(merged, whole);
+            assert_eq!(merged, whole);
             for p in [0.0, 50.0, 99.0, 99.9, 100.0] {
                 let a = merged.percentile(p);
                 let b = whole.percentile(p);
                 // Within one log2 bucket: a factor of two.
-                prop_assert!(a <= b * 2.0 + 1e-9 && b <= a * 2.0 + 1e-9);
+                assert!(a <= b * 2.0 + 1e-9 && b <= a * 2.0 + 1e-9);
             }
         }
     }

@@ -344,14 +344,6 @@ impl Heap {
         self.workers[vproc].set_promotion_target(node);
     }
 
-    /// Resolves `vproc`'s effective policy under
-    /// [`PlacementPolicy::Adaptive`] (see
-    /// [`WorkerHeap::set_effective_placement`]). The runtime's adaptive
-    /// controller calls this before each promotion.
-    pub fn set_effective_placement(&mut self, vproc: usize, effective: PlacementPolicy) {
-        self.workers[vproc].set_effective_placement(effective);
-    }
-
     /// The home node (core location) of a vproc.
     pub fn vproc_home_node(&self, vproc: usize) -> NodeId {
         self.workers[vproc].home_node()

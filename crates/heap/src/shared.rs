@@ -431,8 +431,7 @@ pub struct SharedGlobalHeap {
     chunk_size_words: usize,
     num_nodes: usize,
     /// Which node's pool promotion chunks are leased from (see
-    /// [`PlacementPolicy`]); fixed at construction. `Adaptive` is resolved
-    /// per lease by the caller through [`SharedGlobalHeap::acquire_as`].
+    /// [`PlacementPolicy`]); fixed at construction.
     placement: PlacementPolicy,
     /// The page policy every lease node is resolved through (§4.3). The
     /// default, [`AllocPolicy::Local`], is the identity: callers that place
@@ -545,19 +544,15 @@ impl SharedGlobalHeap {
         self.pages.place(requesting)
     }
 
-    /// The one node every lease under `effective` placement for a consumer
-    /// on `preferred` comes from, or `None` when leases rotate over the
-    /// nodes — `Interleave` placement, or an interleaving page policy — so
-    /// that no chunk is ever on the wrong one. Both the acquire path and a
+    /// The one node every lease for a consumer on `preferred` comes from,
+    /// or `None` when leases rotate over the nodes — `Interleave` placement,
+    /// or an interleaving page policy — so that no chunk is ever on the
+    /// wrong one. Both the acquire path and a
     /// worker's "is my current chunk still acceptable" check ask here, so
     /// they cannot disagree (under `SocketZero` the answer is node 0 whatever
     /// the consumer: comparing against `preferred` would lease per object).
-    pub fn bound_lease_node(
-        &self,
-        effective: PlacementPolicy,
-        preferred: NodeId,
-    ) -> Option<NodeId> {
-        if !effective.binds_node() {
+    pub fn bound_lease_node(&self, preferred: NodeId) -> Option<NodeId> {
+        if !self.placement.binds_node() {
             return None;
         }
         match self.pages.policy() {
@@ -569,8 +564,8 @@ impl SharedGlobalHeap {
 
     /// The node of the next lease when none is bound: the placement policy's
     /// round-robin pick (or `preferred`), resolved through the page policy.
-    fn rotating_lease_node(&self, effective: PlacementPolicy, preferred: NodeId) -> NodeId {
-        let target = if effective.binds_node() {
+    fn rotating_lease_node(&self, preferred: NodeId) -> NodeId {
+        let target = if self.placement.binds_node() {
             preferred
         } else {
             let next = self.interleave_cursor.fetch_add(1, Ordering::Relaxed);
@@ -688,18 +683,9 @@ impl SharedGlobalHeap {
     /// mapping a fresh one in the node's address band. The returned chunk is
     /// in [`SharedChunkState::Current`].
     pub fn acquire(&self, preferred: NodeId) -> Arc<SharedChunk> {
-        self.acquire_as(self.placement, preferred)
-    }
-
-    /// [`SharedGlobalHeap::acquire`] under an explicit *effective* policy.
-    /// This is how [`PlacementPolicy::Adaptive`] reaches the heap: the
-    /// runtime's controller resolves the adaptive mode to node-local or
-    /// interleave first, so the heap only ever executes static behaviours
-    /// (an unresolved `Adaptive` behaves as node-local, its cold-start mode).
-    pub fn acquire_as(&self, effective: PlacementPolicy, preferred: NodeId) -> Arc<SharedChunk> {
         let node = self
-            .bound_lease_node(effective, preferred)
-            .unwrap_or_else(|| self.rotating_lease_node(effective, preferred));
+            .bound_lease_node(preferred)
+            .unwrap_or_else(|| self.rotating_lease_node(preferred));
         if let Some(id) = self.pool.pop(node) {
             let chunk = self.chunk_at(id.index());
             debug_assert_eq!(chunk.state(), SharedChunkState::Free);
@@ -940,11 +926,6 @@ pub struct WorkerHeap {
     /// duration of a steal handoff (under `NodeLocal` placement), so
     /// promoted graphs land where they are about to be traversed.
     promotion_target: NodeId,
-    /// The static policy this worker's chunk leases follow *right now*.
-    /// Equals the heap's policy for static policies; under
-    /// [`PlacementPolicy::Adaptive`] the runtime's controller retargets it
-    /// between `NodeLocal` and `Interleave` as the locality ledger moves.
-    effective_placement: PlacementPolicy,
     current: Option<Arc<SharedChunk>>,
     stats: HeapStats,
 }
@@ -987,12 +968,6 @@ impl WorkerHeap {
         descriptors: Arc<DescriptorTable>,
     ) -> Self {
         let base = layout.local_base(vproc);
-        // Adaptive controllers cold-start in node-local mode; static
-        // policies are their own effective policy.
-        let effective_placement = match global.placement() {
-            PlacementPolicy::Adaptive => PlacementPolicy::NodeLocal,
-            fixed => fixed,
-        };
         WorkerHeap {
             vproc,
             layout,
@@ -1001,7 +976,6 @@ impl WorkerHeap {
             descriptors,
             home_node: home,
             promotion_target: home,
-            effective_placement,
             current: None,
             stats: HeapStats::default(),
         }
@@ -1029,23 +1003,6 @@ impl WorkerHeap {
     /// restores it to the home node afterwards.
     pub fn set_promotion_target(&mut self, node: NodeId) {
         self.promotion_target = node;
-    }
-
-    /// Retargets the worker's effective lease policy. Only meaningful when
-    /// the heap's policy is [`PlacementPolicy::Adaptive`] — the runtime's
-    /// controller calls this as the locality ledger moves; static policies
-    /// never change.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `effective` is itself `Adaptive` — the controller
-    /// must resolve a concrete mode.
-    pub fn set_effective_placement(&mut self, effective: PlacementPolicy) {
-        debug_assert!(
-            effective != PlacementPolicy::Adaptive,
-            "the adaptive controller resolves to a concrete static policy"
-        );
-        self.effective_placement = effective;
     }
 
     /// The descriptor table, replaceable: the simulated backend registers
@@ -1191,7 +1148,7 @@ impl WorkerHeap {
     /// except under `FirstTouch`, which leases where the promoting vproc
     /// runs whoever consumes the data.
     fn lease_preference(&self) -> NodeId {
-        match self.effective_placement {
+        match self.global.placement() {
             PlacementPolicy::FirstTouch => self.home_node,
             _ => self.promotion_target,
         }
@@ -1201,9 +1158,7 @@ impl WorkerHeap {
     /// point of §3.3, counted in [`HeapStats::chunk_acquisitions`]).
     pub(crate) fn fresh_current_chunk(&mut self) -> ChunkId {
         self.retire_current_chunk();
-        let chunk = self
-            .global
-            .acquire_as(self.effective_placement, self.lease_preference());
+        let chunk = self.global.acquire(self.lease_preference());
         self.stats.chunk_acquisitions += 1;
         let id = chunk.id();
         self.current = Some(chunk);
@@ -1234,7 +1189,7 @@ impl WorkerHeap {
                 && (chunk.node() == prefer
                     || self
                         .global
-                        .bound_lease_node(self.effective_placement, prefer)
+                        .bound_lease_node(prefer)
                         .is_none_or(|node| chunk.node() == node))
         });
         if !fits {
@@ -2013,7 +1968,7 @@ mod tests {
     }
 
     #[test]
-    fn node_binding_placement_retargets_the_current_chunk() {
+    fn node_local_placement_retargets_the_current_chunk() {
         let (layout, global, descriptors) = setup();
         let mut w = worker(0, layout, &global, &descriptors);
         let header = Header::new(ObjectKind::Raw, 1).encode();

@@ -1,9 +1,9 @@
-//! The runtime controller behind [`PlacementPolicy::Adaptive`]: a
-//! deterministic hysteresis state machine over the live promoted-bytes
-//! locality ledger.
+//! An adaptive placement controller: a deterministic hysteresis state
+//! machine over the live promoted-bytes locality ledger. No runtime path
+//! uses it; the benchmark's `numa.adaptive_record_ns` probe times it.
 //!
-//! Every worker (vproc) owns one [`AdaptiveController`]. The runtime
-//! consults it immediately before each promotion
+//! A caller owns one [`AdaptiveController`] per worker and consults it
+//! immediately before each promotion
 //! ([`AdaptiveController::placement_for_next_promotion`]) to resolve the
 //! *effective* static behaviour — node-local or interleave — for that
 //! promotion's chunk leases, and feeds the promotion's ledger split back in
@@ -105,8 +105,7 @@ impl DecisionReason {
     }
 }
 
-/// One mode switch, recorded for the `placement_decisions` field of a run
-/// record.
+/// One mode switch, kept in the controller's decision trail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementDecision {
     /// Promotion count (on this controller) at which the switch took effect.
@@ -122,7 +121,8 @@ pub struct PlacementDecision {
     pub reason: DecisionReason,
 }
 
-/// Deterministic hysteresis controller for [`PlacementPolicy::Adaptive`].
+/// Deterministic hysteresis controller choosing between node-local and
+/// interleave placement.
 ///
 /// # Examples
 ///

@@ -1,5 +1,4 @@
-//! NUMA topology, placement policies, thread-node binding, and a memory
-//! cost model.
+//! NUMA topology, placement policies, and a memory cost model.
 //!
 //! This crate is the hardware substrate for the reproduction of
 //! *Garbage Collection for Multicore NUMA Machines* (Auhagen, Bergstrom,
@@ -12,8 +11,8 @@
 //! * the **simulated** backend uses the [`MemoryModel`] to turn traffic into
 //!   virtual time, reproducing the paper's figures without the hardware;
 //! * the **threaded** backend (real OS threads in `mgc-runtime`) derives its
-//!   worker→node assignment from [`Topology::spread_cores`] +
-//!   [`bind_current_thread`], partitions the shared global heap's chunk pool
+//!   worker→node assignment from [`Topology::spread_cores`], partitions the
+//!   shared global heap's chunk pool
 //!   by [`NodeId`], leases promotion chunks per the [`PlacementPolicy`], and
 //!   orders its steal-victim probing same-node-first. The topology is no
 //!   longer consumed only by the simulation.
@@ -32,22 +31,15 @@
 //! * [`PlacementPolicy`] is the promotion-chunk placement knob of the
 //!   threaded backend: whether a steal victim promotes the stolen graph into
 //!   a chunk on the thief's node (`NodeLocal`), its own node (`FirstTouch`),
-//!   round-robin across all nodes (`Interleave`), or decided at runtime by
-//!   the locality ledger (`Adaptive`). Runtime front doors expose it as
-//!   `Experiment::placement(..)` and `MGC_PLACEMENT`.
-//! * [`AdaptiveController`] is the per-worker hysteresis state machine
-//!   behind `PlacementPolicy::Adaptive`: it samples the local/remote
-//!   promoted-bytes split every N promotions and switches the effective
-//!   behaviour between node-local and interleave, recording every switch as
-//!   a [`PlacementDecision`] for the run record.
+//!   or round-robin across all nodes (`Interleave`). Runtime front doors
+//!   expose it as `Experiment::placement(..)` and `MGC_PLACEMENT`.
+//! * [`AdaptiveController`] is a hysteresis state machine that samples the
+//!   local/remote promoted-bytes split every N promotions and switches
+//!   between node-local and interleave, recording every switch as a
+//!   [`PlacementDecision`]. No run uses it; the benchmark times it.
 //! * [`Topology::host`] probes the machine the process is actually running
 //!   on (sysfs node count, `available_parallelism` cores), falling back to
-//!   a deterministic single-node model off-Linux; [`host_node_memory_bytes`]
-//!   exposes per-node DRAM so heap bands can be sized to real memory.
-//! * [`bind_current_thread`] binds a worker thread to its node —
-//!   [`NodeBinding::Tagged`] (deterministic bookkeeping) in this build,
-//!   [`NodeBinding::Pinned`] where a platform backend can do real affinity.
-//!   The achieved strength is observable per vproc in the run record.
+//!   a deterministic single-node model off-Linux.
 //! * [`PageMap`] tracks which node every page of the simulated address space
 //!   lives on, so the heap can ask "where is this object physically?".
 //! * [`MemoryModel`] converts the work a set of virtual processors performed
@@ -76,7 +68,6 @@
 #![warn(missing_debug_implementations)]
 
 mod adaptive;
-mod affinity;
 mod error;
 mod ids;
 mod memory;
@@ -88,10 +79,6 @@ mod topology;
 pub use adaptive::{
     AdaptiveController, DecisionReason, PlacementDecision, PlacementMode,
     DEFAULT_HI_REMOTE_PERMILLE, DEFAULT_LO_REMOTE_PERMILLE, DEFAULT_PATIENCE, DEFAULT_SAMPLE_EVERY,
-};
-pub use affinity::{
-    bind_current_thread, host_min_node_memory_bytes, host_node_memory_bytes, host_numa_nodes,
-    NodeBinding,
 };
 pub use error::TopologyError;
 pub use ids::{CoreId, NodeId, PackageId};

@@ -95,13 +95,6 @@ impl std::str::FromStr for AllocPolicy {
 ///   performing the promotion (the "first toucher"): at a steal handoff the
 ///   stolen graph lands on the *victim's* node, mirroring what a first-touch
 ///   operating-system policy would do to pages the victim writes.
-/// * [`PlacementPolicy::Adaptive`] — start locality-blind, then let each
-///   worker's [`AdaptiveController`](crate::AdaptiveController) pick between
-///   the `NodeLocal` and `Interleave` behaviours at runtime by sampling the
-///   live local/remote promoted-bytes ledger, with hysteresis so the mode
-///   cannot flap. The runtime resolves `Adaptive` to one of the two static
-///   behaviours *before* every chunk lease, so the heap layer below only
-///   ever sees an effective static policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlacementPolicy {
     /// Lease chunks from the consuming worker's node (thief-node at steal).
@@ -111,19 +104,15 @@ pub enum PlacementPolicy {
     Interleave,
     /// Lease chunks from the promoting worker's node (victim-node at steal).
     FirstTouch,
-    /// Switch between `NodeLocal` and `Interleave` at runtime, driven by the
-    /// per-phase promoted-bytes locality ledger.
-    Adaptive,
 }
 
 impl PlacementPolicy {
-    /// Every policy, in comparison order (`NodeLocal` vs `Interleave` vs
-    /// `Adaptive` is the figure-8 axis).
-    pub const ALL: [PlacementPolicy; 4] = [
+    /// Every policy, in comparison order (`NodeLocal` vs `Interleave` is
+    /// the figure-8 axis).
+    pub const ALL: [PlacementPolicy; 3] = [
         PlacementPolicy::NodeLocal,
         PlacementPolicy::Interleave,
         PlacementPolicy::FirstTouch,
-        PlacementPolicy::Adaptive,
     ];
 
     /// A short lowercase label, used by `--placement` flags and CSV output.
@@ -132,16 +121,12 @@ impl PlacementPolicy {
             PlacementPolicy::NodeLocal => "node-local",
             PlacementPolicy::Interleave => "interleave",
             PlacementPolicy::FirstTouch => "first-touch",
-            PlacementPolicy::Adaptive => "adaptive",
         }
     }
 
     /// True when the policy binds a chunk lease to one specific node (so a
     /// current chunk on the wrong node must be retired before promoting);
-    /// `Interleave` deliberately does not. `Adaptive` reports `true` because
-    /// its node-local mode binds — while its controller is in interleave
-    /// mode the runtime substitutes an effective `Interleave` before any
-    /// lease, so this method is never consulted for that mode.
+    /// `Interleave` deliberately does not.
     pub fn binds_node(self) -> bool {
         !matches!(self, PlacementPolicy::Interleave)
     }
@@ -161,10 +146,9 @@ impl std::str::FromStr for PlacementPolicy {
             "node-local" | "node_local" | "nodelocal" => Ok(PlacementPolicy::NodeLocal),
             "interleave" | "interleaved" => Ok(PlacementPolicy::Interleave),
             "first-touch" | "first_touch" | "firsttouch" => Ok(PlacementPolicy::FirstTouch),
-            "adaptive" => Ok(PlacementPolicy::Adaptive),
             other => Err(format!(
-                "unknown placement policy `{other}` (expected `node-local`, `interleave`, \
-                 `first-touch`, or `adaptive`)"
+                "unknown placement policy `{other}` (expected `node-local`, `interleave`, or \
+                 `first-touch`)"
             )),
         }
     }
@@ -324,23 +308,13 @@ mod tests {
             PlacementPolicy::NodeLocal
         );
         assert!("bogus".parse::<PlacementPolicy>().is_err());
+        assert_eq!(PlacementPolicy::ALL.len(), 3);
     }
 
     #[test]
-    fn placement_policy_node_binding() {
+    fn placement_policy_binds_node() {
         assert!(PlacementPolicy::NodeLocal.binds_node());
         assert!(PlacementPolicy::FirstTouch.binds_node());
         assert!(!PlacementPolicy::Interleave.binds_node());
-        assert!(PlacementPolicy::Adaptive.binds_node());
-    }
-
-    #[test]
-    fn adaptive_parses_and_labels() {
-        assert_eq!(
-            "adaptive".parse::<PlacementPolicy>().unwrap(),
-            PlacementPolicy::Adaptive
-        );
-        assert_eq!(PlacementPolicy::Adaptive.label(), "adaptive");
-        assert_eq!(PlacementPolicy::ALL.len(), 4);
     }
 }

@@ -8,7 +8,7 @@
 //! |----------|---------|-----------------|
 //! | `MGC_BACKEND` | Execution backend | `simulated`/`sim`, `threaded`/`threads` |
 //! | `MGC_VPROCS` | Number of vprocs (threads) | a positive integer |
-//! | `MGC_PLACEMENT` | Promotion-chunk NUMA placement | `node-local`, `interleave`, `first-touch`, `adaptive` |
+//! | `MGC_PLACEMENT` | Promotion-chunk NUMA placement | `node-local`, `interleave`, `first-touch` |
 //! | `MGC_MAX_ROUNDS` | Simulated scheduler's runaway-program round cap | a positive integer |
 //! | `MGC_PAUSE_BUDGET_US` | Soft per-increment global-collection pause budget, in microseconds | a positive integer |
 //!
@@ -71,8 +71,7 @@ fn parse_placement(value: Option<String>) -> Option<PlacementPolicy> {
         Err(err) => {
             eprintln!(
                 "warning: MGC_PLACEMENT=`{value}` is invalid ({err}); set \
-                 MGC_PLACEMENT=node-local, interleave, first-touch, or adaptive — using \
-                 the default"
+                 MGC_PLACEMENT=node-local, interleave, or first-touch — using the default"
             );
             None
         }
@@ -148,12 +147,6 @@ mod tests {
         assert_eq!(env.placement, Some(PlacementPolicy::Interleave));
         assert_eq!(env.max_rounds, Some(1000));
         assert_eq!(env.pause_budget_us, Some(250));
-    }
-
-    #[test]
-    fn adaptive_placement_parses() {
-        let env = EnvOverrides::from_lookup(lookup(&[("MGC_PLACEMENT", "adaptive")]));
-        assert_eq!(env.placement, Some(PlacementPolicy::Adaptive));
     }
 
     #[test]

@@ -454,7 +454,7 @@ impl<P: Program> Experiment<P> {
 /// exactly the versions it knows how to read and rejects anything else with
 /// a typed error naming the field. Bump this when a field is added, removed,
 /// or changes meaning.
-pub const RUN_RECORD_SCHEMA_VERSION: u64 = 2;
+pub const RUN_RECORD_SCHEMA_VERSION: u64 = 3;
 
 /// The complete, self-describing result of one experiment run: the resolved
 /// configuration, the program identity, the root result, and the full
@@ -539,12 +539,6 @@ impl RunRecord {
         json.raw("promoted_bytes_remote", self.report.promoted_bytes_remote());
         json.raw("promotions_at_steal", self.report.promotions_at_steal());
         json.raw("promotions_at_publish", self.report.promotions_at_publish());
-        json.raw("placement_switches", self.report.placement_switches());
-        json.raw(
-            "placement_decisions",
-            placement_decisions_json(&self.report.placement_decisions),
-        );
-        json.raw("node_bindings", node_bindings_json(&self.report.per_vproc));
         json.raw("channel_sends", self.channels.sends);
         json.raw("channel_receives", self.channels.receives);
         match self.config.gc.pause_budget_us {
@@ -618,48 +612,6 @@ impl JsonFields {
         self.out.push('}');
         self.out
     }
-}
-
-/// Serialises the adaptive decision trail as a JSON array (empty under the
-/// static placement policies).
-fn placement_decisions_json(decisions: &[crate::stats::VprocPlacementDecision]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in decisions.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"vproc\": {}, \"at_promotion\": {}, \"from\": \"{}\", \"to\": \"{}\", \
-             \"remote_permille\": {}, \"reason\": \"{}\"}}",
-            d.vproc,
-            d.decision.at_promotion,
-            d.decision.from,
-            d.decision.to,
-            d.decision.remote_permille,
-            d.decision.reason.label(),
-        );
-    }
-    out.push(']');
-    out
-}
-
-/// Serialises the per-vproc node-binding outcomes (`"pinned"` where the
-/// worker thread achieved real OS affinity, `"tagged"` otherwise).
-fn node_bindings_json(per_vproc: &[crate::stats::VprocRunStats]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in per_vproc.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(if v.node_binding_pinned {
-            "\"pinned\""
-        } else {
-            "\"tagged\""
-        });
-    }
-    out.push(']');
-    out
 }
 
 /// Escapes a string for inclusion inside JSON double quotes.
@@ -992,7 +944,7 @@ mod tests {
         let record = pinned(Constant(5)).run().unwrap();
         let json = record.to_json();
         for key in [
-            "\"schema_version\": 2",
+            "\"schema_version\": 3",
             "\"program\": \"constant\"",
             "\"params\": {\"value\": 5}",
             "\"backend\": \"simulated\"",
@@ -1012,9 +964,6 @@ mod tests {
             "\"steals_cross_node\": ",
             "\"promotions_at_steal\": ",
             "\"promotions_at_publish\": ",
-            "\"placement_switches\": 0",
-            "\"placement_decisions\": []",
-            "\"node_bindings\": [\"tagged\"]",
             "\"pause_budget_us\": null",
             "\"pause_count\": ",
             "\"pause_max_ns\": ",

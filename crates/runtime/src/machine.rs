@@ -21,7 +21,7 @@
 
 use crate::channel::{ChannelId, ChannelState, ChannelStats, Proxy, ProxyId};
 use crate::ctx::TaskCtx;
-use crate::stats::{RunReport, VprocPlacementDecision, VprocRunStats};
+use crate::stats::RunReport;
 use crate::task::{Delivery, JoinCell, Task, TaskResult, TaskSpec};
 use crate::threaded::PromoteWhy;
 use crate::vproc::VProc;
@@ -31,8 +31,8 @@ use mgc_heap::{
     SharedGlobalHeap, Word,
 };
 use mgc_numa::{
-    AccessClass, AdaptiveController, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology,
-    Traffic, TrafficStats, VprocRoundCost,
+    AccessClass, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology, Traffic,
+    TrafficStats, VprocRoundCost,
 };
 
 /// Fixed scheduling overhead charged per executed task, in nanoseconds.
@@ -198,9 +198,6 @@ pub(crate) struct RuntimeState {
     /// arrival schedules and latency sampling.
     pub(crate) clock_base_ns: f64,
     pub(crate) root_result: Option<(Word, bool)>,
-    /// One hysteresis controller per vproc under
-    /// [`PlacementPolicy::Adaptive`]; `None` under the static policies.
-    pub(crate) adaptive: Option<Vec<AdaptiveController>>,
 }
 
 impl std::fmt::Debug for RuntimeState {
@@ -275,24 +272,6 @@ impl RuntimeState {
         let miss = self.mutator_costs.alloc_miss_rate;
         self.charge_traffic(vproc, node, bytes, miss);
         self.charge_work(vproc, (bytes as u64 / 8).max(1) * 2);
-    }
-
-    /// Resolves the adaptive controller's mode into `vproc`'s effective
-    /// placement for the promotion work about to run. No-op under the
-    /// static policies.
-    fn adaptive_pre_promotion(&mut self, vproc: usize) {
-        if let Some(controllers) = self.adaptive.as_mut() {
-            let mode = controllers[vproc].placement_for_next_promotion();
-            self.heap.set_effective_placement(vproc, mode.as_policy());
-        }
-    }
-
-    /// Feeds one promotion operation's ledger split back into `vproc`'s
-    /// adaptive controller. No-op under the static policies.
-    fn adaptive_record(&mut self, vproc: usize, local_bytes: u64, remote_bytes: u64) {
-        if let Some(controllers) = self.adaptive.as_mut() {
-            controllers[vproc].record_promotion(local_bytes, remote_bytes);
-        }
     }
 
     #[inline]
@@ -415,7 +394,6 @@ impl RuntimeState {
     /// running task's roots supplied in `extra`.
     pub(crate) fn local_gc(&mut self, vproc: usize, extra: &mut [Addr]) {
         let mut roots = self.gather_roots(vproc, extra);
-        self.adaptive_pre_promotion(vproc);
         let outcome = self
             .collector
             .collect_local(&mut self.heap, vproc, &mut roots);
@@ -424,7 +402,6 @@ impl RuntimeState {
         // A local collection's major phase promotes for the collecting
         // vproc's own benefit: the consumer is the vproc itself.
         let (local, remote) = outcome.promoted_split(self.vprocs[vproc].node);
-        self.adaptive_record(vproc, local, remote);
         let stats = &mut self.vprocs[vproc].stats;
         stats.promoted_bytes_local += local;
         stats.promoted_bytes_remote += remote;
@@ -530,13 +507,11 @@ impl RuntimeState {
         // duration (honoured under `NodeLocal` placement).
         let consumer = self.vprocs[target_vproc].node;
         self.heap.set_promotion_target(owner, consumer);
-        self.adaptive_pre_promotion(owner);
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
         self.heap
             .set_promotion_target(owner, self.vprocs[owner].node);
         self.charge_gc_cost(owner, &outcome.cost);
         let (local, remote) = outcome.promoted_split(consumer);
-        self.adaptive_record(owner, local, remote);
         let stats = &mut self.vprocs[owner].stats;
         stats.lazy_promotions += 1;
         stats.promoted_bytes_local += local;
@@ -718,11 +693,9 @@ impl RuntimeState {
         // sender promotes its own data.
         let message = if self.heap.is_local(message) {
             let owner = self.heap.space_of(message).vproc().unwrap_or(vproc);
-            self.adaptive_pre_promotion(owner);
             let (new, outcome) = self.collector.promote(&mut self.heap, owner, message);
             self.charge_gc_cost(owner, &outcome.cost);
             let (local, remote) = outcome.promoted_split(self.vprocs[owner].node);
-            self.adaptive_record(owner, local, remote);
             let stats = &mut self.vprocs[owner].stats;
             stats.lazy_promotions += 1;
             stats.promotions_at_publish += 1;
@@ -828,11 +801,6 @@ impl Machine {
                 ns_per_op,
                 clock_base_ns: 0.0,
                 root_result: None,
-                adaptive: (config.placement == PlacementPolicy::Adaptive).then(|| {
-                    (0..config.num_vprocs)
-                        .map(|_| AdaptiveController::new())
-                        .collect()
-                }),
             },
             model,
             config,
@@ -1097,20 +1065,6 @@ impl Machine {
                     words + s.nursery_allocated_words,
                 )
             });
-        let mut per_vproc: Vec<VprocRunStats> =
-            self.state.vprocs.iter().map(|vp| vp.stats).collect();
-        let mut placement_decisions = Vec::new();
-        if let Some(controllers) = &self.state.adaptive {
-            for (vproc, controller) in controllers.iter().enumerate() {
-                per_vproc[vproc].placement_switches = controller.switches();
-                placement_decisions.extend(
-                    controller
-                        .decisions()
-                        .iter()
-                        .map(|&decision| VprocPlacementDecision { vproc, decision }),
-                );
-            }
-        }
         RunReport {
             elapsed_ns: self.clock_ns,
             wall_clock_ns: None,
@@ -1118,10 +1072,9 @@ impl Machine {
             vprocs: self.state.num_vprocs(),
             allocated_objects,
             allocated_words,
-            per_vproc,
+            per_vproc: self.state.vprocs.iter().map(|vp| vp.stats).collect(),
             gc: self.state.collector.aggregate_stats(),
             traffic: self.state.traffic,
-            placement_decisions,
         }
     }
 

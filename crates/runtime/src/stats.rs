@@ -1,7 +1,7 @@
 //! Run-level statistics and reports.
 
 use mgc_core::{GcStats, Histogram, PauseStats};
-use mgc_numa::{PlacementDecision, TrafficStats};
+use mgc_numa::TrafficStats;
 
 /// A summary of the end-to-end request latencies a serving program recorded
 /// via [`TaskCtx::record_latency_ns`](crate::TaskCtx::record_latency_ns).
@@ -57,14 +57,6 @@ pub struct VprocRunStats {
     /// Bytes this vproc promoted into chunks on some other node — the
     /// cross-node traffic the `NodeLocal` placement minimises.
     pub promoted_bytes_remote: u64,
-    /// Effective-mode switches made by this vproc's adaptive placement
-    /// controller (always zero under the static policies).
-    pub placement_switches: u64,
-    /// Whether this vproc's worker thread achieved a real OS-level NUMA pin
-    /// ([`NodeBinding::Pinned`](mgc_numa::NodeBinding)) rather than the
-    /// deterministic tagged fallback. Always `false` on the simulated
-    /// backend, which has no threads to pin.
-    pub node_binding_pinned: bool,
     /// Virtual nanoseconds this vproc spent busy (compute + memory + GC).
     pub busy_ns: f64,
     /// Every mutator-visible pause this vproc experienced — minor, major,
@@ -106,19 +98,6 @@ pub struct RunReport {
     pub gc: GcStats,
     /// Machine-wide traffic statistics by locality class.
     pub traffic: TrafficStats,
-    /// Every adaptive placement decision made during the run, attributed to
-    /// the vproc whose controller made it (empty under static policies).
-    pub placement_decisions: Vec<VprocPlacementDecision>,
-}
-
-/// One adaptive placement decision, attributed to the vproc whose
-/// controller made it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VprocPlacementDecision {
-    /// The vproc whose controller switched.
-    pub vproc: usize,
-    /// The switch itself: when, from/to which mode, and why.
-    pub decision: PlacementDecision,
 }
 
 impl RunReport {
@@ -145,12 +124,6 @@ impl RunReport {
     /// Total steals that crossed NUMA nodes.
     pub fn steals_cross_node(&self) -> u64 {
         self.per_vproc.iter().map(|v| v.steals_cross_node).sum()
-    }
-
-    /// Total adaptive placement-mode switches across all vprocs (zero under
-    /// the static policies).
-    pub fn placement_switches(&self) -> u64 {
-        self.per_vproc.iter().map(|v| v.placement_switches).sum()
     }
 
     /// Total bytes promoted into chunks on the consumer's node.
@@ -302,7 +275,6 @@ mod tests {
             ],
             gc: GcStats::default(),
             traffic: TrafficStats::default(),
-            placement_decisions: Vec::new(),
         };
         assert_eq!(report.elapsed_seconds(), 2.0);
         assert_eq!(report.total_tasks(), 8);
@@ -332,7 +304,6 @@ mod tests {
             per_vproc: vec![VprocRunStats::default()],
             gc,
             traffic: TrafficStats::default(),
-            placement_decisions: Vec::new(),
         };
         assert_eq!(report.pause_stats().count, 4);
         assert!((report.max_pause_ns() - 20_000.0).abs() < 1e-9);
@@ -357,7 +328,6 @@ mod tests {
             per_vproc: vec![a, b],
             gc: GcStats::default(),
             traffic: TrafficStats::default(),
-            placement_decisions: Vec::new(),
         };
         assert_eq!(report.requests_served(), 3);
         assert!((report.latency_stats().max_ns - 9_000.0).abs() < 1e-9);

@@ -57,12 +57,11 @@
 //! collection; their fields are scanned as an extra root set
 //! ([`mgc_core::scan_young_fields`]).
 //!
-//! The backend is **NUMA-aware end to end**: each worker is bound to the
+//! The backend is **NUMA-aware end to end**: each worker is tagged with the
 //! node of the core [`Topology::spread_cores`](mgc_numa::Topology) assigns
-//! it (real affinity where the platform allows it, deterministic node
-//! tagging otherwise — [`mgc_numa::bind_current_thread`]); the shared global
-//! heap is partitioned into per-node address bands with per-node chunk
-//! pools, so `addr → node` is arithmetic; promotion chunks are leased per
+//! it, and every placement and steal decision honours that tag; the shared
+//! global heap is partitioned into per-node address bands with per-node
+//! chunk pools, so `addr → node` is arithmetic; promotion chunks are leased per
 //! the configured [`PlacementPolicy`] — under the default `NodeLocal` a
 //! steal victim promotes the stolen graph into a chunk on the *thief's*
 //! node, where it is about to be traversed; and thieves probe same-node
@@ -83,7 +82,7 @@ use crate::channel::{ChannelId, ChannelState, ChannelStats, Proxy, ProxyId};
 use crate::ctx::TaskCtx;
 use crate::executor::{Backend, Executor};
 use crate::machine::MachineConfig;
-use crate::stats::{RunReport, VprocPlacementDecision, VprocRunStats};
+use crate::stats::{RunReport, VprocRunStats};
 use crate::task::{Delivery, JoinCell, JoinId, RootSet, Task, TaskResult, TaskSpec};
 use crate::vproc::{StealMailbox, StealRequest};
 use mgc_core::{
@@ -94,7 +93,7 @@ use mgc_heap::{
     Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, LocalRegion, Resolved,
     SharedGlobalHeap, ThreadedLayout, Word, WorkerHeap,
 };
-use mgc_numa::{AdaptiveController, NodeId, PlacementDecision, PlacementPolicy, TrafficStats};
+use mgc_numa::{NodeId, PlacementPolicy, TrafficStats};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -308,9 +307,6 @@ struct WorkerOutcome {
     run: VprocRunStats,
     gc: GcStats,
     local: LocalHeapStats,
-    /// The adaptive controller's decision trail (empty under static
-    /// placement policies).
-    decisions: Vec<PlacementDecision>,
 }
 
 /// Why a worker promotes an object graph to the global heap — threaded
@@ -363,10 +359,6 @@ pub(crate) struct WorkerState {
     /// [`STEAL_LOCALITY_PATIENCE`] the thief ignores locality ordering (the
     /// starvation escape hatch).
     failed_steal_attempts: u32,
-    /// The hysteresis controller resolving [`PlacementPolicy::Adaptive`]
-    /// into a concrete effective mode before each promotion; `None` under
-    /// the static policies.
-    adaptive: Option<AdaptiveController>,
 }
 
 /// Consecutive empty-handed steal attempts before a thief abandons
@@ -578,24 +570,6 @@ impl WorkerState {
             })
     }
 
-    /// Resolves the adaptive controller's mode into the heap's effective
-    /// placement for the promotion work about to run. No-op under the
-    /// static policies.
-    fn adaptive_pre_promotion(&mut self) {
-        if let Some(controller) = self.adaptive.as_mut() {
-            let mode = controller.placement_for_next_promotion();
-            self.heap.set_effective_placement(mode.as_policy());
-        }
-    }
-
-    /// Feeds one promotion operation's ledger split back into the adaptive
-    /// controller. No-op under the static policies.
-    fn adaptive_record(&mut self, local_bytes: u64, remote_bytes: u64) {
-        if let Some(controller) = self.adaptive.as_mut() {
-            controller.record_promotion(local_bytes, remote_bytes);
-        }
-    }
-
     /// The collection both local-collection sites run: a minor collection
     /// over the roots registered since the last one, then — when the
     /// triggers ask, or `force_major` (the global ramp-down) — a major
@@ -604,7 +578,6 @@ impl WorkerState {
     /// this worker's own benefit; its bytes enter the local/remote ledger
     /// like any other promotion.
     fn collect_local(&mut self, roots: &mut RootSet, force_major: bool) -> GcOutcome {
-        self.adaptive_pre_promotion();
         let mut outcome = self.with_local_roots(
             roots,
             RootSet::dirty_mut,
@@ -622,7 +595,6 @@ impl WorkerState {
         let (local, remote) = outcome.promoted_split(self.promotion_consumer);
         self.stats.promoted_bytes_local += local;
         self.stats.promoted_bytes_remote += remote;
-        self.adaptive_record(local, remote);
         outcome
     }
 
@@ -691,7 +663,6 @@ impl WorkerState {
         if addr.is_null() || !self.heap.is_local(addr) {
             return addr;
         }
-        self.adaptive_pre_promotion();
         let (new, outcome) = self.collector.promote(&mut self.heap, self.vproc, addr);
         // Local-vs-remote is judged against the *consumer's* node — the
         // thief's node for steal promotions, this worker's own node
@@ -701,7 +672,6 @@ impl WorkerState {
         let (local, remote) = outcome.promoted_split(self.promotion_consumer);
         self.stats.promoted_bytes_local += local;
         self.stats.promoted_bytes_remote += remote;
-        self.adaptive_record(local, remote);
         self.stats.lazy_promotions += 1;
         match why {
             PromoteWhy::Steal => {
@@ -735,7 +705,7 @@ impl WorkerState {
     /// promotion (the default) the task's roots stay in this worker's local
     /// heap — promotion happens only if the task is later stolen. The
     /// eager-publication ablation promotes here instead, which is what the
-    /// proptest uses as the volume upper bound.
+    /// lazy-promotion property test uses as the volume upper bound.
     pub(crate) fn push_task(&mut self, mut task: Task) {
         if self.shared.eager_publication {
             let mut roots = std::mem::take(&mut task.roots);
@@ -913,10 +883,8 @@ impl WorkerState {
             // node, as an OS first-touch policy would back the pages the
             // victim writes. `Interleave` ignores the target.
             let thief_node = self.shared.vproc_nodes[request.thief()];
-            // `Adaptive` targets the thief like `NodeLocal`: in its
-            // interleave mode the heap ignores the preferred node anyway.
             let target = match self.shared.placement {
-                PlacementPolicy::NodeLocal | PlacementPolicy::Adaptive => thief_node,
+                PlacementPolicy::NodeLocal => thief_node,
                 PlacementPolicy::Interleave | PlacementPolicy::FirstTouch => self.node,
             };
             self.heap.set_promotion_target(target);
@@ -1073,16 +1041,10 @@ impl WorkerState {
         let global = &*shared.global;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             self.main_loop(global);
-            self.stats.placement_switches = self.adaptive.as_ref().map_or(0, |c| c.switches());
             WorkerOutcome {
                 run: self.stats,
                 gc: *self.collector.vproc_stats(self.vproc),
                 local: self.heap.local(self.vproc).stats(),
-                decisions: self
-                    .adaptive
-                    .take()
-                    .map(|c| c.decisions().to_vec())
-                    .unwrap_or_default(),
             }
         }));
         match result {
@@ -1523,8 +1485,6 @@ impl ThreadedMachine {
                     remote_victims,
                     steal_cursor: vproc,
                     failed_steal_attempts: 0,
-                    adaptive: (self.config.placement == PlacementPolicy::Adaptive)
-                        .then(AdaptiveController::new),
                 }
             })
             .collect();
@@ -1552,18 +1512,7 @@ impl ThreadedMachine {
                 .map(|worker| {
                     std::thread::Builder::new()
                         .name(format!("mgc-vproc-{}", worker.vproc))
-                        .spawn_scoped(scope, move || {
-                            // Bind the thread to its vproc's node: real
-                            // affinity where the platform provides it,
-                            // deterministic node tagging otherwise. The
-                            // achieved strength lands in the run stats so
-                            // every run record says what it actually got.
-                            let mut worker = worker;
-                            let binding = mgc_numa::bind_current_thread(worker.node);
-                            worker.stats.node_binding_pinned =
-                                matches!(binding, mgc_numa::NodeBinding::Pinned);
-                            worker.worker_main()
-                        })
+                        .spawn_scoped(scope, move || worker.worker_main())
                         .expect("spawning a worker thread failed")
                 })
                 .collect();
@@ -1605,18 +1554,6 @@ impl ThreadedMachine {
         }
         gc.global_copied_bytes += shared.gc.total_copied_bytes.load(Ordering::Relaxed);
 
-        // Workers are joined in spawn order, so `outcomes[i]` is vproc i's.
-        let placement_decisions = outcomes
-            .iter()
-            .enumerate()
-            .flat_map(|(vproc, outcome)| {
-                outcome
-                    .decisions
-                    .iter()
-                    .map(move |&decision| VprocPlacementDecision { vproc, decision })
-            })
-            .collect();
-
         RunReport {
             elapsed_ns: wall_ns,
             wall_clock_ns: Some(wall_ns),
@@ -1627,7 +1564,6 @@ impl ThreadedMachine {
             per_vproc: outcomes.iter().map(|o| o.run).collect(),
             gc,
             traffic: TrafficStats::new(),
-            placement_decisions,
         }
     }
 
@@ -1642,7 +1578,6 @@ impl ThreadedMachine {
             per_vproc: vec![VprocRunStats::default(); vprocs],
             gc: GcStats::new(),
             traffic: TrafficStats::new(),
-            placement_decisions: Vec::new(),
         }
     }
 }
@@ -2288,44 +2223,5 @@ mod tests {
         assert_eq!(m.take_result(), Some((4000, false)));
         assert!(report.gc.minor_collections > 0, "minors expected");
         assert!(report.gc.global_collections > 0, "globals expected");
-    }
-
-    #[test]
-    fn adaptive_placement_records_a_cold_start_decision() {
-        // Any run that promotes (here: via local collections' major phases)
-        // must resolve the adaptive cold start, leaving at least the
-        // node-local adoption in the decision trail.
-        let mut config = MachineConfig::small_for_tests(2);
-        config.placement = PlacementPolicy::Adaptive;
-        let mut m = ThreadedMachine::new(config);
-        m.spawn_root(TaskSpec::new("allocate-a-lot", |ctx| {
-            let mut list = None;
-            for i in 0..1500u64 {
-                let mark = ctx.root_mark();
-                let value = ctx.alloc_raw(&[i]);
-                let cons = ctx.alloc_vector(&[Some(value), list]);
-                list = Some(ctx.keep(cons, mark));
-            }
-            let mut count = 0u64;
-            let mut cursor = list;
-            while let Some(cell) = cursor {
-                count += 1;
-                cursor = ctx.read_ptr(cell, 1);
-            }
-            TaskResult::Value(count)
-        }));
-        let report = m.run();
-        assert_eq!(m.take_result(), Some((1500, false)));
-        assert!(
-            report.placement_switches() >= 1,
-            "the cold-start adoption counts as a switch"
-        );
-        let first = &report.placement_decisions[0];
-        assert_eq!(first.decision.reason, mgc_numa::DecisionReason::ColdStart);
-        assert_eq!(first.decision.to, mgc_numa::PlacementMode::NodeLocal);
-        assert!(
-            !report.per_vproc.iter().any(|v| v.node_binding_pinned),
-            "this unsafe-free build can only tag, never pin"
-        );
     }
 }

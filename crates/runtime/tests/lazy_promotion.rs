@@ -12,7 +12,6 @@
 use mgc_runtime::{
     Executor, GcConfig, MachineConfig, RunReport, TaskResult, TaskSpec, ThreadedMachine,
 };
-use proptest::prelude::*;
 
 /// A recursive fork/join tree: every node allocates a payload object in its
 /// nursery and hands it to each child as a pointer input, so stealing a
@@ -72,27 +71,51 @@ fn run_tree(
     (report, result)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// A splitmix64 stream seeded by the case number, so every run sees the
+/// same cases.
+struct CaseRng(u64);
 
-    #[test]
-    fn lazy_promotion_volume_is_bounded_by_eager_publication(
-        depth in 1u8..4,
-        fanout in 1u8..4,
-        payload_words in 1u8..12,
-        seed in any::<u64>(),
-        vprocs in 1usize..4,
-    ) {
+impl CaseRng {
+    fn for_case(case: u64) -> Self {
+        let mut rng = CaseRng(0x5EED_C0DE ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        rng.next_u64();
+        rng.next_u64();
+        rng
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform value in `range`.
+    fn in_range(&mut self, range: std::ops::Range<u64>) -> u64 {
+        range.start + self.next_u64() % (range.end - range.start)
+    }
+}
+
+#[test]
+fn lazy_promotion_volume_is_bounded_by_eager_publication() {
+    for case in 0..12 {
+        let mut rng = CaseRng::for_case(case);
+        let depth = rng.in_range(1..4) as u8;
+        let fanout = rng.in_range(1..4) as u8;
+        let payload_words = rng.in_range(1..12) as u8;
+        let seed = rng.next_u64();
+        let vprocs = rng.in_range(1..4) as usize;
         let (eager, eager_result) = run_tree(vprocs, true, depth, fanout, payload_words, seed);
         let (lazy, lazy_result) = run_tree(vprocs, false, depth, fanout, payload_words, seed);
 
         // The program itself is scheduling- and promotion-independent.
-        prop_assert_eq!(eager_result, lazy_result);
-        prop_assert_eq!(eager.total_tasks(), lazy.total_tasks());
+        assert_eq!(eager_result, lazy_result);
+        assert_eq!(eager.total_tasks(), lazy.total_tasks());
 
         // The property under test: promotion volume on the threaded backend
         // is ≤ the eager-publication volume.
-        prop_assert!(
+        assert!(
             lazy.gc.promotion_bytes <= eager.gc.promotion_bytes,
             "lazy promoted {} bytes but eager publication only {} \
              (depth {depth}, fanout {fanout}, payload {payload_words}, vprocs {vprocs})",
@@ -103,7 +126,7 @@ proptest! {
         // And its corollary: with one vproc nothing is stolen, so lazy mode
         // promotes nothing on the push path at all.
         if vprocs == 1 {
-            prop_assert_eq!(lazy.promotions_at_steal(), 0);
+            assert_eq!(lazy.promotions_at_steal(), 0);
         }
     }
 }

@@ -10,6 +10,7 @@ use mgc_runtime::{
     EnvOverrides, Executor, Experiment, Program, RunRecord, TaskResult, TaskSpec,
     RUN_RECORD_SCHEMA_VERSION,
 };
+use mgc_store::json::{self, JsonValue};
 use mgc_store::{Query, RunMeta, Store};
 
 /// A minimal program: one root task returning a constant.
@@ -39,6 +40,12 @@ fn run_record(value: i64, vprocs: usize) -> RunRecord {
         .vprocs(vprocs)
         .run()
         .expect("the configuration is valid")
+}
+
+/// The checked-in store: two seed batches written at record schema version 2.
+fn seed_store() -> Store {
+    Store::open(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/store"))
+        .expect("the seed store opens")
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -102,4 +109,36 @@ fn latest_per_key_resolves_re_runs_across_batches() {
     assert_eq!(latest[0].batch_seq(), 2);
 
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn checked_in_version_two_seed_batches_still_open() {
+    let store = seed_store();
+    for (seq, records) in [(1, 36), (2, 3)] {
+        let batch = store.batch(seq).expect("the seed batch is checked in");
+        assert_eq!(batch.records.len(), records);
+        assert!(batch.records.iter().all(|r| r.schema_version() == 2));
+    }
+}
+
+/// Version 3 only removed keys: a fresh record's keys are a version-2 seed
+/// record's minus the three placement telemetry keys (the adaptive switch
+/// count, its decision trail and the per-vproc thread binding).
+#[test]
+fn a_version_three_record_drops_three_placement_keys_and_adds_none() {
+    let keys = |raw: &str| match json::parse(raw).expect("records are JSON") {
+        JsonValue::Object(fields) => fields.into_iter().map(|(key, _)| key).collect::<Vec<_>>(),
+        other => panic!("a record is an object, not {other:?}"),
+    };
+    let v2 = keys(seed_store().batch(1).unwrap().records[0].raw());
+    let v3 = keys(&run_record(5, 1).to_json());
+    assert!(v3.iter().all(|key| v2.contains(key)), "{v3:?} adds a key");
+    let dropped: Vec<&String> = v2.iter().filter(|key| !v3.contains(key)).collect();
+    assert_eq!(dropped.len(), 3, "{dropped:?}");
+    assert!(
+        dropped
+            .iter()
+            .all(|key| key.starts_with("placement_") || key.starts_with("node_")),
+        "{dropped:?}"
+    );
 }

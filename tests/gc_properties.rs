@@ -5,7 +5,6 @@
 use manticore_gc::gc::{Collector, GcConfig};
 use manticore_gc::heap::{verify_heap, Addr, Heap, HeapConfig};
 use manticore_gc::numa::NodeId;
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// A script step for the property tests.
@@ -27,16 +26,50 @@ enum Step {
     Global,
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Step::AllocKeep(a, b)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Step::AllocVector(a, b)),
-        any::<u8>().prop_map(Step::DropRoot),
-        Just(Step::Minor),
-        Just(Step::Major),
-        any::<u8>().prop_map(Step::Promote),
-        Just(Step::Global),
-    ]
+/// A splitmix64 stream seeded by the case number, so every run of a
+/// property sees the same cases.
+struct CaseRng(u64);
+
+impl CaseRng {
+    fn for_case(case: u64) -> Self {
+        let mut rng = CaseRng(0x5EED_C0DE ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        rng.next_u64();
+        rng.next_u64();
+        rng
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform value in `range`.
+    fn in_range(&mut self, range: std::ops::Range<u64>) -> u64 {
+        range.start + self.next_u64() % (range.end - range.start)
+    }
+
+    fn byte(&mut self) -> u8 {
+        self.next_u64() as u8
+    }
+
+    /// One to 59 uniformly chosen steps.
+    fn steps(&mut self) -> Vec<Step> {
+        let len = self.in_range(1..60);
+        (0..len)
+            .map(|_| match self.in_range(0..7) {
+                0 => Step::AllocKeep(self.byte(), self.byte()),
+                1 => Step::AllocVector(self.byte(), self.byte()),
+                2 => Step::DropRoot(self.byte()),
+                3 => Step::Minor,
+                4 => Step::Major,
+                5 => Step::Promote(self.byte()),
+                _ => Step::Global,
+            })
+            .collect()
+    }
 }
 
 /// Recursively reads the logical contents of an object so we can compare
@@ -72,12 +105,15 @@ fn follow(heap: &Heap, mut addr: Addr) -> Addr {
     addr
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn random_schedules_never_lose_reachable_data(steps in proptest::collection::vec(step_strategy(), 1..60)) {
-        let mut heap = Heap::new(HeapConfig::small_for_tests(), &[NodeId::new(0), NodeId::new(1)], 2);
+#[test]
+fn random_schedules_never_lose_reachable_data() {
+    for case in 0..48 {
+        let steps = CaseRng::for_case(case).steps();
+        let mut heap = Heap::new(
+            HeapConfig::small_for_tests(),
+            &[NodeId::new(0), NodeId::new(1)],
+            2,
+        );
         let mut collector = Collector::new(GcConfig::small_for_tests(), 2, 2);
         let mut roots: Vec<Addr> = Vec::new();
         let mut counter = 0u64;
@@ -87,17 +123,24 @@ proptest! {
                 Step::AllocKeep(seed, len) => {
                     let len = (len % 12 + 1) as usize;
                     counter += 1;
-                    let payload: Vec<u64> = (0..len as u64).map(|i| u64::from(seed) * 1000 + counter * 100 + i).collect();
+                    let payload: Vec<u64> = (0..len as u64)
+                        .map(|i| u64::from(seed) * 1000 + counter * 100 + i)
+                        .collect();
                     if let Ok(obj) = heap.alloc_raw(0, &payload) {
                         roots.push(obj);
                     } else {
                         let outcome = collector.collect_local(&mut heap, 0, &mut roots);
-                        prop_assert!(outcome.cost.cpu_ns > 0.0);
-                        roots.push(heap.alloc_raw(0, &payload).expect("post-collection allocation succeeds"));
+                        assert!(outcome.cost.cpu_ns > 0.0);
+                        roots.push(
+                            heap.alloc_raw(0, &payload)
+                                .expect("post-collection allocation succeeds"),
+                        );
                     }
                 }
                 Step::AllocVector(a, b) => {
-                    if roots.is_empty() { continue; }
+                    if roots.is_empty() {
+                        continue;
+                    }
                     let x = roots[a as usize % roots.len()];
                     let y = roots[b as usize % roots.len()];
                     match heap.alloc_vector(0, &[x.raw(), y.raw()]) {
@@ -107,7 +150,10 @@ proptest! {
                             // Re-resolve the referents after the collection.
                             let x = follow(&heap, roots[a as usize % roots.len()]);
                             let y = follow(&heap, roots[b as usize % roots.len()]);
-                            roots.push(heap.alloc_vector(0, &[x.raw(), y.raw()]).expect("post-collection allocation succeeds"));
+                            roots.push(
+                                heap.alloc_vector(0, &[x.raw(), y.raw()])
+                                    .expect("post-collection allocation succeeds"),
+                            );
                         }
                     }
                 }
@@ -117,7 +163,9 @@ proptest! {
                         roots.remove(index);
                     }
                 }
-                Step::Minor => { collector.minor(&mut heap, 0, &mut roots); }
+                Step::Minor => {
+                    collector.minor(&mut heap, 0, &mut roots);
+                }
                 Step::Major => {
                     collector.minor(&mut heap, 0, &mut roots);
                     collector.major(&mut heap, 0, &mut roots);
@@ -137,12 +185,14 @@ proptest! {
             }
 
             // Invariants hold after every step.
-            prop_assert!(verify_heap(&heap).is_empty());
+            assert!(verify_heap(&heap).is_empty());
         }
 
         // Snapshot every root, run the heaviest collection pipeline, and
         // check the logical contents are unchanged.
-        let before: HashMap<usize, Vec<u64>> = roots.iter().enumerate()
+        let before: HashMap<usize, Vec<u64>> = roots
+            .iter()
+            .enumerate()
             .map(|(i, &r)| (i, snapshot(&heap, r, 0)))
             .collect();
         collector.collect_local(&mut heap, 0, &mut roots);
@@ -150,30 +200,45 @@ proptest! {
         collector.global(&mut heap, &mut per_vproc);
         roots = per_vproc.swap_remove(0);
         for (i, &root) in roots.iter().enumerate() {
-            prop_assert_eq!(&before[&i], &snapshot(&heap, root, 0), "root {} changed contents", i);
+            assert_eq!(
+                &before[&i],
+                &snapshot(&heap, root, 0),
+                "root {} changed contents",
+                i
+            );
         }
-        prop_assert!(verify_heap(&heap).is_empty());
+        assert!(verify_heap(&heap).is_empty());
     }
+}
 
-    #[test]
-    fn header_round_trips(id in 1u16..0x7FFF, len in 0u64..(1 << 48)) {
-        use manticore_gc::heap::{Header, ObjectKind};
+#[test]
+fn header_round_trips() {
+    use manticore_gc::heap::{Header, ObjectKind};
+    for case in 0..48 {
+        let mut rng = CaseRng::for_case(case);
+        let id = rng.in_range(1..0x7FFF) as u16;
+        let len = rng.in_range(0..1 << 48);
         let header = Header::new(ObjectKind::from_id(id), len);
         let decoded = Header::decode(header.encode()).expect("headers decode");
-        prop_assert_eq!(decoded, header);
+        assert_eq!(decoded, header);
     }
+}
 
-    #[test]
-    fn placement_policies_always_return_valid_nodes(
-        policy_index in 0usize..4,
-        requests in proptest::collection::vec(0u16..8, 1..64),
-    ) {
-        use manticore_gc::numa::{AllocPolicy, PagePlacer};
+#[test]
+fn placement_policies_always_return_valid_nodes() {
+    use manticore_gc::numa::{AllocPolicy, PagePlacer};
+    for case in 0..48 {
+        let mut rng = CaseRng::for_case(case);
+        let policy_index = rng.in_range(0..4) as usize;
+        let request_count = rng.in_range(1..64);
+        let requests: Vec<u16> = (0..request_count)
+            .map(|_| rng.in_range(0..8) as u16)
+            .collect();
         let policy = AllocPolicy::ALL[policy_index];
         let placer = PagePlacer::new(policy, 8);
         for r in requests {
             let node = placer.place(manticore_gc::numa::NodeId::new(r));
-            prop_assert!(node.index() < 8);
+            assert!(node.index() < 8);
         }
     }
 }
