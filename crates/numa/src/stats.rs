@@ -57,11 +57,13 @@ impl TrafficStats {
     }
 
     /// Records mutator traffic of `bytes` in class `class`.
+    #[inline]
     pub fn record_mutator(&mut self, class: AccessClass, bytes: u64) {
         self.mutator_bytes[class as usize] += bytes;
     }
 
     /// Records GC traffic of `bytes` in class `class`.
+    #[inline]
     pub fn record_gc(&mut self, class: AccessClass, bytes: u64) {
         self.gc_bytes[class as usize] += bytes;
     }

@@ -156,6 +156,16 @@ pub struct TaskCtx<'a> {
     delivery: Delivery,
 }
 
+/// A simulated context charges the one-word reads it counted when it ends
+/// (`RuntimeState::charge_access` states the fold rule).
+impl Drop for TaskCtx<'_> {
+    fn drop(&mut self) {
+        if let CtxState::Sim(state) = &mut self.state {
+            state.fold_word_reads(self.vproc);
+        }
+    }
+}
+
 impl std::fmt::Debug for TaskCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskCtx")
@@ -353,7 +363,7 @@ impl<'a> TaskCtx<'a> {
                 let addr = state.alloc_reserved(self.vproc, |heap, vproc| {
                     heap.alloc_raw_with(vproc, len, fill)
                 });
-                state.charge_alloc(self.vproc, (len + 1) * 8);
+                state.charge_alloc(self.vproc, len + 1);
                 addr
             }
             CtxState::Threaded(worker) => worker.alloc(self.roots, len, |worker, _, limit| {
@@ -386,7 +396,7 @@ impl<'a> TaskCtx<'a> {
                 let words = init_words(self.roots, fields(), |a| state.resolve_addr(a));
                 let addr = state
                     .alloc_reserved(self.vproc, |heap, vproc| heap.alloc_vector(vproc, &words));
-                state.charge_alloc(self.vproc, (words.len() + 1) * 8);
+                state.charge_alloc(self.vproc, words.len() + 1);
                 addr
             }
             CtxState::Threaded(worker) => {
@@ -416,7 +426,7 @@ impl<'a> TaskCtx<'a> {
                 let addr = state.alloc_reserved(self.vproc, |heap, vproc| {
                     heap.alloc_mixed(vproc, descriptor, &words)
                 });
-                state.charge_alloc(self.vproc, (words.len() + 1) * 8);
+                state.charge_alloc(self.vproc, words.len() + 1);
                 addr
             }
             CtxState::Threaded(worker) => {
@@ -441,14 +451,14 @@ impl<'a> TaskCtx<'a> {
     /// Resolves `handle` to the current copy of its object — updating the
     /// root slot so later accesses are direct — and reads from it in the
     /// same step: `read` gets the located object on either backend. The
-    /// simulated backend then charges `bytes(place)` bytes to the node and
+    /// simulated backend then charges `words(place)` words to the node and
     /// region the object was found in. A slot holding the address the last
     /// read resolved to is served from that read's location (module doc).
     #[inline(always)]
     fn access<R>(
         &mut self,
         handle: Handle,
-        bytes: impl FnOnce(Place<'_>) -> usize,
+        words: impl FnOnce(Place<'_>) -> usize,
         read: impl FnOnce(Place<'_>) -> R,
     ) -> R {
         let slot = &mut self.roots.slots_mut()[handle.index()];
@@ -470,8 +480,8 @@ impl<'a> TaskCtx<'a> {
         match &mut self.state {
             CtxState::Sim(state) => {
                 let place = state.heap.place_of(found.location);
-                let (value, local, bytes) = (read(place), place.is_local(), bytes(place));
-                state.charge_access(self.vproc, found.node, local, bytes);
+                let (value, local, words) = (read(place), place.is_local(), words(place));
+                state.charge_access(self.vproc, found.node, local, words);
                 value
             }
             CtxState::Threaded(worker) => read(worker.heap.place_of(found.location)),
@@ -481,7 +491,7 @@ impl<'a> TaskCtx<'a> {
     /// Reads a raw field of the object behind `handle`.
     #[inline]
     pub fn read_raw(&mut self, handle: Handle, index: usize) -> Word {
-        self.access(handle, |_| 8, |place| place.read(index))
+        self.access(handle, |_| 1, |place| place.read(index))
     }
 
     /// Reads a raw field as an `f64`.
@@ -501,7 +511,7 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Appends the whole payload of the object behind `handle` to `out`,
-    /// charging a single bulk access of the header's `total_bytes` (the
+    /// charging a single bulk access of the header's `total_words` (the
     /// workloads use this for rope leaves). The one bulk read: it allocates
     /// nothing unless `out` has to grow, so a caller that reuses `out`
     /// allocates nothing per read.
@@ -509,7 +519,7 @@ impl<'a> TaskCtx<'a> {
     pub fn read_words_into(&mut self, handle: Handle, out: &mut Vec<Word>) {
         self.access(
             handle,
-            |place| place.header().total_bytes(),
+            |place| place.header().total_words(),
             |place| place.payload_into(out),
         )
     }

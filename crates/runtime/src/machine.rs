@@ -31,8 +31,8 @@ use mgc_heap::{
     SharedGlobalHeap, Word,
 };
 use mgc_numa::{
-    AccessClass, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology, Traffic,
-    TrafficStats, VprocRoundCost,
+    AccessClass, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology, TrafficStats,
+    VprocRoundCost,
 };
 
 /// Fixed scheduling overhead charged per executed task, in nanoseconds.
@@ -61,8 +61,8 @@ fn round_limit_from_env() -> u64 {
 
 /// `x.ceil() as u64` in integer arithmetic, exact for finite `0 <= x < 2^53`
 /// (the truncation is then the floor, and converting it back is exact).
-/// Every simulated access rounds its DRAM bytes up this way; baseline x86-64
-/// has no `roundsd`, so `f64::ceil` would be a library call per access.
+/// [`DramTable`] rounds DRAM bytes up this way; baseline x86-64 has no
+/// `roundsd`, so `f64::ceil` would be a library call per object size.
 #[inline]
 fn ceil_to_u64(x: f64) -> u64 {
     let t = x as u64;
@@ -96,6 +96,69 @@ impl Default for MutatorCostModel {
             local_heap_miss_rate: 0.10,
             global_heap_miss_rate: 0.65,
             alloc_miss_rate: 0.25,
+        }
+    }
+}
+
+/// Which of a [`MutatorCostModel`]'s miss rates a charge applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    Local,
+    Global,
+    Alloc,
+}
+
+impl Miss {
+    const ALL: [Miss; 3] = [Miss::Local, Miss::Global, Miss::Alloc];
+
+    /// The rate of a read of a local (`true`) or global object.
+    fn of_read(local: bool) -> Miss {
+        if local {
+            Miss::Local
+        } else {
+            Miss::Global
+        }
+    }
+
+    fn rate(self, costs: &MutatorCostModel) -> f64 {
+        match self {
+            Miss::Local => costs.local_heap_miss_rate,
+            Miss::Global => costs.global_heap_miss_rate,
+            Miss::Alloc => costs.alloc_miss_rate,
+        }
+    }
+}
+
+/// Objects up to this many words (header included) have their DRAM bytes
+/// tabulated: a rope leaf is 257.
+const DRAM_TABLE_WORDS: usize = 512;
+
+/// The DRAM bytes of a mutator access of `words` words at each miss rate,
+/// `ceil(words × 8 × rate)`: tabulated once per machine for the sizes
+/// objects have, computed past the table's end.
+#[derive(Debug)]
+struct DramTable {
+    costs: MutatorCostModel,
+    rows: Vec<[u64; 3]>,
+}
+
+impl DramTable {
+    fn new(costs: MutatorCostModel) -> Self {
+        let rows = (0..DRAM_TABLE_WORDS)
+            .map(|words| Miss::ALL.map(|miss| Self::compute(&costs, words, miss)))
+            .collect();
+        DramTable { costs, rows }
+    }
+
+    fn compute(costs: &MutatorCostModel, words: usize, miss: Miss) -> u64 {
+        ceil_to_u64((words * 8) as f64 * miss.rate(costs))
+    }
+
+    #[inline]
+    fn bytes(&self, words: usize, miss: Miss) -> u64 {
+        match self.rows.get(words) {
+            Some(row) => row[miss as usize],
+            None => Self::compute(&self.costs, words, miss),
         }
     }
 }
@@ -185,10 +248,14 @@ pub(crate) struct RuntimeState {
     pub(crate) proxies: Vec<Proxy>,
     pub(crate) channel_stats: ChannelStats,
     pub(crate) topology: Topology,
-    /// `topology.access_class(src, dst)` at `src * num_nodes + dst`: a
-    /// mutator access is charged per field read, so its class is a load.
+    /// `topology.access_class(src, dst)` at `src * num_nodes + dst`, built
+    /// once per machine.
     access_classes: Vec<AccessClass>,
-    pub(crate) mutator_costs: MutatorCostModel,
+    /// The mutator cost model's DRAM bytes per access size.
+    dram: DramTable,
+    /// The running context's one-word accesses not yet charged as traffic,
+    /// at `2 * node + local` ([`RuntimeState::charge_access`]'s fold rule).
+    word_reads: Vec<u64>,
     pub(crate) traffic: TrafficStats,
     pub(crate) ns_per_op: f64,
     /// The machine's virtual clock as of the **start** of the current round
@@ -246,46 +313,70 @@ impl RuntimeState {
         }
     }
 
-    /// Charges a mutator access by `vproc` of `bytes` bytes of an object on
+    /// Charges a mutator access by `vproc` of `words` words of an object on
     /// `node`, in a local heap or (`local` false) the global heap, applying
-    /// the cache model. [`RuntimeState::locate`] supplies the node and the
-    /// region.
+    /// the cache model: `ceil(words × 8 × miss rate)` DRAM bytes to `node`
+    /// and one operation of compute per word. [`RuntimeState::locate`]
+    /// supplies the node and the region.
+    ///
+    /// The fold rule: a one-word access — every field read — adds its
+    /// compute now and only counts itself for its `(node, local)`.
+    /// [`RuntimeState::fold_word_reads`] charges each count's traffic as
+    /// `count × ceil(8 × rate)` bytes when the task's context ends, so
+    /// before the scheduler's quantum check reads the round cost. The sums
+    /// are integers and the compute is added in the same order, so the
+    /// round cost, the run's [`TrafficStats`] and virtual time are exactly
+    /// what charging each access at once gave. A wider access charges its
+    /// traffic at once, from the machine's [`DramTable`].
     #[inline]
-    pub(crate) fn charge_access(&mut self, vproc: usize, node: NodeId, local: bool, bytes: usize) {
+    pub(crate) fn charge_access(&mut self, vproc: usize, node: NodeId, local: bool, words: usize) {
+        match words {
+            0 => return,
+            1 => self.word_reads[2 * node.index() + local as usize] += 1,
+            _ => {
+                let bytes = self.dram.bytes(words, Miss::of_read(local));
+                self.charge_dram(vproc, node, bytes, bytes / 64);
+            }
+        }
+        // Touching data costs a couple of instructions per word even on a
+        // cache hit.
+        self.charge_work(vproc, words as u64);
+    }
+
+    /// Charges the one-word accesses counted since the last fold to
+    /// `vproc`, the running context's vproc, and clears the counts. Run
+    /// when a simulated [`TaskCtx`] ends.
+    pub(crate) fn fold_word_reads(&mut self, vproc: usize) {
+        for slot in 0..self.word_reads.len() {
+            let count = std::mem::take(&mut self.word_reads[slot]);
+            if count > 0 {
+                let bytes = self.dram.bytes(1, Miss::of_read(slot % 2 == 1));
+                let node = NodeId::new((slot / 2) as u16);
+                self.charge_dram(vproc, node, count * bytes, count * (bytes / 64));
+            }
+        }
+    }
+
+    /// Charges the allocation of `words` fresh words by `vproc`.
+    pub(crate) fn charge_alloc(&mut self, vproc: usize, words: usize) {
+        let node = self.heap.local(vproc).node();
+        let bytes = self.dram.bytes(words, Miss::Alloc);
+        self.charge_dram(vproc, node, bytes, bytes / 64);
+        self.charge_work(vproc, words as u64 * 2);
+    }
+
+    /// Adds `bytes` mutator DRAM bytes in `accesses` cache-line accesses
+    /// from `vproc` to `node`.
+    #[inline]
+    fn charge_dram(&mut self, vproc: usize, node: NodeId, bytes: u64, accesses: u64) {
         if bytes == 0 {
             return;
         }
-        let miss_rate = if local {
-            self.mutator_costs.local_heap_miss_rate
-        } else {
-            self.mutator_costs.global_heap_miss_rate
-        };
-        self.charge_traffic(vproc, node, bytes, miss_rate);
-        // Touching data costs a couple of instructions per word even on a
-        // cache hit.
-        self.charge_work(vproc, (bytes as u64 / 8).max(1));
-    }
-
-    /// Charges the allocation of `bytes` fresh bytes by `vproc`.
-    pub(crate) fn charge_alloc(&mut self, vproc: usize, bytes: usize) {
-        let node = self.heap.local(vproc).node();
-        let miss = self.mutator_costs.alloc_miss_rate;
-        self.charge_traffic(vproc, node, bytes, miss);
-        self.charge_work(vproc, (bytes as u64 / 8).max(1) * 2);
-    }
-
-    #[inline]
-    fn charge_traffic(&mut self, vproc: usize, node: NodeId, bytes: usize, rate: f64) {
-        let dram_bytes = ceil_to_u64(bytes as f64 * rate);
-        if dram_bytes == 0 {
-            return;
-        }
-        let accesses = dram_bytes / 64;
-        self.vprocs[vproc]
-            .round_cost
-            .add_traffic(node, Traffic::new(dram_bytes, accesses));
         let class = self.access_class(self.vprocs[vproc].node, node);
-        self.traffic.record_mutator(class, dram_bytes);
+        self.traffic.record_mutator(class, bytes);
+        let traffic = &mut self.vprocs[vproc].round_cost.traffic_to[node.index()];
+        traffic.bytes += bytes;
+        traffic.accesses += accesses;
     }
 
     /// The topology's access class of a `src` → `dst` access, from the
@@ -718,8 +809,8 @@ impl RuntimeState {
         // Reading the message pulls it across the interconnect.
         let Resolved { location, node, .. } = self.locate(self.heap.global(), message);
         let place = self.heap.place_of(location);
-        let (local, bytes) = (place.is_local(), place.header().total_bytes());
-        self.charge_access(vproc, node, local, bytes);
+        let (local, words) = (place.is_local(), place.header().total_words());
+        self.charge_access(vproc, node, local, words);
         Some(message)
     }
 
@@ -795,8 +886,9 @@ impl Machine {
                 proxies: Vec::new(),
                 channel_stats: ChannelStats::default(),
                 access_classes,
+                dram: DramTable::new(config.mutator_costs),
+                word_reads: vec![0; 2 * topology.num_nodes()],
                 topology,
-                mutator_costs: config.mutator_costs,
                 traffic: TrafficStats::new(),
                 ns_per_op,
                 clock_base_ns: 0.0,
@@ -1133,6 +1225,7 @@ mod tests {
     use crate::ctx::{alloc_checks, FieldInit};
     use crate::task::{Handle, RootSet, TaskResult};
     use mgc_heap::i64_to_word;
+    use mgc_numa::Traffic;
 
     #[test]
     fn machine_construction_spreads_vprocs() {
@@ -1313,7 +1406,18 @@ mod tests {
         assert!(state.heap.is_global(roots.slots()[0]));
     }
 
-    /// The integer ceil `charge_traffic` rounds with agrees with `f64::ceil`
+    /// SplitMix64 over `seed`.
+    fn split_mix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// The integer ceil the DRAM table rounds with agrees with `f64::ceil`
     /// on every byte count up to 1 MiB at the three default miss rates, and
     /// on random byte counts at 1,000 seeded random rates in [0, 1].
     #[test]
@@ -1333,15 +1437,7 @@ mod tests {
                 check(bytes, rate);
             }
         }
-        // SplitMix64 over a fixed seed.
-        let mut state = 0x5eed_u64;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = split_mix(0x5eed);
         for _ in 0..1_000 {
             let rate = (next() >> 11) as f64 / (1u64 << 53) as f64;
             for bytes in [0, 1, 8, 64, 1 << 20] {
@@ -1352,6 +1448,199 @@ mod tests {
             }
         }
         check(1 << 20, 1.0);
+    }
+
+    /// Charges one access the way the simulator charged each access before
+    /// one-word reads were folded: `ceil(bytes × rate)` DRAM bytes to
+    /// `node` (one line per 64 of them) and `ops` operations of compute.
+    struct PerAccess {
+        ns_per_op: f64,
+        cpu_ns: f64,
+        traffic_to: Vec<Traffic>,
+        mutator_bytes: [u64; 3],
+    }
+
+    impl PerAccess {
+        fn charge(&mut self, node: usize, class: AccessClass, bytes: usize, rate: f64, ops: u64) {
+            let dram = (bytes as f64 * rate).ceil() as u64;
+            self.traffic_to[node].add(Traffic::new(dram, dram / 64));
+            self.mutator_bytes[class as usize] += dram;
+            self.cpu_ns += ops as f64 * self.ns_per_op;
+        }
+    }
+
+    /// One-word reads are counted and folded into the round cost when the
+    /// context ends, exactly: one context reads local and global objects on
+    /// both nodes, with compute, a bulk read and an allocation that runs a
+    /// minor collection in between, and the round's traffic per node, the
+    /// run's mutator bytes per class and the compute's bits are what
+    /// charging every access at once gives.
+    #[test]
+    fn one_word_reads_fold_exactly_when_the_context_ends() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let mut machine = Machine::new(MachineConfig::small_for_tests(2));
+        let state = &mut machine.state;
+        let in_global = |state: &mut RuntimeState, vproc: usize, payload: &[Word]| {
+            let header = Header::new(ObjectKind::Raw, payload.len() as u64).encode();
+            state.heap.alloc_in_global(vproc, header, payload).unwrap()
+        };
+        let objects = [
+            state.heap.alloc_raw(0, &[1, 2, 3]).unwrap(),
+            in_global(state, 0, &[4, 5]),
+            in_global(state, 1, &[6, 7, 8, 9]),
+            state.heap.alloc_raw(1, &[10, 11]).unwrap(),
+        ];
+        let (node0, node1) = (NodeId::new(0), NodeId::new(1));
+        let placed: Vec<_> = objects
+            .iter()
+            .map(|&o| (state.heap.node_of(o), state.heap.is_local(o)))
+            .collect();
+        assert_eq!(
+            placed,
+            [(node0, true), (node0, false), (node1, false), (node1, true)]
+        );
+        let free = state.heap.local(0).nursery_free_words();
+        let mut roots = RootSet::default();
+        for object in objects {
+            roots.push(object);
+        }
+        let mut buffer = Vec::new();
+        let sum = on_vproc0(state, &mut roots, |ctx| {
+            let [local0, global0, global1, local1] = [0, 1, 2, 3].map(|i| ctx.input(i));
+            let mut sum = ctx.read_raw(local0, 0) + ctx.read_raw(global1, 3);
+            sum += ctx.read_raw(local1, 1) + ctx.read_raw(global0, 0);
+            ctx.work(17);
+            sum += ctx.read_raw(global1, 0) + ctx.read_raw(local1, 0);
+            ctx.read_words_into(global1, &mut buffer);
+            sum += ctx.read_raw(global0, 1);
+            // Vproc 1's object leaves the roots before vproc 0 collects.
+            ctx.truncate_roots(3);
+            // One word more than the nursery has left.
+            ctx.alloc_raw(&vec![0; free]);
+            sum + ctx.read_raw(local0, 2) + ctx.read_raw(global0, 1) + ctx.read_raw(local0, 1)
+        });
+        assert_eq!(sum, 1 + 9 + 11 + 4 + 6 + 10 + 5 + 3 + 5 + 2);
+        assert_eq!(buffer, [6, 7, 8, 9]);
+        assert_eq!(state.collector.vproc_stats(0).minor_collections, 1);
+
+        // The per-access charges in program order, with the collection's
+        // compute (its one recorded pause) where the allocation ran it.
+        let costs = MutatorCostModel::default();
+        let (local, global) = (costs.local_heap_miss_rate, costs.global_heap_miss_rate);
+        let (near, far) = (AccessClass::Local, AccessClass::CrossPackage);
+        let mut expected = PerAccess {
+            ns_per_op: state.ns_per_op,
+            cpu_ns: 0.0,
+            traffic_to: vec![Traffic::default(); 2],
+            mutator_bytes: [0; 3],
+        };
+        let read = |e: &mut PerAccess, node: usize, rate: f64| {
+            let class = if node == 0 { near } else { far };
+            e.charge(node, class, 8, rate, 1);
+        };
+        read(&mut expected, 0, local);
+        read(&mut expected, 1, global);
+        read(&mut expected, 1, local);
+        read(&mut expected, 0, global);
+        expected.cpu_ns += 17.0 * state.ns_per_op;
+        read(&mut expected, 1, global);
+        read(&mut expected, 1, local);
+        expected.charge(1, far, 5 * 8, global, 5);
+        read(&mut expected, 0, global);
+        let pauses = state.vprocs[0].stats.pauses;
+        assert_eq!(pauses.count, 1);
+        expected.cpu_ns += pauses.max_ns;
+        let alloc_words = free + 1;
+        let alloc_ops = alloc_words as u64 * 2;
+        expected.charge(0, near, alloc_words * 8, costs.alloc_miss_rate, alloc_ops);
+        read(&mut expected, 0, local);
+        read(&mut expected, 0, global);
+        read(&mut expected, 0, local);
+
+        // The collection's own traffic, all from vproc 0 on node 0.
+        let gc = state.traffic.gc_bytes;
+        assert_eq!(gc[AccessClass::SamePackage as usize], 0);
+        expected.traffic_to[0].bytes += gc[near as usize];
+        expected.traffic_to[1].bytes += gc[far as usize];
+
+        let round = &state.vprocs[0].round_cost;
+        assert_eq!(round.traffic_to, expected.traffic_to);
+        assert_eq!(state.traffic.mutator_bytes, expected.mutator_bytes);
+        assert_eq!(round.cpu_ns.to_bits(), expected.cpu_ns.to_bits());
+        assert!(state.vprocs[1].round_cost.is_idle());
+        assert_eq!(state.word_reads, [0; 4], "the fold clears the counts");
+    }
+
+    /// A task's one-word reads are in its vproc's round cost by the time
+    /// `Machine::run` checks the quantum: with the quantum between the
+    /// task's serial cost without its reads' traffic and with it, the task
+    /// ends the round and the task it spawned runs in a second one.
+    #[test]
+    fn folded_reads_count_at_the_quantum_check() {
+        const READS: usize = 1_000;
+        fn body(ctx: &mut TaskCtx<'_>) -> TaskResult {
+            let object = ctx.alloc_raw(&[1, 2, 3]);
+            ctx.send(ChannelId(0), object);
+            let sum: Word = (0..READS).map(|i| ctx.read_raw(object, i % 3)).sum();
+            ctx.spawn(TaskSpec::new("second", |_| TaskResult::Unit), &[]);
+            TaskResult::Value(sum)
+        }
+
+        // The root task's round cost, from a context driven by hand.
+        let mut probe = Machine::new(MachineConfig::small_for_tests(1));
+        probe.create_channel();
+        on_vproc0(&mut probe.state, &mut RootSet::default(), body);
+        let mut with = probe.state.vprocs[0].round_cost.clone();
+        with.add_cpu_ns(TASK_OVERHEAD_NS);
+        let mut without = with.clone();
+        let global = MutatorCostModel::default().global_heap_miss_rate;
+        let reads_bytes = READS as u64 * (8.0 * global).ceil() as u64;
+        let message = probe.state.channels[0].queue[0];
+        let node = probe.state.heap.node_of(message);
+        without.traffic_to[node.index()].bytes -= reads_bytes;
+        let (with, without) = (
+            probe.model.serial_cost_ns(&with),
+            probe.model.serial_cost_ns(&without),
+        );
+        assert!(without < with, "{without} < {with}");
+
+        let mut config = MachineConfig::small_for_tests(1);
+        config.quantum_ns = (with + without) / 2.0;
+        let mut machine = Machine::new(config);
+        machine.create_channel();
+        machine.spawn_root(TaskSpec::new("reads", body));
+        let report = machine.run();
+        assert_eq!(report.total_tasks(), 2);
+        assert_eq!(report.rounds, 2, "the reads end the first round");
+    }
+
+    /// Every entry of the DRAM table, and the first size past it, is
+    /// `ceil_to_u64(bytes × rate)` at the three default miss rates and at
+    /// 1,000 seeded random rates in [0, 1].
+    #[test]
+    fn dram_table_matches_ceil_to_u64() {
+        let check = |costs: MutatorCostModel| {
+            let table = DramTable::new(costs);
+            for words in 0..=DRAM_TABLE_WORDS {
+                for miss in Miss::ALL {
+                    let bytes = words * 8;
+                    let rate = miss.rate(&costs);
+                    let expected = ceil_to_u64(bytes as f64 * rate);
+                    assert_eq!(table.bytes(words, miss), expected, "{bytes} bytes x {rate}");
+                }
+            }
+        };
+        check(MutatorCostModel::default());
+        let mut next = split_mix(0x7ab1e);
+        let mut rate = || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        for _ in 0..1_000 {
+            check(MutatorCostModel {
+                local_heap_miss_rate: rate(),
+                global_heap_miss_rate: rate(),
+                alloc_miss_rate: rate(),
+            });
+        }
     }
 
     /// `read_words_into` appends exactly the words `read_words` returns,
