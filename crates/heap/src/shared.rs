@@ -1526,8 +1526,9 @@ impl Place<'_> {
         }
     }
 
-    /// The object's header slot: a header or a forwarding pointer.
-    #[inline]
+    /// The object's header slot: a header or a forwarding pointer. Always
+    /// inlined: the collectors' per-object header checks call it.
+    #[inline(always)]
     pub fn header_slot(&self) -> HeaderSlot {
         HeaderSlot::decode(match *self {
             Place::Local(words, offset) => words[offset - 1],
@@ -1540,7 +1541,7 @@ impl Place<'_> {
     /// # Panics
     ///
     /// Panics if the object has been forwarded.
-    #[inline]
+    #[inline(always)]
     pub fn header(&self) -> Header {
         self.header_slot().expect_header()
     }

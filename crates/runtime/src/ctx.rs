@@ -28,7 +28,9 @@
 //! and the field is then an index into the region found. Outside a
 //! collection a global-heap read is a load, as the paper's split heap
 //! intends (§2.3). The simulated backend charges the access to the node and
-//! region that same lookup returned ([`Heap::resolve`](mgc_heap::Heap::resolve)).
+//! region that same lookup returned ([`Heap::resolve`](mgc_heap::Heap::resolve));
+//! a one-word read's traffic is counted and charged when the context is
+//! dropped, before the scheduler next reads the round cost.
 //!
 //! **A read reuses the object the last read located.** The context keeps
 //! the last resolve's result: the address it ended at, the object's
