@@ -129,8 +129,8 @@ impl Miss {
     }
 }
 
-/// Objects up to this many words (header included) have their DRAM bytes
-/// tabulated: a rope leaf is 257.
+/// Accesses of fewer words than this (header included) have their DRAM
+/// bytes tabulated: a rope leaf is 257.
 const DRAM_TABLE_WORDS: usize = 512;
 
 /// The DRAM bytes of a mutator access of `words` words at each miss rate,
