@@ -8,7 +8,7 @@
 //! locally as well; nothing is shared between blocks.
 
 use crate::scale::Scale;
-use mgc_heap::{f64_to_word, word_to_f64};
+use mgc_heap::{f64_to_word, word_to_f64, Word};
 use mgc_runtime::{Checksum, Executor, Program, TaskResult, TaskSpec};
 
 /// Matrix dimension at the benchmark preset: cost grows with the cube of
@@ -92,6 +92,34 @@ fn b_elem(k: usize, j: usize) -> f64 {
     ((k + j * 5) % 11) as f64 * 0.5 - 2.0
 }
 
+/// Column `j` of B starts this far into [`b_cycle`]: B's generator depends
+/// on `k + 5j` only modulo 11, so `b_elem(k, j) == b_cycle(n)[k + b_offset(j)]`.
+fn b_offset(j: usize) -> usize {
+    (j * 5) % 11
+}
+
+/// `b_elem(m, 0)` for `m < n + 11`: every column of an `n`-row B is a
+/// window of this slice (see [`b_offset`]).
+fn b_cycle(n: usize) -> Vec<f64> {
+    (0..n + 11).map(|m| b_elem(m, 0)).collect()
+}
+
+/// Appends row `a_row` × B to `out`: for each column `j`, the dot product
+/// of `a_row` with B's column, summed in `k` order as the `b_elem` loop
+/// does, so every bit is the same.
+fn multiply_row(a_row: &[Word], b_cycle: &[f64], out: &mut Vec<f64>) {
+    let n = a_row.len();
+    out.extend((0..n).map(|j| {
+        let start = b_offset(j);
+        let column = &b_cycle[start..start + n];
+        let mut c = 0.0;
+        for (&a, &b) in a_row.iter().zip(column) {
+            c += word_to_f64(a) * b;
+        }
+        c
+    }));
+}
+
 /// The checksum (sum of all result elements) computed sequentially; used by
 /// tests to validate the parallel run.
 pub fn reference_checksum(scale: Scale) -> f64 {
@@ -143,6 +171,7 @@ pub fn spawn_with(machine: &mut dyn Executor, params: DmmParams) {
                     let mut row = Vec::with_capacity(n);
                     let mut result_row = Vec::with_capacity(n);
                     let mut back = Vec::with_capacity(n);
+                    let b_cycle = b_cycle(n);
                     for i in lo..hi {
                         let mark = ctx.root_mark();
                         // Materialise row i of A in the local heap, as the
@@ -152,16 +181,10 @@ pub fn spawn_with(machine: &mut dyn Executor, params: DmmParams) {
                         let row_handle = ctx.alloc_f64_slice(&row);
                         back.clear();
                         ctx.read_words_into(row_handle, &mut back);
-                        // Multiply against B (generated on the fly: B is not
-                        // shared between blocks).
+                        // Multiply against B (each block generates B's
+                        // 11-value cycle: B is not shared between blocks).
                         result_row.clear();
-                        for j in 0..n {
-                            let mut c = 0.0;
-                            for (k, &a) in back.iter().enumerate() {
-                                c += word_to_f64(a) * b_elem(k, j);
-                            }
-                            result_row.push(c);
-                        }
+                        multiply_row(&back, &b_cycle, &mut result_row);
                         // One row of the product is n dot products of length n.
                         ctx.work(2 * (n * n) as u64);
                         // The result row is a fresh local allocation.
@@ -233,6 +256,40 @@ mod tests {
             let fast = checksum_for(DmmParams { dimension });
             let slow = triple_loop_checksum(dimension);
             assert_eq!(fast.to_bits(), slow.to_bits(), "n = {dimension}");
+        }
+    }
+
+    /// Row `a_row` × B as the `b_elem` loop the block task ran before.
+    fn multiply_row_by_b_elem(a_row: &[Word]) -> Vec<f64> {
+        (0..a_row.len())
+            .map(|j| {
+                let mut c = 0.0;
+                for (k, &a) in a_row.iter().enumerate() {
+                    c += word_to_f64(a) * b_elem(k, j);
+                }
+                c
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_are_bit_identical_to_the_b_elem_loop() {
+        for n in [1, 4, 11, 12, 97] {
+            let cycle = b_cycle(n);
+            for k in 0..n {
+                for j in 0..n {
+                    assert_eq!(b_elem(k, j), cycle[k + b_offset(j)], "n = {n}");
+                }
+            }
+            let mut fast = Vec::new();
+            for i in 0..n {
+                let a_row: Vec<Word> = (0..n).map(|k| f64_to_word(a_elem(i, k))).collect();
+                fast.clear();
+                multiply_row(&a_row, &cycle, &mut fast);
+                let slow = multiply_row_by_b_elem(&a_row);
+                let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "n = {n}, row {i}");
+            }
         }
     }
 

@@ -6,8 +6,13 @@
 //! recursive sorts. The sequential partition at the top of the recursion is
 //! the reason the paper sees quicksort's speedup flatten on large machines
 //! ("limited by its fork-join parallelism", §4.2).
+//!
+//! The paper's Quicksort is compiled code, so the host work around the
+//! `TaskCtx` calls is kept small: the partition is one branch-free pass and
+//! the merge reads its three ropes into one `Vec` sized once. The partition
+//! is still sequential, and still the serial fraction.
 
-use crate::rope::{build_i64_rope, read_i64_rope};
+use crate::rope::{build_i64_rope, extend_from_i64_rope, read_i64_rope};
 use crate::scale::Scale;
 use mgc_heap::{i64_to_word, word_to_i64};
 use mgc_runtime::{Checksum, Executor, Handle, Program, TaskCtx, TaskResult, TaskSpec};
@@ -115,20 +120,17 @@ fn sort_task(depth: usize) -> TaskSpec {
         }
         // Median-of-three pivot, then a sequential partition — this is the
         // serial fraction that limits scalability.
-        let pivot = {
-            let a = values[0];
-            let b = values[values.len() / 2];
-            let c = values[values.len() - 1];
-            a.max(b.min(c)).min(b.max(c))
-        };
-        ctx.work(values.len() as u64 * 4);
-        let less: Vec<i64> = values.iter().copied().filter(|&v| v < pivot).collect();
-        let equal: Vec<i64> = values.iter().copied().filter(|&v| v == pivot).collect();
-        let greater: Vec<i64> = values.iter().copied().filter(|&v| v > pivot).collect();
-
+        let pivot = median_of_three(&values);
+        let n = values.len();
+        ctx.work(n as u64 * 4);
+        let (less, greater, equal) = partition(values, pivot);
+        // Each host buffer is dropped once its rope is built.
         let less_rope = build_i64_rope_or_empty(ctx, &less);
+        drop(less);
         let greater_rope = build_i64_rope_or_empty(ctx, &greater);
-        let equal_rope = build_i64_rope(ctx, &equal);
+        drop(greater);
+        // The pivot is one of the three sampled values, so `equal >= 1`.
+        let equal_rope = build_i64_rope(ctx, &vec![pivot; equal]);
 
         let children = vec![
             (sort_task(depth + 1), vec![less_rope]),
@@ -136,24 +138,12 @@ fn sort_task(depth: usize) -> TaskSpec {
         ];
         ctx.fork_join(
             children,
-            TaskSpec::new("qsort-merge", |ctx| {
-                // Inputs: [equal, sorted-less, sorted-greater]. Empty-side
-                // sentinels (see `build_i64_rope_or_empty`) are dropped here,
-                // so they never appear past one recursion level and the
-                // merged rope is exactly the sorted subsequence.
+            TaskSpec::new("qsort-merge", move |ctx| {
+                // Inputs: [equal, sorted-less, sorted-greater].
                 let equal = ctx.input(0);
                 let sorted_less = ctx.input(1);
                 let sorted_greater = ctx.input(2);
-                let mut merged: Vec<i64> = read_i64_rope(ctx, sorted_less)
-                    .into_iter()
-                    .filter(|&v| v != i64::MIN)
-                    .collect();
-                merged.extend(read_i64_rope(ctx, equal));
-                merged.extend(
-                    read_i64_rope(ctx, sorted_greater)
-                        .into_iter()
-                        .filter(|&v| v != i64::MIN),
-                );
+                let merged = merge(ctx, n, equal, sorted_less, sorted_greater);
                 ctx.work(merged.len() as u64 * 2);
                 let out = build_i64_rope(ctx, &merged);
                 TaskResult::Ptr(out)
@@ -162,6 +152,57 @@ fn sort_task(depth: usize) -> TaskSpec {
         );
         TaskResult::Unit
     })
+}
+
+/// The median of the first, middle and last elements.
+fn median_of_three(values: &[i64]) -> i64 {
+    let a = values[0];
+    let b = values[values.len() / 2];
+    let c = values[values.len() - 1];
+    a.max(b.min(c)).min(b.max(c))
+}
+
+/// Splits `values` around `pivot` in one pass: the elements below it and
+/// the elements above it, each in input order, and the number equal to it.
+/// The pass has no data-dependent branch: every element is written to the
+/// next free slot of both sides, and each side's cursor advances by its
+/// comparison's outcome, so a slot is kept only when the element belongs
+/// there. The less side is compacted in place (its cursor never passes the
+/// element being read), so the pass holds `2n` words of host memory.
+fn partition(mut values: Vec<i64>, pivot: i64) -> (Vec<i64>, Vec<i64>, usize) {
+    let n = values.len();
+    let mut greater = vec![0; n];
+    let (mut nl, mut ng) = (0, 0);
+    for i in 0..n {
+        let v = values[i];
+        values[nl] = v;
+        greater[ng] = v;
+        nl += usize::from(v < pivot);
+        ng += usize::from(v > pivot);
+    }
+    values.truncate(nl);
+    greater.truncate(ng);
+    (values, greater, n - nl - ng)
+}
+
+/// The sorted sequence of a partitioned level of `n` elements: the sorted
+/// less side, the equal run, then the sorted greater side, read in that
+/// order into one `Vec` of capacity `n`. Empty-side sentinels (see
+/// `build_i64_rope_or_empty`) are dropped here, so they never appear past
+/// one recursion level and the result is exactly the `n` sorted elements.
+fn merge(
+    ctx: &mut TaskCtx<'_>,
+    n: usize,
+    equal: Handle,
+    sorted_less: Handle,
+    sorted_greater: Handle,
+) -> Vec<i64> {
+    let not_sentinel = |v| v != i64::MIN;
+    let mut merged = Vec::with_capacity(n);
+    extend_from_i64_rope(ctx, sorted_less, &mut merged, not_sentinel);
+    extend_from_i64_rope(ctx, equal, &mut merged, |_| true);
+    extend_from_i64_rope(ctx, sorted_greater, &mut merged, not_sentinel);
+    merged
 }
 
 /// Ropes must be non-empty, so an empty partition is represented by a
@@ -228,7 +269,7 @@ pub fn reference_checksum(scale: Scale) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgc_runtime::{Machine, MachineConfig};
+    use mgc_runtime::{Machine, MachineConfig, TaskSpec};
 
     #[test]
     fn sorting_produces_the_sorted_sequence() {
@@ -259,6 +300,109 @@ mod tests {
             take_checksum(&mut machine),
             Some(positional_checksum(&sorted))
         );
+    }
+
+    /// The partition as the three filters `sort_task` ran before.
+    fn partition_by_filters(values: &[i64], pivot: i64) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
+        let less = values.iter().copied().filter(|&v| v < pivot).collect();
+        let equal = values.iter().copied().filter(|&v| v == pivot).collect();
+        let greater = values.iter().copied().filter(|&v| v > pivot).collect();
+        (less, equal, greater)
+    }
+
+    /// The merge as `qsort-merge` ran it before: a `collect` and two
+    /// `extend`s.
+    fn merge_by_collect(
+        ctx: &mut TaskCtx<'_>,
+        equal: Handle,
+        sorted_less: Handle,
+        sorted_greater: Handle,
+    ) -> Vec<i64> {
+        let mut merged: Vec<i64> = read_i64_rope(ctx, sorted_less)
+            .into_iter()
+            .filter(|&v| v != i64::MIN)
+            .collect();
+        merged.extend(read_i64_rope(ctx, equal));
+        merged.extend(
+            read_i64_rope(ctx, sorted_greater)
+                .into_iter()
+                .filter(|&v| v != i64::MIN),
+        );
+        merged
+    }
+
+    /// `n` values in `[0, range)` from a splitmix64 stream over `seed`.
+    fn seeded(seed: u64, n: usize, range: u64) -> Vec<i64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) % range) as i64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_partition_equals_the_three_filters() {
+        let mut inputs = vec![
+            vec![5; 300],                          // all equal: both sides empty
+            vec![1, 2, 3],                         // pivot 2: one each
+            vec![3, 3, 1, 1, 3],                   // pivot 3: greater side empty
+            vec![1, 1, 3, 3, 1],                   // pivot 1: less side empty
+            vec![i64::MIN, 4, i64::MIN],           // the sentinel value as input
+            vec![i64::MIN, i64::MAX, 0, i64::MIN], // extremes
+            generate_input(SEQUENTIAL_CUTOFF + 1),
+        ];
+        for seed in 0..20 {
+            // Small ranges force duplicates of the pivot.
+            for range in [2, 3, 17, 1_000_000] {
+                inputs.push(seeded(seed, 1 + (seed as usize * 37) % 700, range));
+            }
+        }
+        for values in &inputs {
+            let pivot = median_of_three(values);
+            let (less, greater, equal) = partition(values.clone(), pivot);
+            let (want_less, want_equal, want_greater) = partition_by_filters(values, pivot);
+            assert_eq!(less, want_less);
+            assert_eq!(vec![pivot; equal], want_equal);
+            assert_eq!(greater, want_greater);
+        }
+    }
+
+    #[test]
+    fn presized_merge_equals_the_collect_merge() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        machine.spawn_root(TaskSpec::new("merge-oracle", |ctx| {
+            let sentinel = vec![i64::MIN];
+            let cases: Vec<(Vec<i64>, Vec<i64>, Vec<i64>)> = vec![
+                (vec![-3, -1], vec![0; 2], vec![4, 9]),
+                (sentinel.clone(), vec![7; 300], (8..520).collect()),
+                ((-600..-1).collect(), vec![0], sentinel.clone()),
+                (sentinel.clone(), vec![1; 257], sentinel.clone()),
+                ((0..256).collect(), vec![256; 513], (257..770).collect()),
+            ];
+            for (less, equal, greater) in cases {
+                let mark = ctx.root_mark();
+                let n = [&less, &equal, &greater]
+                    .iter()
+                    .map(|side| side.iter().filter(|&&v| v != i64::MIN).count())
+                    .sum();
+                let equal_rope = build_i64_rope(ctx, &equal);
+                let less_rope = build_i64_rope(ctx, &less);
+                let greater_rope = build_i64_rope(ctx, &greater);
+                let merged = merge(ctx, n, equal_rope, less_rope, greater_rope);
+                let want = merge_by_collect(ctx, equal_rope, less_rope, greater_rope);
+                assert_eq!(merged, want);
+                assert_eq!(merged.len(), n);
+                assert_eq!(merged.capacity(), Vec::<i64>::with_capacity(n).capacity());
+                ctx.truncate_roots(mark);
+            }
+            TaskResult::Unit
+        }));
+        machine.run();
     }
 
     #[test]

@@ -2,12 +2,19 @@
 //!
 //! Manticore represents parallel arrays as ropes: trees whose leaves are
 //! modest contiguous chunks. That representation is what makes large arrays
-//! compatible with a nursery-sized local heap — no single object ever
-//! exceeds a few kilobytes — and it is how the workloads here store their
-//! matrices, particle sets, and integer sequences.
+//! compatible with a nursery-sized local heap, and it is how the workloads
+//! here store their matrices, particle sets, and integer sequences.
 //!
 //! For simplicity the reproduction uses a two-level rope: a spine vector of
-//! pointers to raw leaf objects.
+//! pointers to raw leaf objects. A leaf is at most [`LEAF_SIZE`] words, but
+//! the spine holds one pointer per leaf, ⌈n / 256⌉ words for n elements:
+//! 1,954 words (about 15 KiB) at 500,000 elements. The spine is the one
+//! object whose size grows with the input, and at `MGC_SCALE=small` figure
+//! 8's Quicksort spine does not fit an emptied nursery (ROADMAP `[scales]`).
+//!
+//! `read_*_rope` size their output once, from the spine's length, before
+//! reading any leaf, so a read never regrows its `Vec`.
+//! `extend_from_i64_rope` appends to a `Vec` its caller has sized.
 
 use mgc_heap::{f64_to_word, i64_to_word, word_to_f64, word_to_i64, Word};
 use mgc_runtime::{Handle, TaskCtx};
@@ -37,7 +44,7 @@ pub fn build_i64_rope(ctx: &mut TaskCtx<'_>, values: &[i64]) -> Handle {
 /// `to_word` (generic, so the conversion inlines into the fill loop).
 fn build_rope<T: Copy>(ctx: &mut TaskCtx<'_>, values: &[T], to_word: impl Fn(T) -> Word) -> Handle {
     assert!(!values.is_empty(), "ropes must hold at least one element");
-    let mut leaves = Vec::new();
+    let mut leaves = Vec::with_capacity(values.len().div_ceil(LEAF_SIZE));
     for chunk in values.chunks(LEAF_SIZE) {
         leaves.push(Some(ctx.alloc_raw_with(chunk.len(), |i| to_word(chunk[i]))));
     }
@@ -71,16 +78,48 @@ pub fn read_i64_rope(ctx: &mut TaskCtx<'_>, rope: Handle) -> Vec<i64> {
         .collect()
 }
 
+/// Appends the values of an `i64` rope to `out`, in order, keeping those
+/// for which `keep` holds. Each leaf is read into one reused buffer, so this
+/// allocates nothing when `out` has room. It makes the same `TaskCtx` calls
+/// as [`read_i64_rope`].
+pub fn extend_from_i64_rope(
+    ctx: &mut TaskCtx<'_>,
+    rope: Handle,
+    out: &mut Vec<i64>,
+    keep: impl Fn(i64) -> bool,
+) {
+    let leaves = ctx.len(rope);
+    let mut words = Vec::with_capacity(LEAF_SIZE);
+    for_each_leaf(ctx, rope, leaves, |ctx, leaf| {
+        words.clear();
+        ctx.read_words_into(leaf, &mut words);
+        out.extend(words.iter().map(|&w| word_to_i64(w)).filter(|&v| keep(v)));
+    });
+}
+
 fn read_word_rope(ctx: &mut TaskCtx<'_>, rope: Handle) -> Vec<Word> {
     let leaves = ctx.len(rope);
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(leaves * LEAF_SIZE);
+    for_each_leaf(ctx, rope, leaves, |ctx, leaf| {
+        ctx.read_words_into(leaf, &mut out)
+    });
+    out
+}
+
+/// Calls `read` on each of the rope's `leaves` leaves in order, with the
+/// leaf's root pushed for the call and popped after it.
+fn for_each_leaf(
+    ctx: &mut TaskCtx<'_>,
+    rope: Handle,
+    leaves: usize,
+    mut read: impl FnMut(&mut TaskCtx<'_>, Handle),
+) {
     for i in 0..leaves {
         let mark = ctx.root_mark();
         let leaf = ctx.read_ptr(rope, i).expect("rope leaves are never null");
-        ctx.read_words_into(leaf, &mut out);
+        read(ctx, leaf);
         ctx.truncate_roots(mark);
     }
-    out
 }
 
 #[cfg(test)]
@@ -120,6 +159,30 @@ mod tests {
         }));
         let report = machine.run();
         assert!(report.gc.minor_collections > 0);
+    }
+
+    #[test]
+    fn i64_rope_round_trips_at_leaf_boundaries() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        machine.spawn_root(TaskSpec::new("rope-boundaries", |ctx| {
+            for n in [1usize, 255, 256, 257, 513] {
+                let data: Vec<i64> = (0..n as i64).map(|i| i * 7 - 900).collect();
+                let mark = ctx.root_mark();
+                let rope = build_i64_rope(ctx, &data);
+                assert_eq!(ctx.len(rope), n.div_ceil(LEAF_SIZE), "spine of {n}");
+                let back = read_i64_rope(ctx, rope);
+                assert_eq!(back, data, "n = {n}");
+                assert_eq!(back.capacity(), n.div_ceil(LEAF_SIZE) * LEAF_SIZE);
+                let mut odd = vec![i64::MIN];
+                extend_from_i64_rope(ctx, rope, &mut odd, |v| v % 2 != 0);
+                let mut expected = vec![i64::MIN];
+                expected.extend(data.iter().copied().filter(|v| v % 2 != 0));
+                assert_eq!(odd, expected, "n = {n}");
+                ctx.truncate_roots(mark);
+            }
+            TaskResult::Unit
+        }));
+        machine.run();
     }
 
     #[test]
