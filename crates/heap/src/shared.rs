@@ -1526,6 +1526,24 @@ impl Place<'_> {
         }
     }
 
+    /// Payload fields `first..first + N` of the object, in order: one match
+    /// on the region, then `N` loads.
+    #[inline(always)]
+    pub fn read_fields<const N: usize>(&self, first: usize) -> [Word; N] {
+        let mut out = [0; N];
+        match *self {
+            Place::Local(words, offset) => {
+                out.copy_from_slice(&words[offset + first..offset + first + N]);
+            }
+            Place::Global(chunk, offset) => {
+                for (i, word) in out.iter_mut().enumerate() {
+                    *word = chunk.read(offset + first + i);
+                }
+            }
+        }
+        out
+    }
+
     /// The object's header slot: a header or a forwarding pointer. Always
     /// inlined: the collectors' per-object header checks call it.
     #[inline(always)]

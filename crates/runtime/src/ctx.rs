@@ -44,6 +44,18 @@
 //! not the handle, so two handles to one object share it, and `read_ptr`'s
 //! new root keeps it.
 //!
+//! **A run of fields is one access.** [`TaskCtx::read_fields`] reads `N`
+//! consecutive fields of one object, and [`TaskCtx::read_ptrs`] `N`
+//! consecutive pointer fields, in one access: one root-slot compare, one
+//! resolve when that misses, then `N` loads — the paper's mutator loads a
+//! node's fields through the one pointer it holds in a register (§2.3). They
+//! are the one field-read path: `read_raw`, `read_f64` and `read_ptr` are
+//! their `N = 1` case. A run charges what `N` single reads charge: `N`
+//! one-word reads, in order, never one bulk read (the DRAM table rounds a
+//! bulk read differently). `read_ptrs` pushes one root per non-null field,
+//! in field order. So virtual time and the root set are exactly those of `N`
+//! single reads. Debug builds assert that a run lies inside the payload.
+//!
 //! The clearing rule: every operation that can reach a safe point, promote
 //! or allocate forgets the stored object — `alloc_*`, `truncate_roots`,
 //! `keep`, `wait_until_ns`, `spawn`, `fork_join`, `send`, `recv` and the
@@ -97,8 +109,8 @@ use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
 use mgc_heap::{
-    f64_to_word, word_to_f64, Addr, DescriptorId, ObjectKind, Place, Resolved, SharedGlobalHeap,
-    Word,
+    f64_to_word, word_to_f64, Addr, DescriptorId, HeaderSlot, ObjectKind, Place, Resolved,
+    SharedGlobalHeap, Word,
 };
 
 /// How one field of a mixed-type object is initialised.
@@ -453,13 +465,15 @@ impl<'a> TaskCtx<'a> {
     /// Resolves `handle` to the current copy of its object — updating the
     /// root slot so later accesses are direct — and reads from it in the
     /// same step: `read` gets the located object on either backend. The
-    /// simulated backend then charges `words(place)` words to the node and
-    /// region the object was found in. A slot holding the address the last
-    /// read resolved to is served from that read's location (module doc).
+    /// simulated backend then charges `accesses` accesses of `words(place)`
+    /// words each, one after another, to the node and region the object was
+    /// found in. A slot holding the address the last read resolved to is
+    /// served from that read's location (module doc).
     #[inline(always)]
     fn access<R>(
         &mut self,
         handle: Handle,
+        accesses: usize,
         words: impl FnOnce(Place<'_>) -> usize,
         read: impl FnOnce(Place<'_>) -> R,
     ) -> R {
@@ -483,17 +497,70 @@ impl<'a> TaskCtx<'a> {
             CtxState::Sim(state) => {
                 let place = state.heap.place_of(found.location);
                 let (value, local, words) = (read(place), place.is_local(), words(place));
-                state.charge_access(self.vproc, found.node, local, words);
+                for _ in 0..accesses {
+                    state.charge_access(self.vproc, found.node, local, words);
+                }
                 value
             }
             CtxState::Threaded(worker) => read(worker.heap.place_of(found.location)),
         }
     }
 
+    /// Reads the `N` raw fields `first..first + N` of the object behind
+    /// `handle` in one access: one resolve (or remembered-location check),
+    /// then `N` loads. The simulated backend charges `N` one-word reads, in
+    /// order, exactly what `N` [`TaskCtx::read_raw`] calls charge. The one
+    /// field read: every other field read is its `N = 1` case.
+    ///
+    /// Debug builds assert that the fields lie inside the object's payload.
+    #[inline]
+    pub fn read_fields<const N: usize>(&mut self, handle: Handle, first: usize) -> [Word; N] {
+        self.access(
+            handle,
+            N,
+            |_| 1,
+            |place| {
+                // A forwarded header is skipped: outside a scan phase the
+                // read rule never loads a global header, and the read-rule
+                // tests forge a forwarding word into one.
+                debug_assert!(
+                    match place.header_slot() {
+                        HeaderSlot::Header(header) => first + N <= header.len_words as usize,
+                        HeaderSlot::Forwarded(_) => true,
+                    },
+                    "fields {first}..{} read past the end of the object",
+                    first + N,
+                );
+                place.read_fields(first)
+            },
+        )
+    }
+
+    /// Reads the `N` pointer fields `first..first + N` in one access
+    /// ([`TaskCtx::read_fields`]) and registers each non-null target as a
+    /// new root, in field order — the roots `N` [`TaskCtx::read_ptr`] calls
+    /// push. A null field reads as `None` and pushes nothing.
+    #[inline]
+    pub fn read_ptrs<const N: usize>(
+        &mut self,
+        handle: Handle,
+        first: usize,
+    ) -> [Option<Handle>; N] {
+        let words: [Word; N] = self.read_fields(handle, first);
+        let mut ptrs = [None; N];
+        for (ptr, &word) in ptrs.iter_mut().zip(&words) {
+            if word != 0 {
+                *ptr = Some(self.push_root(Addr::new(word)));
+            }
+        }
+        ptrs
+    }
+
     /// Reads a raw field of the object behind `handle`.
     #[inline]
     pub fn read_raw(&mut self, handle: Handle, index: usize) -> Word {
-        self.access(handle, |_| 1, |place| place.read(index))
+        let [word] = self.read_fields(handle, index);
+        word
     }
 
     /// Reads a raw field as an `f64`.
@@ -506,10 +573,8 @@ impl<'a> TaskCtx<'a> {
     /// returning its handle (or `None` for a null field).
     #[inline]
     pub fn read_ptr(&mut self, handle: Handle, index: usize) -> Option<Handle> {
-        match self.read_raw(handle, index) {
-            0 => None,
-            word => Some(self.push_root(Addr::new(word))),
-        }
+        let [ptr] = self.read_ptrs(handle, index);
+        ptr
     }
 
     /// Appends the whole payload of the object behind `handle` to `out`,
@@ -521,6 +586,7 @@ impl<'a> TaskCtx<'a> {
     pub fn read_words_into(&mut self, handle: Handle, out: &mut Vec<Word>) {
         self.access(
             handle,
+            1,
             |place| place.header().total_words(),
             |place| place.payload_into(out),
         )
@@ -536,7 +602,8 @@ impl<'a> TaskCtx<'a> {
     /// The number of payload words of the object behind `handle`.
     #[inline]
     pub fn len(&mut self, handle: Handle) -> usize {
-        self.access(handle, |_| 0, |place| place.header()).len_words as usize
+        self.access(handle, 1, |_| 0, |place| place.header())
+            .len_words as usize
     }
 
     /// True if the object behind `handle` has no payload (never the case for
@@ -774,7 +841,7 @@ pub(crate) mod alloc_checks {
 
     /// Fills the `free` words left in the nursery exactly with non-zero
     /// garbage objects and drops them, so the next allocation collects.
-    fn fill_nursery_with_garbage(ctx: &mut TaskCtx<'_>, free: usize) {
+    pub(super) fn fill_nursery_with_garbage(ctx: &mut TaskCtx<'_>, free: usize) {
         let mark = ctx.root_mark();
         let mut left = free;
         while left > 18 {
@@ -820,5 +887,164 @@ pub(crate) mod alloc_checks {
             let expected: Vec<Word> = (0..len).map(fill_word).collect();
             assert_eq!(ctx.read_words(obj), expected);
         }
+    }
+}
+
+/// Checks of [`TaskCtx::read_fields`] and [`TaskCtx::read_ptrs`] that must
+/// hold on both backends: every run of fields reads what single reads and
+/// the bulk read return, and a run of pointers pushes the roots that single
+/// reads push. Each backend's tests run them on a context it drives by
+/// hand; `desc` is a registered descriptor of seven fields whose first four
+/// are pointers, the shape of a Barnes-Hut quadtree node.
+#[cfg(test)]
+pub(crate) mod read_checks {
+    use super::*;
+    use mgc_heap::GcHeap;
+
+    /// The payloads of the two leaves a node points to.
+    const LEAVES: [&[Word]; 2] = [&[10, 11], &[12]];
+
+    /// A node with children `[leaf 0, null, leaf 1, null]`, and one whose
+    /// four children are all null; both end in three raw words, one zero.
+    fn alloc_nodes(ctx: &mut TaskCtx<'_>, desc: DescriptorId) -> [Handle; 2] {
+        let [a, b] = LEAVES.map(|leaf| Some(ctx.alloc_raw(leaf)));
+        let raw = [FieldInit::Raw(7), FieldInit::Raw(0), FieldInit::F64(-2.5)];
+        let null = FieldInit::Ptr(None);
+        let node = [FieldInit::Ptr(a), null, FieldInit::Ptr(b), null];
+        let leaf = [null; 4];
+        [node, leaf].map(|children| ctx.alloc_mixed(desc, &[&children[..], &raw[..]].concat()))
+    }
+
+    fn slots(ctx: &TaskCtx<'_>, handles: [Handle; 2]) -> [Addr; 2] {
+        handles.map(|h| ctx.roots.slots()[h.index()])
+    }
+
+    fn is_global(ctx: &TaskCtx<'_>, addr: Addr) -> bool {
+        match &ctx.state {
+            CtxState::Sim(state) => state.heap.is_global(addr),
+            CtxState::Threaded(worker) => worker.heap.is_global(addr),
+        }
+    }
+
+    fn nursery_free_words(ctx: &TaskCtx<'_>) -> usize {
+        match &ctx.state {
+            CtxState::Sim(state) => state.heap.local(ctx.vproc).nursery_free_words(),
+            CtxState::Threaded(worker) => worker.heap.local(ctx.vproc).nursery_free_words(),
+        }
+    }
+
+    /// Every run of `N` fields of `obj` equals `N` single reads and the
+    /// same words of the bulk read.
+    fn fields_match<const N: usize>(ctx: &mut TaskCtx<'_>, obj: Handle) {
+        let words = ctx.read_words(obj);
+        for first in 0..=words.len() - N {
+            let run: [Word; N] = ctx.read_fields(obj, first);
+            let singles: Vec<Word> = (first..first + N).map(|i| ctx.read_raw(obj, i)).collect();
+            assert_eq!(run[..], singles[..], "fields {first}..{}", first + N);
+            assert_eq!(run[..], words[first..first + N]);
+        }
+    }
+
+    /// Every run of `N` of `obj`'s four pointer fields returns what `N`
+    /// single reads return and pushes the same roots in the same order: one
+    /// per non-null field, holding that field's word.
+    fn ptrs_match<const N: usize>(ctx: &mut TaskCtx<'_>, obj: Handle) {
+        let words = ctx.read_words(obj);
+        for first in 0..=4 - N {
+            let mark = ctx.root_mark();
+            let run: [Option<Handle>; N] = ctx.read_ptrs(obj, first);
+            let pushed = ctx.roots.slots()[mark..].to_vec();
+            ctx.truncate_roots(mark);
+            let singles: Vec<Option<Handle>> =
+                (first..first + N).map(|i| ctx.read_ptr(obj, i)).collect();
+            assert_eq!(run[..], singles[..], "pointers {first}..{}", first + N);
+            assert_eq!(pushed, ctx.roots.slots()[mark..], "the same roots");
+            let non_null: Vec<Word> = words[first..first + N]
+                .iter()
+                .copied()
+                .filter(|&w| w != 0)
+                .collect();
+            let pushed: Vec<Word> = pushed.iter().map(|a| a.raw()).collect();
+            assert_eq!(pushed, non_null, "one root per non-null field, in order");
+            ctx.truncate_roots(mark);
+        }
+    }
+
+    /// Both nodes read alike by runs and by single fields, and the
+    /// children a run returns lead to the leaves.
+    fn runs_match(ctx: &mut TaskCtx<'_>, nodes: [Handle; 2]) {
+        for obj in nodes {
+            fields_match::<1>(ctx, obj);
+            fields_match::<2>(ctx, obj);
+            fields_match::<3>(ctx, obj);
+            fields_match::<4>(ctx, obj);
+            fields_match::<7>(ctx, obj);
+            ptrs_match::<1>(ctx, obj);
+            ptrs_match::<2>(ctx, obj);
+            ptrs_match::<3>(ctx, obj);
+            ptrs_match::<4>(ctx, obj);
+        }
+        let mark = ctx.root_mark();
+        let [a, null_a, b, null_b] = ctx.read_ptrs(nodes[0], 0);
+        assert_eq!((null_a, null_b), (None, None));
+        for (child, leaf) in [a, b].into_iter().zip(LEAVES) {
+            assert_eq!(ctx.read_words(child.expect("a child")), leaf);
+        }
+        assert_eq!(ctx.read_ptrs::<4>(nodes[1], 0), [None; 4]);
+        assert_eq!(ctx.root_mark(), mark + 2, "null children push no roots");
+        ctx.truncate_roots(mark);
+    }
+
+    /// Runs and single reads agree on objects in the local heap.
+    pub(crate) fn match_on_a_local_object(ctx: &mut TaskCtx<'_>, desc: DescriptorId) {
+        let nodes = alloc_nodes(ctx, desc);
+        assert!(!slots(ctx, nodes).iter().any(|&a| is_global(ctx, a)));
+        runs_match(ctx, nodes);
+    }
+
+    /// Runs and single reads agree on promoted objects. The first read of
+    /// each node is a run through the local original's forwarding word: it
+    /// finds the copy, whose children are global too.
+    pub(crate) fn match_on_a_promoted_object(
+        ctx: &mut TaskCtx<'_>,
+        desc: DescriptorId,
+        channel: ChannelId,
+    ) {
+        let nodes = alloc_nodes(ctx, desc);
+        for node in nodes {
+            ctx.send(channel, node);
+        }
+        let originals = slots(ctx, nodes);
+        for node in nodes {
+            let children: [Word; 4] = ctx.read_fields(node, 0);
+            for child in children.into_iter().filter(|&w| w != 0) {
+                assert!(is_global(ctx, Addr::new(child)), "the copy's child");
+            }
+        }
+        runs_match(ctx, nodes);
+        let copies = slots(ctx, nodes);
+        assert_ne!(copies, originals, "the slots now name the copies");
+        assert!(copies.iter().all(|&a| is_global(ctx, a)));
+    }
+
+    /// Runs and single reads agree on objects an allocation's collection
+    /// moved. The caller checks that exactly one minor collection ran.
+    pub(crate) fn match_after_an_allocation_that_collects(
+        ctx: &mut TaskCtx<'_>,
+        desc: DescriptorId,
+    ) {
+        let nodes = alloc_nodes(ctx, desc);
+        let before = slots(ctx, nodes);
+        let free = nursery_free_words(ctx);
+        alloc_checks::fill_nursery_with_garbage(ctx, free);
+        ctx.alloc_raw(&[1]);
+        assert_ne!(slots(ctx, nodes), before, "the collection moved the nodes");
+        runs_match(ctx, nodes);
+    }
+
+    /// Reads fields 2..4 of a 3-word object: a debug build panics.
+    pub(crate) fn read_past_the_end(ctx: &mut TaskCtx<'_>) {
+        let obj = ctx.alloc_raw(&[1, 2, 3]);
+        let _: [Word; 2] = ctx.read_fields(obj, 2);
     }
 }

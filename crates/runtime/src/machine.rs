@@ -1222,9 +1222,9 @@ impl RuntimeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{alloc_checks, FieldInit};
+    use crate::ctx::{alloc_checks, read_checks, FieldInit};
     use crate::task::{Handle, RootSet, TaskResult};
-    use mgc_heap::i64_to_word;
+    use mgc_heap::{f64_to_word, i64_to_word, word_to_f64};
     use mgc_numa::Traffic;
 
     #[test]
@@ -1712,6 +1712,107 @@ mod tests {
         };
         let (traffic, elapsed, result) = run(true);
         assert_eq!(result, Some((100 * (15 + 21), false)));
+        assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
+        assert_eq!((traffic, elapsed, result), run(false));
+    }
+
+    // Runs of fields (`ctx::read_checks` holds the bodies; the threaded
+    // backend runs the same ones).
+
+    /// A machine with the checks' node descriptor and one channel.
+    fn machine_for_read_checks() -> (Machine, DescriptorId, ChannelId) {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(2));
+        let desc = machine.register_descriptor(Descriptor::new("node", 7, 0b1111));
+        let channel = machine.create_channel();
+        (machine, desc, channel)
+    }
+
+    #[test]
+    fn read_fields_match_single_reads_on_a_local_object() {
+        let (mut machine, desc, _) = machine_for_read_checks();
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            read_checks::match_on_a_local_object(ctx, desc)
+        });
+    }
+
+    #[test]
+    fn read_fields_match_single_reads_on_a_promoted_object() {
+        let (mut machine, desc, channel) = machine_for_read_checks();
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            read_checks::match_on_a_promoted_object(ctx, desc, channel)
+        });
+    }
+
+    #[test]
+    fn read_fields_match_single_reads_after_an_allocation_that_collects() {
+        let (mut machine, desc, _) = machine_for_read_checks();
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            read_checks::match_after_an_allocation_that_collects(ctx, desc)
+        });
+        let stats = machine.state.collector.vproc_stats(0);
+        assert_eq!(stats.minor_collections, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read past the end")]
+    fn read_fields_past_the_end_panics_in_debug_builds() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let mut roots = RootSet::default();
+        on_vproc0(
+            &mut machine.state,
+            &mut roots,
+            read_checks::read_past_the_end,
+        );
+    }
+
+    /// A Barnes-Hut node visit by runs — `read_fields` of three fields,
+    /// compute, `read_ptrs` of four — charges exactly what seven single
+    /// reads charge: the run's traffic and its virtual elapsed time are
+    /// bit-identical, on a local and a promoted node. Fails if a run is
+    /// charged as one bulk read.
+    #[test]
+    fn read_fields_is_charged_like_n_read_raws() {
+        let run = |runs: bool| {
+            let (mut machine, desc, channel) = machine_for_read_checks();
+            machine.spawn_root(TaskSpec::new("node-visits", move |ctx| {
+                let leaf = Some(ctx.alloc_raw(&[1]));
+                let mut node = || {
+                    let children = [leaf, None, leaf, None].map(FieldInit::Ptr);
+                    let mass = [0.5, 1.5, 2.5].map(FieldInit::F64);
+                    ctx.alloc_mixed(desc, &[&children[..], &mass[..]].concat())
+                };
+                let (local, promoted) = (node(), node());
+                ctx.send(channel, promoted);
+                let mut sum = 0.0;
+                for _ in 0..100 {
+                    for handle in [local, promoted] {
+                        let mark = ctx.root_mark();
+                        let (fields, children) = if runs {
+                            let fields: [Word; 3] = ctx.read_fields(handle, 4);
+                            ctx.work(16);
+                            (fields, ctx.read_ptrs::<4>(handle, 0))
+                        } else {
+                            let fields = [4, 5, 6].map(|i| ctx.read_raw(handle, i));
+                            ctx.work(16);
+                            (fields, [0, 1, 2, 3].map(|i| ctx.read_ptr(handle, i)))
+                        };
+                        sum += fields.map(word_to_f64).iter().sum::<f64>();
+                        sum += children.iter().flatten().count() as f64;
+                        ctx.truncate_roots(mark);
+                    }
+                }
+                TaskResult::Value(f64_to_word(sum))
+            }));
+            let report = machine.run();
+            let result = machine.take_result();
+            (report.traffic, report.elapsed_ns.to_bits(), result)
+        };
+        let (traffic, elapsed, result) = run(true);
+        assert_eq!(result, Some((f64_to_word(200.0 * (4.5 + 2.0)), false)));
         assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
         assert_eq!((traffic, elapsed, result), run(false));
     }

@@ -1617,7 +1617,7 @@ impl Executor for ThreadedMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{alloc_checks, FieldInit};
+    use crate::ctx::{alloc_checks, read_checks, FieldInit};
     use crate::task::Handle;
     use mgc_heap::{i64_to_word, word_to_i64};
 
@@ -1860,13 +1860,21 @@ mod tests {
         assert_eq!(worker.resolve_addr(local), copy, "local, then global");
         let mut roots = RootSet::default();
         roots.push(old);
+        roots.push(old);
         on_worker(worker, &shared, &mut roots, |ctx| {
             let handle = ctx.input(0);
             assert_eq!(ctx.len(handle), 5);
             assert_eq!(ctx.read_words(handle), vec![5, 6, 7, 8, 9]);
             assert_eq!(ctx.read_raw(handle, 4), 9);
+            // A second slot still names the from-space copy: a run of
+            // fields resolves it again.
+            assert_eq!(ctx.read_fields(ctx.input(1), 1), [6, 7, 8]);
         });
-        assert_eq!(roots.slots(), [copy], "the root slot now holds the copy");
+        assert_eq!(
+            roots.slots(),
+            [copy, copy],
+            "the root slots now hold the copy"
+        );
     }
 
     /// The other half of the read rule (`WorkerHeap::resolve`): with
@@ -2051,6 +2059,61 @@ mod tests {
             assert_eq!(out[0], u64::MAX, "appended, not overwritten");
         });
         assert_eq!(roots.slots(), [local, global, promoted]);
+    }
+
+    // Runs of fields (`ctx::read_checks` holds the bodies; the simulated
+    // backend runs the same ones).
+
+    /// The workers of a one-vproc machine with the checks' node descriptor
+    /// and one channel.
+    fn assembled_for_read_checks() -> (Arc<Shared>, Vec<WorkerState>, DescriptorId, ChannelId) {
+        let mut machine = ThreadedMachine::new(MachineConfig::small_for_tests(1));
+        let desc = machine.register_descriptor(Descriptor::new("node", 7, 0b1111));
+        let channel = machine.create_channel();
+        let (shared, workers) = assembled_from(machine);
+        (shared, workers, desc, channel)
+    }
+
+    #[test]
+    fn ctx_read_fields_match_single_reads_on_a_local_object() {
+        let (shared, mut workers, desc, _) = assembled_for_read_checks();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            read_checks::match_on_a_local_object(ctx, desc)
+        });
+    }
+
+    #[test]
+    fn ctx_read_fields_match_single_reads_on_a_promoted_object() {
+        let (shared, mut workers, desc, channel) = assembled_for_read_checks();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            read_checks::match_on_a_promoted_object(ctx, desc, channel)
+        });
+    }
+
+    #[test]
+    fn ctx_read_fields_match_single_reads_after_an_allocation_that_collects() {
+        let (shared, mut workers, desc, _) = assembled_for_read_checks();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            read_checks::match_after_an_allocation_that_collects(ctx, desc)
+        });
+        assert_eq!(workers[0].collector.vproc_stats(0).minor_collections, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read past the end")]
+    fn ctx_read_fields_past_the_end_panics_in_debug_builds() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let mut roots = RootSet::default();
+        on_worker(
+            &mut workers[0],
+            &shared,
+            &mut roots,
+            read_checks::read_past_the_end,
+        );
     }
 
     /// Runs `alloc` on a target object once the nursery is exactly full, so

@@ -4,10 +4,19 @@
 //! Each iteration has two phases, exactly as the paper describes: a
 //! (sequential) quadtree construction over the particles, and a parallel
 //! force-calculation phase that reads the shared tree. The tree is built in
-//! the iteration task's local heap; as soon as force tasks are stolen by
-//! other vprocs the tree is promoted to the global heap and becomes shared
-//! read-only data — which, together with the sequential build phase, is why
-//! the paper sees Barnes-Hut stop scaling past ~36 threads.
+//! the iteration task's local heap and reaches the global heap by two
+//! routes. When force tasks are stolen by other vprocs, the steal promotes
+//! the tree and it becomes shared read-only data — which, together with the
+//! sequential build phase, is why the paper sees Barnes-Hut stop scaling
+//! past ~36 threads. Without steals, the iteration's own major collections
+//! drain the tree into the global heap as well: of the 11.04 M node visits
+//! of the benchmark's `nbody-steal` cell (8,192 particles, 4 iterations,
+//! seed 0), 69 % (7.62 M) land in the global heap at one vproc, which never
+//! steals, and 99.99 % at two.
+//!
+//! A node visit reads the node's mass and centre of mass with one
+//! [`TaskCtx::read_fields`] and its four children with one
+//! [`TaskCtx::read_ptrs`]: two accesses of one object.
 
 use crate::scale::Scale;
 use mgc_heap::{f64_to_word, word_to_f64, Descriptor, DescriptorId};
@@ -167,9 +176,10 @@ pub fn register_tree_descriptor(machine: &mut dyn Executor) -> DescriptorId {
     machine.register_descriptor(Descriptor::new("bh-quadtree-node", 7, 0b0000_1111))
 }
 
+/// The node's first child field; the four children are fields 0–3.
+const F_CHILDREN: usize = 0;
+/// The node's mass field; the centre of mass `(x, y)` follows it.
 const F_MASS: usize = 4;
-const F_CX: usize = 5;
-const F_CY: usize = 6;
 
 /// Builds the quadtree over `particles` inside the current task's heap and
 /// returns the root node (or `None` for an empty set).
@@ -237,16 +247,15 @@ fn build_tree(
 
 /// Computes the acceleration exerted on `(px, py)` by the subtree at `node`.
 fn accel_from(ctx: &mut TaskCtx<'_>, node: Handle, px: f64, py: f64, cell_size: f64) -> (f64, f64) {
-    let mass = ctx.read_f64(node, F_MASS);
-    let cx = ctx.read_f64(node, F_CX);
-    let cy = ctx.read_f64(node, F_CY);
+    let [mass, cx, cy] = ctx.read_fields(node, F_MASS);
+    let (mass, cx, cy) = (word_to_f64(mass), word_to_f64(cx), word_to_f64(cy));
     let dx = cx - px;
     let dy = cy - py;
     let dist2 = dx * dx + dy * dy + 1e-6;
     let dist = dist2.sqrt();
     ctx.work(16);
 
-    let children: [Option<Handle>; 4] = std::array::from_fn(|i| ctx.read_ptr(node, i));
+    let children: [Option<Handle>; 4] = ctx.read_ptrs(node, F_CHILDREN);
     let is_leaf = children.iter().all(Option::is_none);
     if is_leaf || cell_size / dist < THETA {
         let f = G * mass / (dist2 * dist);
