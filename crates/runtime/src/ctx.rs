@@ -32,43 +32,53 @@
 //! a one-word read's traffic is counted and charged when the context is
 //! dropped, before the scheduler next reads the round cost.
 //!
-//! **A read reuses the object the last read located.** The context keeps
-//! the last resolve's result: the address it ended at, the object's
-//! [`Location`](mgc_heap::Location) (owning vproc and word offset of a
-//! local object, chunk and offset of a global one) and the node a simulated
-//! read is charged to. A read whose root slot holds that same address is
-//! served from the stored location: no classification, no chunk-directory
-//! walk, no forwarding check. Visiting one object field by field therefore
-//! resolves it once, as the paper's mutator keeps a raw pointer in a
-//! register between GC points (§2.3, §3.3). The key is the slot's address,
-//! not the handle, so two handles to one object share it, and `read_ptr`'s
-//! new root keeps it.
+//! **A read scope reads through raw references.** The paper's mutator
+//! keeps raw pointers in registers between GC points and needs a root only
+//! to carry a pointer across one (§2.3, §3.3). [`TaskCtx::read_scope`] runs
+//! a closure that holds the context mutably borrowed, so nothing inside it
+//! can allocate, promote or reach a safe point; the [`ReadScope`] it gets
+//! hands out [`Obj`]s — unrooted references to objects, under an invariant
+//! lifetime brand that cannot leave the closure — reads their fields and
+//! pointers (no roots pushed) and remembers the object it last located, so
+//! a visit of one object field by field is at most one locate; outside a
+//! scan phase an address in that object's global chunk is located by its
+//! offset alone (a tree's nodes mostly share chunks). An `Obj` is valid for
+//! the whole scope because no object moves and no forwarding word appears
+//! during it:
+//!
+//! * on both backends a local object moves only in its owner's collections
+//!   and promotions, and those run inside allocations, safe points and the
+//!   publishing calls (`spawn`, `fork_join`, `send`, the proxy calls) — none
+//!   of which the borrowed context can reach;
+//! * on the threaded backend a global collection, a budgeted increment
+//!   included, moves objects only while every worker is inside its
+//!   barriers, and a worker enters them only at a safe point. Between two
+//!   budgeted increments a child read from a to-space node may still name a
+//!   from-space object: the scope then locates every new address through
+//!   the handle reads' read rule, which chases that forward while
+//!   `in_scan_phase` is set, and from-space is not released until this
+//!   worker reaches the barrier. The flag itself changes only inside the
+//!   barriers, so the scope reads it once;
+//! * on the simulated backend collections run at allocations and between
+//!   tasks, and a scope contains neither.
+//!
+//! A scope read is charged exactly as the handle read of the same fields,
+//! through the same read-and-charge function, so virtual time does not
+//! depend on which one a program uses.
 //!
 //! **A run of fields is one access.** [`TaskCtx::read_fields`] reads `N`
 //! consecutive fields of one object, and [`TaskCtx::read_ptrs`] `N`
-//! consecutive pointer fields, in one access: one root-slot compare, one
-//! resolve when that misses, then `N` loads — the paper's mutator loads a
-//! node's fields through the one pointer it holds in a register (§2.3). They
-//! are the one field-read path: `read_raw`, `read_f64` and `read_ptr` are
-//! their `N = 1` case. A run charges what `N` single reads charge: `N`
-//! one-word reads, in order, never one bulk read (the DRAM table rounds a
-//! bulk read differently). `read_ptrs` pushes one root per non-null field,
-//! in field order. So virtual time and the root set are exactly those of `N`
-//! single reads. Debug builds assert that a run lies inside the payload.
-//!
-//! The clearing rule: every operation that can reach a safe point, promote
-//! or allocate forgets the stored object — `alloc_*`, `truncate_roots`,
-//! `keep`, `wait_until_ns`, `spawn`, `fork_join`, `send`, `recv` and the
-//! proxy calls. That is sound because objects move, and forwarding words
-//! appear, only inside those calls. A local object moves only in its
-//! owner's collections and promotions, and those run inside them. A threaded
-//! global collection, a budgeted increment included, forwards only while
-//! every worker is inside its barriers, and a worker enters them only at a
-//! safe point. The simulated global collection runs between tasks. So a
-//! stored location is exact until the next clear, and only an address that
-//! passed a full resolve since then — the unmapped and foreign-heap checks
-//! and the containment assert included — is ever served. A simulated hit
-//! charges exactly what the miss charged, so virtual time does not change.
+//! consecutive pointer fields, in one access: one resolve of the handle's
+//! root slot, then `N` loads — the paper's mutator loads a node's fields
+//! through the one pointer it holds in a register (§2.3). `read_raw`,
+//! `read_f64` and `read_ptr` are their `N = 1` case, and a scope's
+//! [`ReadScope::fields`] and [`ReadScope::ptrs`] read through the same
+//! function once the object is located. A run charges what `N` single reads
+//! charge: `N` one-word reads, in order, never one bulk read (the DRAM table
+//! rounds a bulk read differently). `read_ptrs` pushes one root per
+//! non-null field, in field order. So virtual time and the root set are
+//! exactly those of `N` single reads. Debug builds assert that a run lies
+//! inside the payload.
 //!
 //! **Reading an object allocates nothing on the host heap.** The paper's
 //! mutator touches no allocator but its own nursery (§3.3), and neither do
@@ -109,9 +119,11 @@ use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
 use mgc_heap::{
-    f64_to_word, word_to_f64, Addr, DescriptorId, HeaderSlot, ObjectKind, Place, Resolved,
-    SharedGlobalHeap, Word,
+    f64_to_word, word_to_f64, Addr, DescriptorId, HeaderSlot, Location, ObjectKind, Place,
+    Resolved, SharedGlobalHeap, Word,
 };
+use std::marker::PhantomData;
+use std::num::NonZeroU64;
 
 /// How one field of a mixed-type object is initialised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,15 +166,41 @@ enum CtxState<'a> {
     Threaded(&'a mut WorkerState),
 }
 
+impl CtxState<'_> {
+    /// Whether a global object may be forwarded: a threaded budgeted
+    /// collection is between increments. Never on the simulated backend,
+    /// whose global collection runs with every task quiescent.
+    #[inline(always)]
+    fn global_may_forward(&self) -> bool {
+        match self {
+            CtxState::Sim(_) => false,
+            CtxState::Threaded(worker) => worker.global_may_forward(),
+        }
+    }
+
+    /// Resolves `addr` to the current copy of its object and locates it, by
+    /// the read rule ([`WorkerHeap::resolve`](mgc_heap::WorkerHeap::resolve))
+    /// given `global_may_forward`; `global` is the machine's global heap.
+    #[inline(always)]
+    fn resolve<'g>(
+        &self,
+        global: &'g SharedGlobalHeap,
+        addr: Addr,
+        global_may_forward: bool,
+    ) -> Resolved<'g> {
+        match self {
+            CtxState::Sim(state) => state.heap.resolve(global, addr, global_may_forward),
+            CtxState::Threaded(worker) => worker.heap.resolve(global, addr, global_may_forward),
+        }
+    }
+}
+
 /// The execution context handed to every task body.
 pub struct TaskCtx<'a> {
     state: CtxState<'a>,
     /// The machine's global heap, held by the caller for the whole task, so
-    /// `last` can keep a chunk reference.
+    /// a read scope can keep a chunk reference.
     global: &'a SharedGlobalHeap,
-    /// The object the last read located, until the next operation that can
-    /// move objects (the clearing rule in the module doc).
-    last: Option<Resolved<'a>>,
     vproc: usize,
     roots: &'a mut RootSet,
     values: &'a [Word],
@@ -205,7 +243,6 @@ impl<'a> TaskCtx<'a> {
         TaskCtx {
             state: CtxState::Sim(state),
             global,
-            last: None,
             vproc,
             roots,
             values,
@@ -228,7 +265,6 @@ impl<'a> TaskCtx<'a> {
         TaskCtx {
             state: CtxState::Threaded(worker),
             global,
-            last: None,
             vproc,
             roots,
             values,
@@ -333,7 +369,6 @@ impl<'a> TaskCtx<'a> {
     /// never stalls the rest of the machine. Returns immediately when the
     /// target is already past.
     pub fn wait_until_ns(&mut self, target_ns: f64) {
-        self.last = None;
         match &mut self.state {
             CtxState::Sim(state) => state.wait_until_ns(self.vproc, target_ns),
             CtxState::Threaded(worker) => worker.wait_until_ns(target_ns, self.roots),
@@ -361,8 +396,7 @@ impl<'a> TaskCtx<'a> {
     // object is then bumped under the vproc's allocation limit word — one
     // compare per object, which is also the safe point (`WorkerState::alloc`).
     // Handles are resolved to addresses only once there is room: making
-    // room may collect, which moves the referenced objects, so every
-    // allocation also forgets the object the last read located.
+    // room may collect, which moves the referenced objects.
 
     /// Allocates a raw-data object of `len` words and returns a handle to it.
     /// The object is written where it lives: word `i` is `fill(i)`, called
@@ -370,7 +404,6 @@ impl<'a> TaskCtx<'a> {
     /// any collection the allocation runs). The one raw allocation.
     #[inline]
     pub fn alloc_raw_with(&mut self, len: usize, mut fill: impl FnMut(usize) -> Word) -> Handle {
-        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
                 state.reserve_nursery(self.vproc, self.roots.slots_mut(), len);
@@ -402,7 +435,6 @@ impl<'a> TaskCtx<'a> {
 
     /// Allocates a vector of pointers; `None` entries become null.
     pub fn alloc_vector(&mut self, elements: &[Option<Handle>]) -> Handle {
-        self.last = None;
         let fields = || elements.iter().map(|&h| FieldInit::Ptr(h));
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
@@ -430,7 +462,6 @@ impl<'a> TaskCtx<'a> {
     /// Panics if the field kinds disagree with the registered descriptor
     /// (pointer fields must be `FieldInit::Ptr`).
     pub fn alloc_mixed(&mut self, descriptor: DescriptorId, fields: &[FieldInit]) -> Handle {
-        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
                 state.reserve_nursery(self.vproc, self.roots.slots_mut(), fields.len());
@@ -462,37 +493,34 @@ impl<'a> TaskCtx<'a> {
     // Field access
     // ------------------------------------------------------------------
 
-    /// Resolves `handle` to the current copy of its object — updating the
-    /// root slot so later accesses are direct — and reads from it in the
-    /// same step: `read` gets the located object on either backend. The
-    /// simulated backend then charges `accesses` accesses of `words(place)`
-    /// words each, one after another, to the node and region the object was
-    /// found in. A slot holding the address the last read resolved to is
-    /// served from that read's location (module doc).
+    /// Resolves `handle` to the current copy of its object and locates it,
+    /// updating the root slot so later accesses are direct: the first half
+    /// of every handle read.
     #[inline(always)]
-    fn access<R>(
+    fn locate_slot(&mut self, handle: Handle) -> Resolved<'a> {
+        let slot = &mut self.roots.slots_mut()[handle.index()];
+        let found = self
+            .state
+            .resolve(self.global, *slot, self.state.global_may_forward());
+        // Never a nursery address the slot did not already hold: forwarding
+        // pointers lead out of the local heap, so the watermark stands.
+        *slot = found.addr;
+        found
+    }
+
+    /// Reads from the located object `found` — `read` gets its [`Place`] on
+    /// either backend — and charges the read: the simulated backend charges
+    /// `accesses` accesses of `words(place)` words each, one after another,
+    /// to the node and region the object was found in. The one
+    /// read-and-charge function of handle and scope reads.
+    #[inline(always)]
+    fn read_at<R>(
         &mut self,
-        handle: Handle,
+        found: Resolved<'a>,
         accesses: usize,
         words: impl FnOnce(Place<'_>) -> usize,
         read: impl FnOnce(Place<'_>) -> R,
     ) -> R {
-        let slot = &mut self.roots.slots_mut()[handle.index()];
-        let found = match self.last {
-            Some(last) if last.addr == *slot => last,
-            _ => {
-                let found = match &self.state {
-                    CtxState::Sim(state) => state.locate(self.global, *slot),
-                    CtxState::Threaded(worker) => worker.locate(self.global, *slot),
-                };
-                // Never a nursery address the slot did not already hold:
-                // forwarding pointers lead out of the local heap, so the
-                // watermark stands.
-                *slot = found.addr;
-                self.last = Some(found);
-                found
-            }
-        };
         match &mut self.state {
             CtxState::Sim(state) => {
                 let place = state.heap.place_of(found.location);
@@ -506,17 +534,12 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
-    /// Reads the `N` raw fields `first..first + N` of the object behind
-    /// `handle` in one access: one resolve (or remembered-location check),
-    /// then `N` loads. The simulated backend charges `N` one-word reads, in
-    /// order, exactly what `N` [`TaskCtx::read_raw`] calls charge. The one
-    /// field read: every other field read is its `N = 1` case.
-    ///
-    /// Debug builds assert that the fields lie inside the object's payload.
-    #[inline]
-    pub fn read_fields<const N: usize>(&mut self, handle: Handle, first: usize) -> [Word; N] {
-        self.access(
-            handle,
+    /// Fields `first..first + N` of the located object `found`, charged as
+    /// `N` one-word reads in order.
+    #[inline(always)]
+    fn fields_at<const N: usize>(&mut self, found: Resolved<'a>, first: usize) -> [Word; N] {
+        self.read_at(
+            found,
             N,
             |_| 1,
             |place| {
@@ -534,6 +557,26 @@ impl<'a> TaskCtx<'a> {
                 place.read_fields(first)
             },
         )
+    }
+
+    /// The payload length of the located object `found`; charges nothing.
+    #[inline(always)]
+    fn len_at(&mut self, found: Resolved<'a>) -> usize {
+        self.read_at(found, 1, |_| 0, |place| place.header())
+            .len_words as usize
+    }
+
+    /// Reads the `N` raw fields `first..first + N` of the object behind
+    /// `handle` in one access: one resolve, then `N` loads. The simulated
+    /// backend charges `N` one-word reads, in order, exactly what `N`
+    /// [`TaskCtx::read_raw`] calls charge. Every other handle field read is
+    /// its `N = 1` case.
+    ///
+    /// Debug builds assert that the fields lie inside the object's payload.
+    #[inline]
+    pub fn read_fields<const N: usize>(&mut self, handle: Handle, first: usize) -> [Word; N] {
+        let found = self.locate_slot(handle);
+        self.fields_at(found, first)
     }
 
     /// Reads the `N` pointer fields `first..first + N` in one access
@@ -584,8 +627,9 @@ impl<'a> TaskCtx<'a> {
     /// allocates nothing per read.
     #[inline]
     pub fn read_words_into(&mut self, handle: Handle, out: &mut Vec<Word>) {
-        self.access(
-            handle,
+        let found = self.locate_slot(handle);
+        self.read_at(
+            found,
             1,
             |place| place.header().total_words(),
             |place| place.payload_into(out),
@@ -602,14 +646,72 @@ impl<'a> TaskCtx<'a> {
     /// The number of payload words of the object behind `handle`.
     #[inline]
     pub fn len(&mut self, handle: Handle) -> usize {
-        self.access(handle, 1, |_| 0, |place| place.header())
-            .len_words as usize
+        let found = self.locate_slot(handle);
+        self.len_at(found)
     }
 
     /// True if the object behind `handle` has no payload (never the case for
     /// objects allocated through this API).
     pub fn is_empty(&mut self, handle: Handle) -> bool {
         self.len(handle) == 0
+    }
+
+    /// Runs `body` in a read scope: `body` reads the heap through raw
+    /// [`Obj`] references that push no roots, and the scope locates each
+    /// object once however many of its fields `body` reads in a row. The
+    /// scope holds this context mutably borrowed, so `body` can neither
+    /// allocate nor reach a safe point, and an `Obj` cannot leave it — the
+    /// module doc says why an `Obj` stays valid until the scope ends. Reads
+    /// are charged exactly as the handle reads of the same fields.
+    ///
+    /// ```
+    /// use mgc_runtime::{Handle, TaskCtx};
+    ///
+    /// /// The first word of the object `node`'s first pointer field names.
+    /// fn first_child_word(ctx: &mut TaskCtx<'_>, node: Handle) -> Option<u64> {
+    ///     ctx.read_scope(|r| {
+    ///         let node = r.obj(node);
+    ///         let [child] = r.ptrs(node, 0);
+    ///         child.map(|child| r.fields::<1>(child, 0)[0])
+    ///     })
+    /// }
+    /// ```
+    ///
+    /// An `Obj` cannot be returned from the scope:
+    ///
+    /// ```compile_fail
+    /// use mgc_runtime::{Handle, TaskCtx};
+    ///
+    /// fn first_child(ctx: &mut TaskCtx<'_>, node: Handle) {
+    ///     let child = ctx.read_scope(|r| {
+    ///         let node = r.obj(node);
+    ///         let [child] = r.ptrs(node, 0);
+    ///         child
+    ///     });
+    /// }
+    /// ```
+    ///
+    /// and nothing that can move objects runs inside it:
+    ///
+    /// ```compile_fail,E0500
+    /// use mgc_runtime::{Handle, TaskCtx};
+    ///
+    /// fn first_child_word(ctx: &mut TaskCtx<'_>, node: Handle) -> Option<u64> {
+    ///     ctx.read_scope(|r| {
+    ///         let node = r.obj(node);
+    ///         let [child] = r.ptrs(node, 0);
+    ///         ctx.alloc_raw(&[0]);
+    ///         child.map(|child| r.fields::<1>(child, 0)[0])
+    ///     })
+    /// }
+    /// ```
+    #[inline]
+    pub fn read_scope<R>(&mut self, body: impl for<'s> FnOnce(&mut ReadScope<'s, 'a>) -> R) -> R {
+        body(&mut ReadScope {
+            global_may_forward: self.state.global_may_forward(),
+            ctx: self,
+            last: None,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -637,7 +739,6 @@ impl<'a> TaskCtx<'a> {
     /// thief or a collection has zeroed it (`WorkerState::poll`).
     #[inline]
     pub fn truncate_roots(&mut self, mark: usize) {
-        self.last = None;
         self.roots.truncate(mark);
         if let CtxState::Threaded(worker) = &mut self.state {
             worker.poll(self.roots);
@@ -649,7 +750,6 @@ impl<'a> TaskCtx<'a> {
     /// new handle.
     #[inline]
     pub fn keep(&mut self, handle: Handle, mark: usize) -> Handle {
-        self.last = None;
         let addr = self.resolve(handle);
         self.roots.truncate(mark);
         self.push_root(addr)
@@ -680,7 +780,6 @@ impl<'a> TaskCtx<'a> {
     /// Spawns an independent task (no result delivery) on this vproc's
     /// deque, where it can be stolen by idle vprocs.
     pub fn spawn(&mut self, mut spec: TaskSpec, ptr_inputs: &[Handle]) {
-        self.last = None;
         spec.ptr_inputs = ptr_inputs.iter().map(|h| self.resolve(*h)).collect();
         let task = Task::from_spec(spec, Delivery::Discard, self.vproc);
         match &mut self.state {
@@ -707,7 +806,6 @@ impl<'a> TaskCtx<'a> {
             !children.is_empty(),
             "fork_join requires at least one child"
         );
-        self.last = None;
         let mut cont_spec = continuation;
         cont_spec.ptr_inputs = continuation_inputs
             .iter()
@@ -758,7 +856,6 @@ impl<'a> TaskCtx<'a> {
     /// Sends the object behind `message` on `channel`. The message is
     /// promoted to the global heap (§3.1) so any vproc may receive it.
     pub fn send(&mut self, channel: ChannelId, message: Handle) {
-        self.last = None;
         let addr = self.resolve(message);
         match &mut self.state {
             CtxState::Sim(state) => state.channel_send(self.vproc, channel, addr),
@@ -768,7 +865,6 @@ impl<'a> TaskCtx<'a> {
 
     /// Receives the oldest message from `channel`, if any.
     pub fn recv(&mut self, channel: ChannelId) -> Option<Handle> {
-        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => state.channel_recv(self.vproc, channel)?,
             CtxState::Threaded(worker) => worker.channel_recv(channel)?,
@@ -779,7 +875,6 @@ impl<'a> TaskCtx<'a> {
     /// Creates an object proxy for a local object, so that global runtime
     /// structures can refer to it without violating the heap invariants.
     pub fn create_proxy(&mut self, handle: Handle) -> ProxyId {
-        self.last = None;
         let addr = self.resolve(handle);
         match &mut self.state {
             CtxState::Sim(state) => state.create_proxy(self.vproc, addr),
@@ -790,7 +885,6 @@ impl<'a> TaskCtx<'a> {
     /// Resolves a proxy. Resolving from a vproc other than the owner forces
     /// the underlying object to be promoted to the global heap.
     pub fn resolve_proxy(&mut self, proxy: ProxyId) -> Handle {
-        self.last = None;
         let addr = match &mut self.state {
             CtxState::Sim(state) => state.resolve_proxy(self.vproc, proxy),
             CtxState::Threaded(worker) => worker.resolve_proxy(proxy),
@@ -810,6 +904,123 @@ impl<'a> TaskCtx<'a> {
     /// Convenience constructor for returning an `f64` result.
     pub fn result_f64(&self, value: f64) -> TaskResult {
         TaskResult::Value(f64_to_word(value))
+    }
+}
+
+/// A raw reference to a heap object, handed out by a [`ReadScope`] and
+/// valid until that scope ends: no root backs it, and the lifetime brand
+/// `'s` is the scope's, which no value outside the scope's closure can
+/// name. It may still name a forwarded original; the scope's reads find the
+/// current copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Obj<'s> {
+    /// The address, never null: an `Option<Obj>` is one word, and a
+    /// pointer field's word becomes one without a branch.
+    raw: NonZeroU64,
+    /// Invariant in `'s`, so one scope's `Obj` is never another's.
+    brand: PhantomData<fn(&'s ()) -> &'s ()>,
+}
+
+impl Obj<'_> {
+    /// The object a pointer field `word` names, `None` for a null field.
+    #[inline(always)]
+    fn from_word(word: Word) -> Option<Self> {
+        NonZeroU64::new(word).map(|raw| Obj {
+            raw,
+            brand: PhantomData,
+        })
+    }
+
+    #[inline(always)]
+    fn addr(self) -> Addr {
+        Addr::new(self.raw.get())
+    }
+}
+
+/// The reader [`TaskCtx::read_scope`] hands its closure: reads through
+/// [`Obj`]s, pushing no roots, with the object it located last remembered.
+#[derive(Debug)]
+pub struct ReadScope<'s, 'a> {
+    ctx: &'s mut TaskCtx<'a>,
+    /// The read rule's input, read once: it changes only while every worker
+    /// is stopped in a barrier, and a worker in a scope is at no safe point.
+    global_may_forward: bool,
+    /// The object located last, and where it was found.
+    last: Option<(Obj<'s>, Resolved<'a>)>,
+}
+
+impl<'s, 'a> ReadScope<'s, 'a> {
+    /// The object behind `handle`. Its root slot is read, not rewritten.
+    #[inline]
+    pub fn obj(&self, handle: Handle) -> Obj<'s> {
+        Obj::from_word(self.ctx.roots.slots()[handle.index()].raw())
+            .expect("a handle names an object")
+    }
+
+    /// Locates `obj`. The object located last is not located again, and
+    /// outside a scan phase an address in that object's global chunk is
+    /// located by its offset: a global object is then final, and an address
+    /// inside a chunk's words is in that chunk. Anything else takes the full
+    /// read rule, with its forwarding chase and its foreign-heap and
+    /// unmapped panics.
+    #[inline(always)]
+    fn locate(&mut self, obj: Obj<'s>) -> Resolved<'a> {
+        let addr = obj.addr();
+        let found = match self.last {
+            Some((last, found)) if last == obj => return found,
+            Some((
+                _,
+                Resolved {
+                    location: Location::Global(chunk, _),
+                    node,
+                    ..
+                },
+            )) if !self.global_may_forward && chunk.contains(addr) => Resolved {
+                addr,
+                location: Location::Global(chunk, chunk.offset_of(addr)),
+                node,
+            },
+            _ => self
+                .ctx
+                .state
+                .resolve(self.ctx.global, addr, self.global_may_forward),
+        };
+        self.last = Some((obj, found));
+        found
+    }
+
+    /// Fields `first..first + N` of `obj`: [`TaskCtx::read_fields`] without
+    /// the root slot, charged alike.
+    #[inline]
+    pub fn fields<const N: usize>(&mut self, obj: Obj<'s>, first: usize) -> [Word; N] {
+        let found = self.locate(obj);
+        self.ctx.fields_at(found, first)
+    }
+
+    /// Pointer fields `first..first + N` of `obj`, a null one as `None`:
+    /// [`TaskCtx::read_ptrs`] without roots, charged alike.
+    #[inline]
+    pub fn ptrs<const N: usize>(&mut self, obj: Obj<'s>, first: usize) -> [Option<Obj<'s>>; N] {
+        let words: [Word; N] = self.fields(obj, first);
+        // A loop: `array::map` here was left out of line.
+        let mut ptrs = [None; N];
+        for (ptr, &word) in ptrs.iter_mut().zip(&words) {
+            *ptr = Obj::from_word(word);
+        }
+        ptrs
+    }
+
+    /// The number of payload words of `obj`.
+    #[inline]
+    pub fn len(&mut self, obj: Obj<'s>) -> usize {
+        let found = self.locate(obj);
+        self.ctx.len_at(found)
+    }
+
+    /// [`TaskCtx::work`] from inside the scope.
+    #[inline]
+    pub fn work(&mut self, ops: u64) {
+        self.ctx.work(ops);
     }
 }
 
@@ -902,11 +1113,11 @@ pub(crate) mod read_checks {
     use mgc_heap::GcHeap;
 
     /// The payloads of the two leaves a node points to.
-    const LEAVES: [&[Word]; 2] = [&[10, 11], &[12]];
+    pub(super) const LEAVES: [&[Word]; 2] = [&[10, 11], &[12]];
 
     /// A node with children `[leaf 0, null, leaf 1, null]`, and one whose
     /// four children are all null; both end in three raw words, one zero.
-    fn alloc_nodes(ctx: &mut TaskCtx<'_>, desc: DescriptorId) -> [Handle; 2] {
+    pub(super) fn alloc_nodes(ctx: &mut TaskCtx<'_>, desc: DescriptorId) -> [Handle; 2] {
         let [a, b] = LEAVES.map(|leaf| Some(ctx.alloc_raw(leaf)));
         let raw = [FieldInit::Raw(7), FieldInit::Raw(0), FieldInit::F64(-2.5)];
         let null = FieldInit::Ptr(None);
@@ -915,11 +1126,11 @@ pub(crate) mod read_checks {
         [node, leaf].map(|children| ctx.alloc_mixed(desc, &[&children[..], &raw[..]].concat()))
     }
 
-    fn slots(ctx: &TaskCtx<'_>, handles: [Handle; 2]) -> [Addr; 2] {
+    pub(super) fn slots(ctx: &TaskCtx<'_>, handles: [Handle; 2]) -> [Addr; 2] {
         handles.map(|h| ctx.roots.slots()[h.index()])
     }
 
-    fn is_global(ctx: &TaskCtx<'_>, addr: Addr) -> bool {
+    pub(super) fn is_global(ctx: &TaskCtx<'_>, addr: Addr) -> bool {
         match &ctx.state {
             CtxState::Sim(state) => state.heap.is_global(addr),
             CtxState::Threaded(worker) => worker.heap.is_global(addr),
@@ -1046,5 +1257,183 @@ pub(crate) mod read_checks {
     pub(crate) fn read_past_the_end(ctx: &mut TaskCtx<'_>) {
         let obj = ctx.alloc_raw(&[1, 2, 3]);
         let _: [Word; 2] = ctx.read_fields(obj, 2);
+    }
+}
+
+/// Checks of [`TaskCtx::read_scope`] that must hold on both backends: a
+/// scope reads what the handle reads return and pushes no roots. Each
+/// backend's tests run them on a context it drives by hand; `desc` is the
+/// seven-field node descriptor of [`read_checks`].
+#[cfg(test)]
+pub(crate) mod scope_checks {
+    use super::read_checks::{alloc_nodes, is_global, slots, LEAVES};
+    use super::*;
+
+    /// One object read the way the checks compare: through a scope or
+    /// through its handle.
+    trait Reader {
+        fn fields<const N: usize>(&mut self, first: usize) -> [Word; N];
+        /// The words the non-null pointer fields name, `None` for null.
+        fn ptrs<const N: usize>(&mut self, first: usize) -> [Option<Word>; N];
+        fn len(&mut self) -> usize;
+    }
+
+    impl<'s> Reader for (&mut ReadScope<'s, '_>, Obj<'s>) {
+        fn fields<const N: usize>(&mut self, first: usize) -> [Word; N] {
+            self.0.fields(self.1, first)
+        }
+
+        fn ptrs<const N: usize>(&mut self, first: usize) -> [Option<Word>; N] {
+            self.0
+                .ptrs::<N>(self.1, first)
+                .map(|p| p.map(|p| p.addr().raw()))
+        }
+
+        fn len(&mut self) -> usize {
+            self.0.len(self.1)
+        }
+    }
+
+    impl Reader for (&mut TaskCtx<'_>, Handle) {
+        fn fields<const N: usize>(&mut self, first: usize) -> [Word; N] {
+            self.0.read_fields(self.1, first)
+        }
+
+        /// Pops the roots the read pushed, so every handle read starts from
+        /// the same root set.
+        fn ptrs<const N: usize>(&mut self, first: usize) -> [Option<Word>; N] {
+            let ctx = &mut *self.0;
+            let mark = ctx.root_mark();
+            let ptrs = ctx
+                .read_ptrs::<N>(self.1, first)
+                .map(|h| h.map(|h| ctx.roots.slots()[h.index()].raw()));
+            ctx.truncate_roots(mark);
+            ptrs
+        }
+
+        fn len(&mut self) -> usize {
+            self.0.len(self.1)
+        }
+    }
+
+    /// Everything the checks read of one seven-field node, in one order:
+    /// every run of `N` in {1, 2, 3, 7} fields, every run of `N` in 1–4
+    /// pointers (a null one as `u64::MAX`, which no pointer is), and the
+    /// length.
+    fn read_all(r: &mut impl Reader) -> Vec<Word> {
+        fn runs<const N: usize>(r: &mut impl Reader, out: &mut Vec<Word>) {
+            for first in 0..=7 - N {
+                out.extend(r.fields::<N>(first));
+            }
+        }
+        fn ptr_runs<const N: usize>(r: &mut impl Reader, out: &mut Vec<Word>) {
+            for first in 0..=4 - N {
+                out.extend(r.ptrs::<N>(first).map(|p| p.unwrap_or(u64::MAX)));
+            }
+        }
+        let mut out = Vec::new();
+        runs::<1>(r, &mut out);
+        runs::<2>(r, &mut out);
+        runs::<3>(r, &mut out);
+        runs::<7>(r, &mut out);
+        ptr_runs::<1>(r, &mut out);
+        ptr_runs::<2>(r, &mut out);
+        ptr_runs::<3>(r, &mut out);
+        ptr_runs::<4>(r, &mut out);
+        out.push(r.len() as Word);
+        out
+    }
+
+    /// [`read_all`] of each node through one scope, which must push no
+    /// roots and rewrite no slot.
+    fn scope_reads(ctx: &mut TaskCtx<'_>, nodes: [Handle; 2]) -> [Vec<Word>; 2] {
+        let (mark, before) = (ctx.root_mark(), slots(ctx, nodes));
+        let reads = ctx.read_scope(|r| {
+            nodes.map(|node| {
+                let obj = r.obj(node);
+                read_all(&mut (&mut *r, obj))
+            })
+        });
+        assert_eq!(ctx.root_mark(), mark, "a scope pushes no roots");
+        assert_eq!(slots(ctx, nodes), before, "a scope rewrites no slot");
+        reads
+    }
+
+    /// Scope reads of both nodes equal their handle reads.
+    fn reads_match(ctx: &mut TaskCtx<'_>, nodes: [Handle; 2]) {
+        let scoped = scope_reads(ctx, nodes);
+        let handles = nodes.map(|node| read_all(&mut (&mut *ctx, node)));
+        assert_eq!(scoped, handles);
+    }
+
+    /// Scope reads equal handle reads on objects in the local heap.
+    pub(crate) fn match_on_a_local_object(ctx: &mut TaskCtx<'_>, desc: DescriptorId) {
+        let nodes = alloc_nodes(ctx, desc);
+        assert!(!slots(ctx, nodes).iter().any(|&a| is_global(ctx, a)));
+        reads_match(ctx, nodes);
+    }
+
+    /// Scope reads equal handle reads on promoted objects. The scope reads
+    /// first, through the stale local addresses the promotion forwarded,
+    /// and finds the copies, whose children are global too.
+    pub(crate) fn match_on_a_promoted_object(
+        ctx: &mut TaskCtx<'_>,
+        desc: DescriptorId,
+        channel: ChannelId,
+    ) {
+        let nodes = alloc_nodes(ctx, desc);
+        for node in nodes {
+            ctx.send(channel, node);
+        }
+        let originals = slots(ctx, nodes);
+        assert!(!originals.iter().any(|&a| is_global(ctx, a)), "stale slots");
+        let children: Vec<Addr> = ctx.read_scope(|r| {
+            let node = r.obj(nodes[0]);
+            r.ptrs::<4>(node, 0)
+                .iter()
+                .flatten()
+                .map(|c| c.addr())
+                .collect()
+        });
+        assert_eq!(children.len(), 2);
+        assert!(
+            children.iter().all(|&a| is_global(ctx, a)),
+            "the copy's children"
+        );
+        reads_match(ctx, nodes);
+        assert!(slots(ctx, nodes).iter().all(|&a| is_global(ctx, a)));
+    }
+
+    /// A null child reads as `None` through a scope, and the non-null ones
+    /// lead to the leaves.
+    pub(crate) fn null_children_read_as_none(ctx: &mut TaskCtx<'_>, desc: DescriptorId) {
+        let nodes = alloc_nodes(ctx, desc);
+        let mark = ctx.root_mark();
+        let (leaves, all_null) = ctx.read_scope(|r| {
+            let [a, null_a, b, null_b] = r.ptrs(r.obj(nodes[0]), 0);
+            assert_eq!((null_a, null_b), (None, None));
+            let leaves = [a, b].map(|leaf| {
+                let leaf = leaf.expect("a child");
+                let len = r.len(leaf);
+                (0..len)
+                    .map(|i| r.fields::<1>(leaf, i)[0])
+                    .collect::<Vec<_>>()
+            });
+            let all_null = r.ptrs::<4>(r.obj(nodes[1]), 0).map(|p| p.is_none());
+            (leaves, all_null)
+        });
+        assert_eq!(leaves, LEAVES);
+        assert_eq!(all_null, [true; 4]);
+        assert_eq!(ctx.root_mark(), mark, "a scope pushes no roots");
+        reads_match(ctx, nodes);
+    }
+
+    /// Reads fields 2..4 of a 3-word object in a scope: a debug build
+    /// panics.
+    pub(crate) fn read_past_the_end(ctx: &mut TaskCtx<'_>) {
+        let obj = ctx.alloc_raw(&[1, 2, 3]);
+        ctx.read_scope(|r| {
+            let _: [Word; 2] = r.fields(r.obj(obj), 2);
+        });
     }
 }

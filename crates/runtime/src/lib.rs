@@ -87,7 +87,7 @@ mod threaded;
 mod vproc;
 
 pub use channel::{ChannelId, ChannelStats, ProxyId};
-pub use ctx::{FieldInit, TaskCtx};
+pub use ctx::{FieldInit, Obj, ReadScope, TaskCtx};
 pub use env::EnvOverrides;
 pub use executor::{Backend, Executor};
 pub use experiment::{

@@ -1222,7 +1222,7 @@ impl RuntimeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{alloc_checks, read_checks, FieldInit};
+    use crate::ctx::{alloc_checks, read_checks, scope_checks, FieldInit};
     use crate::task::{Handle, RootSet, TaskResult};
     use mgc_heap::{f64_to_word, i64_to_word, word_to_f64};
     use mgc_numa::Traffic;
@@ -1327,43 +1327,14 @@ mod tests {
         assert_eq!(machine.report().traffic.mutator_bytes, expected);
     }
 
-    /// A read served from the object the previous read located charges what
-    /// a resolving read charges: three reads of the node-1 copy through one
-    /// context, two of them remembered, record three reads' traffic in the
-    /// run report and three reads' compute, as three reads through three
-    /// contexts (each one resolving) do.
-    #[test]
-    fn a_remembered_read_is_charged_like_a_resolving_one() {
-        let run = |reads_per_context: usize| {
-            let mut machine = Machine::new(MachineConfig::small_for_tests(2));
-            let state = &mut machine.state;
-            let original = state.heap.alloc_raw(0, &[10, 20, 30]).unwrap();
-            state.promote_for(1, original, PromoteWhy::Steal);
-            let mut roots = RootSet::default();
-            roots.push(original);
-            let mut words = Vec::new();
-            for first in (0..3).step_by(reads_per_context) {
-                on_vproc0(state, &mut roots, |ctx| {
-                    let fields = first..first + reads_per_context;
-                    words.extend(fields.map(|i| ctx.read_raw(ctx.input(0), i)));
-                });
-            }
-            assert_eq!(words, [10, 20, 30]);
-            let cpu_ns = machine.state.vprocs[0].round_cost.cpu_ns;
-            (machine.report().traffic.mutator_bytes, cpu_ns)
-        };
-        let (traffic, cpu_ns) = run(3);
-        // ceil(8 bytes x 0.65 global miss rate) = 6 per read, cross-package.
-        let mut expected = [0; 3];
-        expected[AccessClass::CrossPackage as usize] = 3 * 6;
-        assert_eq!(traffic, expected);
-        assert_eq!((traffic, cpu_ns), run(1));
-    }
+    // Handle reads across an operation that moves objects: each test reads
+    // an object, runs one such operation, and reads it again through the
+    // same context.
 
     /// An allocation that runs a minor collection between two reads: the
     /// second read finds the copy the collection made.
     #[test]
-    fn a_remembered_read_after_an_allocation_that_collects() {
+    fn a_handle_read_after_an_allocation_that_collects() {
         let mut machine = Machine::new(MachineConfig::small_for_tests(1));
         let state = &mut machine.state;
         let obj = state.heap.alloc_raw(0, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
@@ -1386,11 +1357,11 @@ mod tests {
         );
     }
 
-    /// `send` promotes the message: a local original the last read located
+    /// `send` promotes the message: a local original the first read located
     /// is now forwarded, and the next read follows it to the global copy and
-    /// rewrites the slot. Fails if `send` keeps the remembered location.
+    /// rewrites the slot.
     #[test]
-    fn a_remembered_read_after_send_promotes_the_object() {
+    fn a_handle_read_after_send_promotes_the_object() {
         let mut machine = Machine::new(MachineConfig::small_for_tests(1));
         let channel = machine.create_channel();
         let state = &mut machine.state;
@@ -1802,6 +1773,101 @@ mod tests {
                         };
                         sum += fields.map(word_to_f64).iter().sum::<f64>();
                         sum += children.iter().flatten().count() as f64;
+                        ctx.truncate_roots(mark);
+                    }
+                }
+                TaskResult::Value(f64_to_word(sum))
+            }));
+            let report = machine.run();
+            let result = machine.take_result();
+            (report.traffic, report.elapsed_ns.to_bits(), result)
+        };
+        let (traffic, elapsed, result) = run(true);
+        assert_eq!(result, Some((f64_to_word(200.0 * (4.5 + 2.0)), false)));
+        assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
+        assert_eq!((traffic, elapsed, result), run(false));
+    }
+
+    // Read scopes (`ctx::scope_checks` holds the bodies; the threaded
+    // backend runs the same ones).
+
+    #[test]
+    fn scope_reads_match_handle_reads_on_a_local_object() {
+        let (mut machine, desc, _) = machine_for_read_checks();
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            scope_checks::match_on_a_local_object(ctx, desc)
+        });
+    }
+
+    #[test]
+    fn scope_reads_match_handle_reads_on_a_promoted_object() {
+        let (mut machine, desc, channel) = machine_for_read_checks();
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            scope_checks::match_on_a_promoted_object(ctx, desc, channel)
+        });
+    }
+
+    #[test]
+    fn scope_reads_of_null_children_are_none() {
+        let (mut machine, desc, _) = machine_for_read_checks();
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            scope_checks::null_children_read_as_none(ctx, desc)
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read past the end")]
+    fn scope_reads_past_the_end_panic_in_debug_builds() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let mut roots = RootSet::default();
+        on_vproc0(
+            &mut machine.state,
+            &mut roots,
+            scope_checks::read_past_the_end,
+        );
+    }
+
+    /// A Barnes-Hut node visit — three fields, compute, four pointers —
+    /// through a read scope charges exactly what the same visit through
+    /// handle reads charges: traffic and virtual elapsed time are
+    /// bit-identical, on a local and a promoted node, though the scope
+    /// locates each node once and the handle reads twice.
+    #[test]
+    fn a_scope_visit_is_charged_like_a_handle_visit() {
+        let run = |scope: bool| {
+            let (mut machine, desc, channel) = machine_for_read_checks();
+            machine.spawn_root(TaskSpec::new("node-visits", move |ctx| {
+                let leaf = Some(ctx.alloc_raw(&[1]));
+                let mut node = || {
+                    let children = [leaf, None, leaf, None].map(FieldInit::Ptr);
+                    let mass = [0.5, 1.5, 2.5].map(FieldInit::F64);
+                    ctx.alloc_mixed(desc, &[&children[..], &mass[..]].concat())
+                };
+                let (local, promoted) = (node(), node());
+                ctx.send(channel, promoted);
+                let mut sum = 0.0;
+                for _ in 0..100 {
+                    for handle in [local, promoted] {
+                        let mark = ctx.root_mark();
+                        let (fields, children) = if scope {
+                            ctx.read_scope(|r| {
+                                let node = r.obj(handle);
+                                let fields: [Word; 3] = r.fields(node, 4);
+                                r.work(16);
+                                let children = r.ptrs::<4>(node, 0).map(|c| c.is_some());
+                                (fields, children)
+                            })
+                        } else {
+                            let fields: [Word; 3] = ctx.read_fields(handle, 4);
+                            ctx.work(16);
+                            (fields, ctx.read_ptrs::<4>(handle, 0).map(|c| c.is_some()))
+                        };
+                        sum += fields.map(word_to_f64).iter().sum::<f64>();
+                        sum += children.iter().filter(|&&c| c).count() as f64;
                         ctx.truncate_roots(mark);
                     }
                 }

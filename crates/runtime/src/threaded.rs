@@ -634,12 +634,17 @@ impl WorkerState {
     /// object without classifying the address again.
     /// [`WorkerHeap::resolve`] states the read rule; this supplies its one
     /// input, whether a budgeted global collection is between increments.
-    /// Forced inline: it sits on every `TaskCtx` read that is not served
-    /// from the object the previous read located.
     #[inline(always)]
     pub(crate) fn locate<'g>(&self, global: &'g SharedGlobalHeap, addr: Addr) -> Resolved<'g> {
-        let global_may_forward = self.shared.gc.in_scan_phase.load(Ordering::Acquire);
-        self.heap.resolve(global, addr, global_may_forward)
+        self.heap.resolve(global, addr, self.global_may_forward())
+    }
+
+    /// The read rule's input: whether a budgeted global collection is
+    /// between increments, so a global header may hold a forwarding word.
+    /// It changes only while every worker is stopped inside a barrier.
+    #[inline(always)]
+    pub(crate) fn global_may_forward(&self) -> bool {
+        self.shared.gc.in_scan_phase.load(Ordering::Acquire)
     }
 
     /// [`WorkerState::locate`] for callers that only want the address; null
@@ -1617,7 +1622,7 @@ impl Executor for ThreadedMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{alloc_checks, read_checks, FieldInit};
+    use crate::ctx::{alloc_checks, read_checks, scope_checks, FieldInit};
     use crate::task::Handle;
     use mgc_heap::{i64_to_word, word_to_i64};
 
@@ -1840,6 +1845,9 @@ mod tests {
         assert!(worker.heap.is_global(old));
         assert_eq!(worker.resolve_addr(local), old);
         assert_eq!(worker.resolve_addr(old), old);
+        // Its chunk neighbour, which the collection has not reached yet.
+        let neighbour_local = worker.heap.alloc_raw(&[4]).unwrap();
+        let neighbour = worker.promote_shared(neighbour_local, PromoteWhy::Publish);
 
         // What a budgeted collection leaves between two increments: the
         // object's chunk is from-space, the object forwarded to a to-space
@@ -1861,19 +1869,35 @@ mod tests {
         let mut roots = RootSet::default();
         roots.push(old);
         roots.push(old);
+        roots.push(local);
+        roots.push(neighbour);
         on_worker(worker, &shared, &mut roots, |ctx| {
             let handle = ctx.input(0);
             assert_eq!(ctx.len(handle), 5);
             assert_eq!(ctx.read_words(handle), vec![5, 6, 7, 8, 9]);
             assert_eq!(ctx.read_raw(handle, 4), 9);
-            // A second slot still names the from-space copy: a run of
+            // A read scope chases the same forwards, from the from-space
+            // original and from the local one, without rewriting a slot —
+            // also right after locating an unforwarded object in the
+            // original's from-space chunk.
+            let (from_space, promoted) = (ctx.input(1), ctx.input(2));
+            let neighbour = ctx.input(3);
+            ctx.read_scope(|r| {
+                for handle in [from_space, promoted] {
+                    assert_eq!(r.fields(r.obj(neighbour), 0), [4]);
+                    let obj = r.obj(handle);
+                    assert_eq!(r.len(obj), 5);
+                    assert_eq!(r.fields(obj, 1), [6, 7, 8]);
+                }
+            });
+            // The second slot still names the from-space copy: a run of
             // fields resolves it again.
-            assert_eq!(ctx.read_fields(ctx.input(1), 1), [6, 7, 8]);
+            assert_eq!(ctx.read_fields(from_space, 1), [6, 7, 8]);
         });
         assert_eq!(
             roots.slots(),
-            [copy, copy],
-            "the root slots now hold the copy"
+            [copy, copy, local, neighbour],
+            "the handle reads' slots now hold the copy; the scope's is unchanged"
         );
     }
 
@@ -1917,14 +1941,14 @@ mod tests {
         );
     }
 
-    // The clearing rule of `TaskCtx`'s remembered read (the `ctx.rs` module
-    // doc): each test reads an object, runs one operation that moves or
-    // forwards it, and reads it again through the same context.
+    // Handle reads across a safe point: each test reads an object, runs one
+    // operation that moves or forwards it, and reads it again through the
+    // same context.
 
     /// An allocation that runs a minor collection between two reads: the
     /// second read finds the copy the collection made.
     #[test]
-    fn remembered_read_after_an_allocation_that_collects() {
+    fn handle_read_after_an_allocation_that_collects() {
         let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
         let worker = &mut workers[0];
         let obj = worker.heap.alloc_raw(&[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
@@ -1948,10 +1972,10 @@ mod tests {
     }
 
     /// `fork_join` promotes the continuation's inputs: a local original the
-    /// last read located is now forwarded, and the next read follows it to
+    /// first read located is now forwarded, and the next read follows it to
     /// the global copy and rewrites the slot.
     #[test]
-    fn remembered_read_after_fork_join_promotes_the_object() {
+    fn handle_read_after_fork_join_promotes_the_object() {
         let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
         let mut roots = RootSet::default();
         on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
@@ -1966,11 +1990,10 @@ mod tests {
     }
 
     /// A steal served at an allocation's safe point promotes the stolen
-    /// task's roots, one of which the last read located: the next read
-    /// follows the forward to the global copy. Fails if `alloc_raw` keeps the
-    /// remembered location.
+    /// task's roots, one of which the first read located: the next read
+    /// follows the forward to the global copy.
     #[test]
-    fn remembered_read_after_a_steal_at_an_allocation() {
+    fn handle_read_after_a_steal_at_an_allocation() {
         let (shared, mut workers) = assembled(MachineConfig::small_for_tests(2));
         let mut roots = RootSet::default();
         on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
@@ -1994,7 +2017,7 @@ mod tests {
     /// between two reads of a global object: the increment evacuated the
     /// root, and the second read finds the to-space copy.
     #[test]
-    fn remembered_read_after_a_budgeted_increment_at_truncate_roots() {
+    fn handle_read_after_a_budgeted_increment_at_truncate_roots() {
         let mut config = MachineConfig::small_for_tests(1);
         config.gc.pause_budget_us = Some(1);
         let (shared, mut workers) = assembled(config);
@@ -2113,6 +2136,50 @@ mod tests {
             &shared,
             &mut roots,
             read_checks::read_past_the_end,
+        );
+    }
+
+    // Read scopes (`ctx::scope_checks` holds the bodies; the simulated
+    // backend runs the same ones).
+
+    #[test]
+    fn ctx_scope_reads_match_handle_reads_on_a_local_object() {
+        let (shared, mut workers, desc, _) = assembled_for_read_checks();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            scope_checks::match_on_a_local_object(ctx, desc)
+        });
+    }
+
+    #[test]
+    fn ctx_scope_reads_match_handle_reads_on_a_promoted_object() {
+        let (shared, mut workers, desc, channel) = assembled_for_read_checks();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            scope_checks::match_on_a_promoted_object(ctx, desc, channel)
+        });
+    }
+
+    #[test]
+    fn ctx_scope_reads_of_null_children_are_none() {
+        let (shared, mut workers, desc, _) = assembled_for_read_checks();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            scope_checks::null_children_read_as_none(ctx, desc)
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read past the end")]
+    fn ctx_scope_reads_past_the_end_panic_in_debug_builds() {
+        let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let mut roots = RootSet::default();
+        on_worker(
+            &mut workers[0],
+            &shared,
+            &mut roots,
+            scope_checks::read_past_the_end,
         );
     }
 

@@ -14,13 +14,17 @@
 //! seed 0), 69 % (7.62 M) land in the global heap at one vproc, which never
 //! steals, and 99.99 % at two.
 //!
-//! A node visit reads the node's mass and centre of mass with one
-//! [`TaskCtx::read_fields`] and its four children with one
-//! [`TaskCtx::read_ptrs`]: two accesses of one object.
+//! Each particle's force walk is one [`TaskCtx::read_scope`]: the tree is
+//! read through raw references, as the paper's mutator holds pointers in
+//! registers between GC points. A node visit reads the node's mass and
+//! centre of mass with one [`ReadScope::fields`] and its four children with
+//! one [`ReadScope::ptrs`]: one locate, and no roots pushed.
 
 use crate::scale::Scale;
 use mgc_heap::{f64_to_word, word_to_f64, Descriptor, DescriptorId};
-use mgc_runtime::{Checksum, Executor, FieldInit, Handle, Program, TaskCtx, TaskResult, TaskSpec};
+use mgc_runtime::{
+    Checksum, Executor, FieldInit, Handle, Obj, Program, ReadScope, TaskCtx, TaskResult, TaskSpec,
+};
 
 /// Particle count at the benchmark preset. The force phase is close to
 /// quadratic at the opening angle used here, so the benchmark keeps the
@@ -246,16 +250,22 @@ fn build_tree(
 }
 
 /// Computes the acceleration exerted on `(px, py)` by the subtree at `node`.
-fn accel_from(ctx: &mut TaskCtx<'_>, node: Handle, px: f64, py: f64, cell_size: f64) -> (f64, f64) {
-    let [mass, cx, cy] = ctx.read_fields(node, F_MASS);
+fn accel_from<'s>(
+    r: &mut ReadScope<'s, '_>,
+    node: Obj<'s>,
+    px: f64,
+    py: f64,
+    cell_size: f64,
+) -> (f64, f64) {
+    let [mass, cx, cy] = r.fields(node, F_MASS);
     let (mass, cx, cy) = (word_to_f64(mass), word_to_f64(cx), word_to_f64(cy));
     let dx = cx - px;
     let dy = cy - py;
     let dist2 = dx * dx + dy * dy + 1e-6;
     let dist = dist2.sqrt();
-    ctx.work(16);
+    r.work(16);
 
-    let children: [Option<Handle>; 4] = ctx.read_ptrs(node, F_CHILDREN);
+    let children: [Option<Obj<'s>>; 4] = r.ptrs(node, F_CHILDREN);
     let is_leaf = children.iter().all(Option::is_none);
     if is_leaf || cell_size / dist < THETA {
         let f = G * mass / (dist2 * dist);
@@ -264,7 +274,7 @@ fn accel_from(ctx: &mut TaskCtx<'_>, node: Handle, px: f64, py: f64, cell_size: 
     let mut ax = 0.0;
     let mut ay = 0.0;
     for child in children.into_iter().flatten() {
-        let (cax, cay) = accel_from(ctx, child, px, py, cell_size / 2.0);
+        let (cax, cay) = accel_from(r, child, px, py, cell_size / 2.0);
         ax += cax;
         ay += cay;
     }
@@ -337,7 +347,12 @@ fn iteration_task(desc: DescriptorId, remaining: usize, blocks: usize) -> TaskSp
                     let mut updated = Vec::with_capacity(mine.len());
                     for p in &mine {
                         let mark = ctx.root_mark();
-                        let (ax, ay) = accel_from(ctx, tree, p.x, p.y, cell);
+                        let (ax, ay) = ctx.read_scope(|r| {
+                            let tree = r.obj(tree);
+                            accel_from(r, tree, p.x, p.y, cell)
+                        });
+                        // The walk pushed no roots; this keeps the
+                        // per-particle safe point.
                         ctx.truncate_roots(mark);
                         let vx = p.vx + ax * DT;
                         let vy = p.vy + ay * DT;

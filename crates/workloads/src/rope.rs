@@ -51,15 +51,18 @@ fn build_rope<T: Copy>(ctx: &mut TaskCtx<'_>, values: &[T], to_word: impl Fn(T) 
     ctx.alloc_vector(&leaves)
 }
 
-/// Total number of elements stored in a rope.
+/// Total number of elements stored in a rope, read in one read scope: the
+/// caller's root set is unchanged.
 pub fn rope_len(ctx: &mut TaskCtx<'_>, rope: Handle) -> usize {
-    let leaves = ctx.len(rope);
-    let mut total = 0;
-    for i in 0..leaves {
-        let leaf = ctx.read_ptr(rope, i).expect("rope leaves are never null");
-        total += ctx.len(leaf);
-    }
-    total
+    ctx.read_scope(|r| {
+        let spine = r.obj(rope);
+        (0..r.len(spine))
+            .map(|i| {
+                let [leaf] = r.ptrs(spine, i);
+                r.len(leaf.expect("rope leaves are never null"))
+            })
+            .sum()
+    })
 }
 
 /// Reads an entire rope of `f64` values back into a `Vec`.
@@ -125,7 +128,7 @@ fn for_each_leaf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgc_runtime::{Machine, MachineConfig, TaskResult, TaskSpec};
+    use mgc_runtime::{Executor, Machine, MachineConfig, TaskResult, TaskSpec, ThreadedMachine};
 
     #[test]
     fn rope_round_trips_f64_data() {
@@ -182,6 +185,28 @@ mod tests {
             }
             TaskResult::Unit
         }));
+        machine.run();
+    }
+
+    /// `rope_len` leaves its caller's root set as it found it, on both
+    /// backends: it reads the spine and the leaves in one read scope.
+    #[test]
+    fn rope_len_pushes_no_roots() {
+        let body = || {
+            TaskSpec::new("rope-len", |ctx| {
+                let data: Vec<i64> = (0..1000).collect();
+                let rope = build_i64_rope(ctx, &data);
+                let mark = ctx.root_mark();
+                assert_eq!(rope_len(ctx, rope), 1000);
+                assert_eq!(ctx.root_mark(), mark, "no root per leaf");
+                TaskResult::Unit
+            })
+        };
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        machine.spawn_root(body());
+        machine.run();
+        let mut machine = ThreadedMachine::new(MachineConfig::small_for_tests(1));
+        machine.spawn_root(body());
         machine.run();
     }
 
