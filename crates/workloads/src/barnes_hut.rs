@@ -18,7 +18,8 @@
 //! read through raw references, as the paper's mutator holds pointers in
 //! registers between GC points. A node visit reads the node's mass and
 //! centre of mass with one [`ReadScope::fields`] and its four children with
-//! one [`ReadScope::ptrs`]: one locate, and no roots pushed.
+//! one [`ReadScope::ptrs`]: at most one locate (an offset when the node
+//! shares the previous node's chunk), and no roots pushed.
 
 use crate::scale::Scale;
 use mgc_heap::{f64_to_word, word_to_f64, Descriptor, DescriptorId};
