@@ -490,12 +490,16 @@ mod tests {
     /// Fills the global heap with a mix of live and dead data from several
     /// vprocs. Returns the per-vproc roots of the live data.
     fn populate(heap: &mut Heap, collector: &mut Collector, vprocs: usize) -> Vec<Vec<Addr>> {
-        let mut roots_per_vproc: Vec<Vec<Addr>> = vec![Vec::new(); vprocs];
-        #[allow(clippy::needless_range_loop)]
-        for vproc in 0..vprocs {
+        populate_lists(heap, collector, &vec![10; vprocs])
+    }
+
+    /// [`populate`] with a list of `lens[v]` cells for vproc `v`.
+    fn populate_lists(heap: &mut Heap, collector: &mut Collector, lens: &[u64]) -> Vec<Vec<Addr>> {
+        let mut roots_per_vproc: Vec<Vec<Addr>> = vec![Vec::new(); lens.len()];
+        for (vproc, &len) in lens.iter().enumerate() {
             // Live data: a small list promoted to the global heap.
             let mut list = Addr::NULL;
-            for i in 0..10u64 {
+            for i in 0..len {
                 let val = heap.alloc_raw(vproc, &[i + 100 * vproc as u64]).unwrap();
                 list = heap.alloc_vector(vproc, &[val.raw(), list.raw()]).unwrap();
             }
@@ -983,6 +987,44 @@ mod tests {
             assert_eq!(shared_values(&workers[v], roots[v][0]), before[v]);
         }
         assert!(state.copied_bytes.load(Ordering::Relaxed) > 0);
+    }
+
+    /// `(cpu_ns.to_bits(), bytes_to_node)` per vproc and the copied bytes of
+    /// one collection on four vprocs over two nodes (vproc `v` on node
+    /// `v % 2`). The elapsed time of a simulated round is its slowest
+    /// vproc's, so this pins what the others are charged as well.
+    const PINNED_PER_VPROC: ([(u64, [u64; 2]); 4], u64) = (
+        [
+            (0x40dcb76666666667, [4480, 1600]), // 29405.600000000002 ns
+            (0x40dc856666666667, [0, 3080]),    // 29205.600000000002 ns
+            (0x40dc5c0000000000, [600, 0]),     // 29040 ns
+            (0x40dc520000000000, [0, 0]),       // 29000 ns
+        ],
+        3200,
+    );
+
+    #[test]
+    fn per_vproc_costs_are_pinned() {
+        let (mut heap, mut collector) = setup(4);
+        // Lists of different lengths, so no two vprocs' costs coincide.
+        let mut roots = populate_lists(&mut heap, &mut collector, &[10, 25, 5, 40]);
+        // Young local vectors: vproc 0's holds vproc 3's list, which vproc 0
+        // reaches first and copies across nodes; vproc 1's holds its own.
+        let lists: Vec<Addr> = roots.iter().map(|set| set[0]).collect();
+        for (vproc, list) in [(0, lists[3]), (1, lists[1])] {
+            let holder = heap.alloc_vector(vproc, &[list.raw()]).unwrap();
+            roots[vproc].insert(0, holder);
+        }
+        let outcome = collector.global(&mut heap, &mut roots);
+        let per_vproc: Vec<(u64, [u64; 2])> = outcome
+            .per_vproc_cost
+            .iter()
+            .map(|c| (c.cpu_ns.to_bits(), [c.bytes_to_node[0], c.bytes_to_node[1]]))
+            .collect();
+        assert_eq!(
+            (per_vproc.as_slice(), outcome.copied_bytes),
+            (PINNED_PER_VPROC.0.as_slice(), PINNED_PER_VPROC.1)
+        );
     }
 
     #[test]

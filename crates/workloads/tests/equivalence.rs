@@ -13,7 +13,8 @@
 //! and on publication to machine-global structures — but *which* tasks are
 //! stolen depends on real scheduling on the threaded backend) and therefore
 //! the number of global collections — those are compared within a generous
-//! tolerance only.
+//! tolerance only. At one vproc nothing is stolen, and there the counts are
+//! pinned exactly per backend.
 //!
 //! Both runs go through the [`Experiment`] front door with an explicit
 //! `backend(..)`, which pins the backend regardless of `MGC_BACKEND`, once
@@ -190,5 +191,91 @@ fn churn_survivors_are_identical_across_backends() {
         assert!(!is_ptr);
         assert_eq!(mgc_heap::word_to_i64(word), expected, "{backend}");
         assert_eq!(record.checksum_ok, Some(true), "{backend}");
+    }
+}
+
+/// `(minors, majors, globals, promoted bytes, global-copied bytes,
+/// promotions_at_publish)` of one run.
+type Counts = (u64, u64, u64, u64, u64, u64);
+
+/// One vproc, the dual-node test topology, node-local placement and a
+/// 64 KiB global threshold under the paper's fixed trigger: low enough that
+/// Quicksort and Barnes-Hut run global collections at tiny scale.
+fn one_vproc_counts(backend: Backend, workload: Workload) -> Counts {
+    let record = workload
+        .experiment(Scale::tiny())
+        .env_overrides(EnvOverrides::default())
+        .gc(GcConfig {
+            global_threshold_per_vproc_bytes: 64 * 1024,
+            global_growth_factor: 0.0,
+            ..GcConfig::default()
+        })
+        .backend(backend)
+        .topology(Topology::dual_node_test())
+        .vprocs(1)
+        .policy(AllocPolicy::Local)
+        .run()
+        .expect("the one-vproc configurations are valid");
+    assert_eq!(record.checksum_ok, Some(true), "{workload} on {backend}");
+    let report = &record.report;
+    (
+        report.gc.minor_collections,
+        report.gc.major_collections,
+        report.gc.global_collections,
+        report.total_promoted_bytes(),
+        report.gc.global_copied_bytes,
+        report.promotions_at_publish(),
+    )
+}
+
+/// The 1-vproc table: with one vproc nothing is stolen, so both backends
+/// collect exactly as often and copy exactly as much — except where the
+/// threaded backend promotes a task's pointer result when it publishes it
+/// to the join table (`WorkerState::run_task`'s `TaskResult::Ptr` arm) and the
+/// simulated backend does not (`[lazy-join]` removes that fork). Every
+/// threaded value here held over 20 release runs.
+#[test]
+fn one_vproc_collections_are_exact_on_both_backends() {
+    let agree: [(Workload, Counts); 4] = [
+        (Workload::Dmm, (0, 0, 0, 0, 0, 0)),
+        (Workload::Raytracer, (0, 0, 0, 0, 0, 0)),
+        (Workload::Smvm, (0, 0, 0, 0, 0, 0)),
+        (Workload::Churn, (1, 0, 0, 0, 0, 0)),
+    ];
+    for (workload, counts) in agree {
+        for backend in [Backend::Simulated, Backend::Threaded] {
+            assert_eq!(
+                one_vproc_counts(backend, workload),
+                counts,
+                "{workload} on {backend}"
+            );
+        }
+    }
+    // Eager publish promotion: every pointer result the threaded backend
+    // publishes is promoted, so its global heap fills sooner and it runs
+    // more collections of more data.
+    let fork: [(Workload, Counts, Counts); 2] = [
+        (
+            Workload::Quicksort,
+            (48, 47, 44, 1_951_928, 11_765_984, 0),
+            (59, 57, 55, 3_205_048, 16_943_320, 52),
+        ),
+        (
+            Workload::BarnesHut,
+            (98, 97, 96, 260_768, 19_690_320, 0),
+            (190, 190, 190, 483_696, 39_098_928, 190),
+        ),
+    ];
+    for (workload, simulated, threaded) in fork {
+        assert_eq!(
+            one_vproc_counts(Backend::Simulated, workload),
+            simulated,
+            "{workload} on the simulated backend"
+        );
+        assert_eq!(
+            one_vproc_counts(Backend::Threaded, workload),
+            threaded,
+            "{workload} on the threaded backend"
+        );
     }
 }
