@@ -403,15 +403,20 @@ impl RuntimeState {
 
     /// Collects every root the runtime knows about for `vproc`: the supplied
     /// extra roots (the running task), every task waiting in the vproc's
-    /// deque, every filled pointer slot of every join cell, and every queued
-    /// channel message. Every slot of every root set is handed over and no
-    /// watermark is ever raised here: only the threaded backend scans
-    /// generationally, so this backend's virtual costs stay what they were.
-    fn gather_roots(&self, vproc: usize, extra: &[Addr]) -> Vec<Addr> {
+    /// deque and, with `shared`, the machine-global structures: every filled
+    /// pointer slot of every join cell, every queued channel message, every
+    /// proxy and the root result. Every slot of every root set is handed
+    /// over and no watermark is ever raised here: only the threaded backend
+    /// scans generationally, so this backend's virtual costs stay what they
+    /// were.
+    fn gather_roots(&self, vproc: usize, extra: &[Addr], shared: bool) -> Vec<Addr> {
         let mut roots: Vec<Addr> = Vec::with_capacity(extra.len() + 16);
         roots.extend_from_slice(extra);
         for task in &self.vprocs[vproc].deque {
             roots.extend_from_slice(task.roots.slots());
+        }
+        if !shared {
+            return roots;
         }
         for join in self.joins.iter().flatten() {
             for slot in &join.slots {
@@ -437,7 +442,7 @@ impl RuntimeState {
 
     /// Writes the (possibly rewritten) roots back into the structures they
     /// were gathered from, in exactly the same order.
-    fn scatter_roots(&mut self, vproc: usize, extra: &mut [Addr], roots: &[Addr]) {
+    fn scatter_roots(&mut self, vproc: usize, extra: &mut [Addr], roots: &[Addr], shared: bool) {
         let mut cursor = 0;
         for slot in extra.iter_mut() {
             *slot = roots[cursor];
@@ -448,6 +453,10 @@ impl RuntimeState {
                 *slot = roots[cursor];
                 cursor += 1;
             }
+        }
+        if !shared {
+            debug_assert_eq!(cursor, roots.len());
+            return;
         }
         for join in self.joins.iter_mut().flatten() {
             for slot in join.slots.iter_mut() {
@@ -484,11 +493,11 @@ impl RuntimeState {
     /// Runs a local (minor, possibly major) collection for `vproc`, with the
     /// running task's roots supplied in `extra`.
     pub(crate) fn local_gc(&mut self, vproc: usize, extra: &mut [Addr]) {
-        let mut roots = self.gather_roots(vproc, extra);
+        let mut roots = self.gather_roots(vproc, extra, true);
         let outcome = self
             .collector
             .collect_local(&mut self.heap, vproc, &mut roots);
-        self.scatter_roots(vproc, extra, &roots);
+        self.scatter_roots(vproc, extra, &roots, true);
         self.charge_gc_cost(vproc, &outcome.cost);
         // A local collection's major phase promotes for the collecting
         // vproc's own benefit: the consumer is the vproc itself.
@@ -1065,46 +1074,25 @@ impl Machine {
         self.state.globalise_shared_roots();
         // Gather per-vproc root sets: the running tasks are all quiescent at
         // this point (safe point), so the deques, joins, and channels hold
-        // every root.
-        let mut roots_per_vproc: Vec<Vec<Addr>> = Vec::with_capacity(num_vprocs);
-        for vproc in 0..num_vprocs {
-            // Machine-global structures (joins, channels, proxies, the root
-            // result) are handed to vproc 0 only, so they are traced once.
-            let extra: Vec<Addr> = Vec::new();
-            if vproc == 0 {
-                roots_per_vproc.push(self.state.gather_roots(0, &extra));
-            } else {
-                let roots: Vec<Addr> = self.state.vprocs[vproc]
-                    .deque
-                    .iter()
-                    .flat_map(|t| t.roots.slots().iter().copied())
-                    .collect();
-                roots_per_vproc.push(roots);
-            }
-        }
+        // every root. Machine-global structures (joins, channels, proxies,
+        // the root result) are handed to vproc 0 only, so they are traced
+        // once.
+        let mut roots_per_vproc: Vec<Vec<Addr>> = (0..num_vprocs)
+            .map(|vproc| self.state.gather_roots(vproc, &[], vproc == 0))
+            .collect();
 
         let outcome = self
             .state
             .collector
             .global(&mut self.state.heap, &mut roots_per_vproc);
 
-        // Scatter the rewritten roots back.
-        for vproc in (1..num_vprocs).rev() {
-            let roots = &roots_per_vproc[vproc];
-            let mut cursor = 0;
-            for task in self.state.vprocs[vproc].deque.iter_mut() {
-                for slot in task.roots.slots_mut() {
-                    *slot = roots[cursor];
-                    cursor += 1;
-                }
-            }
-            debug_assert_eq!(cursor, roots.len());
+        for (vproc, roots) in roots_per_vproc.iter().enumerate() {
+            self.state.scatter_roots(vproc, &mut [], roots, vproc == 0);
         }
-        let mut extra: Vec<Addr> = Vec::new();
-        self.state.scatter_roots(0, &mut extra, &roots_per_vproc[0]);
 
-        // The sequential collector attributes one virtual cost per vproc.
-        // With a pause budget configured, model the threaded backend's
+        // One driver thread ran every vproc's phases of the threaded
+        // collection and charged each vproc its share: one virtual cost per
+        // vproc. With a pause budget configured, model the threaded backend's
         // incremental shape: the cost is sliced into equal increments no
         // longer than the budget, each recorded as its own pause (the bound
         // is exact here — virtual increments carry no ramp-down slack).
