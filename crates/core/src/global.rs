@@ -497,10 +497,8 @@ mod tests {
         let mut roots = populate(&mut heap, &mut collector, 2);
         let in_use_before = heap.global().bytes_in_use();
         let chunks_before = heap.global().chunks_in_use();
-        let used_before: Vec<usize> = (heap.global().snapshot().iter().enumerate())
-            .filter(|(_, c)| c.state() != SharedChunkState::Free)
-            .map(|(index, _)| index)
-            .collect();
+        let mut used_before = heap.global().snapshot();
+        used_before.retain(|c| c.state() != SharedChunkState::Free);
         let live_before: Vec<Vec<u64>> = roots.iter().map(|r| list_values(&heap, r[0])).collect();
 
         let outcome = collector.global(&mut heap, &mut roots);
@@ -513,12 +511,9 @@ mod tests {
         // every chunk in use before is free again.
         assert!(outcome.copied_bytes > 0);
         assert!(!used_before.is_empty());
-        for &index in &used_before {
-            assert_eq!(
-                heap.global().chunk_at(index).state(),
-                SharedChunkState::Free
-            );
-        }
+        assert!(used_before
+            .iter()
+            .all(|c| c.state() == SharedChunkState::Free));
         assert!(heap.global().chunks_in_use() <= chunks_before);
         assert!(heap.global().bytes_in_use() <= in_use_before);
         assert_eq!(outcome.per_vproc_cost.len(), 2);
