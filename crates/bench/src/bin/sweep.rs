@@ -6,11 +6,10 @@
 //!   the workload scale with `MGC_SCALE=tiny|small|bench|paper`.
 //! * **`--corpus <manifest.json> [--store <dir>]`** — sweeps the run points
 //!   a checked-in corpus manifest describes (`corpus/bench-baseline.json`,
-//!   `corpus/serve.json`, `corpus/ci-smoke.json`) and appends them to the
-//!   results store as one batch of kind `corpus:<name>`. `--store`
-//!   overrides the store directory (default `results/store`); CI sweeps
-//!   into a scratch directory so the perf gate sees only what this run
-//!   measured.
+//!   `corpus/serve.json`) and appends them to the results store as one
+//!   batch of kind `corpus:<name>`. `--store` overrides the store directory
+//!   (default `results/store`); CI sweeps into a scratch directory so its
+//!   checks see only what this run measured.
 
 fn main() {
     let mut corpus: Option<String> = None;

@@ -11,7 +11,7 @@
 //! ```json
 //! {
 //!   "corpus_schema_version": 1,
-//!   "name": "ci-smoke",
+//!   "name": "example",
 //!   "scale": "tiny",
 //!   "heap": "small",
 //!   "points": [
@@ -27,10 +27,10 @@
 //! rejected with an error naming the field, not silently misread.
 //!
 //! Every sweep the harness runs is a checked-in manifest under `corpus/`:
-//! `bench-baseline.json` (the perf-gate axes: six programs × 1/2/4 vprocs ×
-//! both backends), `serve.json` (the Request-Server under open-loop load,
-//! simulated, threaded, and threaded under a 500 µs pause budget), and
-//! `ci-smoke.json` (the tiny grid the trend report sweeps).
+//! `bench-baseline.json` (six programs × 1/2/4 vprocs × both backends, the
+//! sweep whose speed-ups and pauses CI checks) and `serve.json` (the
+//! Request-Server under open-loop load, simulated, threaded, and threaded
+//! under a 500 µs pause budget, whose p99 latency CI checks).
 
 use mgc_heap::HeapConfig;
 use mgc_numa::{AllocPolicy, PlacementPolicy, Topology};
@@ -101,7 +101,7 @@ impl CorpusHeap {
 }
 
 /// Parses a scale preset name as the manifest (and `MGC_SCALE`) spells it.
-pub fn scale_from_name(name: &str) -> Result<Scale, String> {
+pub(crate) fn scale_from_name(name: &str) -> Result<Scale, String> {
     match name {
         "tiny" => Ok(Scale::tiny()),
         "small" => Ok(Scale::small()),
@@ -556,9 +556,9 @@ mod tests {
         keys
     }
 
-    /// The two checked-in manifests that feed the perf gate load and expand
-    /// to exactly the keys of the baseline store's seed batches — so a fresh
-    /// sweep re-measures every gated key and no other.
+    /// The two checked-in manifests load and expand to exactly the keys of
+    /// the store's seed batches — so a fresh sweep re-measures every seed
+    /// key and no other.
     #[test]
     fn checked_in_manifests_expand_to_the_seed_batch_keys() {
         let repo = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");

@@ -1,13 +1,15 @@
 //! Benchmark harness: regenerates every table and figure of the paper's
 //! evaluation section, and runs every measured sweep as one pipeline —
-//! corpus manifest → [`corpus`] point runner → results-store batch →
-//! [`perfdiff`] gate table.
+//! corpus manifest → [`corpus`] point runner → results-store batch.
 //!
 //! | Artefact | Binary | What it reproduces |
 //! |----------|--------|--------------------|
 //! | Table 1, figures 4–8 | `sweep` | Modelled node bandwidth, then every speedup figure, written as CSV under `results/` |
 //! | a corpus | `sweep --corpus <manifest>` | One store batch per checked-in manifest under `corpus/` |
-//! | the gate | `perfdiff` | `results/baseline/gates.json` evaluated over two store directories |
+//!
+//! Performance comparisons are not made here: `scripts/perf-pairs.sh`
+//! compares a change with its base through the benchmark under
+//! `benchmark/`.
 //!
 //! Absolute speedups depend on the workload scale (the default is a scaled
 //! down input set — set `MGC_SCALE=paper` for the published sizes); the
@@ -80,23 +82,15 @@ pub fn figure7() -> FigureSpec {
     }
 }
 
-/// The series of one figure: a speedup curve per benchmark.
-#[derive(Debug, Clone)]
-pub struct FigureData {
-    /// The figure this data belongs to.
-    pub spec_name: &'static str,
-    /// `(benchmark, curve)` pairs in the paper's legend order.
-    pub series: Vec<(Workload, Vec<SpeedupPoint>)>,
-}
-
-/// Runs every benchmark of a figure.
+/// Runs every benchmark of a figure: `(benchmark, curve)` pairs in the
+/// paper's legend order.
 ///
 /// Speedups in Figures 6 and 7 are plotted relative to the *same*
 /// single-thread baseline as Figure 5 (the paper plots them "relative to the
 /// single-processor performance for the AMD machine in Figure 5"), which is
 /// what `baseline_policy` arranges.
-pub fn run_figure(spec: &FigureSpec, scale: Scale) -> FigureData {
-    let series = Workload::FIGURES
+fn run_figure(spec: &FigureSpec, scale: Scale) -> Vec<(Workload, Vec<SpeedupPoint>)> {
+    Workload::FIGURES
         .iter()
         .map(|&workload| {
             let baseline = workload
@@ -121,25 +115,21 @@ pub fn run_figure(spec: &FigureSpec, scale: Scale) -> FigureData {
             );
             (workload, points)
         })
-        .collect();
-    FigureData {
-        spec_name: spec.name,
-        series,
-    }
+        .collect()
 }
 
 /// Formats a figure as an aligned text table (threads × benchmarks).
-pub fn format_figure(spec: &FigureSpec, data: &FigureData) -> String {
+fn format_figure(spec: &FigureSpec, data: &[(Workload, Vec<SpeedupPoint>)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {} — {}", spec.name, spec.title);
     let _ = write!(out, "{:>8}", "threads");
-    for (workload, _) in &data.series {
+    for (workload, _) in data {
         let _ = write!(out, " {:>22}", workload.label());
     }
     let _ = writeln!(out);
     for (i, &threads) in spec.threads.iter().enumerate() {
         let _ = write!(out, "{threads:>8}");
-        for (_, points) in &data.series {
+        for (_, points) in data {
             let _ = write!(out, " {:>22.2}", points[i].speedup);
         }
         let _ = writeln!(out);
@@ -148,9 +138,9 @@ pub fn format_figure(spec: &FigureSpec, data: &FigureData) -> String {
 }
 
 /// Formats a figure as CSV (`benchmark,threads,speedup,elapsed_ns`).
-pub fn figure_csv(data: &FigureData) -> String {
+fn figure_csv(data: &[(Workload, Vec<SpeedupPoint>)]) -> String {
     let mut out = String::from("benchmark,threads,speedup,elapsed_ns\n");
-    for (workload, points) in &data.series {
+    for (workload, points) in data {
         for p in points {
             let _ = writeln!(
                 out,
@@ -235,7 +225,7 @@ fn figure8_point(program: &str, scale: Scale, placement: PlacementPolicy) -> Run
 
 /// Runs all six programs under `NodeLocal` and `Interleave` placement —
 /// the locality-first default and the locality-blind baseline.
-pub fn run_figure8(scale: Scale) -> Vec<RunRecord> {
+fn run_figure8(scale: Scale) -> Vec<RunRecord> {
     let mut points = Vec::new();
     for placement in [PlacementPolicy::NodeLocal, PlacementPolicy::Interleave] {
         for (program, workload) in corpus::PROGRAM_KEYS {
@@ -249,7 +239,7 @@ pub fn run_figure8(scale: Scale) -> Vec<RunRecord> {
 
 /// Formats the figure-8 records as CSV
 /// (`program,placement,vprocs,wall_clock_ns,promoted_bytes,...`).
-pub fn figure8_csv(points: &[RunRecord]) -> String {
+fn figure8_csv(points: &[RunRecord]) -> String {
     let mut out = String::from(
         "program,placement,vprocs,wall_clock_ns,promoted_bytes,promoted_bytes_local,\
          promoted_bytes_remote,steals,steals_same_node,steals_cross_node\n",
@@ -274,7 +264,7 @@ pub fn figure8_csv(points: &[RunRecord]) -> String {
 }
 
 /// Formats the figure-8 records as an aligned table for the console.
-pub fn format_figure8(points: &[RunRecord]) -> String {
+fn format_figure8(points: &[RunRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -318,30 +308,21 @@ pub fn run_figure8_and_report() {
     write_csv("figure8", &figure8_csv(&points));
 }
 
-/// Default results-store directory `sweep --corpus` appends to and `trend`
-/// reads, relative to the repo root.
+/// Default results-store directory `sweep --corpus` appends to, relative to
+/// the repo root.
 pub const STORE_DIR: &str = "results/store";
 
 pub mod corpus;
-pub mod perfdiff;
-pub mod trend;
 
 /// Reads the workload scale from the `MGC_SCALE` environment variable
 /// (`paper`, `small`, `bench`, or `tiny`; default `tiny` so the harness
-/// finishes quickly on a laptop). `bench` is the CI perf-gate scale: real
-/// compute dominates synchronisation there, so speedup curves mean
-/// something.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("MGC_SCALE").as_deref() {
-        Ok("paper") => Scale::paper(),
-        Ok("small") => Scale::small(),
-        Ok("bench") => Scale::bench(),
-        Ok("tiny") | Err(_) => Scale::tiny(),
-        Ok(other) => {
-            eprintln!("unknown MGC_SCALE `{other}`, using tiny");
-            Scale::tiny()
-        }
-    }
+/// finishes quickly on a laptop).
+fn scale_from_env() -> Scale {
+    let name = std::env::var("MGC_SCALE").unwrap_or_else(|_| "tiny".to_string());
+    corpus::scale_from_name(&name).unwrap_or_else(|err| {
+        eprintln!("MGC_SCALE: {err}; using tiny");
+        Scale::tiny()
+    })
 }
 
 /// Writes `results/<name>.csv`, warning instead of failing when the

@@ -1,7 +1,7 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! The workspace has no third-party JSON dependency, so the store reads its
-//! inputs — batch files, corpus manifests, the perf-gate table — with this
+//! inputs — batch files and corpus manifests — with this
 //! parser. Two properties matter here:
 //!
 //! * object fields keep **file order** (the flat record schema is

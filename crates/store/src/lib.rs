@@ -1,8 +1,7 @@
-//! The queryable results store behind the bench harness and the CI perf
-//! gates.
+//! The queryable results store behind the bench harness.
 //!
-//! Every sweep — the checked-in baselines, `sweep --corpus`, the CI
-//! perf-gate runs — appends one **batch** to a store directory
+//! Every sweep — the checked-in seed batches, `sweep --corpus`, the CI
+//! sweep jobs — appends one **batch** to a store directory
 //! (`results/store/` by default). A batch is a single JSON file holding the
 //! run's metadata (git revision, timestamp, host topology, scale, what kind
 //! of sweep it was) and the full [`RunRecord`](mgc_runtime::RunRecord)
@@ -27,9 +26,7 @@
 //!
 //! Reading happens through [`Query`]: a typed filter builder
 //! (`Query::new().program("Quicksort").backend("threaded").vprocs(4)`)
-//! that yields matched records, the latest record per run-point key, or
-//! cross-run [`diff`] rows. `perfdiff` and the `trend` report are both
-//! built on it; nothing in the tree parses result JSON by hand anymore.
+//! that yields the matched records or the latest record per run-point key.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +38,7 @@ pub mod record;
 pub mod store;
 
 pub use json::{JsonError, JsonValue};
-pub use query::{diff, DiffRow, Query};
+pub use query::Query;
 pub use record::{RecordKey, StoredRecord, LEGACY_RECORD_VERSION};
 pub use store::{Batch, RunMeta, Store, STORE_SCHEMA_VERSION};
 

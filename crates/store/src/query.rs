@@ -1,4 +1,4 @@
-//! The typed query API: how gates and reports read the store.
+//! The typed query API: how readers of the store select records.
 
 use crate::record::{RecordKey, StoredRecord};
 use crate::store::Store;
@@ -16,7 +16,7 @@ use crate::store::Store;
 ///
 /// Every field left unset matches everything. [`Query::run`] returns the
 /// matches in store order; [`Query::latest_per_key`] collapses them to the
-/// newest record per run-point key, which is what the perf gates compare.
+/// newest record per run-point key.
 #[derive(Debug, Clone, Default)]
 pub struct Query {
     program: Option<String>,
@@ -24,7 +24,6 @@ pub struct Query {
     vprocs: Option<u64>,
     placement: Option<String>,
     pause_budget_us: Option<Option<u64>>,
-    since_batch: Option<u64>,
 }
 
 impl Query {
@@ -64,12 +63,6 @@ impl Query {
         self
     }
 
-    /// Keep only records from batch `seq` or newer.
-    pub fn since_batch(mut self, seq: u64) -> Self {
-        self.since_batch = Some(seq);
-        self
-    }
-
     /// Whether one record passes every set filter.
     pub fn matches(&self, record: &StoredRecord) -> bool {
         if let Some(p) = &self.program {
@@ -94,11 +87,6 @@ impl Query {
         }
         if let Some(budget) = self.pause_budget_us {
             if record.pause_budget_us() != budget {
-                return false;
-            }
-        }
-        if let Some(seq) = self.since_batch {
-            if record.batch_seq() < seq {
                 return false;
             }
         }
@@ -130,7 +118,7 @@ impl Query {
 
     /// [`Query::latest_per_key`] over any record iterator (the input must
     /// be ordered oldest-first, as [`Store::records`] is).
-    pub fn latest_per_key_over<'a>(
+    fn latest_per_key_over<'a>(
         &self,
         records: impl IntoIterator<Item = &'a StoredRecord>,
     ) -> Vec<&'a StoredRecord> {
@@ -151,60 +139,6 @@ impl Query {
         }
         latest
     }
-}
-
-/// One run-point key paired across two record sets — the unit of a
-/// cross-run diff.
-#[derive(Debug, Clone)]
-pub struct DiffRow<'a> {
-    /// The shared identity.
-    pub key: RecordKey,
-    /// The record from the older set.
-    pub older: &'a StoredRecord,
-    /// The record from the newer set.
-    pub newer: &'a StoredRecord,
-}
-
-impl DiffRow<'_> {
-    /// newer/older ratio of a metric both sides report with a non-zero
-    /// older value.
-    fn ratio(&self, metric: impl Fn(&StoredRecord) -> Option<f64>) -> Option<f64> {
-        match (metric(self.older), metric(self.newer)) {
-            (Some(old), Some(new)) if old > 0.0 => Some(new / old),
-            _ => None,
-        }
-    }
-
-    /// Wall-clock ratio (newer/older); `None` unless both sides measured.
-    pub fn wall_ratio(&self) -> Option<f64> {
-        self.ratio(StoredRecord::wall_clock_ns)
-    }
-
-    /// Promoted-bytes ratio (newer/older).
-    pub fn promoted_ratio(&self) -> Option<f64> {
-        self.ratio(|r| r.promoted_bytes().map(|b| b as f64))
-    }
-}
-
-/// Pairs two record sets by run-point key: one row per key present in
-/// both, in the newer set's order. Keys only one side has are simply not
-/// rows — callers that care (the wall-clock gate's "missing baseline"
-/// report) detect them from the inputs.
-pub fn diff<'a>(older: &[&'a StoredRecord], newer: &[&'a StoredRecord]) -> Vec<DiffRow<'a>> {
-    newer
-        .iter()
-        .filter_map(|n| {
-            let key = n.record_key();
-            older
-                .iter()
-                .find(|o| o.record_key() == key)
-                .map(|o| DiffRow {
-                    key,
-                    older: o,
-                    newer: n,
-                })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -263,7 +197,6 @@ mod tests {
             Some(36.0)
         );
         assert_eq!(Query::new().run_over(&records).len(), 5);
-        assert_eq!(Query::new().since_batch(2).run_over(&records).len(), 0);
     }
 
     #[test]
@@ -285,26 +218,5 @@ mod tests {
         );
         assert_eq!(latest[1].program(), "SMVM");
         assert_eq!(latest[2].vprocs(), 4);
-    }
-
-    #[test]
-    fn diff_pairs_matching_keys() {
-        let old = [
-            record("DMM", "threaded", 4, None, 100, 1),
-            record("SMVM", "threaded", 4, None, 50, 1),
-        ];
-        let new = [
-            record("SMVM", "threaded", 4, None, 60, 2),
-            record("Raytracer", "threaded", 4, None, 10, 2),
-        ];
-        let old_refs: Vec<&StoredRecord> = old.iter().collect();
-        let new_refs: Vec<&StoredRecord> = new.iter().collect();
-        let rows = diff(&old_refs, &new_refs);
-        assert_eq!(rows.len(), 1, "only SMVM exists on both sides");
-        assert_eq!(rows[0].key.program, "SMVM");
-        assert_eq!(rows[0].wall_ratio(), Some(1.2));
-        // Older promoted_bytes is 0 here (wall/1000 rounds down): a ratio
-        // against zero is meaningless, so the diff declines to produce one.
-        assert_eq!(rows[0].promoted_ratio(), None);
     }
 }

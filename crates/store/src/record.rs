@@ -11,8 +11,7 @@ pub const LEGACY_RECORD_VERSION: u64 = 1;
 /// The identity of a run point across batches: re-running the same point
 /// appends a new record with the same key, and
 /// [`Query::latest_per_key`](crate::Query::latest_per_key) resolves the
-/// newest one. This is the same five-field key `perfdiff` has always
-/// matched baselines on.
+/// newest one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RecordKey {
     /// Program name (`"Quicksort"`, `"Request-Server"`, ...).
@@ -142,13 +141,13 @@ impl StoredRecord {
     }
 
     /// A string field; `None` when absent or not a string.
-    pub fn str_field(&self, key: &str) -> Option<&str> {
+    fn str_field(&self, key: &str) -> Option<&str> {
         self.field(key).and_then(JsonValue::as_str)
     }
 
     /// An unsigned integer field; `None` when absent, `null`, or not an
     /// integer.
-    pub fn u64_field(&self, key: &str) -> Option<u64> {
+    fn u64_field(&self, key: &str) -> Option<u64> {
         self.field(key).and_then(JsonValue::as_u64)
     }
 

@@ -50,7 +50,7 @@ const BATCH_SUFFIX: &str = ".json";
 const APPEND_ATTEMPTS: u32 = 1000;
 
 /// Metadata recorded alongside every appended batch: enough to know where
-/// a number came from when reading trends months later.
+/// a number came from when reading it months later.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
     /// Git revision the run was built from (`GITHUB_SHA` in CI, `git
@@ -177,8 +177,8 @@ pub struct Store {
 impl Store {
     /// Opens a store directory, reading every `run-*.json` batch in
     /// sequence order. Fails on a missing directory, unreadable files,
-    /// malformed batches, and unknown schema versions — a perf gate must
-    /// never silently run against a store it half-understood.
+    /// malformed batches, and unknown schema versions — a reader must never
+    /// silently run against a store it half-understood.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         let mut seqs = Vec::new();
