@@ -2,20 +2,21 @@
 //! formulation).
 //!
 //! The sequence is stored as a rope; each recursion level reads its input,
-//! partitions it sequentially, builds the two sub-ropes, and forks the
+//! partitions it sequentially, builds the sub-ropes, and forks the
 //! recursive sorts. The sequential partition at the top of the recursion is
 //! the reason the paper sees quicksort's speedup flatten on large machines
-//! ("limited by its fork-join parallelism", §4.2).
+//! ("limited by its fork-join parallelism", §4.2). A level's result is the
+//! concatenation of its sorted sides and the equal run: a new spine over
+//! their leaves ([`concat`]), so no element is copied on the way up.
 //!
 //! The paper's Quicksort is compiled code, so the host work around the
-//! `TaskCtx` calls is kept small: the partition is one branch-free pass and
-//! the merge reads its three ropes into one `Vec` sized once. The partition
-//! is still sequential, and still the serial fraction.
+//! `TaskCtx` calls is kept small: the partition is one branch-free pass.
+//! It is still sequential, and still the serial fraction.
 
-use crate::rope::{build_i64_rope, extend_from_i64_rope, read_i64_rope};
+use crate::rope::{build_i64_rope, concat, read_i64_rope};
 use crate::scale::Scale;
 use mgc_heap::{i64_to_word, word_to_i64};
-use mgc_runtime::{Checksum, Executor, Handle, Program, TaskCtx, TaskResult, TaskSpec};
+use mgc_runtime::{Checksum, Executor, Handle, Program, TaskResult, TaskSpec};
 
 /// Input size at the benchmark preset: quicksort is the most
 /// allocation-bound workload (every partition builds fresh ropes), so it
@@ -121,32 +122,30 @@ fn sort_task(depth: usize) -> TaskSpec {
         // Median-of-three pivot, then a sequential partition — this is the
         // serial fraction that limits scalability.
         let pivot = median_of_three(&values);
-        let n = values.len();
-        ctx.work(n as u64 * 4);
+        ctx.work(values.len() as u64 * 4);
         let (less, greater, equal) = partition(values, pivot);
+        // An empty side forks no child, so the merge is told which exist.
+        let (has_less, has_greater) = (!less.is_empty(), !greater.is_empty());
         // Each host buffer is dropped once its rope is built.
-        let less_rope = build_i64_rope_or_empty(ctx, &less);
-        drop(less);
-        let greater_rope = build_i64_rope_or_empty(ctx, &greater);
-        drop(greater);
+        let children: Vec<_> = [less, greater]
+            .into_iter()
+            .filter(|side| !side.is_empty())
+            .map(|side| (sort_task(depth + 1), vec![build_i64_rope(ctx, &side)]))
+            .collect();
         // The pivot is one of the three sampled values, so `equal >= 1`.
         let equal_rope = build_i64_rope(ctx, &vec![pivot; equal]);
-
-        let children = vec![
-            (sort_task(depth + 1), vec![less_rope]),
-            (sort_task(depth + 1), vec![greater_rope]),
-        ];
+        if children.is_empty() {
+            return TaskResult::Ptr(equal_rope);
+        }
         ctx.fork_join(
             children,
             TaskSpec::new("qsort-merge", move |ctx| {
-                // Inputs: [equal, sorted-less, sorted-greater].
+                // Inputs: [equal, sorted-less if any, sorted-greater if any].
                 let equal = ctx.input(0);
-                let sorted_less = ctx.input(1);
-                let sorted_greater = ctx.input(2);
-                let merged = merge(ctx, n, equal, sorted_less, sorted_greater);
-                ctx.work(merged.len() as u64 * 2);
-                let out = build_i64_rope(ctx, &merged);
-                TaskResult::Ptr(out)
+                let less = has_less.then(|| ctx.input(1));
+                let greater = has_greater.then(|| ctx.input(1 + usize::from(has_less)));
+                let parts: Vec<Handle> = less.into_iter().chain([equal]).chain(greater).collect();
+                TaskResult::Ptr(concat(ctx, &parts))
             }),
             &[equal_rope],
         );
@@ -185,38 +184,6 @@ fn partition(mut values: Vec<i64>, pivot: i64) -> (Vec<i64>, Vec<i64>, usize) {
     (values, greater, n - nl - ng)
 }
 
-/// The sorted sequence of a partitioned level of `n` elements: the sorted
-/// less side, the equal run, then the sorted greater side, read in that
-/// order into one `Vec` of capacity `n`. Empty-side sentinels (see
-/// `build_i64_rope_or_empty`) are dropped here, so they never appear past
-/// one recursion level and the result is exactly the `n` sorted elements.
-fn merge(
-    ctx: &mut TaskCtx<'_>,
-    n: usize,
-    equal: Handle,
-    sorted_less: Handle,
-    sorted_greater: Handle,
-) -> Vec<i64> {
-    let not_sentinel = |v| v != i64::MIN;
-    let mut merged = Vec::with_capacity(n);
-    extend_from_i64_rope(ctx, sorted_less, &mut merged, not_sentinel);
-    extend_from_i64_rope(ctx, equal, &mut merged, |_| true);
-    extend_from_i64_rope(ctx, sorted_greater, &mut merged, not_sentinel);
-    merged
-}
-
-/// Ropes must be non-empty, so an empty partition is represented by a
-/// one-element `i64::MIN` sentinel (the generated input never produces that
-/// value). The parent's merge filters sentinels back out, so they survive at
-/// most one recursion level and never reach the final sequence.
-fn build_i64_rope_or_empty(ctx: &mut TaskCtx<'_>, values: &[i64]) -> Handle {
-    if values.is_empty() {
-        build_i64_rope(ctx, &[i64::MIN])
-    } else {
-        build_i64_rope(ctx, values)
-    }
-}
-
 /// A position-sensitive checksum of the sorted sequence: each element is
 /// weighted by its position modulo a small cycle, so a sequence with the
 /// right multiset in the wrong order (the failure a plain sum cannot see)
@@ -237,9 +204,14 @@ pub fn spawn(machine: &mut dyn Executor, scale: Scale) {
 /// Spawns the quicksort workload with explicit parameters.
 pub fn spawn_with(machine: &mut dyn Executor, params: QuicksortParams) {
     let n = params.elements;
+    spawn_sort(machine, move || generate_input(n));
+}
+
+/// Spawns a root task that sorts the values `input` returns (called inside
+/// the task) and results in the positional checksum of the sorted rope.
+fn spawn_sort(machine: &mut dyn Executor, input: impl FnOnce() -> Vec<i64> + Send + 'static) {
     machine.spawn_root(TaskSpec::new("qsort-root", move |ctx| {
-        let input = generate_input(n);
-        let rope = build_i64_rope(ctx, &input);
+        let rope = build_i64_rope(ctx, &input());
         ctx.fork_join(
             vec![(sort_task(0), vec![rope])],
             TaskSpec::new("qsort-checksum", |ctx| {
@@ -269,7 +241,7 @@ pub fn reference_checksum(scale: Scale) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgc_runtime::{Machine, MachineConfig, TaskSpec};
+    use mgc_runtime::{Machine, MachineConfig, RunReport, ThreadedMachine};
 
     #[test]
     fn sorting_produces_the_sorted_sequence() {
@@ -287,7 +259,7 @@ mod tests {
     #[test]
     fn parallel_sort_crosses_the_fork_cutoff() {
         // Enough elements that the recursion forks (> SEQUENTIAL_CUTOFF),
-        // exercising partition, sentinel filtering, and the merge path.
+        // exercising the partition and the concatenating merge.
         let params = QuicksortParams {
             elements: SEQUENTIAL_CUTOFF * 4,
         };
@@ -308,27 +280,6 @@ mod tests {
         let equal = values.iter().copied().filter(|&v| v == pivot).collect();
         let greater = values.iter().copied().filter(|&v| v > pivot).collect();
         (less, equal, greater)
-    }
-
-    /// The merge as `qsort-merge` ran it before: a `collect` and two
-    /// `extend`s.
-    fn merge_by_collect(
-        ctx: &mut TaskCtx<'_>,
-        equal: Handle,
-        sorted_less: Handle,
-        sorted_greater: Handle,
-    ) -> Vec<i64> {
-        let mut merged: Vec<i64> = read_i64_rope(ctx, sorted_less)
-            .into_iter()
-            .filter(|&v| v != i64::MIN)
-            .collect();
-        merged.extend(read_i64_rope(ctx, equal));
-        merged.extend(
-            read_i64_rope(ctx, sorted_greater)
-                .into_iter()
-                .filter(|&v| v != i64::MIN),
-        );
-        merged
     }
 
     /// `n` values in `[0, range)` from a splitmix64 stream over `seed`.
@@ -352,7 +303,7 @@ mod tests {
             vec![1, 2, 3],                         // pivot 2: one each
             vec![3, 3, 1, 1, 3],                   // pivot 3: greater side empty
             vec![1, 1, 3, 3, 1],                   // pivot 1: less side empty
-            vec![i64::MIN, 4, i64::MIN],           // the sentinel value as input
+            vec![i64::MIN, 4, i64::MIN],           // the minimum value
             vec![i64::MIN, i64::MAX, 0, i64::MIN], // extremes
             generate_input(SEQUENTIAL_CUTOFF + 1),
         ];
@@ -372,37 +323,67 @@ mod tests {
         }
     }
 
+    /// Sorts `values` on `machine` and checks the result's checksum.
+    fn sort_and_check(machine: &mut dyn Executor, values: Vec<i64>) -> RunReport {
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        spawn_sort(machine, move || values);
+        let report = machine.run();
+        let backend = machine.backend();
+        assert_eq!(
+            take_checksum(machine),
+            Some(positional_checksum(&sorted)),
+            "{backend}"
+        );
+        report
+    }
+
+    /// A level whose partition leaves one side empty forks one child, and
+    /// an all-equal level forks none: both still sort, on both backends.
     #[test]
-    fn presized_merge_equals_the_collect_merge() {
-        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
-        machine.spawn_root(TaskSpec::new("merge-oracle", |ctx| {
-            let sentinel = vec![i64::MIN];
-            let cases: Vec<(Vec<i64>, Vec<i64>, Vec<i64>)> = vec![
-                (vec![-3, -1], vec![0; 2], vec![4, 9]),
-                (sentinel.clone(), vec![7; 300], (8..520).collect()),
-                ((-600..-1).collect(), vec![0], sentinel.clone()),
-                (sentinel.clone(), vec![1; 257], sentinel.clone()),
-                ((0..256).collect(), vec![256; 513], (257..770).collect()),
-            ];
-            for (less, equal, greater) in cases {
-                let mark = ctx.root_mark();
-                let n = [&less, &equal, &greater]
-                    .iter()
-                    .map(|side| side.iter().filter(|&&v| v != i64::MIN).count())
-                    .sum();
-                let equal_rope = build_i64_rope(ctx, &equal);
-                let less_rope = build_i64_rope(ctx, &less);
-                let greater_rope = build_i64_rope(ctx, &greater);
-                let merged = merge(ctx, n, equal_rope, less_rope, greater_rope);
-                let want = merge_by_collect(ctx, equal_rope, less_rope, greater_rope);
-                assert_eq!(merged, want);
-                assert_eq!(merged.len(), n);
-                assert_eq!(merged.capacity(), Vec::<i64>::with_capacity(n).capacity());
-                ctx.truncate_roots(mark);
+    fn one_sided_and_all_equal_partitions_sort() {
+        let n = SEQUENTIAL_CUTOFF * 3;
+        // Pivot 0 is the minimum (less side empty) or the maximum (greater
+        // side empty) of the first, middle and last elements.
+        let with_pivot_zero = |others: fn(i64) -> i64| {
+            let mut values: Vec<i64> = (0..n as i64).map(others).collect();
+            for i in [0, n / 2, n - 1] {
+                values[i] = 0;
             }
-            TaskResult::Unit
-        }));
-        machine.run();
+            values
+        };
+        let inputs = [
+            vec![7; n],
+            with_pivot_zero(|i| 1 + i * 7_919 % 1_000),
+            with_pivot_zero(|i| -1 - i * 7_919 % 1_000),
+        ];
+        for values in inputs {
+            sort_and_check(
+                &mut Machine::new(MachineConfig::small_for_tests(2)),
+                values.clone(),
+            );
+            sort_and_check(
+                &mut ThreadedMachine::new(MachineConfig::small_for_tests(2)),
+                values,
+            );
+        }
+    }
+
+    /// A concatenated rope shares leaves built by other tasks, on other
+    /// vprocs: they must survive promotion and global collections
+    /// (`small_for_tests` verifies the heap after every collection).
+    #[test]
+    fn shared_leaves_survive_promotion_and_global_collections() {
+        let machines: [Box<dyn Executor>; 2] = [
+            Box::new(ThreadedMachine::new(MachineConfig::small_for_tests(2))),
+            Box::new(Machine::new(MachineConfig::small_for_tests(4))),
+        ];
+        for mut machine in machines {
+            let report = sort_and_check(machine.as_mut(), generate_input(SEQUENTIAL_CUTOFF * 16));
+            let backend = machine.backend();
+            assert!(report.total_promoted_bytes() > 0, "{backend}");
+            assert!(report.gc.global_collections > 0, "{backend}");
+        }
     }
 
     #[test]

@@ -6,15 +6,18 @@
 //! here store their matrices, particle sets, and integer sequences.
 //!
 //! For simplicity the reproduction uses a two-level rope: a spine vector of
-//! pointers to raw leaf objects. A leaf is at most [`LEAF_SIZE`] words, but
-//! the spine holds one pointer per leaf, ⌈n / 256⌉ words for n elements:
-//! 1,954 words (about 15 KiB) at 500,000 elements. The spine is the one
-//! object whose size grows with the input, and at `MGC_SCALE=small` figure
-//! 8's Quicksort spine does not fit an emptied nursery (ROADMAP `[scales]`).
+//! pointers to raw leaf objects. A leaf holds at most [`LEAF_SIZE`] words
+//! and at least one. A built rope fills every leaf but its last, so its
+//! spine is ⌈n / 256⌉ words for n elements: 1,954 words (about 15 KiB) at
+//! 500,000 elements. [`concat`] shares its parts' leaves, so in a
+//! concatenated rope a partial leaf may sit anywhere and the spine may be
+//! longer than ⌈n / 256⌉. The spine is the one object whose size grows with
+//! the input, and at `MGC_SCALE=small` figure 8's Quicksort spine does not
+//! fit an emptied nursery (ROADMAP `[scales]`).
 //!
-//! `read_*_rope` size their output once, from the spine's length, before
-//! reading any leaf, so a read never regrows its `Vec`.
-//! `extend_from_i64_rope` appends to a `Vec` its caller has sized.
+//! `read_*_rope` size their output once, before reading any leaf, so a read
+//! never regrows its `Vec`: the capacity is `leaves × LEAF_SIZE`, an upper
+//! bound on the length that is exact only when every leaf is full.
 
 use mgc_heap::{f64_to_word, i64_to_word, word_to_f64, word_to_i64, Word};
 use mgc_runtime::{Handle, TaskCtx};
@@ -81,54 +84,38 @@ pub fn read_i64_rope(ctx: &mut TaskCtx<'_>, rope: Handle) -> Vec<i64> {
         .collect()
 }
 
-/// Appends the values of an `i64` rope to `out`, in order, keeping those
-/// for which `keep` holds. Each leaf is read into one reused buffer, so this
-/// allocates nothing when `out` has room. It makes the same `TaskCtx` calls
-/// as [`read_i64_rope`].
-pub fn extend_from_i64_rope(
-    ctx: &mut TaskCtx<'_>,
-    rope: Handle,
-    out: &mut Vec<i64>,
-    keep: impl Fn(i64) -> bool,
-) {
-    let leaves = ctx.len(rope);
-    let mut words = Vec::with_capacity(LEAF_SIZE);
-    for_each_leaf(ctx, rope, leaves, |ctx, leaf| {
-        words.clear();
-        ctx.read_words_into(leaf, &mut words);
-        out.extend(words.iter().map(|&w| word_to_i64(w)).filter(|&v| keep(v)));
-    });
+/// Concatenates ropes without copying an element: reads each part's spine
+/// and allocates one new spine over all their leaves, in order. It reads
+/// no leaf and allocates nothing else, so the parts and the result share
+/// their leaves.
+pub fn concat(ctx: &mut TaskCtx<'_>, parts: &[Handle]) -> Handle {
+    let mut leaves = Vec::new();
+    for &part in parts {
+        for i in 0..ctx.len(part) {
+            leaves.push(ctx.read_ptr(part, i));
+        }
+    }
+    ctx.alloc_vector(&leaves)
 }
 
 fn read_word_rope(ctx: &mut TaskCtx<'_>, rope: Handle) -> Vec<Word> {
     let leaves = ctx.len(rope);
     let mut out = Vec::with_capacity(leaves * LEAF_SIZE);
-    for_each_leaf(ctx, rope, leaves, |ctx, leaf| {
-        ctx.read_words_into(leaf, &mut out)
-    });
-    out
-}
-
-/// Calls `read` on each of the rope's `leaves` leaves in order, with the
-/// leaf's root pushed for the call and popped after it.
-fn for_each_leaf(
-    ctx: &mut TaskCtx<'_>,
-    rope: Handle,
-    leaves: usize,
-    mut read: impl FnMut(&mut TaskCtx<'_>, Handle),
-) {
     for i in 0..leaves {
         let mark = ctx.root_mark();
         let leaf = ctx.read_ptr(rope, i).expect("rope leaves are never null");
-        read(ctx, leaf);
+        ctx.read_words_into(leaf, &mut out);
         ctx.truncate_roots(mark);
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgc_runtime::{Executor, Machine, MachineConfig, TaskResult, TaskSpec, ThreadedMachine};
+    use mgc_runtime::{
+        Executor, Machine, MachineConfig, RunReport, TaskResult, TaskSpec, ThreadedMachine,
+    };
 
     #[test]
     fn rope_round_trips_f64_data() {
@@ -176,11 +163,6 @@ mod tests {
                 let back = read_i64_rope(ctx, rope);
                 assert_eq!(back, data, "n = {n}");
                 assert_eq!(back.capacity(), n.div_ceil(LEAF_SIZE) * LEAF_SIZE);
-                let mut odd = vec![i64::MIN];
-                extend_from_i64_rope(ctx, rope, &mut odd, |v| v % 2 != 0);
-                let mut expected = vec![i64::MIN];
-                expected.extend(data.iter().copied().filter(|v| v % 2 != 0));
-                assert_eq!(odd, expected, "n = {n}");
                 ctx.truncate_roots(mark);
             }
             TaskResult::Unit
@@ -188,26 +170,97 @@ mod tests {
         machine.run();
     }
 
+    /// Lengths on both sides of each leaf boundary.
+    const BOUNDARY_LENGTHS: [usize; 5] = [1, 255, 256, 257, 513];
+
+    /// Runs `body` as the root task of a one-vproc run on each backend.
+    fn on_both_backends(body: fn(&mut TaskCtx<'_>)) -> [RunReport; 2] {
+        let spec = || {
+            TaskSpec::new("rope-test", move |ctx| {
+                body(ctx);
+                TaskResult::Unit
+            })
+        };
+        let mut simulated = Machine::new(MachineConfig::small_for_tests(1));
+        simulated.spawn_root(spec());
+        let mut threaded = ThreadedMachine::new(MachineConfig::small_for_tests(1));
+        threaded.spawn_root(spec());
+        [simulated.run(), threaded.run()]
+    }
+
+    #[test]
+    fn concat_reads_back_the_concatenated_parts() {
+        on_both_backends(|ctx| {
+            let parts: Vec<Vec<i64>> = BOUNDARY_LENGTHS
+                .iter()
+                .zip(0..)
+                .map(|(&n, k)| (0..n as i64).map(|i| i * 5 + k * 1_000).collect())
+                .collect();
+            let ropes: Vec<Handle> = parts.iter().map(|p| build_i64_rope(ctx, p)).collect();
+            // Every contiguous run of parts, so a partial leaf lands first,
+            // in the middle and last.
+            for first in 0..parts.len() {
+                for last in first..parts.len() {
+                    let mark = ctx.root_mark();
+                    let rope = concat(ctx, &ropes[first..=last]);
+                    let want = parts[first..=last].concat();
+                    let spine: usize = parts[first..=last]
+                        .iter()
+                        .map(|p| p.len().div_ceil(LEAF_SIZE))
+                        .sum();
+                    assert_eq!(ctx.len(rope), spine, "parts {first}..={last}");
+                    assert_eq!(rope_len(ctx, rope), want.len());
+                    assert_eq!(read_i64_rope(ctx, rope), want, "parts {first}..={last}");
+                    ctx.truncate_roots(mark);
+                }
+            }
+            // A concatenation is a rope like any other: it concatenates.
+            let inner = concat(ctx, &ropes[1..3]);
+            let outer = concat(ctx, &[ropes[0], inner, ropes[4]]);
+            let want = [&parts[0][..], &parts[1], &parts[2], &parts[4]].concat();
+            assert_eq!(read_i64_rope(ctx, outer), want);
+        });
+    }
+
+    /// `concat` allocates one object, the new spine: `leaves + 1` words
+    /// with its header, and no leaf. Two runs that differ only by the
+    /// `concat` call differ by exactly that in the heap's allocation counts.
+    #[test]
+    fn concat_allocates_one_spine_and_no_leaf() {
+        fn parts(ctx: &mut TaskCtx<'_>) -> Vec<Handle> {
+            BOUNDARY_LENGTHS
+                .iter()
+                .map(|&n| build_i64_rope(ctx, &vec![3; n]))
+                .collect()
+        }
+        let leaves: usize = BOUNDARY_LENGTHS.iter().map(|n| n.div_ceil(LEAF_SIZE)).sum();
+        let without = on_both_backends(|ctx| {
+            parts(ctx);
+        });
+        let with = on_both_backends(|ctx| {
+            let ropes = parts(ctx);
+            concat(ctx, &ropes);
+        });
+        for (without, with) in without.iter().zip(&with) {
+            assert_eq!(with.allocated_objects, without.allocated_objects + 1);
+            assert_eq!(
+                with.allocated_words,
+                without.allocated_words + leaves as u64 + 1
+            );
+        }
+    }
+
     /// `rope_len` leaves its caller's root set as it found it, on both
     /// backends: it reads the spine and the leaves in one read scope.
     #[test]
     fn rope_len_pushes_no_roots() {
-        let body = || {
-            TaskSpec::new("rope-len", |ctx| {
-                let data: Vec<i64> = (0..1000).collect();
-                let rope = build_i64_rope(ctx, &data);
-                let mark = ctx.root_mark();
-                assert_eq!(rope_len(ctx, rope), 1000);
-                assert_eq!(ctx.root_mark(), mark, "no root per leaf");
-                TaskResult::Unit
-            })
-        };
-        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
-        machine.spawn_root(body());
-        machine.run();
-        let mut machine = ThreadedMachine::new(MachineConfig::small_for_tests(1));
-        machine.spawn_root(body());
-        machine.run();
+        on_both_backends(|ctx| {
+            let data: Vec<i64> = (0..1000).collect();
+            let rope = build_i64_rope(ctx, &data);
+            let mark = ctx.root_mark();
+            assert_eq!(rope_len(ctx, rope), 1000);
+            assert_eq!(ctx.root_mark(), mark, "no root per leaf");
+        });
     }
 
     #[test]

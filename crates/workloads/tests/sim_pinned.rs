@@ -22,8 +22,8 @@ const PINNED: [(Workload, usize, u64); 10] = [
     (Workload::Dmm, 12, 0x40db4ecd12073615), // 27963.20422535211 ns
     (Workload::Raytracer, 1, 0x4125ee08c1ac8e2b), // 718596.3782696178 ns
     (Workload::Raytracer, 12, 0x40f22fd691416aa0), // 74493.41046277666 ns
-    (Workload::Quicksort, 1, 0x4150735751b93133), // 4312413.276928234 ns
-    (Workload::Quicksort, 12, 0x4134eda172b7da5c), // 1371553.4481178736 ns
+    (Workload::Quicksort, 1, 0x41458ffe64211a67), // 2826236.7822602275 ns
+    (Workload::Quicksort, 12, 0x41299b4db0bace61), // 839078.845175218 ns
     (Workload::BarnesHut, 1, 0x4162ae052e72c4ee), // 9793577.451509919 ns
     (Workload::BarnesHut, 12, 0x4139d397abcf8344), // 1692567.6711351434 ns
     (Workload::Smvm, 1, 0x40f96336f42725a3), // 103987.434607646 ns
@@ -61,14 +61,18 @@ fn simulated_virtual_time_is_pinned() {
 /// `(vprocs, policy, elapsed_ns.to_bits(), global_collections,
 /// global_copied_bytes)` for Quicksort with a 64 KiB per-vproc global
 /// threshold — low enough that the simulated global collection runs, which
-/// none of the points above reaches at tiny scale.
+/// none of the points above reaches at tiny scale. The count is summed over
+/// the vprocs that join each collection. Every point must copy: from 36
+/// vprocs up the run's one global collection finds nothing live in the
+/// global heap (at any threshold from 1 to 256 KiB), so the widest point
+/// is 32 vprocs.
 const PINNED_GLOBAL: [(usize, AllocPolicy, u64, u64, u64); 6] = [
-    (1, AllocPolicy::Local, 0x415157a8cdb64ec8, 2, 437728), // 4546211.214252181 ns
-    (1, AllocPolicy::SocketZero, 0x415157a8cdb64ec8, 2, 437728), // 4546211.214252181 ns
-    (12, AllocPolicy::Local, 0x41370cbabcf601d7, 60, 511464), // 1510586.7381287718 ns
-    (12, AllocPolicy::SocketZero, 0x413ef2363f027028, 48, 364408), // 2028086.2461309526 ns
-    (48, AllocPolicy::Local, 0x412f4c7adc24aca2, 48, 244192), // 1025597.4299673031 ns
-    (48, AllocPolicy::SocketZero, 0x4136018df9cffe58, 48, 248704), // 1442189.9758299794 ns
+    (1, AllocPolicy::Local, 0x414616f30545665d, 1, 265024), // 2895334.0411804155 ns
+    (1, AllocPolicy::SocketZero, 0x414616f30545665d, 1, 265024), // 2895334.0411804155 ns
+    (12, AllocPolicy::Local, 0x412b9cc9198c69e6, 36, 216960), // 904804.5498993963 ns
+    (12, AllocPolicy::SocketZero, 0x41302eab3ee0ec3f, 36, 441520), // 1060523.24561955 ns
+    (32, AllocPolicy::Local, 0x41248f720fb80651, 32, 215824), // 673721.0307008718 ns
+    (32, AllocPolicy::SocketZero, 0x412782f39c09c09e, 32, 213152), // 770425.804761905 ns
 ];
 
 #[test]
@@ -91,6 +95,10 @@ fn simulated_global_collection_is_pinned() {
             .run()
             .expect("the pinned configurations are valid");
         let report = &record.report;
+        assert!(
+            report.gc.global_copied_bytes > 0,
+            "{vprocs} vprocs, {policy:?}: a pinned global collection must copy"
+        );
         let got = (
             report.elapsed_ns.to_bits(),
             report.gc.global_collections,
