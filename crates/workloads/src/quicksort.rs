@@ -112,6 +112,9 @@ fn sort_task(depth: usize) -> TaskSpec {
     TaskSpec::new("qsort", move |ctx| {
         let input = ctx.input(0);
         let values = read_i64_rope(ctx, input);
+        // The input rope is dead once read: without its root, a collection
+        // during this level's allocation does not copy it.
+        ctx.truncate_roots(0);
         if values.len() <= SEQUENTIAL_CUTOFF || depth > 24 {
             let mut sorted = values;
             sorted.sort_unstable();

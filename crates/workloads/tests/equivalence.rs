@@ -257,8 +257,8 @@ fn one_vproc_collections_are_exact_on_both_backends() {
     let fork: [(Workload, Counts, Counts); 2] = [
         (
             Workload::Quicksort,
-            (33, 32, 30, 1_285_664, 8_041_000, 0),
-            (57, 56, 54, 1_732_248, 16_367_704, 52),
+            (33, 31, 29, 870_624, 7_862_592, 0),
+            (55, 53, 52, 1_323_416, 15_602_624, 52),
         ),
         (
             Workload::BarnesHut,

@@ -22,7 +22,7 @@ const PINNED: [(Workload, usize, u64); 10] = [
     (Workload::Dmm, 12, 0x40db4ecd12073615), // 27963.20422535211 ns
     (Workload::Raytracer, 1, 0x4125ee08c1ac8e2b), // 718596.3782696178 ns
     (Workload::Raytracer, 12, 0x40f22fd691416aa0), // 74493.41046277666 ns
-    (Workload::Quicksort, 1, 0x41458ffe64211a67), // 2826236.7822602275 ns
+    (Workload::Quicksort, 1, 0x4141339a51800d30), // 2254644.636720322 ns
     (Workload::Quicksort, 12, 0x41299b4db0bace61), // 839078.845175218 ns
     (Workload::BarnesHut, 1, 0x4162ae052e72c4ee), // 9793577.451509919 ns
     (Workload::BarnesHut, 12, 0x4139d397abcf8344), // 1692567.6711351434 ns
@@ -67,8 +67,8 @@ fn simulated_virtual_time_is_pinned() {
 /// global heap (at any threshold from 1 to 256 KiB), so the widest point
 /// is 32 vprocs.
 const PINNED_GLOBAL: [(usize, AllocPolicy, u64, u64, u64); 6] = [
-    (1, AllocPolicy::Local, 0x414616f30545665d, 1, 265024), // 2895334.0411804155 ns
-    (1, AllocPolicy::SocketZero, 0x414616f30545665d, 1, 265024), // 2895334.0411804155 ns
+    (1, AllocPolicy::Local, 0x414326f8a0ac855c, 1, 250928), // 2510321.255264921 ns
+    (1, AllocPolicy::SocketZero, 0x414326f8a0ac855c, 1, 250928), // 2510321.255264921 ns
     (12, AllocPolicy::Local, 0x412b9cc9198c69e6, 36, 216960), // 904804.5498993963 ns
     (12, AllocPolicy::SocketZero, 0x41302eab3ee0ec3f, 36, 441520), // 1060523.24561955 ns
     (32, AllocPolicy::Local, 0x41248f720fb80651, 32, 215824), // 673721.0307008718 ns
