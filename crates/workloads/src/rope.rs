@@ -11,9 +11,10 @@
 //! spine is ⌈n / 256⌉ words for n elements: 1,954 words (about 15 KiB) at
 //! 500,000 elements. [`concat`] shares its parts' leaves, so in a
 //! concatenated rope a partial leaf may sit anywhere and the spine may be
-//! longer than ⌈n / 256⌉. The spine is the one object whose size grows with
-//! the input, and at `MGC_SCALE=small` figure 8's Quicksort spine does not
-//! fit an emptied nursery (ROADMAP `[scales]`).
+//! longer than ⌈n / 256⌉: Quicksort's sorted 500,000 elements have 2,268
+//! leaves. The spine is the one object whose size grows with the input,
+//! and at `MGC_SCALE=small` figure 8's Quicksort spine does not fit an
+//! emptied nursery (ROADMAP `[scales]`).
 //!
 //! `read_*_rope` size their output once, before reading any leaf, so a read
 //! never regrows its `Vec`: the capacity is `leaves × LEAF_SIZE`, an upper
