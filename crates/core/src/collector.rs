@@ -15,7 +15,9 @@
 use crate::config::GcConfig;
 use crate::cost::{GcCost, CHUNK_ACQUIRE_NS, COLLECTION_FIXED_NS};
 use crate::stats::{CollectionKind, GcStats};
-use mgc_heap::{word_as_pointer, Addr, EvacTarget, GcHeap, Header, Space};
+use mgc_heap::{
+    word_as_pointer, Addr, EvacTarget, GcHeap, Header, HeaderSlot, LocalRegion, Location, Word,
+};
 
 /// Result of a single (per-vproc) collection.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,12 +76,13 @@ impl GcOutcome {
     }
 }
 
-/// The loop every scan shares: rewrites each pointer field of `obj` (whose
-/// header is `header`) to what `forward` makes of it, in ascending field
-/// order, writing only the fields that changed.
+/// The loop every scan shares: rewrites each pointer field of the object at
+/// `at` (whose header is `header`) to what `forward` makes of it, in
+/// ascending field order, writing only the fields that changed. The object
+/// is located once; each field is then an index.
 pub(crate) fn forward_fields<H: GcHeap>(
     heap: &mut H,
-    obj: Addr,
+    at: Location<'_>,
     header: Header,
     mut forward: impl FnMut(&mut H, Addr) -> Addr,
 ) {
@@ -87,14 +90,32 @@ pub(crate) fn forward_fields<H: GcHeap>(
         .pointer_field_indices(header)
         .expect("all mixed-object descriptors are registered before allocation");
     for index in fields {
-        let Some(ptr) = word_as_pointer(heap.read_field(obj, index)) else {
+        let Some(ptr) = word_as_pointer(word_at(heap, at, 1 + index)) else {
             continue;
         };
         let new = forward(heap, ptr);
         if new != ptr {
-            heap.write_field(obj, index, new.raw());
+            match at {
+                Location::Local { vproc, offset } => {
+                    heap.local_mut(vproc).write(offset + index, new.raw())
+                }
+                Location::Global(chunk, offset) => chunk.write(offset + index, new.raw()),
+            }
         }
     }
+}
+
+/// Word `index` of the object at `at`, its header slot being word 0.
+fn word_at<H: GcHeap>(heap: &H, at: Location<'_>, index: usize) -> Word {
+    match at {
+        Location::Local { vproc, offset } => heap.local(vproc).read(offset - 1 + index),
+        Location::Global(chunk, offset) => chunk.read(offset - 1 + index),
+    }
+}
+
+/// The header of the object at `at`, which must not have been forwarded.
+pub(crate) fn header_at<H: GcHeap>(heap: &H, at: Location<'_>) -> Header {
+    HeaderSlot::decode(word_at(heap, at, 0)).expect_header()
 }
 
 /// Running per-node tally of one collection's promoted bytes.
@@ -120,6 +141,18 @@ impl PromotionTally {
             *slot += bytes;
         }
     }
+
+    /// The total and the per-node bytes (none when nothing was promoted),
+    /// leaving the tally empty for the next collection.
+    pub(crate) fn take(&mut self) -> (u64, Vec<u64>) {
+        let by_node = if self.total > 0 {
+            self.by_node.clone()
+        } else {
+            Vec::new()
+        };
+        self.by_node.fill(0);
+        (std::mem::take(&mut self.total), by_node)
+    }
 }
 
 /// The NUMA-aware generational collector.
@@ -133,6 +166,12 @@ pub struct Collector {
     num_nodes: usize,
     per_vproc: Vec<GcStats>,
     global_pending: bool,
+    /// Buffers the local collections reuse, so that none allocates: the
+    /// copied objects still to scan, the young objects a major collection
+    /// scans as roots, and the promoted bytes per node.
+    pub(crate) worklist: Vec<Addr>,
+    pub(crate) young: Vec<(Addr, Header)>,
+    pub(crate) tally: PromotionTally,
 }
 
 impl Collector {
@@ -144,6 +183,9 @@ impl Collector {
             num_nodes,
             per_vproc: vec![GcStats::new(); num_vprocs],
             global_pending: false,
+            worklist: Vec::new(),
+            young: Vec::new(),
+            tally: PromotionTally::new(num_nodes),
         }
     }
 
@@ -250,40 +292,33 @@ impl Collector {
         vproc: usize,
         roots: &mut [Addr],
     ) -> GcOutcome {
-        let mut cost = GcCost::new(self.num_nodes);
-        cost.charge_cpu(COLLECTION_FIXED_NS);
+        let mut cost = GcCost::sink(heap, self.num_nodes, COLLECTION_FIXED_NS);
         let node = heap.local(vproc).node();
+        let worklist = &mut self.worklist;
         let mut copied_bytes = 0u64;
-        let mut worklist: Vec<Addr> = Vec::new();
 
         heap.local_mut(vproc).begin_minor();
 
-        for root in roots.iter_mut() {
-            if root.is_null() {
-                continue;
-            }
-            *root = self.forward_minor(
+        for root in roots.iter_mut().filter(|root| !root.is_null()) {
+            *root = forward_minor(
                 heap,
                 vproc,
                 *root,
-                &mut worklist,
+                worklist,
                 &mut copied_bytes,
-                &mut cost,
+                cost.as_mut(),
             );
         }
 
         while let Some(obj) = worklist.pop() {
-            let header = heap.header_of(obj);
-            cost.charge_scan(node, header.total_bytes());
-            forward_fields(heap, obj, header, |heap, ptr| {
-                self.forward_minor(
-                    heap,
-                    vproc,
-                    ptr,
-                    &mut worklist,
-                    &mut copied_bytes,
-                    &mut cost,
-                )
+            let offset = heap.local(vproc).offset_of(obj);
+            let at = Location::Local { vproc, offset };
+            let header = header_at(heap, at);
+            if let Some(cost) = cost.as_mut() {
+                cost.charge_scan(node, header.total_bytes());
+            }
+            forward_fields(heap, at, header, |heap, ptr| {
+                forward_minor(heap, vproc, ptr, worklist, &mut copied_bytes, cost.as_mut())
             });
         }
 
@@ -301,7 +336,7 @@ impl Collector {
 
         let outcome = GcOutcome {
             kind: CollectionKind::Minor,
-            cost,
+            cost: cost.unwrap_or_default(),
             copied_bytes,
             promoted_bytes: 0,
             promoted_bytes_by_node: Vec::new(),
@@ -310,86 +345,6 @@ impl Collector {
         };
         self.maybe_verify(heap);
         outcome
-    }
-
-    /// Forwards one pointer for a minor collection: nursery objects are
-    /// copied to the old area, everything else is left in place (following
-    /// any forwarding pointer installed by an earlier promotion).
-    fn forward_minor<H: GcHeap>(
-        &mut self,
-        heap: &mut H,
-        vproc: usize,
-        ptr: Addr,
-        worklist: &mut Vec<Addr>,
-        copied_bytes: &mut u64,
-        cost: &mut GcCost,
-    ) -> Addr {
-        match heap.space_of(ptr) {
-            Space::LocalNursery { vproc: v } if v == vproc => {
-                if let Some(forwarded) = heap.forwarded_to(ptr) {
-                    return forwarded;
-                }
-                let node = heap.local(vproc).node();
-                let (new, bytes) = heap
-                    .evacuate(ptr, EvacTarget::OldArea { vproc })
-                    .expect("the Appel reserve always has room for minor-collection survivors");
-                *copied_bytes += bytes as u64;
-                cost.charge_copy(node, node, bytes);
-                worklist.push(new);
-                new
-            }
-            Space::LocalYoung { vproc: v } | Space::LocalOld { vproc: v } if v == vproc => {
-                // An object promoted earlier leaves a forwarding pointer
-                // behind; redirect the reference so the stale copy dies.
-                heap.forwarded_to(ptr).unwrap_or(ptr)
-            }
-            _ => ptr,
-        }
-    }
-
-    /// Forwards one pointer towards the global heap, used by major
-    /// collections and promotions. `include_young` selects whether young
-    /// data is promoted too (a major collection keeps it local, §3.3; the
-    /// promotion path copies it).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_to_global<H: GcHeap>(
-        &mut self,
-        heap: &mut H,
-        vproc: usize,
-        ptr: Addr,
-        include_young: bool,
-        worklist: &mut Vec<Addr>,
-        tally: &mut PromotionTally,
-        cost: &mut GcCost,
-    ) -> Addr {
-        let promote = match heap.space_of(ptr) {
-            Space::LocalOld { vproc: v } | Space::LocalNursery { vproc: v } if v == vproc => true,
-            Space::LocalYoung { vproc: v } if v == vproc => include_young,
-            _ => false,
-        };
-        if !promote {
-            if heap.is_local(ptr) {
-                return heap.forwarded_to(ptr).unwrap_or(ptr);
-            }
-            return ptr;
-        }
-        if let Some(forwarded) = heap.forwarded_to(ptr) {
-            return forwarded;
-        }
-        let src_node = heap.local(vproc).node();
-        let acquisitions_before = heap.chunk_acquisitions();
-        let (new, bytes) = heap
-            .evacuate(ptr, EvacTarget::GlobalCurrent { vproc })
-            .expect("global-heap allocation for promotion cannot fail");
-        if heap.chunk_acquisitions() > acquisitions_before {
-            // Acquiring a chunk is the synchronisation point of §3.3.
-            cost.charge_cpu(CHUNK_ACQUIRE_NS);
-        }
-        let dst_node = heap.node_of(new);
-        cost.charge_copy(src_node, dst_node, bytes);
-        tally.add(dst_node, bytes as u64);
-        worklist.push(new);
-        new
     }
 
     pub(crate) fn maybe_verify<H: GcHeap>(&self, heap: &H) {
@@ -406,6 +361,88 @@ impl Collector {
             );
         }
     }
+}
+
+/// Forwards one pointer for `vproc`'s minor collection: a nursery object is
+/// copied to the old area, anything else is left in place (following the
+/// forwarding pointer an earlier promotion left in the local heap).
+fn forward_minor<H: GcHeap>(
+    heap: &mut H,
+    vproc: usize,
+    ptr: Addr,
+    worklist: &mut Vec<Addr>,
+    copied_bytes: &mut u64,
+    cost: Option<&mut GcCost>,
+) -> Addr {
+    let Some(obj) = heap.find(vproc, ptr) else {
+        return ptr;
+    };
+    match (obj.region, obj.slot) {
+        (
+            LocalRegion::Nursery | LocalRegion::Young | LocalRegion::Old,
+            HeaderSlot::Forwarded(new),
+        ) => new,
+        (LocalRegion::Nursery, HeaderSlot::Header(header)) => {
+            let (new, bytes) = heap
+                .evacuate(obj.offset, header, EvacTarget::OldArea { vproc })
+                .expect("the Appel reserve always has room for minor-collection survivors");
+            *copied_bytes += bytes as u64;
+            if let Some(cost) = cost {
+                let node = heap.local(vproc).node();
+                cost.charge_copy(node, node, bytes);
+            }
+            worklist.push(new);
+            new
+        }
+        _ => ptr,
+    }
+}
+
+/// Forwards one pointer towards the global heap for `vproc`'s major
+/// collection or promotion. `include_young` selects whether young data is
+/// promoted too (a major collection keeps it local, §3.3; a promotion copies
+/// it).
+pub(crate) fn forward_to_global<H: GcHeap>(
+    heap: &mut H,
+    vproc: usize,
+    ptr: Addr,
+    include_young: bool,
+    worklist: &mut Vec<Addr>,
+    cost: Option<&mut GcCost>,
+) -> Addr {
+    let Some(obj) = heap.find(vproc, ptr) else {
+        // Another vproc's promoted object is redirected to its copy.
+        return if heap.is_local(ptr) {
+            heap.forwarded_to(ptr).unwrap_or(ptr)
+        } else {
+            ptr
+        };
+    };
+    let header = match obj.slot {
+        HeaderSlot::Forwarded(new) => return new,
+        HeaderSlot::Header(header) => header,
+    };
+    let promote = match obj.region {
+        LocalRegion::Old | LocalRegion::Nursery => true,
+        LocalRegion::Young => include_young,
+        LocalRegion::Reserve | LocalRegion::NurseryFree => false,
+    };
+    if !promote {
+        return ptr;
+    }
+    let acquisitions_before = heap.chunk_acquisitions();
+    let (new, bytes) = heap
+        .evacuate(obj.offset, header, EvacTarget::GlobalCurrent { vproc })
+        .expect("global-heap allocation for promotion cannot fail");
+    if let Some(cost) = cost {
+        if heap.chunk_acquisitions() > acquisitions_before {
+            // Acquiring a chunk is the synchronisation point of §3.3.
+            cost.charge_cpu(CHUNK_ACQUIRE_NS);
+        }
+        cost.charge_copy(heap.local(vproc).node(), heap.node_of(new), bytes);
+    }
+    worklist.push(new);
+    new
 }
 
 #[cfg(test)]

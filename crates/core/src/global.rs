@@ -40,7 +40,8 @@
 use crate::collector::{forward_fields, Collector};
 use crate::cost::{GcCost, GLOBAL_BARRIER_NS};
 use mgc_heap::{
-    Addr, GcHeap, Header, Heap, SharedChunk, SharedChunkState, SharedGlobalHeap, WorkerHeap,
+    Addr, GcHeap, Header, Heap, Location, SharedChunk, SharedChunkState, SharedGlobalHeap,
+    WorkerHeap,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -273,20 +274,20 @@ pub fn scan_young_fields(worker: &mut WorkerHeap, state: &ParallelGcState) {
 /// copies, to `cost` when one is given.
 fn scan_young(worker: &mut WorkerHeap, state: &ParallelGcState, mut cost: Option<&mut GcCost>) {
     let vproc = worker.vproc();
-    let node = worker.local(vproc).node();
-    let young: Vec<Addr> = worker
-        .local(vproc)
-        .young_objects()
-        .map(|(a, _)| a)
-        .collect();
-    for obj in young {
-        let header = worker.header_of(obj);
+    let local = worker.local(vproc);
+    let node = local.node();
+    let young: Vec<(Addr, Header)> = local.young_objects().collect();
+    for (obj, header) in young {
+        let offset = worker.local(vproc).offset_of(obj);
         if let Some(cost) = cost.as_deref_mut() {
             cost.charge_scan(node, header.total_bytes());
         }
-        forward_fields(worker, obj, header, |worker, ptr| {
-            forward(worker, ptr, state, cost.as_deref_mut())
-        });
+        forward_fields(
+            worker,
+            Location::Local { vproc, offset },
+            header,
+            |worker, ptr| forward(worker, ptr, state, cost.as_deref_mut()),
+        );
     }
 }
 

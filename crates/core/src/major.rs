@@ -13,10 +13,13 @@
 //! CML message passing requires this because of the no-cross-heap-pointer
 //! invariants).
 
-use crate::collector::{forward_fields, Collector, GcOutcome, PromotionTally};
+use crate::collector::{
+    forward_fields, forward_to_global, header_at, Collector, GcOutcome, PromotionTally,
+};
 use crate::cost::{GcCost, COLLECTION_FIXED_NS};
 use crate::stats::CollectionKind;
-use mgc_heap::{Addr, GcHeap, WORD_BYTES};
+use mgc_heap::{Addr, GcHeap, Header, Location, WORD_BYTES};
+use std::sync::Arc;
 
 impl Collector {
     /// Runs a major collection for `vproc`.
@@ -39,76 +42,58 @@ impl Collector {
             0,
             "a major collection must be preceded by a minor collection"
         );
-        let mut cost = GcCost::new(self.num_nodes());
-        cost.charge_cpu(COLLECTION_FIXED_NS);
+        let mut cost = GcCost::sink(heap, self.num_nodes(), COLLECTION_FIXED_NS);
         let local_node = heap.local(vproc).node();
         // The young data is exempt (§3.3); only promotion copies it.
         let include_young = false;
-        let mut tally = PromotionTally::new(self.num_nodes());
-        let mut worklist: Vec<Addr> = Vec::new();
+        let (worklist, young) = (&mut self.worklist, &mut self.young);
 
         // --- Phase 1: evacuate old data reachable from the roots. ---------
-        for root in roots.iter_mut() {
-            if root.is_null() {
-                continue;
-            }
-            *root = self.forward_to_global(
-                heap,
-                vproc,
-                *root,
-                include_young,
-                &mut worklist,
-                &mut tally,
-                &mut cost,
-            );
+        for root in roots.iter_mut().filter(|root| !root.is_null()) {
+            *root = forward_to_global(heap, vproc, *root, include_young, worklist, cost.as_mut());
         }
 
         // --- Phase 2: the young data acts as an additional root set. ------
         // Young objects may point to old objects; those old objects must be
         // promoted and the young fields redirected.
-        let young: Vec<Addr> = heap.local(vproc).young_objects().map(|(a, _)| a).collect();
-        for obj in young {
-            let header = heap.header_of(obj);
-            cost.charge_scan(local_node, header.total_bytes());
-            forward_fields(heap, obj, header, |heap, ptr| {
-                self.forward_to_global(
-                    heap,
-                    vproc,
-                    ptr,
-                    include_young,
-                    &mut worklist,
-                    &mut tally,
-                    &mut cost,
-                )
-            });
+        young.extend(heap.local(vproc).young_objects());
+        for &(obj, header) in young.iter() {
+            let offset = heap.local(vproc).offset_of(obj);
+            if let Some(cost) = cost.as_mut() {
+                cost.charge_scan(local_node, header.total_bytes());
+            }
+            forward_fields(
+                heap,
+                Location::Local { vproc, offset },
+                header,
+                |heap, ptr| {
+                    forward_to_global(heap, vproc, ptr, include_young, worklist, cost.as_mut())
+                },
+            );
         }
 
         // --- Phase 3: Cheney drain of the freshly promoted objects. -------
-        self.drain_to_global(
-            heap,
-            vproc,
-            include_young,
-            &mut worklist,
-            &mut tally,
-            &mut cost,
-        );
+        let tally = &mut self.tally;
+        drain_to_global(heap, vproc, include_young, worklist, tally, cost.as_mut());
 
         // --- Phase 4: slide the young data to the bottom (Figure 3). ------
-        let young_bytes = self.slide_young(heap, vproc, roots, &mut cost);
+        let young_bytes = slide_young(heap, vproc, roots, young, cost.as_mut());
+        young.clear();
 
         heap.local_mut(vproc).finish_major();
 
+        let (promoted_bytes, promoted_bytes_by_node) = self.tally.take();
         let stats = self.vproc_stats_mut(vproc);
         stats.major_collections += 1;
-        stats.major_promoted_bytes += tally.total;
+        stats.major_promoted_bytes += promoted_bytes;
 
         let needs_global = self.needs_global(heap);
         let outcome = GcOutcome {
             kind: CollectionKind::Major,
-            cost,
+            cost: cost.unwrap_or_default(),
             copied_bytes: young_bytes,
-            promoted_bytes: tally.total,
-            promoted_bytes_by_node: tally.by_node,
+            promoted_bytes,
+            promoted_bytes_by_node,
             triggered_major: false,
             needs_global,
         };
@@ -129,101 +114,119 @@ impl Collector {
         vproc: usize,
         obj: Addr,
     ) -> (Addr, GcOutcome) {
-        let mut cost = GcCost::new(self.num_nodes());
-        let mut tally = PromotionTally::new(self.num_nodes());
-        let mut worklist: Vec<Addr> = Vec::new();
-
+        let mut cost = GcCost::sink(heap, self.num_nodes(), 0.0);
+        let worklist = &mut self.worklist;
         let new = if obj.is_null() {
             obj
         } else {
-            self.forward_to_global(heap, vproc, obj, true, &mut worklist, &mut tally, &mut cost)
+            forward_to_global(heap, vproc, obj, true, worklist, cost.as_mut())
         };
-        self.drain_to_global(heap, vproc, true, &mut worklist, &mut tally, &mut cost);
+        drain_to_global(heap, vproc, true, worklist, &mut self.tally, cost.as_mut());
 
+        let (promoted_bytes, promoted_bytes_by_node) = self.tally.take();
         let stats = self.vproc_stats_mut(vproc);
         stats.promotions += 1;
-        stats.promotion_bytes += tally.total;
+        stats.promotion_bytes += promoted_bytes;
 
         let outcome = GcOutcome {
             kind: CollectionKind::Promotion,
-            cost,
+            cost: cost.unwrap_or_default(),
             copied_bytes: 0,
-            promoted_bytes: tally.total,
-            promoted_bytes_by_node: tally.by_node,
+            promoted_bytes,
+            promoted_bytes_by_node,
             triggered_major: false,
             needs_global: self.needs_global(heap),
         };
         self.maybe_verify(heap);
         (new, outcome)
     }
+}
 
-    /// Cheney-scans freshly promoted global objects, promoting whatever
-    /// local objects they still point to.
-    fn drain_to_global<H: GcHeap>(
-        &mut self,
-        heap: &mut H,
-        vproc: usize,
-        include_young: bool,
-        worklist: &mut Vec<Addr>,
-        tally: &mut PromotionTally,
-        cost: &mut GcCost,
-    ) {
-        while let Some(obj) = worklist.pop() {
-            let header = heap.header_of(obj);
-            cost.charge_scan(heap.node_of(obj), header.total_bytes());
-            forward_fields(heap, obj, header, |heap, ptr| {
-                self.forward_to_global(heap, vproc, ptr, include_young, worklist, tally, cost)
-            });
+/// Cheney-scans the freshly promoted global objects on `worklist`, promoting
+/// whatever local objects they still point to, and tallies each promoted
+/// object's bytes on its node.
+fn drain_to_global<H: GcHeap>(
+    heap: &mut H,
+    vproc: usize,
+    include_young: bool,
+    worklist: &mut Vec<Addr>,
+    tally: &mut PromotionTally,
+    mut cost: Option<&mut GcCost>,
+) {
+    if worklist.is_empty() {
+        return;
+    }
+    // The objects are located in this handle, not through `heap`, so their
+    // locations outlive the mutable uses of `heap` that scanning makes.
+    let global = Arc::clone(heap.global());
+    while let Some(obj) = worklist.pop() {
+        let found = heap.resolve(&global, obj, false);
+        let header = header_at(heap, found.location);
+        tally.add(found.node, header.total_bytes() as u64);
+        if let Some(cost) = cost.as_deref_mut() {
+            cost.charge_scan(found.node, header.total_bytes());
+        }
+        forward_fields(heap, found.location, header, |heap, ptr| {
+            forward_to_global(
+                heap,
+                vproc,
+                ptr,
+                include_young,
+                worklist,
+                cost.as_deref_mut(),
+            )
+        });
+    }
+}
+
+/// Slides the young data to the bottom of the local heap and relocates
+/// every pointer into the moved range: the roots, and the fields of the
+/// moved objects, which are `young` (as listed before the slide). Returns
+/// the number of young bytes moved.
+fn slide_young<H: GcHeap>(
+    heap: &mut H,
+    vproc: usize,
+    roots: &mut [Addr],
+    young: &[(Addr, Header)],
+    cost: Option<&mut GcCost>,
+) -> u64 {
+    let local = heap.local(vproc);
+    let local_node = local.node();
+    let base = local.base();
+    let young_lo = base.add_words(local.young_start());
+    let young_hi = base.add_words(local.old_top());
+    let young_bytes = ((local.old_top() - local.young_start()) * WORD_BYTES) as u64;
+
+    let delta_words = heap.local_mut(vproc).slide_young_to_bottom();
+    if delta_words == 0 {
+        return young_bytes;
+    }
+    let delta_bytes = (delta_words * WORD_BYTES) as u64;
+    let relocate = |addr: Addr| -> Addr {
+        if addr >= young_lo && addr < young_hi {
+            Addr::new(addr.raw() - delta_bytes)
+        } else {
+            addr
+        }
+    };
+
+    for root in roots.iter_mut() {
+        if !root.is_null() {
+            *root = relocate(*root);
         }
     }
 
-    /// Slides the young data to the bottom of the local heap and relocates
-    /// every pointer into the moved range (roots and young-internal fields).
-    /// Returns the number of young bytes moved.
-    fn slide_young<H: GcHeap>(
-        &mut self,
-        heap: &mut H,
-        vproc: usize,
-        roots: &mut [Addr],
-        cost: &mut GcCost,
-    ) -> u64 {
-        let local = heap.local(vproc);
-        let local_node = local.node();
-        let base = local.base();
-        let young_lo = base.add_words(local.young_start());
-        let young_hi = base.add_words(local.old_top());
-        let young_bytes = ((local.old_top() - local.young_start()) * WORD_BYTES) as u64;
+    for &(obj, header) in young {
+        let offset = obj.words_from(base) - delta_words;
+        forward_fields(heap, Location::Local { vproc, offset }, header, |_, ptr| {
+            relocate(ptr)
+        });
+    }
 
-        let delta_words = heap.local_mut(vproc).slide_young_to_bottom();
-        if delta_words == 0 {
-            return young_bytes;
-        }
-        let delta_bytes = (delta_words * WORD_BYTES) as u64;
-        let relocate = |addr: Addr| -> Addr {
-            if addr >= young_lo && addr < young_hi {
-                Addr::new(addr.raw() - delta_bytes)
-            } else {
-                addr
-            }
-        };
-
-        for root in roots.iter_mut() {
-            if !root.is_null() {
-                *root = relocate(*root);
-            }
-        }
-
-        let moved: Vec<(Addr, mgc_heap::Header)> = {
-            let local = heap.local(vproc);
-            local.objects_in(0, local.old_top()).collect()
-        };
-        for (obj, header) in moved {
-            forward_fields(heap, obj, header, |_, ptr| relocate(ptr));
-        }
-
+    if let Some(cost) = cost {
         cost.charge_copy(local_node, local_node, young_bytes as usize);
-        young_bytes
     }
+    young_bytes
 }
 
 #[cfg(test)]

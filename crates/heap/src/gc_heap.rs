@@ -22,8 +22,8 @@ use crate::descriptor::PointerFields;
 use crate::error::HeapError;
 use crate::header::{Header, HeaderSlot};
 use crate::heap::{EvacTarget, Space};
-use crate::local::LocalHeap;
-use crate::shared::SharedGlobalHeap;
+use crate::local::{LocalHeap, LocalObject};
+use crate::shared::{Resolved, SharedGlobalHeap};
 use crate::verify::InvariantViolation;
 use mgc_numa::NodeId;
 use std::sync::Arc;
@@ -43,8 +43,36 @@ pub trait GcHeap {
     /// their own vproc.
     fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap;
 
+    /// Whether collections on this heap charge their work to a cost record
+    /// for a memory model. Only the simulated machine's
+    /// [`Heap`](crate::Heap) does; a threaded worker's collections compute
+    /// no costs.
+    fn charges_costs(&self) -> bool {
+        false
+    }
+
     /// Which space `addr` belongs to.
     fn space_of(&self, addr: Addr) -> Space;
+
+    /// The one classification of a local collection: the object at `ptr`
+    /// with its region, offset and header slot if it lies in `vproc`'s own
+    /// local heap, else `None` (the global heap, another vproc's local heap,
+    /// or no region).
+    #[inline]
+    fn find(&self, vproc: usize, ptr: Addr) -> Option<LocalObject> {
+        self.local(vproc).find(ptr)
+    }
+
+    /// [`WorkerHeap::resolve`](crate::WorkerHeap::resolve): the current copy
+    /// of the object at `addr`, located in a way that borrows only `global`,
+    /// this heap's global heap, so the caller may keep the location while
+    /// it uses the heap mutably.
+    fn resolve<'g>(
+        &self,
+        global: &'g SharedGlobalHeap,
+        addr: Addr,
+        global_may_forward: bool,
+    ) -> Resolved<'g>;
 
     /// True if `addr` lies in any local heap.
     fn is_local(&self, addr: Addr) -> bool {
@@ -103,13 +131,20 @@ pub trait GcHeap {
     /// object.
     fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError>;
 
-    /// Copies the object at `obj` into `target`, installing a forwarding
-    /// pointer, and returns the new address plus bytes copied.
+    /// Copies the object with header `header` whose first payload word is at
+    /// word `offset` of the target vproc's local heap ([`GcHeap::find`]
+    /// gives both) into `target`, installing a forwarding pointer, and
+    /// returns the new address plus bytes copied.
     ///
     /// # Errors
     ///
     /// Propagates allocation errors from the target space.
-    fn evacuate(&mut self, obj: Addr, target: EvacTarget) -> Result<(Addr, usize), HeapError>;
+    fn evacuate(
+        &mut self,
+        offset: usize,
+        header: Header,
+        target: EvacTarget,
+    ) -> Result<(Addr, usize), HeapError>;
 
     /// Number of global-chunk acquisitions so far (each is the
     /// synchronisation point of §3.3; the collector charges for increases).

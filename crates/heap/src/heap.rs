@@ -565,6 +565,22 @@ impl GcHeap for Heap {
         self.workers[vproc].local_mut(vproc)
     }
 
+    /// The memory model charges every collection (the runtime's
+    /// `charge_gc_cost`).
+    fn charges_costs(&self) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn resolve<'g>(
+        &self,
+        global: &'g SharedGlobalHeap,
+        addr: Addr,
+        global_may_forward: bool,
+    ) -> Resolved<'g> {
+        Heap::resolve(self, global, addr, global_may_forward)
+    }
+
     fn space_of(&self, addr: Addr) -> Space {
         let (worker, owner) = self.owner_of(addr);
         self.workers[worker].space_at(owner, addr)
@@ -605,10 +621,14 @@ impl GcHeap for Heap {
         self.workers[0].pointer_field_indices(header)
     }
 
-    /// The object must live in the target vproc's local heap.
-    fn evacuate(&mut self, obj: Addr, target: EvacTarget) -> Result<(Addr, usize), HeapError> {
+    fn evacuate(
+        &mut self,
+        offset: usize,
+        header: Header,
+        target: EvacTarget,
+    ) -> Result<(Addr, usize), HeapError> {
         let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
-        self.workers[vproc].evacuate(obj, target)
+        self.workers[vproc].evacuate(offset, header, target)
     }
 
     fn chunk_acquisitions(&self) -> u64 {
@@ -798,14 +818,20 @@ mod tests {
         ));
     }
 
+    /// Evacuates the object at `obj`, in `target`'s vproc's local heap.
+    fn evacuate(heap: &mut Heap, obj: Addr, target: EvacTarget) -> (Addr, usize) {
+        let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
+        let found = heap.find(vproc, obj).unwrap();
+        let header = found.slot.expect_header();
+        heap.evacuate(found.offset, header, target).unwrap()
+    }
+
     #[test]
     fn evacuate_to_old_area_installs_forward() {
         let mut heap = two_vproc_heap();
         let obj = heap.alloc_raw(0, &[9, 8]).unwrap();
         heap.local_mut(0).begin_minor();
-        let (copy, bytes) = heap
-            .evacuate(obj, EvacTarget::OldArea { vproc: 0 })
-            .unwrap();
+        let (copy, bytes) = evacuate(&mut heap, obj, EvacTarget::OldArea { vproc: 0 });
         assert_eq!(bytes, 24);
         assert_eq!(heap.forwarded_to(obj), Some(copy));
         assert_eq!(heap.payload(copy), vec![9, 8]);
@@ -817,9 +843,7 @@ mod tests {
     fn evacuate_to_global_uses_current_chunk() {
         let mut heap = two_vproc_heap();
         let obj = heap.alloc_raw(1, &[4]).unwrap();
-        let (copy, _) = heap
-            .evacuate(obj, EvacTarget::GlobalCurrent { vproc: 1 })
-            .unwrap();
+        let (copy, _) = evacuate(&mut heap, obj, EvacTarget::GlobalCurrent { vproc: 1 });
         assert!(heap.is_global(copy));
         assert_eq!(heap.node_of(copy), NodeId::new(1));
         assert_eq!(heap.payload(copy), vec![4]);
@@ -836,9 +860,7 @@ mod tests {
         assert!(heap.place_of(found.location).is_local());
         // Promote vproc 1's object into a chunk on node 0.
         heap.set_promotion_target(1, NodeId::new(0));
-        let (copy, _) = heap
-            .evacuate(obj, EvacTarget::GlobalCurrent { vproc: 1 })
-            .unwrap();
+        let (copy, _) = evacuate(&mut heap, obj, EvacTarget::GlobalCurrent { vproc: 1 });
         let found = heap.resolve(&global, obj, false);
         assert_eq!((found.addr, found.node), (copy, NodeId::new(0)));
         let place = heap.place_of(found.location);

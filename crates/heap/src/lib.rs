@@ -69,7 +69,7 @@ pub use heap::{
     EvacTarget, GeometryViolation, Heap, HeapConfig, HeapGeometry, HeapStats, Space,
     MIN_CHUNK_BYTES, MIN_LOCAL_HEAP_BYTES,
 };
-pub use local::{LocalHeap, LocalHeapStats, LocalObjects, LocalRegion};
+pub use local::{LocalHeap, LocalHeapStats, LocalObject, LocalObjects, LocalRegion};
 pub use object::{f64_to_word, i64_to_word, word_to_f64, word_to_i64};
 pub use shared::{
     global_node_of, Location, Place, Resolved, SharedChunk, SharedChunkState, SharedGlobalHeap,

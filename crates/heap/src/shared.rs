@@ -1604,6 +1604,16 @@ impl GcHeap for WorkerHeap {
         self.space_at(self.layout.owner_of(addr), addr)
     }
 
+    #[inline(always)]
+    fn resolve<'g>(
+        &self,
+        global: &'g SharedGlobalHeap,
+        addr: Addr,
+        global_may_forward: bool,
+    ) -> Resolved<'g> {
+        WorkerHeap::resolve(self, global, addr, global_may_forward)
+    }
+
     #[inline]
     fn is_local(&self, addr: Addr) -> bool {
         matches!(self.layout.owner_of(addr), ThreadedOwner::Local(_))
@@ -1636,30 +1646,23 @@ impl GcHeap for WorkerHeap {
         self.descriptors.pointer_fields(header)
     }
 
-    fn evacuate(&mut self, obj: Addr, target: EvacTarget) -> Result<(Addr, usize), HeapError> {
-        // The original must be in this worker's local heap (minor/major
-        // collections and promotions only move owned objects; contended
-        // global evacuation is `evacuate_from_space`).
-        let Place::Local(_, offset) = self.locate(obj) else {
-            panic!("{obj:?} is not in worker {}'s local heap", self.vproc);
-        };
-        let encoded = self.local.read(offset - 1);
-        let header = HeaderSlot::decode(encoded).expect_header();
+    /// The object must be this worker's (minor/major collections and
+    /// promotions only move owned objects; contended global evacuation is
+    /// `evacuate_from_space`).
+    fn evacuate(
+        &mut self,
+        offset: usize,
+        header: Header,
+        target: EvacTarget,
+    ) -> Result<(Addr, usize), HeapError> {
+        let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
+        assert_eq!(vproc, self.vproc, "a worker only evacuates its own objects");
+        let encoded = header.encode();
         let len = header.len_words as usize;
         // The words go straight from the local heap to the destination.
         let new_addr = match target {
-            EvacTarget::OldArea { vproc } => {
-                assert_eq!(
-                    vproc, self.vproc,
-                    "a worker only evacuates into its own heap"
-                );
-                self.local.copy_into_old(offset - 1, len + 1)?
-            }
-            EvacTarget::GlobalCurrent { vproc } => {
-                assert_eq!(
-                    vproc, self.vproc,
-                    "a worker only fills its own current chunk"
-                );
+            EvacTarget::OldArea { .. } => self.local.copy_into_old(offset - 1, len + 1)?,
+            EvacTarget::GlobalCurrent { .. } => {
                 self.reserve_in_global(len + 1)?;
                 let payload = &self.local.words()[offset..offset + len];
                 self.reserved_chunk().alloc(encoded, payload)?
