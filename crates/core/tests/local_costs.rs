@@ -2,9 +2,13 @@
 //! collection with both young and old data, and a promotion onto the other
 //! node, on vproc 0 of a two-vproc, two-node heap.
 
-use mgc_core::{Collector, GcConfig, GcOutcome, GcStats};
-use mgc_heap::{Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, Word, WorkerHeap};
+use mgc_core::{Collector, GcConfig, GcCost, GcOutcome, GcStats};
+use mgc_heap::{
+    Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, Heap, HeapConfig, SharedGlobalHeap,
+    ThreadedLayout, Word, WorkerHeap,
+};
 use mgc_numa::NodeId;
+use std::sync::Arc;
 
 /// A mixed object: a raw word, then a pointer.
 fn pair() -> Descriptor {
@@ -58,6 +62,16 @@ fn simulated() -> (Heap, DescriptorId) {
     );
     let descriptor = heap.register_descriptor(pair());
     (heap, descriptor)
+}
+
+/// Vproc 0's worker heap of the same machine, with [`pair`] registered.
+fn threaded() -> (WorkerHeap, DescriptorId) {
+    let layout = ThreadedLayout::new(&HeapConfig::small_for_tests(), 2, 2);
+    let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
+    let mut table = DescriptorTable::new();
+    let descriptor = table.register(pair());
+    let worker = WorkerHeap::new(0, layout, NodeId::new(0), global, Arc::new(table));
+    (worker, descriptor)
 }
 
 /// A list of `cells` cells ending in `tail`. Cell `i` holds a raw value of
@@ -128,4 +142,28 @@ fn simulated_local_collection_charges_are_pinned() {
         })
         .collect();
     assert_eq!(charged.as_slice(), PINNED.as_slice());
+}
+
+#[test]
+fn a_worker_heap_collects_the_same_and_charges_nothing() {
+    let (mut heap, descriptor) = simulated();
+    let (simulated, simulated_stats) = collections(&mut heap, descriptor);
+    let (mut worker, descriptor) = threaded();
+    let (threaded, threaded_stats) = collections(&mut worker, descriptor);
+    let moved = |outcomes: &[GcOutcome]| -> Vec<(u64, u64, Vec<u64>)> {
+        outcomes
+            .iter()
+            .map(|o| {
+                let by_node = o.promoted_bytes_by_node.clone();
+                (o.copied_bytes, o.promoted_bytes, by_node)
+            })
+            .collect()
+    };
+    assert_eq!(moved(&threaded), moved(&simulated));
+    assert_eq!(threaded_stats, simulated_stats);
+    assert!(heap.verify_violations().is_empty());
+    assert!(worker.verify_violations().is_empty());
+    for outcome in &threaded {
+        assert_eq!(outcome.cost, GcCost::default(), "{:?}", outcome.kind);
+    }
 }
