@@ -12,6 +12,9 @@
 # 0 when no row regressed and no workload failed more often, 1 otherwise.
 # For each regressed workload it then runs one traced run per side and prints
 # the five per-layer metrics that moved most, as "metric: base vs head".
+# Before each pair it runs scripts/host-par.rs (compiled once with rustc -O)
+# and prints whether two threads ran in parallel on the host just then
+# ("host: parallel" or "host: serial"); the serial count goes under the table.
 set -euo pipefail
 
 K=3    # pairs
@@ -39,6 +42,11 @@ for side in base head; do
     --target-dir "$(tree $side)/benchmark/target"
 done
 
+# The host-mode check: a sample taken next to each pair, not a measurement of
+# the pair itself.
+rustc --edition 2021 -O "$head/scripts/host-par.rs" -o "$work/host-par"
+serial=0
+
 # One `run` of one side. It exits 1 when a check failed; `compare` judges
 # that through the failed share, so only a usage error (2) stops the script.
 # The result file lands in the tree's own benchmark/out, so copy it aside.
@@ -51,6 +59,9 @@ run() {
 
 for i in $(seq 1 $K); do
   if [ $((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi
+  mode=$("$work/host-par")
+  echo "pair $i/$K: $mode"
+  case "$mode" in "host: serial"*) serial=$((serial + 1)) ;; esac
   for side in $order; do
     echo "pair $i/$K: $side" >&2
     run "$side" "$i"
@@ -86,6 +97,8 @@ echo "a = base ($base_rev), b = head; $K pairs of run --seed $SEED --seconds $S"
 status=0
 "$(bin head)" compare "$work/base.json" "$work/head.json" | tee "$work/compare.txt" \
   || status=${PIPESTATUS[0]}
+echo "host-serial pairs: $serial of $K (host-par.rs samples taken next to each pair," \
+  "not measurements of the pairs)"
 
 for workload in $(awk '$NF == "regressed" { print $1 }' "$work/compare.txt" | sort -u); do
   for side in base head; do
