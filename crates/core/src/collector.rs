@@ -142,14 +142,10 @@ impl PromotionTally {
         }
     }
 
-    /// The total and the per-node bytes (none when nothing was promoted),
-    /// leaving the tally empty for the next collection.
+    /// The total and the per-node bytes, leaving the tally empty for the
+    /// next collection.
     pub(crate) fn take(&mut self) -> (u64, Vec<u64>) {
-        let by_node = if self.total > 0 {
-            self.by_node.clone()
-        } else {
-            Vec::new()
-        };
+        let by_node = self.by_node.clone();
         self.by_node.fill(0);
         (std::mem::take(&mut self.total), by_node)
     }
@@ -169,9 +165,9 @@ pub struct Collector {
     /// Buffers the local collections reuse, so that none allocates: the
     /// copied objects still to scan, the young objects a major collection
     /// scans as roots, and the promoted bytes per node.
-    pub(crate) worklist: Vec<Addr>,
+    worklist: Vec<Addr>,
     pub(crate) young: Vec<(Addr, Header)>,
-    pub(crate) tally: PromotionTally,
+    tally: PromotionTally,
 }
 
 impl Collector {
@@ -292,35 +288,25 @@ impl Collector {
         vproc: usize,
         roots: &mut [Addr],
     ) -> GcOutcome {
-        let mut cost = GcCost::sink(heap, self.num_nodes, COLLECTION_FIXED_NS);
         let node = heap.local(vproc).node();
-        let worklist = &mut self.worklist;
-        let mut copied_bytes = 0u64;
+        let mut scan = Scan::new(self, heap, vproc, COLLECTION_FIXED_NS);
 
         heap.local_mut(vproc).begin_minor();
 
         for root in roots.iter_mut().filter(|root| !root.is_null()) {
-            *root = forward_minor(
-                heap,
-                vproc,
-                *root,
-                worklist,
-                &mut copied_bytes,
-                cost.as_mut(),
-            );
+            *root = scan.forward_minor(heap, *root);
         }
 
-        while let Some(obj) = worklist.pop() {
+        while let Some(obj) = scan.worklist.pop() {
             let offset = heap.local(vproc).offset_of(obj);
             let at = Location::Local { vproc, offset };
             let header = header_at(heap, at);
-            if let Some(cost) = cost.as_mut() {
-                cost.charge_scan(node, header.total_bytes());
-            }
-            forward_fields(heap, at, header, |heap, ptr| {
-                forward_minor(heap, vproc, ptr, worklist, &mut copied_bytes, cost.as_mut())
-            });
+            scan.charge(|cost| cost.charge_scan(node, header.total_bytes()));
+            forward_fields(heap, at, header, |heap, ptr| scan.forward_minor(heap, ptr));
         }
+        let Scan {
+            copied_bytes, cost, ..
+        } = scan;
 
         heap.local_mut(vproc).finish_minor();
 
@@ -363,86 +349,117 @@ impl Collector {
     }
 }
 
-/// Forwards one pointer for `vproc`'s minor collection: a nursery object is
-/// copied to the old area, anything else is left in place (following the
-/// forwarding pointer an earlier promotion left in the local heap).
-fn forward_minor<H: GcHeap>(
-    heap: &mut H,
-    vproc: usize,
-    ptr: Addr,
-    worklist: &mut Vec<Addr>,
-    copied_bytes: &mut u64,
-    cost: Option<&mut GcCost>,
-) -> Addr {
-    let Some(obj) = heap.find(vproc, ptr) else {
-        return ptr;
-    };
-    match (obj.region, obj.slot) {
-        (
-            LocalRegion::Nursery | LocalRegion::Young | LocalRegion::Old,
-            HeaderSlot::Forwarded(new),
-        ) => new,
-        (LocalRegion::Nursery, HeaderSlot::Header(header)) => {
-            let (new, bytes) = heap
-                .evacuate(obj.offset, header, EvacTarget::OldArea { vproc })
-                .expect("the Appel reserve always has room for minor-collection survivors");
-            *copied_bytes += bytes as u64;
-            if let Some(cost) = cost {
-                let node = heap.local(vproc).node();
-                cost.charge_copy(node, node, bytes);
-            }
-            worklist.push(new);
-            new
-        }
-        _ => ptr,
-    }
+/// One collection's walk over `vproc`'s objects: the copied objects still to
+/// scan, the bytes copied and promoted so far and, on a heap that charges
+/// ([`GcHeap::charges_costs`]), the cost record. On any other heap the walk
+/// does no cost arithmetic at all.
+pub(crate) struct Scan<'a> {
+    pub(crate) vproc: usize,
+    pub(crate) worklist: &'a mut Vec<Addr>,
+    pub(crate) tally: &'a mut PromotionTally,
+    pub(crate) copied_bytes: u64,
+    pub(crate) cost: Option<GcCost>,
 }
 
-/// Forwards one pointer towards the global heap for `vproc`'s major
-/// collection or promotion. `include_young` selects whether young data is
-/// promoted too (a major collection keeps it local, §3.3; a promotion copies
-/// it).
-pub(crate) fn forward_to_global<H: GcHeap>(
-    heap: &mut H,
-    vproc: usize,
-    ptr: Addr,
-    include_young: bool,
-    worklist: &mut Vec<Addr>,
-    cost: Option<&mut GcCost>,
-) -> Addr {
-    let Some(obj) = heap.find(vproc, ptr) else {
-        // Another vproc's promoted object is redirected to its copy.
-        return if heap.is_local(ptr) {
-            heap.forwarded_to(ptr).unwrap_or(ptr)
-        } else {
-            ptr
-        };
-    };
-    let header = match obj.slot {
-        HeaderSlot::Forwarded(new) => return new,
-        HeaderSlot::Header(header) => header,
-    };
-    let promote = match obj.region {
-        LocalRegion::Old | LocalRegion::Nursery => true,
-        LocalRegion::Young => include_young,
-        LocalRegion::Reserve | LocalRegion::NurseryFree => false,
-    };
-    if !promote {
-        return ptr;
-    }
-    let acquisitions_before = heap.chunk_acquisitions();
-    let (new, bytes) = heap
-        .evacuate(obj.offset, header, EvacTarget::GlobalCurrent { vproc })
-        .expect("global-heap allocation for promotion cannot fail");
-    if let Some(cost) = cost {
-        if heap.chunk_acquisitions() > acquisitions_before {
-            // Acquiring a chunk is the synchronisation point of §3.3.
-            cost.charge_cpu(CHUNK_ACQUIRE_NS);
+impl<'a> Scan<'a> {
+    /// Starts a collection of `vproc` on `heap` over `collector`'s buffers,
+    /// charging `fixed_ns` if the heap charges.
+    pub(crate) fn new(
+        collector: &'a mut Collector,
+        heap: &impl GcHeap,
+        vproc: usize,
+        fixed_ns: f64,
+    ) -> Self {
+        let cost = heap.charges_costs().then(|| {
+            let mut cost = GcCost::new(collector.num_nodes);
+            cost.charge_cpu(fixed_ns);
+            cost
+        });
+        Scan {
+            vproc,
+            worklist: &mut collector.worklist,
+            tally: &mut collector.tally,
+            copied_bytes: 0,
+            cost,
         }
-        cost.charge_copy(heap.local(vproc).node(), heap.node_of(new), bytes);
     }
-    worklist.push(new);
-    new
+
+    /// Runs `charge` on the cost record, if there is one.
+    pub(crate) fn charge(&mut self, charge: impl FnOnce(&mut GcCost)) {
+        if let Some(cost) = &mut self.cost {
+            charge(cost);
+        }
+    }
+
+    /// Forwards one pointer for a minor collection: a nursery object is
+    /// copied to the old area, anything else is left in place (following the
+    /// forwarding pointer an earlier promotion left in the local heap).
+    fn forward_minor<H: GcHeap>(&mut self, heap: &mut H, ptr: Addr) -> Addr {
+        let vproc = self.vproc;
+        let Some(obj) = heap.find(vproc, ptr) else {
+            return ptr;
+        };
+        match (obj.region, obj.slot) {
+            (
+                LocalRegion::Nursery | LocalRegion::Young | LocalRegion::Old,
+                HeaderSlot::Forwarded(new),
+            ) => new,
+            (LocalRegion::Nursery, HeaderSlot::Header(header)) => {
+                let (new, bytes) = heap
+                    .evacuate(obj.offset, header, EvacTarget::OldArea { vproc })
+                    .expect("the Appel reserve always has room for minor-collection survivors");
+                self.copied_bytes += bytes as u64;
+                let node = heap.local(vproc).node();
+                self.charge(|cost| cost.charge_copy(node, node, bytes));
+                self.worklist.push(new);
+                new
+            }
+            _ => ptr,
+        }
+    }
+
+    /// Forwards one pointer towards the global heap, for major collections
+    /// and promotions. `include_young` selects whether young data is
+    /// promoted too (a major collection keeps it local, §3.3; a promotion
+    /// copies it).
+    pub(crate) fn forward_to_global<H: GcHeap>(
+        &mut self,
+        heap: &mut H,
+        ptr: Addr,
+        include_young: bool,
+    ) -> Addr {
+        let vproc = self.vproc;
+        let Some(obj) = heap.find(vproc, ptr) else {
+            // Another vproc's promoted object is redirected to its copy.
+            let forwarded = heap.is_local(ptr).then(|| heap.forwarded_to(ptr));
+            return forwarded.flatten().unwrap_or(ptr);
+        };
+        let header = match obj.slot {
+            HeaderSlot::Forwarded(new) => return new,
+            HeaderSlot::Header(header) => header,
+        };
+        let promote = match obj.region {
+            LocalRegion::Old | LocalRegion::Nursery => true,
+            LocalRegion::Young => include_young,
+            LocalRegion::Reserve | LocalRegion::NurseryFree => false,
+        };
+        if !promote {
+            return ptr;
+        }
+        let acquisitions_before = heap.chunk_acquisitions();
+        let (new, bytes) = heap
+            .evacuate(obj.offset, header, EvacTarget::GlobalCurrent { vproc })
+            .expect("global-heap allocation for promotion cannot fail");
+        if let Some(cost) = &mut self.cost {
+            if heap.chunk_acquisitions() > acquisitions_before {
+                // Acquiring a chunk is the synchronisation point of §3.3.
+                cost.charge_cpu(CHUNK_ACQUIRE_NS);
+            }
+            cost.charge_copy(heap.local(vproc).node(), heap.node_of(new), bytes);
+        }
+        self.worklist.push(new);
+        new
+    }
 }
 
 #[cfg(test)]
@@ -595,7 +612,8 @@ pub(crate) mod tests {
         // A clean collection passes; its survivor is young data now.
         collector.minor(&mut w0, 0, &mut roots);
         assert_eq!(w0.space_of(roots[0]), Space::LocalYoung { vproc: 0 });
-        w0.write_field(roots[0], 0, foreign.raw());
+        let offset = w0.local(0).offset_of(roots[0]);
+        w0.local_mut(0).write(offset, foreign.raw());
         collector.minor(&mut w0, 0, &mut roots);
     }
 

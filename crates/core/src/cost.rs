@@ -7,7 +7,6 @@
 //! benefit of node-local collection (and the penalty of socket-zero
 //! placement) shows up in the reproduced figures.
 
-use mgc_heap::GcHeap;
 use mgc_numa::{NodeId, Traffic, VprocRoundCost};
 
 /// CPU nanoseconds charged per word the collector copies.
@@ -39,18 +38,6 @@ impl GcCost {
             cpu_ns: 0.0,
             bytes_to_node: vec![0; num_nodes],
         }
-    }
-
-    /// The cost record of one collection on `heap`, with `fixed_ns` charged
-    /// — or `None` when the heap charges nothing
-    /// ([`GcHeap::charges_costs`]), so that the collection does no cost
-    /// arithmetic at all.
-    pub(crate) fn sink(heap: &impl GcHeap, num_nodes: usize, fixed_ns: f64) -> Option<GcCost> {
-        heap.charges_costs().then(|| {
-            let mut cost = GcCost::new(num_nodes);
-            cost.charge_cpu(fixed_ns);
-            cost
-        })
     }
 
     /// Charges fixed CPU time.

@@ -13,9 +13,7 @@
 //! CML message passing requires this because of the no-cross-heap-pointer
 //! invariants).
 
-use crate::collector::{
-    forward_fields, forward_to_global, header_at, Collector, GcOutcome, PromotionTally,
-};
+use crate::collector::{forward_fields, header_at, Collector, GcOutcome, Scan};
 use crate::cost::{GcCost, COLLECTION_FIXED_NS};
 use crate::stats::CollectionKind;
 use mgc_heap::{Addr, GcHeap, Header, Location, WORD_BYTES};
@@ -42,47 +40,44 @@ impl Collector {
             0,
             "a major collection must be preceded by a minor collection"
         );
-        let mut cost = GcCost::sink(heap, self.num_nodes(), COLLECTION_FIXED_NS);
         let local_node = heap.local(vproc).node();
+        let mut young = std::mem::take(&mut self.young);
+        let mut scan = Scan::new(self, heap, vproc, COLLECTION_FIXED_NS);
         // The young data is exempt (§3.3); only promotion copies it.
         let include_young = false;
-        let (worklist, young) = (&mut self.worklist, &mut self.young);
 
         // --- Phase 1: evacuate old data reachable from the roots. ---------
         for root in roots.iter_mut().filter(|root| !root.is_null()) {
-            *root = forward_to_global(heap, vproc, *root, include_young, worklist, cost.as_mut());
+            *root = scan.forward_to_global(heap, *root, include_young);
         }
 
         // --- Phase 2: the young data acts as an additional root set. ------
         // Young objects may point to old objects; those old objects must be
         // promoted and the young fields redirected.
         young.extend(heap.local(vproc).young_objects());
-        for &(obj, header) in young.iter() {
+        for &(obj, header) in &young {
             let offset = heap.local(vproc).offset_of(obj);
-            if let Some(cost) = cost.as_mut() {
-                cost.charge_scan(local_node, header.total_bytes());
-            }
+            scan.charge(|cost| cost.charge_scan(local_node, header.total_bytes()));
             forward_fields(
                 heap,
                 Location::Local { vproc, offset },
                 header,
-                |heap, ptr| {
-                    forward_to_global(heap, vproc, ptr, include_young, worklist, cost.as_mut())
-                },
+                |heap, ptr| scan.forward_to_global(heap, ptr, include_young),
             );
         }
 
         // --- Phase 3: Cheney drain of the freshly promoted objects. -------
-        let tally = &mut self.tally;
-        drain_to_global(heap, vproc, include_young, worklist, tally, cost.as_mut());
+        scan.drain_to_global(heap, include_young);
 
         // --- Phase 4: slide the young data to the bottom (Figure 3). ------
-        let young_bytes = slide_young(heap, vproc, roots, young, cost.as_mut());
+        let young_bytes = slide_young(heap, vproc, roots, &young, scan.cost.as_mut());
+        let (promoted_bytes, promoted_bytes_by_node) = scan.tally.take();
+        let cost = scan.cost;
         young.clear();
+        self.young = young;
 
         heap.local_mut(vproc).finish_major();
 
-        let (promoted_bytes, promoted_bytes_by_node) = self.tally.take();
         let stats = self.vproc_stats_mut(vproc);
         stats.major_collections += 1;
         stats.major_promoted_bytes += promoted_bytes;
@@ -114,16 +109,16 @@ impl Collector {
         vproc: usize,
         obj: Addr,
     ) -> (Addr, GcOutcome) {
-        let mut cost = GcCost::sink(heap, self.num_nodes(), 0.0);
-        let worklist = &mut self.worklist;
+        let mut scan = Scan::new(self, heap, vproc, 0.0);
         let new = if obj.is_null() {
             obj
         } else {
-            forward_to_global(heap, vproc, obj, true, worklist, cost.as_mut())
+            scan.forward_to_global(heap, obj, true)
         };
-        drain_to_global(heap, vproc, true, worklist, &mut self.tally, cost.as_mut());
+        scan.drain_to_global(heap, true);
+        let (promoted_bytes, promoted_bytes_by_node) = scan.tally.take();
+        let cost = scan.cost;
 
-        let (promoted_bytes, promoted_bytes_by_node) = self.tally.take();
         let stats = self.vproc_stats_mut(vproc);
         stats.promotions += 1;
         stats.promotion_bytes += promoted_bytes;
@@ -142,40 +137,28 @@ impl Collector {
     }
 }
 
-/// Cheney-scans the freshly promoted global objects on `worklist`, promoting
-/// whatever local objects they still point to, and tallies each promoted
-/// object's bytes on its node.
-fn drain_to_global<H: GcHeap>(
-    heap: &mut H,
-    vproc: usize,
-    include_young: bool,
-    worklist: &mut Vec<Addr>,
-    tally: &mut PromotionTally,
-    mut cost: Option<&mut GcCost>,
-) {
-    if worklist.is_empty() {
-        return;
-    }
-    // The objects are located in this handle, not through `heap`, so their
-    // locations outlive the mutable uses of `heap` that scanning makes.
-    let global = Arc::clone(heap.global());
-    while let Some(obj) = worklist.pop() {
-        let found = heap.resolve(&global, obj, false);
-        let header = header_at(heap, found.location);
-        tally.add(found.node, header.total_bytes() as u64);
-        if let Some(cost) = cost.as_deref_mut() {
-            cost.charge_scan(found.node, header.total_bytes());
+impl Scan<'_> {
+    /// Cheney-scans the freshly promoted global objects on the worklist,
+    /// promoting whatever local objects they still point to, and tallies
+    /// each one's bytes on its node.
+    fn drain_to_global<H: GcHeap>(&mut self, heap: &mut H, include_young: bool) {
+        if self.worklist.is_empty() {
+            return;
         }
-        forward_fields(heap, found.location, header, |heap, ptr| {
-            forward_to_global(
-                heap,
-                vproc,
-                ptr,
-                include_young,
-                worklist,
-                cost.as_deref_mut(),
-            )
-        });
+        // The objects are located in this handle, not through `heap`, so
+        // their locations outlive the mutable uses of `heap` that scanning
+        // makes.
+        let global = Arc::clone(heap.global());
+        while let Some(obj) = self.worklist.pop() {
+            let found = heap.resolve(&global, obj, false);
+            let header = header_at(heap, found.location);
+            let bytes = header.total_bytes();
+            self.tally.add(found.node, bytes as u64);
+            self.charge(|cost| cost.charge_scan(found.node, bytes));
+            forward_fields(heap, found.location, header, |heap, ptr| {
+                self.forward_to_global(heap, ptr, include_young)
+            });
+        }
     }
 }
 

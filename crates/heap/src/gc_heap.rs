@@ -22,11 +22,22 @@ use crate::descriptor::PointerFields;
 use crate::error::HeapError;
 use crate::header::{Header, HeaderSlot};
 use crate::heap::{EvacTarget, Space};
-use crate::local::{LocalHeap, LocalObject};
+use crate::local::{LocalHeap, LocalRegion};
 use crate::shared::{Resolved, SharedGlobalHeap};
 use crate::verify::InvariantViolation;
 use mgc_numa::NodeId;
 use std::sync::Arc;
+
+/// An object of a vproc's own local heap, as [`GcHeap::find`] found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalObject {
+    /// The region holding it.
+    pub region: LocalRegion,
+    /// Word offset of its first payload word.
+    pub offset: usize,
+    /// Its header slot: a header, or a forward left by an evacuation.
+    pub slot: HeaderSlot,
+}
 
 /// Heap mechanism used by the collection algorithms in `mgc-core`.
 pub trait GcHeap {
@@ -60,13 +71,38 @@ pub trait GcHeap {
     /// or no region).
     #[inline]
     fn find(&self, vproc: usize, ptr: Addr) -> Option<LocalObject> {
-        self.local(vproc).find(ptr)
+        let local = self.local(vproc);
+        let offset = local.contains(ptr).then(|| ptr.words_from(local.base()))?;
+        Some(LocalObject {
+            region: local.region_of_offset(offset),
+            offset,
+            slot: HeaderSlot::decode(local.read(offset - 1)),
+        })
     }
 
-    /// [`WorkerHeap::resolve`](crate::WorkerHeap::resolve): the current copy
-    /// of the object at `addr`, located in a way that borrows only `global`,
-    /// this heap's global heap, so the caller may keep the location while
-    /// it uses the heap mutably.
+    /// Follows forwarding pointers from `addr` to the current copy of its
+    /// object and locates it — the read rule of both backends, stated here
+    /// once. `global` must be this worker's global heap: the result borrows
+    /// it rather than the worker, so a mutator can keep the location while it
+    /// uses the worker mutably (`TaskCtx` does, until its next safe point).
+    ///
+    /// The language is mutation-free (§2.3), so a forwarding pointer is only
+    /// ever left in two places: in this worker's **local** heap by a
+    /// promotion, and in **global** from-space by a collection that has
+    /// flipped but not yet released. A local header is therefore always
+    /// checked (a plain slice read). A global header is read only when
+    /// `global_may_forward`: the caller passes the collector's
+    /// `in_scan_phase` flag, which is set exactly while a budgeted collection
+    /// lets mutators run between its increments (barrier leaders write it
+    /// with every worker stopped, and every root is re-evacuated before the
+    /// release clears it). With the flag clear a global address is final:
+    /// resolving it is classify and locate, and the header is not loaded.
+    ///
+    /// What each backend passes: a threaded worker passes `in_scan_phase`
+    /// (`WorkerState::locate`). The simulated backend passes `false`: its
+    /// global collection runs between rounds with every task quiescent and
+    /// rewrites every root before it returns, so a running mutator never
+    /// meets a global forwarding word (`RuntimeState::locate`).
     fn resolve<'g>(
         &self,
         global: &'g SharedGlobalHeap,
@@ -103,10 +139,6 @@ pub trait GcHeap {
 
     /// Reads payload field `index` of the object at `obj`.
     fn read_field(&self, obj: Addr, index: usize) -> Word;
-
-    /// Writes payload field `index` of the object at `obj` (collector-only:
-    /// the mutator language is mutation-free).
-    fn write_field(&mut self, obj: Addr, index: usize, value: Word);
 
     /// Reads the whole payload of the object at `obj`.
     fn payload(&self, obj: Addr) -> Vec<Word> {

@@ -269,10 +269,10 @@ pub struct HeapStats {
 /// one classifies the address once and goes to the worker that owns it
 /// (global addresses to worker 0 — every worker reads the global heap alike).
 ///
-/// The collector-facing operations are its [`GcHeap`] implementation; the
-/// object readers ([`Heap::resolve`], the mutator's, and [`Heap::read_field`],
-/// [`Heap::header_of`], [`Heap::forwarded_to`], [`Heap::payload`]) are
-/// inherent as well, so reading an object needs no trait import.
+/// The collector-facing operations and the mutator's read path
+/// ([`GcHeap::resolve`]) are its [`GcHeap`] implementation; the object
+/// readers [`Heap::read_field`], [`Heap::header_of`], [`Heap::forwarded_to`]
+/// and [`Heap::payload`] are inherent as well.
 #[derive(Debug)]
 pub struct Heap {
     layout: ThreadedLayout,
@@ -395,28 +395,6 @@ impl Heap {
     // ------------------------------------------------------------------
     // Object readers
     // ------------------------------------------------------------------
-
-    /// Follows forwarding pointers from `addr` to the current copy of its
-    /// object and locates it: the simulated backend's read path. The address
-    /// is classified once, and the worker that owns it (its vproc for a
-    /// local address, worker 0 for a global one) runs
-    /// [`WorkerHeap::resolve`] — the read rule of both backends, which also
-    /// says what `global` and `global_may_forward` mean — from that
-    /// classification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is unmapped.
-    #[inline(always)]
-    pub fn resolve<'g>(
-        &self,
-        global: &'g SharedGlobalHeap,
-        addr: Addr,
-        global_may_forward: bool,
-    ) -> Resolved<'g> {
-        let (worker, owner) = self.owner_of(addr);
-        self.workers[worker].resolve_from(global, owner, addr, global_may_forward)
-    }
 
     /// The [`Place`] of a location [`Heap::resolve`] returned, indexed in
     /// the owning vproc's local heap or the chunk.
@@ -571,6 +549,9 @@ impl GcHeap for Heap {
         true
     }
 
+    /// The simulated backend's read path: the address is classified once,
+    /// and the worker that owns it (its vproc for a local address, worker 0
+    /// for a global one) runs the read rule from that classification.
     #[inline(always)]
     fn resolve<'g>(
         &self,
@@ -578,7 +559,8 @@ impl GcHeap for Heap {
         addr: Addr,
         global_may_forward: bool,
     ) -> Resolved<'g> {
-        Heap::resolve(self, global, addr, global_may_forward)
+        let (worker, owner) = self.owner_of(addr);
+        self.workers[worker].resolve_from(global, owner, addr, global_may_forward)
     }
 
     fn space_of(&self, addr: Addr) -> Space {
@@ -610,11 +592,6 @@ impl GcHeap for Heap {
     #[inline]
     fn read_field(&self, obj: Addr, index: usize) -> Word {
         Heap::read_field(self, obj, index)
-    }
-
-    fn write_field(&mut self, obj: Addr, index: usize, value: Word) {
-        let (worker, owner) = self.owner_of(obj);
-        self.workers[worker].write_at(owner, obj, index, value);
     }
 
     fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {

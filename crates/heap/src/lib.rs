@@ -60,7 +60,7 @@ pub use addr::{word_as_pointer, Addr, Word, WORD_BYTES};
 pub use chunk::ChunkId;
 pub use descriptor::{Descriptor, DescriptorId, DescriptorTable, PointerFields};
 pub use error::HeapError;
-pub use gc_heap::GcHeap;
+pub use gc_heap::{GcHeap, LocalObject};
 pub use global::SharedChunkPool;
 pub use header::{
     Header, HeaderSlot, ObjectKind, FIRST_MIXED_ID, MAX_ID, MAX_LEN_WORDS, RAW_ID, VECTOR_ID,
@@ -69,7 +69,7 @@ pub use heap::{
     EvacTarget, GeometryViolation, Heap, HeapConfig, HeapGeometry, HeapStats, Space,
     MIN_CHUNK_BYTES, MIN_LOCAL_HEAP_BYTES,
 };
-pub use local::{LocalHeap, LocalHeapStats, LocalObject, LocalObjects, LocalRegion};
+pub use local::{LocalHeap, LocalHeapStats, LocalObjects, LocalRegion};
 pub use object::{f64_to_word, i64_to_word, word_to_f64, word_to_i64};
 pub use shared::{
     global_node_of, Location, Place, Resolved, SharedChunk, SharedChunkState, SharedGlobalHeap,

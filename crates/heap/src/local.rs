@@ -27,7 +27,7 @@
 
 use crate::addr::{Addr, Word, WORD_BYTES};
 use crate::error::HeapError;
-use crate::header::{Header, HeaderSlot};
+use crate::header::Header;
 use mgc_numa::NodeId;
 
 /// Which part of a local heap an address falls in.
@@ -45,17 +45,6 @@ pub enum LocalRegion {
     Nursery,
     /// Unallocated nursery space.
     NurseryFree,
-}
-
-/// An object of a local heap, as [`LocalHeap::find`] found it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalObject {
-    /// The region holding it.
-    pub region: LocalRegion,
-    /// Word offset of its first payload word.
-    pub offset: usize,
-    /// Its header slot: a header, or a forward left by an evacuation.
-    pub slot: HeaderSlot,
 }
 
 /// Statistics maintained by a local heap across its lifetime.
@@ -221,21 +210,6 @@ impl LocalHeap {
         } else {
             LocalRegion::NurseryFree
         }
-    }
-
-    /// The object at `addr` if it lies in this heap: its region, offset and
-    /// header slot, found with one range check and one load.
-    #[inline]
-    pub fn find(&self, addr: Addr) -> Option<LocalObject> {
-        if !self.contains(addr) {
-            return None;
-        }
-        let offset = addr.words_from(self.base);
-        Some(LocalObject {
-            region: self.region_of_offset(offset),
-            offset,
-            slot: HeaderSlot::decode(self.data[offset - 1]),
-        })
     }
 
     /// Which region `addr` falls in.

@@ -1315,47 +1315,6 @@ impl WorkerHeap {
         }
     }
 
-    /// [`GcHeap::write_field`] for an object already classified as `owner`.
-    pub(crate) fn write_at(&mut self, owner: ThreadedOwner, obj: Addr, index: usize, value: Word) {
-        match self.location(&self.global, owner, obj) {
-            Location::Local { offset, .. } => self.local.write(offset + index, value),
-            Location::Global(chunk, offset) => chunk.write(offset + index, value),
-        }
-    }
-
-    /// Follows forwarding pointers from `addr` to the current copy of its
-    /// object and locates it — the read rule of both backends, stated here
-    /// once. `global` must be this worker's global heap: the result borrows
-    /// it rather than the worker, so a mutator can keep the location while it
-    /// uses the worker mutably (`TaskCtx` does, until its next safe point).
-    ///
-    /// The language is mutation-free (§2.3), so a forwarding pointer is only
-    /// ever left in two places: in this worker's **local** heap by a
-    /// promotion, and in **global** from-space by a collection that has
-    /// flipped but not yet released. A local header is therefore always
-    /// checked (a plain slice read). A global header is read only when
-    /// `global_may_forward`: the caller passes the collector's
-    /// `in_scan_phase` flag, which is set exactly while a budgeted collection
-    /// lets mutators run between its increments (barrier leaders write it
-    /// with every worker stopped, and every root is re-evacuated before the
-    /// release clears it). With the flag clear a global address is final:
-    /// resolving it is classify and locate, and the header is not loaded.
-    ///
-    /// What each backend passes: a threaded worker passes `in_scan_phase`
-    /// (`WorkerState::locate`). The simulated backend passes `false`: its
-    /// global collection runs between rounds with every task quiescent and
-    /// rewrites every root before it returns, so a running mutator never
-    /// meets a global forwarding word (`RuntimeState::locate`).
-    #[inline(always)]
-    pub fn resolve<'g>(
-        &self,
-        global: &'g SharedGlobalHeap,
-        addr: Addr,
-        global_may_forward: bool,
-    ) -> Resolved<'g> {
-        self.resolve_from(global, self.layout.owner_of(addr), addr, global_may_forward)
-    }
-
     /// [`WorkerHeap::resolve`] for an address already classified as `owner`
     /// — the one forwarding loop of both backends.
     #[inline(always)]
@@ -1611,7 +1570,7 @@ impl GcHeap for WorkerHeap {
         addr: Addr,
         global_may_forward: bool,
     ) -> Resolved<'g> {
-        WorkerHeap::resolve(self, global, addr, global_may_forward)
+        self.resolve_from(global, self.layout.owner_of(addr), addr, global_may_forward)
     }
 
     #[inline]
@@ -1636,10 +1595,6 @@ impl GcHeap for WorkerHeap {
     #[inline]
     fn read_field(&self, obj: Addr, index: usize) -> Word {
         self.locate(obj).read(index)
-    }
-
-    fn write_field(&mut self, obj: Addr, index: usize, value: Word) {
-        self.write_at(self.layout.owner_of(obj), obj, index, value);
     }
 
     fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {

@@ -119,7 +119,7 @@ use crate::machine::RuntimeState;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
 use mgc_heap::{
-    f64_to_word, word_to_f64, Addr, DescriptorId, HeaderSlot, Location, ObjectKind, Place,
+    f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, HeaderSlot, Location, ObjectKind, Place,
     Resolved, SharedGlobalHeap, Word,
 };
 use std::marker::PhantomData;
