@@ -24,7 +24,9 @@ use mgc_heap::{
 pub struct GcOutcome {
     /// Which collection ran.
     pub kind: CollectionKind,
-    /// Cost to charge to the collecting vproc.
+    /// Cost to charge to the collecting vproc. Only a heap that charges
+    /// ([`GcHeap::charges_costs`]: the simulated machine's `Heap`) fills it
+    /// in; on a threaded worker's heap it is empty.
     pub cost: GcCost,
     /// Bytes copied within the local heap.
     pub copied_bytes: u64,

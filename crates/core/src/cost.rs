@@ -1,11 +1,15 @@
 //! Cost accounting for collector work.
 //!
-//! Every collection returns a [`GcCost`] describing the CPU work it did and
-//! the bytes it moved to or from each NUMA node. The runtime feeds these
-//! into the `mgc-numa` memory model so that collector work competes for the
-//! same memory controllers and links as mutator work — this is how the
-//! benefit of node-local collection (and the penalty of socket-zero
-//! placement) shows up in the reproduced figures.
+//! A collection on the simulated machine's [`Heap`](mgc_heap::Heap) returns
+//! a [`GcCost`] describing the CPU work it did and the bytes it moved to or
+//! from each NUMA node. The runtime feeds these into the `mgc-numa` memory
+//! model so that collector work competes for the same memory controllers
+//! and links as mutator work — this is how the benefit of node-local
+//! collection (and the penalty of socket-zero placement) shows up in the
+//! reproduced figures. The heap type decides who charges
+//! ([`GcHeap::charges_costs`](mgc_heap::GcHeap::charges_costs)): a threaded
+//! worker's [`WorkerHeap`](mgc_heap::WorkerHeap) collections compute no
+//! cost and return an empty [`GcCost`], since only the simulator reads it.
 
 use mgc_numa::{NodeId, Traffic, VprocRoundCost};
 

@@ -12,8 +12,8 @@
 //! What is not: promotion volume (both backends promote lazily — on steal
 //! and on publication to machine-global structures — but *which* tasks are
 //! stolen depends on real scheduling on the threaded backend) and therefore
-//! the number of global collections — those are compared within a generous
-//! tolerance only. At one vproc nothing is stolen, and there the counts are
+//! the number of global collections — those are compared within a margin of
+//! one collection per vproc. At one vproc nothing is stolen, and there the counts are
 //! pinned exactly per backend.
 //!
 //! Both runs go through the [`Experiment`] front door with an explicit
@@ -157,12 +157,16 @@ fn backends_agree_on_deterministic_invariants_for_every_workload() {
             );
         }
 
-        // Global collections depend on promotion volume; require the two
-        // backends to be within a generous factor of each other (per vproc,
-        // since each participant counts the collection once).
+        // Global collections depend on promotion volume, which scheduling
+        // moves on the threaded backend; compare them per vproc, since each
+        // participant counts the collection once. Over 20 release runs at
+        // 4 threaded vprocs (a 2-vCPU host) every workload ran 0 per vproc
+        // on both backends under both triggers: at this scale at most
+        // 0.74 MB is promoted (Quicksort; 0.49-0.70 MB threaded), under the
+        // 2 MiB-per-vproc floor. The bound keeps a margin of one.
         let sim_globals = sim.report.gc.global_collections / sim.report.vprocs as u64;
         let thr_globals = threaded.report.gc.global_collections / threaded.report.vprocs as u64;
-        let bound = |x: u64| 5 * x + 5;
+        let bound = |x: u64| x + 1;
         assert!(
             sim_globals <= bound(thr_globals) && thr_globals <= bound(sim_globals),
             "{workload}: global collection counts diverge wildly \
