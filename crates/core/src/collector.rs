@@ -359,7 +359,7 @@ pub(crate) struct Scan<'a> {
     pub(crate) vproc: usize,
     pub(crate) worklist: &'a mut Vec<Addr>,
     pub(crate) tally: &'a mut PromotionTally,
-    pub(crate) copied_bytes: u64,
+    copied_bytes: u64,
     pub(crate) cost: Option<GcCost>,
 }
 
@@ -432,7 +432,8 @@ impl<'a> Scan<'a> {
     ) -> Addr {
         let vproc = self.vproc;
         let Some(obj) = heap.find(vproc, ptr) else {
-            // Another vproc's promoted object is redirected to its copy.
+            // A global pointer stays; another vproc's local object that was
+            // promoted is redirected to its copy.
             let forwarded = heap.is_local(ptr).then(|| heap.forwarded_to(ptr));
             return forwarded.flatten().unwrap_or(ptr);
         };

@@ -14,7 +14,7 @@
 //! invariants).
 
 use crate::collector::{forward_fields, header_at, Collector, GcOutcome, Scan};
-use crate::cost::{GcCost, COLLECTION_FIXED_NS};
+use crate::cost::COLLECTION_FIXED_NS;
 use crate::stats::CollectionKind;
 use mgc_heap::{Addr, GcHeap, Header, Location, WORD_BYTES};
 use std::sync::Arc;
@@ -70,7 +70,7 @@ impl Collector {
         scan.drain_to_global(heap, include_young);
 
         // --- Phase 4: slide the young data to the bottom (Figure 3). ------
-        let young_bytes = slide_young(heap, vproc, roots, &young, scan.cost.as_mut());
+        let young_bytes = scan.slide_young(heap, roots, &young);
         let (promoted_bytes, promoted_bytes_by_node) = scan.tally.take();
         let cost = scan.cost;
         young.clear();
@@ -160,56 +160,55 @@ impl Scan<'_> {
             });
         }
     }
-}
 
-/// Slides the young data to the bottom of the local heap and relocates
-/// every pointer into the moved range: the roots, and the fields of the
-/// moved objects, which are `young` (as listed before the slide). Returns
-/// the number of young bytes moved.
-fn slide_young<H: GcHeap>(
-    heap: &mut H,
-    vproc: usize,
-    roots: &mut [Addr],
-    young: &[(Addr, Header)],
-    cost: Option<&mut GcCost>,
-) -> u64 {
-    let local = heap.local(vproc);
-    let local_node = local.node();
-    let base = local.base();
-    let young_lo = base.add_words(local.young_start());
-    let young_hi = base.add_words(local.old_top());
-    let young_bytes = ((local.old_top() - local.young_start()) * WORD_BYTES) as u64;
+    /// Slides the young data to the bottom of the local heap and relocates
+    /// every pointer into the moved range: the roots, and the fields of the
+    /// moved objects, which are `young` as listed before the slide. Returns
+    /// the number of young bytes moved.
+    fn slide_young<H: GcHeap>(
+        &mut self,
+        heap: &mut H,
+        roots: &mut [Addr],
+        young: &[(Addr, Header)],
+    ) -> u64 {
+        let vproc = self.vproc;
+        let local = heap.local(vproc);
+        let local_node = local.node();
+        let base = local.base();
+        let young_lo = base.add_words(local.young_start());
+        let young_hi = base.add_words(local.old_top());
+        let young_bytes = ((local.old_top() - local.young_start()) * WORD_BYTES) as u64;
 
-    let delta_words = heap.local_mut(vproc).slide_young_to_bottom();
-    if delta_words == 0 {
-        return young_bytes;
-    }
-    let delta_bytes = (delta_words * WORD_BYTES) as u64;
-    let relocate = |addr: Addr| -> Addr {
-        if addr >= young_lo && addr < young_hi {
-            Addr::new(addr.raw() - delta_bytes)
-        } else {
-            addr
+        let delta_words = heap.local_mut(vproc).slide_young_to_bottom();
+        if delta_words == 0 {
+            return young_bytes;
         }
-    };
+        let delta_bytes = (delta_words * WORD_BYTES) as u64;
+        let relocate = |addr: Addr| -> Addr {
+            if addr >= young_lo && addr < young_hi {
+                Addr::new(addr.raw() - delta_bytes)
+            } else {
+                addr
+            }
+        };
 
-    for root in roots.iter_mut() {
-        if !root.is_null() {
-            *root = relocate(*root);
+        for root in roots.iter_mut() {
+            if !root.is_null() {
+                *root = relocate(*root);
+            }
         }
-    }
 
-    for &(obj, header) in young {
-        let offset = obj.words_from(base) - delta_words;
-        forward_fields(heap, Location::Local { vproc, offset }, header, |_, ptr| {
-            relocate(ptr)
-        });
-    }
+        for &(obj, header) in young {
+            let at = Location::Local {
+                vproc,
+                offset: obj.words_from(base) - delta_words,
+            };
+            forward_fields(heap, at, header, |_, ptr| relocate(ptr));
+        }
 
-    if let Some(cost) = cost {
-        cost.charge_copy(local_node, local_node, young_bytes as usize);
+        self.charge(|cost| cost.charge_copy(local_node, local_node, young_bytes as usize));
+        young_bytes
     }
-    young_bytes
 }
 
 #[cfg(test)]
