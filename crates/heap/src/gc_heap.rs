@@ -14,8 +14,12 @@
 //!   every vproc's `WorkerHeap` behind one vproc-indexed interface, each
 //!   call handed to the worker that owns the vproc or the address.
 //!
-//! The trait deliberately exposes only what the collection algorithms need;
-//! mutator-facing allocation stays on the concrete types.
+//! The trait deliberately exposes only what the collection algorithms need
+//! — and the read rule ([`GcHeap::resolve`]), which the mutator and the
+//! collector share; mutator-facing allocation stays on the concrete types.
+//! A local collection classifies each pointer once, through
+//! [`GcHeap::find`], and only the simulated heap charges its work
+//! ([`GcHeap::charges_costs`]).
 
 use crate::addr::{Addr, Word};
 use crate::descriptor::PointerFields;
@@ -82,9 +86,10 @@ pub trait GcHeap {
 
     /// Follows forwarding pointers from `addr` to the current copy of its
     /// object and locates it — the read rule of both backends, stated here
-    /// once. `global` must be this worker's global heap: the result borrows
-    /// it rather than the worker, so a mutator can keep the location while it
-    /// uses the worker mutably (`TaskCtx` does, until its next safe point).
+    /// once. `global` must be this heap's global heap: the result borrows it
+    /// rather than the heap, so the caller can keep the location while it
+    /// uses the heap mutably (`TaskCtx` does until its next safe point, and
+    /// a promotion while it scans a promoted object).
     ///
     /// The language is mutation-free (§2.3), so a forwarding pointer is only
     /// ever left in two places: in this worker's **local** heap by a
