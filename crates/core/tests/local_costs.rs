@@ -1,6 +1,7 @@
-//! Local collections over one fixed mixed object graph: two minors, a major
+//! Local collections over fixed mixed object graphs: two minors, a major
 //! collection with both young and old data, and a promotion onto the other
-//! node, on vproc 0 of a two-vproc, two-node heap.
+//! node, on vproc 0 of a two-vproc, two-node heap. One graph is lists of
+//! small values, the other Barnes-Hut-shaped quadtrees.
 
 use mgc_core::{Collector, GcConfig, GcCost, GcOutcome, GcStats};
 use mgc_heap::{
@@ -53,23 +54,23 @@ impl Mutator for WorkerHeap {
     }
 }
 
-/// The simulated heap, vproc `v` on node `v`, with [`pair`] registered.
-fn simulated() -> (Heap, DescriptorId) {
+/// The simulated heap, vproc `v` on node `v`, with `descriptor` registered.
+fn simulated(descriptor: Descriptor) -> (Heap, DescriptorId) {
     let mut heap = Heap::new(
         HeapConfig::small_for_tests(),
         &[NodeId::new(0), NodeId::new(1)],
         2,
     );
-    let descriptor = heap.register_descriptor(pair());
+    let descriptor = heap.register_descriptor(descriptor);
     (heap, descriptor)
 }
 
-/// Vproc 0's worker heap of the same machine, with [`pair`] registered.
-fn threaded() -> (WorkerHeap, DescriptorId) {
+/// Vproc 0's worker heap of the same machine, with `descriptor` registered.
+fn threaded(descriptor: Descriptor) -> (WorkerHeap, DescriptorId) {
     let layout = ThreadedLayout::new(&HeapConfig::small_for_tests(), 2, 2);
     let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
     let mut table = DescriptorTable::new();
-    let descriptor = table.register(pair());
+    let descriptor = table.register(descriptor);
     let worker = WorkerHeap::new(0, layout, NodeId::new(0), global, Arc::new(table));
     (worker, descriptor)
 }
@@ -114,6 +115,34 @@ fn collections<H: Mutator>(heap: &mut H, descriptor: DescriptorId) -> (Vec<GcOut
     )
 }
 
+/// What the memory model takes from each simulated outcome:
+/// `(cpu_ns.to_bits(), bytes_to_node, copied bytes, promoted bytes)`.
+fn charged(outcomes: &[GcOutcome]) -> Vec<(u64, [u64; 2], u64, u64)> {
+    outcomes
+        .iter()
+        .map(|o| {
+            let bytes = &o.cost.bytes_to_node;
+            (
+                o.cost.cpu_ns.to_bits(),
+                [bytes[0], bytes[1]],
+                o.copied_bytes,
+                o.promoted_bytes,
+            )
+        })
+        .collect()
+}
+
+/// What each outcome moved, whichever heap it ran on.
+fn moved(outcomes: &[GcOutcome]) -> Vec<(u64, u64, Vec<u64>)> {
+    outcomes
+        .iter()
+        .map(|o| {
+            let by_node = o.promoted_bytes_by_node.clone();
+            (o.copied_bytes, o.promoted_bytes, by_node)
+        })
+        .collect()
+}
+
 /// Per collection: `(cpu_ns.to_bits(), bytes_to_node, copied bytes,
 /// promoted bytes)` of the simulated heap's outcome. The runtime feeds the
 /// first two to the memory model, so these pin the virtual time a local
@@ -127,41 +156,131 @@ const PINNED: [(u64, [u64; 2], u64, u64); 4] = [
 
 #[test]
 fn simulated_local_collection_charges_are_pinned() {
-    let (mut heap, descriptor) = simulated();
+    let (mut heap, descriptor) = simulated(pair());
     let (outcomes, _) = collections(&mut heap, descriptor);
-    let charged: Vec<(u64, [u64; 2], u64, u64)> = outcomes
-        .iter()
-        .map(|o| {
-            let bytes = &o.cost.bytes_to_node;
-            (
-                o.cost.cpu_ns.to_bits(),
-                [bytes[0], bytes[1]],
-                o.copied_bytes,
-                o.promoted_bytes,
-            )
-        })
-        .collect();
-    assert_eq!(charged.as_slice(), PINNED.as_slice());
+    assert_eq!(charged(&outcomes).as_slice(), PINNED.as_slice());
 }
 
 #[test]
 fn a_worker_heap_collects_the_same_and_charges_nothing() {
-    let (mut heap, descriptor) = simulated();
+    let (mut heap, descriptor) = simulated(pair());
     let (simulated, simulated_stats) = collections(&mut heap, descriptor);
-    let (mut worker, descriptor) = threaded();
+    let (mut worker, descriptor) = threaded(pair());
     let (threaded, threaded_stats) = collections(&mut worker, descriptor);
-    let moved = |outcomes: &[GcOutcome]| -> Vec<(u64, u64, Vec<u64>)> {
-        outcomes
-            .iter()
-            .map(|o| {
-                let by_node = o.promoted_bytes_by_node.clone();
-                (o.copied_bytes, o.promoted_bytes, by_node)
-            })
-            .collect()
-    };
     assert_eq!(moved(&threaded), moved(&simulated));
     assert_eq!(threaded_stats, simulated_stats);
     assert!(heap.verify_violations().is_empty());
+    assert!(worker.verify_violations().is_empty());
+    for outcome in &threaded {
+        assert_eq!(outcome.cost, GcCost::default(), "{:?}", outcome.kind);
+    }
+}
+
+/// A Barnes-Hut quadtree node: four child pointers, then a mass and a
+/// position.
+fn quad() -> Descriptor {
+    Descriptor::new("quad", 7, 0b0001111)
+}
+
+/// A complete quadtree `depth` levels deep, built bottom-up as Barnes-Hut's
+/// sequential build does, each node leaving a dead raw object behind.
+/// `count` numbers the nodes. Leaf `i` (counting across calls) points at
+/// `below[i % len]` and `below[(3 * i + 1) % len]` in its first and third
+/// slots, the other two null (all four null when `below` is empty).
+fn quadtree<H: Mutator>(
+    heap: &mut H,
+    quad: DescriptorId,
+    depth: u32,
+    below: &[Addr],
+    count: &mut u64,
+) -> Addr {
+    let children: [Addr; 4] = if depth == 0 {
+        let pick = |k: u64| match below.len() {
+            0 => Addr::NULL,
+            len => below[k as usize % len],
+        };
+        [pick(*count), Addr::NULL, pick(3 * *count + 1), Addr::NULL]
+    } else {
+        std::array::from_fn(|_| quadtree(heap, quad, depth - 1, below, count))
+    };
+    *count += 1;
+    let n = *count;
+    heap.raw(&[0xdead]);
+    let [a, b, c, d] = children.map(Addr::raw);
+    heap.mixed(quad, &[a, b, c, d, n, 1000 + n, 2000 + n])
+}
+
+/// Payload field `k` of `node`, as an address.
+fn child<H: GcHeap>(heap: &H, node: Addr, k: usize) -> Addr {
+    Addr::new(heap.read_field(node, k))
+}
+
+/// Two minors, a major and a promotion over three quadtrees, and vproc 0's
+/// statistics after them. Tree one (85 nodes) ages into old data; tree two
+/// (21 nodes), young at the major, points at its own nodes and at tree
+/// one's; tree three, in the nursery, points at both and is promoted onto
+/// node 1.
+fn quadtree_collections<H: Mutator>(heap: &mut H, quad: DescriptorId) -> (Vec<GcOutcome>, GcStats) {
+    let mut collector = Collector::new(GcConfig::small_for_tests(), 2, 2);
+    let mut count = 0;
+    let mut roots = vec![quadtree(heap, quad, 3, &[], &mut count)];
+    let first = collector.minor(heap, 0, &mut roots);
+    // Tree two's leaves point at tree one's sixteen nodes one level above
+    // its leaves, so those and their leaves are promoted by the major.
+    let one = roots[0];
+    let mid: Vec<Addr> = (0..4)
+        .flat_map(|k| {
+            let node = child(heap, one, k);
+            (0..4).map(move |j| (node, j))
+        })
+        .map(|(node, j)| child(heap, node, j))
+        .collect();
+    let two = quadtree(heap, quad, 2, &mid, &mut count);
+    roots.insert(0, two);
+    let second = collector.minor(heap, 0, &mut roots);
+    // The major's roots: tree two (young), one of tree one's children
+    // (old), and a null.
+    let mut roots = vec![roots[0], child(heap, roots[1], 1), Addr::NULL];
+    let major = collector.major(heap, 0, &mut roots);
+    // Tree three points at tree two's children (young, slid) and at the
+    // promoted child of tree one.
+    let two = roots[0];
+    let mut below: Vec<Addr> = (0..4).map(|k| child(heap, two, k)).collect();
+    below.push(roots[1]);
+    let three = quadtree(heap, quad, 2, &below, &mut count);
+    heap.promote_onto(NodeId::new(1));
+    let (_, promotion) = collector.promote(heap, 0, three);
+    (
+        vec![first, second, major, promotion],
+        *collector.vproc_stats(0),
+    )
+}
+
+/// [`PINNED`] for the quadtrees. The major promotes 81 nodes, more than one
+/// 4 KiB chunk holds, so it acquires a second chunk.
+const QUADTREE_PINNED: [(u64, [u64; 2], u64, u64); 4] = [
+    (0x40a8200000000021, [16320, 0], 5440, 0), // minor, 3088.000000000015 ns
+    (0x40a1b999999999a1, [4032, 0], 1344, 0),  // minor, 2268.8000000000034 ns
+    (0x40b8a199999999ae, [19584, 0], 1344, 5184), // major, 6305.600000000019 ns
+    (0x409fa3333333332b, [2624, 5248], 0, 2624), // promotion, 2024.7999999999981 ns
+];
+
+#[test]
+fn simulated_quadtree_collection_charges_are_pinned() {
+    let (mut heap, id) = simulated(quad());
+    let (outcomes, _) = quadtree_collections(&mut heap, id);
+    assert_eq!(charged(&outcomes).as_slice(), QUADTREE_PINNED.as_slice());
+    assert!(heap.verify_violations().is_empty());
+}
+
+#[test]
+fn a_worker_heap_collects_the_quadtrees_the_same_and_charges_nothing() {
+    let (mut heap, id) = simulated(quad());
+    let (simulated, simulated_stats) = quadtree_collections(&mut heap, id);
+    let (mut worker, id) = threaded(quad());
+    let (threaded, threaded_stats) = quadtree_collections(&mut worker, id);
+    assert_eq!(moved(&threaded), moved(&simulated));
+    assert_eq!(threaded_stats, simulated_stats);
     assert!(worker.verify_violations().is_empty());
     for outcome in &threaded {
         assert_eq!(outcome.cost, GcCost::default(), "{:?}", outcome.kind);
