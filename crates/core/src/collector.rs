@@ -16,7 +16,8 @@ use crate::config::GcConfig;
 use crate::cost::{GcCost, CHUNK_ACQUIRE_NS, COLLECTION_FIXED_NS};
 use crate::stats::{CollectionKind, GcStats};
 use mgc_heap::{
-    word_as_pointer, Addr, EvacTarget, GcHeap, Header, HeaderSlot, LocalRegion, Location, Word,
+    word_as_pointer, Addr, ChunkId, EvacTarget, GcHeap, Header, HeaderSlot, LocalRegion, Location,
+    Word,
 };
 
 /// Result of a single (per-vproc) collection.
@@ -107,6 +108,24 @@ pub(crate) fn forward_fields<H: GcHeap>(
     }
 }
 
+/// Calls `visit(heap, offset, header)` on each live object of `vproc`'s
+/// young data, in address order, `offset` being its first payload word. The
+/// visit may rewrite the objects' fields, not their headers.
+pub(crate) fn for_each_young<H: GcHeap>(
+    heap: &mut H,
+    vproc: usize,
+    mut visit: impl FnMut(&mut H, usize, Header),
+) {
+    let (mut at, end) = (heap.local(vproc).young_start(), heap.local(vproc).old_top());
+    while at < end {
+        let (header, words) = heap.local(vproc).object_at(at);
+        if let Some(header) = header {
+            visit(heap, at + 1, header);
+        }
+        at += words;
+    }
+}
+
 /// Word `index` of the object at `at`, its header slot being word 0.
 fn word_at<H: GcHeap>(heap: &H, at: Location<'_>, index: usize) -> Word {
     match at {
@@ -165,10 +184,10 @@ pub struct Collector {
     per_vproc: Vec<GcStats>,
     global_pending: bool,
     /// Buffers the local collections reuse, so that none allocates: the
-    /// copied objects still to scan, the young objects a major collection
-    /// scans as roots, and the promoted bytes per node.
-    worklist: Vec<Addr>,
-    pub(crate) young: Vec<(Addr, Header)>,
+    /// copies still to scan, in the local heap and in the global heap, and
+    /// the promoted bytes per node.
+    worklist: Vec<usize>,
+    promoted: Vec<(ChunkId, Addr)>,
     tally: PromotionTally,
 }
 
@@ -182,7 +201,7 @@ impl Collector {
             per_vproc: vec![GcStats::new(); num_vprocs],
             global_pending: false,
             worklist: Vec::new(),
-            young: Vec::new(),
+            promoted: Vec::new(),
             tally: PromotionTally::new(num_nodes),
         }
     }
@@ -290,8 +309,8 @@ impl Collector {
         vproc: usize,
         roots: &mut [Addr],
     ) -> GcOutcome {
-        let node = heap.local(vproc).node();
         let mut scan = Scan::new(self, heap, vproc, COLLECTION_FIXED_NS);
+        let node = heap.local(vproc).node();
 
         heap.local_mut(vproc).begin_minor();
 
@@ -299,8 +318,7 @@ impl Collector {
             *root = scan.forward_minor(heap, *root);
         }
 
-        while let Some(obj) = scan.worklist.pop() {
-            let offset = heap.local(vproc).offset_of(obj);
+        while let Some(offset) = scan.worklist.pop() {
             let at = Location::Local { vproc, offset };
             let header = header_at(heap, at);
             scan.charge(|cost| cost.charge_scan(node, header.total_bytes()));
@@ -357,7 +375,10 @@ impl Collector {
 /// does no cost arithmetic at all.
 pub(crate) struct Scan<'a> {
     pub(crate) vproc: usize,
-    pub(crate) worklist: &'a mut Vec<Addr>,
+    /// A minor collection's copies, by word offset in the local heap.
+    worklist: &'a mut Vec<usize>,
+    /// Copies in the global heap, by the chunk `evacuate` put each in.
+    pub(crate) promoted: &'a mut Vec<(ChunkId, Addr)>,
     pub(crate) tally: &'a mut PromotionTally,
     copied_bytes: u64,
     pub(crate) cost: Option<GcCost>,
@@ -365,13 +386,15 @@ pub(crate) struct Scan<'a> {
 
 impl<'a> Scan<'a> {
     /// Starts a collection of `vproc` on `heap` over `collector`'s buffers,
-    /// charging `fixed_ns` if the heap charges.
+    /// charging `fixed_ns` if the heap charges. This is where every
+    /// collection checks that `heap` serves `vproc`.
     pub(crate) fn new(
         collector: &'a mut Collector,
         heap: &impl GcHeap,
         vproc: usize,
         fixed_ns: f64,
     ) -> Self {
+        heap.assert_serves(vproc);
         let cost = heap.charges_costs().then(|| {
             let mut cost = GcCost::new(collector.num_nodes);
             cost.charge_cpu(fixed_ns);
@@ -380,6 +403,7 @@ impl<'a> Scan<'a> {
         Scan {
             vproc,
             worklist: &mut collector.worklist,
+            promoted: &mut collector.promoted,
             tally: &mut collector.tally,
             copied_bytes: 0,
             cost,
@@ -411,9 +435,10 @@ impl<'a> Scan<'a> {
                     .evacuate(obj.offset, header, EvacTarget::OldArea { vproc })
                     .expect("the Appel reserve always has room for minor-collection survivors");
                 self.copied_bytes += bytes as u64;
-                let node = heap.local(vproc).node();
+                let local = heap.local(vproc);
+                let node = local.node();
                 self.charge(|cost| cost.charge_copy(node, node, bytes));
-                self.worklist.push(new);
+                self.worklist.push(new.words_from(local.base()));
                 new
             }
             _ => ptr,
@@ -460,7 +485,10 @@ impl<'a> Scan<'a> {
             }
             cost.charge_copy(heap.local(vproc).node(), heap.node_of(new), bytes);
         }
-        self.worklist.push(new);
+        let chunk = heap
+            .promotion_chunk(vproc)
+            .expect("a promotion leaves a current chunk");
+        self.promoted.push((chunk, new));
         new
     }
 }

@@ -37,7 +37,7 @@
 //! chunk lists arrange, so the runtime's memory model can reconstruct the
 //! parallel pause and its bus traffic.
 
-use crate::collector::{forward_fields, Collector};
+use crate::collector::{for_each_young, forward_fields, Collector};
 use crate::cost::{GcCost, GLOBAL_BARRIER_NS};
 use mgc_heap::{
     Addr, GcHeap, Header, Heap, Location, SharedChunk, SharedChunkState, SharedGlobalHeap,
@@ -274,11 +274,8 @@ pub fn scan_young_fields(worker: &mut WorkerHeap, state: &ParallelGcState) {
 /// copies, to `cost` when one is given.
 fn scan_young(worker: &mut WorkerHeap, state: &ParallelGcState, mut cost: Option<&mut GcCost>) {
     let vproc = worker.vproc();
-    let local = worker.local(vproc);
-    let node = local.node();
-    let young: Vec<(Addr, Header)> = local.young_objects().collect();
-    for (obj, header) in young {
-        let offset = worker.local(vproc).offset_of(obj);
+    let node = worker.local(vproc).node();
+    for_each_young(worker, vproc, |worker, offset, header| {
         if let Some(cost) = cost.as_deref_mut() {
             cost.charge_scan(node, header.total_bytes());
         }
@@ -288,7 +285,7 @@ fn scan_young(worker: &mut WorkerHeap, state: &ParallelGcState, mut cost: Option
             header,
             |worker, ptr| forward(worker, ptr, state, cost.as_deref_mut()),
         );
-    }
+    });
 }
 
 /// Outcome of one (possibly budgeted) scan pass.

@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use mgc_core::{Collector, GcConfig};
-//! use mgc_heap::{Heap, HeapConfig};
+//! use mgc_heap::{GcHeap, Heap, HeapConfig};
 //! use mgc_numa::NodeId;
 //!
 //! let mut heap = Heap::new(HeapConfig::small_for_tests(), &[NodeId::new(0)], 1);

@@ -13,10 +13,11 @@
 //! CML message passing requires this because of the no-cross-heap-pointer
 //! invariants).
 
-use crate::collector::{forward_fields, header_at, Collector, GcOutcome, Scan};
+use crate::collector::{for_each_young, forward_fields, header_at, Collector, GcOutcome, Scan};
 use crate::cost::COLLECTION_FIXED_NS;
 use crate::stats::CollectionKind;
-use mgc_heap::{Addr, GcHeap, Header, Location, WORD_BYTES};
+use mgc_heap::{Addr, GcHeap, HeaderSlot, Location};
+use std::ops::Range;
 use std::sync::Arc;
 
 impl Collector {
@@ -35,46 +36,42 @@ impl Collector {
         vproc: usize,
         roots: &mut [Addr],
     ) -> GcOutcome {
+        let mut scan = Scan::new(self, heap, vproc, COLLECTION_FIXED_NS);
+        let local = heap.local(vproc);
         assert_eq!(
-            heap.local(vproc).nursery_used_words(),
+            local.nursery_used_words(),
             0,
             "a major collection must be preceded by a minor collection"
         );
-        let local_node = heap.local(vproc).node();
-        let mut young = std::mem::take(&mut self.young);
-        let mut scan = Scan::new(self, heap, vproc, COLLECTION_FIXED_NS);
-        // The young data is exempt (§3.3); only promotion copies it.
-        let include_young = false;
+        let local_node = local.node();
+        // The young data is exempt (§3.3); only promotion copies it. It
+        // slides down by `slide` bytes, to the bottom of the local heap.
+        let young = local.addr_of(local.young_start())..local.addr_of(local.old_top());
+        let slide = young.start.raw() - local.base().raw();
 
         // --- Phase 1: evacuate old data reachable from the roots. ---------
         for root in roots.iter_mut().filter(|root| !root.is_null()) {
-            *root = scan.forward_to_global(heap, *root, include_young);
+            *root = scan.forward_to_global(heap, *root, false);
         }
 
         // --- Phase 2: the young data acts as an additional root set. ------
-        // Young objects may point to old objects; those old objects must be
-        // promoted and the young fields redirected.
-        young.extend(heap.local(vproc).young_objects());
-        for &(obj, header) in &young {
-            let offset = heap.local(vproc).offset_of(obj);
-            scan.charge(|cost| cost.charge_scan(local_node, header.total_bytes()));
-            forward_fields(
-                heap,
-                Location::Local { vproc, offset },
-                header,
-                |heap, ptr| scan.forward_to_global(heap, ptr, include_young),
-            );
-        }
+        scan.walk_young(heap, &young, slide);
 
         // --- Phase 3: Cheney drain of the freshly promoted objects. -------
-        scan.drain_to_global(heap, include_young);
+        scan.drain_to_global(heap, false);
 
         // --- Phase 4: slide the young data to the bottom (Figure 3). ------
-        let young_bytes = scan.slide_young(heap, roots, &young);
+        // Its fields already point where the slide puts their objects.
+        let young_bytes = young.end.raw() - young.start.raw();
+        if slide > 0 {
+            heap.local_mut(vproc).slide_young_to_bottom();
+            for root in roots.iter_mut().filter(|root| young.contains(root)) {
+                *root = Addr::new(root.raw() - slide);
+            }
+            scan.charge(|cost| cost.charge_copy(local_node, local_node, young_bytes as usize));
+        }
         let (promoted_bytes, promoted_bytes_by_node) = scan.tally.take();
         let cost = scan.cost;
-        young.clear();
-        self.young = young;
 
         heap.local_mut(vproc).finish_major();
 
@@ -82,7 +79,6 @@ impl Collector {
         stats.major_collections += 1;
         stats.major_promoted_bytes += promoted_bytes;
 
-        let needs_global = self.needs_global(heap);
         let outcome = GcOutcome {
             kind: CollectionKind::Major,
             cost: cost.unwrap_or_default(),
@@ -90,7 +86,7 @@ impl Collector {
             promoted_bytes,
             promoted_bytes_by_node,
             triggered_major: false,
-            needs_global,
+            needs_global: self.needs_global(heap),
         };
         self.maybe_verify(heap);
         outcome
@@ -138,76 +134,54 @@ impl Collector {
 }
 
 impl Scan<'_> {
-    /// Cheney-scans the freshly promoted global objects on the worklist,
-    /// promoting whatever local objects they still point to, and tallies
-    /// each one's bytes on its node.
+    /// Phase 2 of a major collection: one walk of the `young` data in
+    /// address order, scanning each object's fields. Old and global objects
+    /// never point at younger data (§2.3), so only the roots and these
+    /// fields point into the young area. A field into it is rewritten to
+    /// where the slide will put its object, `slide` bytes lower (or to the
+    /// global copy an earlier promotion left); any other field is forwarded
+    /// to the global heap.
+    fn walk_young<H: GcHeap>(&mut self, heap: &mut H, young: &Range<Addr>, slide: u64) {
+        let vproc = self.vproc;
+        let local = heap.local(vproc);
+        let (base, node) = (local.base(), local.node());
+        for_each_young(heap, vproc, |heap, offset, header| {
+            self.charge(|cost| cost.charge_scan(node, header.total_bytes()));
+            let at = Location::Local { vproc, offset };
+            forward_fields(heap, at, header, |heap, ptr| {
+                if !young.contains(&ptr) {
+                    return self.forward_to_global(heap, ptr, false);
+                }
+                let slot = heap.local(vproc).read(ptr.words_from(base) - 1);
+                match HeaderSlot::decode(slot) {
+                    HeaderSlot::Forwarded(new) => new,
+                    HeaderSlot::Header(_) => Addr::new(ptr.raw() - slide),
+                }
+            });
+        });
+    }
+
+    /// Cheney-scans the freshly promoted global objects, each where
+    /// `evacuate` put it, promoting whatever local objects they still point
+    /// to, and tallies each one's bytes on its node.
     fn drain_to_global<H: GcHeap>(&mut self, heap: &mut H, include_young: bool) {
-        if self.worklist.is_empty() {
+        if self.promoted.is_empty() {
             return;
         }
-        // The objects are located in this handle, not through `heap`, so
-        // their locations outlive the mutable uses of `heap` that scanning
-        // makes.
+        // The chunks are borrowed from this handle, not from `heap`, so they
+        // outlive the mutable uses of `heap` that scanning makes.
         let global = Arc::clone(heap.global());
-        while let Some(obj) = self.worklist.pop() {
-            let found = heap.resolve(&global, obj, false);
-            let header = header_at(heap, found.location);
+        while let Some((id, obj)) = self.promoted.pop() {
+            let chunk = global.chunk(id);
+            let at = Location::Global(chunk, obj.words_from(chunk.base()));
+            let header = header_at(heap, at);
             let bytes = header.total_bytes();
-            self.tally.add(found.node, bytes as u64);
-            self.charge(|cost| cost.charge_scan(found.node, bytes));
-            forward_fields(heap, found.location, header, |heap, ptr| {
+            self.tally.add(chunk.node(), bytes as u64);
+            self.charge(|cost| cost.charge_scan(chunk.node(), bytes));
+            forward_fields(heap, at, header, |heap, ptr| {
                 self.forward_to_global(heap, ptr, include_young)
             });
         }
-    }
-
-    /// Slides the young data to the bottom of the local heap and relocates
-    /// every pointer into the moved range: the roots, and the fields of the
-    /// moved objects, which are `young` as listed before the slide. Returns
-    /// the number of young bytes moved.
-    fn slide_young<H: GcHeap>(
-        &mut self,
-        heap: &mut H,
-        roots: &mut [Addr],
-        young: &[(Addr, Header)],
-    ) -> u64 {
-        let vproc = self.vproc;
-        let local = heap.local(vproc);
-        let local_node = local.node();
-        let base = local.base();
-        let young_lo = base.add_words(local.young_start());
-        let young_hi = base.add_words(local.old_top());
-        let young_bytes = ((local.old_top() - local.young_start()) * WORD_BYTES) as u64;
-
-        let delta_words = heap.local_mut(vproc).slide_young_to_bottom();
-        if delta_words == 0 {
-            return young_bytes;
-        }
-        let delta_bytes = (delta_words * WORD_BYTES) as u64;
-        let relocate = |addr: Addr| -> Addr {
-            if addr >= young_lo && addr < young_hi {
-                Addr::new(addr.raw() - delta_bytes)
-            } else {
-                addr
-            }
-        };
-
-        for root in roots.iter_mut() {
-            if !root.is_null() {
-                *root = relocate(*root);
-            }
-        }
-
-        for &(obj, header) in young {
-            let at = Location::Local {
-                vproc,
-                offset: obj.words_from(base) - delta_words,
-            };
-            forward_fields(heap, at, header, |_, ptr| relocate(ptr));
-        }
-
-        self.charge(|cost| cost.charge_copy(local_node, local_node, young_bytes as usize));
-        young_bytes
     }
 }
 
@@ -215,7 +189,11 @@ impl Scan<'_> {
 mod tests {
     use super::*;
     use crate::config::GcConfig;
-    use mgc_heap::{Heap, HeapConfig, Space};
+    use crate::stats::GcStats;
+    use mgc_heap::{
+        Descriptor, DescriptorId, DescriptorTable, Heap, HeapConfig, SharedGlobalHeap, Space,
+        ThreadedLayout, Word, WorkerHeap,
+    };
     use mgc_numa::NodeId;
 
     fn setup() -> (Heap, Collector) {
@@ -266,6 +244,121 @@ mod tests {
         assert!(heap.is_global(promoted));
         assert_eq!(heap.payload(promoted), vec![111]);
         assert_eq!(collector.vproc_stats(0).major_collections, 1);
+    }
+
+    /// A five-word node whose pointer fields, 0, 2 and 4, are not
+    /// contiguous.
+    fn sparse() -> Descriptor {
+        Descriptor::new("sparse", 5, 0b10101)
+    }
+
+    /// Vproc 0's allocation of a [`sparse`] node on either heap.
+    trait Sparse: GcHeap {
+        fn node(&mut self, id: DescriptorId, payload: [Word; 5]) -> Addr;
+    }
+
+    impl Sparse for Heap {
+        fn node(&mut self, id: DescriptorId, payload: [Word; 5]) -> Addr {
+            self.alloc_mixed(0, id, &payload).unwrap()
+        }
+    }
+
+    impl Sparse for WorkerHeap {
+        fn node(&mut self, id: DescriptorId, payload: [Word; 5]) -> Addr {
+            self.alloc_mixed(id, &payload).unwrap()
+        }
+    }
+
+    /// The graph below `obj` as its words: each node's raw words, then
+    /// the graph below each pointer field in field order (a null as 0).
+    fn graph<H: GcHeap>(heap: &H, obj: Addr, out: &mut Vec<Word>) {
+        for index in 0..5 {
+            let word = heap.read_field(obj, index);
+            match (index % 2, word) {
+                (0, 0) => out.push(0),
+                (0, ptr) => graph(heap, Addr::new(ptr), out),
+                _ => out.push(word),
+            }
+        }
+    }
+
+    /// One major collection after which the young data's fields into the
+    /// young area point at the slid copies, its field into the old area at
+    /// the global copy, the root into the young area is relocated, and the
+    /// raw words between the pointer fields are untouched — one of them
+    /// holds an old object's address, which a scan of every word would
+    /// have rewritten.
+    fn major_walks_the_young_data_once<H: Sparse>(heap: &mut H, id: DescriptorId) {
+        let mut collector = Collector::new(GcConfig::small_for_tests(), 2, 2);
+        let null = Addr::NULL.raw();
+        let leaf = heap.node(id, [null, 11, null, 12, null]);
+        let old = heap.node(id, [leaf.raw(), 13, null, 14, null]);
+        let mut roots = vec![old];
+        collector.minor(heap, 0, &mut roots);
+        let old = roots[0];
+        let leaf = heap.node(id, [null, 21, null, 22, null]);
+        let young = heap.node(id, [leaf.raw(), old.raw(), old.raw(), 23, leaf.raw()]);
+        let mut roots = vec![young, Addr::NULL];
+        collector.minor(heap, 0, &mut roots);
+        let (young, leaf) = (roots[0], Addr::new(heap.read_field(roots[0], 0)));
+        let slide = (heap.local(0).young_start() * mgc_heap::WORD_BYTES) as u64;
+        assert!(slide > 0, "the old data lies below the young data");
+        let mut before = Vec::new();
+        graph(heap, young, &mut before);
+
+        collector.major(heap, 0, &mut roots);
+        assert_eq!(roots, [Addr::new(young.raw() - slide), Addr::NULL]);
+        let field = |index| Addr::new(heap.read_field(roots[0], index));
+        let slid_leaf = Addr::new(leaf.raw() - slide);
+        assert_eq!((field(0), field(4)), (slid_leaf, slid_leaf));
+        assert!(heap.is_global(field(2)));
+        assert_eq!(field(1), old, "a raw word is never scanned");
+        let mut after = Vec::new();
+        graph(heap, roots[0], &mut after);
+        assert_eq!(after, before);
+        assert!(heap.verify_violations().is_empty());
+    }
+
+    #[test]
+    fn major_walks_the_young_data_once_on_both_heaps() {
+        let (mut heap, _) = setup();
+        let id = heap.register_descriptor(sparse());
+        major_walks_the_young_data_once(&mut heap, id);
+
+        let layout = ThreadedLayout::new(&HeapConfig::small_for_tests(), 2, 2);
+        let global = Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2));
+        let mut table = DescriptorTable::new();
+        let id = table.register(sparse());
+        let mut worker = WorkerHeap::new(0, layout, NodeId::new(0), global, Arc::new(table));
+        major_walks_the_young_data_once(&mut worker, id);
+    }
+
+    #[test]
+    fn each_collection_checks_that_a_worker_heap_serves_its_vproc() {
+        let (mut workers, _) = crate::collector::tests::two_workers();
+        let mut collector = Collector::new(GcConfig::small_for_tests(), 2, 2);
+        let w0 = &mut workers[0];
+        let obj = w0.alloc_raw(&[1]).unwrap();
+        let message = |run: &mut dyn FnMut()| {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let expected = "a worker heap only serves its own vproc";
+        assert!(message(&mut || {
+            collector.minor(w0, 1, &mut []);
+        })
+        .contains(expected));
+        assert!(message(&mut || {
+            collector.major(w0, 1, &mut []);
+        })
+        .contains(expected));
+        assert!(message(&mut || {
+            collector.promote(w0, 1, obj);
+        })
+        .contains(expected));
+        // Nothing was collected or moved.
+        assert_eq!(w0.forwarded_to(obj), None);
+        assert_eq!(collector.aggregate_stats(), GcStats::new());
     }
 
     #[test]

@@ -79,12 +79,17 @@ impl Descriptor {
 
     /// Indices of the payload words that hold pointers.
     pub fn pointer_offsets(&self) -> PointerFields {
-        // The fields are public: ignore mask bits beyond the object's size.
+        PointerFields::Mask(self.fields_mask())
+    }
+
+    /// The pointer mask within the object's size (the fields are public, so
+    /// bits beyond it may be set).
+    fn fields_mask(&self) -> u64 {
         let in_size = match self.size_words {
             0 => 0,
             words => u64::MAX >> 64u32.saturating_sub(words),
         };
-        PointerFields::Mask(self.pointer_mask & in_size)
+        self.pointer_mask & in_size
     }
 
     /// True if payload word `index` holds a pointer.
@@ -129,14 +134,15 @@ impl DescriptorId {
 #[derive(Debug, Clone, Default)]
 pub struct DescriptorTable {
     descriptors: Vec<Descriptor>,
+    /// Each descriptor's [`Descriptor::fields_mask`], in ID order: what a
+    /// collector's scan of a mixed object looks up.
+    masks: Vec<u64>,
 }
 
 impl DescriptorTable {
     /// Creates an empty table.
     pub fn new() -> Self {
-        DescriptorTable {
-            descriptors: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Registers a descriptor and returns its ID.
@@ -147,6 +153,7 @@ impl DescriptorTable {
     pub fn register(&mut self, descriptor: Descriptor) -> DescriptorId {
         let id = FIRST_MIXED_ID as usize + self.descriptors.len();
         assert!(id <= MAX_ID as usize, "descriptor table is full");
+        self.masks.push(descriptor.fields_mask());
         self.descriptors.push(descriptor);
         DescriptorId(id as u16)
     }
@@ -162,21 +169,23 @@ impl DescriptorTable {
     }
 
     /// The payload indices of the pointer fields of an object with header
-    /// `header` — the one scanning rule both heaps share.
+    /// `header` — the one scanning rule of every collection on both heaps.
+    /// Always inlined: a mixed object costs one mask load.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::UnknownDescriptor`] if a mixed object's ID has no
     /// registered descriptor.
-    #[inline]
+    #[inline(always)]
     pub fn pointer_fields(&self, header: Header) -> Result<PointerFields, HeapError> {
         match header.kind {
             ObjectKind::Raw => Ok(PointerFields::Range(0..0)),
             ObjectKind::Vector => Ok(PointerFields::Range(0..header.len_words as usize)),
-            ObjectKind::Mixed(id) => self
-                .get(id)
-                .map(Descriptor::pointer_offsets)
-                .ok_or(HeapError::UnknownDescriptor { id }),
+            ObjectKind::Mixed(id) => match self.masks.get(id.wrapping_sub(FIRST_MIXED_ID) as usize)
+            {
+                Some(&mask) => Ok(PointerFields::Mask(mask)),
+                None => Err(HeapError::UnknownDescriptor { id }),
+            },
         }
     }
 

@@ -22,6 +22,7 @@
 //! ([`GcHeap::charges_costs`]).
 
 use crate::addr::{Addr, Word};
+use crate::chunk::ChunkId;
 use crate::descriptor::PointerFields;
 use crate::error::HeapError;
 use crate::header::{Header, HeaderSlot};
@@ -50,12 +51,20 @@ pub trait GcHeap {
     /// it, §3.4).
     fn num_vprocs(&self) -> usize;
 
+    /// Panics unless this view serves `vproc`: a per-worker view serves
+    /// only its own. Every collection checks this once, when it starts;
+    /// [`GcHeap::local`] and [`GcHeap::local_mut`] then only debug-assert it.
+    /// By default it is whatever [`GcHeap::local`] checks.
+    fn assert_serves(&self, vproc: usize) {
+        self.local(vproc);
+    }
+
     /// Borrow a vproc's local heap. Per-worker views only answer for their
-    /// own vproc.
+    /// own vproc ([`GcHeap::assert_serves`]).
     fn local(&self, vproc: usize) -> &LocalHeap;
 
     /// Mutably borrow a vproc's local heap. Per-worker views only answer for
-    /// their own vproc.
+    /// their own vproc ([`GcHeap::assert_serves`]).
     fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap;
 
     /// Whether collections on this heap charge their work to a cost record
@@ -116,14 +125,10 @@ pub trait GcHeap {
     ) -> Resolved<'g>;
 
     /// True if `addr` lies in any local heap.
-    fn is_local(&self, addr: Addr) -> bool {
-        self.space_of(addr).is_local()
-    }
+    fn is_local(&self, addr: Addr) -> bool;
 
     /// True if `addr` lies in the global heap.
-    fn is_global(&self, addr: Addr) -> bool {
-        self.space_of(addr).is_global()
-    }
+    fn is_global(&self, addr: Addr) -> bool;
 
     /// The NUMA node whose memory backs `addr`.
     fn node_of(&self, addr: Addr) -> NodeId;
@@ -171,7 +176,8 @@ pub trait GcHeap {
     /// Copies the object with header `header` whose first payload word is at
     /// word `offset` of the target vproc's local heap ([`GcHeap::find`]
     /// gives both) into `target`, installing a forwarding pointer, and
-    /// returns the new address plus bytes copied.
+    /// returns the new address plus bytes copied. A copy into the global
+    /// heap lands in [`GcHeap::promotion_chunk`].
     ///
     /// # Errors
     ///
@@ -182,6 +188,10 @@ pub trait GcHeap {
         header: Header,
         target: EvacTarget,
     ) -> Result<(Addr, usize), HeapError>;
+
+    /// The chunk `vproc`'s copies into the global heap currently go to, if
+    /// it has one.
+    fn promotion_chunk(&self, vproc: usize) -> Option<ChunkId>;
 
     /// Number of global-chunk acquisitions so far (each is the
     /// synchronisation point of §3.3; the collector charges for increases).

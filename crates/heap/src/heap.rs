@@ -269,10 +269,9 @@ pub struct HeapStats {
 /// one classifies the address once and goes to the worker that owns it
 /// (global addresses to worker 0 — every worker reads the global heap alike).
 ///
-/// The collector-facing operations and the mutator's read path
-/// ([`GcHeap::resolve`]) are its [`GcHeap`] implementation; the object
-/// readers [`Heap::read_field`], [`Heap::header_of`], [`Heap::forwarded_to`]
-/// and [`Heap::payload`] are inherent as well.
+/// The collector-facing operations, the object readers and the mutator's
+/// read path ([`GcHeap::resolve`]) are its [`GcHeap`] implementation;
+/// [`Heap::read_field`] is inherent as well.
 #[derive(Debug)]
 pub struct Heap {
     layout: ThreadedLayout,
@@ -375,11 +374,6 @@ impl Heap {
         &mut self.workers[vproc]
     }
 
-    /// The vproc's current global-heap chunk, if it has one.
-    pub fn current_chunk(&self, vproc: usize) -> Option<ChunkId> {
-        self.workers[vproc].current_chunk().map(|chunk| chunk.id())
-    }
-
     /// Classifies `addr` once: the index of the worker an access to it goes
     /// to, and what the layout says it is.
     #[inline]
@@ -415,27 +409,6 @@ impl Heap {
     pub fn read_field(&self, obj: Addr, index: usize) -> Word {
         let (worker, owner) = self.owner_of(obj);
         self.workers[worker].place(owner, obj).read(index)
-    }
-
-    /// Reads the header of the object at `obj`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object has been forwarded; use [`Heap::forwarded_to`]
-    /// first when that is possible.
-    pub fn header_of(&self, obj: Addr) -> Header {
-        self.header_slot(obj).expect_header()
-    }
-
-    /// If the object at `obj` has been moved, returns its new address.
-    pub fn forwarded_to(&self, obj: Addr) -> Option<Addr> {
-        self.header_slot(obj).forwarded_to()
-    }
-
-    /// Reads the whole payload of the object at `obj`.
-    pub fn payload(&self, obj: Addr) -> Vec<Word> {
-        let (worker, owner) = self.owner_of(obj);
-        self.workers[worker].place(owner, obj).payload()
     }
 
     // ------------------------------------------------------------------
@@ -535,10 +508,12 @@ impl GcHeap for Heap {
         self.workers.len()
     }
 
+    #[inline]
     fn local(&self, vproc: usize) -> &LocalHeap {
         self.workers[vproc].local(vproc)
     }
 
+    #[inline]
     fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
         self.workers[vproc].local_mut(vproc)
     }
@@ -594,6 +569,7 @@ impl GcHeap for Heap {
         Heap::read_field(self, obj, index)
     }
 
+    #[inline]
     fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
         self.workers[0].pointer_field_indices(header)
     }
@@ -606,6 +582,11 @@ impl GcHeap for Heap {
     ) -> Result<(Addr, usize), HeapError> {
         let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
         self.workers[vproc].evacuate(offset, header, target)
+    }
+
+    #[inline]
+    fn promotion_chunk(&self, vproc: usize) -> Option<ChunkId> {
+        self.workers[vproc].promotion_chunk(vproc)
     }
 
     fn chunk_acquisitions(&self) -> u64 {
@@ -755,7 +736,7 @@ mod tests {
         for _ in 0..8 {
             heap.alloc_in_global(1, header, &[7]).unwrap();
         }
-        assert_eq!(heap.current_chunk(1), Some(chunk));
+        assert_eq!(heap.promotion_chunk(1), Some(chunk));
         assert_eq!(heap.stats().chunk_acquisitions, 1);
     }
 
@@ -853,11 +834,11 @@ mod tests {
         let big = vec![0u64; chunk_words - 2];
         let header = Header::new(ObjectKind::Raw, big.len() as u64).encode();
         heap.alloc_in_global(0, header, &big).unwrap();
-        let first = heap.current_chunk(0).unwrap();
+        let first = heap.promotion_chunk(0).unwrap();
         // This one does not fit; a fresh chunk is acquired transparently.
         let header2 = Header::new(ObjectKind::Raw, 4).encode();
         let obj = heap.alloc_in_global(0, header2, &[1, 2, 3, 4]).unwrap();
-        let second = heap.current_chunk(0).unwrap();
+        let second = heap.promotion_chunk(0).unwrap();
         assert_ne!(first, second);
         assert_eq!(heap.space_of(obj), Space::Global { chunk: second });
         assert_eq!(
@@ -902,7 +883,7 @@ mod tests {
         let mut heap = two_vproc_heap();
         let chunk = heap.fresh_current_chunk(0);
         heap.retire_current_chunk(0);
-        assert_eq!(heap.current_chunk(0), None);
+        assert_eq!(heap.promotion_chunk(0), None);
         assert_eq!(
             heap.global().chunk_at(chunk.index()).state(),
             SharedChunkState::Filled

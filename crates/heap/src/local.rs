@@ -386,9 +386,9 @@ impl LocalHeap {
         self.recompute_nursery();
     }
 
-    /// Finishes a major collection. `new_old_top` is the end of the slid
-    /// young data (see [`LocalHeap::slide_young_to_bottom`]); the free space
-    /// above it is re-divided as after a minor collection.
+    /// Finishes a major collection: the free space above the slid young
+    /// data ([`LocalHeap::slide_young_to_bottom`]) is re-divided as after a
+    /// minor collection.
     pub fn finish_major(&mut self) {
         self.recompute_nursery();
     }
@@ -425,30 +425,42 @@ impl LocalHeap {
         self.recompute_nursery();
     }
 
-    /// Iterates over the objects in `[from, to)` word offsets, in layout
-    /// order, yielding `(payload_addr, header)`. The range must start at an
-    /// object header.
-    pub fn objects_in(&self, from: usize, to: usize) -> LocalObjects<'_> {
-        LocalObjects {
-            heap: self,
-            offset: from,
-            end: to,
+    /// The object whose header slot is at word offset `offset`: its header,
+    /// or `None` if an evacuation forwarded it, and the words it spans either
+    /// way (the evacuation saved the header in its first payload word, so a
+    /// walk can skip a dead object's footprint).
+    #[inline]
+    pub fn object_at(&self, offset: usize) -> (Option<Header>, usize) {
+        match Header::decode(self.data[offset]) {
+            Some(header) => (Some(header), header.total_words()),
+            None => {
+                let saved = Header::decode(self.data[offset + 1])
+                    .expect("forwarded object is missing its saved header");
+                (None, saved.total_words())
+            }
         }
     }
 
+    /// Iterates over the objects in `[from, to)` word offsets, in layout
+    /// order, yielding `(payload_addr, header)` and skipping forwarded ones.
+    /// The range must start at an object header.
+    pub fn objects_in(&self, from: usize, to: usize) -> impl Iterator<Item = (Addr, Header)> + '_ {
+        let mut offset = from;
+        std::iter::from_fn(move || {
+            while offset < to {
+                let (header, words) = self.object_at(offset);
+                offset += words;
+                if let Some(header) = header {
+                    return Some((self.addr_of(offset - words + 1), header));
+                }
+            }
+            None
+        })
+    }
+
     /// Iterates over all allocated nursery objects.
-    pub fn nursery_objects(&self) -> LocalObjects<'_> {
+    pub fn nursery_objects(&self) -> impl Iterator<Item = (Addr, Header)> + '_ {
         self.objects_in(self.nursery_start, self.nursery_alloc)
-    }
-
-    /// Iterates over the young-data objects.
-    pub fn young_objects(&self) -> LocalObjects<'_> {
-        self.objects_in(self.young_start, self.old_top)
-    }
-
-    /// Iterates over the old-data objects (excluding young data).
-    pub fn old_objects(&self) -> LocalObjects<'_> {
-        self.objects_in(0, self.young_start)
     }
 
     fn recompute_nursery(&mut self) {
@@ -458,37 +470,6 @@ impl LocalHeap {
         let free = self.data.len() - self.old_top;
         self.nursery_start = self.old_top + free.div_ceil(2);
         self.nursery_alloc = self.nursery_start;
-    }
-}
-
-/// Iterator over objects in a region of a local heap; see
-/// [`LocalHeap::objects_in`].
-#[derive(Debug)]
-pub struct LocalObjects<'a> {
-    heap: &'a LocalHeap,
-    offset: usize,
-    end: usize,
-}
-
-impl Iterator for LocalObjects<'_> {
-    type Item = (Addr, Header);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.offset < self.end {
-            let word = self.heap.data[self.offset];
-            if let Some(header) = Header::decode(word) {
-                let addr = self.heap.addr_of(self.offset + 1);
-                self.offset += header.total_words();
-                return Some((addr, header));
-            }
-            // Forwarded (dead) object: the evacuation saved the original
-            // header in the first payload word so we can skip its footprint
-            // without yielding it.
-            let saved = Header::decode(self.heap.data[self.offset + 1])
-                .expect("forwarded object is missing its saved header");
-            self.offset += saved.total_words();
-        }
-        None
     }
 }
 
@@ -659,8 +640,7 @@ mod tests {
         let b = h.alloc(raw_header(2), &[2, 3]).unwrap();
         let nursery: Vec<_> = h.nursery_objects().map(|(addr, _)| addr).collect();
         assert_eq!(nursery, vec![a, b]);
-        assert_eq!(h.young_objects().count(), 0);
-        assert_eq!(h.old_objects().count(), 0);
+        assert_eq!(h.objects_in(0, h.old_top()).count(), 0);
     }
 
     #[test]

@@ -649,10 +649,19 @@ impl SharedGlobalHeap {
     ///
     /// Panics if `index` is out of range.
     pub fn chunk_at(&self, index: usize) -> Arc<SharedChunk> {
+        Arc::clone(self.chunk(ChunkId(index as u32)))
+    }
+
+    /// The chunk `id`, borrowed: a lock-free directory index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no chunk has that ID.
+    #[inline]
+    pub fn chunk(&self, id: ChunkId) -> &Arc<SharedChunk> {
         self.chunks
-            .get(index)
+            .get(id.index())
             .expect("chunk index out of directory range")
-            .clone()
     }
 
     /// Chunk `index` of `node`'s address band — what
@@ -1549,13 +1558,19 @@ impl GcHeap for WorkerHeap {
         self.layout.num_vprocs()
     }
 
-    fn local(&self, vproc: usize) -> &LocalHeap {
+    fn assert_serves(&self, vproc: usize) {
         assert_eq!(vproc, self.vproc, "a worker heap only serves its own vproc");
+    }
+
+    #[inline]
+    fn local(&self, vproc: usize) -> &LocalHeap {
+        debug_assert_eq!(vproc, self.vproc, "a worker heap only serves its own vproc");
         &self.local
     }
 
+    #[inline]
     fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
-        assert_eq!(vproc, self.vproc, "a worker heap only serves its own vproc");
+        debug_assert_eq!(vproc, self.vproc, "a worker heap only serves its own vproc");
         &mut self.local
     }
 
@@ -1597,6 +1612,7 @@ impl GcHeap for WorkerHeap {
         self.locate(obj).read(index)
     }
 
+    #[inline]
     fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
         self.descriptors.pointer_fields(header)
     }
@@ -1611,7 +1627,7 @@ impl GcHeap for WorkerHeap {
         target: EvacTarget,
     ) -> Result<(Addr, usize), HeapError> {
         let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
-        assert_eq!(vproc, self.vproc, "a worker only evacuates its own objects");
+        debug_assert_eq!(vproc, self.vproc, "a worker only evacuates its own objects");
         let encoded = header.encode();
         let len = header.len_words as usize;
         // The words go straight from the local heap to the destination.
@@ -1631,6 +1647,11 @@ impl GcHeap for WorkerHeap {
         }
         self.stats.evacuated_words += header.total_words() as u64;
         Ok((new_addr, header.total_bytes()))
+    }
+
+    #[inline]
+    fn promotion_chunk(&self, _vproc: usize) -> Option<ChunkId> {
+        self.current.as_ref().map(|chunk| chunk.id())
     }
 
     fn chunk_acquisitions(&self) -> u64 {

@@ -92,8 +92,7 @@ pub fn verify_local_heap<H: GcHeap>(heap: &H, vproc: usize) -> Vec<InvariantViol
     let mut violations = Vec::new();
     let local = heap.local(vproc);
     let objects: Vec<Addr> = local
-        .old_objects()
-        .chain(local.young_objects())
+        .objects_in(0, local.old_top())
         .chain(local.nursery_objects())
         .map(|(addr, _)| addr)
         .collect();

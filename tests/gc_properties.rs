@@ -3,7 +3,7 @@
 //! must never violate the heap invariants.
 
 use manticore_gc::gc::{Collector, GcConfig};
-use manticore_gc::heap::{verify_heap, Addr, Heap, HeapConfig};
+use manticore_gc::heap::{verify_heap, Addr, GcHeap, Heap, HeapConfig};
 use manticore_gc::numa::NodeId;
 use std::collections::HashMap;
 
