@@ -334,6 +334,24 @@ mod tests {
     }
 
     #[test]
+    fn major_redirects_a_young_field_to_an_object_promoted_since_the_minor() {
+        let (mut heap, mut collector) = setup();
+        // Garbage in the old area, so the slide moves the young data.
+        let mut roots = vec![heap.alloc_raw(0, &[1]).unwrap()];
+        collector.minor(&mut heap, 0, &mut roots);
+        let leaf = heap.alloc_raw(0, &[2]).unwrap();
+        let mut roots = vec![heap.alloc_vector(0, &[leaf.raw()]).unwrap()];
+        collector.minor(&mut heap, 0, &mut roots);
+        assert!(heap.local(0).young_start() > 0);
+        // The leaf is young data, promoted after the minor (a steal).
+        let leaf = Addr::new(heap.read_field(roots[0], 0));
+        let (global_leaf, _) = collector.promote(&mut heap, 0, leaf);
+        collector.major(&mut heap, 0, &mut roots);
+        assert_eq!(Addr::new(heap.read_field(roots[0], 0)), global_leaf);
+        assert_eq!(heap.payload(global_leaf), vec![2]);
+    }
+
+    #[test]
     fn each_collection_checks_that_a_worker_heap_serves_its_vproc() {
         let (mut workers, _) = crate::collector::tests::two_workers();
         let mut collector = Collector::new(GcConfig::small_for_tests(), 2, 2);
