@@ -44,7 +44,7 @@ while [ $# -gt 0 ]; do
   case "$1" in
     --workload) W=$2 ;;
     --pairs) [[ $2 =~ ^[1-9][0-9]*$ ]] || usage; pairs=$2 ;;
-    --seconds) [[ $2 =~ ^[0-9]+(\.[0-9]+)?$ ]] || usage; seconds=$2 ;;
+    --seconds) [[ $2 =~ ^[0-9]+(\.[0-9]+)?$ && ! $2 =~ ^[0.]+$ ]] || usage; seconds=$2 ;;
     --seed) [[ $2 =~ ^[0-9]+$ ]] || usage; seed=$2 ;;
     *) usage ;;
   esac
