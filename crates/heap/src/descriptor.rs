@@ -78,18 +78,14 @@ impl Descriptor {
     }
 
     /// Indices of the payload words that hold pointers.
+    #[inline]
     pub fn pointer_offsets(&self) -> PointerFields {
-        PointerFields::Mask(self.fields_mask())
-    }
-
-    /// The pointer mask within the object's size (the fields are public, so
-    /// bits beyond it may be set).
-    fn fields_mask(&self) -> u64 {
+        // The fields are public: ignore mask bits beyond the object's size.
         let in_size = match self.size_words {
             0 => 0,
             words => u64::MAX >> 64u32.saturating_sub(words),
         };
-        self.pointer_mask & in_size
+        PointerFields::Mask(self.pointer_mask & in_size)
     }
 
     /// True if payload word `index` holds a pointer.
@@ -134,15 +130,14 @@ impl DescriptorId {
 #[derive(Debug, Clone, Default)]
 pub struct DescriptorTable {
     descriptors: Vec<Descriptor>,
-    /// Each descriptor's [`Descriptor::fields_mask`], in ID order: what a
-    /// collector's scan of a mixed object looks up.
-    masks: Vec<u64>,
 }
 
 impl DescriptorTable {
     /// Creates an empty table.
     pub fn new() -> Self {
-        Self::default()
+        DescriptorTable {
+            descriptors: Vec::new(),
+        }
     }
 
     /// Registers a descriptor and returns its ID.
@@ -153,7 +148,6 @@ impl DescriptorTable {
     pub fn register(&mut self, descriptor: Descriptor) -> DescriptorId {
         let id = FIRST_MIXED_ID as usize + self.descriptors.len();
         assert!(id <= MAX_ID as usize, "descriptor table is full");
-        self.masks.push(descriptor.fields_mask());
         self.descriptors.push(descriptor);
         DescriptorId(id as u16)
     }
@@ -161,6 +155,7 @@ impl DescriptorTable {
     /// Looks up the descriptor for header ID `id`.
     ///
     /// Returns `None` for the reserved raw/vector IDs and unknown IDs.
+    #[inline]
     pub fn get(&self, id: u16) -> Option<&Descriptor> {
         if id < FIRST_MIXED_ID {
             return None;
@@ -170,7 +165,8 @@ impl DescriptorTable {
 
     /// The payload indices of the pointer fields of an object with header
     /// `header` — the one scanning rule of every collection on both heaps.
-    /// Always inlined: a mixed object costs one mask load.
+    /// Always inlined: a mixed object costs one descriptor load and a
+    /// mask.
     ///
     /// # Errors
     ///
@@ -181,11 +177,10 @@ impl DescriptorTable {
         match header.kind {
             ObjectKind::Raw => Ok(PointerFields::Range(0..0)),
             ObjectKind::Vector => Ok(PointerFields::Range(0..header.len_words as usize)),
-            ObjectKind::Mixed(id) => match self.masks.get(id.wrapping_sub(FIRST_MIXED_ID) as usize)
-            {
-                Some(&mask) => Ok(PointerFields::Mask(mask)),
-                None => Err(HeapError::UnknownDescriptor { id }),
-            },
+            ObjectKind::Mixed(id) => self
+                .get(id)
+                .map(Descriptor::pointer_offsets)
+                .ok_or(HeapError::UnknownDescriptor { id }),
         }
     }
 
