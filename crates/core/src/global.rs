@@ -174,11 +174,19 @@ impl ParallelGcState {
 /// Leader-only flip: every [`SharedChunkState::Filled`] chunk becomes
 /// from-space. Returns the from-space chunk directory indices.
 ///
+/// The partial chunks workers left at a node switch are `Filled` too: the
+/// flip empties their stacks first ([`SharedGlobalHeap::clear_partial_chunks`]),
+/// so no later lease continues a from-space chunk. A chunk parked after the
+/// flip — between two budgeted increments — is to-space, and a lease may
+/// continue it; the scan passes repeat until none makes progress, so they
+/// still reach what is appended to it.
+///
 /// # Panics
 ///
 /// Panics if any worker failed to retire its current chunk before the
 /// barrier.
 pub fn flip_to_from_space(global: &SharedGlobalHeap) -> Vec<usize> {
+    global.clear_partial_chunks();
     let mut from_space = Vec::new();
     for (index, chunk) in global.snapshot().iter().enumerate() {
         match chunk.state() {
@@ -723,6 +731,60 @@ mod tests {
         assert!(global.bytes_in_use() <= in_use_before);
         // Far fewer bytes were copied than the garbage that was promoted.
         assert!(state.copied_bytes.load(Ordering::Relaxed) < (20 * 17 * 8) * 2);
+    }
+
+    /// Chunks parked at a node switch are `Filled` and flip with the rest:
+    /// the flip empties the partial stacks, no lease after it hands out a
+    /// from-space chunk, and the release puts every from-space chunk on its
+    /// node's free stack exactly once.
+    #[test]
+    fn parked_chunks_flip_and_are_released_once() {
+        use mgc_heap::{ObjectKind, Space};
+
+        let (mut workers, global) = crate::collector::tests::two_workers();
+        let header = Header::new(ObjectKind::Raw, 1).encode();
+        let alternate = |w: &mut WorkerHeap| -> Vec<Addr> {
+            (0..9u64)
+                .map(|i| {
+                    w.set_promotion_target(NodeId::new((i % 2) as u16));
+                    w.alloc_in_global(header, &[i]).unwrap()
+                })
+                .collect()
+        };
+        for w in workers.iter_mut() {
+            alternate(w);
+            w.retire_current_chunk();
+        }
+        let nodes = [NodeId::new(0), NodeId::new(1)];
+        let parked: usize = nodes.iter().map(|&n| global.partial_chunks_on(n)).sum();
+        assert!(parked > 0, "the switches left partial chunks");
+
+        let acquisitions = global.chunk_acquisitions();
+        let from_space = flip_to_from_space(&global);
+        assert_eq!(from_space.len(), global.chunks_in_use());
+        assert!(nodes.iter().all(|&n| global.partial_chunks_on(n) == 0));
+        assert_eq!(
+            global.chunk_acquisitions(),
+            acquisitions,
+            "emptying the partial stacks counts no lease"
+        );
+        for w in workers.iter_mut() {
+            for obj in alternate(w) {
+                let Space::Global { chunk } = w.space_of(obj) else {
+                    panic!("{obj:?} is not global");
+                };
+                assert!(!from_space.contains(&chunk.index()), "a from-space lease");
+            }
+        }
+        for &node in &nodes {
+            assert!(!from_space.contains(&global.acquire(node).id().index()));
+        }
+
+        let leased_after = global.chunks_in_use() - from_space.len();
+        assert_eq!(release_from_space(&global, &from_space), from_space.len());
+        let free: usize = nodes.iter().map(|&n| global.pool().free_chunks_on(n)).sum();
+        assert_eq!(free, from_space.len());
+        assert_eq!(global.chunks_in_use(), leased_after);
     }
 
     /// The collector copies an object's words straight from where they are

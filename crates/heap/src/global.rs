@@ -4,6 +4,9 @@
 //! Chunks carry the NUMA node they were physically allocated on; when a
 //! chunk is freed (after a global collection) it goes onto its node's free
 //! list and is reused only by vprocs on that node, preserving node affinity.
+//! The same per-node stacks hold the partial chunks a worker leaves behind
+//! when its promotion target switches node, so the next lease on that node
+//! continues them.
 
 use crate::chunk::ChunkId;
 use mgc_numa::NodeId;
@@ -95,6 +98,18 @@ impl SharedChunkPool {
     /// node's Treiber stack — never another node's: a chunk never changes
     /// node (§3.1). Returns `None` when the caller must map a fresh chunk.
     pub fn pop(&self, node: NodeId) -> Option<ChunkId> {
+        let id = self.take(node)?;
+        self.chunks_reused_local.fetch_add(1, Ordering::Relaxed);
+        Some(id)
+    }
+
+    /// Empties `node`'s stack without counting a reuse.
+    pub fn clear(&self, node: NodeId) {
+        while self.take(node).is_some() {}
+    }
+
+    /// [`SharedChunkPool::pop`] without counting a reuse.
+    fn take(&self, node: NodeId) -> Option<ChunkId> {
         let node = node.index();
         let head = &self.heads[node];
         let mut current = head.load(Ordering::Acquire);
@@ -115,7 +130,6 @@ impl SharedChunkPool {
             ) {
                 Ok(_) => {
                     self.free_counts[node].fetch_sub(1, Ordering::AcqRel);
-                    self.chunks_reused_local.fetch_add(1, Ordering::Relaxed);
                     return Some(ChunkId(id));
                 }
                 Err(observed) => current = observed,
@@ -147,7 +161,7 @@ impl SharedChunkPool {
         }
     }
 
-    /// Number of free chunks currently parked on `node`.
+    /// Number of chunks currently on `node`'s stack.
     pub fn free_chunks_on(&self, node: NodeId) -> usize {
         self.free_counts[node.index()].load(Ordering::Acquire)
     }

@@ -207,8 +207,11 @@ impl SharedChunk {
             top: AtomicUsize::new(0),
             scan: AtomicUsize::new(0),
             // Zeroed words straight from the allocator, turned into atomics
-            // in place: the pages of a chunk's unused tail are never written,
-            // so they cost no memory until an object lands on them.
+            // in place. Whether the unused tail costs memory is the
+            // allocator's choice: fresh mmapped pages cost none until an
+            // object lands on them, but once glibc's dynamic mmap threshold
+            // has risen above a chunk's size it serves the `calloc` from its
+            // heap and zeroes — so touches — every page of the chunk.
             data: vec![0; size_words]
                 .into_iter()
                 .map(AtomicU64::new)
@@ -451,6 +454,11 @@ pub struct SharedGlobalHeap {
     /// appends); pooled reuse never takes it.
     grow: std::sync::Mutex<()>,
     pool: SharedChunkPool,
+    /// Per-node stacks of partial chunks: a worker's current chunk that
+    /// still had room when its promotion target moved to another node
+    /// ([`WorkerHeap::reserve_in_global`]). A partial chunk is `Filled`,
+    /// keeps its words below `top` and still counts in `chunks_in_use`.
+    partial: SharedChunkPool,
     chunks_in_use: AtomicUsize,
     /// `chunks_in_use` at the end of the last global collection.
     chunks_after_last_collection: AtomicUsize,
@@ -480,6 +488,7 @@ impl SharedGlobalHeap {
             by_node: (0..num_nodes).map(|_| ChunkDirectory::new()).collect(),
             grow: std::sync::Mutex::new(()),
             pool: SharedChunkPool::new(num_nodes),
+            partial: SharedChunkPool::new(num_nodes),
             chunks_in_use: AtomicUsize::new(0),
             chunks_after_last_collection: AtomicUsize::new(0),
             chunks_created: AtomicU64::new(0),
@@ -604,10 +613,19 @@ impl SharedGlobalHeap {
         self.chunks_created.load(Ordering::Relaxed)
     }
 
-    /// Chunk leases so far, fresh or pooled (each is the synchronisation
-    /// point of §3.3).
+    /// Chunk leases so far — fresh, pooled, or a partial chunk popped to be
+    /// continued (each is the synchronisation point of §3.3).
     pub fn chunk_acquisitions(&self) -> u64 {
-        self.chunks_created() + self.pool.reused_local()
+        self.chunks_created() + self.pool.reused_local() + self.partial.reused_local()
+    }
+
+    /// Number of partial chunks waiting on `node`'s stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn partial_chunks_on(&self, node: NodeId) -> usize {
+        self.partial.free_chunks_on(node)
     }
 
     /// Number of chunks currently in use (not on the free pool).
@@ -688,13 +706,29 @@ impl SharedGlobalHeap {
 
     /// Acquires a chunk for a worker whose preferred (consumer) node is
     /// `preferred`, first resolving the actual node through the placement
-    /// and page policies, then reusing a chunk pooled on that node, otherwise
-    /// mapping a fresh one in the node's address band. The returned chunk is
-    /// in [`SharedChunkState::Current`].
+    /// and page policies, then continuing a partial chunk of that node,
+    /// else reusing a chunk pooled on it, otherwise mapping a fresh one in
+    /// the node's address band. The returned chunk is in
+    /// [`SharedChunkState::Current`].
     pub fn acquire(&self, preferred: NodeId) -> Arc<SharedChunk> {
+        self.lease(preferred, 1)
+    }
+
+    /// [`SharedGlobalHeap::acquire`] for an object of `total_words`: a
+    /// popped partial chunk without room for it is left `Filled`, off every
+    /// stack, and the next one is tried.
+    pub(crate) fn lease(&self, preferred: NodeId, total_words: usize) -> Arc<SharedChunk> {
         let node = self
             .bound_lease_node(preferred)
             .unwrap_or_else(|| self.rotating_lease_node(preferred));
+        while let Some(id) = self.partial.pop(node) {
+            let chunk = self.chunk(id);
+            debug_assert_eq!(chunk.state(), SharedChunkState::Filled);
+            if chunk.free_words() >= total_words {
+                chunk.set_state(SharedChunkState::Current);
+                return Arc::clone(chunk);
+            }
+        }
         if let Some(id) = self.pool.pop(node) {
             let chunk = self.chunk_at(id.index());
             debug_assert_eq!(chunk.state(), SharedChunkState::Free);
@@ -741,6 +775,23 @@ impl SharedGlobalHeap {
         chunk.reset();
         self.pool.push(chunk.node(), chunk.id());
         self.chunks_in_use.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Puts a worker's current chunk, which still has room, on its node's
+    /// partial stack: it becomes `Filled`, and the next lease on that node
+    /// continues it. The caller gives up its hold on the chunk.
+    fn park(&self, chunk: Arc<SharedChunk>) {
+        chunk.set_state(SharedChunkState::Filled);
+        self.partial.push(chunk.node(), chunk.id());
+    }
+
+    /// Empties every partial stack without counting a lease. Leader-only,
+    /// at a global collection's flip: the chunks are `Filled` like any
+    /// other and flip with them, so no lease may hand one out afterwards.
+    pub fn clear_partial_chunks(&self) {
+        for node in 0..self.num_nodes {
+            self.partial.clear(NodeId::new(node as u16));
+        }
     }
 
     /// Number of chunks mapped in `node`'s address band.
@@ -1163,11 +1214,17 @@ impl WorkerHeap {
         }
     }
 
-    /// Retires the current chunk and leases a fresh one (the synchronisation
+    /// Retires the current chunk and leases another one (the synchronisation
     /// point of §3.3, counted in [`HeapStats::chunk_acquisitions`]).
     pub(crate) fn fresh_current_chunk(&mut self) -> ChunkId {
         self.retire_current_chunk();
-        let chunk = self.global.acquire(self.lease_preference());
+        self.lease_current(1)
+    }
+
+    /// Leases a current chunk with room for `total_words`
+    /// ([`SharedGlobalHeap::lease`]); the worker holds none.
+    fn lease_current(&mut self, total_words: usize) -> ChunkId {
+        let chunk = self.global.lease(self.lease_preference(), total_words);
         self.stats.chunk_acquisitions += 1;
         let id = chunk.id();
         self.current = Some(chunk);
@@ -1175,10 +1232,13 @@ impl WorkerHeap {
     }
 
     /// Makes the worker's current global chunk one that can take an object
-    /// of `total_words` (header included): a fresh chunk is acquired when
-    /// the current one is full, or sits on another node than the one the
-    /// placement and page policies bind this worker's leases to
-    /// ([`SharedGlobalHeap::bound_lease_node`]; rotating leases bind none).
+    /// of `total_words` (header included). A full current chunk is retired.
+    /// One with room that sits on another node than the one the placement
+    /// and page policies bind this worker's leases to
+    /// ([`SharedGlobalHeap::bound_lease_node`]; rotating leases bind none) —
+    /// the promotion target switched node — goes back to its node's partial
+    /// stack, where the next lease on that node continues it. Either way a
+    /// chunk is then leased.
     ///
     /// # Errors
     ///
@@ -1190,20 +1250,24 @@ impl WorkerHeap {
                 max_words: self.global.chunk_size_words(),
             });
         }
-        let prefer = self.lease_preference();
-        let fits = self.current.as_deref().is_some_and(|chunk| {
+        if let Some(chunk) = self.current.as_deref() {
+            let prefer = self.lease_preference();
             // A chunk on the node we would ask for is right under every
             // policy; only another node's needs the policies' verdict.
-            chunk.free_words() >= total_words
-                && (chunk.node() == prefer
-                    || self
-                        .global
-                        .bound_lease_node(prefer)
-                        .is_none_or(|node| chunk.node() == node))
-        });
-        if !fits {
-            self.fresh_current_chunk();
+            let right_node = chunk.node() == prefer
+                || self
+                    .global
+                    .bound_lease_node(prefer)
+                    .is_none_or(|node| chunk.node() == node);
+            match (chunk.free_words() >= total_words, right_node) {
+                (true, true) => return Ok(()),
+                (true, false) => self
+                    .global
+                    .park(self.current.take().expect("checked above")),
+                (false, _) => self.retire_current_chunk(),
+            }
         }
+        self.lease_current(total_words);
         Ok(())
     }
 
@@ -1978,10 +2042,126 @@ mod tests {
         w.set_promotion_target(NodeId::new(1));
         let away = w.alloc_in_global(header, &[2]).unwrap();
         assert_eq!(global_node_of(away), Some(NodeId::new(1)));
-        // Back home: allocations return to node 0.
+        // Back home: allocations return to node 0 — into the very chunk
+        // left at the switch, right after `home`, not into a fresh one.
         w.set_promotion_target(NodeId::new(0));
         let back = w.alloc_in_global(header, &[3]).unwrap();
         assert_eq!(global_node_of(back), Some(NodeId::new(0)));
+        assert_eq!(back, home.add_words(2));
+        assert_eq!(global.chunks_created(), 2);
+        // The node-1 chunk waits on its node's partial stack in turn.
+        assert_eq!(global.partial_chunks_on(NodeId::new(1)), 1);
+        assert_eq!(global.partial_chunks_on(NodeId::new(0)), 0);
+        assert_eq!(global.chunks_in_use(), 2, "a partial chunk stays in use");
+        assert_eq!(global.chunk_acquisitions(), 3);
+    }
+
+    /// Promotes `objects` objects of `payload` words (each word the object's
+    /// index) through `w`, alternating the promotion target between nodes 0
+    /// and 1, and returns them.
+    fn promote_alternating(w: &mut WorkerHeap, objects: u64, payload: usize) -> Vec<Addr> {
+        (0..objects)
+            .map(|i| {
+                w.set_promotion_target(NodeId::new((i % 2) as u16));
+                let header = Header::new(ObjectKind::Raw, payload as u64).encode();
+                w.alloc_in_global(header, &vec![i; payload]).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn alternating_promotion_targets_continue_one_chunk_per_node() {
+        let (layout, global, descriptors) = setup();
+        let mut w = worker(0, layout, &global, &descriptors);
+        let objs = promote_alternating(&mut w, 100, 1);
+        // One chunk per node, each continued at every switch back to it
+        // (abandoning the chunk at each switch made one per switch).
+        assert_eq!(global.chunks_created(), 2);
+        for (i, &obj) in objs.iter().enumerate() {
+            assert_eq!(global_node_of(obj), Some(NodeId::new((i % 2) as u16)));
+            assert_eq!(GcHeap::payload(&w, obj), vec![i as u64]);
+        }
+        // Objects of one node sit back to back in its chunk.
+        for i in 2..objs.len() {
+            assert_eq!(objs[i], objs[i - 2].add_words(2));
+        }
+    }
+
+    #[test]
+    fn a_partial_chunk_too_full_for_the_request_is_retired_for_good() {
+        let (layout, global, descriptors) = setup();
+        let mut w = worker(0, layout, &global, &descriptors);
+        let words = global.chunk_size_words();
+        // Leave four free words in a node-0 chunk, then switch node with a
+        // two-word object: the chunk has room for it, so it is parked.
+        let raw = |len: usize| Header::new(ObjectKind::Raw, len as u64).encode();
+        w.alloc_in_global(raw(words - 5), &vec![1; words - 5])
+            .unwrap();
+        let tight = w.current_chunk().unwrap().clone();
+        assert_eq!(tight.free_words(), 4);
+        w.set_promotion_target(NodeId::new(1));
+        w.alloc_in_global(raw(1), &[2]).unwrap();
+        assert_eq!(global.partial_chunks_on(NodeId::new(0)), 1);
+        assert_eq!(tight.state(), SharedChunkState::Filled);
+        // Back on node 0 with a ten-word object: the popped chunk cannot
+        // take it, stays `Filled` off every stack, and a fresh chunk is
+        // mapped. The pop still counts as a lease.
+        w.set_promotion_target(NodeId::new(0));
+        let acquisitions = global.chunk_acquisitions();
+        let obj = w.alloc_in_global(raw(9), &[3; 9]).unwrap();
+        assert_ne!(w.current_chunk().unwrap().id(), tight.id());
+        assert!(!tight.contains(obj));
+        assert_eq!(tight.state(), SharedChunkState::Filled);
+        assert_eq!(tight.free_words(), 4, "nothing more was written to it");
+        assert_eq!(global.partial_chunks_on(NodeId::new(0)), 0);
+        assert_eq!(global.chunks_created(), 3);
+        assert_eq!(global.chunk_acquisitions(), acquisitions + 2);
+        // No later lease on node 0 hands it out again.
+        for _ in 0..4 {
+            assert_ne!(global.acquire(NodeId::new(0)).id(), tight.id());
+        }
+    }
+
+    #[test]
+    fn policies_that_never_switch_lease_node_create_the_same_chunks() {
+        // 100 objects of 101 words alternating targets: five fit a 512-word
+        // chunk, so 20 chunks under every policy that leases one node per
+        // worker (or rotates) — as many as before partial chunks existed.
+        // Node-local placement now creates the same 20 (ten per node); it
+        // made 100, one per switch, while each switch abandoned the chunk.
+        let policies: [(&str, PlacementPolicy, AllocPolicy); 4] = [
+            (
+                "socket-zero",
+                PlacementPolicy::NodeLocal,
+                AllocPolicy::SocketZero,
+            ),
+            (
+                "interleave",
+                PlacementPolicy::Interleave,
+                AllocPolicy::Local,
+            ),
+            (
+                "first-touch",
+                PlacementPolicy::FirstTouch,
+                AllocPolicy::Local,
+            ),
+            ("node-local", PlacementPolicy::NodeLocal, AllocPolicy::Local),
+        ];
+        for (name, placement, pages) in policies {
+            let config = HeapConfig::small_for_tests();
+            let layout = ThreadedLayout::new(&config, 1, 2);
+            let global = Arc::new(
+                SharedGlobalHeap::new(layout.chunk_words(), 2)
+                    .with_placement(placement)
+                    .with_page_policy(pages),
+            );
+            let mut w = worker(0, layout, &global, &Arc::new(DescriptorTable::new()));
+            let objs = promote_alternating(&mut w, 100, 100);
+            assert_eq!(global.chunks_created(), 20, "{name}");
+            for (i, &obj) in objs.iter().enumerate() {
+                assert_eq!(GcHeap::read_field(&w, obj, 99), i as u64, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -2182,16 +2362,65 @@ mod tests {
             assert_eq!(seen.len(), 300);
             in_use.extend(held.into_iter().map(|c| c.id()));
         }
-        stop.store(true, Ordering::Release);
-        for r in readers {
-            r.join().unwrap();
-        }
         // No two workers ever held the same chunk simultaneously.
         let distinct: HashSet<_> = in_use.iter().copied().collect();
         assert_eq!(distinct.len(), in_use.len(), "a chunk was double-leased");
         assert_eq!(global.chunks_in_use(), in_use.len());
-        // Every chunk the directory knows is exactly once in it.
+
+        // Then four workers on two nodes promote 10,000 objects each,
+        // switching target node at every object, so every lease after the
+        // first continues a chunk some worker parked — racing on the
+        // partial stacks as well as the free stacks and the directory.
+        // Two workers holding one chunk at once would race on its bump
+        // pointer: an object lost from `used_words`, an address handed out
+        // twice, or a torn payload.
+        const OBJECTS: u64 = 10_000;
+        let descriptors = Arc::new(DescriptorTable::new());
+        let promoters: Vec<_> = (0..4u64)
+            .map(|w| {
+                let mut heap = worker(w as usize, layout, &global, &descriptors);
+                std::thread::spawn(move || {
+                    let objs: Vec<(Addr, Vec<Word>)> = (0..OBJECTS)
+                        .map(|i| {
+                            let target = NodeId::new(((w + i) % 2) as u16);
+                            heap.set_promotion_target(target);
+                            let payload: Vec<Word> =
+                                (0..1 + i % 5).map(|k| (w << 48) | (i << 8) | k).collect();
+                            let header = Header::new(ObjectKind::Raw, payload.len() as u64);
+                            let obj = heap.alloc_in_global(header.encode(), &payload).unwrap();
+                            assert_eq!(global_node_of(obj), Some(target));
+                            (obj, payload)
+                        })
+                        .collect();
+                    (heap, objs)
+                })
+            })
+            .collect();
+        let promoted: Vec<_> = promoters.into_iter().map(|p| p.join().unwrap()).collect();
+        stop.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
+        let reader = &promoted[0].0;
+        let mut addrs = HashSet::new();
+        let mut words = 0;
+        for (_, objs) in &promoted {
+            for (obj, payload) in objs {
+                assert!(addrs.insert(*obj), "{obj:?} handed out twice");
+                assert_eq!(&GcHeap::payload(reader, *obj), payload);
+                words += payload.len() + 1;
+            }
+        }
         let all = global.snapshot();
+        let used: usize = all.iter().map(|c| c.used_words()).sum();
+        assert_eq!(used, words, "every promoted word is in exactly one chunk");
+        // Each worker ends on its own current chunk.
+        let current: HashSet<_> = promoted
+            .iter()
+            .map(|(heap, _)| heap.current_chunk().unwrap().id())
+            .collect();
+        assert_eq!(current.len(), 4);
+        // Every chunk the directory knows is exactly once in it.
         let ids: HashSet<_> = all.iter().map(|c| c.id()).collect();
         assert_eq!(ids.len(), all.len());
         assert_eq!(global.num_chunks(), all.len());

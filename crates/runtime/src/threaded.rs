@@ -2329,6 +2329,95 @@ mod tests {
         }
     }
 
+    /// A two-vproc budgeted global collection in which, between two
+    /// increments, vproc 0 makes a steal handoff's promotions: one for a
+    /// consumer on the other node parks its to-space chunk, and the next
+    /// one, home again, continues that chunk with an object whose field
+    /// still names from-space. (The runtime declines steal requests while a
+    /// collection is pending, so the test retargets by hand, as
+    /// `service_steal_requests` does.) The later increments must scan what
+    /// was appended to the continued chunk: with `verify_after_gc` on, the
+    /// collection ends with the field forwarded to the surviving list.
+    #[test]
+    fn a_chunk_parked_between_budgeted_increments_is_still_scanned() {
+        let mut config = MachineConfig::small_for_tests(2);
+        config.gc.pause_budget_us = Some(1);
+        assert!(config.gc.verify_after_gc);
+        let (shared, mut workers) = assembled(config);
+        let (home, away) = (shared.vproc_nodes[0], shared.vproc_nodes[1]);
+        assert_ne!(home, away);
+        let (first, second) = workers.split_at_mut(1);
+        let (w0, w1) = (&mut first[0], &mut second[0]);
+
+        // A promoted list too long for one 1 µs increment to scan.
+        const CELLS: u64 = 200;
+        let mut list = Addr::NULL;
+        for batch in 0..CELLS / 25 {
+            for i in 0..25 {
+                let value = w0.heap.alloc_raw(&[batch * 25 + i]).unwrap();
+                list = w0.heap.alloc_vector(&[value.raw(), list.raw()]).unwrap();
+            }
+            list = w0.promote_shared(list, PromoteWhy::Publish);
+            w0.local_gc(&mut RootSet::default());
+        }
+        let mut roots0 = RootSet::default();
+        roots0.push(list);
+
+        // What `request_global` does: raise `pending`, zero every word.
+        shared.gc.pending.store(true, Ordering::SeqCst);
+        shared.signal(0);
+        shared.signal(1);
+        let pending = || shared.gc.pending.load(Ordering::SeqCst);
+        let (holder, increments_after) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut roots1 = RootSet::default();
+                while pending() {
+                    w1.poll(&mut roots1);
+                }
+            });
+            w0.poll(&mut roots0);
+            assert!(pending(), "one increment cannot finish the scan");
+            let to_space = w0.heap.current_chunk().unwrap().clone();
+            assert_eq!(to_space.node(), home);
+
+            let stolen = w0.heap.alloc_raw(&[7]).unwrap();
+            w0.heap.set_promotion_target(away);
+            let stolen = w0.promote_shared(stolen, PromoteWhy::Steal);
+            w0.heap.set_promotion_target(home);
+            assert_eq!(shared.global.partial_chunks_on(home), 1, "parked");
+            let holder = w0.heap.alloc_vector(&[list.raw()]).unwrap();
+            let holder = w0.promote_shared(holder, PromoteWhy::Publish);
+            assert!(to_space.contains(holder), "the parked chunk is continued");
+            assert_eq!(shared.global.partial_chunks_on(away), 1);
+            roots0.push(holder);
+            roots0.push(stolen);
+
+            let mut increments_after = 0;
+            while pending() {
+                w0.poll(&mut roots0);
+                increments_after += 1;
+            }
+            (holder, increments_after)
+        });
+        assert!(increments_after > 0);
+        assert_eq!(shared.gc.collections.load(Ordering::Acquire), 1);
+        let survivor = roots0.slots()[0];
+        assert_ne!(survivor, list);
+        assert_eq!(
+            w0.heap.read_field(holder, 0),
+            survivor.raw(),
+            "the appended object's from-space field was forwarded"
+        );
+        let mut cursor = survivor;
+        for expected in (0..CELLS).rev() {
+            let value = Addr::new(w0.heap.read_field(cursor, 0));
+            assert_eq!(w0.heap.read_field(value, 0), expected);
+            cursor = Addr::new(w0.heap.read_field(cursor, 1));
+        }
+        assert!(cursor.is_null());
+        assert_eq!(w0.heap.read_field(roots0.slots()[2], 0), 7);
+    }
+
     #[test]
     fn sustained_allocation_runs_global_collections() {
         let mut m = machine(2);

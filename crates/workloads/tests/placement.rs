@@ -212,3 +212,37 @@ fn placement_policy_never_changes_checksums() {
         );
     }
 }
+
+/// Chunk leases of simulated Quicksort at tiny scale on the paper's 48-core
+/// machine, 12 vprocs under node-local placement and the local page policy.
+/// A steal handoff retargets the victim's promotions at the thief's node and
+/// back; the chunk left at each switch goes back to its node and is
+/// continued. Abandoning it instead (as before) created 47 chunks and
+/// leased 47 here: every switch mapped a fresh chunk. Continued chunks fill
+/// sooner, so one more lease is made (and charged) than before.
+#[test]
+fn simulated_quicksort_chunk_leases_are_pinned() {
+    use mgc_heap::GcHeap;
+    use mgc_numa::AllocPolicy;
+    use mgc_runtime::Machine;
+
+    let config = Workload::Quicksort
+        .experiment(Scale::tiny())
+        .env_overrides(EnvOverrides::default())
+        .backend(Backend::Simulated)
+        .topology(Topology::amd_magny_cours_48())
+        .vprocs(12)
+        .placement(PlacementPolicy::NodeLocal)
+        .policy(AllocPolicy::Local)
+        .validate()
+        .expect("the pinned configuration is valid");
+    let mut machine = Machine::new(config.machine);
+    Workload::Quicksort.spawn(&mut machine, Scale::tiny());
+    machine.run();
+    let global = machine.heap().global();
+    assert_eq!(
+        (global.chunks_created(), global.chunk_acquisitions()),
+        (29, 48),
+        "(chunks created, chunk leases)"
+    );
+}
