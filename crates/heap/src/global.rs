@@ -104,7 +104,7 @@ impl SharedChunkPool {
     }
 
     /// Empties `node`'s stack without counting a reuse.
-    pub fn clear(&self, node: NodeId) {
+    pub(crate) fn clear(&self, node: NodeId) {
         while self.take(node).is_some() {}
     }
 
