@@ -40,7 +40,7 @@
 use crate::collector::{for_each_young, forward_fields, Collector};
 use crate::cost::{GcCost, GLOBAL_BARRIER_NS};
 use mgc_heap::{
-    Addr, GcHeap, Header, Heap, Location, SharedChunk, SharedChunkState, SharedGlobalHeap,
+    Addr, ChunkId, GcHeap, Header, Heap, Location, SharedChunk, SharedChunkState, SharedGlobalHeap,
     WorkerHeap,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -112,21 +112,28 @@ impl Collector {
             .collect();
         let mut turns = vec![0usize; pools.len()];
         let mut until_check = DEADLINE_STRIDE;
+        let mut pending = Vec::new();
         loop {
-            // The snapshot is in chunk-id order, i.e. the order the chunks
-            // were first leased in.
-            let mut pending = global.snapshot();
-            pending.retain(|c| is_to_space(c) && !c.fully_scanned());
+            // A pass scans the chunks pending when it starts, in chunk-id
+            // order, i.e. the order the chunks were first leased in.
+            pending.clear();
+            pending.extend(
+                global
+                    .chunks()
+                    .filter(|c| is_to_space(c) && !c.fully_scanned())
+                    .map(|c| c.id()),
+            );
             if pending.is_empty() {
                 break;
             }
-            for chunk in pending {
+            for &id in &pending {
+                let chunk = global.chunk(id);
                 let node = chunk.node().index();
                 let vproc = pools[node][turns[node] % pools[node].len()];
                 turns[node] += 1;
                 let worker = heap.worker_mut(vproc);
                 let cost = Some(&mut costs[vproc]);
-                scan_chunk(worker, &chunk, &state, cost, None, &mut until_check);
+                scan_chunk(worker, chunk, &state, cost, None, &mut until_check);
             }
         }
         release_from_space(&global, &from_space);
@@ -188,7 +195,7 @@ impl ParallelGcState {
 pub fn flip_to_from_space(global: &SharedGlobalHeap) -> Vec<usize> {
     global.clear_partial_chunks();
     let mut from_space = Vec::new();
-    for (index, chunk) in global.snapshot().iter().enumerate() {
+    for (index, chunk) in global.chunks().enumerate() {
         match chunk.state() {
             SharedChunkState::Filled => {
                 chunk.set_state(SharedChunkState::FromSpace);
@@ -352,9 +359,9 @@ pub fn scan_pass_budgeted(
         if index >= global.num_chunks() {
             break;
         }
-        let chunk = global.chunk_at(index);
-        if is_to_space(&chunk) {
-            let scanned = scan_chunk(worker, &chunk, state, None, deadline, &mut until_check);
+        let chunk = global.chunk(ChunkId(index as u32));
+        if is_to_space(chunk) {
+            let scanned = scan_chunk(worker, chunk, state, None, deadline, &mut until_check);
             outcome.progress |= scanned.progress;
             outcome.out_of_time = scanned.out_of_time;
         }
@@ -424,14 +431,13 @@ fn scan_chunk(
     }
 }
 
-/// Leader-only reclamation: returns every from-space chunk to the
-/// mutex-guarded free pool (keeping node affinity) and records what the
-/// collection retained for the next trigger check. Returns the number of
-/// chunks released.
+/// Leader-only reclamation: pushes every from-space chunk onto its node's
+/// lock-free free stack in the [`SharedChunkPool`](mgc_heap::SharedChunkPool)
+/// (so a chunk keeps its node) and records what the collection retained for
+/// the next trigger check. Returns the number of chunks released.
 pub fn release_from_space(global: &SharedGlobalHeap, from_space: &[usize]) -> usize {
     for &index in from_space {
-        let chunk = global.chunk_at(index);
-        global.release(&chunk);
+        global.release(global.chunk(ChunkId(index as u32)));
     }
     global.mark_collection_end();
     from_space.len()
@@ -480,9 +486,9 @@ mod tests {
 
     /// Bytes occupied by objects in the chunks that are in use.
     fn live_bytes_upper_bound(heap: &Heap) -> usize {
-        let chunks = heap.global().snapshot();
-        let in_use = chunks
-            .iter()
+        let in_use = heap
+            .global()
+            .chunks()
             .filter(|c| c.state() != SharedChunkState::Free);
         in_use.map(|c| c.used_bytes()).sum()
     }
@@ -503,8 +509,12 @@ mod tests {
         let mut roots = populate(&mut heap, &mut collector, 2);
         let in_use_before = heap.global().bytes_in_use();
         let chunks_before = heap.global().chunks_in_use();
-        let mut used_before = heap.global().snapshot();
-        used_before.retain(|c| c.state() != SharedChunkState::Free);
+        let used_before: Vec<_> = heap
+            .global()
+            .chunks()
+            .filter(|c| c.state() != SharedChunkState::Free)
+            .cloned()
+            .collect();
         let live_before: Vec<Vec<u64>> = roots.iter().map(|r| list_values(&heap, r[0])).collect();
 
         let outcome = collector.global(&mut heap, &mut roots);
@@ -561,7 +571,7 @@ mod tests {
             .map(|n| pool.free_chunks_on(NodeId::new(n as u16)))
             .sum();
         assert!(total_free > 0);
-        for chunk in heap.global().snapshot() {
+        for chunk in heap.global().chunks() {
             if chunk.state() == SharedChunkState::Free {
                 assert!(pool.free_chunks_on(chunk.node()) > 0);
             }
@@ -570,7 +580,7 @@ mod tests {
         let freed_on_zero = pool.free_chunks_on(NodeId::new(0));
         if freed_on_zero > 0 {
             let chunk = heap.fresh_current_chunk(0);
-            assert_eq!(heap.global().chunk_at(chunk.index()).node(), NodeId::new(0));
+            assert_eq!(heap.global().chunk(chunk).node(), NodeId::new(0));
         }
     }
 

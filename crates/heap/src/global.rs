@@ -220,9 +220,8 @@ mod tests {
         assert_eq!(a.used_bytes(), 4 * 8);
         heap.release(&b);
         assert_eq!(heap.chunks_in_use(), 1);
-        let in_use = heap.snapshot();
-        let in_use = in_use
-            .iter()
+        let in_use = heap
+            .chunks()
             .filter(|c| c.state() != SharedChunkState::Free);
         assert_eq!(in_use.count(), 1);
         // The after-collection figure only moves when a collection ends.

@@ -727,7 +727,7 @@ mod tests {
         let mut heap = Heap::new(config, &[NodeId::new(0), NodeId::new(1)], 2);
         assert_eq!(heap.local(1).node(), NodeId::new(0));
         let chunk = heap.fresh_current_chunk(1);
-        assert_eq!(heap.global().chunk_at(chunk.index()).node(), NodeId::new(0));
+        assert_eq!(heap.global().chunk(chunk).node(), NodeId::new(0));
         // Every lease comes from node 0 whatever the consumer's node, so a
         // node-0 chunk is never "on the wrong node": allocating for a
         // consumer on node 1 keeps filling it instead of leasing per object.
@@ -841,10 +841,7 @@ mod tests {
         let second = heap.promotion_chunk(0).unwrap();
         assert_ne!(first, second);
         assert_eq!(heap.space_of(obj), Space::Global { chunk: second });
-        assert_eq!(
-            heap.global().chunk_at(first.index()).state(),
-            SharedChunkState::Filled
-        );
+        assert_eq!(heap.global().chunk(first).state(), SharedChunkState::Filled);
     }
 
     #[test]
@@ -865,7 +862,7 @@ mod tests {
         assert!(heap.space_of(nursery_obj).is_local());
         assert_eq!(heap.space_of(nursery_obj).vproc(), Some(0));
         let chunk = heap.fresh_current_chunk(0);
-        let base = heap.global().chunk_at(chunk.index()).base();
+        let base = heap.global().chunk(chunk).base();
         assert_eq!(heap.space_of(base), Space::Global { chunk });
         assert!(heap.space_of(base).is_global());
         assert_eq!(heap.space_of(Addr::new(8)), Space::Unmapped);
@@ -884,10 +881,7 @@ mod tests {
         let chunk = heap.fresh_current_chunk(0);
         heap.retire_current_chunk(0);
         assert_eq!(heap.promotion_chunk(0), None);
-        assert_eq!(
-            heap.global().chunk_at(chunk.index()).state(),
-            SharedChunkState::Filled
-        );
+        assert_eq!(heap.global().chunk(chunk).state(), SharedChunkState::Filled);
     }
 
     #[test]

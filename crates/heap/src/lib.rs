@@ -54,6 +54,7 @@ mod heap;
 mod local;
 mod object;
 mod shared;
+mod storage;
 mod verify;
 
 pub use addr::{word_as_pointer, Addr, Word, WORD_BYTES};

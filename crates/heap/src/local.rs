@@ -28,6 +28,7 @@
 use crate::addr::{Addr, Word, WORD_BYTES};
 use crate::error::HeapError;
 use crate::header::Header;
+use crate::storage::STORAGE;
 use mgc_numa::NodeId;
 
 /// Which part of a local heap an address falls in.
@@ -57,7 +58,7 @@ pub struct LocalHeapStats {
 }
 
 /// A per-vproc local heap.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LocalHeap {
     vproc: usize,
     node: NodeId,
@@ -78,6 +79,14 @@ impl LocalHeap {
     /// Creates a local heap of `size_words` words for vproc `vproc`, based at
     /// address `base`, physically backed by memory on `node`.
     ///
+    /// The words come from the process's storage pool and are not zeroed: a
+    /// reused buffer still holds its last heap's data. Nothing reads it. The
+    /// heap starts empty — the old area's top at 0, the nursery's bump
+    /// pointer at the nursery's start — and every word below a bump pointer
+    /// was written by this heap — the nursery's by [`LocalHeap::bump_with`],
+    /// the old area's by a copy into it — so no walk, collection or read
+    /// ever reaches a word it did not write.
+    ///
     /// # Panics
     ///
     /// Panics if `size_words` is too small to be useful (< 64 words).
@@ -90,7 +99,7 @@ impl LocalHeap {
             vproc,
             node,
             base,
-            data: vec![0; size_words],
+            data: STORAGE.take(size_words),
             old_top: 0,
             young_start: 0,
             nursery_start: 0,
@@ -470,6 +479,13 @@ impl LocalHeap {
         let free = self.data.len() - self.old_top;
         self.nursery_start = self.old_top + free.div_ceil(2);
         self.nursery_alloc = self.nursery_start;
+    }
+}
+
+impl Drop for LocalHeap {
+    /// Gives the heap's words back to the storage pool.
+    fn drop(&mut self) {
+        STORAGE.give(std::mem::take(&mut self.data));
     }
 }
 

@@ -38,6 +38,7 @@ use crate::global::SharedChunkPool;
 use crate::header::{Header, HeaderSlot, ObjectKind};
 use crate::heap::{EvacTarget, HeapConfig, HeapStats, Space};
 use crate::local::{LocalHeap, LocalRegion};
+use crate::storage::{self, STORAGE};
 use crate::verify::InvariantViolation;
 use mgc_numa::{AllocPolicy, NodeId, PagePlacer, PlacementPolicy};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -198,6 +199,15 @@ pub struct SharedChunk {
 }
 
 impl SharedChunk {
+    /// A free chunk of `size_words` words at `base` on `node`.
+    ///
+    /// The words come from the process's storage pool, turned into atomics
+    /// in place, and are not zeroed: a reused buffer still holds its last
+    /// heap's data. Nothing reads it. A chunk starts with its bump pointer
+    /// at 0, [`SharedChunk::alloc_with`] writes every word of an object
+    /// before it publishes the new top, and every read, walk and scan stops
+    /// at [`SharedChunk::used_words`] — the rule [`SharedChunk::reset`]
+    /// already relies on when it leaves a released chunk's words behind.
     pub(crate) fn new(id: ChunkId, base: Addr, node: NodeId, size_words: usize) -> Self {
         SharedChunk {
             id,
@@ -206,16 +216,7 @@ impl SharedChunk {
             state: AtomicU8::new(SharedChunkState::Free as u8),
             top: AtomicUsize::new(0),
             scan: AtomicUsize::new(0),
-            // Zeroed words straight from the allocator, turned into atomics
-            // in place. Whether the unused tail costs memory is the
-            // allocator's choice: fresh mmapped pages cost none until an
-            // object lands on them, but once glibc's dynamic mmap threshold
-            // has risen above a chunk's size it serves the `calloc` from its
-            // heap and zeroes — so touches — every page of the chunk.
-            data: vec![0; size_words]
-                .into_iter()
-                .map(AtomicU64::new)
-                .collect(),
+            data: storage::into_atomic(STORAGE.take(size_words)),
         }
     }
 
@@ -420,6 +421,13 @@ impl SharedChunk {
         self.top.store(0, Ordering::Release);
         self.scan.store(0, Ordering::Release);
         self.set_state(SharedChunkState::Free);
+    }
+}
+
+impl Drop for SharedChunk {
+    /// Gives the chunk's words back to the storage pool.
+    fn drop(&mut self) {
+        STORAGE.give(storage::from_atomic(std::mem::take(&mut self.data)));
     }
 }
 
@@ -654,20 +662,10 @@ impl SharedGlobalHeap {
             .store(self.chunks_in_use(), Ordering::Release);
     }
 
-    /// A snapshot of the chunk directory.
-    pub fn snapshot(&self) -> Vec<Arc<SharedChunk>> {
-        (0..self.num_chunks())
-            .map(|index| self.chunk_at(index))
-            .collect()
-    }
-
-    /// The chunk at directory index `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn chunk_at(&self, index: usize) -> Arc<SharedChunk> {
-        Arc::clone(self.chunk(ChunkId(index as u32)))
+    /// Every chunk in the directory when the call is made, borrowed, in
+    /// [`ChunkId`] order.
+    pub fn chunks(&self) -> impl Iterator<Item = &Arc<SharedChunk>> + '_ {
+        (0..self.num_chunks()).map(|index| self.chunk(ChunkId(index as u32)))
     }
 
     /// The chunk `id`, borrowed: a lock-free directory index.
@@ -730,11 +728,11 @@ impl SharedGlobalHeap {
             }
         }
         if let Some(id) = self.pool.pop(node) {
-            let chunk = self.chunk_at(id.index());
+            let chunk = self.chunk(id);
             debug_assert_eq!(chunk.state(), SharedChunkState::Free);
             chunk.set_state(SharedChunkState::Current);
             self.chunks_in_use.fetch_add(1, Ordering::AcqRel);
-            return chunk;
+            return Arc::clone(chunk);
         }
         // Map a fresh chunk in `node`'s address band. The grow mutex
         // serialises id assignment and the two directory appends; readers
@@ -1991,10 +1989,7 @@ mod tests {
         w.alloc_in_global(header2, &[1, 2, 3, 4]).unwrap();
         let second = w.current_chunk().unwrap().id();
         assert_ne!(first, second);
-        assert_eq!(
-            global.chunk_at(first.index()).state(),
-            SharedChunkState::Filled
-        );
+        assert_eq!(global.chunk(first).state(), SharedChunkState::Filled);
     }
 
     #[test]
@@ -2191,7 +2186,7 @@ mod tests {
             })
             .collect();
         w0.retire_current_chunk();
-        for chunk in global.snapshot() {
+        for chunk in global.chunks() {
             chunk.set_state(SharedChunkState::FromSpace);
         }
         let start = std::sync::Barrier::new(2);
@@ -2234,7 +2229,7 @@ mod tests {
         let local = w1.alloc_raw(&[1]).unwrap();
         assert_eq!(w1.evacuate_from_space(local), (local, 0));
         w0.retire_current_chunk();
-        for chunk in global.snapshot() {
+        for chunk in global.chunks() {
             assert_eq!(chunk.state(), SharedChunkState::Filled);
             chunk.set_state(SharedChunkState::FromSpace);
         }
@@ -2289,7 +2284,7 @@ mod tests {
         assert_eq!(global.chunk_in_band(0, total).unwrap().id(), more.id());
         assert_eq!(early.id(), chunks[0].id());
         // The flat directory agrees.
-        assert_eq!(global.snapshot().len(), total + 1);
+        assert_eq!(global.chunks().count(), total + 1);
         // Slot arithmetic at the segment edges.
         assert_eq!(dir_slot(0), (0, 0));
         assert_eq!(dir_slot(DIR_SEG_CHUNKS - 1), (0, DIR_SEG_CHUNKS - 1));
@@ -2411,7 +2406,7 @@ mod tests {
                 words += payload.len() + 1;
             }
         }
-        let all = global.snapshot();
+        let all: Vec<_> = global.chunks().collect();
         let used: usize = all.iter().map(|c| c.used_words()).sum();
         assert_eq!(used, words, "every promoted word is in exactly one chunk");
         // Each worker ends on its own current chunk.

@@ -109,7 +109,7 @@ pub fn verify_local_heap<H: GcHeap>(heap: &H, vproc: usize) -> Vec<InvariantViol
             }
             Space::LocalFree { .. } => Some("pointer into reclaimed local-heap space"),
             Space::Global { chunk } => {
-                let state = heap.global().chunk_at(chunk.index()).state();
+                let state = heap.global().chunk(chunk).state();
                 (state == SharedChunkState::Free).then_some("pointer into a released global chunk")
             }
             Space::Unmapped => Some("pointer to unmapped memory"),
@@ -123,7 +123,7 @@ pub fn verify_local_heap<H: GcHeap>(heap: &H, vproc: usize) -> Vec<InvariantViol
 /// target a local heap.
 pub fn verify_global_heap(heap: &Heap) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
-    for chunk in heap.global().snapshot() {
+    for chunk in heap.global().chunks() {
         if matches!(
             chunk.state(),
             SharedChunkState::Current | SharedChunkState::Filled
