@@ -64,7 +64,13 @@
 //!
 //! A scope read is charged exactly as the handle read of the same fields,
 //! through the same read-and-charge function, so virtual time does not
-//! depend on which one a program uses.
+//! depend on which one a program uses. **A scope settles its compute charge
+//! once:** it copies its vproc's compute this round into a local when it
+//! starts, adds each read's and each `work`'s compute to that local in
+//! program order, and stores it back when it ends (in `Drop`, so a
+//! panicking body settles too). Nothing else can charge the vproc while the
+//! scope holds the context, so the float adds are the ones the handle reads
+//! make, in the same order; a handle read is a scope of one access.
 //!
 //! **A run of fields is one access.** [`TaskCtx::read_fields`] reads `N`
 //! consecutive fields of one object, and [`TaskCtx::read_ptrs`] `N`
@@ -508,14 +514,46 @@ impl<'a> TaskCtx<'a> {
         found
     }
 
+    /// This vproc's compute so far this round on the simulated backend,
+    /// for a read to add its charge to until [`TaskCtx::settle_cpu_ns`]
+    /// stores it back; 0 on the threaded backend, which charges nothing.
+    #[inline(always)]
+    fn cpu_ns(&self) -> f64 {
+        match &self.state {
+            CtxState::Sim(state) => state.cpu_ns(self.vproc),
+            CtxState::Threaded(_) => 0.0,
+        }
+    }
+
+    /// Stores the compute [`TaskCtx::cpu_ns`] returned plus what was added
+    /// to it since; nothing else may charge this vproc in between.
+    #[inline(always)]
+    fn settle_cpu_ns(&mut self, cpu_ns: f64) {
+        if let CtxState::Sim(state) = &mut self.state {
+            state.settle_cpu_ns(self.vproc, cpu_ns);
+        }
+    }
+
+    /// Runs `read` with this vproc's compute in a local and settles it
+    /// after: a handle read is a scope of one access.
+    #[inline(always)]
+    fn charged<R>(&mut self, read: impl FnOnce(&mut Self, &mut f64) -> R) -> R {
+        let mut cpu_ns = self.cpu_ns();
+        let value = read(self, &mut cpu_ns);
+        self.settle_cpu_ns(cpu_ns);
+        value
+    }
+
     /// Reads from the located object `found` — `read` gets its [`Place`] on
     /// either backend — and charges the read: the simulated backend charges
     /// `accesses` accesses of `words(place)` words each, one after another,
-    /// to the node and region the object was found in. The one
-    /// read-and-charge function of handle and scope reads.
+    /// to the node and region the object was found in, their compute added
+    /// to `cpu_ns` (see [`TaskCtx::cpu_ns`]). The one read-and-charge
+    /// function of handle and scope reads.
     #[inline(always)]
     fn read_at<R>(
         &mut self,
+        cpu_ns: &mut f64,
         found: Resolved<'a>,
         accesses: usize,
         words: impl FnOnce(Place<'_>) -> usize,
@@ -525,9 +563,7 @@ impl<'a> TaskCtx<'a> {
             CtxState::Sim(state) => {
                 let place = state.heap.place_of(found.location);
                 let (value, local, words) = (read(place), place.is_local(), words(place));
-                for _ in 0..accesses {
-                    state.charge_access(self.vproc, found.node, local, words);
-                }
+                state.charge_access(cpu_ns, self.vproc, found.node, local, words, accesses);
                 value
             }
             CtxState::Threaded(worker) => read(worker.heap.place_of(found.location)),
@@ -537,8 +573,14 @@ impl<'a> TaskCtx<'a> {
     /// Fields `first..first + N` of the located object `found`, charged as
     /// `N` one-word reads in order.
     #[inline(always)]
-    fn fields_at<const N: usize>(&mut self, found: Resolved<'a>, first: usize) -> [Word; N] {
+    fn fields_at<const N: usize>(
+        &mut self,
+        cpu_ns: &mut f64,
+        found: Resolved<'a>,
+        first: usize,
+    ) -> [Word; N] {
         self.read_at(
+            cpu_ns,
             found,
             N,
             |_| 1,
@@ -562,7 +604,8 @@ impl<'a> TaskCtx<'a> {
     /// The payload length of the located object `found`; charges nothing.
     #[inline(always)]
     fn len_at(&mut self, found: Resolved<'a>) -> usize {
-        self.read_at(found, 1, |_| 0, |place| place.header())
+        // A zero-word access adds no compute, so no clock is needed.
+        self.read_at(&mut 0.0, found, 1, |_| 0, |place| place.header())
             .len_words as usize
     }
 
@@ -576,7 +619,7 @@ impl<'a> TaskCtx<'a> {
     #[inline]
     pub fn read_fields<const N: usize>(&mut self, handle: Handle, first: usize) -> [Word; N] {
         let found = self.locate_slot(handle);
-        self.fields_at(found, first)
+        self.charged(|ctx, cpu_ns| ctx.fields_at(cpu_ns, found, first))
     }
 
     /// Reads the `N` pointer fields `first..first + N` in one access
@@ -628,12 +671,15 @@ impl<'a> TaskCtx<'a> {
     #[inline]
     pub fn read_words_into(&mut self, handle: Handle, out: &mut Vec<Word>) {
         let found = self.locate_slot(handle);
-        self.read_at(
-            found,
-            1,
-            |place| place.header().total_words(),
-            |place| place.payload_into(out),
-        )
+        self.charged(|ctx, cpu_ns| {
+            ctx.read_at(
+                cpu_ns,
+                found,
+                1,
+                |place| place.header().total_words(),
+                |place| place.payload_into(out),
+            )
+        })
     }
 
     /// [`TaskCtx::read_words_into`] a fresh `Vec`.
@@ -709,6 +755,7 @@ impl<'a> TaskCtx<'a> {
     pub fn read_scope<R>(&mut self, body: impl for<'s> FnOnce(&mut ReadScope<'s, 'a>) -> R) -> R {
         body(&mut ReadScope {
             global_may_forward: self.state.global_may_forward(),
+            cpu_ns: self.cpu_ns(),
             ctx: self,
             last: None,
         })
@@ -947,6 +994,20 @@ pub struct ReadScope<'s, 'a> {
     global_may_forward: bool,
     /// The object located last, and where it was found.
     last: Option<(Obj<'s>, Resolved<'a>)>,
+    /// The vproc's compute this round ([`TaskCtx::cpu_ns`]), which every
+    /// read and `work` of the scope adds to, in order, and the scope's end
+    /// settles: nothing else charges the vproc while the scope holds the
+    /// context.
+    cpu_ns: f64,
+}
+
+/// A scope settles its compute charge when it ends, a panicking body's
+/// included.
+impl Drop for ReadScope<'_, '_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.ctx.settle_cpu_ns(self.cpu_ns);
+    }
 }
 
 impl<'s, 'a> ReadScope<'s, 'a> {
@@ -994,7 +1055,7 @@ impl<'s, 'a> ReadScope<'s, 'a> {
     #[inline]
     pub fn fields<const N: usize>(&mut self, obj: Obj<'s>, first: usize) -> [Word; N] {
         let found = self.locate(obj);
-        self.ctx.fields_at(found, first)
+        self.ctx.fields_at(&mut self.cpu_ns, found, first)
     }
 
     /// Pointer fields `first..first + N` of `obj`, a null one as `None`:
@@ -1020,7 +1081,9 @@ impl<'s, 'a> ReadScope<'s, 'a> {
     /// [`TaskCtx::work`] from inside the scope.
     #[inline]
     pub fn work(&mut self, ops: u64) {
-        self.ctx.work(ops);
+        if let CtxState::Sim(state) = &self.ctx.state {
+            self.cpu_ns += state.work_ns(ops);
+        }
     }
 }
 

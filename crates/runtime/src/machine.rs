@@ -292,8 +292,14 @@ impl RuntimeState {
 
     /// Charges `ops` machine operations of pure compute to `vproc`.
     pub(crate) fn charge_work(&mut self, vproc: usize, ops: u64) {
-        let ns = ops as f64 * self.ns_per_op;
+        let ns = self.work_ns(ops);
         self.vprocs[vproc].round_cost.add_cpu_ns(ns);
+    }
+
+    /// The compute time of `ops` machine operations.
+    #[inline(always)]
+    pub(crate) fn work_ns(&self, ops: u64) -> f64 {
+        ops as f64 * self.ns_per_op
     }
 
     /// `vproc`'s current virtual time: the machine clock at the start of the
@@ -301,6 +307,20 @@ impl RuntimeState {
     /// Monotone over a vproc's execution and fully deterministic.
     pub(crate) fn now_ns(&self, vproc: usize) -> f64 {
         self.clock_base_ns + self.vprocs[vproc].round_cost.cpu_ns
+    }
+
+    /// The compute `vproc` has charged so far this round: what a read
+    /// scope copies when it starts and adds its reads to.
+    #[inline(always)]
+    pub(crate) fn cpu_ns(&self, vproc: usize) -> f64 {
+        self.vprocs[vproc].round_cost.cpu_ns
+    }
+
+    /// Stores `vproc`'s compute this round, as [`RuntimeState::cpu_ns`]
+    /// read it plus the charges added since.
+    #[inline(always)]
+    pub(crate) fn settle_cpu_ns(&mut self, vproc: usize, cpu_ns: f64) {
+        self.vprocs[vproc].round_cost.cpu_ns = cpu_ns;
     }
 
     /// Advances `vproc`'s virtual time to `target_ns` by charging the gap as
@@ -313,11 +333,14 @@ impl RuntimeState {
         }
     }
 
-    /// Charges a mutator access by `vproc` of `words` words of an object on
-    /// `node`, in a local heap or (`local` false) the global heap, applying
-    /// the cache model: `ceil(words × 8 × miss rate)` DRAM bytes to `node`
-    /// and one operation of compute per word. [`RuntimeState::locate`]
-    /// supplies the node and the region.
+    /// Charges `accesses` mutator accesses by `vproc`, one after another,
+    /// of `words` words each of an object on `node`, in a local heap or
+    /// (`local` false) the global heap, applying the cache model:
+    /// `ceil(words × 8 × miss rate)` DRAM bytes to `node` and one operation
+    /// of compute per word, added to `cpu_ns` — `vproc`'s compute this
+    /// round ([`RuntimeState::cpu_ns`]), held by the caller until it
+    /// settles it. [`RuntimeState::locate`] supplies the node and the
+    /// region.
     ///
     /// The fold rule: a one-word access — every field read — adds its
     /// compute now and only counts itself for its `(node, local)`.
@@ -328,19 +351,32 @@ impl RuntimeState {
     /// round cost, the run's [`TrafficStats`] and virtual time are exactly
     /// what charging each access at once gave. A wider access charges its
     /// traffic at once, from the machine's [`DramTable`].
-    #[inline]
-    pub(crate) fn charge_access(&mut self, vproc: usize, node: NodeId, local: bool, words: usize) {
+    #[inline(always)]
+    pub(crate) fn charge_access(
+        &mut self,
+        cpu_ns: &mut f64,
+        vproc: usize,
+        node: NodeId,
+        local: bool,
+        words: usize,
+        accesses: usize,
+    ) {
         match words {
             0 => return,
-            1 => self.word_reads[2 * node.index() + local as usize] += 1,
+            1 => self.word_reads[2 * node.index() + local as usize] += accesses as u64,
             _ => {
                 let bytes = self.dram.bytes(words, Miss::of_read(local));
-                self.charge_dram(vproc, node, bytes, bytes / 64);
+                for _ in 0..accesses {
+                    self.charge_dram(vproc, node, bytes, bytes / 64);
+                }
             }
         }
         // Touching data costs a couple of instructions per word even on a
         // cache hit.
-        self.charge_work(vproc, words as u64);
+        let ns = self.work_ns(words as u64);
+        for _ in 0..accesses {
+            *cpu_ns += ns;
+        }
     }
 
     /// Charges the one-word accesses counted since the last fold to
@@ -819,7 +855,9 @@ impl RuntimeState {
         let Resolved { location, node, .. } = self.locate(self.heap.global(), message);
         let place = self.heap.place_of(location);
         let (local, words) = (place.is_local(), place.header().total_words());
-        self.charge_access(vproc, node, local, words);
+        let mut cpu_ns = self.cpu_ns(vproc);
+        self.charge_access(&mut cpu_ns, vproc, node, local, words, 1);
+        self.settle_cpu_ns(vproc, cpu_ns);
         Some(message)
     }
 
@@ -1869,6 +1907,99 @@ mod tests {
         assert_eq!(result, Some((f64_to_word(200.0 * (4.5 + 2.0)), false)));
         assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
         assert_eq!((traffic, elapsed, result), run(false));
+    }
+
+    /// A scope settles its compute once, when it ends, between charges the
+    /// task makes outside it: scope visits interleaved with handle reads,
+    /// `work` and allocations that collect now and then leave traffic and
+    /// virtual elapsed time bit-identical to the same sequence through
+    /// handle reads only.
+    #[test]
+    fn a_scope_settles_its_charge_between_the_task_s_other_charges() {
+        let run = |scope: bool| {
+            let (mut machine, desc, channel) = machine_for_read_checks();
+            machine.spawn_root(TaskSpec::new("interleaved", move |ctx| {
+                let leaf = Some(ctx.alloc_raw(&[1]));
+                let mut node = || {
+                    let children = [leaf, None, leaf, None].map(FieldInit::Ptr);
+                    let mass = [0.5, 1.5, 2.5].map(FieldInit::F64);
+                    ctx.alloc_mixed(desc, &[&children[..], &mass[..]].concat())
+                };
+                let (local, promoted) = (node(), node());
+                ctx.send(channel, promoted);
+                let mut sum = 0.0;
+                for i in 0..300 {
+                    let mark = ctx.root_mark();
+                    for handle in [local, promoted] {
+                        let fields: [Word; 2] = if scope {
+                            ctx.read_scope(|r| {
+                                let node = r.obj(handle);
+                                r.work(5);
+                                let fields = r.fields(node, 4);
+                                r.work(3);
+                                fields
+                            })
+                        } else {
+                            ctx.work(5);
+                            let fields = ctx.read_fields(handle, 4);
+                            ctx.work(3);
+                            fields
+                        };
+                        sum += fields.map(word_to_f64).iter().sum::<f64>();
+                    }
+                    sum += ctx.read_f64(local, 6);
+                    ctx.work(7);
+                    ctx.alloc_raw(&[i; 12]);
+                    ctx.truncate_roots(mark);
+                }
+                TaskResult::Value(f64_to_word(sum))
+            }));
+            let report = machine.run();
+            assert!(report.gc.minor_collections > 0, "the allocations collect");
+            let result = machine.take_result();
+            (report.traffic, report.elapsed_ns.to_bits(), result)
+        };
+        let (traffic, elapsed, result) = run(true);
+        assert_eq!(result, Some((f64_to_word(300.0 * 6.5), false)));
+        assert_eq!((traffic, elapsed, result), run(false));
+    }
+
+    /// A scope that reads nothing leaves its vproc's compute as it was, and
+    /// a scope whose body panics still settles the reads it made.
+    #[test]
+    fn an_empty_scope_charges_nothing_and_a_panicking_one_settles() {
+        let mut machine = Machine::new(MachineConfig::small_for_tests(1));
+        let state = &mut machine.state;
+        let object = state.heap.alloc_raw(0, &[1, 2, 3]).unwrap();
+        let ns_per_op = state.ns_per_op;
+        let mut roots = RootSet::default();
+        roots.push(object);
+        let empty = on_vproc0(state, &mut roots, |ctx| {
+            let handle = ctx.input(0);
+            ctx.work(5);
+            let before = ctx.now_ns();
+            ctx.read_scope(|r| r.obj(handle) == r.obj(handle));
+            let empty = (before.to_bits(), ctx.now_ns().to_bits());
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.read_scope(|r| {
+                    let object = r.obj(handle);
+                    r.fields::<2>(object, 0);
+                    panic!("the body panics after two reads");
+                })
+            }));
+            assert!(unwound.is_err());
+            empty
+        });
+        assert_eq!(empty.0, empty.1, "an empty scope charges nothing");
+        let mut expected = 5.0 * ns_per_op;
+        expected += ns_per_op;
+        expected += ns_per_op;
+        let cpu_ns = state.vprocs[0].round_cost.cpu_ns;
+        assert_eq!(
+            cpu_ns.to_bits(),
+            expected.to_bits(),
+            "the two reads settled"
+        );
     }
 
     /// Runs `alloc` on a target object once vproc 0's nursery is exactly

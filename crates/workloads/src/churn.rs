@@ -127,15 +127,23 @@ pub fn spawn(machine: &mut dyn Executor, params: ChurnParams) {
                     TaskSpec::new("churn-worker", move |ctx| {
                         let mut survivors: Vec<Handle> = Vec::new();
                         let base_mark = ctx.root_mark();
+                        // Objects until the next survivor: object `i`
+                        // survives when `i % survive_every == 0`, counted
+                        // down rather than divided out per object.
+                        let mut until_survivor = 0;
                         for i in 0..params.objects_per_worker {
-                            // Each object is written where it lives.
+                            // Each object is written where it lives; the
+                            // fill owns its `base`, so it is not reloaded
+                            // per word.
                             let base = (worker * 1_000_000 + i) as i64;
-                            let obj = ctx.alloc_raw_with(params.object_words, |j| {
+                            let obj = ctx.alloc_raw_with(params.object_words, move |j| {
                                 i64_to_word(base + j as i64)
                             });
-                            if i % params.survive_every == 0 {
+                            if until_survivor == 0 {
                                 survivors.push(obj);
+                                until_survivor = params.survive_every - 1;
                             } else {
+                                until_survivor -= 1;
                                 // Drop everything allocated since the last
                                 // survivor; the survivors keep their handles
                                 // because handles index the root set, which

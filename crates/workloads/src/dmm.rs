@@ -92,29 +92,44 @@ fn b_elem(k: usize, j: usize) -> f64 {
     ((k + j * 5) % 11) as f64 * 0.5 - 2.0
 }
 
-/// Column `j` of B starts this far into [`b_cycle`]: B's generator depends
-/// on `k + 5j` only modulo 11, so `b_elem(k, j) == b_cycle(n)[k + b_offset(j)]`.
-fn b_offset(j: usize) -> usize {
-    (j * 5) % 11
-}
+/// How many columns B has that differ: its generator depends on `k + 5j`
+/// only modulo 11, so column `j` equals column `j % 11`.
+const B_COLUMNS: usize = 11;
 
-/// `b_elem(m, 0)` for `m < n + 11`: every column of an `n`-row B is a
-/// window of this slice (see [`b_offset`]).
-fn b_cycle(n: usize) -> Vec<f64> {
-    (0..n + 11).map(|m| b_elem(m, 0)).collect()
+/// B's first [`B_COLUMNS`] columns, row-major: `b_elem(k, j) ==
+/// b_panel(n)[k * B_COLUMNS + j % B_COLUMNS]` for every `k < n`.
+fn b_panel(n: usize) -> Vec<f64> {
+    (0..n)
+        .flat_map(|k| (0..B_COLUMNS).map(move |j| b_elem(k, j)))
+        .collect()
 }
 
 /// Appends row `a_row` × B to `out`: for each column `j`, the dot product
 /// of `a_row` with B's column, summed in `k` order as the `b_elem` loop
 /// does, so every bit is the same.
-fn multiply_row(a_row: &[Word], b_cycle: &[f64], out: &mut Vec<f64>) {
+///
+/// Each pass over `k` computes [`B_COLUMNS`] columns at once, one
+/// accumulator each: a lone column is one serial chain of `n` adds, bound
+/// by add latency, and the panel row that holds B's values for those
+/// columns at `k` is contiguous. Every column still runs its own `n`-term
+/// dot product. The leftover columns take one pass each.
+fn multiply_row(a_row: &[Word], b_panel: &[f64], out: &mut Vec<f64>) {
     let n = a_row.len();
-    out.extend((0..n).map(|j| {
-        let start = b_offset(j);
-        let column = &b_cycle[start..start + n];
+    let b_rows = || b_panel.chunks_exact(B_COLUMNS);
+    for _ in 0..n / B_COLUMNS {
+        let mut c = [0.0; B_COLUMNS];
+        for (&a, b_row) in a_row.iter().zip(b_rows()) {
+            let a = word_to_f64(a);
+            for (c, &b) in c.iter_mut().zip(b_row) {
+                *c += a * b;
+            }
+        }
+        out.extend_from_slice(&c);
+    }
+    out.extend((0..n % B_COLUMNS).map(|j| {
         let mut c = 0.0;
-        for (&a, &b) in a_row.iter().zip(column) {
-            c += word_to_f64(a) * b;
+        for (&a, b_row) in a_row.iter().zip(b_rows()) {
+            c += word_to_f64(a) * b_row[j];
         }
         c
     }));
@@ -171,7 +186,7 @@ pub fn spawn_with(machine: &mut dyn Executor, params: DmmParams) {
                     let mut row = Vec::with_capacity(n);
                     let mut result_row = Vec::with_capacity(n);
                     let mut back = Vec::with_capacity(n);
-                    let b_cycle = b_cycle(n);
+                    let b_panel = b_panel(n);
                     for i in lo..hi {
                         let mark = ctx.root_mark();
                         // Materialise row i of A in the local heap, as the
@@ -182,9 +197,9 @@ pub fn spawn_with(machine: &mut dyn Executor, params: DmmParams) {
                         back.clear();
                         ctx.read_words_into(row_handle, &mut back);
                         // Multiply against B (each block generates B's
-                        // 11-value cycle: B is not shared between blocks).
+                        // distinct columns: B is not shared between blocks).
                         result_row.clear();
-                        multiply_row(&back, &b_cycle, &mut result_row);
+                        multiply_row(&back, &b_panel, &mut result_row);
                         // One row of the product is n dot products of length n.
                         ctx.work(2 * (n * n) as u64);
                         // The result row is a fresh local allocation.
@@ -274,20 +289,29 @@ mod tests {
 
     #[test]
     fn rows_are_bit_identical_to_the_b_elem_loop() {
-        for n in [1, 4, 11, 12, 97] {
-            let cycle = b_cycle(n);
+        let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let w = B_COLUMNS;
+        // Sizes around the block width, then a few rows at n = 400.
+        let rows = |n: usize| {
+            if n > 97 {
+                vec![0, 1, 7, n / 2, n - 1]
+            } else {
+                (0..n).collect()
+            }
+        };
+        for n in [1, 4, w - 1, w, w + 1, 2 * w + 1, 97, 400] {
+            let panel = b_panel(n);
             for k in 0..n {
                 for j in 0..n {
-                    assert_eq!(b_elem(k, j), cycle[k + b_offset(j)], "n = {n}");
+                    assert_eq!(b_elem(k, j), panel[k * w + j % w], "n = {n}");
                 }
             }
             let mut fast = Vec::new();
-            for i in 0..n {
+            for i in rows(n) {
                 let a_row: Vec<Word> = (0..n).map(|k| f64_to_word(a_elem(i, k))).collect();
                 fast.clear();
-                multiply_row(&a_row, &cycle, &mut fast);
+                multiply_row(&a_row, &panel, &mut fast);
                 let slow = multiply_row_by_b_elem(&a_row);
-                let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&fast), bits(&slow), "n = {n}, row {i}");
             }
         }

@@ -104,18 +104,63 @@ fn x_elem(i: usize) -> f64 {
     ((i % 29) as f64) * 0.125 - 1.0
 }
 
-/// The column index of the `k`-th non-zero of row `r`.
-fn col_of(r: usize, k: usize, cols: usize) -> usize {
-    // A cheap deterministic hash that scatters the non-zeroes.
-    let mut h =
-        (r as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ (k as u64).wrapping_mul(0xBF58476D1CE4E5B9);
-    h ^= h >> 29;
-    (h % cols as u64) as usize
+/// The multipliers of the hash that scatters a row's non-zeroes over the
+/// columns: one for the row, one for the non-zero's place in the row.
+const ROW_MIX: u64 = 0x9E3779B97F4A7C15;
+const NONZERO_MIX: u64 = 0xBF58476D1CE4E5B9;
+
+/// How many values the non-zeroes take: the `k`-th non-zero of row `r`
+/// holds `value((31r + 17k) % 23)`.
+const VALUES: usize = 23;
+
+/// The value of a non-zero whose `31r + 17k` leaves residue `m`.
+fn value(m: usize) -> f64 {
+    (m as f64) * 0.2 - 2.0
 }
 
-/// The value of the `k`-th non-zero of row `r`.
-fn val_of(r: usize, k: usize) -> f64 {
-    (((r * 31 + k * 17) % 23) as f64) * 0.2 - 2.0
+/// Row `r` of the matrix times the vector whose element `c` is `x(c)`,
+/// summed over the row's non-zeroes in order. The `k`-th lies in column
+/// `h % cols`, `h` being `r·ROW_MIX ^ k·NONZERO_MIX` with its high bits
+/// folded down, and holds `value((31r + 17k) % 23)`. The row's half of the
+/// hash is taken once and the residue steps by 17 per non-zero through a
+/// table of the [`VALUES`] values, so no value costs a division or a
+/// conversion; every product and sum has the bits of the tests'
+/// `val_of`/`col_of` loop.
+#[inline(always)]
+fn row_dot(values: &[f64; VALUES], r: usize, cols: usize, x: impl Fn(usize) -> f64) -> f64 {
+    let row_hash = (r as u64).wrapping_mul(ROW_MIX);
+    let mut m = (r * 31) % VALUES;
+    let mut dot = 0.0;
+    for k in 0..NNZ_PER_ROW {
+        let mut h = row_hash ^ (k as u64).wrapping_mul(NONZERO_MIX);
+        h ^= h >> 29;
+        dot += values[m] * x((h % cols as u64) as usize);
+        m += 17;
+        if m >= VALUES {
+            m -= VALUES;
+        }
+    }
+    dot
+}
+
+/// Rows `rows` of the product with the vector `x` (of `cols` elements):
+/// calls `each` with every row's dot product in row order and returns
+/// their sum, added in the same order. The block task and the reference
+/// both run it.
+fn multiply_rows(
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    x: impl Fn(usize) -> f64,
+    mut each: impl FnMut(f64),
+) -> f64 {
+    let values: [f64; VALUES] = std::array::from_fn(value);
+    let mut sum = 0.0;
+    for r in rows {
+        let dot = row_dot(&values, r, cols, &x);
+        each(dot);
+        sum += dot;
+    }
+    sum
 }
 
 /// Sequentially computed checksum of the product vector.
@@ -125,17 +170,8 @@ pub fn reference_checksum(scale: Scale) -> f64 {
 
 /// The sequential reference checksum for explicit parameters.
 fn checksum_for(params: SmvmParams) -> f64 {
-    let cols = params.vector_length;
-    let rows = params.vector_length;
-    let mut sum = 0.0;
-    for r in 0..rows {
-        let mut dot = 0.0;
-        for k in 0..NNZ_PER_ROW {
-            dot += val_of(r, k) * x_elem(col_of(r, k, cols));
-        }
-        sum += dot;
-    }
-    sum
+    let n = params.vector_length;
+    multiply_rows(0..n, n, x_elem, |_| {})
 }
 
 /// Spawns the SMVM workload at the given scale; the root result is the
@@ -181,16 +217,9 @@ pub fn spawn_with(machine: &mut dyn Executor, params: SmvmParams) {
                         ctx.truncate_roots(mark);
                     }
 
-                    let mut checksum = 0.0;
                     let mut result = Vec::with_capacity(hi - lo);
-                    for r in lo..hi {
-                        let mut dot = 0.0;
-                        for k in 0..NNZ_PER_ROW {
-                            dot += val_of(r, k) * word_to_f64(x[col_of(r, k, cols)]);
-                        }
-                        result.push(dot);
-                        checksum += dot;
-                    }
+                    let checksum =
+                        multiply_rows(lo..hi, cols, |c| word_to_f64(x[c]), |dot| result.push(dot));
                     ctx.work(((hi - lo) * NNZ_PER_ROW * 2) as u64);
                     // The block's slice of the product vector is allocated
                     // locally, like any other freshly computed value.
@@ -224,6 +253,19 @@ mod tests {
     use super::*;
     use mgc_runtime::{Machine, MachineConfig};
 
+    /// The column index of the `k`-th non-zero of row `r`: a cheap
+    /// deterministic hash that scatters the non-zeroes.
+    fn col_of(r: usize, k: usize, cols: usize) -> usize {
+        let mut h = (r as u64).wrapping_mul(ROW_MIX) ^ (k as u64).wrapping_mul(NONZERO_MIX);
+        h ^= h >> 29;
+        (h % cols as u64) as usize
+    }
+
+    /// The value of the `k`-th non-zero of row `r`.
+    fn val_of(r: usize, k: usize) -> f64 {
+        value((r * 31 + k * 17) % VALUES)
+    }
+
     #[test]
     fn parallel_checksum_matches_sequential_reference() {
         let scale = Scale::tiny();
@@ -255,6 +297,66 @@ mod tests {
         assert_eq!(val_of(0, 0), -2.0);
         assert_eq!(val_of(1, 1), 2.0 * 0.2 - 2.0); // 48 % 23 = 2
         assert_eq!(val_of(2, 3), 21.0 * 0.2 - 2.0); // 113 % 23 = 21
+    }
+
+    /// Rows `lo..hi` against the vector `x_elem` as the `val_of`/`col_of`
+    /// loop the block task and the reference ran before: each row's dot and
+    /// their sum in row order.
+    fn rows_by_val_of(lo: usize, hi: usize, cols: usize) -> (Vec<f64>, f64) {
+        let mut dots = Vec::new();
+        let mut sum = 0.0;
+        for r in lo..hi {
+            let mut dot = 0.0;
+            for k in 0..NNZ_PER_ROW {
+                dot += val_of(r, k) * x_elem(col_of(r, k, cols));
+            }
+            dots.push(dot);
+            sum += dot;
+        }
+        (dots, sum)
+    }
+
+    #[test]
+    fn rows_are_bit_identical_to_the_val_of_loop() {
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        for (lo, hi, cols) in [
+            (0, 5, 1),
+            (0, 40, 512),
+            (17, 60, 1000),
+            (0, 23 * 3 + 1, 16_614),
+            (1_000_000, 1_000_050, BENCH_VECTOR_LENGTH),
+        ] {
+            let x = |c: usize| {
+                assert!(c < cols, "column {c} of {cols}");
+                x_elem(c)
+            };
+            let mut dots = Vec::new();
+            let sum = multiply_rows(lo..hi, cols, x, |dot| dots.push(dot));
+            let (slow_dots, slow_sum) = rows_by_val_of(lo, hi, cols);
+            assert_eq!(
+                bits(&dots),
+                bits(&slow_dots),
+                "rows {lo}..{hi}, {cols} cols"
+            );
+            assert_eq!(
+                sum.to_bits(),
+                slow_sum.to_bits(),
+                "rows {lo}..{hi}, {cols} cols"
+            );
+        }
+        // The reference is the blocks' dots summed in row order.
+        for vector_length in [512, 1000] {
+            let reference = checksum_for(SmvmParams { vector_length });
+            let (_, slow) = rows_by_val_of(0, vector_length, vector_length);
+            assert_eq!(reference.to_bits(), slow.to_bits(), "n = {vector_length}");
+            let block = vector_length.div_ceil(96);
+            let mut summed = 0.0;
+            for lo in (0..vector_length).step_by(block) {
+                let hi = (lo + block).min(vector_length);
+                multiply_rows(lo..hi, vector_length, x_elem, |dot| summed += dot);
+            }
+            assert_eq!(reference.to_bits(), summed.to_bits(), "n = {vector_length}");
+        }
     }
 
     #[test]
