@@ -664,6 +664,38 @@ pub(crate) mod tests {
         collector.minor(&mut w0, 0, &mut roots);
     }
 
+    /// A simulated minor of vproc 0 after `plant` broke an invariant outside
+    /// vproc 0's own heap: the verifier walks the whole machine, so it
+    /// panics.
+    fn simulated_minor_after(plant: impl FnOnce(&mut Heap)) {
+        let (mut heap, mut collector) = setup(2);
+        assert!(collector.config().verify_after_gc);
+        let mut roots = vec![heap.alloc_vector(0, &[0]).unwrap()];
+        // A clean collection passes.
+        collector.minor(&mut heap, 0, &mut roots);
+        plant(&mut heap);
+        collector.minor(&mut heap, 0, &mut roots);
+    }
+
+    #[test]
+    #[should_panic(expected = "heap invariant violated")]
+    fn simulated_minor_catches_a_cross_local_pointer_in_another_vprocs_heap() {
+        simulated_minor_after(|heap| {
+            let foreign = heap.alloc_raw(0, &[5]).unwrap();
+            heap.alloc_vector(1, &[foreign.raw()]).unwrap();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "heap invariant violated")]
+    fn simulated_minor_catches_a_global_object_pointing_into_a_local_heap() {
+        simulated_minor_after(|heap| {
+            let local = heap.alloc_raw(1, &[5]).unwrap();
+            let header = Header::new(mgc_heap::ObjectKind::Vector, 1).encode();
+            heap.alloc_in_global(1, header, &[local.raw()]).unwrap();
+        });
+    }
+
     #[test]
     fn global_pending_flag() {
         let (_heap, mut collector) = setup(1);

@@ -351,6 +351,42 @@ mod tests {
         assert_eq!(heap.payload(global_leaf), vec![2]);
     }
 
+    /// Vproc 1 allocates two objects and promotes the second, leaving a
+    /// forward in its local heap; vproc 0 allocates one. Returns vproc 0's
+    /// root set — its own object next to both of vproc 1's — and the
+    /// promoted object's global copy.
+    fn foreign_roots(heap: &mut Heap, collector: &mut Collector) -> (Vec<Addr>, Addr) {
+        let kept = heap.alloc_raw(1, &[1]).unwrap();
+        let promoted = heap.alloc_raw(1, &[2]).unwrap();
+        let (copy, _) = collector.promote(heap, 1, promoted);
+        let own = heap.alloc_raw(0, &[3]).unwrap();
+        (vec![own, promoted, kept], copy)
+    }
+
+    /// The simulated backend's shared roots (join slots, continuations,
+    /// channel queues, proxies) reach every vproc's local collection, so a
+    /// root may lie in another vproc's local heap. Only the major phase
+    /// redirects one whose object was promoted; the minor phase leaves it.
+    #[test]
+    fn a_simulated_major_redirects_promoted_foreign_roots() {
+        let (mut heap, mut collector) = setup();
+        let (mut roots, copy) = foreign_roots(&mut heap, &mut collector);
+        let foreign = roots[1..].to_vec();
+        collector.minor(&mut heap, 0, &mut roots);
+        assert_eq!(roots[1..], foreign, "a minor leaves foreign roots alone");
+        collector.major(&mut heap, 0, &mut roots);
+        assert_eq!(roots[1..], [copy, foreign[1]]);
+        let major_roots = roots;
+
+        // `collect_local` with a major phase due does the same.
+        let (mut heap, mut collector) = setup();
+        let (mut roots, _) = foreign_roots(&mut heap, &mut collector);
+        collector.request_global();
+        let outcome = collector.collect_local(&mut heap, 0, &mut roots);
+        assert!(outcome.triggered_major);
+        assert_eq!(roots, major_roots);
+    }
+
     #[test]
     fn each_collection_checks_that_a_worker_heap_serves_its_vproc() {
         let (mut workers, _) = crate::collector::tests::two_workers();
