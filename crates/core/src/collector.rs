@@ -16,8 +16,8 @@ use crate::config::GcConfig;
 use crate::cost::{GcCost, CHUNK_ACQUIRE_NS, COLLECTION_FIXED_NS};
 use crate::stats::{CollectionKind, GcStats};
 use mgc_heap::{
-    word_as_pointer, Addr, ChunkId, EvacTarget, GcHeap, Header, HeaderSlot, LocalRegion, Location,
-    Word,
+    word_as_pointer, Addr, ChunkId, EvacTarget, GcHeap, Header, HeaderSlot, Heap,
+    InvariantViolation, LocalRegion, Location, SharedGlobalHeap, Word, WorkerHeap,
 };
 
 /// Result of a single (per-vproc) collection.
@@ -25,9 +25,9 @@ use mgc_heap::{
 pub struct GcOutcome {
     /// Which collection ran.
     pub kind: CollectionKind,
-    /// Cost to charge to the collecting vproc. Only a heap that charges
-    /// ([`GcHeap::charges_costs`]: the simulated machine's `Heap`) fills it
-    /// in; on a threaded worker's heap it is empty.
+    /// Cost to charge to the collecting vproc. Only a collection on a worker
+    /// that charges ([`WorkerHeap::charges_costs`]: the simulated machine's)
+    /// fills it in; on a threaded worker it is empty.
     pub cost: GcCost,
     /// Bytes copied within the local heap.
     pub copied_bytes: u64,
@@ -83,24 +83,24 @@ impl GcOutcome {
 /// `at` (whose header is `header`) to what `forward` makes of it, in
 /// ascending field order, writing only the fields that changed. The object
 /// is located once; each field is then an index.
-pub(crate) fn forward_fields<H: GcHeap>(
-    heap: &mut H,
+pub(crate) fn forward_fields(
+    worker: &mut WorkerHeap,
     at: Location<'_>,
     header: Header,
-    mut forward: impl FnMut(&mut H, Addr) -> Addr,
+    mut forward: impl FnMut(&mut WorkerHeap, Addr) -> Addr,
 ) {
-    let fields = heap
+    let fields = worker
         .pointer_field_indices(header)
         .expect("all mixed-object descriptors are registered before allocation");
     for index in fields {
-        let Some(ptr) = word_as_pointer(word_at(heap, at, 1 + index)) else {
+        let Some(ptr) = word_as_pointer(word_at(worker, at, 1 + index)) else {
             continue;
         };
-        let new = forward(heap, ptr);
+        let new = forward(worker, ptr);
         if new != ptr {
             match at {
-                Location::Local { vproc, offset } => {
-                    heap.local_mut(vproc).write(offset + index, new.raw())
+                Location::Local { offset, .. } => {
+                    worker.local_mut().write(offset + index, new.raw())
                 }
                 Location::Global(chunk, offset) => chunk.write(offset + index, new.raw()),
             }
@@ -108,35 +108,34 @@ pub(crate) fn forward_fields<H: GcHeap>(
     }
 }
 
-/// Calls `visit(heap, offset, header)` on each live object of `vproc`'s
-/// young data, in address order, `offset` being its first payload word. The
-/// visit may rewrite the objects' fields, not their headers.
-pub(crate) fn for_each_young<H: GcHeap>(
-    heap: &mut H,
-    vproc: usize,
-    mut visit: impl FnMut(&mut H, usize, Header),
+/// Calls `visit(worker, offset, header)` on each live object of the
+/// worker's young data, in address order, `offset` being its first payload
+/// word. The visit may rewrite the objects' fields, not their headers.
+pub(crate) fn for_each_young(
+    worker: &mut WorkerHeap,
+    mut visit: impl FnMut(&mut WorkerHeap, usize, Header),
 ) {
-    let (mut at, end) = (heap.local(vproc).young_start(), heap.local(vproc).old_top());
+    let (mut at, end) = (worker.local().young_start(), worker.local().old_top());
     while at < end {
-        let (header, words) = heap.local(vproc).object_at(at);
+        let (header, words) = worker.local().object_at(at);
         if let Some(header) = header {
-            visit(heap, at + 1, header);
+            visit(worker, at + 1, header);
         }
         at += words;
     }
 }
 
 /// Word `index` of the object at `at`, its header slot being word 0.
-fn word_at<H: GcHeap>(heap: &H, at: Location<'_>, index: usize) -> Word {
+fn word_at(worker: &WorkerHeap, at: Location<'_>, index: usize) -> Word {
     match at {
-        Location::Local { vproc, offset } => heap.local(vproc).read(offset - 1 + index),
+        Location::Local { offset, .. } => worker.local().read(offset - 1 + index),
         Location::Global(chunk, offset) => chunk.read(offset - 1 + index),
     }
 }
 
 /// The header of the object at `at`, which must not have been forwarded.
-pub(crate) fn header_at<H: GcHeap>(heap: &H, at: Location<'_>) -> Header {
-    HeaderSlot::decode(word_at(heap, at, 0)).expect_header()
+pub(crate) fn header_at(worker: &WorkerHeap, at: Location<'_>) -> Header {
+    HeaderSlot::decode(word_at(worker, at, 0)).expect_header()
 }
 
 /// Running per-node tally of one collection's promoted bytes.
@@ -253,16 +252,16 @@ impl Collector {
         self.global_pending = false;
     }
 
-    /// True if the global-heap occupancy exceeds the trigger: the larger of
-    /// the configured floor (§3.4: number of vprocs × 32 MB at paper scale)
-    /// and [`GcConfig::global_growth_factor`] × what the last global
-    /// collection left in use. The heap records the latter when it releases
-    /// from-space, so every vproc's collector reads one agreed value.
-    pub fn needs_global<H: GcHeap>(&self, heap: &H) -> bool {
-        let floor = self.config.global_threshold_per_vproc_bytes * heap.num_vprocs();
+    /// True if `global`'s occupancy exceeds the trigger: the larger of the
+    /// configured floor (§3.4: number of vprocs × 32 MB at paper scale) and
+    /// [`GcConfig::global_growth_factor`] × what the last global collection
+    /// left in use. The heap records the latter when it releases from-space,
+    /// so every vproc's collector reads one agreed value.
+    pub fn needs_global(&self, global: &SharedGlobalHeap) -> bool {
+        let floor = self.config.global_threshold_per_vproc_bytes * self.per_vproc.len();
         let proportional =
-            self.config.global_growth_factor * heap.global().bytes_after_last_collection() as f64;
-        heap.global().bytes_in_use() > floor.max(proportional as usize)
+            self.config.global_growth_factor * global.bytes_after_last_collection() as f64;
+        global.bytes_in_use() > floor.max(proportional as usize)
     }
 
     /// Whether the paper's triggers ask for a major collection after the
@@ -278,9 +277,9 @@ impl Collector {
     /// roots than the major one (the threaded backend's watermark) composes
     /// the same three steps itself: [`Collector::minor`],
     /// [`Collector::major_due`], [`GcOutcome::absorb_major`].
-    pub fn collect_local<H: GcHeap>(
+    pub fn collect_local(
         &mut self,
-        heap: &mut H,
+        heap: &mut Heap,
         vproc: usize,
         roots: &mut [Addr],
     ) -> GcOutcome {
@@ -297,8 +296,8 @@ impl Collector {
     ///
     /// Minor collections require no synchronisation with other vprocs
     /// because nothing outside this vproc can point into its nursery (§2.3);
-    /// on the real-threads backend's [`WorkerHeap`](mgc_heap::WorkerHeap)
-    /// this path takes no locks at all.
+    /// on the real-threads backend's [`WorkerHeap`] this path takes no locks
+    /// at all.
     ///
     /// Exactly the roots handed over are visited — the caller may leave out
     /// any root it knows holds no nursery pointer, since a minor collection
@@ -309,57 +308,80 @@ impl Collector {
         vproc: usize,
         roots: &mut [Addr],
     ) -> GcOutcome {
-        let mut scan = Scan::new(self, heap, vproc, COLLECTION_FIXED_NS);
-        let node = heap.local(vproc).node();
+        let worker = heap.worker_mut(vproc);
+        let mut cost = self.cost_for(worker, COLLECTION_FIXED_NS);
+        let outcome = self.minor_on(worker, roots, cost.as_mut());
+        self.maybe_verify(|| heap.verify_violations());
+        GcOutcome {
+            cost: cost.unwrap_or_default(),
+            ..outcome
+        }
+    }
 
-        heap.local_mut(vproc).begin_minor();
+    /// The body of [`Collector::minor`], on the collecting vproc's worker.
+    fn minor_on(
+        &mut self,
+        worker: &mut WorkerHeap,
+        roots: &mut [Addr],
+        cost: Option<&mut GcCost>,
+    ) -> GcOutcome {
+        let vproc = worker.vproc();
+        let node = worker.local().node();
+        let mut scan = Scan::new(self, cost);
+
+        worker.local_mut().begin_minor();
 
         for root in roots.iter_mut().filter(|root| !root.is_null()) {
-            *root = scan.forward_minor(heap, *root);
+            *root = scan.forward_minor(worker, *root);
         }
 
         while let Some(offset) = scan.worklist.pop() {
             let at = Location::Local { vproc, offset };
-            let header = header_at(heap, at);
+            let header = header_at(worker, at);
             scan.charge(|cost| cost.charge_scan(node, header.total_bytes()));
-            forward_fields(heap, at, header, |heap, ptr| scan.forward_minor(heap, ptr));
+            forward_fields(worker, at, header, |worker, ptr| {
+                scan.forward_minor(worker, ptr)
+            });
         }
-        let Scan {
-            copied_bytes, cost, ..
-        } = scan;
+        let copied_bytes = scan.copied_bytes;
 
-        heap.local_mut(vproc).finish_minor();
+        worker.local_mut().finish_minor();
 
         let stats = &mut self.per_vproc[vproc];
         stats.minor_collections += 1;
         stats.minor_copied_bytes += copied_bytes;
         stats.minor_roots_visited += roots.len() as u64;
 
-        let local = heap.local(vproc);
+        let local = worker.local();
         let nursery_fraction = local.nursery_size_words() as f64 / local.size_words() as f64;
-        let triggered_major = nursery_fraction < self.config.nursery_threshold_fraction;
-        let needs_global = self.needs_global(heap);
-
-        let outcome = GcOutcome {
+        GcOutcome {
             kind: CollectionKind::Minor,
-            cost: cost.unwrap_or_default(),
+            cost: GcCost::default(),
             copied_bytes,
             promoted_bytes: 0,
             promoted_bytes_by_node: Vec::new(),
-            triggered_major,
-            needs_global,
-        };
-        self.maybe_verify(heap);
-        outcome
+            triggered_major: nursery_fraction < self.config.nursery_threshold_fraction,
+            needs_global: self.needs_global(worker.global()),
+        }
     }
 
-    pub(crate) fn maybe_verify<H: GcHeap>(&self, heap: &H) {
+    /// The cost record a collection on `worker` charges, starting at
+    /// `fixed_ns`, if the worker charges costs
+    /// ([`WorkerHeap::charges_costs`]). Without one the collection does no
+    /// cost arithmetic at all.
+    pub(crate) fn cost_for(&self, worker: &WorkerHeap, fixed_ns: f64) -> Option<GcCost> {
+        worker.charges_costs().then(|| {
+            let mut cost = GcCost::new(self.num_nodes);
+            cost.charge_cpu(fixed_ns);
+            cost
+        })
+    }
+
+    /// With [`GcConfig::verify_after_gc`], panics on any heap invariant
+    /// `violations` finds.
+    pub(crate) fn maybe_verify(&self, violations: impl FnOnce() -> Vec<InvariantViolation>) {
         if self.config.verify_after_gc {
-            let violations: Vec<String> = heap
-                .verify_violations()
-                .iter()
-                .map(ToString::to_string)
-                .collect();
+            let violations: Vec<String> = violations().iter().map(ToString::to_string).collect();
             assert!(
                 violations.is_empty(),
                 "heap invariant violated after collection: {}",
@@ -369,39 +391,24 @@ impl Collector {
     }
 }
 
-/// One collection's walk over `vproc`'s objects: the copied objects still to
-/// scan, the bytes copied and promoted so far and, on a heap that charges
-/// ([`GcHeap::charges_costs`]), the cost record. On any other heap the walk
-/// does no cost arithmetic at all.
+/// One collection's walk over a worker's objects: the copied objects still
+/// to scan, the bytes copied and promoted so far and, on a worker that
+/// charges ([`WorkerHeap::charges_costs`]), the cost record. Without one the
+/// walk does no cost arithmetic at all.
 pub(crate) struct Scan<'a> {
-    pub(crate) vproc: usize,
     /// A minor collection's copies, by word offset in the local heap.
     worklist: &'a mut Vec<usize>,
     /// Copies in the global heap, by the chunk `evacuate` put each in.
     pub(crate) promoted: &'a mut Vec<(ChunkId, Addr)>,
     pub(crate) tally: &'a mut PromotionTally,
     copied_bytes: u64,
-    pub(crate) cost: Option<GcCost>,
+    cost: Option<&'a mut GcCost>,
 }
 
 impl<'a> Scan<'a> {
-    /// Starts a collection of `vproc` on `heap` over `collector`'s buffers,
-    /// charging `fixed_ns` if the heap charges. This is where every
-    /// collection checks that `heap` serves `vproc`.
-    pub(crate) fn new(
-        collector: &'a mut Collector,
-        heap: &impl GcHeap,
-        vproc: usize,
-        fixed_ns: f64,
-    ) -> Self {
-        heap.assert_serves(vproc);
-        let cost = heap.charges_costs().then(|| {
-            let mut cost = GcCost::new(collector.num_nodes);
-            cost.charge_cpu(fixed_ns);
-            cost
-        });
+    /// Starts a collection over `collector`'s buffers, charging `cost`.
+    pub(crate) fn new(collector: &'a mut Collector, cost: Option<&'a mut GcCost>) -> Self {
         Scan {
-            vproc,
             worklist: &mut collector.worklist,
             promoted: &mut collector.promoted,
             tally: &mut collector.tally,
@@ -412,7 +419,7 @@ impl<'a> Scan<'a> {
 
     /// Runs `charge` on the cost record, if there is one.
     pub(crate) fn charge(&mut self, charge: impl FnOnce(&mut GcCost)) {
-        if let Some(cost) = &mut self.cost {
+        if let Some(cost) = self.cost.as_deref_mut() {
             charge(cost);
         }
     }
@@ -420,9 +427,8 @@ impl<'a> Scan<'a> {
     /// Forwards one pointer for a minor collection: a nursery object is
     /// copied to the old area, anything else is left in place (following the
     /// forwarding pointer an earlier promotion left in the local heap).
-    fn forward_minor<H: GcHeap>(&mut self, heap: &mut H, ptr: Addr) -> Addr {
-        let vproc = self.vproc;
-        let Some(obj) = heap.find(vproc, ptr) else {
+    fn forward_minor(&mut self, worker: &mut WorkerHeap, ptr: Addr) -> Addr {
+        let Some(obj) = worker.find(ptr) else {
             return ptr;
         };
         match (obj.region, obj.slot) {
@@ -431,11 +437,11 @@ impl<'a> Scan<'a> {
                 HeaderSlot::Forwarded(new),
             ) => new,
             (LocalRegion::Nursery, HeaderSlot::Header(header)) => {
-                let (new, bytes) = heap
-                    .evacuate(obj.offset, header, EvacTarget::OldArea { vproc })
+                let (new, bytes) = worker
+                    .evacuate(obj.offset, header, EvacTarget::OldArea)
                     .expect("the Appel reserve always has room for minor-collection survivors");
                 self.copied_bytes += bytes as u64;
-                let local = heap.local(vproc);
+                let local = worker.local();
                 let node = local.node();
                 self.charge(|cost| cost.charge_copy(node, node, bytes));
                 self.worklist.push(new.words_from(local.base()));
@@ -448,19 +454,15 @@ impl<'a> Scan<'a> {
     /// Forwards one pointer towards the global heap, for major collections
     /// and promotions. `include_young` selects whether young data is
     /// promoted too (a major collection keeps it local, §3.3; a promotion
-    /// copies it).
-    pub(crate) fn forward_to_global<H: GcHeap>(
+    /// copies it). A pointer outside the worker's local heap stays.
+    pub(crate) fn forward_to_global(
         &mut self,
-        heap: &mut H,
+        worker: &mut WorkerHeap,
         ptr: Addr,
         include_young: bool,
     ) -> Addr {
-        let vproc = self.vproc;
-        let Some(obj) = heap.find(vproc, ptr) else {
-            // A global pointer stays; another vproc's local object that was
-            // promoted is redirected to its copy.
-            let forwarded = heap.is_local(ptr).then(|| heap.forwarded_to(ptr));
-            return forwarded.flatten().unwrap_or(ptr);
+        let Some(obj) = worker.find(ptr) else {
+            return ptr;
         };
         let header = match obj.slot {
             HeaderSlot::Forwarded(new) => return new,
@@ -474,19 +476,19 @@ impl<'a> Scan<'a> {
         if !promote {
             return ptr;
         }
-        let acquisitions_before = heap.chunk_acquisitions();
-        let (new, bytes) = heap
-            .evacuate(obj.offset, header, EvacTarget::GlobalCurrent { vproc })
+        let leases = worker.stats().chunk_acquisitions;
+        let (new, bytes) = worker
+            .evacuate(obj.offset, header, EvacTarget::GlobalCurrent)
             .expect("global-heap allocation for promotion cannot fail");
-        if let Some(cost) = &mut self.cost {
-            if heap.chunk_acquisitions() > acquisitions_before {
+        if let Some(cost) = self.cost.as_deref_mut() {
+            if worker.stats().chunk_acquisitions > leases {
                 // Acquiring a chunk is the synchronisation point of §3.3.
                 cost.charge_cpu(CHUNK_ACQUIRE_NS);
             }
-            cost.charge_copy(heap.local(vproc).node(), heap.node_of(new), bytes);
+            cost.charge_copy(worker.local().node(), worker.node_of(new), bytes);
         }
-        let chunk = heap
-            .promotion_chunk(vproc)
+        let chunk = worker
+            .promotion_chunk()
             .expect("a promotion leaves a current chunk");
         self.promoted.push((chunk, new));
         new
@@ -527,7 +529,7 @@ pub(crate) mod tests {
         let new_holder = roots[0];
         assert_eq!(heap.space_of(new_holder), Space::LocalYoung { vproc: 0 });
         let new_live = Addr::new(heap.read_field(new_holder, 0));
-        assert_eq!(heap.payload(new_live), vec![1, 2]);
+        assert_eq!(heap.locate(new_live).payload(), vec![1, 2]);
         assert_eq!(heap.space_of(new_live), Space::LocalYoung { vproc: 0 });
         // Nursery is empty again.
         assert_eq!(heap.local(0).nursery_used_words(), 0);
@@ -643,8 +645,8 @@ pub(crate) mod tests {
         // A clean collection passes; its survivor is young data now.
         collector.minor(&mut w0, 0, &mut roots);
         assert_eq!(w0.space_of(roots[0]), Space::LocalYoung { vproc: 0 });
-        let offset = w0.local(0).offset_of(roots[0]);
-        w0.local_mut(0).write(offset, foreign.raw());
+        let offset = w0.local().offset_of(roots[0]);
+        w0.local_mut().write(offset, foreign.raw());
         collector.minor(&mut w0, 0, &mut roots);
     }
 

@@ -146,7 +146,7 @@ impl Collector {
         self.vproc_stats_mut(0).global_copied_bytes += copied_bytes;
 
         self.clear_global_pending();
-        self.maybe_verify(heap);
+        self.maybe_verify(|| heap.verify_violations());
 
         GlobalOutcome {
             per_vproc_cost: costs,
@@ -289,8 +289,8 @@ pub fn scan_young_fields(worker: &mut WorkerHeap, state: &ParallelGcState) {
 /// copies, to `cost` when one is given.
 fn scan_young(worker: &mut WorkerHeap, state: &ParallelGcState, mut cost: Option<&mut GcCost>) {
     let vproc = worker.vproc();
-    let node = worker.local(vproc).node();
-    for_each_young(worker, vproc, |worker, offset, header| {
+    let node = worker.local().node();
+    for_each_young(worker, |worker, offset, header| {
         if let Some(cost) = cost.as_deref_mut() {
             cost.charge_scan(node, header.total_bytes());
         }
@@ -555,7 +555,7 @@ mod tests {
         let holder_v1 = roots[1][0];
         let from_v1 = Addr::new(heap.read_field(holder_v1, 0));
         assert_eq!(from_v0, from_v1);
-        assert_eq!(heap.payload(from_v0), vec![7, 8, 9]);
+        assert_eq!(heap.locate(from_v0).payload(), vec![7, 8, 9]);
         assert!(mgc_heap::verify_heap(&heap).is_empty());
     }
 
@@ -601,7 +601,7 @@ mod tests {
                 continue;
             };
             let (promoted, outcome) = collector.promote(heap, 0, obj);
-            assert_eq!(outcome.needs_global, collector.needs_global(heap));
+            assert_eq!(outcome.needs_global, collector.needs_global(heap.global()));
             roots.push(promoted);
         }
         panic!("sustained promotion must eventually satisfy the condition");
@@ -612,12 +612,12 @@ mod tests {
         let (mut heap, mut collector) = setup(1);
         let floor = collector.config().global_threshold_per_vproc_bytes;
         let chunk = heap.global().chunk_size_bytes();
-        let tripped = |c: &Collector, h: &Heap| c.needs_global(h);
+        let tripped = |c: &Collector, h: &Heap| c.needs_global(h.global());
         let mut roots = vec![Vec::new()];
 
         // An empty heap, and a heap no collection has run on yet (nothing
         // retained to scale), trip at the floor.
-        assert!(!collector.needs_global(&heap));
+        assert!(!collector.needs_global(heap.global()));
         promote_live_until(&mut heap, &mut collector, &mut roots[0], tripped);
         let in_use = heap.global().bytes_in_use();
         assert!(in_use > floor && in_use <= floor + chunk, "{in_use}");
@@ -642,10 +642,10 @@ mod tests {
             1,
             2,
         );
-        assert!(fixed.needs_global(&heap));
+        assert!(fixed.needs_global(heap.global()));
 
         // The proportional rule waits until occupancy has doubled.
-        assert!(!collector.needs_global(&heap));
+        assert!(!collector.needs_global(heap.global()));
         promote_live_until(&mut heap, &mut collector, &mut roots[0], tripped);
         let in_use = heap.global().bytes_in_use();
         assert!(
@@ -661,7 +661,7 @@ mod tests {
         let outcome = collector.global(&mut heap, &mut roots);
         assert_eq!(outcome.copied_bytes, 0);
         assert!(mgc_heap::verify_heap(&heap).is_empty());
-        assert!(!collector.needs_global(&heap));
+        assert!(!collector.needs_global(heap.global()));
     }
 
     #[test]
@@ -826,15 +826,15 @@ mod tests {
                 .unwrap()
         };
         let check = |w: &WorkerHeap, root: Addr, tag: Word| {
-            let header = w.header_of(root);
+            let header = w.locate(root).header();
             assert_eq!((header.kind, header.len_words), (shape.kind(), 5));
             assert_eq!(w.read_field(root, 1), 0xAAAA);
             assert_eq!(w.read_field(root, 3), 0xBBBB);
             assert_eq!(w.read_field(root, 4), 0);
             let one = Addr::new(w.read_field(root, 0));
-            assert_eq!(w.header_of(one).kind, ObjectKind::Raw);
-            assert_eq!(w.payload(one), vec![tag]);
-            assert_eq!(w.payload(Addr::new(w.read_field(root, 2))), big);
+            assert_eq!(w.locate(one).header().kind, ObjectKind::Raw);
+            assert_eq!(w.locate(one).payload(), vec![tag]);
+            assert_eq!(w.locate(Addr::new(w.read_field(root, 2))).payload(), big);
         };
 
         // Graph A: nursery -> young (minor) -> old (the next minor).
@@ -872,9 +872,12 @@ mod tests {
             outcome.promoted_bytes,
             ((1 + 1) + (big.len() + 1) + (5 + 1)) as u64 * 8
         );
-        assert_eq!(w.forwarded_to(local_b), Some(promoted));
+        assert_eq!(
+            w.locate(local_b).header_slot().forwarded_to(),
+            Some(promoted)
+        );
         check(&w, promoted, 72);
-        let walked: Vec<Addr> = w.local(0).nursery_objects().map(|(a, _)| a).collect();
+        let walked: Vec<Addr> = w.local().nursery_objects().map(|(a, _)| a).collect();
         assert_eq!(walked, vec![bystander]);
 
         // Global -> global: the parallel collection's from-space copy.
@@ -942,7 +945,7 @@ mod tests {
         assert!(scan_pass(&mut w, &state), "the new object is scanned");
         assert_eq!(reused.scan(), 3, "and nothing past it");
         assert_eq!(state.copied_bytes.load(Ordering::Relaxed), 0);
-        assert_eq!(w.payload(fresh), vec![1, 2]);
+        assert_eq!(w.locate(fresh).payload(), vec![1, 2]);
     }
 
     #[test]
@@ -1075,7 +1078,7 @@ mod tests {
         let live_after_second = live_bytes_upper_bound(&heap);
         assert_eq!(live_after_first, live_after_second);
         assert_eq!(heap.global().bytes_after_last_collection(), retained_first);
-        assert!(!collector.needs_global(&heap));
+        assert!(!collector.needs_global(heap.global()));
         for (vproc, expected) in copied_first.iter().enumerate() {
             assert_eq!(&list_values(&heap, roots[vproc][0]), expected);
         }

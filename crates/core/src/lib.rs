@@ -41,7 +41,8 @@
 //! let outcome = collector.minor(&mut heap, 0, &mut roots);
 //! assert!(outcome.copied_bytes > 0);
 //! // The root was rewritten to the surviving copy.
-//! assert_eq!(heap.payload(mgc_heap::Addr::new(heap.read_field(roots[0], 0))), vec![42]);
+//! let leaf = mgc_heap::Addr::new(heap.read_field(roots[0], 0));
+//! assert_eq!(heap.locate(leaf).payload(), vec![42]);
 //! # Ok::<(), mgc_heap::HeapError>(())
 //! ```
 

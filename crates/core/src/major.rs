@@ -14,9 +14,9 @@
 //! invariants).
 
 use crate::collector::{for_each_young, forward_fields, header_at, Collector, GcOutcome, Scan};
-use crate::cost::COLLECTION_FIXED_NS;
+use crate::cost::{GcCost, COLLECTION_FIXED_NS};
 use crate::stats::CollectionKind;
-use mgc_heap::{Addr, GcHeap, HeaderSlot, Location};
+use mgc_heap::{Addr, GcHeap, HeaderSlot, Location, WorkerHeap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -25,7 +25,10 @@ impl Collector {
     ///
     /// The nursery must be empty — in the paper a major collection is always
     /// triggered at the end of a minor collection, so this holds by
-    /// construction; [`Collector::collect_local`] preserves it.
+    /// construction; [`Collector::collect_local`] preserves it. A root into
+    /// another vproc's local heap whose object was promoted is redirected to
+    /// the copy first ([`GcHeap::redirect_foreign_roots`]); the collection
+    /// itself leaves every pointer outside `vproc`'s local heap alone.
     ///
     /// # Panics
     ///
@@ -36,8 +39,26 @@ impl Collector {
         vproc: usize,
         roots: &mut [Addr],
     ) -> GcOutcome {
-        let mut scan = Scan::new(self, heap, vproc, COLLECTION_FIXED_NS);
-        let local = heap.local(vproc);
+        heap.redirect_foreign_roots(vproc, roots);
+        let worker = heap.worker_mut(vproc);
+        let mut cost = self.cost_for(worker, COLLECTION_FIXED_NS);
+        let outcome = self.major_on(worker, roots, cost.as_mut());
+        self.maybe_verify(|| heap.verify_violations());
+        GcOutcome {
+            cost: cost.unwrap_or_default(),
+            ..outcome
+        }
+    }
+
+    /// The body of [`Collector::major`], on the collecting vproc's worker.
+    fn major_on(
+        &mut self,
+        worker: &mut WorkerHeap,
+        roots: &mut [Addr],
+        cost: Option<&mut GcCost>,
+    ) -> GcOutcome {
+        let mut scan = Scan::new(self, cost);
+        let local = worker.local();
         assert_eq!(
             local.nursery_used_words(),
             0,
@@ -51,45 +72,42 @@ impl Collector {
 
         // --- Phase 1: evacuate old data reachable from the roots. ---------
         for root in roots.iter_mut().filter(|root| !root.is_null()) {
-            *root = scan.forward_to_global(heap, *root, false);
+            *root = scan.forward_to_global(worker, *root, false);
         }
 
         // --- Phase 2: the young data acts as an additional root set. ------
-        scan.walk_young(heap, &young, slide);
+        scan.walk_young(worker, &young, slide);
 
         // --- Phase 3: Cheney drain of the freshly promoted objects. -------
-        scan.drain_to_global(heap, false);
+        scan.drain_to_global(worker, false);
 
         // --- Phase 4: slide the young data to the bottom (Figure 3). ------
         // Its fields already point where the slide puts their objects.
         let young_bytes = young.end.raw() - young.start.raw();
         if slide > 0 {
-            heap.local_mut(vproc).slide_young_to_bottom();
+            worker.local_mut().slide_young_to_bottom();
             for root in roots.iter_mut().filter(|root| young.contains(root)) {
                 *root = Addr::new(root.raw() - slide);
             }
             scan.charge(|cost| cost.charge_copy(local_node, local_node, young_bytes as usize));
         }
         let (promoted_bytes, promoted_bytes_by_node) = scan.tally.take();
-        let cost = scan.cost;
 
-        heap.local_mut(vproc).finish_major();
+        worker.local_mut().finish_major();
 
-        let stats = self.vproc_stats_mut(vproc);
+        let stats = self.vproc_stats_mut(worker.vproc());
         stats.major_collections += 1;
         stats.major_promoted_bytes += promoted_bytes;
 
-        let outcome = GcOutcome {
+        GcOutcome {
             kind: CollectionKind::Major,
-            cost: cost.unwrap_or_default(),
+            cost: GcCost::default(),
             copied_bytes: young_bytes,
             promoted_bytes,
             promoted_bytes_by_node,
             triggered_major: false,
-            needs_global: self.needs_global(heap),
-        };
-        self.maybe_verify(heap);
-        outcome
+            needs_global: self.needs_global(worker.global()),
+        }
     }
 
     /// Promotes the object graph rooted at `obj` to the global heap and
@@ -105,30 +123,43 @@ impl Collector {
         vproc: usize,
         obj: Addr,
     ) -> (Addr, GcOutcome) {
-        let mut scan = Scan::new(self, heap, vproc, 0.0);
+        let worker = heap.worker_mut(vproc);
+        let mut cost = self.cost_for(worker, 0.0);
+        let (new, outcome) = self.promote_on(worker, obj, cost.as_mut());
+        self.maybe_verify(|| heap.verify_violations());
+        let cost = cost.unwrap_or_default();
+        (new, GcOutcome { cost, ..outcome })
+    }
+
+    /// The body of [`Collector::promote`], on the promoting vproc's worker.
+    fn promote_on(
+        &mut self,
+        worker: &mut WorkerHeap,
+        obj: Addr,
+        cost: Option<&mut GcCost>,
+    ) -> (Addr, GcOutcome) {
+        let mut scan = Scan::new(self, cost);
         let new = if obj.is_null() {
             obj
         } else {
-            scan.forward_to_global(heap, obj, true)
+            scan.forward_to_global(worker, obj, true)
         };
-        scan.drain_to_global(heap, true);
+        scan.drain_to_global(worker, true);
         let (promoted_bytes, promoted_bytes_by_node) = scan.tally.take();
-        let cost = scan.cost;
 
-        let stats = self.vproc_stats_mut(vproc);
+        let stats = self.vproc_stats_mut(worker.vproc());
         stats.promotions += 1;
         stats.promotion_bytes += promoted_bytes;
 
         let outcome = GcOutcome {
             kind: CollectionKind::Promotion,
-            cost: cost.unwrap_or_default(),
+            cost: GcCost::default(),
             copied_bytes: 0,
             promoted_bytes,
             promoted_bytes_by_node,
             triggered_major: false,
-            needs_global: self.needs_global(heap),
+            needs_global: self.needs_global(worker.global()),
         };
-        self.maybe_verify(heap);
         (new, outcome)
     }
 }
@@ -141,18 +172,17 @@ impl Scan<'_> {
     /// where the slide will put its object, `slide` bytes lower (or to the
     /// global copy an earlier promotion left); any other field is forwarded
     /// to the global heap.
-    fn walk_young<H: GcHeap>(&mut self, heap: &mut H, young: &Range<Addr>, slide: u64) {
-        let vproc = self.vproc;
-        let local = heap.local(vproc);
-        let (base, node) = (local.base(), local.node());
-        for_each_young(heap, vproc, |heap, offset, header| {
+    fn walk_young(&mut self, worker: &mut WorkerHeap, young: &Range<Addr>, slide: u64) {
+        let vproc = worker.vproc();
+        let (base, node) = (worker.local().base(), worker.local().node());
+        for_each_young(worker, |worker, offset, header| {
             self.charge(|cost| cost.charge_scan(node, header.total_bytes()));
             let at = Location::Local { vproc, offset };
-            forward_fields(heap, at, header, |heap, ptr| {
+            forward_fields(worker, at, header, |worker, ptr| {
                 if !young.contains(&ptr) {
-                    return self.forward_to_global(heap, ptr, false);
+                    return self.forward_to_global(worker, ptr, false);
                 }
-                let slot = heap.local(vproc).read(ptr.words_from(base) - 1);
+                let slot = worker.local().read(ptr.words_from(base) - 1);
                 match HeaderSlot::decode(slot) {
                     HeaderSlot::Forwarded(new) => new,
                     HeaderSlot::Header(_) => Addr::new(ptr.raw() - slide),
@@ -164,22 +194,22 @@ impl Scan<'_> {
     /// Cheney-scans the freshly promoted global objects, each where
     /// `evacuate` put it, promoting whatever local objects they still point
     /// to, and tallies each one's bytes on its node.
-    fn drain_to_global<H: GcHeap>(&mut self, heap: &mut H, include_young: bool) {
+    fn drain_to_global(&mut self, worker: &mut WorkerHeap, include_young: bool) {
         if self.promoted.is_empty() {
             return;
         }
-        // The chunks are borrowed from this handle, not from `heap`, so they
-        // outlive the mutable uses of `heap` that scanning makes.
-        let global = Arc::clone(heap.global());
+        // The chunks are borrowed from this handle, not from `worker`, so
+        // they outlive the mutable uses of `worker` that scanning makes.
+        let global = Arc::clone(worker.global());
         while let Some((id, obj)) = self.promoted.pop() {
             let chunk = global.chunk(id);
             let at = Location::Global(chunk, obj.words_from(chunk.base()));
-            let header = header_at(heap, at);
+            let header = header_at(worker, at);
             let bytes = header.total_bytes();
             self.tally.add(chunk.node(), bytes as u64);
             self.charge(|cost| cost.charge_scan(chunk.node(), bytes));
-            forward_fields(heap, at, header, |heap, ptr| {
-                self.forward_to_global(heap, ptr, include_young)
+            forward_fields(worker, at, header, |worker, ptr| {
+                self.forward_to_global(worker, ptr, include_young)
             });
         }
     }
@@ -242,7 +272,7 @@ mod tests {
         // Its field now points at the global copy of the old object.
         let promoted = Addr::new(heap.read_field(young_now, 0));
         assert!(heap.is_global(promoted));
-        assert_eq!(heap.payload(promoted), vec![111]);
+        assert_eq!(heap.locate(promoted).payload(), vec![111]);
         assert_eq!(collector.vproc_stats(0).major_collections, 1);
     }
 
@@ -301,7 +331,7 @@ mod tests {
         let mut roots = vec![young, Addr::NULL];
         collector.minor(heap, 0, &mut roots);
         let (young, leaf) = (roots[0], Addr::new(heap.read_field(roots[0], 0)));
-        let slide = (heap.local(0).young_start() * mgc_heap::WORD_BYTES) as u64;
+        let slide = (heap.worker_mut(0).local().young_start() * mgc_heap::WORD_BYTES) as u64;
         assert!(slide > 0, "the old data lies below the young data");
         let mut before = Vec::new();
         graph(heap, young, &mut before);
@@ -348,7 +378,7 @@ mod tests {
         let (global_leaf, _) = collector.promote(&mut heap, 0, leaf);
         collector.major(&mut heap, 0, &mut roots);
         assert_eq!(Addr::new(heap.read_field(roots[0], 0)), global_leaf);
-        assert_eq!(heap.payload(global_leaf), vec![2]);
+        assert_eq!(heap.locate(global_leaf).payload(), vec![2]);
     }
 
     /// Vproc 1 allocates two objects and promotes the second, leaving a
@@ -411,7 +441,7 @@ mod tests {
         })
         .contains(expected));
         // Nothing was collected or moved.
-        assert_eq!(w0.forwarded_to(obj), None);
+        assert_eq!(w0.locate(obj).header_slot().forwarded_to(), None);
         assert_eq!(collector.aggregate_stats(), GcStats::new());
     }
 
@@ -449,10 +479,13 @@ mod tests {
         let f1 = Addr::new(heap.read_field(promoted, 1));
         assert_eq!(f0, f1);
         assert!(heap.is_global(f0));
-        assert_eq!(heap.payload(f0), vec![7, 8]);
+        assert_eq!(heap.locate(f0).payload(), vec![7, 8]);
         // The local originals forward to the copies.
-        assert_eq!(heap.forwarded_to(root_obj), Some(promoted));
-        assert_eq!(heap.forwarded_to(leaf), Some(f0));
+        assert_eq!(
+            heap.locate(root_obj).header_slot().forwarded_to(),
+            Some(promoted)
+        );
+        assert_eq!(heap.locate(leaf).header_slot().forwarded_to(), Some(f0));
         assert_eq!(collector.vproc_stats(0).promotions, 1);
     }
 
@@ -483,7 +516,7 @@ mod tests {
         // because the target is global.
         heap.alloc_vector(1, &[promoted.raw()]).unwrap();
         assert!(mgc_heap::verify_heap(&heap).is_empty());
-        assert_eq!(heap.payload(promoted), vec![99, 100]);
+        assert_eq!(heap.locate(promoted).payload(), vec![99, 100]);
     }
 
     #[test]

@@ -158,7 +158,7 @@ struct Run {
 fn run<M: Machine>(fill: fn(usize) -> Word) -> Run {
     poison(fill);
     let mut heap = M::build();
-    let local = heap.local(0);
+    let local = heap.worker_mut(0).local();
     let last = local.size_words() - 1;
     assert_eq!(local.read(last), fill(last), "the local heap is recycled");
 

@@ -9,10 +9,9 @@
 
 use crate::addr::{Addr, Word};
 use crate::chunk::ChunkId;
-use crate::descriptor::{Descriptor, DescriptorId, DescriptorTable, PointerFields};
+use crate::descriptor::{Descriptor, DescriptorId, DescriptorTable};
 use crate::error::HeapError;
 use crate::gc_heap::GcHeap;
-use crate::header::{Header, HeaderSlot};
 use crate::local::LocalHeap;
 use crate::shared::{
     Location, Place, Resolved, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap,
@@ -236,20 +235,15 @@ impl Space {
     }
 }
 
-/// Target space for an object evacuation performed by the collector.
+/// Target space for an object evacuation performed by the collector
+/// ([`WorkerHeap::evacuate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvacTarget {
-    /// Copy to the end of the vproc's old-data area (minor collection).
-    OldArea {
-        /// The vproc whose local heap receives the copy.
-        vproc: usize,
-    },
-    /// Copy to the vproc's current global-heap chunk (major collection and
+    /// Copy to the end of the worker's old-data area (minor collection).
+    OldArea,
+    /// Copy to the worker's current global-heap chunk (major collection and
     /// promotion).
-    GlobalCurrent {
-        /// The vproc whose current chunk receives the copy.
-        vproc: usize,
-    },
+    GlobalCurrent,
 }
 
 /// Heap-wide counters.
@@ -269,9 +263,11 @@ pub struct HeapStats {
 /// one classifies the address once and goes to the worker that owns it
 /// (global addresses to worker 0 — every worker reads the global heap alike).
 ///
-/// The collector-facing operations, the object readers and the mutator's
-/// read path ([`GcHeap::resolve`]) are its [`GcHeap`] implementation;
-/// [`Heap::read_field`] is inherent as well.
+/// A collection of vproc `v` runs on `workers[v]` ([`GcHeap::worker_mut`]);
+/// the whole machine takes part only around it, through its [`GcHeap`]
+/// implementation: the foreign roots a major collection redirects
+/// ([`GcHeap::redirect_foreign_roots`]) and the invariant walk over every
+/// heap afterwards ([`GcHeap::verify_violations`]).
 #[derive(Debug)]
 pub struct Heap {
     layout: ThreadedLayout,
@@ -369,9 +365,26 @@ impl Heap {
         id
     }
 
-    /// Mutably borrow a vproc's view of the heap.
-    pub fn worker_mut(&mut self, vproc: usize) -> &mut WorkerHeap {
-        &mut self.workers[vproc]
+    /// A vproc's view of the heap.
+    pub fn worker(&self, vproc: usize) -> &WorkerHeap {
+        &self.workers[vproc]
+    }
+
+    /// Number of vprocs sharing this heap.
+    pub fn num_vprocs(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Borrow a vproc's local heap.
+    #[inline]
+    pub fn local(&self, vproc: usize) -> &LocalHeap {
+        self.workers[vproc].local()
+    }
+
+    /// Mutably borrow a vproc's local heap.
+    #[inline]
+    pub fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
+        self.workers[vproc].local_mut()
     }
 
     /// Classifies `addr` once: the index of the worker an access to it goes
@@ -400,15 +413,28 @@ impl Heap {
         }
     }
 
-    /// Reads payload field `index` of the object at `obj`.
+    /// Locates the object at `obj` in the worker that owns it
+    /// ([`WorkerHeap::locate`]).
     ///
     /// # Panics
     ///
     /// Panics if `obj` is unmapped.
     #[inline]
-    pub fn read_field(&self, obj: Addr, index: usize) -> Word {
+    pub fn locate(&self, obj: Addr) -> Place<'_> {
         let (worker, owner) = self.owner_of(obj);
-        self.workers[worker].place(owner, obj).read(index)
+        self.workers[worker].place(owner, obj)
+    }
+
+    /// Which space `addr` belongs to.
+    pub fn space_of(&self, addr: Addr) -> Space {
+        let (worker, owner) = self.owner_of(addr);
+        self.workers[worker].space_at(owner, addr)
+    }
+
+    /// The NUMA node whose memory backs `addr`.
+    pub fn node_of(&self, addr: Addr) -> NodeId {
+        let (worker, owner) = self.owner_of(addr);
+        self.workers[worker].node_at(owner, addr)
     }
 
     // ------------------------------------------------------------------
@@ -504,24 +530,22 @@ impl Heap {
 }
 
 impl GcHeap for Heap {
-    fn num_vprocs(&self) -> usize {
-        self.workers.len()
-    }
-
     #[inline]
-    fn local(&self, vproc: usize) -> &LocalHeap {
-        self.workers[vproc].local(vproc)
+    fn worker_mut(&mut self, vproc: usize) -> &mut WorkerHeap {
+        &mut self.workers[vproc]
     }
 
-    #[inline]
-    fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
-        self.workers[vproc].local_mut(vproc)
-    }
-
-    /// The memory model charges every collection (the runtime's
-    /// `charge_gc_cost`).
-    fn charges_costs(&self) -> bool {
-        true
+    /// The simulated machine hands every vproc's local collection its
+    /// shared roots (`Machine::gather_roots`): join slots, continuations,
+    /// channel queues and proxies, some of them in other vprocs' heaps.
+    fn redirect_foreign_roots(&self, vproc: usize, roots: &mut [Addr]) {
+        for root in roots.iter_mut() {
+            let (worker, owner) = self.owner_of(*root);
+            if matches!(owner, ThreadedOwner::Local(v) if v != vproc) {
+                let slot = self.workers[worker].place(owner, *root).header_slot();
+                *root = slot.forwarded_to().unwrap_or(*root);
+            }
+        }
     }
 
     /// The simulated backend's read path: the address is classified once,
@@ -538,11 +562,6 @@ impl GcHeap for Heap {
         self.workers[worker].resolve_from(global, owner, addr, global_may_forward)
     }
 
-    fn space_of(&self, addr: Addr) -> Space {
-        let (worker, owner) = self.owner_of(addr);
-        self.workers[worker].space_at(owner, addr)
-    }
-
     #[inline]
     fn is_local(&self, addr: Addr) -> bool {
         matches!(self.layout.owner_of(addr), ThreadedOwner::Local(_))
@@ -553,44 +572,12 @@ impl GcHeap for Heap {
         matches!(self.layout.owner_of(addr), ThreadedOwner::Global { .. })
     }
 
-    fn node_of(&self, addr: Addr) -> NodeId {
-        let (worker, owner) = self.owner_of(addr);
-        self.workers[worker].node_at(owner, addr)
-    }
-
-    #[inline]
-    fn header_slot(&self, obj: Addr) -> HeaderSlot {
-        let (worker, owner) = self.owner_of(obj);
-        self.workers[worker].place(owner, obj).header_slot()
-    }
-
+    /// # Panics
+    ///
+    /// Panics if `obj` is unmapped.
     #[inline]
     fn read_field(&self, obj: Addr, index: usize) -> Word {
-        Heap::read_field(self, obj, index)
-    }
-
-    #[inline]
-    fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
-        self.workers[0].pointer_field_indices(header)
-    }
-
-    fn evacuate(
-        &mut self,
-        offset: usize,
-        header: Header,
-        target: EvacTarget,
-    ) -> Result<(Addr, usize), HeapError> {
-        let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
-        self.workers[vproc].evacuate(offset, header, target)
-    }
-
-    #[inline]
-    fn promotion_chunk(&self, vproc: usize) -> Option<ChunkId> {
-        self.workers[vproc].promotion_chunk(vproc)
-    }
-
-    fn chunk_acquisitions(&self) -> u64 {
-        self.global.chunk_acquisitions()
+        self.locate(obj).read(index)
     }
 
     fn global(&self) -> &Arc<SharedGlobalHeap> {
@@ -606,7 +593,7 @@ impl GcHeap for Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::ObjectKind;
+    use crate::header::{Header, ObjectKind};
     use crate::object::i64_to_word;
     use crate::shared::SharedChunkState;
 
@@ -651,7 +638,7 @@ mod tests {
         for vproc in 0..2 {
             let node = NodeId::new(vproc as u16);
             let worker = WorkerHeap::new(vproc, layout, node, global.clone(), table.clone());
-            let (sim, threaded) = (heap.local(vproc), worker.local(vproc));
+            let (sim, threaded) = (heap.local(vproc), worker.local());
             assert_eq!(sim.size_bytes(), 20 * 1024);
             assert_eq!(sim.size_words(), threaded.size_words());
             assert_eq!(sim.base(), threaded.base());
@@ -736,7 +723,7 @@ mod tests {
         for _ in 0..8 {
             heap.alloc_in_global(1, header, &[7]).unwrap();
         }
-        assert_eq!(heap.promotion_chunk(1), Some(chunk));
+        assert_eq!(heap.worker(1).promotion_chunk(), Some(chunk));
         assert_eq!(heap.stats().chunk_acquisitions, 1);
     }
 
@@ -745,10 +732,10 @@ mod tests {
         let mut heap = two_vproc_heap();
         let obj = heap.alloc_raw(0, &[1, 2, 3]).unwrap();
         assert_eq!(heap.space_of(obj), Space::LocalNursery { vproc: 0 });
-        assert_eq!(heap.header_of(obj).len_words, 3);
-        assert_eq!(heap.payload(obj), vec![1, 2, 3]);
+        assert_eq!(heap.locate(obj).header().len_words, 3);
+        assert_eq!(heap.locate(obj).payload(), vec![1, 2, 3]);
         assert_eq!(heap.read_field(obj, 2), 3);
-        assert_eq!(heap.object_bytes(obj), 32);
+        assert_eq!(heap.locate(obj).header().total_bytes(), 32);
         assert_eq!(heap.node_of(obj), NodeId::new(0));
     }
 
@@ -757,8 +744,12 @@ mod tests {
         let mut heap = two_vproc_heap();
         let a = heap.alloc_raw(0, &[i64_to_word(42)]).unwrap();
         let v = heap.alloc_vector(0, &[a.raw(), 0]).unwrap();
-        let header = heap.header_of(v);
-        assert!(heap.pointer_field_indices(header).unwrap().eq([0, 1]));
+        let header = heap.locate(v).header();
+        assert!(heap
+            .worker(0)
+            .pointer_field_indices(header)
+            .unwrap()
+            .eq([0, 1]));
     }
 
     #[test]
@@ -767,8 +758,12 @@ mod tests {
         let desc = heap.register_descriptor(Descriptor::new("pair", 2, 0b10));
         let a = heap.alloc_raw(0, &[7]).unwrap();
         let obj = heap.alloc_mixed(0, desc, &[5, a.raw()]).unwrap();
-        let header = heap.header_of(obj);
-        assert!(heap.pointer_field_indices(header).unwrap().eq([1]));
+        let header = heap.locate(obj).header();
+        assert!(heap
+            .worker(0)
+            .pointer_field_indices(header)
+            .unwrap()
+            .eq([1]));
         // Wrong payload size is rejected.
         assert!(matches!(
             heap.alloc_mixed(0, desc, &[1]),
@@ -776,12 +771,12 @@ mod tests {
         ));
     }
 
-    /// Evacuates the object at `obj`, in `target`'s vproc's local heap.
-    fn evacuate(heap: &mut Heap, obj: Addr, target: EvacTarget) -> (Addr, usize) {
-        let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
-        let found = heap.find(vproc, obj).unwrap();
+    /// Evacuates the object at `obj`, in `vproc`'s local heap, to `target`.
+    fn evacuate(heap: &mut Heap, vproc: usize, obj: Addr, target: EvacTarget) -> (Addr, usize) {
+        let worker = heap.worker_mut(vproc);
+        let found = worker.find(obj).unwrap();
         let header = found.slot.expect_header();
-        heap.evacuate(found.offset, header, target).unwrap()
+        worker.evacuate(found.offset, header, target).unwrap()
     }
 
     #[test]
@@ -789,10 +784,10 @@ mod tests {
         let mut heap = two_vproc_heap();
         let obj = heap.alloc_raw(0, &[9, 8]).unwrap();
         heap.local_mut(0).begin_minor();
-        let (copy, bytes) = evacuate(&mut heap, obj, EvacTarget::OldArea { vproc: 0 });
+        let (copy, bytes) = evacuate(&mut heap, 0, obj, EvacTarget::OldArea);
         assert_eq!(bytes, 24);
-        assert_eq!(heap.forwarded_to(obj), Some(copy));
-        assert_eq!(heap.payload(copy), vec![9, 8]);
+        assert_eq!(heap.locate(obj).header_slot().forwarded_to(), Some(copy));
+        assert_eq!(heap.locate(copy).payload(), vec![9, 8]);
         assert_eq!(heap.space_of(copy), Space::LocalYoung { vproc: 0 });
         assert_eq!(heap.stats().evacuated_words, 3);
     }
@@ -801,10 +796,10 @@ mod tests {
     fn evacuate_to_global_uses_current_chunk() {
         let mut heap = two_vproc_heap();
         let obj = heap.alloc_raw(1, &[4]).unwrap();
-        let (copy, _) = evacuate(&mut heap, obj, EvacTarget::GlobalCurrent { vproc: 1 });
+        let (copy, _) = evacuate(&mut heap, 1, obj, EvacTarget::GlobalCurrent);
         assert!(heap.is_global(copy));
         assert_eq!(heap.node_of(copy), NodeId::new(1));
-        assert_eq!(heap.payload(copy), vec![4]);
+        assert_eq!(heap.locate(copy).payload(), vec![4]);
         assert_eq!(heap.stats().chunk_acquisitions, 1);
     }
 
@@ -818,7 +813,7 @@ mod tests {
         assert!(heap.place_of(found.location).is_local());
         // Promote vproc 1's object into a chunk on node 0.
         heap.set_promotion_target(1, NodeId::new(0));
-        let (copy, _) = evacuate(&mut heap, obj, EvacTarget::GlobalCurrent { vproc: 1 });
+        let (copy, _) = evacuate(&mut heap, 1, obj, EvacTarget::GlobalCurrent);
         let found = heap.resolve(&global, obj, false);
         assert_eq!((found.addr, found.node), (copy, NodeId::new(0)));
         let place = heap.place_of(found.location);
@@ -834,11 +829,11 @@ mod tests {
         let big = vec![0u64; chunk_words - 2];
         let header = Header::new(ObjectKind::Raw, big.len() as u64).encode();
         heap.alloc_in_global(0, header, &big).unwrap();
-        let first = heap.promotion_chunk(0).unwrap();
+        let first = heap.worker(0).promotion_chunk().unwrap();
         // This one does not fit; a fresh chunk is acquired transparently.
         let header2 = Header::new(ObjectKind::Raw, 4).encode();
         let obj = heap.alloc_in_global(0, header2, &[1, 2, 3, 4]).unwrap();
-        let second = heap.promotion_chunk(0).unwrap();
+        let second = heap.worker(0).promotion_chunk().unwrap();
         assert_ne!(first, second);
         assert_eq!(heap.space_of(obj), Space::Global { chunk: second });
         assert_eq!(heap.global().chunk(first).state(), SharedChunkState::Filled);
@@ -880,7 +875,7 @@ mod tests {
         let mut heap = two_vproc_heap();
         let chunk = heap.fresh_current_chunk(0);
         heap.retire_current_chunk(0);
-        assert_eq!(heap.promotion_chunk(0), None);
+        assert_eq!(heap.worker(0).promotion_chunk(), None);
         assert_eq!(heap.global().chunk(chunk).state(), SharedChunkState::Filled);
     }
 

@@ -33,7 +33,7 @@
 //! let mut heap = Heap::new(HeapConfig::small_for_tests(), &[NodeId::new(0), NodeId::new(1)], 2);
 //! let point = heap.alloc_raw(0, &[1, 2, 3])?;
 //! let wrapper = heap.alloc_vector(0, &[point.raw()])?;
-//! assert_eq!(heap.payload(point), vec![1, 2, 3]);
+//! assert_eq!(heap.locate(point).payload(), vec![1, 2, 3]);
 //! assert_eq!(heap.read_field(wrapper, 0), point.raw());
 //! # Ok::<(), mgc_heap::HeapError>(())
 //! ```
@@ -61,7 +61,7 @@ pub use addr::{word_as_pointer, Addr, Word, WORD_BYTES};
 pub use chunk::ChunkId;
 pub use descriptor::{Descriptor, DescriptorId, DescriptorTable, PointerFields};
 pub use error::HeapError;
-pub use gc_heap::{GcHeap, LocalObject};
+pub use gc_heap::GcHeap;
 pub use global::SharedChunkPool;
 pub use header::{
     Header, HeaderSlot, ObjectKind, FIRST_MIXED_ID, MAX_ID, MAX_LEN_WORDS, RAW_ID, VECTOR_ID,
@@ -73,8 +73,8 @@ pub use heap::{
 pub use local::{LocalHeap, LocalHeapStats, LocalRegion};
 pub use object::{f64_to_word, i64_to_word, word_to_f64, word_to_i64};
 pub use shared::{
-    global_node_of, Location, Place, Resolved, SharedChunk, SharedChunkState, SharedGlobalHeap,
-    ThreadedLayout, ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE, LOCAL_BASE,
-    MAX_NODE_SPAN_SHIFT, NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
+    global_node_of, LocalObject, Location, Place, Resolved, SharedChunk, SharedChunkState,
+    SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE,
+    LOCAL_BASE, MAX_NODE_SPAN_SHIFT, NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
 };
 pub use verify::{verify_global_heap, verify_heap, verify_local_heap, InvariantViolation};

@@ -964,11 +964,11 @@ impl ThreadedLayout {
 }
 
 /// One vproc's view of the heap: its own [`LocalHeap`] plus the shared
-/// global heap. Implements [`GcHeap`], so the generic minor/major/promotion
-/// algorithms of `mgc-core` run on it unchanged — with the crucial property
-/// that the minor-collection path touches only owned state (no locks,
-/// §3.3). A worker thread owns one outright; the simulated backend's
-/// [`Heap`](crate::Heap) holds one per vproc.
+/// global heap. The minor, major and promotion bodies of `mgc-core` run on
+/// it through its inherent methods ([`WorkerHeap::find`],
+/// [`WorkerHeap::evacuate`], ...), and the minor-collection path touches only
+/// owned state (no locks, §3.3). A worker thread owns one outright; the
+/// simulated backend's [`Heap`](crate::Heap) holds one per vproc.
 pub struct WorkerHeap {
     vproc: usize,
     layout: ThreadedLayout,
@@ -986,6 +986,9 @@ pub struct WorkerHeap {
     promotion_target: NodeId,
     current: Option<Arc<SharedChunk>>,
     stats: HeapStats,
+    /// Whether collections charge their work to a cost record for the
+    /// memory model: a simulated machine's workers do, a thread's do not.
+    charges_costs: bool,
 }
 
 impl std::fmt::Debug for WorkerHeap {
@@ -1012,11 +1015,15 @@ impl WorkerHeap {
         global: Arc<SharedGlobalHeap>,
         descriptors: Arc<DescriptorTable>,
     ) -> Self {
-        Self::with_local_node(vproc, layout, node, node, global, descriptors)
+        WorkerHeap {
+            charges_costs: false,
+            ..Self::with_local_node(vproc, layout, node, node, global, descriptors)
+        }
     }
 
-    /// [`WorkerHeap::new`] for a vproc running on `home` whose local heap the
-    /// page policy backed with `local_node`'s memory.
+    /// The simulated machine's worker for a vproc running on `home` whose
+    /// local heap the page policy backed with `local_node`'s memory; its
+    /// collections charge their costs.
     pub(crate) fn with_local_node(
         vproc: usize,
         layout: ThreadedLayout,
@@ -1036,12 +1043,34 @@ impl WorkerHeap {
             promotion_target: home,
             current: None,
             stats: HeapStats::default(),
+            charges_costs: true,
         }
     }
 
     /// The owning vproc.
     pub fn vproc(&self) -> usize {
         self.vproc
+    }
+
+    /// Whether collections on this worker charge their work to a cost
+    /// record: true for the simulated machine's workers, whose costs the
+    /// memory model reads, and false for a threaded worker's, which then do
+    /// no cost arithmetic at all.
+    #[inline]
+    pub fn charges_costs(&self) -> bool {
+        self.charges_costs
+    }
+
+    /// Borrow the local heap.
+    #[inline]
+    pub fn local(&self) -> &LocalHeap {
+        &self.local
+    }
+
+    /// Mutably borrow the local heap.
+    #[inline]
+    pub fn local_mut(&mut self) -> &mut LocalHeap {
+        &mut self.local
     }
 
     /// The worker's home NUMA node.
@@ -1350,7 +1379,13 @@ impl WorkerHeap {
         }
     }
 
-    /// [`GcHeap::space_of`] for an address already classified as `owner`.
+    /// Which space `addr` belongs to. Another worker's local heap is
+    /// classified by address arithmetic alone, as its old area.
+    pub fn space_of(&self, addr: Addr) -> Space {
+        self.space_at(self.layout.owner_of(addr), addr)
+    }
+
+    /// [`WorkerHeap::space_of`] for an address already classified as `owner`.
     pub(crate) fn space_at(&self, owner: ThreadedOwner, addr: Addr) -> Space {
         match owner {
             // Another worker's local heap: we may classify it (pure
@@ -1375,7 +1410,12 @@ impl WorkerHeap {
         }
     }
 
-    /// [`GcHeap::node_of`] for an address already classified as `owner`.
+    /// The NUMA node whose memory backs `addr`.
+    pub fn node_of(&self, addr: Addr) -> NodeId {
+        self.node_at(self.layout.owner_of(addr), addr)
+    }
+
+    /// [`WorkerHeap::node_of`] for an address already classified as `owner`.
     pub(crate) fn node_at(&self, owner: ThreadedOwner, addr: Addr) -> NodeId {
         match owner {
             ThreadedOwner::Local(v) if v == self.vproc => self.local_node(),
@@ -1420,6 +1460,82 @@ impl WorkerHeap {
                 node,
             };
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The local collections' primitives
+    // ------------------------------------------------------------------
+
+    /// The one classification of a local collection: the object at `ptr`
+    /// with its region, offset and header slot if it lies in this worker's
+    /// local heap, else `None` (the global heap, another vproc's local heap,
+    /// or no region).
+    #[inline]
+    pub fn find(&self, ptr: Addr) -> Option<LocalObject> {
+        let local = &self.local;
+        let offset = local.contains(ptr).then(|| ptr.words_from(local.base()))?;
+        Some(LocalObject {
+            region: local.region_of_offset(offset),
+            offset,
+            slot: HeaderSlot::decode(local.read(offset - 1)),
+        })
+    }
+
+    /// The payload indices of the pointer fields for an object with header
+    /// `header`, ascending. The iterator borrows nothing, so the caller may
+    /// rewrite fields while it runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::UnknownDescriptor`] for an unregistered mixed
+    /// object.
+    #[inline]
+    pub fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
+        self.descriptors.pointer_fields(header)
+    }
+
+    /// Copies this worker's object with header `header`, whose first payload
+    /// word is at word `offset` of the local heap ([`WorkerHeap::find`] gives
+    /// both), into `target`, installs a forwarding pointer, and returns the
+    /// new address plus bytes copied. A copy into the global heap lands in
+    /// [`WorkerHeap::promotion_chunk`]. (Contended global evacuation is
+    /// [`WorkerHeap::evacuate_from_space`].)
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation errors from the target space.
+    pub fn evacuate(
+        &mut self,
+        offset: usize,
+        header: Header,
+        target: EvacTarget,
+    ) -> Result<(Addr, usize), HeapError> {
+        let encoded = header.encode();
+        let len = header.len_words as usize;
+        // The words go straight from the local heap to the destination.
+        let new_addr = match target {
+            EvacTarget::OldArea => self.local.copy_into_old(offset - 1, len + 1)?,
+            EvacTarget::GlobalCurrent => {
+                self.reserve_in_global(len + 1)?;
+                let payload = &self.local.words()[offset..offset + len];
+                self.reserved_chunk().alloc(encoded, payload)?
+            }
+        };
+        self.local.write(offset - 1, new_addr.raw());
+        // Preserve the header in the first payload word of the dead copy so
+        // linear walks of the local heap can still skip it.
+        if len >= 1 {
+            self.local.write(offset, encoded);
+        }
+        self.stats.evacuated_words += header.total_words() as u64;
+        Ok((new_addr, header.total_bytes()))
+    }
+
+    /// The chunk this worker's copies into the global heap currently go
+    /// to, if it has one.
+    #[inline]
+    pub fn promotion_chunk(&self) -> Option<ChunkId> {
+        self.current.as_ref().map(|chunk| chunk.id())
     }
 
     /// Race-safe forwarding for the parallel global collection: tries to
@@ -1496,6 +1612,17 @@ fn unmapped_access(addr: Addr, band: Option<usize>) -> ! {
         Some(node) => panic!("{addr:?} points past the end of node {node}'s global-heap band"),
         None => panic!("access to unmapped address {addr:?}"),
     }
+}
+
+/// An object of a worker's own local heap, as [`WorkerHeap::find`] found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalObject {
+    /// The region holding it.
+    pub region: LocalRegion,
+    /// Word offset of its first payload word.
+    pub offset: usize,
+    /// Its header slot: a header, or a forward left by an evacuation.
+    pub slot: HeaderSlot,
 }
 
 /// Where [`WorkerHeap::locate`] found an object: the region holding it and
@@ -1616,28 +1743,9 @@ impl Place<'_> {
 }
 
 impl GcHeap for WorkerHeap {
-    fn num_vprocs(&self) -> usize {
-        self.layout.num_vprocs()
-    }
-
-    fn assert_serves(&self, vproc: usize) {
+    fn worker_mut(&mut self, vproc: usize) -> &mut WorkerHeap {
         assert_eq!(vproc, self.vproc, "a worker heap only serves its own vproc");
-    }
-
-    #[inline]
-    fn local(&self, vproc: usize) -> &LocalHeap {
-        debug_assert_eq!(vproc, self.vproc, "a worker heap only serves its own vproc");
-        &self.local
-    }
-
-    #[inline]
-    fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
-        debug_assert_eq!(vproc, self.vproc, "a worker heap only serves its own vproc");
-        &mut self.local
-    }
-
-    fn space_of(&self, addr: Addr) -> Space {
-        self.space_at(self.layout.owner_of(addr), addr)
+        self
     }
 
     #[inline(always)]
@@ -1660,64 +1768,9 @@ impl GcHeap for WorkerHeap {
         matches!(self.layout.owner_of(addr), ThreadedOwner::Global { .. })
     }
 
-    fn node_of(&self, addr: Addr) -> NodeId {
-        self.node_at(self.layout.owner_of(addr), addr)
-    }
-
-    #[inline]
-    fn header_slot(&self, obj: Addr) -> HeaderSlot {
-        self.locate(obj).header_slot()
-    }
-
     #[inline]
     fn read_field(&self, obj: Addr, index: usize) -> Word {
         self.locate(obj).read(index)
-    }
-
-    #[inline]
-    fn pointer_field_indices(&self, header: Header) -> Result<PointerFields, HeapError> {
-        self.descriptors.pointer_fields(header)
-    }
-
-    /// The object must be this worker's (minor/major collections and
-    /// promotions only move owned objects; contended global evacuation is
-    /// `evacuate_from_space`).
-    fn evacuate(
-        &mut self,
-        offset: usize,
-        header: Header,
-        target: EvacTarget,
-    ) -> Result<(Addr, usize), HeapError> {
-        let (EvacTarget::OldArea { vproc } | EvacTarget::GlobalCurrent { vproc }) = target;
-        debug_assert_eq!(vproc, self.vproc, "a worker only evacuates its own objects");
-        let encoded = header.encode();
-        let len = header.len_words as usize;
-        // The words go straight from the local heap to the destination.
-        let new_addr = match target {
-            EvacTarget::OldArea { .. } => self.local.copy_into_old(offset - 1, len + 1)?,
-            EvacTarget::GlobalCurrent { .. } => {
-                self.reserve_in_global(len + 1)?;
-                let payload = &self.local.words()[offset..offset + len];
-                self.reserved_chunk().alloc(encoded, payload)?
-            }
-        };
-        self.local.write(offset - 1, new_addr.raw());
-        // Preserve the header in the first payload word of the dead copy so
-        // linear walks of the local heap can still skip it.
-        if len >= 1 {
-            self.local.write(offset, encoded);
-        }
-        self.stats.evacuated_words += header.total_words() as u64;
-        Ok((new_addr, header.total_bytes()))
-    }
-
-    #[inline]
-    fn promotion_chunk(&self, _vproc: usize) -> Option<ChunkId> {
-        self.current.as_ref().map(|chunk| chunk.id())
-    }
-
-    fn chunk_acquisitions(&self) -> u64 {
-        self.stats.chunk_acquisitions
     }
 
     fn global(&self) -> &Arc<SharedGlobalHeap> {
@@ -1729,7 +1782,7 @@ impl GcHeap for WorkerHeap {
     /// memory is read and no global object is dereferenced, so it is safe
     /// to run while the other workers mutate.
     fn verify_violations(&self) -> Vec<InvariantViolation> {
-        crate::verify::verify_local_heap(self, self.vproc)
+        crate::verify::verify_local_heap(self)
     }
 }
 
@@ -1914,8 +1967,8 @@ mod tests {
         let local = w1.alloc_raw(&[10, 11, 12]).unwrap();
         assert_eq!(w1.space_of(local), Space::LocalNursery { vproc: 1 });
         assert_eq!(w1.read_field(local, 2), 12);
-        assert_eq!(w1.header_of(local).len_words, 3);
-        assert_eq!(w1.forwarded_to(local), None);
+        assert_eq!(w1.locate(local).header().len_words, 3);
+        assert_eq!(w1.locate(local).header_slot().forwarded_to(), None);
         assert_eq!(w1.locate(local).payload(), vec![10, 11, 12]);
         // Fill a chunk and a half so the second object is in chunk 1.
         let header = Header::new(ObjectKind::Raw, 400).encode();
@@ -1929,7 +1982,7 @@ mod tests {
         for (obj, value) in [(first, 1), (second, 2)] {
             assert!(w0.is_global(obj) && !w0.is_local(obj));
             assert_eq!(w0.read_field(obj, 399), value);
-            assert_eq!(w0.header_of(obj).len_words, 400);
+            assert_eq!(w0.locate(obj).header().len_words, 400);
             assert_eq!(w0.node_of(obj), NodeId::new(1));
             assert_eq!(w0.resolve(&global, obj, true).addr, obj);
         }
@@ -1958,7 +2011,7 @@ mod tests {
         let mut w = worker(0, layout, &global, &descriptors);
         let obj = w.alloc_raw(&[1, 2, 3]).unwrap();
         assert_eq!(w.space_of(obj), Space::LocalNursery { vproc: 0 });
-        assert_eq!(GcHeap::payload(&w, obj), vec![1, 2, 3]);
+        assert_eq!(w.locate(obj).payload(), vec![1, 2, 3]);
         assert_eq!(global.num_chunks(), 0);
     }
 
@@ -1970,7 +2023,7 @@ mod tests {
         let header = Header::new(ObjectKind::Raw, 2).encode();
         let addr = w0.alloc_in_global(header, &[7, 8]).unwrap();
         // The other worker reads the published object through its own view.
-        assert_eq!(GcHeap::payload(&w1, addr), vec![7, 8]);
+        assert_eq!(w1.locate(addr).payload(), vec![7, 8]);
         assert!(GcHeap::is_global(&w1, addr));
         assert_eq!(global.chunks_in_use(), 1);
         assert_eq!(w0.stats().chunk_acquisitions, 1);
@@ -2074,7 +2127,7 @@ mod tests {
         assert_eq!(global.chunks_created(), 2);
         for (i, &obj) in objs.iter().enumerate() {
             assert_eq!(global_node_of(obj), Some(NodeId::new((i % 2) as u16)));
-            assert_eq!(GcHeap::payload(&w, obj), vec![i as u64]);
+            assert_eq!(w.locate(obj).payload(), vec![i as u64]);
         }
         // Objects of one node sit back to back in its chunk.
         for i in 2..objs.len() {
@@ -2172,7 +2225,7 @@ mod tests {
             w0.cas_forward_global(obj, header.encode(), copy_b),
             Err(copy_a)
         );
-        assert_eq!(GcHeap::forwarded_to(&w0, obj), Some(copy_a));
+        assert_eq!(w0.locate(obj).header_slot().forwarded_to(), Some(copy_a));
 
         // The same race through the collector's copy path, for real: two
         // workers evacuate the same from-space objects at once. Whoever
@@ -2203,7 +2256,7 @@ mod tests {
             assert_eq!(to_a, to_b, "object {i} has one surviving copy");
             assert_eq!(bytes_a + bytes_b, 4 * WORD_BYTES, "credited exactly once");
             let i = i as u64;
-            assert_eq!(GcHeap::payload(&w0, to_a), vec![i, i + 1, i + 2]);
+            assert_eq!(w0.locate(to_a).payload(), vec![i, i + 1, i + 2]);
         }
     }
 
@@ -2238,8 +2291,8 @@ mod tests {
             let (copy, bytes) = w1.evacuate_from_space(objs[i]);
             assert_ne!(copy, objs[i]);
             assert_eq!(bytes, (shapes[i].len() + 1) * WORD_BYTES);
-            assert_eq!(GcHeap::payload(&w0, copy), shapes[i]);
-            assert_eq!(GcHeap::forwarded_to(&w0, objs[i]), Some(copy));
+            assert_eq!(w0.locate(copy).payload(), shapes[i]);
+            assert_eq!(w0.locate(objs[i]).header_slot().forwarded_to(), Some(copy));
             // Already forwarded: every later visitor gets the winner, free.
             assert_eq!(w0.evacuate_from_space(objs[i]), (copy, 0));
         }
@@ -2251,7 +2304,7 @@ mod tests {
         w0.cas_forward_global(objs[1], header, winner).unwrap();
         assert_eq!(w1.cas_forward_global(objs[1], header, loser), Err(winner));
         assert_eq!(w1.evacuate_from_space(objs[1]), (winner, 0));
-        assert_eq!(GcHeap::payload(&w1, winner), shapes[1]);
+        assert_eq!(w1.locate(winner).payload(), shapes[1]);
         // The from-space payloads are untouched (only the header slot is
         // CAS'd), so a reader still holding the stale address sees the data.
         assert_eq!(GcHeap::read_field(&w1, objs[1], 4), 3);
@@ -2402,7 +2455,7 @@ mod tests {
         for (_, objs) in &promoted {
             for (obj, payload) in objs {
                 assert!(addrs.insert(*obj), "{obj:?} handed out twice");
-                assert_eq!(&GcHeap::payload(reader, *obj), payload);
+                assert_eq!(&reader.locate(*obj).payload(), payload);
                 words += payload.len() + 1;
             }
         }

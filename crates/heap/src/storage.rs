@@ -219,7 +219,7 @@ mod tests {
                             objects.push((global.unwrap(), i));
                         }
                         for (obj, i) in objects {
-                            assert_eq!(heap.payload(obj), [tag, i], "thread {thread}");
+                            assert_eq!(heap.locate(obj).payload(), [tag, i], "thread {thread}");
                         }
                     }
                 });

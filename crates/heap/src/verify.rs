@@ -17,7 +17,7 @@
 use crate::addr::{word_as_pointer, Addr};
 use crate::gc_heap::GcHeap;
 use crate::heap::{Heap, Space};
-use crate::shared::SharedChunkState;
+use crate::shared::{SharedChunkState, WorkerHeap};
 use std::fmt;
 
 /// A single violation of the heap invariants.
@@ -52,25 +52,26 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-fn check_fields<H: GcHeap>(
-    heap: &H,
+/// Checks each pointer field of the object at `obj` with `rule`, reading it
+/// and classifying its targets through `worker` (which must be able to read
+/// the object: its own, or a global one).
+fn check_fields(
+    worker: &WorkerHeap,
     obj: Addr,
     violations: &mut Vec<InvariantViolation>,
-    rule: impl Fn(Space, Space) -> Option<&'static str>,
+    rule: impl Fn(Space) -> Option<&'static str>,
 ) {
-    let header = heap.header_of(obj);
-    let holder_space = heap.space_of(obj);
-    let indices = match heap.pointer_field_indices(header) {
-        Ok(indices) => indices,
-        Err(_) => return,
+    let place = worker.locate(obj);
+    let Ok(indices) = worker.pointer_field_indices(place.header()) else {
+        return;
     };
+    let holder_space = worker.space_of(obj);
     for index in indices {
-        let word = heap.read_field(obj, index);
-        let Some(target) = word_as_pointer(word) else {
+        let Some(target) = word_as_pointer(place.read(index)) else {
             continue;
         };
-        let target_space = heap.space_of(target);
-        if let Some(rule) = rule(holder_space, target_space) {
+        let target_space = worker.space_of(target);
+        if let Some(rule) = rule(target_space) {
             violations.push(InvariantViolation {
                 holder: obj,
                 holder_space,
@@ -83,33 +84,28 @@ fn check_fields<H: GcHeap>(
     }
 }
 
-/// Checks the pointer discipline of one vproc's local heap: every pointer
-/// field must target an allocated part of the same vproc's local heap or a
-/// global chunk that is in use. A from-space chunk counts as in use: between
-/// the increments of a budgeted global collection live objects still point
-/// into it.
-pub fn verify_local_heap<H: GcHeap>(heap: &H, vproc: usize) -> Vec<InvariantViolation> {
+/// Checks the pointer discipline of a worker's local heap: every pointer
+/// field must target an allocated part of the same local heap or a global
+/// chunk that is in use. A from-space chunk counts as in use: between the
+/// increments of a budgeted global collection live objects still point into
+/// it. Another vproc's local heap is classified by address arithmetic and
+/// never read.
+pub fn verify_local_heap(worker: &WorkerHeap) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
-    let local = heap.local(vproc);
-    let objects: Vec<Addr> = local
+    let (vproc, local) = (worker.vproc(), worker.local());
+    let objects = local
         .objects_in(0, local.old_top())
-        .chain(local.nursery_objects())
-        .map(|(addr, _)| addr)
-        .collect();
-    for obj in objects {
-        check_fields(heap, obj, &mut violations, |_holder, target| match target {
+        .chain(local.nursery_objects());
+    for (obj, _) in objects {
+        check_fields(worker, obj, &mut violations, |target| match target {
             Space::LocalNursery { vproc: v }
             | Space::LocalYoung { vproc: v }
             | Space::LocalOld { vproc: v } => {
-                if v == vproc {
-                    None
-                } else {
-                    Some("no pointers between distinct local heaps")
-                }
+                (v != vproc).then_some("no pointers between distinct local heaps")
             }
             Space::LocalFree { .. } => Some("pointer into reclaimed local-heap space"),
             Space::Global { chunk } => {
-                let state = heap.global().chunk(chunk).state();
+                let state = worker.global().chunk(chunk).state();
                 (state == SharedChunkState::Free).then_some("pointer into a released global chunk")
             }
             Space::Unmapped => Some("pointer to unmapped memory"),
@@ -123,13 +119,15 @@ pub fn verify_local_heap<H: GcHeap>(heap: &H, vproc: usize) -> Vec<InvariantViol
 /// target a local heap.
 pub fn verify_global_heap(heap: &Heap) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
+    // Every worker reads the global heap alike.
+    let reader = heap.worker(0);
     for chunk in heap.global().chunks() {
         if matches!(
             chunk.state(),
             SharedChunkState::Current | SharedChunkState::Filled
         ) {
             for obj in chunk.objects() {
-                check_fields(heap, obj, &mut violations, |_holder, target| match target {
+                check_fields(reader, obj, &mut violations, |target| match target {
                     Space::Global { .. } => None,
                     Space::Unmapped => Some("pointer to unmapped memory"),
                     _ => Some("no pointers from the global heap into a local heap"),
@@ -140,11 +138,12 @@ pub fn verify_global_heap(heap: &Heap) -> Vec<InvariantViolation> {
     violations
 }
 
-/// Runs every invariant check over the whole heap.
+/// Runs every invariant check over the whole heap: the global walk, then
+/// each worker's.
 pub fn verify_heap(heap: &Heap) -> Vec<InvariantViolation> {
     let mut violations = verify_global_heap(heap);
     for vproc in 0..heap.num_vprocs() {
-        violations.extend(verify_local_heap(heap, vproc));
+        violations.extend(verify_local_heap(heap.worker(vproc)));
     }
     violations
 }
@@ -176,7 +175,7 @@ mod tests {
         let mut heap = heap();
         let foreign = heap.alloc_raw(1, &[5]).unwrap();
         let holder = heap.alloc_vector(0, &[foreign.raw()]).unwrap();
-        let violations = verify_local_heap(&heap, 0);
+        let violations = verify_local_heap(heap.worker(0));
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].holder, holder);
         assert_eq!(violations[0].target, foreign);
@@ -247,7 +246,7 @@ mod tests {
         // address no region maps, a band address no chunk is mapped at, and
         // — once the chunk is released — a pooled chunk.
         let foreign = w1.alloc_raw(&[3]).unwrap();
-        let free = w0.local(0).addr_of(w0.local(0).old_top() + 1);
+        let free = w0.local().addr_of(w0.local().old_top() + 1);
         let beyond = Addr::new(GLOBAL_BASE + 64 * layout.chunk_words() as u64);
         w0.alloc_vector(&[foreign.raw(), free.raw(), 8, beyond.raw()])
             .unwrap();

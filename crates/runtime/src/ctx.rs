@@ -1203,7 +1203,7 @@ pub(crate) mod read_checks {
     fn nursery_free_words(ctx: &TaskCtx<'_>) -> usize {
         match &ctx.state {
             CtxState::Sim(state) => state.heap.local(ctx.vproc).nursery_free_words(),
-            CtxState::Threaded(worker) => worker.heap.local(ctx.vproc).nursery_free_words(),
+            CtxState::Threaded(worker) => worker.heap.local().nursery_free_words(),
         }
     }
 

@@ -1026,7 +1026,7 @@ impl Machine {
             }
 
             if self.state.collector.global_pending()
-                || self.state.collector.needs_global(&self.state.heap)
+                || self.state.collector.needs_global(self.state.heap.global())
             {
                 self.run_global_gc();
                 any_work = true;
@@ -1321,7 +1321,10 @@ mod tests {
         let state = &mut machine.state;
         let original = state.heap.alloc_raw(0, &[10, 20, 30]).unwrap();
         let copy = state.promote_for(1, original, PromoteWhy::Steal);
-        assert_eq!(state.heap.forwarded_to(original), Some(copy));
+        assert_eq!(
+            state.heap.locate(original).header_slot().forwarded_to(),
+            Some(copy)
+        );
         assert!(state.heap.is_global(copy));
         assert_eq!(state.heap.node_of(copy), NodeId::new(1));
         let remote = AccessClass::CrossPackage as usize;
@@ -2138,13 +2141,16 @@ mod tests {
             .heap
             .alloc_in_global(0, Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
             .unwrap();
-        let header = state.heap.header_of(promoted).encode();
+        let header = state.heap.locate(promoted).header().encode();
         state
             .heap
             .worker_mut(0)
             .cas_forward_global(promoted, header, decoy)
             .unwrap();
-        assert_eq!(state.heap.forwarded_to(promoted), Some(decoy));
+        assert_eq!(
+            state.heap.locate(promoted).header_slot().forwarded_to(),
+            Some(decoy)
+        );
 
         assert_eq!(state.resolve_addr(promoted), promoted);
         assert_eq!(state.resolve_addr(local), promoted, "local, then stop");

@@ -492,10 +492,10 @@ impl WorkerState {
                 self.shared.signal(self.vproc);
             }
         }
-        if self.heap.local(self.vproc).nursery_free_words() < needed_words {
+        if self.heap.local().nursery_free_words() < needed_words {
             self.local_gc(roots);
             assert!(
-                self.heap.local(self.vproc).nursery_free_words() >= needed_words,
+                self.heap.local().nursery_free_words() >= needed_words,
                 "an object of {} payload words does not fit in the nursery even after a \
                  collection — build large arrays as rope leaves",
                 needed_words - 1
@@ -557,7 +557,7 @@ impl WorkerState {
     /// root set's watermark points into this vproc's nursery (pure address
     /// arithmetic, no heap reads).
     fn watermarks_hold(&self, running: &RootSet) -> bool {
-        let local = self.heap.local(self.vproc);
+        let local = self.heap.local();
         std::iter::once(running)
             .chain(self.private.iter().map(|task| &task.roots))
             .flat_map(RootSet::clean_slots)
@@ -1049,7 +1049,7 @@ impl WorkerState {
             WorkerOutcome {
                 run: self.stats,
                 gc: *self.collector.vproc_stats(self.vproc),
-                local: self.heap.local(self.vproc).stats(),
+                local: self.heap.local().stats(),
             }
         }));
         match result {
@@ -1855,7 +1855,7 @@ mod tests {
         // two apart), and mutators running with `in_scan_phase` set.
         worker.heap.retire_current_chunk();
         assert_eq!(flip_to_from_space(&shared.global).len(), 1);
-        let header = worker.heap.header_of(old).encode();
+        let header = worker.heap.locate(old).header().encode();
         let copy_header = Header::new(ObjectKind::Raw, 5).encode();
         let copy = worker
             .heap
@@ -1918,7 +1918,7 @@ mod tests {
             .heap
             .alloc_in_global(Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
             .unwrap();
-        let header = worker.heap.header_of(promoted).encode();
+        let header = worker.heap.locate(promoted).header().encode();
         worker
             .heap
             .cas_forward_global(promoted, header, decoy)
@@ -1952,7 +1952,7 @@ mod tests {
         let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
         let worker = &mut workers[0];
         let obj = worker.heap.alloc_raw(&[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        let free = worker.heap.local(0).nursery_free_words();
+        let free = worker.heap.local().nursery_free_words();
         let mut roots = RootSet::default();
         roots.push(obj);
         let reads = on_worker(worker, &shared, &mut roots, |ctx| {
@@ -2194,7 +2194,7 @@ mod tests {
         let (shared, mut workers) = assembled_from(machine);
         let worker = &mut workers[0];
         let target = worker.heap.alloc_raw(&[1, 2, 3]).unwrap();
-        let free = worker.heap.local(0).nursery_free_words();
+        let free = worker.heap.local().nursery_free_words();
         let mut roots = RootSet::default();
         roots.push(target);
         let field = on_worker(worker, &shared, &mut roots, |ctx| {
@@ -2243,7 +2243,7 @@ mod tests {
     #[test]
     fn ctx_alloc_raw_with_that_collects_fills_once_per_index() {
         let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
-        let free = workers[0].heap.local(0).nursery_free_words();
+        let free = workers[0].heap.local().nursery_free_words();
         let mut roots = RootSet::default();
         on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
             alloc_checks::fills_once_after_a_collection(ctx, free)
@@ -2254,7 +2254,7 @@ mod tests {
     #[test]
     fn ctx_alloc_raw_with_shows_no_stale_nursery_words() {
         let (shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
-        let free = workers[0].heap.local(0).nursery_free_words();
+        let free = workers[0].heap.local().nursery_free_words();
         let mut roots = RootSet::default();
         on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
             alloc_checks::shows_no_stale_words(ctx, free)

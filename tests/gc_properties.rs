@@ -80,9 +80,9 @@ fn snapshot(heap: &Heap, addr: Addr, depth: usize) -> Vec<u64> {
         return vec![];
     }
     let addr = follow(heap, addr);
-    let header = heap.header_of(addr);
+    let header = heap.locate(addr).header();
     match header.kind {
-        manticore_gc::heap::ObjectKind::Raw => heap.payload(addr),
+        manticore_gc::heap::ObjectKind::Raw => heap.locate(addr).payload(),
         _ => {
             let mut out = vec![0xFEED];
             for i in 0..header.len_words as usize {
@@ -99,7 +99,7 @@ fn snapshot(heap: &Heap, addr: Addr, depth: usize) -> Vec<u64> {
 }
 
 fn follow(heap: &Heap, mut addr: Addr) -> Addr {
-    while let Some(f) = heap.forwarded_to(addr) {
+    while let Some(f) = heap.locate(addr).header_slot().forwarded_to() {
         addr = f;
     }
     addr
