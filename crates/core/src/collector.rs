@@ -17,7 +17,7 @@ use crate::cost::{GcCost, CHUNK_ACQUIRE_NS, COLLECTION_FIXED_NS};
 use crate::stats::{CollectionKind, GcStats};
 use mgc_heap::{
     word_as_pointer, Addr, ChunkId, EvacTarget, GcHeap, Header, HeaderSlot, Heap,
-    InvariantViolation, LocalRegion, Location, SharedGlobalHeap, Word, WorkerHeap,
+    InvariantViolation, LocalRegion, Location, SharedGlobalHeap, WorkerHeap,
 };
 
 /// Result of a single (per-vproc) collection.
@@ -93,7 +93,7 @@ pub(crate) fn forward_fields(
         .pointer_field_indices(header)
         .expect("all mixed-object descriptors are registered before allocation");
     for index in fields {
-        let Some(ptr) = word_as_pointer(word_at(worker, at, 1 + index)) else {
+        let Some(ptr) = word_as_pointer(worker.place_of(at).read(index)) else {
             continue;
         };
         let new = forward(worker, ptr);
@@ -123,19 +123,6 @@ pub(crate) fn for_each_young(
         }
         at += words;
     }
-}
-
-/// Word `index` of the object at `at`, its header slot being word 0.
-fn word_at(worker: &WorkerHeap, at: Location<'_>, index: usize) -> Word {
-    match at {
-        Location::Local { offset, .. } => worker.local().read(offset - 1 + index),
-        Location::Global(chunk, offset) => chunk.read(offset - 1 + index),
-    }
-}
-
-/// The header of the object at `at`, which must not have been forwarded.
-pub(crate) fn header_at(worker: &WorkerHeap, at: Location<'_>) -> Header {
-    HeaderSlot::decode(word_at(worker, at, 0)).expect_header()
 }
 
 /// Running per-node tally of one collection's promoted bytes.
@@ -310,12 +297,10 @@ impl Collector {
     ) -> GcOutcome {
         let worker = heap.worker_mut(vproc);
         let mut cost = self.cost_for(worker, COLLECTION_FIXED_NS);
-        let outcome = self.minor_on(worker, roots, cost.as_mut());
+        let mut outcome = self.minor_on(worker, roots, cost.as_mut());
+        outcome.cost = cost.unwrap_or_default();
         self.maybe_verify(|| heap.verify_violations());
-        GcOutcome {
-            cost: cost.unwrap_or_default(),
-            ..outcome
-        }
+        outcome
     }
 
     /// The body of [`Collector::minor`], on the collecting vproc's worker.
@@ -337,7 +322,7 @@ impl Collector {
 
         while let Some(offset) = scan.worklist.pop() {
             let at = Location::Local { vproc, offset };
-            let header = header_at(worker, at);
+            let header = worker.place_of(at).header();
             scan.charge(|cost| cost.charge_scan(node, header.total_bytes()));
             forward_fields(worker, at, header, |worker, ptr| {
                 scan.forward_minor(worker, ptr)
@@ -488,9 +473,9 @@ impl<'a> Scan<'a> {
             cost.charge_copy(worker.local().node(), worker.node_of(new), bytes);
         }
         let chunk = worker
-            .promotion_chunk()
+            .current_chunk()
             .expect("a promotion leaves a current chunk");
-        self.promoted.push((chunk, new));
+        self.promoted.push((chunk.id(), new));
         new
     }
 }

@@ -6,10 +6,11 @@
 //! model so that collector work competes for the same memory controllers
 //! and links as mutator work — this is how the benefit of node-local
 //! collection (and the penalty of socket-zero placement) shows up in the
-//! reproduced figures. The heap type decides who charges
-//! ([`GcHeap::charges_costs`](mgc_heap::GcHeap::charges_costs)): a threaded
-//! worker's [`WorkerHeap`](mgc_heap::WorkerHeap) collections compute no
-//! cost and return an empty [`GcCost`], since only the simulator reads it.
+//! reproduced figures. Each collection body takes an optional cost record,
+//! and the entry point hands it one only for a worker that charges
+//! ([`WorkerHeap::charges_costs`](mgc_heap::WorkerHeap::charges_costs)): a
+//! threaded worker's collections compute no cost and return an empty
+//! [`GcCost`], since only the simulator reads it.
 
 use mgc_numa::{NodeId, Traffic, VprocRoundCost};
 

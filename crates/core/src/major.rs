@@ -13,7 +13,7 @@
 //! CML message passing requires this because of the no-cross-heap-pointer
 //! invariants).
 
-use crate::collector::{for_each_young, forward_fields, header_at, Collector, GcOutcome, Scan};
+use crate::collector::{for_each_young, forward_fields, Collector, GcOutcome, Scan};
 use crate::cost::{GcCost, COLLECTION_FIXED_NS};
 use crate::stats::CollectionKind;
 use mgc_heap::{Addr, GcHeap, HeaderSlot, Location, WorkerHeap};
@@ -42,12 +42,10 @@ impl Collector {
         heap.redirect_foreign_roots(vproc, roots);
         let worker = heap.worker_mut(vproc);
         let mut cost = self.cost_for(worker, COLLECTION_FIXED_NS);
-        let outcome = self.major_on(worker, roots, cost.as_mut());
+        let mut outcome = self.major_on(worker, roots, cost.as_mut());
+        outcome.cost = cost.unwrap_or_default();
         self.maybe_verify(|| heap.verify_violations());
-        GcOutcome {
-            cost: cost.unwrap_or_default(),
-            ..outcome
-        }
+        outcome
     }
 
     /// The body of [`Collector::major`], on the collecting vproc's worker.
@@ -125,10 +123,10 @@ impl Collector {
     ) -> (Addr, GcOutcome) {
         let worker = heap.worker_mut(vproc);
         let mut cost = self.cost_for(worker, 0.0);
-        let (new, outcome) = self.promote_on(worker, obj, cost.as_mut());
+        let (new, mut outcome) = self.promote_on(worker, obj, cost.as_mut());
+        outcome.cost = cost.unwrap_or_default();
         self.maybe_verify(|| heap.verify_violations());
-        let cost = cost.unwrap_or_default();
-        (new, GcOutcome { cost, ..outcome })
+        (new, outcome)
     }
 
     /// The body of [`Collector::promote`], on the promoting vproc's worker.
@@ -204,7 +202,7 @@ impl Scan<'_> {
         while let Some((id, obj)) = self.promoted.pop() {
             let chunk = global.chunk(id);
             let at = Location::Global(chunk, obj.words_from(chunk.base()));
-            let header = header_at(worker, at);
+            let header = worker.place_of(at).header();
             let bytes = header.total_bytes();
             self.tally.add(chunk.node(), bytes as u64);
             self.charge(|cost| cost.charge_scan(chunk.node(), bytes));

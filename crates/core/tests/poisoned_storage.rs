@@ -42,7 +42,7 @@ fn forged(i: usize) -> Word {
 fn poison(fill: fn(usize) -> Word) {
     let mut heap = Heap::new(HeapConfig::small_for_tests(), &NODES.repeat(2), 2);
     for vproc in 0..4 {
-        let local = heap.local_mut(vproc);
+        let local = heap.worker_mut(vproc).local_mut();
         for offset in 0..local.size_words() {
             local.write(offset, fill(offset));
         }

@@ -1,20 +1,14 @@
 //! The interface the collector's entry points are generic over.
 //!
 //! `mgc-core`'s minor collection, major collection and promotion each have
-//! one body, over one vproc's [`WorkerHeap`] — its own local heap plus the
-//! shared global heap — and the inherent `WorkerHeap` methods (`find`,
-//! `evacuate`, `promotion_chunk`, `pointer_field_indices`, ...). Their entry
-//! points take either implementation of this trait:
-//!
-//! * a [`WorkerHeap`] — a threaded worker's, which serves only its own
-//!   vproc (so the minor-GC path takes no locks at all, §3.3);
-//! * a [`Heap`](crate::Heap) — the discrete-event simulation's whole
-//!   machine, every vproc's `WorkerHeap` behind one vproc-indexed interface.
-//!
-//! The trait holds what an entry point needs of the heap around the body
-//! (the worker, the simulated backend's foreign roots, the invariant walk)
-//! and the reads the mutator and the collector share: the read rule
-//! ([`GcHeap::resolve`]), a field read and the address classes.
+//! one body over one vproc's [`WorkerHeap`], built on its inherent methods
+//! (`find`, `evacuate`, `pointer_field_indices`, ...). Their entry points
+//! take a threaded worker's `WorkerHeap`, which serves only its own vproc
+//! (so the minor-GC path takes no locks at all, §3.3), or the simulated
+//! machine's [`Heap`](crate::Heap), every vproc's `WorkerHeap` behind one
+//! vproc-indexed interface. The trait holds what an entry point needs
+//! around the body — the worker, the simulated backend's foreign roots, the
+//! invariant walk — and the reads the mutator and the collector share.
 
 use crate::addr::{Addr, Word};
 use crate::shared::{Resolved, SharedGlobalHeap, WorkerHeap};

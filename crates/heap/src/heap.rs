@@ -381,12 +381,6 @@ impl Heap {
         self.workers[vproc].local()
     }
 
-    /// Mutably borrow a vproc's local heap.
-    #[inline]
-    pub fn local_mut(&mut self, vproc: usize) -> &mut LocalHeap {
-        self.workers[vproc].local_mut()
-    }
-
     /// Classifies `addr` once: the index of the worker an access to it goes
     /// to, and what the layout says it is.
     #[inline]
@@ -723,7 +717,7 @@ mod tests {
         for _ in 0..8 {
             heap.alloc_in_global(1, header, &[7]).unwrap();
         }
-        assert_eq!(heap.worker(1).promotion_chunk(), Some(chunk));
+        assert_eq!(heap.worker(1).current_chunk().unwrap().id(), chunk);
         assert_eq!(heap.stats().chunk_acquisitions, 1);
     }
 
@@ -783,7 +777,7 @@ mod tests {
     fn evacuate_to_old_area_installs_forward() {
         let mut heap = two_vproc_heap();
         let obj = heap.alloc_raw(0, &[9, 8]).unwrap();
-        heap.local_mut(0).begin_minor();
+        heap.worker_mut(0).local_mut().begin_minor();
         let (copy, bytes) = evacuate(&mut heap, 0, obj, EvacTarget::OldArea);
         assert_eq!(bytes, 24);
         assert_eq!(heap.locate(obj).header_slot().forwarded_to(), Some(copy));
@@ -829,11 +823,11 @@ mod tests {
         let big = vec![0u64; chunk_words - 2];
         let header = Header::new(ObjectKind::Raw, big.len() as u64).encode();
         heap.alloc_in_global(0, header, &big).unwrap();
-        let first = heap.worker(0).promotion_chunk().unwrap();
+        let first = heap.worker(0).current_chunk().unwrap().id();
         // This one does not fit; a fresh chunk is acquired transparently.
         let header2 = Header::new(ObjectKind::Raw, 4).encode();
         let obj = heap.alloc_in_global(0, header2, &[1, 2, 3, 4]).unwrap();
-        let second = heap.worker(0).promotion_chunk().unwrap();
+        let second = heap.worker(0).current_chunk().unwrap().id();
         assert_ne!(first, second);
         assert_eq!(heap.space_of(obj), Space::Global { chunk: second });
         assert_eq!(heap.global().chunk(first).state(), SharedChunkState::Filled);
@@ -875,7 +869,7 @@ mod tests {
         let mut heap = two_vproc_heap();
         let chunk = heap.fresh_current_chunk(0);
         heap.retire_current_chunk(0);
-        assert_eq!(heap.worker(0).promotion_chunk(), None);
+        assert!(heap.worker(0).current_chunk().is_none());
         assert_eq!(heap.global().chunk(chunk).state(), SharedChunkState::Filled);
     }
 

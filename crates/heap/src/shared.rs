@@ -986,8 +986,7 @@ pub struct WorkerHeap {
     promotion_target: NodeId,
     current: Option<Arc<SharedChunk>>,
     stats: HeapStats,
-    /// Whether collections charge their work to a cost record for the
-    /// memory model: a simulated machine's workers do, a thread's do not.
+    /// See [`WorkerHeap::charges_costs`].
     charges_costs: bool,
 }
 
@@ -1498,8 +1497,8 @@ impl WorkerHeap {
     /// word is at word `offset` of the local heap ([`WorkerHeap::find`] gives
     /// both), into `target`, installs a forwarding pointer, and returns the
     /// new address plus bytes copied. A copy into the global heap lands in
-    /// [`WorkerHeap::promotion_chunk`]. (Contended global evacuation is
-    /// [`WorkerHeap::evacuate_from_space`].)
+    /// the [current chunk](WorkerHeap::current_chunk). (Contended global
+    /// evacuation is [`WorkerHeap::evacuate_from_space`].)
     ///
     /// # Errors
     ///
@@ -1529,13 +1528,6 @@ impl WorkerHeap {
         }
         self.stats.evacuated_words += header.total_words() as u64;
         Ok((new_addr, header.total_bytes()))
-    }
-
-    /// The chunk this worker's copies into the global heap currently go
-    /// to, if it has one.
-    #[inline]
-    pub fn promotion_chunk(&self) -> Option<ChunkId> {
-        self.current.as_ref().map(|chunk| chunk.id())
     }
 
     /// Race-safe forwarding for the parallel global collection: tries to

@@ -66,7 +66,7 @@ fn poison(config: HeapConfig, vprocs: usize, chunks: usize) {
     let nodes: Vec<NodeId> = (0..vprocs).map(|v| NodeId::new(v as u16 % 2)).collect();
     let mut heap = Heap::new(config, &nodes, 2);
     for vproc in 0..vprocs {
-        let local = heap.local_mut(vproc);
+        let local = heap.worker_mut(vproc).local_mut();
         for offset in 0..local.size_words() {
             local.write(offset, forged(offset));
         }
