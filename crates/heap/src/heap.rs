@@ -366,7 +366,7 @@ impl Heap {
     }
 
     /// A vproc's view of the heap.
-    pub fn worker(&self, vproc: usize) -> &WorkerHeap {
+    pub(crate) fn worker(&self, vproc: usize) -> &WorkerHeap {
         &self.workers[vproc]
     }
 
