@@ -1064,6 +1064,47 @@ mod tests {
         );
     }
 
+    /// [`PINNED_PER_VPROC`] for two vprocs on nodes 0 and 1 of three, with
+    /// interleaved chunk placement: `(cpu_ns.to_bits(), bytes_to_node)` per
+    /// vproc, then the copied bytes.
+    const PINNED_FALLBACK: ([(u64, [u64; 3]); 2], u64) = (
+        [
+            (0x40dc567333333333, [64, 104, 104]),    // 29017.8 ns
+            (0x40dd1f8ccccccccd, [2336, 104, 9888]), // 29822.2 ns
+        ],
+        4200,
+    );
+
+    /// A to-space chunk on a node with no vproc is handed to every vproc in
+    /// turn. Interleaved placement puts every third chunk on node 2, where
+    /// no vproc runs.
+    #[test]
+    fn chunks_on_a_node_without_vprocs_are_pinned() {
+        use mgc_numa::PlacementPolicy;
+
+        let nodes = [NodeId::new(0), NodeId::new(1)];
+        let config = HeapConfig::small_for_tests();
+        let mut heap = Heap::with_placement(config, &nodes, 3, PlacementPolicy::Interleave);
+        let mut collector = Collector::new(GcConfig::small_for_tests(), 2, 3);
+        let mut roots = populate_lists(&mut heap, &mut collector, &[60, 45]);
+        let outcome = collector.global(&mut heap, &mut roots);
+        let on_node_2 = heap
+            .global()
+            .chunks()
+            .filter(|c| c.state() != SharedChunkState::Free && c.node() == NodeId::new(2))
+            .count();
+        assert!(on_node_2 > 0, "some to-space chunk is on node 2");
+        let per_vproc: Vec<(u64, [u64; 3])> = outcome
+            .per_vproc_cost
+            .iter()
+            .map(|c| (c.cpu_ns.to_bits(), [0, 1, 2].map(|n| c.bytes_to_node[n])))
+            .collect();
+        assert_eq!(
+            (per_vproc.as_slice(), outcome.copied_bytes),
+            (PINNED_FALLBACK.0.as_slice(), PINNED_FALLBACK.1)
+        );
+    }
+
     #[test]
     fn repeated_global_collections_converge() {
         let (mut heap, mut collector) = setup(2);
