@@ -7,44 +7,37 @@
 //! ([`Collector::needs_global`]). The leader vproc signals every other vproc
 //! by zeroing its allocation-limit pointer; each vproc reaches a safe point,
 //! performs its own minor and major collections (so all of its live data
-//! except the young data is in the global heap), and then joins the parallel
-//! copying phase:
+//! except the young data is in the global heap) and retires its current
+//! chunk. Then both backends run one function, [`Collector::collect_global`]:
 //!
 //! 1. the **leader** flips every filled chunk to from-space
 //!    ([`flip_to_from_space`]);
-//! 2. every vproc evacuates the roots it owns ([`evacuate_roots`]) and the
-//!    fields of its young local data ([`scan_young_fields`]) into a fresh
-//!    to-space chunk of its own — racing evacuations of a shared object are
-//!    resolved by a compare-and-swap on the from-space header slot (exactly
-//!    one winner; the loser's copy becomes garbage);
-//! 3. vprocs Cheney-scan unscanned to-space chunks ([`scan_pass`]) until a
-//!    whole pass makes no progress;
-//! 4. the leader returns the from-space chunks to the free pool, keeping
-//!    node affinity ([`release_from_space`]).
+//! 2. every vproc evacuates the roots it owns and the fields of its young
+//!    local data into a to-space chunk of its own — racing evacuations of a
+//!    shared object are resolved by a compare-and-swap on the from-space
+//!    header slot (exactly one winner; the loser's copy becomes garbage);
+//! 3. vprocs Cheney-scan unscanned to-space chunks until a whole pass makes
+//!    no progress;
+//! 4. the leader releases from-space, keeping each chunk's node
+//!    ([`release_from_space`]), and the collection is counted.
 //!
-//! Both backends run these phases, through one forwarding function and one
-//! chunk scan. The threaded backend's workers run them in parallel: each
-//! claims chunks off a shared [`AtomicUsize`] work index, and with a pause
-//! budget the scan runs in *budgeted* passes ([`scan_pass_budgeted`]) that
-//! stop once their deadline expires (persisting partial chunk progress in
-//! the scan pointer); the runtime then releases the mutators and the next
-//! increment resumes where the pass left off. A timed-out pass reports
-//! [`ScanPassOutcome::out_of_time`], so termination is never concluded from
-//! a pass that merely ran out of budget. On the simulated backend one driver
-//! thread, [`Collector::global`], runs every vproc's phases in turn and
-//! charges each vproc's share to its [`GcCost`]; it hands each to-space
-//! chunk to a vproc on the chunk's node, round-robin, as §3.4's per-node
-//! chunk lists arrange, so the runtime's memory model can reconstruct the
-//! parallel pause and its bus traffic.
+//! It takes two things from its caller. A [`Rendezvous`] says how the vprocs
+//! meet and whose roots each evacuates: a worker thread runs its own vproc's
+//! steps and meets the others at a barrier; [`Sequential`] runs every
+//! vproc's steps in order on one thread, charging each vproc's [`GcCost`].
+//! The [`ParallelGcState`] says how a pass hands out to-space chunks: off a
+//! shared work index, or by §3.4's per-node chunk lists.
 
 use crate::collector::{for_each_young, forward_fields, Collector};
 use crate::cost::{GcCost, GLOBAL_BARRIER_NS};
 use mgc_heap::{
-    Addr, ChunkId, GcHeap, Header, Heap, Location, SharedChunk, SharedChunkState, SharedGlobalHeap,
-    WorkerHeap,
+    verify_global_heap, verify_local_heap, Addr, ChunkId, GcHeap, Header, Heap, Location,
+    SharedChunk, SharedChunkState, SharedGlobalHeap, WorkerHeap,
 };
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use mgc_numa::NodeId;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Result of a global collection.
@@ -86,89 +79,190 @@ impl Collector {
             heap.retire_current_chunk(vproc);
         }
 
-        // The phases of the module doc, each vproc's in turn.
-        let global = Arc::clone(heap.global());
-        let from_space = flip_to_from_space(&global);
-        let state = ParallelGcState::new();
-        for (vproc, (roots, cost)) in roots_per_vproc.iter_mut().zip(&mut costs).enumerate() {
-            let worker = heap.worker_mut(vproc);
-            evacuate(worker, roots, &state, Some(&mut *cost));
-            scan_young(worker, &state, Some(cost));
-        }
-
-        // The chunk lists of §3.4: a to-space chunk goes to the vprocs on
-        // its node in turn, or to every vproc in turn if its node has none.
-        let pools: Vec<Vec<usize>> = (0..self.num_nodes())
-            .map(|node| {
-                let on_node: Vec<usize> = (0..num_vprocs)
-                    .filter(|&v| heap.vproc_home_node(v).index() == node)
-                    .collect();
-                if on_node.is_empty() {
-                    (0..num_vprocs).collect()
-                } else {
-                    on_node
-                }
-            })
-            .collect();
-        let mut turns = vec![0usize; pools.len()];
-        let mut until_check = DEADLINE_STRIDE;
-        let mut pending = Vec::new();
-        loop {
-            // A pass scans the chunks pending when it starts, in chunk-id
-            // order, i.e. the order the chunks were first leased in.
-            pending.clear();
-            pending.extend(
-                global
-                    .chunks()
-                    .filter(|c| is_to_space(c) && !c.fully_scanned())
-                    .map(|c| c.id()),
-            );
-            if pending.is_empty() {
-                break;
-            }
-            for &id in &pending {
-                let chunk = global.chunk(id);
-                let node = chunk.node().index();
-                let vproc = pools[node][turns[node] % pools[node].len()];
-                turns[node] += 1;
-                let worker = heap.worker_mut(vproc);
-                let cost = Some(&mut costs[vproc]);
-                scan_chunk(worker, chunk, &state, cost, None, &mut until_check);
-            }
-        }
-        release_from_space(&global, &from_space);
-
-        for vproc in 0..num_vprocs {
-            self.vproc_stats_mut(vproc).global_collections += 1;
-        }
-        // The aggregate stats need only the machine-wide total.
-        let copied_bytes = state.copied_bytes.into_inner();
-        self.vproc_stats_mut(0).global_copied_bytes += copied_bytes;
-
+        let nodes: Vec<NodeId> = (0..num_vprocs).map(|v| heap.vproc_home_node(v)).collect();
+        let state = ParallelGcState::with_node_pools(&nodes, self.num_nodes());
+        let mut vprocs = Sequential {
+            heap,
+            roots: roots_per_vproc,
+            costs: Some(&mut costs),
+        };
+        self.collect_global(&mut vprocs, &state, None);
         self.clear_global_pending();
-        self.maybe_verify(|| heap.verify_violations());
-
         GlobalOutcome {
             per_vproc_cost: costs,
-            copied_bytes,
+            copied_bytes: state.copied_bytes.into_inner(),
         }
+    }
+
+    /// The phases of the module doc, after the ramp-down. Returns `false`
+    /// when `deadline` ended a pass that may have left work; the next call
+    /// skips the flip, evacuates the roots and young data again (a mutator
+    /// may have loaded from-space pointers in between) and resumes the scan.
+    /// Under [`GcConfig::verify_after_gc`](crate::GcConfig) the leader walks
+    /// the global heap after the release, and each vproc its local heap.
+    pub fn collect_global<R: Rendezvous>(
+        &mut self,
+        vprocs: &mut R,
+        state: &ParallelGcState,
+        deadline: Option<Instant>,
+    ) -> bool {
+        let first = vprocs.vprocs().start;
+        let global = Arc::clone(vprocs.vproc(first).0.global());
+        // Every pass-end step leaves the work index and `progress` reset.
+        vprocs.meet(|_| {
+            if !state.in_scan_phase.load(Ordering::Acquire) {
+                *state.from_space.lock().expect("gc state poisoned") = flip_to_from_space(&global);
+                state.copied_bytes.store(0, Ordering::Release);
+                state.in_scan_phase.store(true, Ordering::Release);
+            }
+            state.done.store(false, Ordering::Release);
+        });
+
+        for v in vprocs.vprocs() {
+            vprocs.evacuate(v, state);
+            let (worker, cost) = vprocs.vproc(v);
+            scan_young(worker, state, cost);
+        }
+        vprocs.meet(|_| {});
+
+        // A pass that ran out of time counts as progress: concluding "done"
+        // from it would release from-space with live objects still in it.
+        loop {
+            if pass(vprocs, &global, state, deadline) != Some(false) {
+                state.progress.store(true, Ordering::Release);
+            }
+            vprocs.meet(|_| {
+                if !state.progress.swap(false, Ordering::AcqRel) {
+                    state.done.store(true, Ordering::Release);
+                }
+                state.reset_work_index();
+            });
+            if state.done.load(Ordering::Acquire) {
+                break;
+            }
+            if deadline.is_some() {
+                return false;
+            }
+        }
+
+        vprocs.meet(|vprocs| {
+            let from_space =
+                std::mem::take(&mut *state.from_space.lock().expect("gc state poisoned"));
+            release_from_space(&global, &from_space);
+            let copied = state.copied_bytes.load(Ordering::Acquire);
+            self.vproc_stats_mut(first).global_copied_bytes += copied;
+            self.maybe_verify(|| verify_global_heap(vprocs.vproc(first).0));
+            state.in_scan_phase.store(false, Ordering::Release);
+            vprocs.resume();
+        });
+        for v in vprocs.vprocs() {
+            self.vproc_stats_mut(v).global_collections += 1;
+            self.maybe_verify(|| verify_local_heap(vprocs.vproc(v).0));
+        }
+        true
     }
 }
 
-/// Shared coordination state of one parallel global collection: the work
-/// index workers claim to-space chunks from, and the copied-byte total.
+/// How the vprocs of a global collection meet, and whose roots each
+/// evacuates ([`Collector::collect_global`]).
+pub trait Rendezvous {
+    /// The vprocs whose steps this caller runs, in order.
+    fn vprocs(&self) -> Range<usize>;
+
+    /// Vproc `v`'s heap, and its cost on a backend that charges one.
+    fn vproc(&mut self, v: usize) -> (&mut WorkerHeap, Option<&mut GcCost>);
+
+    /// Evacuates the roots vproc `v` owns ([`evacuate_roots`]).
+    fn evacuate(&mut self, v: usize, state: &ParallelGcState);
+
+    /// Waits until every vproc has arrived; the last to arrive runs `leader`
+    /// once before any of them leaves.
+    fn meet(&mut self, leader: impl FnOnce(&mut Self));
+
+    /// The last write of a collection's last leader step: the mutators may
+    /// run again.
+    fn resume(&mut self) {}
+}
+
+/// The simulator's [`Rendezvous`]: one thread runs each vproc's step in
+/// vproc order, then the leader's step. `roots[v]` is vproc `v`'s root set
+/// and `costs[v]`, when given, its cost.
+#[derive(Debug)]
+pub struct Sequential<'a, H> {
+    /// The heap whose workers are the vprocs.
+    pub heap: &'a mut H,
+    /// One root set per vproc.
+    pub roots: &'a mut [Vec<Addr>],
+    /// One cost per vproc, when the collection is charged.
+    pub costs: Option<&'a mut [GcCost]>,
+}
+
+impl<H: GcHeap> Rendezvous for Sequential<'_, H> {
+    fn vprocs(&self) -> Range<usize> {
+        0..self.roots.len()
+    }
+
+    fn vproc(&mut self, v: usize) -> (&mut WorkerHeap, Option<&mut GcCost>) {
+        let cost = self.costs.as_deref_mut().map(|costs| &mut costs[v]);
+        (self.heap.worker_mut(v), cost)
+    }
+
+    fn evacuate(&mut self, v: usize, state: &ParallelGcState) {
+        let cost = self.costs.as_deref_mut().map(|costs| &mut costs[v]);
+        forward_all(self.heap.worker_mut(v), &mut self.roots[v], state, cost);
+    }
+
+    fn meet(&mut self, leader: impl FnOnce(&mut Self)) {
+        leader(self);
+    }
+}
+
+/// The state one global collection's vprocs share.
 #[derive(Debug, Default)]
 pub struct ParallelGcState {
     /// Next chunk-directory index to claim for scanning.
     pub work_index: AtomicUsize,
     /// Bytes copied from from-space into to-space chunks, machine-wide.
     pub copied_bytes: AtomicU64,
+    /// Set from the flip to the release, by leader steps only. Between two
+    /// increments of a budgeted collection the mutators run with it set, and
+    /// may meet a forwarded global header.
+    pub in_scan_phase: AtomicBool,
+    /// The chunk-directory indices of from-space.
+    from_space: Mutex<Vec<usize>>,
+    /// Whether some vproc's latest pass scanned anything or ran out of time.
+    progress: AtomicBool,
+    /// Set by the leader once a pass made no progress on any vproc.
+    done: AtomicBool,
+    /// A to-space chunk on node `n` goes to the vprocs of `pools[n]` in
+    /// turn, `turns[n]` counting the chunks handed out so far; no pools:
+    /// passes claim off `work_index`.
+    pools: Vec<Vec<usize>>,
+    turns: Vec<AtomicUsize>,
 }
 
 impl ParallelGcState {
-    /// Creates the coordination state for one collection.
+    /// The state of a collection whose passes claim chunks off the shared
+    /// work index.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The state of a collection whose passes hand each to-space chunk to
+    /// the vprocs on its node in turn, or to every vproc in turn when none
+    /// runs there; `vproc_nodes[v]` is vproc `v`'s node.
+    pub fn with_node_pools(vproc_nodes: &[NodeId], num_nodes: usize) -> Self {
+        let pools = (0..num_nodes).map(|node| {
+            let empty = vproc_nodes.iter().all(|n| n.index() != node);
+            (0..vproc_nodes.len())
+                .filter(|&v| empty || vproc_nodes[v].index() == node)
+                .collect()
+        });
+        Self {
+            pools: pools.collect(),
+            turns: (0..num_nodes).map(|_| AtomicUsize::new(0)).collect(),
+            ..Self::default()
+        }
     }
 
     /// Resets the work index for the next scan pass (leader-only, between
@@ -243,25 +337,13 @@ fn forward(
     new
 }
 
-/// Forwards one pointer during the parallel collection: from-space objects
-/// are copied into `worker`'s current to-space chunk, with a CAS resolving
-/// races against other workers evacuating the same object
-/// ([`WorkerHeap::evacuate_from_space`] is the mechanism). A non-global
-/// pointer is left alone — local objects never live in from-space; under
-/// lazy promotion the worker's surviving young data is instead scanned as an
-/// extra root set by [`scan_young_fields`].
-pub fn forward_parallel(worker: &mut WorkerHeap, ptr: Addr, state: &ParallelGcState) -> Addr {
-    forward(worker, ptr, state, None)
-}
-
-/// Evacuates a worker-owned root set (its deque tasks' roots, its slice of
-/// the shared runtime tables) at the start of the parallel copying phase.
+/// Forwards each non-null root into `worker`'s to-space.
 pub fn evacuate_roots(worker: &mut WorkerHeap, roots: &mut [Addr], state: &ParallelGcState) {
-    evacuate(worker, roots, state, None);
+    forward_all(worker, roots, state, None);
 }
 
 /// [`evacuate_roots`], charging the copies to `cost` when one is given.
-fn evacuate(
+fn forward_all(
     worker: &mut WorkerHeap,
     roots: &mut [Addr],
     state: &ParallelGcState,
@@ -272,21 +354,10 @@ fn evacuate(
     }
 }
 
-/// Scans the worker's surviving young local data as an additional root set,
-/// forwarding any global from-space pointers its fields hold.
-///
-/// Under lazy promotion a worker reaches the stop-the-world barrier with
-/// live *local* data (the unstolen private tasks' graphs, kept young by the
-/// ramp-down's minor + major collections). Local objects never move during
-/// a global collection, but their fields may reference promoted objects in
-/// from-space. On the simulated backend the driver thread runs this scan for
-/// each vproc in turn, charging it.
-pub fn scan_young_fields(worker: &mut WorkerHeap, state: &ParallelGcState) {
-    scan_young(worker, state, None);
-}
-
-/// [`scan_young_fields`], charging each object's scan, then its fields'
-/// copies, to `cost` when one is given.
+/// Forwards the from-space pointers held by the worker's young local data
+/// (the unstolen private tasks' graphs the ramp-down kept), charging each
+/// object's scan, then its fields' copies, to `cost` when one is given.
+/// Local objects never move during a global collection.
 fn scan_young(worker: &mut WorkerHeap, state: &ParallelGcState, mut cost: Option<&mut GcCost>) {
     let vproc = worker.vproc();
     let node = worker.local().node();
@@ -303,80 +374,86 @@ fn scan_young(worker: &mut WorkerHeap, state: &ParallelGcState, mut cost: Option
     });
 }
 
-/// Outcome of one (possibly budgeted) scan pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanPassOutcome {
-    /// At least one object was scanned during this pass.
-    pub progress: bool,
-    /// The deadline expired while unscanned work may remain; the partially
-    /// scanned chunk's progress is persisted through its scan pointer.
-    pub out_of_time: bool,
-}
-
-impl ScanPassOutcome {
-    /// Whether the collection may still have work after this pass. A pass
-    /// that timed out must count as "more work" when deciding termination —
-    /// concluding "done" from a pass that merely ran out of budget would
-    /// release from-space with live objects still in it.
-    pub fn may_have_more_work(&self) -> bool {
-        self.progress || self.out_of_time
-    }
-}
-
 /// How many objects a budgeted scan pass processes between deadline checks.
 /// Amortises the clock read, and guarantees every pass with available work
 /// scans at least this many objects before it can time out — a pathological
 /// budget degrades to many small increments instead of livelocking.
 const DEADLINE_STRIDE: u32 = 32;
 
-/// One scan pass: claims chunk-directory indices off the shared work index
-/// and Cheney-scans every claimed to-space chunk, forwarding the from-space
-/// pointers it contains. Returns `true` if any object was scanned or copied
-/// — the runtime repeats passes (with a barrier in between) until a full
-/// pass reports no progress from any worker.
-pub fn scan_pass(worker: &mut WorkerHeap, state: &ParallelGcState) -> bool {
-    scan_pass_budgeted(worker, state, None).progress
-}
-
-/// [`scan_pass`] with an optional deadline: once the deadline passes (checked
-/// every `DEADLINE_STRIDE` objects, and never before at least one stride of
-/// work), the pass persists its position in the current chunk's scan pointer
-/// and returns with [`ScanPassOutcome::out_of_time`] set, leaving the rest of
-/// the work for the next increment.
-pub fn scan_pass_budgeted(
-    worker: &mut WorkerHeap,
+/// One scan pass of the vprocs `vprocs` runs: `None` once the deadline has
+/// passed, else whether anything was scanned. Off the work index each vproc
+/// claims chunks until the index runs out; with node pools, the chunks
+/// pending when the pass starts go in chunk-id order (the order they were
+/// first leased in) to the vprocs of their node's pool in turn.
+fn pass<R: Rendezvous>(
+    vprocs: &mut R,
+    global: &SharedGlobalHeap,
     state: &ParallelGcState,
     deadline: Option<Instant>,
-) -> ScanPassOutcome {
-    let mut outcome = ScanPassOutcome {
-        progress: false,
-        out_of_time: false,
-    };
-    let global = worker.global().clone();
+) -> Option<bool> {
     let mut until_check = DEADLINE_STRIDE;
-    while !outcome.out_of_time {
+    let mut progress = false;
+    if state.pools.is_empty() {
+        for v in vprocs.vprocs() {
+            let (worker, cost) = vprocs.vproc(v);
+            progress |= claim_chunks(worker, cost, global, state, deadline, &mut until_check)?;
+        }
+        return Some(progress);
+    }
+    let pending: Vec<ChunkId> = global
+        .chunks()
+        .filter(|c| is_to_space(c) && !c.fully_scanned())
+        .map(|c| c.id())
+        .collect();
+    for id in pending {
+        let chunk = global.chunk(id);
+        let node = chunk.node().index();
+        let (pool, turn) = (&state.pools[node], &state.turns[node]);
+        let (worker, cost) = vprocs.vproc(pool[turn.fetch_add(1, Ordering::Relaxed) % pool.len()]);
+        progress |= scan_chunk(worker, chunk, state, cost, deadline, &mut until_check)?;
+    }
+    Some(progress)
+}
+
+/// `worker`'s part of a pass off the shared work index ([`pass`]).
+fn claim_chunks(
+    worker: &mut WorkerHeap,
+    mut cost: Option<&mut GcCost>,
+    global: &SharedGlobalHeap,
+    state: &ParallelGcState,
+    deadline: Option<Instant>,
+    until_check: &mut u32,
+) -> Option<bool> {
+    let mut progress = false;
+    loop {
         let index = state.work_index.fetch_add(1, Ordering::AcqRel);
         if index >= global.num_chunks() {
-            break;
+            return Some(progress);
         }
         let chunk = global.chunk(ChunkId(index as u32));
         if is_to_space(chunk) {
-            let scanned = scan_chunk(worker, chunk, state, None, deadline, &mut until_check);
-            outcome.progress |= scanned.progress;
-            outcome.out_of_time = scanned.out_of_time;
+            let cost = cost.as_deref_mut();
+            progress |= scan_chunk(worker, chunk, state, cost, deadline, until_check)?;
         }
     }
-    outcome
+}
+
+/// One scan pass of `worker` off the shared work index, with no deadline.
+/// Returns `true` if any object was scanned; passes repeat, the index reset
+/// in between, until one reports no progress from any worker.
+pub fn scan_pass(worker: &mut WorkerHeap, state: &ParallelGcState) -> bool {
+    let global = Arc::clone(worker.global());
+    let mut until_check = DEADLINE_STRIDE;
+    claim_chunks(worker, None, &global, state, None, &mut until_check) == Some(true)
 }
 
 /// The one Cheney scan of both backends: scans `chunk`'s objects from its
 /// scan pointer on, forwarding the from-space pointers they hold, until the
-/// scan pointer meets the bump pointer — which the scan itself may push on,
-/// when the chunk is `worker`'s own current one. Given a cost, each object's
-/// scan is charged before its fields are forwarded. `until_check` counts
-/// objects down to the next deadline check, across the chunks of a pass;
-/// once the deadline has passed, the scan pointer keeps the position and the
-/// outcome is out of time.
+/// scan pointer meets the bump pointer (which the scan pushes on when the
+/// chunk is `worker`'s current one). Given a cost, each object's scan is
+/// charged before its fields are forwarded. `until_check` counts objects
+/// down to the next deadline check across a pass; past the deadline the
+/// scan pointer keeps the position and the scan returns `None`.
 fn scan_chunk(
     worker: &mut WorkerHeap,
     chunk: &SharedChunk,
@@ -384,18 +461,15 @@ fn scan_chunk(
     mut cost: Option<&mut GcCost>,
     deadline: Option<Instant>,
     until_check: &mut u32,
-) -> ScanPassOutcome {
-    let mut outcome = ScanPassOutcome {
-        progress: false,
-        out_of_time: false,
-    };
+) -> Option<bool> {
+    let mut progress = false;
     loop {
         let scan = chunk.scan();
         let top = chunk.used_words();
         if scan >= top {
-            return outcome;
+            return Some(progress);
         }
-        outcome.progress = true;
+        progress = true;
         let mut offset = scan;
         while offset < top {
             let header = Header::decode(chunk.read(offset))
@@ -422,8 +496,7 @@ fn scan_chunk(
                 *until_check = DEADLINE_STRIDE;
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     chunk.set_scan(offset);
-                    outcome.out_of_time = true;
-                    return outcome;
+                    return None;
                 }
             }
         }
@@ -948,80 +1021,41 @@ mod tests {
         assert_eq!(w.locate(fresh).payload(), vec![1, 2]);
     }
 
+    /// A collection whose every pass starts past its deadline: each call of
+    /// [`Collector::collect_global`] must still scan at least one stride (no
+    /// livelock) and return before the release, and the calls converge.
     #[test]
     fn budgeted_scan_passes_converge_and_preserve_data() {
-        let (mut workers, global) = crate::collector::tests::two_workers();
-        let mut collectors: Vec<Collector> = (0..2)
-            .map(|_| Collector::new(GcConfig::small_for_tests(), 2, 2))
-            .collect();
-
-        let mut roots: Vec<Vec<Addr>> = vec![Vec::new(); 2];
-        for v in 0..2 {
-            let mut list = Addr::NULL;
-            for i in 0..40u64 {
-                let val = workers[v].alloc_raw(&[i + 100 * v as u64]).unwrap();
-                list = workers[v].alloc_vector(&[val.raw(), list.raw()]).unwrap();
-            }
-            let (promoted, _) = collectors[v].promote(&mut workers[v], v, list);
-            roots[v].push(promoted);
-            let mut none: Vec<Addr> = Vec::new();
-            collectors[v].minor(&mut workers[v], v, &mut none);
-            collectors[v].major(&mut workers[v], v, &mut none);
+        let (mut heap, mut collector) = setup(2);
+        let mut roots = populate_lists(&mut heap, &mut collector, &[40, 40]);
+        let before: Vec<Vec<u64>> = roots.iter().map(|r| list_values(&heap, r[0])).collect();
+        for (vproc, roots) in roots.iter_mut().enumerate() {
+            collector.minor(&mut heap, vproc, roots);
+            collector.major(&mut heap, vproc, roots);
+            heap.retire_current_chunk(vproc);
         }
-        let shared_values = |w: &WorkerHeap, mut cursor: Addr| -> Vec<u64> {
-            let mut out = Vec::new();
-            while !cursor.is_null() {
-                let val = Addr::new(w.read_field(cursor, 0));
-                out.push(w.read_field(val, 0));
-                cursor = Addr::new(w.read_field(cursor, 1));
-            }
-            out
-        };
-        let before: Vec<Vec<u64>> = (0..2)
-            .map(|v| shared_values(&workers[v], roots[v][0]))
-            .collect();
-
-        for w in workers.iter_mut() {
-            w.retire_current_chunk();
-        }
-        let from_space = flip_to_from_space(&global);
-        assert!(!from_space.is_empty());
+        let global = Arc::clone(heap.global());
         let state = ParallelGcState::new();
-        for v in 0..2 {
-            let mut r = std::mem::take(&mut roots[v]);
-            evacuate_roots(&mut workers[v], &mut r, &state);
-            roots[v] = r;
-        }
-        // Drive the scan with an already-expired deadline: every pass with
-        // available work must still scan at least one stride (no livelock)
-        // and report out_of_time, so the loop below simulates many small
-        // increments. It must converge, and "done" must only ever be
-        // concluded from a pass that drained the work index in time.
-        let expired = std::time::Instant::now() - std::time::Duration::from_secs(1);
+        let expired = Instant::now() - std::time::Duration::from_secs(1);
+        let mut vprocs = Sequential {
+            heap: &mut heap,
+            roots: &mut roots,
+            costs: None,
+        };
         let mut increments = 0u32;
-        loop {
-            let mut more_work = false;
-            state.reset_work_index();
-            for w in workers.iter_mut() {
-                more_work |= scan_pass_budgeted(w, &state, Some(expired)).may_have_more_work();
-            }
+        while !collector.collect_global(&mut vprocs, &state, Some(expired)) {
             increments += 1;
-            if !more_work {
-                break;
-            }
+            // What the collection retained is recorded at the release, never
+            // at an increment that merely ran out of budget.
+            assert_eq!(global.bytes_after_last_collection(), 0);
             assert!(increments < 10_000, "budgeted passes failed to converge");
         }
-        // 80 list cells + 80 values per the two workers: far more than one
-        // stride, so the expired deadline must have forced multiple passes.
+        // 80 list cells + 80 values: far more than one stride, so the
+        // expired deadline must have forced multiple increments.
         assert!(increments > 2, "expected many budgeted increments");
-        // What the collection retained is recorded at the release, never at
-        // an increment that merely ran out of budget.
-        assert_eq!(global.bytes_after_last_collection(), 0);
-        let released = release_from_space(&global, &from_space);
-        assert_eq!(released, from_space.len());
         assert_eq!(global.bytes_after_last_collection(), global.bytes_in_use());
-        for v in 0..2 {
-            assert_eq!(shared_values(&workers[v], roots[v][0]), before[v]);
+        for (roots, expected) in roots.iter().zip(&before) {
+            assert_eq!(&list_values(&heap, roots[0]), expected);
         }
         assert!(state.copied_bytes.load(Ordering::Relaxed) > 0);
     }

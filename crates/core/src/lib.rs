@@ -17,7 +17,8 @@
 //! * **Global collections** ([`Collector::global`]) are stop-the-world,
 //!   parallel, copying collections of the global heap organised around
 //!   per-node from-space chunk lists and node-affine to-space allocation
-//!   (§3.4).
+//!   (§3.4); both backends run one sequence of their phases
+//!   ([`Collector::collect_global`]).
 //!
 //! Every operation returns a [`GcCost`] describing the CPU time and
 //! per-NUMA-node memory traffic it generated; the `mgc-runtime` crate feeds
@@ -65,8 +66,8 @@ pub use cost::{
     GLOBAL_BARRIER_NS,
 };
 pub use global::{
-    evacuate_roots, flip_to_from_space, forward_parallel, release_from_space, scan_pass,
-    scan_pass_budgeted, scan_young_fields, GlobalOutcome, ParallelGcState, ScanPassOutcome,
+    evacuate_roots, flip_to_from_space, release_from_space, scan_pass, GlobalOutcome,
+    ParallelGcState, Rendezvous, Sequential,
 };
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use stats::{CollectionKind, GcStats, PauseStats, PAUSE_BUCKETS};

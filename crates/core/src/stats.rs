@@ -56,7 +56,10 @@ pub struct GcStats {
     pub major_collections: u64,
     /// Number of object promotions.
     pub promotions: u64,
-    /// Number of global collections this vproc participated in.
+    /// Number of global collections this vproc participated in. Every vproc
+    /// takes part in each collection, so a sum over vprocs (as in
+    /// [`GcStats::merge`] and the run report built from it) counts one
+    /// machine-wide collection once per vproc.
     pub global_collections: u64,
     /// Bytes copied within the local heap by minor collections.
     pub minor_copied_bytes: u64,
@@ -69,7 +72,8 @@ pub struct GcStats {
     pub major_promoted_bytes: u64,
     /// Bytes promoted to the global heap by explicit promotions.
     pub promotion_bytes: u64,
-    /// Bytes copied between global chunks by global collections.
+    /// Bytes copied between global chunks by global collections: the whole
+    /// machine's, on the vproc whose leader step ended each collection.
     pub global_copied_bytes: u64,
     /// Pauses for local collections that stayed minor.
     pub minor_pauses: PauseStats,

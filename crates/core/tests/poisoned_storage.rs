@@ -9,10 +9,7 @@
 //! not written would see the forgery. It is the only test in this file, so
 //! no other test takes the poisoned buffers first.
 
-use mgc_core::{
-    evacuate_roots, flip_to_from_space, release_from_space, scan_pass, scan_young_fields,
-    Collector, GcConfig, GcOutcome, ParallelGcState,
-};
+use mgc_core::{Collector, GcConfig, GcOutcome, ParallelGcState, Sequential};
 use mgc_heap::{
     Addr, GcHeap, Header, Heap, HeapConfig, ObjectKind, SharedGlobalHeap, ThreadedLayout, Word,
     WorkerHeap, GLOBAL_BASE, LOCAL_BASE,
@@ -100,25 +97,19 @@ impl Machine for WorkerHeap {
     fn promote_onto(&mut self, node: NodeId) {
         self.set_promotion_target(node);
     }
-    /// The threaded phases, driven from one thread, after the worker's own
-    /// minor and major collections.
+    /// The global collection's one sequence, run for this worker alone
+    /// after its own minor and major collections.
     fn collect_global(&mut self, collector: &mut Collector, roots: &mut Vec<Addr>) {
         collector.minor(self, 0, roots);
         collector.major(self, 0, roots);
         self.retire_current_chunk();
-        let global = Arc::clone(self.global());
-        let state = ParallelGcState::new();
-        let from_space = flip_to_from_space(&global);
-        evacuate_roots(self, roots, &state);
-        scan_young_fields(self, &state);
-        loop {
-            state.reset_work_index();
-            if !scan_pass(self, &state) {
-                break;
-            }
-        }
+        let mut vprocs = Sequential {
+            heap: &mut *self,
+            roots: std::slice::from_mut(roots),
+            costs: None,
+        };
+        collector.collect_global(&mut vprocs, &ParallelGcState::new(), None);
         self.retire_current_chunk();
-        release_from_space(&global, &from_space);
         let violations = self.verify_violations();
         assert!(violations.is_empty(), "{violations:?}");
     }

@@ -12,7 +12,8 @@
 //! after every collection on both backends: the simulated [`Heap`] walks the
 //! whole machine ([`verify_heap`]), a threaded `WorkerHeap` its own local
 //! heap ([`verify_local_heap`] — classification by address arithmetic and
-//! chunk states only, so nothing another worker owns is read).
+//! chunk states only, so nothing another worker owns is read) and, after a
+//! global collection, the leader the global heap ([`verify_global_heap`]).
 
 use crate::addr::{word_as_pointer, Addr};
 use crate::gc_heap::GcHeap;
@@ -114,14 +115,12 @@ pub fn verify_local_heap(worker: &WorkerHeap) -> Vec<InvariantViolation> {
     violations
 }
 
-/// Checks the pointer discipline of the global heap: no pointer field of any
-/// object in a live chunk (some vproc's current one, or a filled one) may
-/// target a local heap.
-pub fn verify_global_heap(heap: &Heap) -> Vec<InvariantViolation> {
+/// Checks the pointer discipline of the global heap, read through any
+/// worker: no pointer field of any object in a live chunk (some vproc's
+/// current one, or a filled one) may target a local heap.
+pub fn verify_global_heap(reader: &WorkerHeap) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
-    // Every worker reads the global heap alike.
-    let reader = heap.worker(0);
-    for chunk in heap.global().chunks() {
+    for chunk in reader.global().chunks() {
         if matches!(
             chunk.state(),
             SharedChunkState::Current | SharedChunkState::Filled
@@ -141,7 +140,7 @@ pub fn verify_global_heap(heap: &Heap) -> Vec<InvariantViolation> {
 /// Runs every invariant check over the whole heap: the global walk, then
 /// each worker's.
 pub fn verify_heap(heap: &Heap) -> Vec<InvariantViolation> {
-    let mut violations = verify_global_heap(heap);
+    let mut violations = verify_global_heap(heap.worker(0));
     for vproc in 0..heap.num_vprocs() {
         violations.extend(verify_local_heap(heap.worker(vproc)));
     }
@@ -189,7 +188,7 @@ mod tests {
         let local_obj = heap.alloc_raw(0, &[3]).unwrap();
         let header = crate::header::Header::new(crate::header::ObjectKind::Vector, 1).encode();
         heap.alloc_in_global(0, header, &[local_obj.raw()]).unwrap();
-        let violations = verify_global_heap(&heap);
+        let violations = verify_global_heap(heap.worker(0));
         assert_eq!(violations.len(), 1);
         assert!(violations[0].rule.contains("global heap"));
     }

@@ -94,7 +94,8 @@ pub struct RunReport {
     pub allocated_words: u64,
     /// Per-vproc scheduling statistics.
     pub per_vproc: Vec<VprocRunStats>,
-    /// Aggregated collector statistics.
+    /// Aggregated collector statistics: the per-vproc sums, so
+    /// `global_collections` counts each collection once per vproc.
     pub gc: GcStats,
     /// Machine-wide traffic statistics by locality class.
     pub traffic: TrafficStats,

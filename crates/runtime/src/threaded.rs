@@ -34,28 +34,19 @@
 //! * global collections are an **incremental stop-the-world ramp-down**: a
 //!   pending flag, per-vproc acknowledgement at a safe point (declining
 //!   outstanding steal requests on the way), local collections rooted at
-//!   the private deque's tasks, leader-led from-space flip, parallel
-//!   CAS-evacuation of the worker-owned roots (private tasks included) plus
-//!   a scan of the surviving young local data, and a Cheney drain over a
-//!   shared [`AtomicUsize`] work index
-//!   (`mgc_core::{flip_to_from_space, scan_pass_budgeted,
-//!   release_from_space}`). Without a pause budget the drain runs to
-//!   completion inside one pause — the classic stop-the-world shape. With
+//!   the private deque's tasks (whose graphs stay local until stolen), then
+//!   [`Collector::collect_global`], the global collection's one sequence:
+//!   each worker runs its own vproc's steps and meets the others at the
+//!   phase barrier, whose last arrival runs the leader's step (`AtBarrier`
+//!   is this backend's [`Rendezvous`]). Without a pause budget the drain
+//!   runs to completion inside one pause. With
 //!   [`GcConfig::pause_budget_us`](mgc_core::GcConfig) set, each pause runs
 //!   at most one deadline-capped scan pass and then **releases the
-//!   mutators**: workers return to the scheduler, run real work, and rejoin
-//!   the collection at their next safe point (re-evacuating their roots and
-//!   rescanning their young data first, so pointers fetched from not-yet-
-//!   scanned to-space objects between increments can never survive into a
-//!   released from-space chunk). Every increment is recorded as its own
-//!   pause in [`PauseStats`](mgc_core::PauseStats), so p50/p99/max pause
-//!   numbers reflect what a mutator actually experienced.
-//!
-//! Unlike the eager promote-at-publication design this backend used before,
-//! a worker reaches the barrier still holding live *local* data — the
-//! unstolen private tasks' graphs. Those objects never move during a global
-//! collection; their fields are scanned as an extra root set
-//! ([`mgc_core::scan_young_fields`]).
+//!   mutators**: workers run real work and rejoin the collection at their
+//!   next safe point (re-evacuating their roots and rescanning their young
+//!   data first). Every increment is recorded as its own pause in
+//!   [`PauseStats`](mgc_core::PauseStats), so p50/p99/max pause numbers
+//!   reflect what a mutator actually experienced.
 //!
 //! The backend is **NUMA-aware end to end**: each worker is tagged with the
 //! node of the core [`Topology::spread_cores`](mgc_numa::Topology) assigns
@@ -86,8 +77,7 @@ use crate::stats::{RunReport, VprocRunStats};
 use crate::task::{Delivery, JoinCell, JoinId, RootSet, Task, TaskResult, TaskSpec};
 use crate::vproc::{StealMailbox, StealRequest};
 use mgc_core::{
-    evacuate_roots, flip_to_from_space, forward_parallel, release_from_space, scan_pass_budgeted,
-    scan_young_fields, Collector, GcOutcome, GcStats, ParallelGcState,
+    evacuate_roots, Collector, GcCost, GcOutcome, GcStats, ParallelGcState, Rendezvous,
 };
 use mgc_heap::{
     Addr, Descriptor, DescriptorId, DescriptorTable, GcHeap, LocalHeapStats, LocalRegion, Resolved,
@@ -95,7 +85,7 @@ use mgc_heap::{
 };
 use mgc_numa::{NodeId, PlacementPolicy, TrafficStats};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -151,14 +141,14 @@ impl PhaseBarrier {
     }
 
     /// Blocks until all workers arrive; the last one runs `leader_action`
-    /// before anyone is released. Returns `true` on the leader.
+    /// before anyone is released.
     ///
     /// # Panics
     ///
     /// Panics (with the [`WorkerAborted`] sentinel) if another worker
     /// panicked — the rendezvous can never complete, so blocking would
     /// deadlock the machine.
-    fn wait_with(&self, leader_action: impl FnOnce()) -> bool {
+    fn wait_with(&self, leader_action: impl FnOnce()) {
         let mut state = self.state.lock().expect("barrier mutex poisoned");
         if self.is_poisoned() {
             std::panic::panic_any(WorkerAborted);
@@ -169,7 +159,6 @@ impl PhaseBarrier {
             state.arrived = 0;
             state.generation = state.generation.wrapping_add(1);
             self.cv.notify_all();
-            true
         } else {
             let generation = state.generation;
             while state.generation == generation {
@@ -178,7 +167,6 @@ impl PhaseBarrier {
                     std::panic::panic_any(WorkerAborted);
                 }
             }
-            false
         }
     }
 }
@@ -191,21 +179,9 @@ struct GcControl {
     /// its next safe point by entering the barrier.
     pending: AtomicBool,
     barrier: PhaseBarrier,
+    /// Between budgeted increments workers run mutators while its
+    /// `in_scan_phase` is set, and rejoin the scan at a safe point.
     state: ParallelGcState,
-    from_space: Mutex<Vec<usize>>,
-    progress: AtomicBool,
-    done: AtomicBool,
-    /// True between the from-space flip and the final release when the
-    /// collection is still in its scan phase. With a pause budget, workers
-    /// yield to the scheduler between budgeted increments while this is set
-    /// and re-enter through the scan path (skipping the flip) at their next
-    /// safe point. Only ever written by a barrier leader while every worker
-    /// is stopped, so all workers always agree on the entry path.
-    in_scan_phase: AtomicBool,
-    /// Copied bytes across all collections of the run.
-    total_copied_bytes: AtomicU64,
-    /// Number of global collections performed.
-    collections: AtomicU64,
 }
 
 /// One vproc's allocation limit word: the nursery end while the vproc is
@@ -644,7 +620,7 @@ impl WorkerState {
     /// It changes only while every worker is stopped inside a barrier.
     #[inline(always)]
     pub(crate) fn global_may_forward(&self) -> bool {
-        self.shared.gc.in_scan_phase.load(Ordering::Acquire)
+        self.shared.gc.state.in_scan_phase.load(Ordering::Acquire)
     }
 
     /// [`WorkerState::locate`] for callers that only want the address; null
@@ -1078,7 +1054,7 @@ impl WorkerState {
                 // actually released: run one task before rejoining (its safe
                 // points rejoin the collection mid-task, so the other workers
                 // never wait longer than one inter-safe-point interval).
-                if self.shared.gc.in_scan_phase.load(Ordering::Acquire) {
+                if self.shared.gc.state.in_scan_phase.load(Ordering::Acquire) {
                     if let Some(task) = self.private.pop_back() {
                         self.publish_work_hint();
                         self.run_task(task, global);
@@ -1135,8 +1111,8 @@ impl WorkerState {
     // ------------------------------------------------------------------
 
     /// Acknowledges a pending global collection at a safe point: ramp down
-    /// (finish local collections, retire the current chunk), rendezvous,
-    /// and join the parallel copying phase.
+    /// (finish local collections, retire the current chunk), then run
+    /// [`Collector::collect_global`] at the phase barrier.
     ///
     /// `task_roots` is the running task's root set when the safe point is
     /// mid-task (allocation points), empty at task boundaries. Those roots
@@ -1146,186 +1122,127 @@ impl WorkerState {
     /// Without a pause budget one call completes the whole collection — a
     /// single stop-the-world pause, the classic shape. With
     /// [`GcConfig::pause_budget_us`](mgc_core::GcConfig) set, a call runs
-    /// **one increment**: ramp-down (or a catch-up local collection on
-    /// re-entry), root re-evacuation and young rescan, then a single
-    /// deadline-capped scan pass — after which the worker returns to its
+    /// **one increment**: the ramp-down (a catch-up local collection on
+    /// re-entry), then the sequence up to its first deadline-capped scan
+    /// pass that may leave work — after which the worker returns to its
     /// scheduler with `pending` still set and rejoins at its next safe
-    /// point. Roots and young data are re-evacuated at the head of *every*
-    /// increment because a mutator running between increments may load
-    /// from-space pointers out of not-yet-scanned to-space objects; the
-    /// from-space chunks are only released at the end of an increment whose
-    /// scan pass drained the work index with no worker reporting progress
-    /// or a deadline timeout — i.e. with the mutators stopped ever since
-    /// the last full root evacuation, so nothing can still point into
-    /// from-space. Each increment records its own pause.
+    /// point. Each increment records its own pause.
     fn participate_global_gc(&mut self, task_roots: &mut RootSet) {
         let start = Instant::now();
-        let shared = self.shared.clone();
-        let budget = self
-            .collector
-            .config()
-            .pause_budget_us
-            .map(Duration::from_micros);
-        // Stable for the whole rendezvous: the flag only flips while every
-        // worker is stopped inside a barrier, so all workers agree on it.
-        let resuming = shared.gc.in_scan_phase.load(Ordering::Acquire);
-
         // --- Ramp-down (§3.4 steps 1–3). Under lazy promotion the unstolen
         // private tasks' graphs still live in this local heap, so the
         // collections are rooted at those tasks (plus the running task, when
         // stopping mid-task); their survivors end up in the young area
         // (minor) with the old data promoted (major). A re-entering worker
         // runs the same pair as a catch-up: anything it allocated between
-        // increments moves out of the nursery so the young rescan below
-        // covers it.
+        // increments moves out of the nursery so the young rescan covers it.
         self.collect_local(task_roots, true);
-        if !resuming {
-            // Chunks promoted into between increments are to-space Current
-            // chunks the scan passes already cover; only the pre-flip chunk
-            // must be retired so the flip sees no Current chunk.
+        // Only the pre-flip chunk is retired, so the flip sees no Current
+        // chunk; chunks promoted into between increments are to-space. (The
+        // flag flips only while every worker is stopped in a barrier.)
+        let shared = &self.shared;
+        if !shared.gc.state.in_scan_phase.load(Ordering::Acquire) {
             self.heap.retire_current_chunk();
         }
-
-        // --- Acknowledge and rendezvous. On the first increment the leader
-        // (last arrival) turns every filled chunk into from-space; on every
-        // increment it resets the per-pass scan state.
-        shared.gc.barrier.wait_with(|| {
-            if !shared.gc.in_scan_phase.load(Ordering::Acquire) {
-                let from_space = flip_to_from_space(&shared.global);
-                *shared.gc.from_space.lock().expect("gc state poisoned") = from_space;
-                shared.gc.state.copied_bytes.store(0, Ordering::Release);
-                shared.gc.in_scan_phase.store(true, Ordering::Release);
-            }
-            shared.gc.state.reset_work_index();
-            shared.gc.progress.store(false, Ordering::Release);
-            shared.gc.done.store(false, Ordering::Release);
-        });
-
-        // --- Evacuate the roots this worker owns, then fix up the fields of
-        // the surviving young local data (it may reference from-space). The
-        // running task's roots count as owned: nobody else will forward them.
-        // Re-run on every increment: both may have picked up new from-space
-        // references while the mutators ran.
-        evacuate_roots(&mut self.heap, task_roots.slots_mut(), &shared.gc.state);
-        self.evacuate_owned_roots();
-        scan_young_fields(&mut self.heap, &shared.gc.state);
-        shared.gc.barrier.wait_with(|| {});
-
-        // --- Parallel Cheney drain over the shared work index. Unbudgeted:
-        // repeat passes until a full pass makes no progress on any worker.
-        // Budgeted: one deadline-capped pass per increment, then yield; a
-        // timed-out pass counts as progress so termination is never
-        // concluded from a pass that merely ran out of budget.
-        let deadline = budget.map(|b| start + b);
-        loop {
-            let pass = scan_pass_budgeted(&mut self.heap, &shared.gc.state, deadline);
-            if pass.may_have_more_work() {
-                shared.gc.progress.store(true, Ordering::Release);
-            }
-            shared.gc.barrier.wait_with(|| {
-                if !shared.gc.progress.swap(false, Ordering::AcqRel) {
-                    shared.gc.done.store(true, Ordering::Release);
-                }
-                shared.gc.state.reset_work_index();
-            });
-            if shared.gc.done.load(Ordering::Acquire) {
-                break;
-            }
-            if budget.is_some() {
-                // Yield: release this mutator until its next safe point.
-                // `pending` stays set; the next entry resumes the scan phase.
-                self.record_global_increment(start);
-                return;
-            }
+        let budget = self.collector.config().pause_budget_us;
+        let deadline = budget.map(|us| start + Duration::from_micros(us));
+        let mut at_barrier = AtBarrier {
+            vproc: self.vproc,
+            heap: &mut self.heap,
+            task_roots,
+            private: &mut self.private,
+            shared,
+        };
+        if self
+            .collector
+            .collect_global(&mut at_barrier, &shared.gc.state, deadline)
+        {
+            shared.notify_workers();
         }
-
-        // --- Reclaim from-space and resume the world.
-        shared.gc.barrier.wait_with(|| {
-            let from_space =
-                std::mem::take(&mut *shared.gc.from_space.lock().expect("gc state poisoned"));
-            release_from_space(&shared.global, &from_space);
-            shared.gc.collections.fetch_add(1, Ordering::Relaxed);
-            shared.gc.total_copied_bytes.fetch_add(
-                shared.gc.state.copied_bytes.load(Ordering::Acquire),
-                Ordering::Relaxed,
-            );
-            shared.gc.in_scan_phase.store(false, Ordering::Release);
-            // Clearing the pending flag is the "resume" signal; it must be
-            // the leader's last write before releasing the barrier.
-            shared.gc.pending.store(false, Ordering::Release);
-        });
-        shared.notify_workers();
-
-        self.record_global_increment(start);
-        self.collector
-            .vproc_stats_mut(self.vproc)
-            .global_collections += 1;
-    }
-
-    /// Records one global-collection increment pause that started at
-    /// `start` — in the per-vproc collector stats (kind-classified) and the
-    /// per-vproc run stats (the mutator-visible pause series).
-    fn record_global_increment(&mut self, start: Instant) {
+        // Each increment is one pause, in the run's and the collector's series.
         let pause = start.elapsed().as_nanos() as f64;
         self.stats.pauses.record(pause);
-        self.collector
-            .vproc_stats_mut(self.vproc)
-            .global_pauses
-            .record(pause);
+        let stats = self.collector.vproc_stats_mut(self.vproc);
+        stats.global_pauses.record(pause);
+    }
+}
+
+/// A worker's side of the global collection's [`Rendezvous`]: it runs its
+/// own vproc's steps and meets the other workers at the phase barrier.
+struct AtBarrier<'a> {
+    vproc: usize,
+    heap: &'a mut WorkerHeap,
+    /// The running task's roots, when the safe point is mid-task.
+    task_roots: &'a mut RootSet,
+    private: &'a mut VecDeque<Task>,
+    shared: &'a Shared,
+}
+
+impl Rendezvous for AtBarrier<'_> {
+    fn vprocs(&self) -> std::ops::Range<usize> {
+        self.vproc..self.vproc + 1
     }
 
-    /// Evacuates the roots this worker is responsible for: its private
-    /// deque's tasks (their local roots are left alone — local objects never
-    /// move in a global collection — and their global roots are forwarded),
-    /// plus a `vproc`-strided slice of the shared join/channel/proxy tables
-    /// (and the root result, on worker 0).
-    fn evacuate_owned_roots(&mut self) {
-        let shared = self.shared.clone();
-        let state = &shared.gc.state;
-        let stride = shared.num_vprocs;
+    fn vproc(&mut self, _: usize) -> (&mut WorkerHeap, Option<&mut GcCost>) {
+        (self.heap, None)
+    }
 
+    /// The roots this worker is responsible for: the running task's and its
+    /// private deque's tasks' (their local roots are left alone — local
+    /// objects never move in a global collection — and their global roots
+    /// are forwarded), plus a `vproc`-strided slice of the shared
+    /// join/channel/proxy tables (and the root result, on worker 0).
+    fn evacuate(&mut self, _: usize, state: &ParallelGcState) {
+        let (vproc, stride, shared) = (self.vproc, self.shared.num_vprocs, self.shared);
+        let heap = &mut *self.heap;
+        let forward_word = |heap: &mut WorkerHeap, word: &mut Word| {
+            let mut addr = [Addr::new(*word)];
+            evacuate_roots(heap, &mut addr, state);
+            *word = addr[0].raw();
+        };
+        evacuate_roots(heap, self.task_roots.slots_mut(), state);
         for task in self.private.iter_mut() {
-            evacuate_roots(&mut self.heap, task.roots.slots_mut(), state);
+            evacuate_roots(heap, task.roots.slots_mut(), state);
         }
-
-        {
-            let mut joins = shared.joins.lock().expect("joins poisoned");
-            for cell in joins.iter_mut().skip(self.vproc).step_by(stride).flatten() {
-                for slot in cell.slots.iter_mut() {
-                    if slot.filled && slot.is_ptr {
-                        slot.word =
-                            forward_parallel(&mut self.heap, Addr::new(slot.word), state).raw();
-                    }
-                }
-                if let Some(continuation) = &mut cell.continuation {
-                    evacuate_roots(&mut self.heap, continuation.roots.slots_mut(), state);
-                }
+        let mut joins = shared.joins.lock().expect("joins poisoned");
+        for cell in joins.iter_mut().skip(vproc).step_by(stride).flatten() {
+            for slot in cell.slots.iter_mut().filter(|s| s.filled && s.is_ptr) {
+                forward_word(heap, &mut slot.word);
+            }
+            if let Some(continuation) = &mut cell.continuation {
+                evacuate_roots(heap, continuation.roots.slots_mut(), state);
             }
         }
-
-        {
-            let mut channels = shared.channels.lock().expect("channels poisoned");
-            for channel in channels.iter_mut().skip(self.vproc).step_by(stride) {
-                for slot in channel.queue.iter_mut() {
-                    *slot = forward_parallel(&mut self.heap, *slot, state);
-                }
-            }
+        drop(joins);
+        let mut channels = shared.channels.lock().expect("channels poisoned");
+        for channel in channels.iter_mut().skip(vproc).step_by(stride) {
+            let (front, back) = channel.queue.as_mut_slices();
+            evacuate_roots(heap, front, state);
+            evacuate_roots(heap, back, state);
         }
-
-        {
-            let mut proxies = shared.proxies.lock().expect("proxies poisoned");
-            for proxy in proxies.iter_mut().skip(self.vproc).step_by(stride) {
-                proxy.target = forward_parallel(&mut self.heap, proxy.target, state);
-            }
+        drop(channels);
+        let mut proxies = shared.proxies.lock().expect("proxies poisoned");
+        for proxy in proxies.iter_mut().skip(vproc).step_by(stride) {
+            evacuate_roots(heap, std::slice::from_mut(&mut proxy.target), state);
         }
-
-        if self.vproc == 0 {
+        drop(proxies);
+        if vproc == 0 {
             let mut result = shared.root_result.lock().expect("result poisoned");
-            if let Some((word, true)) = *result {
-                let new = forward_parallel(&mut self.heap, Addr::new(word), state);
-                *result = Some((new.raw(), true));
+            if let Some((word, true)) = result.as_mut() {
+                forward_word(heap, word);
             }
         }
+    }
+
+    fn meet(&mut self, leader: impl FnOnce(&mut Self)) {
+        let shared = self.shared;
+        shared.gc.barrier.wait_with(|| leader(self));
+    }
+
+    /// Clears the pending flag, the "resume" signal: the leader's last write
+    /// before releasing the barrier.
+    fn resume(&mut self) {
+        self.shared.gc.pending.store(false, Ordering::Release);
     }
 }
 
@@ -1449,12 +1366,6 @@ impl ThreadedMachine {
                 pending: AtomicBool::new(false),
                 barrier: PhaseBarrier::new(num_vprocs),
                 state: ParallelGcState::new(),
-                from_space: Mutex::new(Vec::new()),
-                progress: AtomicBool::new(false),
-                done: AtomicBool::new(false),
-                in_scan_phase: AtomicBool::new(false),
-                total_copied_bytes: AtomicU64::new(0),
-                collections: AtomicU64::new(0),
             },
             epoch: Instant::now(),
         });
@@ -1557,7 +1468,6 @@ impl ThreadedMachine {
             allocated_objects += outcome.local.nursery_allocated_objects;
             allocated_words += outcome.local.nursery_allocated_words;
         }
-        gc.global_copied_bytes += shared.gc.total_copied_bytes.load(Ordering::Relaxed);
 
         RunReport {
             elapsed_ns: wall_ns,
@@ -1854,7 +1764,7 @@ mod tests {
         // copy (given a different payload here so the reads below tell the
         // two apart), and mutators running with `in_scan_phase` set.
         worker.heap.retire_current_chunk();
-        assert_eq!(flip_to_from_space(&shared.global).len(), 1);
+        assert_eq!(mgc_core::flip_to_from_space(&shared.global).len(), 1);
         let header = worker.heap.locate(old).header().encode();
         let copy_header = Header::new(ObjectKind::Raw, 5).encode();
         let copy = worker
@@ -1862,7 +1772,7 @@ mod tests {
             .alloc_in_global(copy_header, &[5, 6, 7, 8, 9])
             .unwrap();
         worker.heap.cas_forward_global(old, header, copy).unwrap();
-        shared.gc.in_scan_phase.store(true, Ordering::Release);
+        shared.gc.state.in_scan_phase.store(true, Ordering::Release);
 
         assert_eq!(worker.resolve_addr(old), copy);
         assert_eq!(worker.resolve_addr(local), copy, "local, then global");
@@ -1923,7 +1833,7 @@ mod tests {
             .heap
             .cas_forward_global(promoted, header, decoy)
             .unwrap();
-        assert!(!shared.gc.in_scan_phase.load(Ordering::Acquire));
+        assert!(!shared.gc.state.in_scan_phase.load(Ordering::Acquire));
 
         assert_eq!(worker.resolve_addr(promoted), promoted);
         assert_eq!(worker.resolve_addr(local), promoted, "local, then stop");
@@ -2400,7 +2310,8 @@ mod tests {
             (holder, increments_after)
         });
         assert!(increments_after > 0);
-        assert_eq!(shared.gc.collections.load(Ordering::Acquire), 1);
+        assert_eq!(w0.collector.vproc_stats(0).global_collections, 1);
+        assert_eq!(w1.collector.vproc_stats(1).global_collections, 1);
         let survivor = roots0.slots()[0];
         assert_ne!(survivor, list);
         assert_eq!(
@@ -2416,6 +2327,52 @@ mod tests {
         }
         assert!(cursor.is_null());
         assert_eq!(w0.heap.read_field(roots0.slots()[2], 0), 7);
+    }
+
+    /// Under `verify_after_gc` a global collection's last leader step walks
+    /// the global heap: a global object forged to hold a local address
+    /// survives into to-space (a collection never moves a local object, so
+    /// the field is left as it is) and is caught there.
+    #[test]
+    #[should_panic(expected = "heap invariant violated")]
+    fn a_global_collection_catches_a_global_object_pointing_into_a_local_heap() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let (_shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let worker = &mut workers[0];
+        let local = worker.heap.alloc_raw(&[1]).unwrap();
+        let vector = Header::new(ObjectKind::Vector, 1).encode();
+        let forged = worker.heap.alloc_in_global(vector, &[local.raw()]).unwrap();
+        let mut roots = RootSet::default();
+        roots.push(forged);
+        worker.request_global();
+        worker.poll(&mut roots);
+    }
+
+    /// After the release each worker walks its own local heap: a young
+    /// object whose field the collection leaves in from-space is caught. The
+    /// forgery is a forwarding word from the field's target to its chunk
+    /// neighbour, so the young scan forwards the field to an object that
+    /// never moves, in a chunk the collection releases.
+    #[test]
+    #[should_panic(expected = "heap invariant violated")]
+    fn a_global_collection_catches_a_local_object_pointing_into_a_released_chunk() {
+        use mgc_heap::{Header, ObjectKind};
+
+        let (_shared, mut workers) = assembled(MachineConfig::small_for_tests(1));
+        let worker = &mut workers[0];
+        let raw = Header::new(ObjectKind::Raw, 1).encode();
+        let target = worker.heap.alloc_in_global(raw, &[1]).unwrap();
+        let neighbour = worker.heap.alloc_in_global(raw, &[2]).unwrap();
+        worker
+            .heap
+            .cas_forward_global(target, raw, neighbour)
+            .unwrap();
+        let holder = worker.heap.alloc_vector(&[target.raw()]).unwrap();
+        let mut roots = RootSet::default();
+        roots.push(holder);
+        worker.request_global();
+        worker.poll(&mut roots);
     }
 
     #[test]
