@@ -86,7 +86,7 @@ use mgc_heap::{
 use mgc_numa::{NodeId, PlacementPolicy, TrafficStats};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long an idle worker sleeps before re-polling the deques; bounds the
@@ -149,7 +149,9 @@ impl PhaseBarrier {
     /// panicked — the rendezvous can never complete, so blocking would
     /// deadlock the machine.
     fn wait_with(&self, leader_action: impl FnOnce()) {
-        let mut state = self.state.lock().expect("barrier mutex poisoned");
+        // A leader action that panicked (a failed `verify_after_gc` walk)
+        // leaves the mutex poisoned: waiters then abort like any other.
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if self.is_poisoned() {
             std::panic::panic_any(WorkerAborted);
         }
@@ -162,7 +164,7 @@ impl PhaseBarrier {
         } else {
             let generation = state.generation;
             while state.generation == generation {
-                state = self.cv.wait(state).expect("barrier mutex poisoned");
+                state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
                 if self.is_poisoned() {
                     std::panic::panic_any(WorkerAborted);
                 }
@@ -1147,7 +1149,6 @@ impl WorkerState {
         let budget = self.collector.config().pause_budget_us;
         let deadline = budget.map(|us| start + Duration::from_micros(us));
         let mut at_barrier = AtBarrier {
-            vproc: self.vproc,
             heap: &mut self.heap,
             task_roots,
             private: &mut self.private,
@@ -1170,7 +1171,6 @@ impl WorkerState {
 /// A worker's side of the global collection's [`Rendezvous`]: it runs its
 /// own vproc's steps and meets the other workers at the phase barrier.
 struct AtBarrier<'a> {
-    vproc: usize,
     heap: &'a mut WorkerHeap,
     /// The running task's roots, when the safe point is mid-task.
     task_roots: &'a mut RootSet,
@@ -1180,7 +1180,7 @@ struct AtBarrier<'a> {
 
 impl Rendezvous for AtBarrier<'_> {
     fn vprocs(&self) -> std::ops::Range<usize> {
-        self.vproc..self.vproc + 1
+        self.heap.vproc()..self.heap.vproc() + 1
     }
 
     fn vproc(&mut self, _: usize) -> (&mut WorkerHeap, Option<&mut GcCost>) {
@@ -1193,7 +1193,7 @@ impl Rendezvous for AtBarrier<'_> {
     /// are forwarded), plus a `vproc`-strided slice of the shared
     /// join/channel/proxy tables (and the root result, on worker 0).
     fn evacuate(&mut self, _: usize, state: &ParallelGcState) {
-        let (vproc, stride, shared) = (self.vproc, self.shared.num_vprocs, self.shared);
+        let (vproc, stride, shared) = (self.heap.vproc(), self.shared.num_vprocs, self.shared);
         let heap = &mut *self.heap;
         let forward_word = |heap: &mut WorkerHeap, word: &mut Word| {
             let mut addr = [Addr::new(*word)];
@@ -2327,6 +2327,25 @@ mod tests {
         }
         assert!(cursor.is_null());
         assert_eq!(w0.heap.read_field(roots0.slots()[2], 0), 7);
+    }
+
+    /// A leader action that panics (as a failed `verify_after_gc` walk does
+    /// in the last leader step) poisons the barrier's mutex. The worker
+    /// waiting there must still abort with the `WorkerAborted` sentinel, so
+    /// the machine reports the leader's panic rather than the mutex's.
+    #[test]
+    fn a_panicking_leader_action_aborts_the_waiters_with_the_sentinel() {
+        let barrier = PhaseBarrier::new(2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| barrier.wait_with(|| {}));
+            while barrier.state.lock().unwrap().arrived == 0 {
+                std::thread::yield_now();
+            }
+            let lead = std::panic::AssertUnwindSafe(|| barrier.wait_with(|| panic!("leader")));
+            assert!(std::panic::catch_unwind(lead).is_err());
+            barrier.poison();
+            assert!(waiter.join().unwrap_err().is::<WorkerAborted>());
+        });
     }
 
     /// Under `verify_after_gc` a global collection's last leader step walks
