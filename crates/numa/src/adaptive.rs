@@ -329,6 +329,18 @@ mod tests {
         }
     }
 
+    /// The exact input of the benchmark's `numa.adaptive_record_ns` probe:
+    /// 4096-promotion stretches alternating between 3% and 67% remote.
+    #[test]
+    fn the_probe_sequence_switches_245_times() {
+        let mut c = AdaptiveController::new();
+        for i in 0..1_000_000u64 {
+            let remote = if (i / 4_096) % 2 == 0 { 8 } else { 512 };
+            c.record_promotion(256, remote);
+        }
+        assert_eq!(c.switches(), 245);
+    }
+
     #[test]
     fn cold_start_adopts_node_local_and_counts_as_a_switch() {
         let mut c = small();
