@@ -251,7 +251,7 @@ impl ParallelGcState {
     /// The state of a collection whose passes hand each to-space chunk to
     /// the vprocs on its node in turn, or to every vproc in turn when none
     /// runs there; `vproc_nodes[v]` is vproc `v`'s node.
-    pub fn with_node_pools(vproc_nodes: &[NodeId], num_nodes: usize) -> Self {
+    fn with_node_pools(vproc_nodes: &[NodeId], num_nodes: usize) -> Self {
         let pools = (0..num_nodes).map(|node| {
             let empty = vproc_nodes.iter().all(|n| n.index() != node);
             (0..vproc_nodes.len())

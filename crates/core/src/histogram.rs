@@ -85,15 +85,6 @@ impl Histogram {
         self.buckets[Self::bucket_index(ns)] += 1;
     }
 
-    /// Mean duration in nanoseconds (zero when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns / self.count as f64
-        }
-    }
-
     /// Approximate `p`-th percentile in nanoseconds, `p` in `[0, 100]`
     /// (values outside the range are clamped). Returns the upper bound of
     /// the histogram bucket containing the requested rank, capped at the
@@ -162,7 +153,7 @@ mod tests {
         assert_eq!(p.count, 3);
         assert!((p.sum_ns - 600.0).abs() < 1e-9);
         assert!((p.max_ns - 300.0).abs() < 1e-9);
-        assert!((p.mean_ns() - 200.0).abs() < 1e-9);
+        assert!((p.sum_ns / p.count as f64 - 200.0).abs() < 1e-9);
         // Negative / non-finite clamp to zero but still count.
         p.record(-5.0);
         p.record(f64::NAN);

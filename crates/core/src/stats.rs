@@ -90,11 +90,6 @@ impl GcStats {
         Self::default()
     }
 
-    /// Total number of collections of any kind.
-    pub fn total_collections(&self) -> u64 {
-        self.minor_collections + self.major_collections + self.global_collections
-    }
-
     /// Total bytes moved by the collector.
     pub fn total_moved_bytes(&self) -> u64 {
         self.minor_copied_bytes
@@ -152,7 +147,7 @@ mod tests {
         b.major_promoted_bytes = 50;
         b.global_pauses.record(7.0);
         a.merge(&b);
-        assert_eq!(a.total_collections(), 4);
+        assert_eq!(a.minor_collections + a.major_collections, 4);
         assert_eq!(a.total_moved_bytes(), 150);
         assert_eq!(a.minor_roots_visited, 7);
         assert!((a.total_pause_ns() - 12.0).abs() < 1e-12);

@@ -79,23 +79,13 @@ impl Descriptor {
 
     /// Indices of the payload words that hold pointers.
     #[inline]
-    pub fn pointer_offsets(&self) -> PointerFields {
+    fn pointer_offsets(&self) -> PointerFields {
         // The fields are public: ignore mask bits beyond the object's size.
         let in_size = match self.size_words {
             0 => 0,
             words => u64::MAX >> 64u32.saturating_sub(words),
         };
         PointerFields::Mask(self.pointer_mask & in_size)
-    }
-
-    /// True if payload word `index` holds a pointer.
-    pub fn is_pointer(&self, index: usize) -> bool {
-        index < self.size_words as usize && self.pointer_mask & (1 << index) != 0
-    }
-
-    /// Number of pointer fields.
-    pub fn pointer_count(&self) -> usize {
-        self.pointer_mask.count_ones() as usize
     }
 }
 
@@ -125,7 +115,7 @@ impl DescriptorId {
 /// let mut table = DescriptorTable::new();
 /// // A cons cell: word 0 is the head (a pointer), word 1 the tail (a pointer).
 /// let cons = table.register(Descriptor::new("cons", 2, 0b11));
-/// assert_eq!(table.get(cons.id()).unwrap().pointer_count(), 2);
+/// assert_eq!(table.get(cons.id()).unwrap().pointer_mask, 0b11);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DescriptorTable {
@@ -233,10 +223,6 @@ mod tests {
     fn pointer_offsets_match_mask() {
         let d = Descriptor::new("node", 4, 0b1010);
         assert_eq!(d.pointer_offsets().collect::<Vec<_>>(), vec![1, 3]);
-        assert!(d.is_pointer(1));
-        assert!(!d.is_pointer(0));
-        assert!(!d.is_pointer(10));
-        assert_eq!(d.pointer_count(), 2);
     }
 
     #[test]
@@ -295,6 +281,6 @@ mod tests {
     #[test]
     fn full_word_descriptor_allowed() {
         let d = Descriptor::new("wide", 64, u64::MAX);
-        assert_eq!(d.pointer_count(), 64);
+        assert_eq!(d.pointer_offsets().count(), 64);
     }
 }

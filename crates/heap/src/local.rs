@@ -155,11 +155,6 @@ impl LocalHeap {
         self.nursery_start
     }
 
-    /// Next free nursery slot, as a word offset.
-    pub fn nursery_alloc(&self) -> usize {
-        self.nursery_alloc
-    }
-
     /// Words already allocated in the nursery.
     pub fn nursery_used_words(&self) -> usize {
         self.nursery_alloc - self.nursery_start
@@ -333,27 +328,15 @@ impl LocalHeap {
         self.alloc_with(header, payload.len(), |i| payload[i])
     }
 
-    /// Bump-allocates an object at the end of the old-data area. This is how
-    /// a minor collection copies nursery survivors (they become young data).
+    /// Copies an object already in this heap — its `total_words` words,
+    /// from the header at word offset `header_offset` — to the end of the
+    /// old-data area. This is how a minor collection copies nursery
+    /// survivors (they become young data).
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::OldAreaFull`] if the object would overrun the
     /// nursery; the Appel reserve normally prevents this.
-    pub fn alloc_in_old(&mut self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
-        let header_offset = self.bump_old(payload.len() + 1)?;
-        self.data[header_offset] = header;
-        self.data[header_offset + 1..header_offset + 1 + payload.len()].copy_from_slice(payload);
-        Ok(self.addr_of(header_offset + 1))
-    }
-
-    /// [`LocalHeap::alloc_in_old`] for an object already in this heap: its
-    /// `total_words` words, from the header at word offset `header_offset`,
-    /// are copied straight to the end of the old-data area.
-    ///
-    /// # Errors
-    ///
-    /// As [`LocalHeap::alloc_in_old`].
     pub fn copy_into_old(
         &mut self,
         header_offset: usize,
@@ -500,6 +483,18 @@ mod tests {
 
     fn raw_header(len: u64) -> Word {
         Header::new(ObjectKind::Raw, len).encode()
+    }
+
+    impl LocalHeap {
+        /// Bump-allocates an object at the end of the old-data area, as if
+        /// a minor collection had copied it there.
+        fn alloc_in_old(&mut self, header: Word, payload: &[Word]) -> Result<Addr, HeapError> {
+            let header_offset = self.bump_old(payload.len() + 1)?;
+            self.data[header_offset] = header;
+            self.data[header_offset + 1..header_offset + 1 + payload.len()]
+                .copy_from_slice(payload);
+            Ok(self.addr_of(header_offset + 1))
+        }
     }
 
     #[test]

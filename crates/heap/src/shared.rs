@@ -352,12 +352,7 @@ impl SharedChunk {
     /// # Errors
     ///
     /// Returns the winning forwarding address when the CAS loses.
-    pub fn try_forward(
-        &self,
-        obj: Addr,
-        expected_header: Word,
-        new_addr: Addr,
-    ) -> Result<(), Addr> {
+    fn try_forward(&self, obj: Addr, expected_header: Word, new_addr: Addr) -> Result<(), Addr> {
         let slot = self.offset_of(obj.sub_words(1));
         match self.data[slot].compare_exchange(
             expected_header,
@@ -568,7 +563,7 @@ impl SharedGlobalHeap {
     /// worker's "is my current chunk still acceptable" check ask here, so
     /// they cannot disagree (under `SocketZero` the answer is node 0 whatever
     /// the consumer: comparing against `preferred` would lease per object).
-    pub fn bound_lease_node(&self, preferred: NodeId) -> Option<NodeId> {
+    fn bound_lease_node(&self, preferred: NodeId) -> Option<NodeId> {
         if !self.placement.binds_node() {
             return None;
         }
@@ -685,7 +680,7 @@ impl SharedGlobalHeap {
     /// and the reference lives as long as the heap: chunks are recycled
     /// through the pool, never unmapped.
     #[inline(always)]
-    pub fn chunk_in_band(&self, node: usize, index: usize) -> Option<&SharedChunk> {
+    fn chunk_in_band(&self, node: usize, index: usize) -> Option<&SharedChunk> {
         self.by_node.get(node)?.get(index).map(|chunk| &**chunk)
     }
 
@@ -790,15 +785,6 @@ impl SharedGlobalHeap {
         for node in 0..self.num_nodes {
             self.partial.clear(NodeId::new(node as u16));
         }
-    }
-
-    /// Number of chunks mapped in `node`'s address band.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn chunks_on_node(&self, node: NodeId) -> usize {
-        self.by_node[node.index()].len()
     }
 }
 
@@ -2312,7 +2298,7 @@ mod tests {
         let total = 3 * DIR_SEG_CHUNKS + 3;
         let chunks: Vec<_> = (0..total).map(|_| global.acquire(NodeId::new(0))).collect();
         assert_eq!(global.num_chunks(), total);
-        assert_eq!(global.chunks_on_node(NodeId::new(0)), total);
+        assert_eq!(global.by_node[0].len(), total);
         // Every entry resolves, in address order, to the chunk the acquire
         // returned — the very allocation, not a copy that moved on growth.
         for (i, chunk) in chunks.iter().enumerate() {
@@ -2366,7 +2352,7 @@ mod tests {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Acquire) {
                         let node = NodeId::new(n as u16);
-                        for i in 0..global.chunks_on_node(node) {
+                        for i in 0..global.by_node[n].len() {
                             assert_eq!(global.chunk_in_band(n, i).unwrap().node(), node);
                         }
                     }

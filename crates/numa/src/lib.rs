@@ -34,14 +34,15 @@
 //!   or round-robin across all nodes (`Interleave`). Runtime front doors
 //!   expose it as `Experiment::placement(..)` and `MGC_PLACEMENT`.
 //! * [`AdaptiveController`] is a hysteresis state machine that samples the
-//!   local/remote promoted-bytes split every N promotions and switches
-//!   between node-local and interleave, recording every switch as a
-//!   [`PlacementDecision`]. No run uses it; the benchmark times it.
+//!   local/remote promoted-bytes split every 32 promotions and counts its
+//!   switches between node-local and interleave. No run uses it; the
+//!   benchmark's `numa.adaptive_record_ns` probe times it.
 //! * [`Topology::host`] probes the machine the process is actually running
 //!   on (sysfs node count, `available_parallelism` cores), falling back to
 //!   a deterministic single-node model off-Linux.
-//! * [`PageMap`] tracks which node every page of the simulated address space
-//!   lives on, so the heap can ask "where is this object physically?".
+//! * [`PageMap`] records which node each page of a flat address space was
+//!   placed on and answers "which node backs this address?". No run uses
+//!   it; the benchmark's `numa.pagemap_node_of_ns` probe times it.
 //! * [`MemoryModel`] converts the work a set of virtual processors performed
 //!   during a scheduling round (CPU nanoseconds plus a per-destination-node
 //!   traffic vector) into elapsed virtual time using a bottleneck ("roofline")
@@ -76,10 +77,7 @@ mod policy;
 mod stats;
 mod topology;
 
-pub use adaptive::{
-    AdaptiveController, DecisionReason, PlacementDecision, PlacementMode,
-    DEFAULT_HI_REMOTE_PERMILLE, DEFAULT_LO_REMOTE_PERMILLE, DEFAULT_PATIENCE, DEFAULT_SAMPLE_EVERY,
-};
+pub use adaptive::AdaptiveController;
 pub use error::TopologyError;
 pub use ids::{CoreId, NodeId, PackageId};
 pub use memory::{Bottleneck, MemoryModel, RoundBreakdown, Traffic, VprocRoundCost};

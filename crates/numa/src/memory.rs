@@ -31,7 +31,7 @@ use crate::topology::Topology;
 /// Modern out-of-order cores sustain several outstanding misses, so the
 /// effective latency cost of a stream of accesses is the raw latency divided
 /// by this factor. The value is deliberately conservative.
-pub const DEFAULT_MLP: f64 = 4.0;
+const DEFAULT_MLP: f64 = 4.0;
 
 /// Traffic from one vproc to one destination node during a round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -152,27 +152,12 @@ pub struct RoundBreakdown {
 #[derive(Debug, Clone)]
 pub struct MemoryModel {
     topology: Topology,
-    mlp: f64,
 }
 
 impl MemoryModel {
-    /// Creates a model for `topology` with the default memory-level
-    /// parallelism factor.
+    /// Creates a model for `topology`.
     pub fn new(topology: Topology) -> Self {
-        MemoryModel {
-            topology,
-            mlp: DEFAULT_MLP,
-        }
-    }
-
-    /// Creates a model with an explicit memory-level parallelism factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mlp` is not strictly positive.
-    pub fn with_mlp(topology: Topology, mlp: f64) -> Self {
-        assert!(mlp > 0.0, "memory-level parallelism must be positive");
-        MemoryModel { topology, mlp }
+        MemoryModel { topology }
     }
 
     /// The topology the model is built over.
@@ -188,7 +173,7 @@ impl MemoryModel {
         }
         let bw = self.topology.bandwidth_gbps(src, dst); // GB/s == bytes/ns
         let lat = self.topology.latency_ns(src, dst);
-        traffic.accesses as f64 * lat / self.mlp + traffic.bytes as f64 / bw
+        traffic.accesses as f64 * lat / DEFAULT_MLP + traffic.bytes as f64 / bw
     }
 
     /// Serial (uncontended) cost of everything one vproc did in a round.
@@ -429,12 +414,6 @@ mod tests {
         // 2130 bytes at 21.3 GB/s = 100 ns.
         let cost = m.serial_cost_ns(&c);
         assert!((cost - 600.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_mlp_rejected() {
-        let _ = MemoryModel::with_mlp(Topology::dual_node_test(), 0.0);
     }
 
     #[test]

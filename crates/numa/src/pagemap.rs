@@ -35,11 +35,6 @@ impl PageMap {
         PageMap { nodes: Vec::new() }
     }
 
-    /// Number of pages that have been placed.
-    pub fn mapped_pages(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
-    }
-
     /// Records that the byte range `[base, base + len)` is backed by `node`.
     /// Partial pages at either end are attributed to `node` as well.
     pub fn place(&mut self, base: u64, len: usize, node: NodeId) {
@@ -56,38 +51,12 @@ impl PageMap {
         }
     }
 
-    /// Removes the placement of the byte range `[base, base + len)`,
-    /// modelling the pages being returned to the OS.
-    pub fn unplace(&mut self, base: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = (base as usize) / PAGE_SIZE;
-        let last = ((base as usize) + len - 1) / PAGE_SIZE;
-        for page in first..=last.min(self.nodes.len().saturating_sub(1)) {
-            self.nodes[page] = None;
-        }
-    }
-
     /// Returns the node backing the page containing `addr`, if placed.
     pub fn node_of(&self, addr: u64) -> Option<NodeId> {
         self.nodes
             .get((addr as usize) / PAGE_SIZE)
             .copied()
             .flatten()
-    }
-
-    /// Bytes resident on each node, indexed by node id. The vector is sized
-    /// by the largest node id seen.
-    pub fn resident_bytes_per_node(&self) -> Vec<usize> {
-        let mut counts: Vec<usize> = Vec::new();
-        for node in self.nodes.iter().flatten() {
-            if counts.len() <= node.index() {
-                counts.resize(node.index() + 1, 0);
-            }
-            counts[node.index()] += PAGE_SIZE;
-        }
-        counts
     }
 }
 
@@ -102,7 +71,6 @@ mod tests {
         assert_eq!(pm.node_of(0), Some(NodeId::new(3)));
         assert_eq!(pm.node_of((PAGE_SIZE * 2 - 1) as u64), Some(NodeId::new(3)));
         assert_eq!(pm.node_of((PAGE_SIZE * 2) as u64), None);
-        assert_eq!(pm.mapped_pages(), 2);
     }
 
     #[test]
@@ -111,36 +79,14 @@ mod tests {
         pm.place(100, 10, NodeId::new(1));
         assert_eq!(pm.node_of(0), Some(NodeId::new(1)));
         assert_eq!(pm.node_of(4000), Some(NodeId::new(1)));
-        assert_eq!(pm.mapped_pages(), 1);
+        assert_eq!(pm.node_of(PAGE_SIZE as u64), None);
     }
 
     #[test]
     fn zero_length_place_is_noop() {
         let mut pm = PageMap::new();
         pm.place(0, 0, NodeId::new(1));
-        assert_eq!(pm.mapped_pages(), 0);
-    }
-
-    #[test]
-    fn unplace_releases_pages() {
-        let mut pm = PageMap::new();
-        pm.place(0, PAGE_SIZE * 4, NodeId::new(2));
-        pm.unplace(PAGE_SIZE as u64, PAGE_SIZE * 2);
-        assert_eq!(pm.node_of(0), Some(NodeId::new(2)));
-        assert_eq!(pm.node_of(PAGE_SIZE as u64), None);
-        assert_eq!(pm.node_of((3 * PAGE_SIZE) as u64), Some(NodeId::new(2)));
-        assert_eq!(pm.mapped_pages(), 2);
-    }
-
-    #[test]
-    fn resident_bytes_accounting() {
-        let mut pm = PageMap::new();
-        pm.place(0, PAGE_SIZE * 3, NodeId::new(0));
-        pm.place((PAGE_SIZE * 3) as u64, PAGE_SIZE, NodeId::new(2));
-        let resident = pm.resident_bytes_per_node();
-        assert_eq!(resident[0], 3 * PAGE_SIZE);
-        assert_eq!(resident[1], 0);
-        assert_eq!(resident[2], PAGE_SIZE);
+        assert_eq!(pm.node_of(0), None);
     }
 
     #[test]

@@ -78,16 +78,6 @@ impl TrafficStats {
         self.mutator_bytes[class as usize] + self.gc_bytes[class as usize]
     }
 
-    /// Fraction of all traffic that stayed node-local. Returns 1.0 for an
-    /// empty record (no traffic is perfectly local).
-    pub fn local_fraction(&self) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            return 1.0;
-        }
-        self.bytes_of(AccessClass::Local) as f64 / total as f64
-    }
-
     /// Merges another record into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
         for i in 0..3 {
@@ -110,12 +100,6 @@ mod tests {
         assert_eq!(s.total_bytes(), 175);
         assert_eq!(s.bytes_of(AccessClass::Local), 125);
         assert_eq!(s.bytes_of(AccessClass::SamePackage), 0);
-        assert!((s.local_fraction() - 125.0 / 175.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_fully_local() {
-        assert_eq!(TrafficStats::new().local_fraction(), 1.0);
     }
 
     #[test]

@@ -111,7 +111,6 @@ impl Topology {
     /// ```
     /// # use mgc_numa::Topology;
     /// let t = Topology::amd_magny_cours_48();
-    /// assert_eq!(t.num_packages(), 4);
     /// assert_eq!(t.num_nodes(), 8);
     /// assert_eq!(t.num_cores(), 48);
     /// ```
@@ -214,11 +213,6 @@ impl Topology {
         &self.name
     }
 
-    /// Number of packages (sockets).
-    pub fn num_packages(&self) -> usize {
-        self.num_packages
-    }
-
     /// Number of NUMA nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -258,7 +252,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `node` is out of range for this topology.
-    pub fn package_of_node(&self, node: NodeId) -> PackageId {
+    fn package_of_node(&self, node: NodeId) -> PackageId {
         self.nodes[node.index()].package
     }
 
@@ -470,19 +464,19 @@ impl TopologyBuilder {
     }
 
     /// Sets the local-DRAM latency in nanoseconds.
-    pub fn local_latency_ns(mut self, ns: f64) -> Self {
+    fn local_latency_ns(mut self, ns: f64) -> Self {
         self.local_latency_ns = ns;
         self
     }
 
     /// Sets the latency to the sibling node within the same package, ns.
-    pub fn same_package_latency_ns(mut self, ns: f64) -> Self {
+    fn same_package_latency_ns(mut self, ns: f64) -> Self {
         self.same_package_latency_ns = ns;
         self
     }
 
     /// Sets the latency to nodes on other packages, ns.
-    pub fn cross_package_latency_ns(mut self, ns: f64) -> Self {
+    fn cross_package_latency_ns(mut self, ns: f64) -> Self {
         self.cross_package_latency_ns = ns;
         self
     }
@@ -600,7 +594,7 @@ mod tests {
     #[test]
     fn amd_preset_matches_table1() {
         let t = Topology::amd_magny_cours_48();
-        assert_eq!(t.num_packages(), 4);
+        assert_eq!(t.num_packages, 4);
         assert_eq!(t.num_nodes(), 8);
         assert_eq!(t.num_cores(), 48);
         let (local, same, cross) = t.table1_bandwidths();
@@ -612,7 +606,7 @@ mod tests {
     #[test]
     fn intel_preset_matches_table1() {
         let t = Topology::intel_xeon_32();
-        assert_eq!(t.num_packages(), 4);
+        assert_eq!(t.num_packages, 4);
         assert_eq!(t.num_nodes(), 4);
         assert_eq!(t.num_cores(), 32);
         let (local, same, cross) = t.table1_bandwidths();
@@ -711,7 +705,7 @@ mod tests {
         assert!(t.num_nodes() >= 1);
         assert!(t.num_cores() >= t.num_nodes());
         // One node per package: package grouping is invisible to the probe.
-        assert_eq!(t.num_packages(), t.num_nodes());
+        assert_eq!(t.num_packages, t.num_nodes());
         // Same host, same answer.
         assert_eq!(t, Topology::host());
         // The usual derived machinery works on it.

@@ -122,7 +122,7 @@
 
 use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
-use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskResult, TaskSpec};
+use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskSpec};
 use crate::threaded::{PromoteWhy, WorkerState};
 use mgc_heap::{
     f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, HeaderSlot, Location, ObjectKind, Place,
@@ -938,20 +938,6 @@ impl<'a> TaskCtx<'a> {
         };
         self.push_root(addr)
     }
-
-    // ------------------------------------------------------------------
-    // Results
-    // ------------------------------------------------------------------
-
-    /// Convenience constructor for returning a pointer result.
-    pub fn result_ptr(&self, handle: Handle) -> TaskResult {
-        TaskResult::Ptr(handle)
-    }
-
-    /// Convenience constructor for returning an `f64` result.
-    pub fn result_f64(&self, value: f64) -> TaskResult {
-        TaskResult::Value(f64_to_word(value))
-    }
 }
 
 /// A raw reference to a heap object, handed out by a [`ReadScope`] and
@@ -1317,6 +1303,7 @@ pub(crate) mod read_checks {
     }
 
     /// Reads fields 2..4 of a 3-word object: a debug build panics.
+    #[cfg(debug_assertions)]
     pub(crate) fn read_past_the_end(ctx: &mut TaskCtx<'_>) {
         let obj = ctx.alloc_raw(&[1, 2, 3]);
         let _: [Word; 2] = ctx.read_fields(obj, 2);
@@ -1493,6 +1480,7 @@ pub(crate) mod scope_checks {
 
     /// Reads fields 2..4 of a 3-word object in a scope: a debug build
     /// panics.
+    #[cfg(debug_assertions)]
     pub(crate) fn read_past_the_end(ctx: &mut TaskCtx<'_>) {
         let obj = ctx.alloc_raw(&[1, 2, 3]);
         ctx.read_scope(|r| {

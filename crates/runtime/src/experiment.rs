@@ -211,7 +211,7 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Builds an executor of the configured backend.
-    pub fn build_executor(&self) -> Box<dyn Executor> {
+    fn build_executor(&self) -> Box<dyn Executor> {
         match self.backend {
             Backend::Simulated => Box::new(Machine::new(self.machine.clone())),
             Backend::Threaded => Box::new(ThreadedMachine::new(self.machine.clone())),

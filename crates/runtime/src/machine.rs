@@ -1195,11 +1195,6 @@ impl Machine {
             traffic: self.state.traffic,
         }
     }
-
-    /// Total virtual time elapsed so far, in nanoseconds.
-    pub fn clock_ns(&self) -> f64 {
-        self.clock_ns
-    }
 }
 
 impl crate::executor::Executor for Machine {

@@ -103,7 +103,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Total virtual time in seconds.
-    pub fn elapsed_seconds(&self) -> f64 {
+    fn elapsed_seconds(&self) -> f64 {
         self.elapsed_ns / 1e9
     }
 
@@ -191,14 +191,6 @@ impl RunReport {
         self.per_vproc.iter().map(|v| v.alloc_slow_paths).sum()
     }
 
-    /// Fraction of total virtual time spent in garbage collection.
-    pub fn gc_fraction(&self) -> f64 {
-        if self.elapsed_ns == 0.0 {
-            return 0.0;
-        }
-        (self.gc.total_pause_ns() / self.vprocs as f64) / self.elapsed_ns
-    }
-
     /// Every pause of every kind across every vproc, merged into one
     /// machine-wide series — what the report's p50/p99/max pause numbers
     /// are computed from.
@@ -280,7 +272,6 @@ mod tests {
         assert_eq!(report.elapsed_seconds(), 2.0);
         assert_eq!(report.total_tasks(), 8);
         assert_eq!(report.total_steals(), 1);
-        assert_eq!(report.gc_fraction(), 0.0);
         assert_eq!(report.promotions_at_steal(), 1);
         assert_eq!(report.promotions_at_publish(), 1);
         assert_eq!(report.total_promoted_bytes(), 0);
@@ -309,7 +300,7 @@ mod tests {
         assert_eq!(report.pause_stats().count, 4);
         assert!((report.max_pause_ns() - 20_000.0).abs() < 1e-9);
         assert_eq!(report.global_pause_stats().count, 2);
-        assert!((report.gc_fraction() - 34_000.0 / 1e9).abs() < 1e-12);
+        assert!((report.gc.total_pause_ns() - 34_000.0).abs() < 1e-9);
     }
 
     #[test]

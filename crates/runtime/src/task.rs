@@ -177,12 +177,6 @@ impl TaskSpec {
         self.value_inputs.push(value);
         self
     }
-
-    /// Adds several raw input values.
-    pub fn with_values(mut self, values: impl IntoIterator<Item = Word>) -> Self {
-        self.value_inputs.extend(values);
-        self
-    }
 }
 
 /// Where a task delivers its result.
@@ -235,7 +229,7 @@ impl Task {
     }
 
     /// The task's diagnostic name.
-    #[allow(dead_code)] // used by scheduler tests and debug tracing
+    #[cfg(test)]
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -337,7 +331,8 @@ mod tests {
     fn task_spec_builders() {
         let spec = TaskSpec::new("t", |_| TaskResult::Unit)
             .with_value(7)
-            .with_values([8, 9]);
+            .with_value(8)
+            .with_value(9);
         assert_eq!(spec.value_inputs, vec![7, 8, 9]);
         assert_eq!(spec.name, "t");
         assert!(format!("{spec:?}").contains("TaskSpec"));

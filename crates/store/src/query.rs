@@ -23,7 +23,6 @@ pub struct Query {
     backend: Option<String>,
     vprocs: Option<u64>,
     placement: Option<String>,
-    pause_budget_us: Option<Option<u64>>,
 }
 
 impl Query {
@@ -56,13 +55,6 @@ impl Query {
         self
     }
 
-    /// Keep only records with exactly this pause budget (`None` selects
-    /// the unbudgeted runs — it is a filter value, not "don't filter").
-    pub fn pause_budget(mut self, budget_us: Option<u64>) -> Self {
-        self.pause_budget_us = Some(budget_us);
-        self
-    }
-
     /// Whether one record passes every set filter.
     pub fn matches(&self, record: &StoredRecord) -> bool {
         if let Some(p) = &self.program {
@@ -85,11 +77,6 @@ impl Query {
                 return false;
             }
         }
-        if let Some(budget) = self.pause_budget_us {
-            if record.pause_budget_us() != budget {
-                return false;
-            }
-        }
         true
     }
 
@@ -101,7 +88,7 @@ impl Query {
 
     /// All matching records from any record iterator (a single batch, a
     /// previous query's result, ...), preserving the input order.
-    pub fn run_over<'a>(
+    fn run_over<'a>(
         &self,
         records: impl IntoIterator<Item = &'a StoredRecord>,
     ) -> Vec<&'a StoredRecord> {
@@ -183,19 +170,11 @@ mod tests {
         ];
         let q = Query::new().program("Quicksort").backend("threaded");
         assert_eq!(q.run_over(&records).len(), 3);
-        assert_eq!(q.clone().vprocs(4).run_over(&records).len(), 2);
-        assert_eq!(
-            q.clone()
-                .vprocs(4)
-                .pause_budget(None)
-                .run_over(&records)
-                .len(),
-            1
-        );
-        assert_eq!(
-            q.vprocs(4).pause_budget(Some(500)).run_over(&records)[0].wall_clock_ns(),
-            Some(36.0)
-        );
+        let four = q.vprocs(4).run_over(&records);
+        assert_eq!(four.len(), 2);
+        // Input order is kept: the unbudgeted record, then the budgeted one.
+        assert_eq!(four[0].wall_clock_ns(), Some(34.0));
+        assert_eq!(four[1].wall_clock_ns(), Some(36.0));
         assert_eq!(Query::new().run_over(&records).len(), 5);
     }
 

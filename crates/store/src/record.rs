@@ -153,7 +153,7 @@ impl StoredRecord {
 
     /// A numeric field as `f64`; `None` when absent, `null`, or not a
     /// number.
-    pub fn f64_field(&self, key: &str) -> Option<f64> {
+    fn f64_field(&self, key: &str) -> Option<f64> {
         self.field(key).and_then(JsonValue::as_f64)
     }
 

@@ -257,7 +257,7 @@ impl Store {
     /// serialised as JSON object lines. Each line is validated as a
     /// well-formed record of a supported schema version before anything is
     /// written, so a bad writer cannot poison the store.
-    pub fn append_lines(
+    fn append_lines(
         dir: impl AsRef<Path>,
         meta: &RunMeta,
         lines: &[String],

@@ -177,7 +177,7 @@ pub fn plummer_particles(n: usize) -> Vec<Particle> {
 
 /// Registers the quadtree node descriptor on a machine: four child pointers
 /// followed by mass and the centre of mass.
-pub fn register_tree_descriptor(machine: &mut dyn Executor) -> DescriptorId {
+fn register_tree_descriptor(machine: &mut dyn Executor) -> DescriptorId {
     machine.register_descriptor(Descriptor::new("bh-quadtree-node", 7, 0b0000_1111))
 }
 

@@ -183,11 +183,6 @@ pub fn spawn(machine: &mut dyn Executor, params: ChurnParams) {
     }));
 }
 
-/// The number of survivors a correct run must keep alive.
-pub fn expected_survivors(params: ChurnParams) -> i64 {
-    (params.workers * params.objects_per_worker.div_ceil(params.survive_every)) as i64
-}
-
 /// The word-sum checksum a correct run must report: for every worker `w`,
 /// every surviving index `i` (multiples of `survive_every`), and every
 /// payload word `j`, the value `w * 1_000_000 + i + j`, wrapping-summed.
@@ -204,11 +199,6 @@ pub fn expected_checksum_value(params: ChurnParams) -> i64 {
     sum
 }
 
-/// Reads the word-sum checksum of a finished churn run.
-pub fn take_survivors(machine: &mut dyn Executor) -> Option<i64> {
-    machine.take_result().map(|(word, _)| word_to_i64(word))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +211,7 @@ mod tests {
         spawn(&mut machine, params);
         let report = machine.run();
         assert_eq!(
-            take_survivors(&mut machine),
+            machine.take_result().map(|(word, _)| word_to_i64(word)),
             Some(expected_checksum_value(params))
         );
         // The whole point of churn: it must actually collect.
@@ -237,7 +227,9 @@ mod tests {
             workers: 2,
             object_words: 1,
         };
-        assert_eq!(expected_survivors(p), 8);
+        // ceil(10 / 3) = 4 survivors per worker, i = 0, 3, 6, 9: the
+        // checksum sums 2 × (0 + 3 + 6 + 9) plus 4 × 1_000_000 for worker 1.
+        assert_eq!(expected_checksum_value(p), 4_000_036);
     }
 
     #[test]

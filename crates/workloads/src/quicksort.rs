@@ -191,7 +191,7 @@ fn partition(mut values: Vec<i64>, pivot: i64) -> (Vec<i64>, Vec<i64>, usize) {
 /// weighted by its position modulo a small cycle, so a sequence with the
 /// right multiset in the wrong order (the failure a plain sum cannot see)
 /// changes the value. All arithmetic wraps, identically on every backend.
-pub fn positional_checksum(values: &[i64]) -> i64 {
+fn positional_checksum(values: &[i64]) -> i64 {
     values.iter().enumerate().fold(0i64, |acc, (i, &v)| {
         acc.wrapping_add(v.wrapping_mul((i % 64) as i64 + 1))
     })

@@ -90,11 +90,6 @@ impl Program for Smvm {
     }
 }
 
-/// Number of matrix rows (square-ish matrix: one row per vector element).
-pub fn num_rows(scale: Scale) -> usize {
-    vector_length(scale)
-}
-
 /// Average non-zeroes per row, chosen so that the paper-scale matrix has
 /// roughly 1,091,362 non-zero elements.
 pub const NNZ_PER_ROW: usize = 66;
@@ -282,7 +277,7 @@ mod tests {
 
     #[test]
     fn paper_scale_matrix_has_about_a_million_nonzeroes() {
-        let nnz = num_rows(Scale::paper()) * NNZ_PER_ROW;
+        let nnz = vector_length(Scale::paper()) * NNZ_PER_ROW;
         assert!((1_000_000..1_200_000).contains(&nnz), "nnz = {nnz}");
     }
 
