@@ -5,7 +5,9 @@
 //! paper's 48-core topology at 1 and 12 vprocs and compares the bits of each
 //! `elapsed_ns` with the values recorded below. None of those points runs a
 //! global collection, so a second table runs Quicksort with a low global
-//! threshold and pins its global collections and copied bytes as well.
+//! threshold and pins its global collections and copied bytes as well, and
+//! a third pins the promotion ledger (steal and publish promotions, local
+//! and remote promoted bytes), which does not feed virtual time.
 //! Anything that moves virtual time — the cost model, the scheduler, the
 //! collector, the read path — fails it, in the plain `cargo test` run;
 //! `results/baseline/figures-tiny.sha256` pins the same thing for the whole
@@ -114,6 +116,71 @@ fn simulated_global_collection_is_pinned() {
     assert!(
         moved.is_empty(),
         "the simulated global collection moved; the new values:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// `(program, policy, promotions_at_steal, promoted_bytes_at_steal,
+/// promotions_at_publish, promoted_bytes_at_publish, promoted_bytes_local,
+/// promoted_bytes_remote)` at 12 vprocs: the simulated promotion ledger.
+/// These counters do not feed virtual time, so the tables above do not see
+/// them; under `SocketZero` the remote column is the bytes promoted into
+/// node 0's chunks on behalf of a consumer elsewhere.
+const PINNED_LEDGER: [(Workload, AllocPolicy, [u64; 6]); 4] = [
+    (
+        Workload::Quicksort,
+        AllocPolicy::Local,
+        [37, 1801496, 29, 208328, 2009824, 0],
+    ),
+    (
+        Workload::Quicksort,
+        AllocPolicy::SocketZero,
+        [37, 1819064, 28, 200560, 263272, 1756352],
+    ),
+    (
+        Workload::BarnesHut,
+        AllocPolicy::Local,
+        [18, 365184, 174, 118512, 483696, 0],
+    ),
+    (
+        Workload::BarnesHut,
+        AllocPolicy::SocketZero,
+        [18, 365184, 174, 118512, 177344, 306352],
+    ),
+];
+
+#[test]
+fn simulated_promotion_ledger_is_pinned() {
+    let mut moved = Vec::new();
+    for (workload, policy, ledger) in PINNED_LEDGER {
+        let record = workload
+            .experiment(Scale::tiny())
+            .env_overrides(EnvOverrides::default())
+            .backend(Backend::Simulated)
+            .topology(Topology::amd_magny_cours_48())
+            .vprocs(12)
+            .policy(policy)
+            .verify_checksum(false)
+            .run()
+            .expect("the pinned configurations are valid");
+        let report = &record.report;
+        let got = [
+            report.promotions_at_steal(),
+            report.promoted_bytes_at_steal(),
+            report.promotions_at_publish(),
+            report.promoted_bytes_at_publish(),
+            report.promoted_bytes_local(),
+            report.promoted_bytes_remote(),
+        ];
+        if got != ledger {
+            moved.push(format!(
+                "    (Workload::{workload:?}, AllocPolicy::{policy:?}, {got:?}),"
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "the simulated promotion ledger moved; the new values:\n{}",
         moved.join("\n")
     );
 }
