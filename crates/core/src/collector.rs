@@ -504,7 +504,7 @@ pub(crate) mod tests {
         let holder = heap.alloc_vector(0, &[live.raw()]).unwrap();
         let mut roots = vec![holder];
 
-        let before_used = heap.local(0).nursery_used_words();
+        let before_used = heap.worker(0).local().nursery_used_words();
         assert!(before_used > 0);
         let outcome = collector.minor(&mut heap, 0, &mut roots);
 
@@ -512,12 +512,21 @@ pub(crate) mod tests {
         // Survivors: the holder (2 words) + the live object (3 words).
         assert_eq!(outcome.copied_bytes, (2 + 3) * 8);
         let new_holder = roots[0];
-        assert_eq!(heap.space_of(new_holder), Space::LocalYoung { vproc: 0 });
+        assert_eq!(
+            heap.worker_at(new_holder).space_of(new_holder),
+            Space::LocalYoung { vproc: 0 }
+        );
         let new_live = Addr::new(heap.read_field(new_holder, 0));
-        assert_eq!(heap.locate(new_live).payload(), vec![1, 2]);
-        assert_eq!(heap.space_of(new_live), Space::LocalYoung { vproc: 0 });
+        assert_eq!(
+            heap.worker_at(new_live).locate(new_live).payload(),
+            vec![1, 2]
+        );
+        assert_eq!(
+            heap.worker_at(new_live).space_of(new_live),
+            Space::LocalYoung { vproc: 0 }
+        );
         // Nursery is empty again.
-        assert_eq!(heap.local(0).nursery_used_words(), 0);
+        assert_eq!(heap.worker(0).local().nursery_used_words(), 0);
         assert_eq!(collector.vproc_stats(0).minor_collections, 1);
     }
 
@@ -679,7 +688,9 @@ pub(crate) mod tests {
         simulated_minor_after(|heap| {
             let local = heap.alloc_raw(1, &[5]).unwrap();
             let header = Header::new(mgc_heap::ObjectKind::Vector, 1).encode();
-            heap.alloc_in_global(1, header, &[local.raw()]).unwrap();
+            heap.worker_mut(1)
+                .alloc_in_global(header, &[local.raw()])
+                .unwrap();
         });
     }
 

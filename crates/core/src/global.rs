@@ -64,9 +64,7 @@ impl Collector {
             num_vprocs,
             "one root set per vproc is required"
         );
-        let mut costs: Vec<GcCost> = (0..num_vprocs)
-            .map(|_| GcCost::new(self.num_nodes()))
-            .collect();
+        let mut costs = vec![GcCost::new(self.num_nodes()); num_vprocs];
 
         // §3.4 steps 1–3: the barrier; every vproc finishes its local
         // collections and retires its current chunk.
@@ -76,10 +74,12 @@ impl Collector {
             costs[vproc].merge(&minor.cost);
             let major = self.major(heap, vproc, &mut roots_per_vproc[vproc]);
             costs[vproc].merge(&major.cost);
-            heap.retire_current_chunk(vproc);
+            heap.worker_mut(vproc).retire_current_chunk();
         }
 
-        let nodes: Vec<NodeId> = (0..num_vprocs).map(|v| heap.vproc_home_node(v)).collect();
+        let nodes: Vec<NodeId> = (0..num_vprocs)
+            .map(|v| heap.worker(v).home_node())
+            .collect();
         let state = ParallelGcState::with_node_pools(&nodes, self.num_nodes());
         let mut vprocs = Sequential {
             heap,
@@ -628,7 +628,10 @@ mod tests {
         let holder_v1 = roots[1][0];
         let from_v1 = Addr::new(heap.read_field(holder_v1, 0));
         assert_eq!(from_v0, from_v1);
-        assert_eq!(heap.locate(from_v0).payload(), vec![7, 8, 9]);
+        assert_eq!(
+            heap.worker_at(from_v0).locate(from_v0).payload(),
+            vec![7, 8, 9]
+        );
         assert!(mgc_heap::verify_heap(&heap).is_empty());
     }
 
@@ -652,7 +655,7 @@ mod tests {
         // Acquiring a chunk for a vproc on node 0 must return a node-0 chunk.
         let freed_on_zero = pool.free_chunks_on(NodeId::new(0));
         if freed_on_zero > 0 {
-            let chunk = heap.fresh_current_chunk(0);
+            let chunk = heap.worker_mut(0).fresh_current_chunk();
             assert_eq!(heap.global().chunk(chunk).node(), NodeId::new(0));
         }
     }
@@ -1032,7 +1035,7 @@ mod tests {
         for (vproc, roots) in roots.iter_mut().enumerate() {
             collector.minor(&mut heap, vproc, roots);
             collector.major(&mut heap, vproc, roots);
-            heap.retire_current_chunk(vproc);
+            heap.worker_mut(vproc).retire_current_chunk();
         }
         let global = Arc::clone(heap.global());
         let state = ParallelGcState::new();

@@ -255,7 +255,10 @@ mod tests {
     fn major_promotes_old_data_and_keeps_young_local() {
         let (mut heap, mut collector) = setup();
         let young_root = build_generations(&mut heap, &mut collector);
-        assert_eq!(heap.space_of(young_root), Space::LocalYoung { vproc: 0 });
+        assert_eq!(
+            heap.worker_at(young_root).space_of(young_root),
+            Space::LocalYoung { vproc: 0 }
+        );
 
         let mut roots = vec![young_root];
         let outcome = collector.major(&mut heap, 0, &mut roots);
@@ -266,11 +269,14 @@ mod tests {
         // The young vector stayed in the local heap (slid to the bottom).
         let young_now = roots[0];
         assert!(heap.is_local(young_now));
-        assert_eq!(heap.local(0).young_start(), 0);
+        assert_eq!(heap.worker(0).local().young_start(), 0);
         // Its field now points at the global copy of the old object.
         let promoted = Addr::new(heap.read_field(young_now, 0));
         assert!(heap.is_global(promoted));
-        assert_eq!(heap.locate(promoted).payload(), vec![111]);
+        assert_eq!(
+            heap.worker_at(promoted).locate(promoted).payload(),
+            vec![111]
+        );
         assert_eq!(collector.vproc_stats(0).major_collections, 1);
     }
 
@@ -287,7 +293,7 @@ mod tests {
 
     impl Sparse for Heap {
         fn node(&mut self, id: DescriptorId, payload: [Word; 5]) -> Addr {
-            self.alloc_mixed(0, id, &payload).unwrap()
+            self.worker_mut(0).alloc_mixed(id, &payload).unwrap()
         }
     }
 
@@ -370,13 +376,16 @@ mod tests {
         let leaf = heap.alloc_raw(0, &[2]).unwrap();
         let mut roots = vec![heap.alloc_vector(0, &[leaf.raw()]).unwrap()];
         collector.minor(&mut heap, 0, &mut roots);
-        assert!(heap.local(0).young_start() > 0);
+        assert!(heap.worker(0).local().young_start() > 0);
         // The leaf is young data, promoted after the minor (a steal).
         let leaf = Addr::new(heap.read_field(roots[0], 0));
         let (global_leaf, _) = collector.promote(&mut heap, 0, leaf);
         collector.major(&mut heap, 0, &mut roots);
         assert_eq!(Addr::new(heap.read_field(roots[0], 0)), global_leaf);
-        assert_eq!(heap.locate(global_leaf).payload(), vec![2]);
+        assert_eq!(
+            heap.worker_at(global_leaf).locate(global_leaf).payload(),
+            vec![2]
+        );
     }
 
     /// Vproc 1 allocates two objects and promotes the second, leaving a
@@ -452,14 +461,14 @@ mod tests {
         let mut roots = vec![garbage];
         collector.minor(&mut heap, 0, &mut roots);
         collector.minor(&mut heap, 0, &mut roots); // ages to old
-        let occupied_before = heap.local(0).occupied_words();
+        let occupied_before = heap.worker(0).local().occupied_words();
         assert!(occupied_before > 0);
 
         // Major with no roots: nothing is promoted, the local heap empties.
         let mut no_roots: Vec<Addr> = Vec::new();
         let outcome = collector.major(&mut heap, 0, &mut no_roots);
         assert_eq!(outcome.promoted_bytes, 0);
-        assert_eq!(heap.local(0).occupied_words(), 0);
+        assert_eq!(heap.worker(0).local().occupied_words(), 0);
     }
 
     #[test]
@@ -477,13 +486,22 @@ mod tests {
         let f1 = Addr::new(heap.read_field(promoted, 1));
         assert_eq!(f0, f1);
         assert!(heap.is_global(f0));
-        assert_eq!(heap.locate(f0).payload(), vec![7, 8]);
+        assert_eq!(heap.worker_at(f0).locate(f0).payload(), vec![7, 8]);
         // The local originals forward to the copies.
         assert_eq!(
-            heap.locate(root_obj).header_slot().forwarded_to(),
+            heap.worker_at(root_obj)
+                .locate(root_obj)
+                .header_slot()
+                .forwarded_to(),
             Some(promoted)
         );
-        assert_eq!(heap.locate(leaf).header_slot().forwarded_to(), Some(f0));
+        assert_eq!(
+            heap.worker_at(leaf)
+                .locate(leaf)
+                .header_slot()
+                .forwarded_to(),
+            Some(f0)
+        );
         assert_eq!(collector.vproc_stats(0).promotions, 1);
     }
 
@@ -514,7 +532,10 @@ mod tests {
         // because the target is global.
         heap.alloc_vector(1, &[promoted.raw()]).unwrap();
         assert!(mgc_heap::verify_heap(&heap).is_empty());
-        assert_eq!(heap.locate(promoted).payload(), vec![99, 100]);
+        assert_eq!(
+            heap.worker_at(promoted).locate(promoted).payload(),
+            vec![99, 100]
+        );
     }
 
     #[test]

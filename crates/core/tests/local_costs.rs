@@ -32,10 +32,10 @@ impl Mutator for Heap {
         self.alloc_vector(0, elements).unwrap()
     }
     fn mixed(&mut self, descriptor: DescriptorId, payload: &[Word]) -> Addr {
-        self.alloc_mixed(0, descriptor, payload).unwrap()
+        self.worker_mut(0).alloc_mixed(descriptor, payload).unwrap()
     }
     fn promote_onto(&mut self, node: NodeId) {
-        self.set_promotion_target(0, node);
+        self.worker_mut(0).set_promotion_target(node);
     }
 }
 

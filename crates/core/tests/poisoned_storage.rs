@@ -44,7 +44,7 @@ fn poison(fill: fn(usize) -> Word) {
             local.write(offset, fill(offset));
         }
         for _ in 0..8 {
-            let id = heap.fresh_current_chunk(vproc);
+            let id = heap.worker_mut(vproc).fresh_current_chunk();
             let chunk = heap.global().chunk(id);
             for offset in 0..chunk.size_words() {
                 chunk.write(offset, fill(offset));
@@ -73,7 +73,7 @@ impl Machine for Heap {
         self.alloc_vector(0, elements).unwrap()
     }
     fn promote_onto(&mut self, node: NodeId) {
-        self.set_promotion_target(0, node);
+        self.worker_mut(0).set_promotion_target(node);
     }
     fn collect_global(&mut self, collector: &mut Collector, roots: &mut Vec<Addr>) {
         let mut per_vproc = [std::mem::take(roots), Vec::new()];

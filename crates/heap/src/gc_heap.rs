@@ -5,8 +5,8 @@
 //! (`find`, `evacuate`, `pointer_field_indices`, ...). Their entry points
 //! take a threaded worker's `WorkerHeap`, which serves only its own vproc
 //! (so the minor-GC path takes no locks at all, §3.3), or the simulated
-//! machine's [`Heap`](crate::Heap), every vproc's `WorkerHeap` behind one
-//! vproc-indexed interface. The trait holds what an entry point needs
+//! machine's [`Heap`](crate::Heap), which holds every vproc's `WorkerHeap`
+//! and hands out the one asked for. The trait holds what an entry point needs
 //! around the body — the worker, the simulated backend's foreign roots, the
 //! invariant walk — and the reads the mutator and the collector share.
 
@@ -99,7 +99,7 @@ mod tests {
         assert_eq!(view.global().bytes_in_use(), 0);
         assert_eq!(view.global().bytes_after_last_collection(), 0);
         assert!(view.verify_violations().is_empty());
-        assert_eq!(heap.locate(obj).payload(), vec![5, 6]);
-        assert_eq!(heap.stats().chunk_acquisitions, 0);
+        assert_eq!(heap.worker_at(obj).locate(obj).payload(), vec![5, 6]);
+        assert_eq!(heap.global().chunk_acquisitions(), 0);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Both execution backends run on this module: the real-threads backend
 //! gives each OS thread one [`WorkerHeap`], the discrete-event simulation
-//! steps all of them from one thread behind the vproc-indexed
-//! [`Heap`](crate::Heap). The split follows the paper's §3.3
+//! keeps all of them in one [`Heap`](crate::Heap) and steps them from one
+//! thread. The split follows the paper's §3.3
 //! synchronisation boundary:
 //!
 //! * each worker thread **owns** its [`LocalHeap`] outright — allocation,
@@ -48,19 +48,12 @@ use std::sync::{Arc, OnceLock};
 pub const LOCAL_BASE: u64 = 1 << 20;
 /// Base address of the shared global heap (far above any local heap).
 pub const GLOBAL_BASE: u64 = 1 << 44;
-/// log2 of the *default* per-node global-heap address band
-/// ([`HeapConfig::node_span_bytes`] can override the span per heap).
+/// log2 of the per-node global-heap address band.
 pub const NODE_SPAN_SHIFT: u32 = 38;
-/// Default bytes of global-heap address space reserved per NUMA node
-/// (256 GiB of *virtual* span — chunks are only mapped as they are
-/// acquired). Because every node owns one contiguous band, `addr → node`
-/// is a shift. Heaps sized from probed host memory pass their own
-/// power-of-two span through [`HeapConfig::node_span_bytes`].
+/// Bytes of global-heap address space reserved per NUMA node (256 GiB of
+/// *virtual* span — chunks are only mapped as they are acquired). Because
+/// every node owns one contiguous band, `addr → node` is a shift.
 pub const NODE_SPAN_BYTES: u64 = 1 << NODE_SPAN_SHIFT;
-/// Largest accepted per-node span (64 TiB): keeps
-/// `GLOBAL_BASE + node * span + offset` inside `u64` for every
-/// representable [`NodeId`].
-pub const MAX_NODE_SPAN_SHIFT: u32 = 46;
 
 /// The NUMA node whose address band contains the global-heap address
 /// `addr`, by pure arithmetic. `None` for non-global addresses and for
@@ -444,14 +437,11 @@ pub struct SharedGlobalHeap {
     /// their vproc nodes themselves (the threaded backend) lease where they
     /// ask.
     pages: PagePlacer,
-    /// Bytes of address band per node (a power of two; default
-    /// [`NODE_SPAN_BYTES`]).
-    node_span_bytes: u64,
     /// Flat, append-only directory in [`ChunkId`] order (the parallel GC's
     /// work index iterates it).
     chunks: ChunkDirectory,
     /// Per-node directories in address order: `by_node[n]` entry `i` is the
-    /// chunk at `GLOBAL_BASE + n * node_span_bytes + i * chunk_size_bytes`.
+    /// chunk at `GLOBAL_BASE + n * NODE_SPAN_BYTES + i * chunk_size_bytes`.
     by_node: Vec<ChunkDirectory>,
     /// Serialises fresh-chunk mapping (id assignment + the two directory
     /// appends); pooled reuse never takes it.
@@ -472,8 +462,7 @@ pub struct SharedGlobalHeap {
 
 impl SharedGlobalHeap {
     /// Creates an empty shared global heap with the default
-    /// ([`PlacementPolicy::NodeLocal`]) placement and the default
-    /// [`NODE_SPAN_BYTES`] per-node address band.
+    /// ([`PlacementPolicy::NodeLocal`]) placement.
     ///
     /// # Panics
     ///
@@ -486,7 +475,6 @@ impl SharedGlobalHeap {
             num_nodes,
             placement: PlacementPolicy::NodeLocal,
             pages: PagePlacer::new(AllocPolicy::Local, num_nodes),
-            node_span_bytes: NODE_SPAN_BYTES,
             chunks: ChunkDirectory::new(),
             by_node: (0..num_nodes).map(|_| ChunkDirectory::new()).collect(),
             grow: std::sync::Mutex::new(()),
@@ -514,40 +502,9 @@ impl SharedGlobalHeap {
         self
     }
 
-    /// Sets the per-node address-band span (builder-style; call before any
-    /// chunk is mapped). Heaps sized from probed host memory pass the
-    /// validated [`HeapConfig::node_span_bytes`] here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not a power of two, is smaller than one chunk,
-    /// or exceeds `1 << `[`MAX_NODE_SPAN_SHIFT`] (callers validate through
-    /// [`HeapGeometry`](crate::HeapGeometry) to get a typed error instead).
-    pub fn with_node_span_bytes(mut self, bytes: u64) -> Self {
-        assert!(
-            bytes.is_power_of_two(),
-            "the node span must be a power of two"
-        );
-        assert!(
-            bytes >= self.chunk_size_bytes() as u64,
-            "the node span must fit at least one chunk"
-        );
-        assert!(
-            bytes <= 1 << MAX_NODE_SPAN_SHIFT,
-            "the node span exceeds the supported maximum band"
-        );
-        self.node_span_bytes = bytes;
-        self
-    }
-
     /// The chunk-lease placement policy.
     pub fn placement(&self) -> PlacementPolicy {
         self.placement
-    }
-
-    /// Bytes of global-heap address band per node.
-    pub fn node_span_bytes(&self) -> u64 {
-        self.node_span_bytes
     }
 
     /// The node the page policy backs a region requested from `requesting`
@@ -568,7 +525,7 @@ impl SharedGlobalHeap {
             return None;
         }
         match self.pages.policy() {
-            AllocPolicy::Local | AllocPolicy::FirstTouch => Some(preferred),
+            AllocPolicy::Local => Some(preferred),
             AllocPolicy::SocketZero => Some(NodeId::new(0)),
             AllocPolicy::Interleaved => None,
         }
@@ -739,11 +696,10 @@ impl SharedGlobalHeap {
         let index_on_node = on_node.len();
         let offset = (index_on_node as u64) * self.chunk_size_bytes() as u64;
         assert!(
-            offset + self.chunk_size_bytes() as u64 <= self.node_span_bytes,
-            "node {node} exhausted its {}-byte global-heap address band",
-            self.node_span_bytes
+            offset + self.chunk_size_bytes() as u64 <= NODE_SPAN_BYTES,
+            "node {node} exhausted its {NODE_SPAN_BYTES}-byte global-heap address band"
         );
-        let base = Addr::new(GLOBAL_BASE + (node.index() as u64) * self.node_span_bytes + offset);
+        let base = Addr::new(GLOBAL_BASE + (node.index() as u64) * NODE_SPAN_BYTES + offset);
         let chunk = Arc::new(SharedChunk::new(id, base, node, self.chunk_size_words));
         chunk.set_state(SharedChunkState::Current);
         self.chunks.push(chunk.clone());
@@ -798,9 +754,6 @@ pub struct ThreadedLayout {
     local: Stride,
     /// Bytes per global chunk.
     chunk: Stride,
-    /// log2 of the per-node global-heap address band (from
-    /// [`HeapConfig::node_span_bytes`]).
-    node_span_shift: u32,
 }
 
 /// A region size in bytes with, when it is a power of two, its log2 worked
@@ -872,16 +825,7 @@ impl ThreadedLayout {
             "local heaps would overlap the global heap base"
         );
         assert!(
-            config.node_span_bytes.is_power_of_two(),
-            "the node span must be a power of two (validate through HeapGeometry)"
-        );
-        assert!(
-            config.node_span_bytes <= 1 << MAX_NODE_SPAN_SHIFT,
-            "the node span exceeds the supported maximum band"
-        );
-        let node_span_shift = config.node_span_bytes.trailing_zeros();
-        assert!(
-            (chunk_words * WORD_BYTES) as u64 <= config.node_span_bytes,
+            (chunk_words * WORD_BYTES) as u64 <= NODE_SPAN_BYTES,
             "a node's address band must fit at least one chunk"
         );
         ThreadedLayout {
@@ -889,7 +833,6 @@ impl ThreadedLayout {
             num_nodes,
             local: Stride::of_words(local_words),
             chunk: Stride::of_words(chunk_words),
-            node_span_shift,
         }
     }
 
@@ -913,11 +856,6 @@ impl ThreadedLayout {
         self.chunk.words()
     }
 
-    /// Bytes of global-heap address band per node.
-    pub fn node_span_bytes(&self) -> u64 {
-        1 << self.node_span_shift
-    }
-
     /// Base address of vproc `v`'s local heap.
     pub fn local_base(&self, vproc: usize) -> Addr {
         Addr::new(LOCAL_BASE + vproc as u64 * self.local.bytes)
@@ -929,11 +867,11 @@ impl ThreadedLayout {
     pub fn owner_of(&self, addr: Addr) -> ThreadedOwner {
         let raw = addr.raw();
         if raw >= GLOBAL_BASE {
-            let node = ((raw - GLOBAL_BASE) >> self.node_span_shift) as usize;
+            let node = ((raw - GLOBAL_BASE) >> NODE_SPAN_SHIFT) as usize;
             if node >= self.num_nodes {
                 return ThreadedOwner::Unmapped;
             }
-            let offset = (raw - GLOBAL_BASE) & (self.node_span_bytes() - 1);
+            let offset = (raw - GLOBAL_BASE) & (NODE_SPAN_BYTES - 1);
             let index = self.chunk.index_of(offset);
             ThreadedOwner::Global { node, index }
         } else if raw >= LOCAL_BASE {
@@ -1137,7 +1075,8 @@ impl WorkerHeap {
     ///
     /// # Errors
     ///
-    /// Mirrors [`Heap::alloc_mixed`](crate::Heap::alloc_mixed).
+    /// As [`WorkerHeap::mixed_kind`], or [`HeapError::NurseryFull`] when a
+    /// minor collection is needed.
     pub fn alloc_mixed(
         &mut self,
         descriptor: crate::DescriptorId,
@@ -1228,7 +1167,7 @@ impl WorkerHeap {
 
     /// Retires the current chunk and leases another one (the synchronisation
     /// point of §3.3, counted in [`HeapStats::chunk_acquisitions`]).
-    pub(crate) fn fresh_current_chunk(&mut self) -> ChunkId {
+    pub fn fresh_current_chunk(&mut self) -> ChunkId {
         self.retire_current_chunk();
         self.lease_current(1)
     }
@@ -1367,12 +1306,7 @@ impl WorkerHeap {
     /// Which space `addr` belongs to. Another worker's local heap is
     /// classified by address arithmetic alone, as its old area.
     pub fn space_of(&self, addr: Addr) -> Space {
-        self.space_at(self.layout.owner_of(addr), addr)
-    }
-
-    /// [`WorkerHeap::space_of`] for an address already classified as `owner`.
-    pub(crate) fn space_at(&self, owner: ThreadedOwner, addr: Addr) -> Space {
-        match owner {
+        match self.layout.owner_of(addr) {
             // Another worker's local heap: we may classify it (pure
             // arithmetic) but never read it. The collector only needs the
             // owner to decide "not mine — leave the pointer alone".
@@ -1397,12 +1331,7 @@ impl WorkerHeap {
 
     /// The NUMA node whose memory backs `addr`.
     pub fn node_of(&self, addr: Addr) -> NodeId {
-        self.node_at(self.layout.owner_of(addr), addr)
-    }
-
-    /// [`WorkerHeap::node_of`] for an address already classified as `owner`.
-    pub(crate) fn node_at(&self, owner: ThreadedOwner, addr: Addr) -> NodeId {
-        match owner {
+        match self.layout.owner_of(addr) {
             ThreadedOwner::Local(v) if v == self.vproc => self.local_node(),
             ThreadedOwner::Local(_) => self.home_node,
             // Arithmetic: the node is baked into the address band.
@@ -1858,21 +1787,21 @@ mod tests {
             z ^ (z >> 31)
         };
         let geometries = [
-            (4096usize, 16 * 1024usize, 3usize, 2usize, NODE_SPAN_BYTES),
-            (256 * 1024, 512 * 1024, 2, 1, NODE_SPAN_BYTES),
-            (4096, 16 * 1024, 4, 2, 1 << 20),
+            (4096usize, 16 * 1024usize, 3usize, 2usize),
+            (256 * 1024, 512 * 1024, 2, 1),
+            (4096, 16 * 1024, 4, 2),
             // Neither size a power of two.
-            (4096 + 512, 16 * 1024 + 8, 3, 2, 1 << 20),
-            (3 * 1024, 40 * 1024, 5, 3, 1 << 22),
+            (4096 + 512, 16 * 1024 + 8, 3, 2),
+            (3 * 1024, 40 * 1024, 5, 3),
             // One of each.
-            (4096, 24 * 1024, 2, 2, NODE_SPAN_BYTES),
-            (5 * 1024, 16 * 1024, 2, 2, 1 << 20),
+            (4096, 24 * 1024, 2, 2),
+            (5 * 1024, 16 * 1024, 2, 2),
         ];
-        for (chunk_bytes, local_bytes, vprocs, nodes, span) in geometries {
+        let span = NODE_SPAN_BYTES;
+        for (chunk_bytes, local_bytes, vprocs, nodes) in geometries {
             let config = HeapConfig {
                 chunk_size_bytes: chunk_bytes,
                 local_heap_bytes: local_bytes,
-                node_span_bytes: span,
                 ..HeapConfig::small_for_tests()
             };
             let layout = ThreadedLayout::new(&config, vprocs, nodes);
@@ -2452,48 +2381,6 @@ mod tests {
         assert_eq!(global.num_chunks(), all.len());
     }
 
-    #[test]
-    fn custom_node_span_places_bands_at_the_configured_stride() {
-        let span: u64 = 1 << 20;
-        let config = HeapConfig {
-            node_span_bytes: span,
-            ..HeapConfig::small_for_tests()
-        };
-        let layout = ThreadedLayout::new(&config, 1, 2);
-        assert_eq!(layout.node_span_bytes(), span);
-        let global =
-            Arc::new(SharedGlobalHeap::new(layout.chunk_words(), 2).with_node_span_bytes(span));
-        let c0 = global.acquire(NodeId::new(0));
-        let c1 = global.acquire(NodeId::new(1));
-        assert_eq!(c0.base().raw(), GLOBAL_BASE);
-        assert_eq!(c1.base().raw(), GLOBAL_BASE + span);
-        // The layout's arithmetic agrees with the heap's band math.
-        assert_eq!(
-            layout.owner_of(c1.base()),
-            ThreadedOwner::Global { node: 1, index: 0 }
-        );
-        // And the smaller band actually exhausts: a 1 MiB band holds 256
-        // four-KiB chunks.
-        let per_band = (span / global.chunk_size_bytes() as u64) as usize;
-        assert_eq!(per_band, 256);
-    }
-
-    #[test]
-    #[should_panic(expected = "exhausted its")]
-    fn exhausting_a_small_band_panics_clearly() {
-        let span: u64 = 8 * 1024;
-        let config = HeapConfig {
-            node_span_bytes: span,
-            ..HeapConfig::small_for_tests()
-        };
-        let layout = ThreadedLayout::new(&config, 1, 1);
-        let global = SharedGlobalHeap::new(layout.chunk_words(), 1).with_node_span_bytes(span);
-        // Two 4 KiB chunks fit; the third must fail loudly.
-        let _a = global.acquire(NodeId::new(0));
-        let _b = global.acquire(NodeId::new(0));
-        let _c = global.acquire(NodeId::new(0));
-    }
-
     /// GB-scale geometry smoke: only runs under `MGC_SCALE=bench` (it maps
     /// a quarter-GiB of chunk *payload*, which is too slow for the tier-1
     /// suite). Exercises the segmented directory well past many segment
@@ -2504,16 +2391,14 @@ mod tests {
             return;
         }
         let chunk_bytes: usize = 256 * 1024;
-        let span: u64 = 1 << 30;
         let config = HeapConfig {
             chunk_size_bytes: chunk_bytes,
-            node_span_bytes: span,
             ..HeapConfig::small_for_tests()
         };
         let layout = ThreadedLayout::new(&config, 1, 1);
-        let global = SharedGlobalHeap::new(layout.chunk_words(), 1).with_node_span_bytes(span);
+        let global = SharedGlobalHeap::new(layout.chunk_words(), 1);
         // 1024 chunks × 256 KiB = 256 MiB mapped, crossing two segment
-        // boundaries; the last chunk sits just under the 1 GiB band edge.
+        // boundaries, all in node 0's band.
         let n = 1024;
         let mut last = None;
         for _ in 0..n {

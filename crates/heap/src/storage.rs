@@ -182,7 +182,9 @@ mod tests {
             let mut heap = Heap::new(config, &nodes, 2);
             for vproc in 0..nodes.len() {
                 for i in 0..20 {
-                    heap.alloc_in_global(vproc, header, &[i; 40]).unwrap();
+                    heap.worker_mut(vproc)
+                        .alloc_in_global(header, &[i; 40])
+                        .unwrap();
                 }
             }
             assert_eq!(STORAGE.spare(local_words), 0, "machine {machine}");
@@ -215,11 +217,15 @@ mod tests {
                         for i in 0..100 {
                             let vproc = (i % 2) as usize;
                             objects.push((heap.alloc_raw(vproc, &[tag, i]).unwrap(), i));
-                            let global = heap.alloc_in_global(vproc, header, &[tag, i]);
+                            let global = heap.worker_mut(vproc).alloc_in_global(header, &[tag, i]);
                             objects.push((global.unwrap(), i));
                         }
                         for (obj, i) in objects {
-                            assert_eq!(heap.locate(obj).payload(), [tag, i], "thread {thread}");
+                            assert_eq!(
+                                heap.worker_at(obj).locate(obj).payload(),
+                                [tag, i],
+                                "thread {thread}"
+                            );
                         }
                     }
                 });

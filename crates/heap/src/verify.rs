@@ -187,7 +187,9 @@ mod tests {
         let mut heap = heap();
         let local_obj = heap.alloc_raw(0, &[3]).unwrap();
         let header = crate::header::Header::new(crate::header::ObjectKind::Vector, 1).encode();
-        heap.alloc_in_global(0, header, &[local_obj.raw()]).unwrap();
+        heap.worker_mut(0)
+            .alloc_in_global(header, &[local_obj.raw()])
+            .unwrap();
         let violations = verify_global_heap(heap.worker(0));
         assert_eq!(violations.len(), 1);
         assert!(violations[0].rule.contains("global heap"));
@@ -197,10 +199,11 @@ mod tests {
     fn pointers_to_global_are_fine_from_both_sides() {
         let mut heap = heap();
         let header = crate::header::Header::new(crate::header::ObjectKind::Raw, 1).encode();
-        let global_obj = heap.alloc_in_global(0, header, &[11]).unwrap();
+        let global_obj = heap.worker_mut(0).alloc_in_global(header, &[11]).unwrap();
         heap.alloc_vector(0, &[global_obj.raw()]).unwrap();
         let vec_header = crate::header::Header::new(crate::header::ObjectKind::Vector, 1).encode();
-        heap.alloc_in_global(1, vec_header, &[global_obj.raw()])
+        heap.worker_mut(1)
+            .alloc_in_global(vec_header, &[global_obj.raw()])
             .unwrap();
         assert!(verify_heap(&heap).is_empty());
     }

@@ -9,11 +9,6 @@
 //!   by the Glasgow Haskell Compiler at the time (Figure 6).
 //! * **SocketZero** — allocate everything on node 0, the default behaviour a
 //!   single-threaded collector sees (Figure 7).
-//!
-//! `FirstTouch` is also provided: it resolves to the requesting node exactly
-//! like `Local`, but is kept distinct because operating systems expose it as
-//! a separate policy and ablations may want to treat faulting cost
-//! differently.
 
 use crate::ids::NodeId;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,19 +23,14 @@ pub enum AllocPolicy {
     Interleaved,
     /// Allocate everything on node 0.
     SocketZero,
-    /// Allocate on the node that first touches the page; identical to
-    /// [`AllocPolicy::Local`] in this model because the requester always
-    /// touches its allocation immediately.
-    FirstTouch,
 }
 
 impl AllocPolicy {
     /// All policies, in the order the paper discusses them.
-    pub const ALL: [AllocPolicy; 4] = [
+    pub const ALL: [AllocPolicy; 3] = [
         AllocPolicy::Local,
         AllocPolicy::Interleaved,
         AllocPolicy::SocketZero,
-        AllocPolicy::FirstTouch,
     ];
 
     /// A short lowercase label, useful for CSV output.
@@ -49,7 +39,6 @@ impl AllocPolicy {
             AllocPolicy::Local => "local",
             AllocPolicy::Interleaved => "interleaved",
             AllocPolicy::SocketZero => "socket0",
-            AllocPolicy::FirstTouch => "first-touch",
         }
     }
 }
@@ -68,7 +57,6 @@ impl std::str::FromStr for AllocPolicy {
             "local" => Ok(AllocPolicy::Local),
             "interleaved" | "interleave" => Ok(AllocPolicy::Interleaved),
             "socket0" | "socket-zero" | "socketzero" => Ok(AllocPolicy::SocketZero),
-            "first-touch" | "firsttouch" => Ok(AllocPolicy::FirstTouch),
             other => Err(format!("unknown allocation policy `{other}`")),
         }
     }
@@ -203,7 +191,7 @@ impl PagePlacer {
     /// ```
     pub fn place(&self, requesting: NodeId) -> NodeId {
         match self.policy {
-            AllocPolicy::Local | AllocPolicy::FirstTouch => requesting,
+            AllocPolicy::Local => requesting,
             AllocPolicy::SocketZero => NodeId::new(0),
             AllocPolicy::Interleaved => {
                 let next = self.cursor.fetch_add(1, Ordering::Relaxed);
@@ -229,12 +217,6 @@ mod tests {
         for n in 0..8u16 {
             assert_eq!(p.place(NodeId::new(n)), NodeId::new(n));
         }
-    }
-
-    #[test]
-    fn first_touch_matches_local() {
-        let p = PagePlacer::new(AllocPolicy::FirstTouch, 4);
-        assert_eq!(p.place(NodeId::new(2)), NodeId::new(2));
     }
 
     #[test]

@@ -122,8 +122,9 @@
 
 use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
+use crate::stats::PromoteWhy;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskSpec};
-use crate::threaded::{PromoteWhy, WorkerState};
+use crate::threaded::WorkerState;
 use mgc_heap::{
     f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, HeaderSlot, Location, ObjectKind, Place,
     Resolved, SharedGlobalHeap, Word,
@@ -413,9 +414,7 @@ impl<'a> TaskCtx<'a> {
         let addr = match &mut self.state {
             CtxState::Sim(state) => {
                 state.reserve_nursery(self.vproc, self.roots.slots_mut(), len);
-                let addr = state.alloc_reserved(self.vproc, |heap, vproc| {
-                    heap.alloc_raw_with(vproc, len, fill)
-                });
+                let addr = state.alloc_reserved(self.vproc, |heap| heap.alloc_raw_with(len, fill));
                 state.charge_alloc(self.vproc, len + 1);
                 addr
             }
@@ -446,8 +445,7 @@ impl<'a> TaskCtx<'a> {
             CtxState::Sim(state) => {
                 state.reserve_nursery(self.vproc, self.roots.slots_mut(), elements.len());
                 let words = init_words(self.roots, fields(), |a| state.resolve_addr(a));
-                let addr = state
-                    .alloc_reserved(self.vproc, |heap, vproc| heap.alloc_vector(vproc, &words));
+                let addr = state.alloc_reserved(self.vproc, |heap| heap.alloc_vector(&words));
                 state.charge_alloc(self.vproc, words.len() + 1);
                 addr
             }
@@ -474,9 +472,8 @@ impl<'a> TaskCtx<'a> {
                 let words = init_words(self.roots, fields.iter().copied(), |a| {
                     state.resolve_addr(a)
                 });
-                let addr = state.alloc_reserved(self.vproc, |heap, vproc| {
-                    heap.alloc_mixed(vproc, descriptor, &words)
-                });
+                let addr =
+                    state.alloc_reserved(self.vproc, |heap| heap.alloc_mixed(descriptor, &words));
                 state.charge_alloc(self.vproc, words.len() + 1);
                 addr
             }
@@ -905,7 +902,7 @@ impl<'a> TaskCtx<'a> {
     pub fn send(&mut self, channel: ChannelId, message: Handle) {
         let addr = self.resolve(message);
         match &mut self.state {
-            CtxState::Sim(state) => state.channel_send(self.vproc, channel, addr),
+            CtxState::Sim(state) => state.channel_send(channel, addr),
             CtxState::Threaded(worker) => worker.channel_send(channel, addr),
         }
     }
@@ -1188,7 +1185,7 @@ pub(crate) mod read_checks {
 
     fn nursery_free_words(ctx: &TaskCtx<'_>) -> usize {
         match &ctx.state {
-            CtxState::Sim(state) => state.heap.local(ctx.vproc).nursery_free_words(),
+            CtxState::Sim(state) => state.heap.worker(ctx.vproc).local().nursery_free_words(),
             CtxState::Threaded(worker) => worker.heap.local().nursery_free_words(),
         }
     }

@@ -85,7 +85,7 @@ pub enum ConfigError {
         cores: usize,
     },
     /// The heap geometry is too small to hold any real program (see
-    /// [`mgc_heap::HeapGeometry::validate`]).
+    /// [`HeapConfig::validate`]).
     DegenerateHeap {
         /// Which [`HeapConfig`] field is degenerate.
         field: &'static str,
@@ -93,24 +93,6 @@ pub enum ConfigError {
         bytes: usize,
         /// The smallest accepted value.
         min: usize,
-    },
-    /// A heap-geometry field that feeds address arithmetic (the per-node
-    /// span shift) is not a power of two.
-    NonPowerOfTwoGeometry {
-        /// Which [`HeapConfig`] field is crooked.
-        field: &'static str,
-        /// The rejected value.
-        bytes: u64,
-    },
-    /// A heap-geometry field exceeds its hard ceiling (the per-node span
-    /// must keep `GLOBAL_BASE + node * span + offset` inside a `u64`).
-    ExcessiveHeapGeometry {
-        /// Which [`HeapConfig`] field overflows.
-        field: &'static str,
-        /// The rejected value.
-        bytes: u64,
-        /// The largest accepted value.
-        max: u64,
     },
     /// The scheduling quantum is zero, negative, or not finite.
     NonPositiveQuantum {
@@ -145,14 +127,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "degenerate heap geometry: {field} = {bytes} bytes is below the minimum of {min}"
             ),
-            ConfigError::NonPowerOfTwoGeometry { field, bytes } => write!(
-                f,
-                "degenerate heap geometry: {field} = {bytes} bytes must be a power of two"
-            ),
-            ConfigError::ExcessiveHeapGeometry { field, bytes, max } => write!(
-                f,
-                "degenerate heap geometry: {field} = {bytes} bytes exceeds the maximum of {max}"
-            ),
             ConfigError::NonPositiveQuantum { quantum_ns } => write!(
                 f,
                 "the scheduling quantum must be positive and finite, got {quantum_ns} ns"
@@ -179,19 +153,11 @@ impl std::error::Error for ConfigError {}
 
 impl From<mgc_heap::GeometryViolation> for ConfigError {
     fn from(violation: mgc_heap::GeometryViolation) -> Self {
-        use mgc_heap::GeometryViolation;
-        match violation {
-            GeometryViolation::BelowMinimum { field, bytes, min } => ConfigError::DegenerateHeap {
-                field,
-                bytes: bytes as usize,
-                min: min as usize,
-            },
-            GeometryViolation::NotPowerOfTwo { field, bytes } => {
-                ConfigError::NonPowerOfTwoGeometry { field, bytes }
-            }
-            GeometryViolation::AboveMaximum { field, bytes, max } => {
-                ConfigError::ExcessiveHeapGeometry { field, bytes, max }
-            }
+        let mgc_heap::GeometryViolation::BelowMinimum { field, bytes, min } = violation;
+        ConfigError::DegenerateHeap {
+            field,
+            bytes: bytes as usize,
+            min: min as usize,
         }
     }
 }
@@ -382,7 +348,7 @@ impl<P: Program> Experiment<P> {
         if vprocs > cores {
             return Err(ConfigError::VprocsExceedTopology { vprocs, cores });
         }
-        heap.geometry().validate().map_err(ConfigError::from)?;
+        heap.validate().map_err(ConfigError::from)?;
         if !quantum_ns.is_finite() || quantum_ns <= 0.0 {
             return Err(ConfigError::NonPositiveQuantum { quantum_ns });
         }
@@ -723,55 +689,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("degenerate heap geometry"));
-    }
-
-    #[test]
-    fn crooked_node_span_is_rejected() {
-        // Not a power of two: the addr→node shift would be meaningless.
-        let heap = HeapConfig {
-            node_span_bytes: (1 << 30) + 512,
-            ..HeapConfig::small_for_tests()
-        };
-        let err = pinned(Constant(1)).heap(heap).validate().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::NonPowerOfTwoGeometry {
-                field: "node_span_bytes",
-                bytes: (1 << 30) + 512,
-            }
-        );
-        assert!(err.to_string().contains("power of two"));
-
-        // Above the ceiling: band arithmetic would overflow u64.
-        let heap = HeapConfig {
-            node_span_bytes: 1 << 50,
-            ..HeapConfig::small_for_tests()
-        };
-        let err = pinned(Constant(1)).heap(heap).validate().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ExcessiveHeapGeometry {
-                field: "node_span_bytes",
-                bytes: 1 << 50,
-                max: 1 << mgc_heap::MAX_NODE_SPAN_SHIFT,
-            }
-        );
-        assert!(err.to_string().contains("exceeds the maximum"));
-
-        // Below one chunk: the band could never map anything.
-        let heap = HeapConfig {
-            node_span_bytes: 1024,
-            ..HeapConfig::small_for_tests()
-        };
-        let err = pinned(Constant(1)).heap(heap).validate().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::DegenerateHeap {
-                field: "node_span_bytes",
-                bytes: 1024,
-                min: 4096,
-            }
-        );
     }
 
     #[test]

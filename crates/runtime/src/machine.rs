@@ -21,14 +21,13 @@
 
 use crate::channel::{ChannelId, ChannelState, ChannelStats, Proxy, ProxyId};
 use crate::ctx::TaskCtx;
-use crate::stats::RunReport;
+use crate::stats::{PromoteWhy, RunReport};
 use crate::task::{Delivery, JoinCell, Task, TaskResult, TaskSpec};
-use crate::threaded::PromoteWhy;
 use crate::vproc::VProc;
 use mgc_core::{Collector, GcConfig};
 use mgc_heap::{
     Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, HeapError, Resolved,
-    SharedGlobalHeap, Word,
+    SharedGlobalHeap, Word, WorkerHeap,
 };
 use mgc_numa::{
     AccessClass, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology, TrafficStats,
@@ -395,7 +394,7 @@ impl RuntimeState {
 
     /// Charges the allocation of `words` fresh words by `vproc`.
     pub(crate) fn charge_alloc(&mut self, vproc: usize, words: usize) {
-        let node = self.heap.local(vproc).node();
+        let node = self.heap.worker(vproc).local().node();
         let bytes = self.dram.bytes(words, Miss::Alloc);
         self.charge_dram(vproc, node, bytes, bytes / 64);
         self.charge_work(vproc, words as u64 * 2);
@@ -537,10 +536,10 @@ impl RuntimeState {
         self.charge_gc_cost(vproc, &outcome.cost);
         // A local collection's major phase promotes for the collecting
         // vproc's own benefit: the consumer is the vproc itself.
-        let (local, remote) = outcome.promoted_split(self.vprocs[vproc].node);
-        let stats = &mut self.vprocs[vproc].stats;
-        stats.promoted_bytes_local += local;
-        stats.promoted_bytes_remote += remote;
+        let node = self.vprocs[vproc].node;
+        self.vprocs[vproc]
+            .stats
+            .record_promotion(&outcome, node, None);
         // One virtual pause per local collection, classified by the heaviest
         // phase that ran.
         let pause = outcome.cost.cpu_ns;
@@ -572,12 +571,12 @@ impl RuntimeState {
         payload_words: usize,
     ) {
         let needed = payload_words + 1;
-        if self.heap.local(vproc).nursery_free_words() >= needed {
+        if self.heap.worker(vproc).local().nursery_free_words() >= needed {
             return;
         }
         self.local_gc(vproc, extra);
         assert!(
-            self.heap.local(vproc).nursery_free_words() >= needed,
+            self.heap.worker(vproc).local().nursery_free_words() >= needed,
             "an object of {payload_words} payload words does not fit in the nursery even after \
              a collection — build large arrays as rope leaves"
         );
@@ -591,9 +590,9 @@ impl RuntimeState {
     /// Panics if allocation fails despite the reservation.
     pub(crate) fn alloc_reserved<F>(&mut self, vproc: usize, alloc: F) -> Addr
     where
-        F: FnOnce(&mut Heap, usize) -> Result<Addr, HeapError>,
+        F: FnOnce(&mut WorkerHeap) -> Result<Addr, HeapError>,
     {
-        match alloc(&mut self.heap, vproc) {
+        match alloc(self.heap.worker_mut(vproc)) {
             Ok(addr) => addr,
             Err(e) => panic!("allocation failed after reserving nursery space: {e}"),
         }
@@ -630,11 +629,7 @@ impl RuntimeState {
         if addr.is_null() || !self.heap.is_local(addr) {
             return addr;
         }
-        let owner = self
-            .heap
-            .space_of(addr)
-            .vproc()
-            .expect("local addresses always have an owner");
+        let owner = self.heap.worker_at(addr).vproc();
         if owner == target_vproc {
             return addr;
         }
@@ -642,26 +637,14 @@ impl RuntimeState {
         // point the owner's promotion chunks at the consumer's node for the
         // duration (honoured under `NodeLocal` placement).
         let consumer = self.vprocs[target_vproc].node;
-        self.heap.set_promotion_target(owner, consumer);
+        self.heap.worker_mut(owner).set_promotion_target(consumer);
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
-        self.heap
-            .set_promotion_target(owner, self.vprocs[owner].node);
+        let home = self.vprocs[owner].node;
+        self.heap.worker_mut(owner).set_promotion_target(home);
         self.charge_gc_cost(owner, &outcome.cost);
-        let (local, remote) = outcome.promoted_split(consumer);
-        let stats = &mut self.vprocs[owner].stats;
-        stats.lazy_promotions += 1;
-        stats.promoted_bytes_local += local;
-        stats.promoted_bytes_remote += remote;
-        match why {
-            PromoteWhy::Steal => {
-                stats.promotions_at_steal += 1;
-                stats.promoted_bytes_at_steal += outcome.promoted_bytes;
-            }
-            PromoteWhy::Publish => {
-                stats.promotions_at_publish += 1;
-                stats.promoted_bytes_at_publish += outcome.promoted_bytes;
-            }
-        }
+        self.vprocs[owner]
+            .stats
+            .record_promotion(&outcome, consumer, Some(why));
         new
     }
 
@@ -675,11 +658,7 @@ impl RuntimeState {
         if addr.is_null() || !self.heap.is_local(addr) {
             return addr;
         }
-        let owner = self
-            .heap
-            .space_of(addr)
-            .vproc()
-            .expect("local addresses always have an owner");
+        let owner = self.heap.worker_at(addr).vproc();
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
         self.charge_gc_cost(owner, &outcome.cost);
         new
@@ -824,20 +803,17 @@ impl RuntimeState {
     // Channels and proxies
     // ------------------------------------------------------------------
 
-    pub(crate) fn channel_send(&mut self, vproc: usize, channel: ChannelId, message: Addr) {
+    pub(crate) fn channel_send(&mut self, channel: ChannelId, message: Addr) {
         // Messages crossing vprocs must live in the global heap (§3.1): the
         // sender promotes its own data.
         let message = if self.heap.is_local(message) {
-            let owner = self.heap.space_of(message).vproc().unwrap_or(vproc);
+            let owner = self.heap.worker_at(message).vproc();
             let (new, outcome) = self.collector.promote(&mut self.heap, owner, message);
             self.charge_gc_cost(owner, &outcome.cost);
-            let (local, remote) = outcome.promoted_split(self.vprocs[owner].node);
-            let stats = &mut self.vprocs[owner].stats;
-            stats.lazy_promotions += 1;
-            stats.promotions_at_publish += 1;
-            stats.promoted_bytes_at_publish += outcome.promoted_bytes;
-            stats.promoted_bytes_local += local;
-            stats.promoted_bytes_remote += remote;
+            let node = self.vprocs[owner].node;
+            self.vprocs[owner]
+                .stats
+                .record_promotion(&outcome, node, Some(PromoteWhy::Publish));
             new
         } else {
             message
@@ -1176,7 +1152,7 @@ impl Machine {
 
     fn report(&self) -> RunReport {
         let (allocated_objects, allocated_words) = (0..self.state.num_vprocs())
-            .map(|v| self.state.heap.local(v).stats())
+            .map(|v| self.state.heap.worker(v).local().stats())
             .fold((0, 0), |(objs, words), s| {
                 (
                     objs + s.nursery_allocated_objects,
@@ -1233,7 +1209,7 @@ impl RuntimeState {
         if !self.heap.is_local(addr) {
             return word;
         }
-        let owner = self.heap.space_of(addr).vproc().unwrap_or(0);
+        let owner = self.heap.worker_at(addr).vproc();
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
         self.charge_gc_cost(owner, &outcome.cost);
         new.raw()
@@ -1254,8 +1230,8 @@ mod tests {
         assert_eq!(machine.heap().num_vprocs(), 2);
         // Two vprocs on a two-node machine land on different nodes.
         assert_ne!(
-            machine.heap().local(0).node(),
-            machine.heap().local(1).node()
+            machine.heap().worker(0).local().node(),
+            machine.heap().worker(1).local().node()
         );
     }
 
@@ -1317,11 +1293,16 @@ mod tests {
         let original = state.heap.alloc_raw(0, &[10, 20, 30]).unwrap();
         let copy = state.promote_for(1, original, PromoteWhy::Steal);
         assert_eq!(
-            state.heap.locate(original).header_slot().forwarded_to(),
+            state
+                .heap
+                .worker_at(original)
+                .locate(original)
+                .header_slot()
+                .forwarded_to(),
             Some(copy)
         );
         assert!(state.heap.is_global(copy));
-        assert_eq!(state.heap.node_of(copy), NodeId::new(1));
+        assert_eq!(state.heap.worker_at(copy).node_of(copy), NodeId::new(1));
         let remote = AccessClass::CrossPackage as usize;
         assert_eq!(
             state.access_class(NodeId::new(0), NodeId::new(1)) as usize,
@@ -1362,7 +1343,7 @@ mod tests {
         let mut machine = Machine::new(MachineConfig::small_for_tests(1));
         let state = &mut machine.state;
         let obj = state.heap.alloc_raw(0, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        let free = state.heap.local(0).nursery_free_words();
+        let free = state.heap.worker(0).local().nursery_free_words();
         let mut roots = RootSet::default();
         roots.push(obj);
         let reads = on_vproc0(state, &mut roots, |ctx| {
@@ -1478,7 +1459,11 @@ mod tests {
         let state = &mut machine.state;
         let in_global = |state: &mut RuntimeState, vproc: usize, payload: &[Word]| {
             let header = Header::new(ObjectKind::Raw, payload.len() as u64).encode();
-            state.heap.alloc_in_global(vproc, header, payload).unwrap()
+            state
+                .heap
+                .worker_mut(vproc)
+                .alloc_in_global(header, payload)
+                .unwrap()
         };
         let objects = [
             state.heap.alloc_raw(0, &[1, 2, 3]).unwrap(),
@@ -1489,13 +1474,13 @@ mod tests {
         let (node0, node1) = (NodeId::new(0), NodeId::new(1));
         let placed: Vec<_> = objects
             .iter()
-            .map(|&o| (state.heap.node_of(o), state.heap.is_local(o)))
+            .map(|&o| (state.heap.worker_at(o).node_of(o), state.heap.is_local(o)))
             .collect();
         assert_eq!(
             placed,
             [(node0, true), (node0, false), (node1, false), (node1, true)]
         );
-        let free = state.heap.local(0).nursery_free_words();
+        let free = state.heap.worker(0).local().nursery_free_words();
         let mut roots = RootSet::default();
         for object in objects {
             roots.push(object);
@@ -1592,7 +1577,7 @@ mod tests {
         let global = MutatorCostModel::default().global_heap_miss_rate;
         let reads_bytes = READS as u64 * (8.0 * global).ceil() as u64;
         let message = probe.state.channels[0].queue[0];
-        let node = probe.state.heap.node_of(message);
+        let node = probe.state.heap.worker_at(message).node_of(message);
         without.traffic_to[node.index()].bytes -= reads_bytes;
         let (with, without) = (
             probe.model.serial_cost_ns(&with),
@@ -1650,7 +1635,8 @@ mod tests {
         let local = state.heap.alloc_raw(0, &[1, 2, 3]).unwrap();
         let global = state
             .heap
-            .alloc_in_global(0, Header::new(ObjectKind::Raw, 2).encode(), &[4, 5])
+            .worker_mut(0)
+            .alloc_in_global(Header::new(ObjectKind::Raw, 2).encode(), &[4, 5])
             .unwrap();
         let original = state.heap.alloc_raw(0, &[6, 7, 8, 9]).unwrap();
         let promoted = state.promote_for(1, original, PromoteWhy::Steal);
@@ -2011,7 +1997,7 @@ mod tests {
         let pair = machine.register_descriptor(Descriptor::new("pair", 2, 0b01));
         let state = &mut machine.state;
         let target = state.heap.alloc_raw(0, &[1, 2, 3]).unwrap();
-        let free = state.heap.local(0).nursery_free_words();
+        let free = state.heap.worker(0).local().nursery_free_words();
         let mut roots = RootSet::default();
         roots.push(target);
         let field = on_vproc0(state, &mut roots, |ctx| {
@@ -2060,7 +2046,7 @@ mod tests {
     fn alloc_raw_with_that_collects_fills_once_per_index() {
         let mut machine = Machine::new(MachineConfig::small_for_tests(1));
         let state = &mut machine.state;
-        let free = state.heap.local(0).nursery_free_words();
+        let free = state.heap.worker(0).local().nursery_free_words();
         let mut roots = RootSet::default();
         on_vproc0(state, &mut roots, |ctx| {
             alloc_checks::fills_once_after_a_collection(ctx, free)
@@ -2072,7 +2058,7 @@ mod tests {
     fn alloc_raw_with_shows_no_stale_nursery_words() {
         let mut machine = Machine::new(MachineConfig::small_for_tests(1));
         let state = &mut machine.state;
-        let free = state.heap.local(0).nursery_free_words();
+        let free = state.heap.worker(0).local().nursery_free_words();
         let mut roots = RootSet::default();
         on_vproc0(state, &mut roots, |ctx| {
             alloc_checks::shows_no_stale_words(ctx, free)
@@ -2134,16 +2120,27 @@ mod tests {
         let promoted = state.ensure_global(local);
         let decoy = state
             .heap
-            .alloc_in_global(0, Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
+            .worker_mut(0)
+            .alloc_in_global(Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
             .unwrap();
-        let header = state.heap.locate(promoted).header().encode();
+        let header = state
+            .heap
+            .worker_at(promoted)
+            .locate(promoted)
+            .header()
+            .encode();
         state
             .heap
             .worker_mut(0)
             .cas_forward_global(promoted, header, decoy)
             .unwrap();
         assert_eq!(
-            state.heap.locate(promoted).header_slot().forwarded_to(),
+            state
+                .heap
+                .worker_at(promoted)
+                .locate(promoted)
+                .header_slot()
+                .forwarded_to(),
             Some(decoy)
         );
 

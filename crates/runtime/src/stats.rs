@@ -1,7 +1,7 @@
 //! Run-level statistics and reports.
 
-use mgc_core::{GcStats, Histogram, PauseStats};
-use mgc_numa::TrafficStats;
+use mgc_core::{GcOutcome, GcStats, Histogram, PauseStats};
+use mgc_numa::{NodeId, TrafficStats};
 
 /// A summary of the end-to-end request latencies a serving program recorded
 /// via [`TaskCtx::record_latency_ns`](crate::TaskCtx::record_latency_ns).
@@ -69,6 +69,54 @@ pub struct VprocRunStats {
     /// [`TaskCtx::record_latency_ns`](crate::TaskCtx::record_latency_ns)
     /// (empty for batch programs that never record one).
     pub latency: LatencyStats,
+}
+
+/// Why a vproc promotes an object graph to the global heap, on either
+/// backend — the [`VprocRunStats`] counter a promotion is entered under, so
+/// the lazy-promotion win is measurable per run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PromoteWhy {
+    /// Work was actually stolen: the victim promotes the stolen task's
+    /// roots at handoff (the paper's lazy promotion, §3.1).
+    Steal,
+    /// Data became reachable from a machine-global structure: continuation
+    /// roots, delivered results, channel messages, proxy targets — or, in
+    /// the eager-publication ablation, a deque push.
+    Publish,
+}
+
+impl VprocRunStats {
+    /// Enters the bytes `outcome` promoted in the promotion ledger. They
+    /// count as local or remote against `consumer`, the node of whoever
+    /// reads the promoted graph next (the thief's for a steal, the
+    /// promoting vproc's own otherwise) — independent of where the
+    /// placement policy leased the chunk, so a difference between the two
+    /// is exactly the remote traffic. A lazy promotion also counts under
+    /// its `why`; a local collection's major phase passes `None`.
+    pub(crate) fn record_promotion(
+        &mut self,
+        outcome: &GcOutcome,
+        consumer: NodeId,
+        why: Option<PromoteWhy>,
+    ) {
+        let (local, remote) = outcome.promoted_split(consumer);
+        self.promoted_bytes_local += local;
+        self.promoted_bytes_remote += remote;
+        let Some(why) = why else { return };
+        self.lazy_promotions += 1;
+        let (count, bytes) = match why {
+            PromoteWhy::Steal => (
+                &mut self.promotions_at_steal,
+                &mut self.promoted_bytes_at_steal,
+            ),
+            PromoteWhy::Publish => (
+                &mut self.promotions_at_publish,
+                &mut self.promoted_bytes_at_publish,
+            ),
+        };
+        *count += 1;
+        *bytes += outcome.promoted_bytes;
+    }
 }
 
 /// The result of running a program on either execution backend.

@@ -73,7 +73,7 @@ use crate::channel::{ChannelId, ChannelState, ChannelStats, Proxy, ProxyId};
 use crate::ctx::TaskCtx;
 use crate::executor::{Backend, Executor};
 use crate::machine::MachineConfig;
-use crate::stats::{RunReport, VprocRunStats};
+use crate::stats::{PromoteWhy, RunReport, VprocRunStats};
 use crate::task::{Delivery, JoinCell, JoinId, RootSet, Task, TaskResult, TaskSpec};
 use crate::vproc::{StealMailbox, StealRequest};
 use mgc_core::{
@@ -285,20 +285,6 @@ struct WorkerOutcome {
     run: VprocRunStats,
     gc: GcStats,
     local: LocalHeapStats,
-}
-
-/// Why a worker promotes an object graph to the global heap — threaded
-/// through to the [`VprocRunStats`] counters so the lazy-promotion win is
-/// measurable per run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PromoteWhy {
-    /// Work was actually stolen: the victim promotes the stolen task's
-    /// roots at handoff (the paper's lazy promotion, §3.1).
-    Steal,
-    /// Data became reachable from a machine-global structure: continuation
-    /// roots, delivered results, channel messages, proxy targets — or, in
-    /// the eager-publication ablation, a deque push.
-    Publish,
 }
 
 /// A worker thread's complete state: its heap view, its collector, the
@@ -570,9 +556,8 @@ impl WorkerState {
         }
         // The nursery is empty: no root of any local set points into it.
         Self::local_root_sets(roots, &mut self.private).for_each(RootSet::mark_clean);
-        let (local, remote) = outcome.promoted_split(self.promotion_consumer);
-        self.stats.promoted_bytes_local += local;
-        self.stats.promoted_bytes_remote += remote;
+        self.stats
+            .record_promotion(&outcome, self.promotion_consumer, None);
         outcome
     }
 
@@ -647,25 +632,8 @@ impl WorkerState {
             return addr;
         }
         let (new, outcome) = self.collector.promote(&mut self.heap, self.vproc, addr);
-        // Local-vs-remote is judged against the *consumer's* node — the
-        // thief's node for steal promotions, this worker's own node
-        // otherwise — independent of where the placement policy leased the
-        // chunk (under `FirstTouch`/`Interleave` the two legitimately
-        // differ, and that difference is exactly the remote traffic).
-        let (local, remote) = outcome.promoted_split(self.promotion_consumer);
-        self.stats.promoted_bytes_local += local;
-        self.stats.promoted_bytes_remote += remote;
-        self.stats.lazy_promotions += 1;
-        match why {
-            PromoteWhy::Steal => {
-                self.stats.promotions_at_steal += 1;
-                self.stats.promoted_bytes_at_steal += outcome.promoted_bytes;
-            }
-            PromoteWhy::Publish => {
-                self.stats.promotions_at_publish += 1;
-                self.stats.promoted_bytes_at_publish += outcome.promoted_bytes;
-            }
-        }
+        self.stats
+            .record_promotion(&outcome, self.promotion_consumer, Some(why));
         if outcome.needs_global {
             self.request_global();
         }
@@ -1322,8 +1290,7 @@ impl ThreadedMachine {
         let layout = ThreadedLayout::new(&self.config.heap, num_vprocs, topology.num_nodes());
         let global = Arc::new(
             SharedGlobalHeap::new(layout.chunk_words(), topology.num_nodes())
-                .with_placement(self.config.placement)
-                .with_node_span_bytes(self.config.heap.node_span_bytes),
+                .with_placement(self.config.placement),
         );
         let descriptors = Arc::new(std::mem::replace(
             &mut self.descriptors,

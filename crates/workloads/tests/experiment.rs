@@ -47,7 +47,7 @@ fn accepted_experiments_run_to_completion_on_both_backends() {
     for case in 0..8 {
         let mut rng = CaseRng::for_case(case);
         let vprocs = rng.below(6);
-        let policy_index = rng.below(4);
+        let policy_index = rng.below(AllocPolicy::ALL.len());
         let program_index = rng.below(3);
         let small_heap = rng.next_u64() as u8;
         let workload = PROGRAMS[program_index];

@@ -72,7 +72,7 @@ fn poison(config: HeapConfig, vprocs: usize, chunks: usize) {
         }
     }
     for i in 0..chunks {
-        let id = heap.fresh_current_chunk(i % vprocs);
+        let id = heap.worker_mut(i % vprocs).fresh_current_chunk();
         let chunk = heap.global().chunk(id);
         for offset in 0..chunk.size_words() {
             chunk.write(offset, forged(offset));

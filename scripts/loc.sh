@@ -10,7 +10,10 @@
 # examples/, tests included. Then the number of `pub fn` names declared under
 # crates/*/src that appear as a word in no other Rust file under crates/,
 # src/, tests/, examples/ or benchmark/src/: public functions that nothing
-# outside their own file calls.
+# outside their own file calls. Then `config-fields`, the `pub` fields of
+# every `pub struct *Config` under crates/*/src (the settable knobs), and
+# `env-vars`, the distinct `"MGC_*"` names under crates/*/src and src/ (the
+# environment variables the code reads). Both are printed without a bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,3 +34,10 @@ while read -r file name; do
 done < <(grep -o -r --include='*.rs' 'pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src |
   sed 's/:pub fn / /' | sort -u)
 printf '%-18s %6d\n' single-file-pub-fn "$single"
+
+fields=$(find crates/*/src -name '*.rs' -print0 | sort -z |
+  xargs -0 awk '/^pub struct [A-Za-z]*Config[ <{]/ { on = 1; next }
+    on && /^}/ { on = 0 } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }')
+printf '%-18s %6d\n' config-fields "$fields"
+env_vars=$(grep -rhoE --include='*.rs' '"MGC_[A-Z0-9_]+"' crates/*/src src | sort -u | wc -l)
+printf '%-18s %6d\n' env-vars "$env_vars"

@@ -80,9 +80,9 @@ fn snapshot(heap: &Heap, addr: Addr, depth: usize) -> Vec<u64> {
         return vec![];
     }
     let addr = follow(heap, addr);
-    let header = heap.locate(addr).header();
+    let header = heap.worker_at(addr).locate(addr).header();
     match header.kind {
-        manticore_gc::heap::ObjectKind::Raw => heap.locate(addr).payload(),
+        manticore_gc::heap::ObjectKind::Raw => heap.worker_at(addr).locate(addr).payload(),
         _ => {
             let mut out = vec![0xFEED];
             for i in 0..header.len_words as usize {
@@ -99,7 +99,12 @@ fn snapshot(heap: &Heap, addr: Addr, depth: usize) -> Vec<u64> {
 }
 
 fn follow(heap: &Heap, mut addr: Addr) -> Addr {
-    while let Some(f) = heap.locate(addr).header_slot().forwarded_to() {
+    while let Some(f) = heap
+        .worker_at(addr)
+        .locate(addr)
+        .header_slot()
+        .forwarded_to()
+    {
         addr = f;
     }
     addr
@@ -229,7 +234,7 @@ fn placement_policies_always_return_valid_nodes() {
     use manticore_gc::numa::{AllocPolicy, PagePlacer};
     for case in 0..48 {
         let mut rng = CaseRng::for_case(case);
-        let policy_index = rng.in_range(0..4) as usize;
+        let policy_index = rng.in_range(0..AllocPolicy::ALL.len() as u64) as usize;
         let request_count = rng.in_range(1..64);
         let requests: Vec<u16> = (0..request_count)
             .map(|_| rng.in_range(0..8) as u16)
