@@ -16,6 +16,7 @@ use crate::error::HeapError;
 use crate::gc_heap::GcHeap;
 use crate::shared::{
     Location, Place, Resolved, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap,
+    NODE_SPAN_BYTES,
 };
 use crate::verify::InvariantViolation;
 use mgc_numa::{AllocPolicy, NodeId, PlacementPolicy};
@@ -57,15 +58,15 @@ impl HeapConfig {
     }
 
     /// Checks the geometry bounds, reporting the first violation. The heap
-    /// constructors `assert!` the same bounds; call this first on knobs from
-    /// outside (CLI flags, environment overrides) to get a typed error
-    /// instead of a panic mid-run.
+    /// constructors only round a size up to 64 words and `assert!` that a
+    /// chunk fits a band; call this first on knobs from outside (CLI flags,
+    /// environment overrides) to get a typed error instead.
     ///
     /// # Errors
     ///
     /// Returns the violated bound: the chunk and local-heap minimums, and a
-    /// node's address band ([`NODE_SPAN_BYTES`](crate::NODE_SPAN_BYTES))
-    /// having room for at least one chunk.
+    /// node's address band ([`NODE_SPAN_BYTES`]) having room for at least
+    /// one chunk.
     pub fn validate(&self) -> Result<(), GeometryViolation> {
         let below = |field, bytes, min| Err(GeometryViolation::BelowMinimum { field, bytes, min });
         let (chunk, local) = (self.chunk_size_bytes as u64, self.local_heap_bytes as u64);
@@ -75,9 +76,12 @@ impl HeapConfig {
         if local < MIN_LOCAL_HEAP_BYTES as u64 {
             return below("local_heap_bytes", local, MIN_LOCAL_HEAP_BYTES as u64);
         }
-        if chunk > crate::shared::NODE_SPAN_BYTES {
-            let span = crate::shared::NODE_SPAN_BYTES;
-            return below("NODE_SPAN_BYTES", span, chunk.next_power_of_two());
+        if chunk > NODE_SPAN_BYTES {
+            return below(
+                "NODE_SPAN_BYTES",
+                NODE_SPAN_BYTES,
+                chunk.next_power_of_two(),
+            );
         }
         Ok(())
     }
@@ -479,15 +483,15 @@ mod tests {
         );
         // A chunk larger than a node's address band could never be mapped.
         let vast_chunk = HeapConfig {
-            chunk_size_bytes: (crate::NODE_SPAN_BYTES + 1) as usize,
+            chunk_size_bytes: (NODE_SPAN_BYTES + 1) as usize,
             ..HeapConfig::small_for_tests()
         };
         assert_eq!(
             vast_chunk.validate(),
             Err(GeometryViolation::BelowMinimum {
                 field: "NODE_SPAN_BYTES",
-                bytes: crate::NODE_SPAN_BYTES,
-                min: 2 * crate::NODE_SPAN_BYTES,
+                bytes: NODE_SPAN_BYTES,
+                min: 2 * NODE_SPAN_BYTES,
             })
         );
     }
