@@ -82,7 +82,8 @@ impl GcOutcome {
 /// The loop every scan shares: rewrites each pointer field of the object at
 /// `at` (whose header is `header`) to what `forward` makes of it, in
 /// ascending field order, writing only the fields that changed. The object
-/// is located once; each field is then an index.
+/// is located once, in the worker's own local heap or in a chunk; each field
+/// is then an index.
 pub(crate) fn forward_fields(
     worker: &mut WorkerHeap,
     at: Location<'_>,
@@ -93,15 +94,14 @@ pub(crate) fn forward_fields(
         .pointer_field_indices(header)
         .expect("all mixed-object descriptors are registered before allocation");
     for index in fields {
-        let Some(ptr) = word_as_pointer(worker.place_of(at).read(index)) else {
+        let word = at.map_local(|_| worker.local().words()).read(index);
+        let Some(ptr) = word_as_pointer(word) else {
             continue;
         };
         let new = forward(worker, ptr);
         if new != ptr {
             match at {
-                Location::Local { offset, .. } => {
-                    worker.local_mut().write(offset + index, new.raw())
-                }
+                Location::Local(_, offset) => worker.local_mut().write(offset + index, new.raw()),
                 Location::Global(chunk, offset) => chunk.write(offset + index, new.raw()),
             }
         }
@@ -150,8 +150,12 @@ impl PromotionTally {
     }
 
     /// The total and the per-node bytes, leaving the tally empty for the
-    /// next collection.
+    /// next collection. A collection that promoted nothing gets no per-node
+    /// bytes, as a minor collection's outcome has none.
     pub(crate) fn take(&mut self) -> (u64, Vec<u64>) {
+        if self.total == 0 {
+            return (0, Vec::new());
+        }
         let by_node = self.by_node.clone();
         self.by_node.fill(0);
         (std::mem::take(&mut self.total), by_node)
@@ -321,8 +325,8 @@ impl Collector {
         }
 
         while let Some(offset) = scan.worklist.pop() {
-            let at = Location::Local { vproc, offset };
-            let header = worker.place_of(at).header();
+            let at = Location::Local(vproc, offset);
+            let header = at.map_local(|_| worker.local().words()).header();
             scan.charge(|cost| cost.charge_scan(node, header.total_bytes()));
             forward_fields(worker, at, header, |worker, ptr| {
                 scan.forward_minor(worker, ptr)
@@ -413,17 +417,17 @@ impl<'a> Scan<'a> {
     /// copied to the old area, anything else is left in place (following the
     /// forwarding pointer an earlier promotion left in the local heap).
     fn forward_minor(&mut self, worker: &mut WorkerHeap, ptr: Addr) -> Addr {
-        let Some(obj) = worker.find(ptr) else {
+        let Some((region, offset, slot)) = worker.find(ptr) else {
             return ptr;
         };
-        match (obj.region, obj.slot) {
+        match (region, slot) {
             (
                 LocalRegion::Nursery | LocalRegion::Young | LocalRegion::Old,
                 HeaderSlot::Forwarded(new),
             ) => new,
             (LocalRegion::Nursery, HeaderSlot::Header(header)) => {
                 let (new, bytes) = worker
-                    .evacuate(obj.offset, header, EvacTarget::OldArea)
+                    .evacuate(offset, header, EvacTarget::OldArea)
                     .expect("the Appel reserve always has room for minor-collection survivors");
                 self.copied_bytes += bytes as u64;
                 let local = worker.local();
@@ -446,14 +450,14 @@ impl<'a> Scan<'a> {
         ptr: Addr,
         include_young: bool,
     ) -> Addr {
-        let Some(obj) = worker.find(ptr) else {
+        let Some((region, offset, slot)) = worker.find(ptr) else {
             return ptr;
         };
-        let header = match obj.slot {
+        let header = match slot {
             HeaderSlot::Forwarded(new) => return new,
             HeaderSlot::Header(header) => header,
         };
-        let promote = match obj.region {
+        let promote = match region {
             LocalRegion::Old | LocalRegion::Nursery => true,
             LocalRegion::Young => include_young,
             LocalRegion::Reserve | LocalRegion::NurseryFree => false,
@@ -463,18 +467,19 @@ impl<'a> Scan<'a> {
         }
         let leases = worker.stats().chunk_acquisitions;
         let (new, bytes) = worker
-            .evacuate(obj.offset, header, EvacTarget::GlobalCurrent)
+            .evacuate(offset, header, EvacTarget::GlobalCurrent)
             .expect("global-heap allocation for promotion cannot fail");
+        // The copy is in the current chunk, on that chunk's node.
+        let chunk = worker
+            .current_chunk()
+            .expect("a promotion leaves a current chunk");
         if let Some(cost) = self.cost.as_deref_mut() {
             if worker.stats().chunk_acquisitions > leases {
                 // Acquiring a chunk is the synchronisation point of §3.3.
                 cost.charge_cpu(CHUNK_ACQUIRE_NS);
             }
-            cost.charge_copy(worker.local().node(), worker.node_of(new), bytes);
+            cost.charge_copy(worker.local().node(), chunk.node(), bytes);
         }
-        let chunk = worker
-            .current_chunk()
-            .expect("a promotion leaves a current chunk");
         self.promoted.push((chunk.id(), new));
         new
     }
@@ -484,7 +489,7 @@ impl<'a> Scan<'a> {
 pub(crate) mod tests {
     use super::*;
     use mgc_heap::{
-        DescriptorTable, Heap, HeapConfig, SharedGlobalHeap, Space, ThreadedLayout, WorkerHeap,
+        DescriptorTable, Heap, HeapConfig, SharedGlobalHeap, ThreadedLayout, WorkerHeap,
     };
     use mgc_numa::NodeId;
     use std::sync::Arc;
@@ -512,22 +517,27 @@ pub(crate) mod tests {
         // Survivors: the holder (2 words) + the live object (3 words).
         assert_eq!(outcome.copied_bytes, (2 + 3) * 8);
         let new_holder = roots[0];
-        assert_eq!(
-            heap.worker_at(new_holder).space_of(new_holder),
-            Space::LocalYoung { vproc: 0 }
-        );
+        let region = |addr| heap.worker(0).find(addr).map(|(region, ..)| region);
+        assert_eq!(region(new_holder), Some(LocalRegion::Young));
         let new_live = Addr::new(heap.read_field(new_holder, 0));
-        assert_eq!(
-            heap.worker_at(new_live).locate(new_live).payload(),
-            vec![1, 2]
-        );
-        assert_eq!(
-            heap.worker_at(new_live).space_of(new_live),
-            Space::LocalYoung { vproc: 0 }
-        );
+        assert_eq!(heap.locate(new_live).payload(), vec![1, 2]);
+        assert_eq!(region(new_live), Some(LocalRegion::Young));
         // Nursery is empty again.
         assert_eq!(heap.worker(0).local().nursery_used_words(), 0);
         assert_eq!(collector.vproc_stats(0).minor_collections, 1);
+    }
+
+    #[test]
+    fn a_major_that_promotes_nothing_reports_no_nodes() {
+        let (mut heap, mut collector) = setup(1);
+        heap.alloc_raw(0, &[1, 2]).unwrap();
+        let mut roots = Vec::new();
+        collector.minor(&mut heap, 0, &mut roots);
+        let outcome = collector.major(&mut heap, 0, &mut roots);
+        assert_eq!(outcome.promoted_bytes, 0);
+        assert!(outcome.promoted_bytes_by_node.is_empty());
+        assert_eq!(outcome.promoted_split(NodeId::new(0)), (0, 0));
+        assert_eq!(outcome.promoted_split(NodeId::new(1)), (0, 0));
     }
 
     #[test]
@@ -638,7 +648,8 @@ pub(crate) mod tests {
         let mut roots = vec![w0.alloc_vector(&[0]).unwrap()];
         // A clean collection passes; its survivor is young data now.
         collector.minor(&mut w0, 0, &mut roots);
-        assert_eq!(w0.space_of(roots[0]), Space::LocalYoung { vproc: 0 });
+        let region = w0.find(roots[0]).map(|(region, ..)| region);
+        assert_eq!(region, Some(LocalRegion::Young));
         let offset = w0.local().offset_of(roots[0]);
         w0.local_mut().write(offset, foreign.raw());
         collector.minor(&mut w0, 0, &mut roots);

@@ -317,21 +317,25 @@ fn is_to_space(chunk: &SharedChunk) -> bool {
 /// The one forwarding step of both backends: a from-space object is copied
 /// into `worker`'s current to-space chunk ([`WorkerHeap::evacuate_from_space`],
 /// whose CAS resolves races between workers), its bytes are added to the
-/// collection's total and, given a cost, charged as a copy from the object's
-/// node to its copy's. Any other pointer comes back unchanged.
+/// collection's total and, given a cost, charged as a copy from the
+/// from-space chunk's node to the current chunk's. Any other pointer comes
+/// back unchanged.
 fn forward(
     worker: &mut WorkerHeap,
     ptr: Addr,
     state: &ParallelGcState,
     cost: Option<&mut GcCost>,
 ) -> Addr {
-    let (new, bytes) = worker.evacuate_from_space(ptr);
-    if bytes > 0 {
+    let (new, copied) = worker.evacuate_from_space(ptr);
+    if let Some((from, bytes)) = copied {
         state
             .copied_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
         if let Some(cost) = cost {
-            cost.charge_copy(worker.node_of(ptr), worker.node_of(new), bytes);
+            let to = worker
+                .current_chunk()
+                .expect("a copy leaves a current chunk");
+            cost.charge_copy(from, to.node(), bytes);
         }
     }
     new
@@ -367,7 +371,7 @@ fn scan_young(worker: &mut WorkerHeap, state: &ParallelGcState, mut cost: Option
         }
         forward_fields(
             worker,
-            Location::Local { vproc, offset },
+            Location::Local(vproc, offset),
             header,
             |worker, ptr| forward(worker, ptr, state, cost.as_deref_mut()),
         );
@@ -628,10 +632,7 @@ mod tests {
         let holder_v1 = roots[1][0];
         let from_v1 = Addr::new(heap.read_field(holder_v1, 0));
         assert_eq!(from_v0, from_v1);
-        assert_eq!(
-            heap.worker_at(from_v0).locate(from_v0).payload(),
-            vec![7, 8, 9]
-        );
+        assert_eq!(heap.locate(from_v0).payload(), vec![7, 8, 9]);
         assert!(mgc_heap::verify_heap(&heap).is_empty());
     }
 
@@ -825,7 +826,7 @@ mod tests {
     /// node's free stack exactly once.
     #[test]
     fn parked_chunks_flip_and_are_released_once() {
-        use mgc_heap::{ObjectKind, Space};
+        use mgc_heap::{Location, ObjectKind};
 
         let (mut workers, global) = crate::collector::tests::two_workers();
         let header = Header::new(ObjectKind::Raw, 1).encode();
@@ -856,10 +857,13 @@ mod tests {
         );
         for w in workers.iter_mut() {
             for obj in alternate(w) {
-                let Space::Global { chunk } = w.space_of(obj) else {
+                let Location::Global(chunk, _) = w.locate(obj) else {
                     panic!("{obj:?} is not global");
                 };
-                assert!(!from_space.contains(&chunk.index()), "a from-space lease");
+                assert!(
+                    !from_space.contains(&chunk.id().index()),
+                    "a from-space lease"
+                );
             }
         }
         for &node in &nodes {
@@ -917,13 +921,11 @@ mod tests {
         let mut roots = vec![build(&mut w, 71)];
         check(&w, roots[0], 71);
         collector.minor(&mut w, 0, &mut roots);
-        assert_eq!(
-            w.space_of(roots[0]),
-            mgc_heap::Space::LocalYoung { vproc: 0 }
-        );
+        let region = |w: &WorkerHeap, addr| w.find(addr).map(|(region, ..)| region);
+        assert_eq!(region(&w, roots[0]), Some(mgc_heap::LocalRegion::Young));
         check(&w, roots[0], 71);
         collector.minor(&mut w, 0, &mut roots);
-        assert_eq!(w.space_of(roots[0]), mgc_heap::Space::LocalOld { vproc: 0 });
+        assert_eq!(region(&w, roots[0]), Some(mgc_heap::LocalRegion::Old));
         check(&w, roots[0], 71);
 
         // Old -> global (major): the chunk-filling object cannot share a

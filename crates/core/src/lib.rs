@@ -43,7 +43,7 @@
 //! assert!(outcome.copied_bytes > 0);
 //! // The root was rewritten to the surviving copy.
 //! let leaf = mgc_heap::Addr::new(heap.read_field(roots[0], 0));
-//! assert_eq!(heap.worker_at(leaf).locate(leaf).payload(), vec![42]);
+//! assert_eq!(heap.locate(leaf).payload(), vec![42]);
 //! # Ok::<(), mgc_heap::HeapError>(())
 //! ```
 

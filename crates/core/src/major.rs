@@ -175,7 +175,7 @@ impl Scan<'_> {
         let (base, node) = (worker.local().base(), worker.local().node());
         for_each_young(worker, |worker, offset, header| {
             self.charge(|cost| cost.charge_scan(node, header.total_bytes()));
-            let at = Location::Local { vproc, offset };
+            let at = Location::Local(vproc, offset);
             forward_fields(worker, at, header, |worker, ptr| {
                 if !young.contains(&ptr) {
                     return self.forward_to_global(worker, ptr, false);
@@ -202,7 +202,7 @@ impl Scan<'_> {
         while let Some((id, obj)) = self.promoted.pop() {
             let chunk = global.chunk(id);
             let at = Location::Global(chunk, obj.words_from(chunk.base()));
-            let header = worker.place_of(at).header();
+            let header = at.map_local(|_| worker.local().words()).header();
             let bytes = header.total_bytes();
             self.tally.add(chunk.node(), bytes as u64);
             self.charge(|cost| cost.charge_scan(chunk.node(), bytes));
@@ -219,7 +219,7 @@ mod tests {
     use crate::config::GcConfig;
     use crate::stats::GcStats;
     use mgc_heap::{
-        Descriptor, DescriptorId, DescriptorTable, Heap, HeapConfig, SharedGlobalHeap, Space,
+        Descriptor, DescriptorId, DescriptorTable, Heap, HeapConfig, LocalRegion, SharedGlobalHeap,
         ThreadedLayout, Word, WorkerHeap,
     };
     use mgc_numa::NodeId;
@@ -255,10 +255,8 @@ mod tests {
     fn major_promotes_old_data_and_keeps_young_local() {
         let (mut heap, mut collector) = setup();
         let young_root = build_generations(&mut heap, &mut collector);
-        assert_eq!(
-            heap.worker_at(young_root).space_of(young_root),
-            Space::LocalYoung { vproc: 0 }
-        );
+        let region = heap.worker(0).find(young_root).map(|(region, ..)| region);
+        assert_eq!(region, Some(LocalRegion::Young));
 
         let mut roots = vec![young_root];
         let outcome = collector.major(&mut heap, 0, &mut roots);
@@ -273,10 +271,7 @@ mod tests {
         // Its field now points at the global copy of the old object.
         let promoted = Addr::new(heap.read_field(young_now, 0));
         assert!(heap.is_global(promoted));
-        assert_eq!(
-            heap.worker_at(promoted).locate(promoted).payload(),
-            vec![111]
-        );
+        assert_eq!(heap.locate(promoted).payload(), vec![111]);
         assert_eq!(collector.vproc_stats(0).major_collections, 1);
     }
 
@@ -382,10 +377,7 @@ mod tests {
         let (global_leaf, _) = collector.promote(&mut heap, 0, leaf);
         collector.major(&mut heap, 0, &mut roots);
         assert_eq!(Addr::new(heap.read_field(roots[0], 0)), global_leaf);
-        assert_eq!(
-            heap.worker_at(global_leaf).locate(global_leaf).payload(),
-            vec![2]
-        );
+        assert_eq!(heap.locate(global_leaf).payload(), vec![2]);
     }
 
     /// Vproc 1 allocates two objects and promotes the second, leaving a
@@ -486,22 +478,13 @@ mod tests {
         let f1 = Addr::new(heap.read_field(promoted, 1));
         assert_eq!(f0, f1);
         assert!(heap.is_global(f0));
-        assert_eq!(heap.worker_at(f0).locate(f0).payload(), vec![7, 8]);
+        assert_eq!(heap.locate(f0).payload(), vec![7, 8]);
         // The local originals forward to the copies.
         assert_eq!(
-            heap.worker_at(root_obj)
-                .locate(root_obj)
-                .header_slot()
-                .forwarded_to(),
+            heap.locate(root_obj).header_slot().forwarded_to(),
             Some(promoted)
         );
-        assert_eq!(
-            heap.worker_at(leaf)
-                .locate(leaf)
-                .header_slot()
-                .forwarded_to(),
-            Some(f0)
-        );
+        assert_eq!(heap.locate(leaf).header_slot().forwarded_to(), Some(f0));
         assert_eq!(collector.vproc_stats(0).promotions, 1);
     }
 
@@ -532,10 +515,7 @@ mod tests {
         // because the target is global.
         heap.alloc_vector(1, &[promoted.raw()]).unwrap();
         assert!(mgc_heap::verify_heap(&heap).is_empty());
-        assert_eq!(
-            heap.worker_at(promoted).locate(promoted).payload(),
-            vec![99, 100]
-        );
+        assert_eq!(heap.locate(promoted).payload(), vec![99, 100]);
     }
 
     #[test]

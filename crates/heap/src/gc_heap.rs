@@ -8,10 +8,15 @@
 //! machine's [`Heap`](crate::Heap), which holds every vproc's `WorkerHeap`
 //! and hands out the one asked for. The trait holds what an entry point needs
 //! around the body — the worker, the simulated backend's foreign roots, the
-//! invariant walk — and the reads the mutator and the collector share.
+//! invariant walk — and the one answer to "where is this address" that the
+//! mutator and the collector share: the layout's classifier
+//! ([`ThreadedLayout::owner_of`]), the resolver ([`GcHeap::resolve`]) and,
+//! for an address known to be final, [`GcHeap::locate`].
 
 use crate::addr::{Addr, Word};
-use crate::shared::{Resolved, SharedGlobalHeap, WorkerHeap};
+use crate::shared::{
+    Location, Resolved, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap,
+};
 use crate::verify::InvariantViolation;
 use std::sync::Arc;
 
@@ -34,11 +39,16 @@ pub trait GcHeap {
     /// worker's never do, and by default nothing is rewritten.
     fn redirect_foreign_roots(&self, _vproc: usize, _roots: &mut [Addr]) {}
 
-    /// Follows forwarding pointers from `addr` to the current copy of its
-    /// object and locates it — the read rule of both backends, stated here
-    /// once. `global` must be this heap's global heap: the result borrows it
-    /// rather than the heap, so the caller can keep the location while it
-    /// uses the heap mutably (`TaskCtx` does until its next safe point).
+    /// The machine's address layout, whose [`ThreadedLayout::owner_of`]
+    /// classifies an address by arithmetic alone.
+    fn layout(&self) -> &ThreadedLayout;
+
+    /// The resolver: follows forwarding pointers from `addr` to the current
+    /// copy of its object and locates it — the read rule of both backends,
+    /// stated here once. `global` must be this heap's global heap: the
+    /// result borrows it rather than the heap, so the caller can keep the
+    /// location while it uses the heap mutably (`TaskCtx` does until its
+    /// next safe point).
     ///
     /// The language is mutation-free (§2.3), so a forwarding pointer is only
     /// ever left in two places: in this worker's **local** heap by a
@@ -57,6 +67,13 @@ pub trait GcHeap {
     /// global collection runs between rounds with every task quiescent and
     /// rewrites every root before it returns, so a running mutator never
     /// meets a global forwarding word (`RuntimeState::locate`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address on the way lies in a local heap this heap may
+    /// not read (a `WorkerHeap` reads only its own: the
+    /// no-cross-heap-pointer invariant of §2.3 was violated), past the
+    /// mapped end of a node's global band, or outside every region.
     fn resolve<'g>(
         &self,
         global: &'g SharedGlobalHeap,
@@ -64,14 +81,35 @@ pub trait GcHeap {
         global_may_forward: bool,
     ) -> Resolved<'g>;
 
+    /// The object at `obj` itself, readable, its header slot whatever it
+    /// holds: [`GcHeap::resolve`] without following a forward.
+    ///
+    /// # Panics
+    ///
+    /// As [`GcHeap::resolve`].
+    fn locate(&self, obj: Addr) -> Location<'_, &[Word]>;
+
     /// True if `addr` lies in any local heap.
-    fn is_local(&self, addr: Addr) -> bool;
+    #[inline]
+    fn is_local(&self, addr: Addr) -> bool {
+        matches!(self.layout().owner_of(addr), ThreadedOwner::Local(_))
+    }
 
     /// True if `addr` lies in the global heap.
-    fn is_global(&self, addr: Addr) -> bool;
+    #[inline]
+    fn is_global(&self, addr: Addr) -> bool {
+        matches!(self.layout().owner_of(addr), ThreadedOwner::Global { .. })
+    }
 
     /// Reads payload field `index` of the object at `obj`.
-    fn read_field(&self, obj: Addr, index: usize) -> Word;
+    ///
+    /// # Panics
+    ///
+    /// As [`GcHeap::locate`].
+    #[inline]
+    fn read_field(&self, obj: Addr, index: usize) -> Word {
+        self.locate(obj).read(index)
+    }
 
     /// The global heap this heap promotes into.
     fn global(&self) -> &Arc<SharedGlobalHeap>;
@@ -99,7 +137,7 @@ mod tests {
         assert_eq!(view.global().bytes_in_use(), 0);
         assert_eq!(view.global().bytes_after_last_collection(), 0);
         assert!(view.verify_violations().is_empty());
-        assert_eq!(heap.worker_at(obj).locate(obj).payload(), vec![5, 6]);
+        assert_eq!(heap.locate(obj).payload(), vec![5, 6]);
         assert_eq!(heap.global().chunk_acquisitions(), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! The heap configuration and the simulated backend's whole-machine view.
 //!
 //! [`Heap`] holds every vproc's [`WorkerHeap`]. Callers reach the workers
-//! directly — by vproc ([`Heap::worker`], [`GcHeap::worker_mut`]) or by
-//! address ([`Heap::worker_at`]) — and each worker provides the *mechanism*:
+//! directly, by vproc ([`Heap::worker`], [`GcHeap::worker_mut`]), and each
+//! worker provides the *mechanism*:
 //! allocate an object, read a field, evacuate an object to another space,
 //! acquire a global-heap chunk. `Heap` itself builds the machine, registers
 //! descriptors and implements [`GcHeap`] for the whole machine. The
@@ -10,12 +10,11 @@
 //! lists of the global collection) lives in the `mgc-core` crate.
 
 use crate::addr::{Addr, Word};
-use crate::chunk::ChunkId;
 use crate::descriptor::{Descriptor, DescriptorId, DescriptorTable};
 use crate::error::HeapError;
 use crate::gc_heap::GcHeap;
 use crate::shared::{
-    Location, Place, Resolved, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap,
+    Location, Resolved, SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap,
     NODE_SPAN_BYTES,
 };
 use crate::verify::InvariantViolation;
@@ -107,68 +106,6 @@ pub enum GeometryViolation {
     },
 }
 
-/// Which heap space an address belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Space {
-    /// The nursery of a vproc's local heap.
-    LocalNursery {
-        /// Owning vproc.
-        vproc: usize,
-    },
-    /// The young-data area of a vproc's local heap.
-    LocalYoung {
-        /// Owning vproc.
-        vproc: usize,
-    },
-    /// The old-data area of a vproc's local heap.
-    LocalOld {
-        /// Owning vproc.
-        vproc: usize,
-    },
-    /// Free space inside a vproc's local heap (no live object should be
-    /// here; reported for diagnostics).
-    LocalFree {
-        /// Owning vproc.
-        vproc: usize,
-    },
-    /// A global-heap chunk.
-    Global {
-        /// The chunk.
-        chunk: ChunkId,
-    },
-    /// Outside every mapped region.
-    Unmapped,
-}
-
-impl Space {
-    /// True for any of the local-heap spaces.
-    pub fn is_local(self) -> bool {
-        matches!(
-            self,
-            Space::LocalNursery { .. }
-                | Space::LocalYoung { .. }
-                | Space::LocalOld { .. }
-                | Space::LocalFree { .. }
-        )
-    }
-
-    /// True for the global heap.
-    pub fn is_global(self) -> bool {
-        matches!(self, Space::Global { .. })
-    }
-
-    /// The owning vproc, for local spaces.
-    pub fn vproc(self) -> Option<usize> {
-        match self {
-            Space::LocalNursery { vproc }
-            | Space::LocalYoung { vproc }
-            | Space::LocalOld { vproc }
-            | Space::LocalFree { vproc } => Some(vproc),
-            _ => None,
-        }
-    }
-}
-
 /// Target space for an object evacuation performed by the collector
 /// ([`WorkerHeap::evacuate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,10 +131,10 @@ pub struct HeapStats {
 /// [`WorkerHeap`] per vproc over one [`SharedGlobalHeap`], one
 /// [`ThreadedLayout`] and one descriptor table. It holds no memory of its
 /// own. Callers reach a vproc's worker directly — [`Heap::worker`] to read,
-/// [`GcHeap::worker_mut`] to allocate, promote or collect — and the worker an
-/// address belongs to through [`Heap::worker_at`]. What is left here is the
-/// whole machine: building it, registering descriptors, and the
-/// [`GcHeap`] implementation the collector and the read path use.
+/// [`GcHeap::worker_mut`] to allocate, promote or collect. What is left here
+/// is the whole machine: building it, registering descriptors, and the
+/// [`GcHeap`] implementation the collector and the read path use, which
+/// sends each address to the worker the classifier names.
 ///
 /// A collection of vproc `v` runs on its worker ([`GcHeap::worker_mut`]);
 /// the whole machine takes part only around it: the foreign roots a major
@@ -290,18 +227,10 @@ impl Heap {
         &self.workers[vproc]
     }
 
-    /// The worker an access to `addr` goes to: the owning vproc's for a
-    /// local address, worker 0's for any other (every worker reads the
-    /// global heap alike). Its [`WorkerHeap::locate`],
-    /// [`WorkerHeap::space_of`] and [`WorkerHeap::node_of`] then answer for
-    /// `addr`.
-    #[inline]
-    pub fn worker_at(&self, addr: Addr) -> &WorkerHeap {
-        &self.workers[self.owner_of(addr).0]
-    }
-
     /// Classifies `addr` once: the index of the worker an access to it goes
-    /// to, and what the layout says it is.
+    /// to — the owning vproc's for a local address, worker 0's for any other
+    /// (every worker reads the global heap alike) — and what the layout says
+    /// it is.
     #[inline]
     fn owner_of(&self, addr: Addr) -> (usize, ThreadedOwner) {
         let owner = self.layout.owner_of(addr);
@@ -310,16 +239,6 @@ impl Heap {
             _ => 0,
         };
         (worker, owner)
-    }
-
-    /// The [`Place`] of a location [`GcHeap::resolve`] returned, indexed in
-    /// the owning vproc's local heap or the chunk.
-    #[inline(always)]
-    pub fn place_of<'a>(&'a self, location: Location<'a>) -> Place<'a> {
-        match location {
-            Location::Local { vproc, .. } => self.workers[vproc].place_of(location),
-            Location::Global(chunk, offset) => Place::Global(chunk, offset),
-        }
     }
 
     /// Allocates a raw-data object in `vproc`'s nursery.
@@ -348,6 +267,11 @@ impl GcHeap for Heap {
         &mut self.workers[vproc]
     }
 
+    #[inline(always)]
+    fn layout(&self) -> &ThreadedLayout {
+        &self.layout
+    }
+
     /// The simulated machine hands every vproc's local collection its
     /// shared roots (`Machine::gather_roots`): join slots, continuations,
     /// channel queues and proxies, some of them in other vprocs' heaps.
@@ -355,7 +279,7 @@ impl GcHeap for Heap {
         for root in roots.iter_mut() {
             let (worker, owner) = self.owner_of(*root);
             if matches!(owner, ThreadedOwner::Local(v) if v != vproc) {
-                let slot = self.workers[worker].place(owner, *root).header_slot();
+                let slot = self.workers[worker].locate_as(owner, *root).header_slot();
                 *root = slot.forwarded_to().unwrap_or(*root);
             }
         }
@@ -363,7 +287,8 @@ impl GcHeap for Heap {
 
     /// The simulated backend's read path: the address is classified once,
     /// and the worker that owns it (its vproc for a local address, worker 0
-    /// for a global one) runs the read rule from that classification.
+    /// for a global one) runs the read rule from that classification. A
+    /// local location names the vproc whose heap holds it.
     #[inline(always)]
     fn resolve<'g>(
         &self,
@@ -372,26 +297,13 @@ impl GcHeap for Heap {
         global_may_forward: bool,
     ) -> Resolved<'g> {
         let (worker, owner) = self.owner_of(addr);
-        self.workers[worker].resolve_from(global, owner, addr, global_may_forward)
+        self.workers[worker].resolve_as(global, owner, addr, global_may_forward)
     }
 
     #[inline]
-    fn is_local(&self, addr: Addr) -> bool {
-        matches!(self.layout.owner_of(addr), ThreadedOwner::Local(_))
-    }
-
-    #[inline]
-    fn is_global(&self, addr: Addr) -> bool {
-        matches!(self.layout.owner_of(addr), ThreadedOwner::Global { .. })
-    }
-
-    /// # Panics
-    ///
-    /// Panics if `obj` is unmapped.
-    #[inline]
-    fn read_field(&self, obj: Addr, index: usize) -> Word {
+    fn locate(&self, obj: Addr) -> Location<'_, &[Word]> {
         let (worker, owner) = self.owner_of(obj);
-        self.workers[worker].place(owner, obj).read(index)
+        self.workers[worker].locate_as(owner, obj)
     }
 
     fn global(&self) -> &Arc<SharedGlobalHeap> {
@@ -408,6 +320,7 @@ impl GcHeap for Heap {
 mod tests {
     use super::*;
     use crate::header::{Header, ObjectKind};
+    use crate::local::LocalRegion;
     use crate::object::i64_to_word;
     use crate::shared::SharedChunkState;
 
@@ -429,11 +342,8 @@ mod tests {
         // Both local heaps are mapped, back to back; no chunk is yet.
         let local = heap.worker(1).local();
         let last_word = local.base().add_words(local.size_words() - 1);
-        assert_eq!(heap.worker_at(last_word).vproc(), 1);
-        assert_eq!(
-            heap.worker_at(last_word).space_of(last_word),
-            Space::LocalFree { vproc: 1 }
-        );
+        assert_eq!(heap.layout().owner_of(last_word), ThreadedOwner::Local(1));
+        assert_eq!(local.region_of(last_word), LocalRegion::NurseryFree);
         assert_eq!(heap.layout.local_base(1), local.base());
         assert_eq!(heap.global().num_chunks(), 0);
     }
@@ -522,13 +432,13 @@ mod tests {
     fn alloc_and_read_back_raw_object() {
         let mut heap = two_vproc_heap();
         let obj = heap.alloc_raw(0, &[1, 2, 3]).unwrap();
-        let owner = heap.worker_at(obj);
-        assert_eq!(owner.space_of(obj), Space::LocalNursery { vproc: 0 });
-        assert_eq!(owner.locate(obj).header().len_words, 3);
-        assert_eq!(owner.locate(obj).payload(), vec![1, 2, 3]);
+        assert_eq!(heap.layout().owner_of(obj), ThreadedOwner::Local(0));
+        assert_eq!(heap.worker(0).local().region_of(obj), LocalRegion::Nursery);
+        assert_eq!(heap.locate(obj).header().len_words, 3);
+        assert_eq!(heap.locate(obj).payload(), vec![1, 2, 3]);
         assert_eq!(heap.read_field(obj, 2), 3);
-        assert_eq!(owner.locate(obj).header().total_bytes(), 32);
-        assert_eq!(owner.node_of(obj), NodeId::new(0));
+        assert_eq!(heap.locate(obj).header().total_bytes(), 32);
+        assert_eq!(heap.resolve(heap.global(), obj, false).node, NodeId::new(0));
     }
 
     #[test]
@@ -536,7 +446,7 @@ mod tests {
         let mut heap = two_vproc_heap();
         let a = heap.alloc_raw(0, &[i64_to_word(42)]).unwrap();
         let v = heap.alloc_vector(0, &[a.raw(), 0]).unwrap();
-        let header = heap.worker_at(v).locate(v).header();
+        let header = heap.locate(v).header();
         assert!(heap
             .worker(0)
             .pointer_field_indices(header)
@@ -550,7 +460,7 @@ mod tests {
         let desc = heap.register_descriptor(Descriptor::new("pair", 2, 0b10));
         let a = heap.alloc_raw(0, &[7]).unwrap();
         let obj = heap.worker_mut(0).alloc_mixed(desc, &[5, a.raw()]).unwrap();
-        let header = heap.worker_at(obj).locate(obj).header();
+        let header = heap.locate(obj).header();
         assert!(heap
             .worker(0)
             .pointer_field_indices(header)
@@ -566,9 +476,10 @@ mod tests {
     /// Evacuates the object at `obj`, in `vproc`'s local heap, to `target`.
     fn evacuate(heap: &mut Heap, vproc: usize, obj: Addr, target: EvacTarget) -> (Addr, usize) {
         let worker = heap.worker_mut(vproc);
-        let found = worker.find(obj).unwrap();
-        let header = found.slot.expect_header();
-        worker.evacuate(found.offset, header, target).unwrap()
+        let (_, offset, slot) = worker.find(obj).unwrap();
+        worker
+            .evacuate(offset, slot.expect_header(), target)
+            .unwrap()
     }
 
     #[test]
@@ -581,7 +492,8 @@ mod tests {
         let worker = heap.worker(0);
         assert_eq!(worker.locate(obj).header_slot().forwarded_to(), Some(copy));
         assert_eq!(worker.locate(copy).payload(), vec![9, 8]);
-        assert_eq!(worker.space_of(copy), Space::LocalYoung { vproc: 0 });
+        let region = worker.find(copy).map(|(region, ..)| region);
+        assert_eq!(region, Some(LocalRegion::Young));
         assert_eq!(worker.stats().evacuated_words, 3);
     }
 
@@ -591,9 +503,9 @@ mod tests {
         let obj = heap.alloc_raw(1, &[4]).unwrap();
         let (copy, _) = evacuate(&mut heap, 1, obj, EvacTarget::GlobalCurrent);
         assert!(heap.is_global(copy));
-        assert_eq!(heap.worker_at(copy).vproc(), 0);
-        assert_eq!(heap.worker_at(copy).node_of(copy), NodeId::new(1));
-        assert_eq!(heap.worker_at(copy).locate(copy).payload(), vec![4]);
+        let found = heap.resolve(heap.global(), copy, false);
+        assert_eq!((found.addr, found.node), (copy, NodeId::new(1)));
+        assert_eq!(heap.locate(copy).payload(), vec![4]);
         assert_eq!(heap.global().chunk_acquisitions(), 1);
     }
 
@@ -604,13 +516,13 @@ mod tests {
         let obj = heap.alloc_raw(1, &[4, 5]).unwrap();
         let found = heap.resolve(&global, obj, false);
         assert_eq!((found.addr, found.node), (obj, NodeId::new(1)));
-        assert!(heap.place_of(found.location).is_local());
+        assert!(found.location.is_local());
         // Promote vproc 1's object into a chunk on node 0.
         heap.worker_mut(1).set_promotion_target(NodeId::new(0));
         let (copy, _) = evacuate(&mut heap, 1, obj, EvacTarget::GlobalCurrent);
         let found = heap.resolve(&global, obj, false);
         assert_eq!((found.addr, found.node), (copy, NodeId::new(0)));
-        let place = heap.place_of(found.location);
+        let place = found.location.map_local(|v| heap.worker(v).local().words());
         assert!(!place.is_local());
         assert_eq!(place.read(1), 5);
     }
@@ -632,10 +544,7 @@ mod tests {
             .unwrap();
         let second = heap.worker(0).current_chunk().unwrap().id();
         assert_ne!(first, second);
-        assert_eq!(
-            heap.worker_at(obj).space_of(obj),
-            Space::Global { chunk: second }
-        );
+        assert!(matches!(heap.locate(obj), Location::Global(chunk, _) if chunk.id() == second));
         assert_eq!(heap.global().chunk(first).state(), SharedChunkState::Filled);
     }
 
@@ -654,15 +563,18 @@ mod tests {
     fn space_resolution_distinguishes_regions() {
         let mut heap = two_vproc_heap();
         let nursery_obj = heap.alloc_raw(1, &[1]).unwrap();
-        let space_of = |addr| heap.worker_at(addr).space_of(addr);
-        assert!(space_of(nursery_obj).is_local());
-        assert_eq!(space_of(nursery_obj).vproc(), Some(1));
+        assert!(heap.is_local(nursery_obj) && !heap.is_global(nursery_obj));
+        assert_eq!(heap.layout().owner_of(nursery_obj), ThreadedOwner::Local(1));
+        let region = heap.worker(1).local().region_of(nursery_obj);
+        assert_eq!(region, LocalRegion::Nursery);
         let chunk = heap.worker_mut(0).fresh_current_chunk();
-        let space_of = |addr| heap.worker_at(addr).space_of(addr);
         let base = heap.global().chunk(chunk).base();
-        assert_eq!(space_of(base), Space::Global { chunk });
-        assert!(space_of(base).is_global());
-        assert_eq!(space_of(Addr::new(8)), Space::Unmapped);
+        assert!(heap.is_global(base) && !heap.is_local(base));
+        assert!(matches!(heap.locate(base), Location::Global(found, 0) if found.id() == chunk));
+        assert_eq!(
+            heap.layout().owner_of(Addr::new(8)),
+            ThreadedOwner::Unmapped
+        );
     }
 
     #[test]

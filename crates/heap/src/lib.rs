@@ -17,7 +17,11 @@
 //!   global heap — with the evacuation primitive every collection is built
 //!   from; the threaded backend gives one to each OS thread, and the
 //!   simulated backend's [`Heap`] holds all of them, its callers reaching
-//!   each worker directly; and
+//!   each worker directly;
+//! * one answer to "where is this address" for both backends: the layout's
+//!   arithmetic classifier ([`ThreadedLayout::owner_of`]) and the resolver
+//!   ([`GcHeap::resolve`]), which follows forwarding pointers to the
+//!   [`Location`] of the current copy; and
 //! * invariant checkers for the two no-cross-heap-pointer rules (§2.3).
 //!
 //! The collection algorithms themselves (minor, major, promotion, global)
@@ -33,7 +37,7 @@
 //! let mut heap = Heap::new(HeapConfig::small_for_tests(), &[NodeId::new(0), NodeId::new(1)], 2);
 //! let point = heap.alloc_raw(0, &[1, 2, 3])?;
 //! let wrapper = heap.alloc_vector(0, &[point.raw()])?;
-//! assert_eq!(heap.worker_at(point).locate(point).payload(), vec![1, 2, 3]);
+//! assert_eq!(heap.locate(point).payload(), vec![1, 2, 3]);
 //! assert_eq!(heap.read_field(wrapper, 0), point.raw());
 //! # Ok::<(), mgc_heap::HeapError>(())
 //! ```
@@ -67,14 +71,14 @@ pub use header::{
     Header, HeaderSlot, ObjectKind, FIRST_MIXED_ID, MAX_ID, MAX_LEN_WORDS, RAW_ID, VECTOR_ID,
 };
 pub use heap::{
-    EvacTarget, GeometryViolation, Heap, HeapConfig, HeapStats, Space, MIN_CHUNK_BYTES,
+    EvacTarget, GeometryViolation, Heap, HeapConfig, HeapStats, MIN_CHUNK_BYTES,
     MIN_LOCAL_HEAP_BYTES,
 };
 pub use local::{LocalHeap, LocalHeapStats, LocalRegion};
 pub use object::{f64_to_word, i64_to_word, word_to_f64, word_to_i64};
 pub use shared::{
-    global_node_of, LocalObject, Location, Place, Resolved, SharedChunk, SharedChunkState,
-    SharedGlobalHeap, ThreadedLayout, ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE,
-    LOCAL_BASE, NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
+    global_node_of, Location, Resolved, SharedChunk, SharedChunkState, SharedGlobalHeap,
+    ThreadedLayout, ThreadedOwner, WorkerHeap, DIR_SEG_CHUNKS, GLOBAL_BASE, LOCAL_BASE,
+    NODE_SPAN_BYTES, NODE_SPAN_SHIFT,
 };
 pub use verify::{verify_global_heap, verify_heap, verify_local_heap, InvariantViolation};

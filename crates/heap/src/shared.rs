@@ -24,10 +24,12 @@
 //! `GLOBAL_BASE + n * NODE_SPAN_BYTES ..`, chunk `i` of that node at
 //! `band_base + i * chunk_span`. Classifying an address *and finding the
 //! node that backs it* are therefore pure arithmetic; no shared state, no
-//! chunk-directory lookup. Every access a worker makes goes through one
-//! primitive, [`WorkerHeap::locate`]: classify the address once (shifts, for
-//! the power-of-two geometries every configuration ships), then index the
-//! region that holds it — the owned local slice or the shared chunk.
+//! chunk-directory lookup. Every access goes through two pieces: the
+//! classifier, [`ThreadedLayout::owner_of`] (shifts, for the power-of-two
+//! geometries every configuration ships), and the resolver,
+//! [`GcHeap::resolve`], which follows forwarding pointers and returns the
+//! [`Location`] of the current copy — the owned local slice or the shared
+//! chunk, with an offset, so every further access is an index.
 
 use crate::addr::{Addr, Word, WORD_BYTES};
 use crate::chunk::ChunkId;
@@ -36,7 +38,7 @@ use crate::error::HeapError;
 use crate::gc_heap::GcHeap;
 use crate::global::SharedChunkPool;
 use crate::header::{Header, HeaderSlot, ObjectKind};
-use crate::heap::{EvacTarget, HeapConfig, HeapStats, Space};
+use crate::heap::{EvacTarget, HeapConfig, HeapStats};
 use crate::local::{LocalHeap, LocalRegion};
 use crate::storage::{self, STORAGE};
 use crate::verify::InvariantViolation;
@@ -345,7 +347,12 @@ impl SharedChunk {
     /// # Errors
     ///
     /// Returns the winning forwarding address when the CAS loses.
-    fn try_forward(&self, obj: Addr, expected_header: Word, new_addr: Addr) -> Result<(), Addr> {
+    pub fn try_forward(
+        &self,
+        obj: Addr,
+        expected_header: Word,
+        new_addr: Addr,
+    ) -> Result<(), Addr> {
         let slot = self.offset_of(obj.sub_words(1));
         match self.data[slot].compare_exchange(
             expected_header,
@@ -637,7 +644,7 @@ impl SharedGlobalHeap {
     /// and the reference lives as long as the heap: chunks are recycled
     /// through the pool, never unmapped.
     #[inline(always)]
-    fn chunk_in_band(&self, node: usize, index: usize) -> Option<&SharedChunk> {
+    pub(crate) fn chunk_in_band(&self, node: usize, index: usize) -> Option<&SharedChunk> {
         self.by_node.get(node)?.get(index).map(|chunk| &**chunk)
     }
 
@@ -862,7 +869,8 @@ impl ThreadedLayout {
     }
 
     /// Which region `addr` falls in, by pure arithmetic: compares, and a
-    /// shift per power-of-two region size.
+    /// shift per power-of-two region size. The one classifier of both
+    /// backends; a heap's is [`GcHeap::layout`]'s.
     #[inline]
     pub fn owner_of(&self, addr: Addr) -> ThreadedOwner {
         let raw = addr.raw();
@@ -1242,32 +1250,18 @@ impl WorkerHeap {
     }
 
     // ------------------------------------------------------------------
-    // Address location (the one primitive every access is built on)
+    // Address location: the layout classifies, one loop follows forwards
     // ------------------------------------------------------------------
-
-    /// Locates the object at `obj`: classifies the address once and returns
-    /// the region that holds it with the object's word offset, so every
-    /// further access is an index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` lies in another worker's local heap (the
-    /// no-cross-heap-pointer invariant of §2.3 was violated), past the
-    /// mapped end of a node's global band, or outside every region.
-    #[inline]
-    pub fn locate(&self, obj: Addr) -> Place<'_> {
-        self.place(self.layout.owner_of(obj), obj)
-    }
-
-    /// [`WorkerHeap::locate`] for an address already classified as `owner`.
-    #[inline(always)]
-    pub(crate) fn place(&self, owner: ThreadedOwner, addr: Addr) -> Place<'_> {
-        self.place_of(self.location(&self.global, owner, addr))
-    }
 
     /// Where the object at `addr`, classified as `owner`, lives — with a
     /// global chunk looked up in `global`, this worker's global heap, so the
     /// location borrows that heap rather than the worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` lies in another worker's local heap (the
+    /// no-cross-heap-pointer invariant of §2.3 was violated), past the
+    /// mapped end of a node's global band, or outside every region.
     #[inline(always)]
     fn location<'g>(
         &self,
@@ -1276,10 +1270,9 @@ impl WorkerHeap {
         addr: Addr,
     ) -> Location<'g> {
         match owner {
-            ThreadedOwner::Local(vproc) if vproc == self.vproc => Location::Local {
-                vproc,
-                offset: self.local.offset_of(addr),
-            },
+            ThreadedOwner::Local(vproc) if vproc == self.vproc => {
+                Location::Local(vproc, self.local.offset_of(addr))
+            }
             ThreadedOwner::Global { node, index } => {
                 let chunk = global.band_chunk(node, index, addr);
                 Location::Global(chunk, chunk.offset_of(addr))
@@ -1289,61 +1282,17 @@ impl WorkerHeap {
         }
     }
 
-    /// The [`Place`] of a location this worker found: a local one indexes
-    /// this worker's words again (one slice index), a global one is already
-    /// a chunk and offset.
+    /// [`GcHeap::locate`] for an address already classified as `owner`.
     #[inline(always)]
-    pub fn place_of<'a>(&'a self, location: Location<'a>) -> Place<'a> {
-        match location {
-            Location::Local { vproc, offset } => {
-                debug_assert_eq!(vproc, self.vproc, "a location in another worker's heap");
-                Place::Local(self.local.words(), offset)
-            }
-            Location::Global(chunk, offset) => Place::Global(chunk, offset),
-        }
+    pub(crate) fn locate_as(&self, owner: ThreadedOwner, addr: Addr) -> Location<'_, &[Word]> {
+        self.location(&self.global, owner, addr)
+            .map_local(|_| self.local.words())
     }
 
-    /// Which space `addr` belongs to. Another worker's local heap is
-    /// classified by address arithmetic alone, as its old area.
-    pub fn space_of(&self, addr: Addr) -> Space {
-        match self.layout.owner_of(addr) {
-            // Another worker's local heap: we may classify it (pure
-            // arithmetic) but never read it. The collector only needs the
-            // owner to decide "not mine — leave the pointer alone".
-            ThreadedOwner::Local(v) if v != self.vproc => Space::LocalOld { vproc: v },
-            ThreadedOwner::Local(vproc) => {
-                match self.local.region_of_offset(self.local.offset_of(addr)) {
-                    LocalRegion::Old => Space::LocalOld { vproc },
-                    LocalRegion::Young => Space::LocalYoung { vproc },
-                    LocalRegion::Nursery => Space::LocalNursery { vproc },
-                    LocalRegion::Reserve | LocalRegion::NurseryFree => Space::LocalFree { vproc },
-                }
-            }
-            // A band address no chunk is mapped at is as unmapped as one
-            // outside every band.
-            ThreadedOwner::Global { node, index } => match self.global.chunk_in_band(node, index) {
-                Some(chunk) => Space::Global { chunk: chunk.id() },
-                None => Space::Unmapped,
-            },
-            ThreadedOwner::Unmapped => Space::Unmapped,
-        }
-    }
-
-    /// The NUMA node whose memory backs `addr`.
-    pub fn node_of(&self, addr: Addr) -> NodeId {
-        match self.layout.owner_of(addr) {
-            ThreadedOwner::Local(v) if v == self.vproc => self.local_node(),
-            ThreadedOwner::Local(_) => self.home_node,
-            // Arithmetic: the node is baked into the address band.
-            ThreadedOwner::Global { node, .. } => NodeId::new(node as u16),
-            ThreadedOwner::Unmapped => panic!("{addr:?} is not mapped to any heap region"),
-        }
-    }
-
-    /// [`WorkerHeap::resolve`] for an address already classified as `owner`
-    /// — the one forwarding loop of both backends.
+    /// [`GcHeap::resolve`] for an address already classified as `owner` —
+    /// the one forwarding loop of both backends.
     #[inline(always)]
-    pub(crate) fn resolve_from<'g>(
+    pub(crate) fn resolve_as<'g>(
         &self,
         global: &'g SharedGlobalHeap,
         mut owner: ThreadedOwner,
@@ -1358,14 +1307,15 @@ impl WorkerHeap {
             let location = self.location(global, owner, addr);
             let is_final = matches!(location, Location::Global(..)) && !global_may_forward;
             if !is_final {
-                if let HeaderSlot::Forwarded(target) = self.place_of(location).header_slot() {
+                let place = location.map_local(|_| self.local.words());
+                if let HeaderSlot::Forwarded(target) = place.header_slot() {
                     addr = target;
                     owner = self.layout.owner_of(addr);
                     continue;
                 }
             }
             let node = match location {
-                Location::Local { .. } => self.local_node(),
+                Location::Local(..) => self.local_node(),
                 Location::Global(chunk, _) => chunk.node(),
             };
             return Resolved {
@@ -1380,19 +1330,17 @@ impl WorkerHeap {
     // The local collections' primitives
     // ------------------------------------------------------------------
 
-    /// The one classification of a local collection: the object at `ptr`
-    /// with its region, offset and header slot if it lies in this worker's
-    /// local heap, else `None` (the global heap, another vproc's local heap,
-    /// or no region).
+    /// The one classification of a local collection: the object at `ptr` —
+    /// its region, the word offset of its first payload word, and its header
+    /// slot (a header, or a forward left by an evacuation) — if it lies in
+    /// this worker's local heap, else `None` (the global heap, another
+    /// vproc's local heap, or no region).
     #[inline]
-    pub fn find(&self, ptr: Addr) -> Option<LocalObject> {
+    pub fn find(&self, ptr: Addr) -> Option<(LocalRegion, usize, HeaderSlot)> {
         let local = &self.local;
         let offset = local.contains(ptr).then(|| ptr.words_from(local.base()))?;
-        Some(LocalObject {
-            region: local.region_of_offset(offset),
-            offset,
-            slot: HeaderSlot::decode(local.read(offset - 1)),
-        })
+        let slot = HeaderSlot::decode(local.read(offset - 1));
+        Some((local.region_of_offset(offset), offset, slot))
     }
 
     /// The payload indices of the pointer fields for an object with header
@@ -1445,44 +1393,28 @@ impl WorkerHeap {
         Ok((new_addr, header.total_bytes()))
     }
 
-    /// Race-safe forwarding for the parallel global collection: tries to
-    /// install `new_addr` over the from-space object at `obj`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the winning address when another worker forwarded first.
-    pub fn cas_forward_global(
-        &self,
-        obj: Addr,
-        expected_header: Word,
-        new_addr: Addr,
-    ) -> Result<(), Addr> {
-        match self.locate(obj) {
-            Place::Global(chunk, _) => chunk.try_forward(obj, expected_header, new_addr),
-            Place::Local(..) => panic!("{obj:?} is not a global-heap address"),
-        }
-    }
-
     /// Forwards one pointer for the parallel global collection. A pointer
     /// that is not into a from-space chunk comes back unchanged; otherwise
     /// the object's words go straight into this worker's current to-space
     /// chunk and a CAS on the from-space header slot publishes the copy — or
     /// loses to another worker's, whose address is returned (our copy is
     /// then garbage that dies at the next collection). The second value is
-    /// the bytes this call copied and won with, else 0.
-    pub fn evacuate_from_space(&mut self, ptr: Addr) -> (Addr, usize) {
+    /// set when this call copied and won: the node of the from-space chunk
+    /// and the bytes copied. The copy is in the
+    /// [current chunk](WorkerHeap::current_chunk).
+    pub fn evacuate_from_space(&mut self, ptr: Addr) -> (Addr, Option<(NodeId, usize)>) {
         let ThreadedOwner::Global { node, index } = self.layout.owner_of(ptr) else {
             // Local objects never live in from-space: only global chunks flip.
-            return (ptr, 0);
+            return (ptr, None);
         };
         let from = self.global.band_chunk(node, index, ptr);
         if from.state() != SharedChunkState::FromSpace {
-            return (ptr, 0);
+            return (ptr, None);
         }
         let offset = from.offset_of(ptr);
         let encoded = from.read(offset - 1);
         let header = match HeaderSlot::decode(encoded) {
-            HeaderSlot::Forwarded(winner) => return (winner, 0),
+            HeaderSlot::Forwarded(winner) => return (winner, None),
             HeaderSlot::Header(header) => header,
         };
         // Rolling the to-space chunk over needs the whole worker; `from` is
@@ -1497,8 +1429,8 @@ impl WorkerHeap {
             })
             .expect("the to-space chunk was reserved for this object");
         match from.try_forward(ptr, encoded, copy) {
-            Ok(()) => (copy, header.total_bytes()),
-            Err(winner) => (winner, 0),
+            Ok(()) => (copy, Some((from.node(), header.total_bytes()))),
+            Err(winner) => (winner, None),
         }
     }
 }
@@ -1521,72 +1453,61 @@ fn unmapped_access(addr: Addr, band: Option<usize>) -> ! {
     }
 }
 
-/// An object of a worker's own local heap, as [`WorkerHeap::find`] found it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalObject {
-    /// The region holding it.
-    pub region: LocalRegion,
-    /// Word offset of its first payload word.
-    pub offset: usize,
-    /// Its header slot: a header, or a forward left by an evacuation.
-    pub slot: HeaderSlot,
-}
-
-/// Where [`WorkerHeap::locate`] found an object: the region holding it and
-/// the word offset of its first payload word in that region.
+/// Where an object's words are: in a local heap or in a chunk of the shared
+/// global heap, at the word offset of its first payload word there. `L`
+/// names the local heap. The resolver ([`GcHeap::resolve`]) names it by its
+/// owning vproc, which borrows nothing of the worker, so a mutator keeps the
+/// location while it uses its worker mutably. A reader names it by the
+/// heap's words: [`GcHeap::locate`] returns that form, and
+/// [`Location::map_local`] turns one form into the other. The reads are
+/// methods of the words form.
 #[derive(Debug, Clone, Copy)]
-pub enum Place<'a> {
-    /// In the worker's own local heap: plain words nobody else touches.
-    Local(&'a [Word], usize),
-    /// In a chunk of the shared global heap.
-    Global(&'a SharedChunk, usize),
-}
-
-/// Where [`WorkerHeap::resolve`] found an object, borrowing only the global
-/// heap: the owning vproc and word offset of a local object, or the chunk
-/// and word offset of a global one. A [`Place`] borrows the worker too; a
-/// location becomes one again through [`WorkerHeap::place_of`] (or
-/// [`Heap::place_of`](crate::Heap::place_of)), so a mutator can keep a
-/// location across reads while it uses its worker mutably.
-#[derive(Debug, Clone, Copy)]
-pub enum Location<'g> {
-    /// In `vproc`'s local heap, at word offset `offset`.
-    Local {
-        /// The owning vproc.
-        vproc: usize,
-        /// Word offset of the object's first payload word.
-        offset: usize,
-    },
+pub enum Location<'g, L = usize> {
+    /// In a local heap, at a word offset.
+    Local(L, usize),
     /// In a chunk of the shared global heap, at a word offset.
     Global(&'g SharedChunk, usize),
 }
 
-/// An object found by [`WorkerHeap::resolve`]: its current copy, located,
-/// and the node the simulated NUMA cost model charges an access to it to.
+/// An object found by [`GcHeap::resolve`]: its current copy, located, and
+/// the node the simulated NUMA cost model charges an access to it to.
 #[derive(Debug, Clone, Copy)]
 pub struct Resolved<'g> {
     /// The current copy's address (the input unless it was forwarded).
     pub addr: Addr,
-    /// Where the current copy lives.
+    /// Where the current copy lives, a local one named by its vproc.
     pub location: Location<'g>,
     /// The node whose memory backs it: the local heap's page node, or the
     /// chunk's.
     pub node: NodeId,
 }
 
-impl Place<'_> {
-    /// True for an object in the worker's own local heap.
+impl<'g, L> Location<'g, L> {
+    /// True for an object in a local heap.
     #[inline]
     pub fn is_local(&self) -> bool {
-        matches!(self, Place::Local(..))
+        matches!(self, Location::Local(..))
     }
 
+    /// The same location with its local heap named by `f` of the current
+    /// name: a vproc's location becomes readable as
+    /// `location.map_local(|_| worker.local().words())`.
+    #[inline(always)]
+    pub fn map_local<M>(self, f: impl FnOnce(L) -> M) -> Location<'g, M> {
+        match self {
+            Location::Local(heap, offset) => Location::Local(f(heap), offset),
+            Location::Global(chunk, offset) => Location::Global(chunk, offset),
+        }
+    }
+}
+
+impl Location<'_, &[Word]> {
     /// Payload field `index` of the object.
     #[inline]
     pub fn read(&self, index: usize) -> Word {
         match *self {
-            Place::Local(words, offset) => words[offset + index],
-            Place::Global(chunk, offset) => chunk.read(offset + index),
+            Location::Local(words, offset) => words[offset + index],
+            Location::Global(chunk, offset) => chunk.read(offset + index),
         }
     }
 
@@ -1596,10 +1517,10 @@ impl Place<'_> {
     pub fn read_fields<const N: usize>(&self, first: usize) -> [Word; N] {
         let mut out = [0; N];
         match *self {
-            Place::Local(words, offset) => {
+            Location::Local(words, offset) => {
                 out.copy_from_slice(&words[offset + first..offset + first + N]);
             }
-            Place::Global(chunk, offset) => {
+            Location::Global(chunk, offset) => {
                 for (i, word) in out.iter_mut().enumerate() {
                     *word = chunk.read(offset + first + i);
                 }
@@ -1613,8 +1534,8 @@ impl Place<'_> {
     #[inline(always)]
     pub fn header_slot(&self) -> HeaderSlot {
         HeaderSlot::decode(match *self {
-            Place::Local(words, offset) => words[offset - 1],
-            Place::Global(chunk, offset) => chunk.read(offset - 1),
+            Location::Local(words, offset) => words[offset - 1],
+            Location::Global(chunk, offset) => chunk.read(offset - 1),
         })
     }
 
@@ -1634,14 +1555,14 @@ impl Place<'_> {
     pub fn payload_into(&self, out: &mut Vec<Word>) {
         let len = self.header().len_words as usize;
         match *self {
-            Place::Local(words, offset) => out.extend_from_slice(&words[offset..offset + len]),
-            Place::Global(chunk, offset) => {
+            Location::Local(words, offset) => out.extend_from_slice(&words[offset..offset + len]),
+            Location::Global(chunk, offset) => {
                 out.extend((offset..offset + len).map(|i| chunk.read(i)))
             }
         }
     }
 
-    /// The whole payload in a fresh `Vec`: [`Place::payload_into`].
+    /// The whole payload in a fresh `Vec`: [`Location::payload_into`].
     pub fn payload(&self) -> Vec<Word> {
         let mut out = Vec::new();
         self.payload_into(&mut out);
@@ -1656,28 +1577,23 @@ impl GcHeap for WorkerHeap {
     }
 
     #[inline(always)]
+    fn layout(&self) -> &ThreadedLayout {
+        &self.layout
+    }
+
+    #[inline(always)]
     fn resolve<'g>(
         &self,
         global: &'g SharedGlobalHeap,
         addr: Addr,
         global_may_forward: bool,
     ) -> Resolved<'g> {
-        self.resolve_from(global, self.layout.owner_of(addr), addr, global_may_forward)
+        self.resolve_as(global, self.layout.owner_of(addr), addr, global_may_forward)
     }
 
     #[inline]
-    fn is_local(&self, addr: Addr) -> bool {
-        matches!(self.layout.owner_of(addr), ThreadedOwner::Local(_))
-    }
-
-    #[inline]
-    fn is_global(&self, addr: Addr) -> bool {
-        matches!(self.layout.owner_of(addr), ThreadedOwner::Global { .. })
-    }
-
-    #[inline]
-    fn read_field(&self, obj: Addr, index: usize) -> Word {
-        self.locate(obj).read(index)
+    fn locate(&self, obj: Addr) -> Location<'_, &[Word]> {
+        self.locate_as(self.layout.owner_of(obj), obj)
     }
 
     fn global(&self) -> &Arc<SharedGlobalHeap> {
@@ -1872,7 +1788,8 @@ mod tests {
         let descriptors = Arc::new(DescriptorTable::new());
         let mut w1 = worker(1, layout, &global, &descriptors);
         let local = w1.alloc_raw(&[10, 11, 12]).unwrap();
-        assert_eq!(w1.space_of(local), Space::LocalNursery { vproc: 1 });
+        let region = w1.find(local).map(|(region, ..)| region);
+        assert_eq!(region, Some(LocalRegion::Nursery));
         assert_eq!(w1.read_field(local, 2), 12);
         assert_eq!(w1.locate(local).header().len_words, 3);
         assert_eq!(w1.locate(local).header_slot().forwarded_to(), None);
@@ -1890,18 +1807,17 @@ mod tests {
             assert!(w0.is_global(obj) && !w0.is_local(obj));
             assert_eq!(w0.read_field(obj, 399), value);
             assert_eq!(w0.locate(obj).header().len_words, 400);
-            assert_eq!(w0.node_of(obj), NodeId::new(1));
-            assert_eq!(w0.resolve(&global, obj, true).addr, obj);
+            let found = w0.resolve(&global, obj, true);
+            assert_eq!((found.addr, found.node), (obj, NodeId::new(1)));
         }
-        assert_eq!(
-            w0.space_of(second),
-            Space::Global {
-                chunk: w1.current_chunk().unwrap().id()
-            }
+        let current = w1.current_chunk().unwrap();
+        assert!(
+            matches!(w0.locate(second), Location::Global(chunk, _) if chunk.id() == current.id())
         );
         // A foreign local address classifies (arithmetic) but never reads.
         assert!(w0.is_local(local));
-        assert_eq!(w0.space_of(local), Space::LocalOld { vproc: 1 });
+        assert_eq!(w0.layout().owner_of(local), ThreadedOwner::Local(1));
+        assert_eq!(w0.find(local), None);
     }
 
     #[test]
@@ -1917,7 +1833,8 @@ mod tests {
         let (layout, global, descriptors) = setup();
         let mut w = worker(0, layout, &global, &descriptors);
         let obj = w.alloc_raw(&[1, 2, 3]).unwrap();
-        assert_eq!(w.space_of(obj), Space::LocalNursery { vproc: 0 });
+        let region = w.find(obj).map(|(region, ..)| region);
+        assert_eq!(region, Some(LocalRegion::Nursery));
         assert_eq!(w.locate(obj).payload(), vec![1, 2, 3]);
         assert_eq!(global.num_chunks(), 0);
     }
@@ -2127,11 +2044,9 @@ mod tests {
         let obj = w0.alloc_in_global(header.encode(), &[5]).unwrap();
         let copy_a = Addr::new(GLOBAL_BASE + 1024 * 1024);
         let copy_b = Addr::new(GLOBAL_BASE + 2 * 1024 * 1024);
-        assert!(w0.cas_forward_global(obj, header.encode(), copy_a).is_ok());
-        assert_eq!(
-            w0.cas_forward_global(obj, header.encode(), copy_b),
-            Err(copy_a)
-        );
+        let chunk = w0.current_chunk().unwrap().clone();
+        assert!(chunk.try_forward(obj, header.encode(), copy_a).is_ok());
+        assert_eq!(chunk.try_forward(obj, header.encode(), copy_b), Err(copy_a));
         assert_eq!(w0.locate(obj).header_slot().forwarded_to(), Some(copy_a));
 
         // The same race through the collector's copy path, for real: two
@@ -2150,7 +2065,7 @@ mod tests {
             chunk.set_state(SharedChunkState::FromSpace);
         }
         let start = std::sync::Barrier::new(2);
-        let race = |w: &mut WorkerHeap| -> Vec<(Addr, usize)> {
+        let race = |w: &mut WorkerHeap| -> Vec<(Addr, Option<(NodeId, usize)>)> {
             start.wait();
             objs.iter().map(|&obj| w.evacuate_from_space(obj)).collect()
         };
@@ -2159,9 +2074,14 @@ mod tests {
             let b = scope.spawn(|| race(&mut w1));
             (a.join().unwrap(), b.join().unwrap())
         });
-        for (i, (&(to_a, bytes_a), &(to_b, bytes_b))) in a.iter().zip(&b).enumerate() {
+        for (i, (&(to_a, copied_a), &(to_b, copied_b))) in a.iter().zip(&b).enumerate() {
             assert_eq!(to_a, to_b, "object {i} has one surviving copy");
-            assert_eq!(bytes_a + bytes_b, 4 * WORD_BYTES, "credited exactly once");
+            let credited: Vec<_> = copied_a.into_iter().chain(copied_b).collect();
+            assert_eq!(
+                credited,
+                [(NodeId::new(0), 4 * WORD_BYTES)],
+                "credited exactly once"
+            );
             let i = i as u64;
             assert_eq!(w0.locate(to_a).payload(), vec![i, i + 1, i + 2]);
         }
@@ -2185,9 +2105,9 @@ mod tests {
             })
             .collect();
         // Not from-space yet: pointers come back unchanged, nothing copied.
-        assert_eq!(w1.evacuate_from_space(objs[1]), (objs[1], 0));
+        assert_eq!(w1.evacuate_from_space(objs[1]), (objs[1], None));
         let local = w1.alloc_raw(&[1]).unwrap();
-        assert_eq!(w1.evacuate_from_space(local), (local, 0));
+        assert_eq!(w1.evacuate_from_space(local), (local, None));
         w0.retire_current_chunk();
         for chunk in global.chunks() {
             assert_eq!(chunk.state(), SharedChunkState::Filled);
@@ -2195,22 +2115,26 @@ mod tests {
         }
         // Worker 1 wins objects 0 and 2 outright.
         for i in [0, 2] {
-            let (copy, bytes) = w1.evacuate_from_space(objs[i]);
+            let (copy, copied) = w1.evacuate_from_space(objs[i]);
             assert_ne!(copy, objs[i]);
-            assert_eq!(bytes, (shapes[i].len() + 1) * WORD_BYTES);
+            let bytes = (shapes[i].len() + 1) * WORD_BYTES;
+            assert_eq!(copied, Some((NodeId::new(0), bytes)));
             assert_eq!(w0.locate(copy).payload(), shapes[i]);
             assert_eq!(w0.locate(objs[i]).header_slot().forwarded_to(), Some(copy));
             // Already forwarded: every later visitor gets the winner, free.
-            assert_eq!(w0.evacuate_from_space(objs[i]), (copy, 0));
+            assert_eq!(w0.evacuate_from_space(objs[i]), (copy, None));
         }
         // Object 1: worker 0 forwards it between worker 1's copy and its
         // CAS — the interleaving of a lost race, replayed by hand.
         let header = Header::new(ObjectKind::Raw, 5).encode();
         let winner = w0.alloc_in_global(header, shapes[1]).unwrap();
         let loser = w1.alloc_in_global(header, shapes[1]).unwrap();
-        w0.cas_forward_global(objs[1], header, winner).unwrap();
-        assert_eq!(w1.cas_forward_global(objs[1], header, loser), Err(winner));
-        assert_eq!(w1.evacuate_from_space(objs[1]), (winner, 0));
+        let Location::Global(from, _) = w1.resolve(&global, objs[1], false).location else {
+            panic!("a global object resolves to its chunk");
+        };
+        from.try_forward(objs[1], header, winner).unwrap();
+        assert_eq!(from.try_forward(objs[1], header, loser), Err(winner));
+        assert_eq!(w1.evacuate_from_space(objs[1]), (winner, None));
         assert_eq!(w1.locate(winner).payload(), shapes[1]);
         // The from-space payloads are untouched (only the header slot is
         // CAS'd), so a reader still holding the stale address sees the data.

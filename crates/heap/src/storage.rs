@@ -221,11 +221,7 @@ mod tests {
                             objects.push((global.unwrap(), i));
                         }
                         for (obj, i) in objects {
-                            assert_eq!(
-                                heap.worker_at(obj).locate(obj).payload(),
-                                [tag, i],
-                                "thread {thread}"
-                            );
+                            assert_eq!(heap.locate(obj).payload(), [tag, i], "thread {thread}");
                         }
                     }
                 });

@@ -11,46 +11,85 @@
 //! used throughout the test suites and, with `GcConfig::verify_after_gc`,
 //! after every collection on both backends: the simulated [`Heap`] walks the
 //! whole machine ([`verify_heap`]), a threaded `WorkerHeap` its own local
-//! heap ([`verify_local_heap`] — classification by address arithmetic and
-//! chunk states only, so nothing another worker owns is read) and, after a
-//! global collection, the leader the global heap ([`verify_global_heap`]).
+//! heap ([`verify_local_heap`]) and, after a global collection, the leader
+//! the global heap ([`verify_global_heap`]). Every object is read through
+//! [`GcHeap::locate`], and every pointer is classified by the layout's
+//! arithmetic ([`ThreadedLayout::owner_of`](crate::ThreadedLayout::owner_of))
+//! and chunk states only, so nothing another worker owns is read: a pointer
+//! into another vproc's local heap names that vproc and no region.
 
 use crate::addr::{word_as_pointer, Addr};
 use crate::gc_heap::GcHeap;
-use crate::heap::{Heap, Space};
-use crate::shared::{SharedChunkState, WorkerHeap};
+use crate::heap::Heap;
+use crate::local::LocalRegion;
+use crate::shared::{SharedChunkState, ThreadedOwner, WorkerHeap};
 use std::fmt;
+
+/// Where a checked address is: who owns it by the layout's arithmetic and,
+/// in the checking worker's own local heap, its region there.
+type Whereabouts = (ThreadedOwner, Option<LocalRegion>);
 
 /// A single violation of the heap invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
     /// The object holding the offending field.
     pub holder: Addr,
-    /// The space the holder lives in.
-    pub holder_space: Space,
+    /// Where the holder lives: its owner by the layout's arithmetic and, in
+    /// the checking worker's own local heap, its region.
+    pub holder_at: (ThreadedOwner, Option<LocalRegion>),
     /// The payload index of the offending field.
     pub field: usize,
     /// The address the field points to.
     pub target: Addr,
-    /// The space the target lives in.
-    pub target_space: Space,
+    /// Where the target lives, as for the holder. A target in another
+    /// vproc's local heap, which the checker never reads, names only that
+    /// vproc.
+    pub target_at: (ThreadedOwner, Option<LocalRegion>),
     /// Human-readable description of the rule that was broken.
     pub rule: &'static str,
+}
+
+/// `at` in words: the vproc and region, the band chunk, or unmapped.
+fn describe(at: Whereabouts) -> String {
+    match at {
+        (ThreadedOwner::Local(vproc), Some(region)) => format!("vproc {vproc}'s {region:?}"),
+        (ThreadedOwner::Local(vproc), None) => format!("vproc {vproc}'s local heap"),
+        (ThreadedOwner::Global { node, index }, _) => {
+            format!("chunk {index} of node {node}'s band")
+        }
+        (ThreadedOwner::Unmapped, _) => "unmapped".to_string(),
+    }
 }
 
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{rule}: object {holder} ({holder_space:?}) field {field} points to {target} ({target_space:?})",
+            "{rule}: object {holder} ({holder_at}) field {field} points to {target} ({target_at})",
             rule = self.rule,
             holder = self.holder,
-            holder_space = self.holder_space,
+            holder_at = describe(self.holder_at),
             field = self.field,
             target = self.target,
-            target_space = self.target_space,
+            target_at = describe(self.target_at),
         )
     }
+}
+
+/// Where `addr` is, as `worker` can tell without reading another worker's
+/// memory.
+fn whereabouts(worker: &WorkerHeap, addr: Addr) -> Whereabouts {
+    let owner = worker.layout().owner_of(addr);
+    let own = owner == ThreadedOwner::Local(worker.vproc());
+    (owner, own.then(|| worker.local().region_of(addr)))
+}
+
+/// The state of the chunk mapped at chunk `index` of `node`'s band, if any.
+fn band_chunk_state(worker: &WorkerHeap, node: usize, index: usize) -> Option<SharedChunkState> {
+    worker
+        .global()
+        .chunk_in_band(node, index)
+        .map(|chunk| chunk.state())
 }
 
 /// Checks each pointer field of the object at `obj` with `rule`, reading it
@@ -60,25 +99,25 @@ fn check_fields(
     worker: &WorkerHeap,
     obj: Addr,
     violations: &mut Vec<InvariantViolation>,
-    rule: impl Fn(Space) -> Option<&'static str>,
+    rule: impl Fn(Whereabouts) -> Option<&'static str>,
 ) {
     let place = worker.locate(obj);
     let Ok(indices) = worker.pointer_field_indices(place.header()) else {
         return;
     };
-    let holder_space = worker.space_of(obj);
+    let holder_at = whereabouts(worker, obj);
     for index in indices {
         let Some(target) = word_as_pointer(place.read(index)) else {
             continue;
         };
-        let target_space = worker.space_of(target);
-        if let Some(rule) = rule(target_space) {
+        let target_at = whereabouts(worker, target);
+        if let Some(rule) = rule(target_at) {
             violations.push(InvariantViolation {
                 holder: obj,
-                holder_space,
+                holder_at,
                 field: index,
                 target,
-                target_space,
+                target_at,
                 rule,
             });
         }
@@ -93,23 +132,25 @@ fn check_fields(
 /// never read.
 pub fn verify_local_heap(worker: &WorkerHeap) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
-    let (vproc, local) = (worker.vproc(), worker.local());
+    let local = worker.local();
     let objects = local
         .objects_in(0, local.old_top())
         .chain(local.nursery_objects());
     for (obj, _) in objects {
         check_fields(worker, obj, &mut violations, |target| match target {
-            Space::LocalNursery { vproc: v }
-            | Space::LocalYoung { vproc: v }
-            | Space::LocalOld { vproc: v } => {
-                (v != vproc).then_some("no pointers between distinct local heaps")
+            (ThreadedOwner::Local(_), None) => Some("no pointers between distinct local heaps"),
+            (_, Some(LocalRegion::Reserve | LocalRegion::NurseryFree)) => {
+                Some("pointer into reclaimed local-heap space")
             }
-            Space::LocalFree { .. } => Some("pointer into reclaimed local-heap space"),
-            Space::Global { chunk } => {
-                let state = worker.global().chunk(chunk).state();
-                (state == SharedChunkState::Free).then_some("pointer into a released global chunk")
+            (ThreadedOwner::Local(_), Some(_)) => None,
+            (ThreadedOwner::Global { node, index }, _) => {
+                match band_chunk_state(worker, node, index) {
+                    None => Some("pointer to unmapped memory"),
+                    Some(state) => (state == SharedChunkState::Free)
+                        .then_some("pointer into a released global chunk"),
+                }
             }
-            Space::Unmapped => Some("pointer to unmapped memory"),
+            (ThreadedOwner::Unmapped, _) => Some("pointer to unmapped memory"),
         });
     }
     violations
@@ -126,10 +167,14 @@ pub fn verify_global_heap(reader: &WorkerHeap) -> Vec<InvariantViolation> {
             SharedChunkState::Current | SharedChunkState::Filled
         ) {
             for obj in chunk.objects() {
-                check_fields(reader, obj, &mut violations, |target| match target {
-                    Space::Global { .. } => None,
-                    Space::Unmapped => Some("pointer to unmapped memory"),
-                    _ => Some("no pointers from the global heap into a local heap"),
+                check_fields(reader, obj, &mut violations, |(owner, _)| match owner {
+                    ThreadedOwner::Global { node, index } => band_chunk_state(reader, node, index)
+                        .is_none()
+                        .then_some("pointer to unmapped memory"),
+                    ThreadedOwner::Unmapped => Some("pointer to unmapped memory"),
+                    ThreadedOwner::Local(_) => {
+                        Some("no pointers from the global heap into a local heap")
+                    }
                 });
             }
         }
@@ -180,6 +225,15 @@ mod tests {
         assert_eq!(violations[0].target, foreign);
         assert!(violations[0].rule.contains("distinct local heaps"));
         assert!(violations[0].to_string().contains("field 0"));
+        // The target is in vproc 1's nursery, which worker 0 never reads: the
+        // report names the vproc and no region.
+        assert_eq!(violations[0].target_at, (ThreadedOwner::Local(1), None));
+        let message = violations[0].to_string();
+        let (_, target) = message.split_once("points to").unwrap();
+        assert!(target.contains("vproc 1's local heap"), "{message}");
+        for region in ["Old", "Young", "Reserve", "Nursery", "Free"] {
+            assert!(!target.contains(region), "{message}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! after a promotion; the global heap only while a threaded budgeted
 //! collection is between increments, never on the simulated backend, whose
 //! global collection runs with every task quiescent —
-//! [`WorkerHeap::resolve`](mgc_heap::WorkerHeap::resolve) states the rule),
+//! [`GcHeap::resolve`] states the rule),
 //! and the field is then an index into the region found. Outside a
 //! collection a global-heap read is a load, as the paper's split heap
 //! intends (§2.3). The simulated backend charges the access to the node and
@@ -126,7 +126,7 @@ use crate::stats::PromoteWhy;
 use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskSpec};
 use crate::threaded::WorkerState;
 use mgc_heap::{
-    f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, HeaderSlot, Location, ObjectKind, Place,
+    f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, HeaderSlot, Location, ObjectKind,
     Resolved, SharedGlobalHeap, Word,
 };
 use std::marker::PhantomData;
@@ -186,8 +186,8 @@ impl CtxState<'_> {
     }
 
     /// Resolves `addr` to the current copy of its object and locates it, by
-    /// the read rule ([`WorkerHeap::resolve`](mgc_heap::WorkerHeap::resolve))
-    /// given `global_may_forward`; `global` is the machine's global heap.
+    /// the read rule ([`GcHeap::resolve`]) given `global_may_forward`;
+    /// `global` is the machine's global heap.
     #[inline(always)]
     fn resolve<'g>(
         &self,
@@ -541,29 +541,34 @@ impl<'a> TaskCtx<'a> {
         value
     }
 
-    /// Reads from the located object `found` — `read` gets its [`Place`] on
-    /// either backend — and charges the read: the simulated backend charges
-    /// `accesses` accesses of `words(place)` words each, one after another,
-    /// to the node and region the object was found in, their compute added
-    /// to `cpu_ns` (see [`TaskCtx::cpu_ns`]). The one read-and-charge
-    /// function of handle and scope reads.
+    /// Reads from the located object `found` — `read` gets its location,
+    /// indexing the words of the local heap that holds it, on either backend
+    /// — and charges the read: the simulated backend charges `accesses`
+    /// accesses of `words(place)` words each, one after another, to the node
+    /// and region the object was found in, their compute added to `cpu_ns`
+    /// (see [`TaskCtx::cpu_ns`]). The one read-and-charge function of handle
+    /// and scope reads.
     #[inline(always)]
     fn read_at<R>(
         &mut self,
         cpu_ns: &mut f64,
         found: Resolved<'a>,
         accesses: usize,
-        words: impl FnOnce(Place<'_>) -> usize,
-        read: impl FnOnce(Place<'_>) -> R,
+        words: impl FnOnce(Location<'_, &[Word]>) -> usize,
+        read: impl FnOnce(Location<'_, &[Word]>) -> R,
     ) -> R {
         match &mut self.state {
             CtxState::Sim(state) => {
-                let place = state.heap.place_of(found.location);
+                let place = found
+                    .location
+                    .map_local(|vproc| state.heap.worker(vproc).local().words());
                 let (value, local, words) = (read(place), place.is_local(), words(place));
                 state.charge_access(cpu_ns, self.vproc, found.node, local, words, accesses);
                 value
             }
-            CtxState::Threaded(worker) => read(worker.heap.place_of(found.location)),
+            CtxState::Threaded(worker) => {
+                read(found.location.map_local(|_| worker.heap.local().words()))
+            }
         }
     }
 

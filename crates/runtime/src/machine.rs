@@ -27,7 +27,7 @@ use crate::vproc::VProc;
 use mgc_core::{Collector, GcConfig};
 use mgc_heap::{
     Addr, Descriptor, DescriptorId, GcHeap, Heap, HeapConfig, HeapError, Resolved,
-    SharedGlobalHeap, Word, WorkerHeap,
+    SharedGlobalHeap, ThreadedOwner, Word, WorkerHeap,
 };
 use mgc_numa::{
     AccessClass, AllocPolicy, MemoryModel, NodeId, PlacementPolicy, Topology, TrafficStats,
@@ -626,10 +626,9 @@ impl RuntimeState {
     /// address to use from `target_vproc`.
     pub(crate) fn promote_for(&mut self, target_vproc: usize, addr: Addr, why: PromoteWhy) -> Addr {
         let addr = self.resolve_addr(addr);
-        if addr.is_null() || !self.heap.is_local(addr) {
+        let ThreadedOwner::Local(owner) = self.heap.layout().owner_of(addr) else {
             return addr;
-        }
-        let owner = self.heap.worker_at(addr).vproc();
+        };
         if owner == target_vproc {
             return addr;
         }
@@ -655,10 +654,9 @@ impl RuntimeState {
     /// structures.
     pub(crate) fn ensure_global(&mut self, addr: Addr) -> Addr {
         let addr = self.resolve_addr(addr);
-        if addr.is_null() || !self.heap.is_local(addr) {
+        let ThreadedOwner::Local(owner) = self.heap.layout().owner_of(addr) else {
             return addr;
-        }
-        let owner = self.heap.worker_at(addr).vproc();
+        };
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
         self.charge_gc_cost(owner, &outcome.cost);
         new
@@ -806,8 +804,7 @@ impl RuntimeState {
     pub(crate) fn channel_send(&mut self, channel: ChannelId, message: Addr) {
         // Messages crossing vprocs must live in the global heap (§3.1): the
         // sender promotes its own data.
-        let message = if self.heap.is_local(message) {
-            let owner = self.heap.worker_at(message).vproc();
+        let message = if let ThreadedOwner::Local(owner) = self.heap.layout().owner_of(message) {
             let (new, outcome) = self.collector.promote(&mut self.heap, owner, message);
             self.charge_gc_cost(owner, &outcome.cost);
             let node = self.vprocs[owner].node;
@@ -829,7 +826,7 @@ impl RuntimeState {
         self.channel_stats.receives += 1;
         // Reading the message pulls it across the interconnect.
         let Resolved { location, node, .. } = self.locate(self.heap.global(), message);
-        let place = self.heap.place_of(location);
+        let place = location.map_local(|vproc| self.heap.worker(vproc).local().words());
         let (local, words) = (place.is_local(), place.header().total_words());
         let mut cpu_ns = self.cpu_ns(vproc);
         self.charge_access(&mut cpu_ns, vproc, node, local, words, 1);
@@ -1206,10 +1203,9 @@ impl crate::executor::Executor for Machine {
 impl RuntimeState {
     fn promote_for_root(&mut self, word: Word) -> Word {
         let addr = Addr::new(word);
-        if !self.heap.is_local(addr) {
+        let ThreadedOwner::Local(owner) = self.heap.layout().owner_of(addr) else {
             return word;
-        }
-        let owner = self.heap.worker_at(addr).vproc();
+        };
         let (new, outcome) = self.collector.promote(&mut self.heap, owner, addr);
         self.charge_gc_cost(owner, &outcome.cost);
         new.raw()
@@ -1293,16 +1289,12 @@ mod tests {
         let original = state.heap.alloc_raw(0, &[10, 20, 30]).unwrap();
         let copy = state.promote_for(1, original, PromoteWhy::Steal);
         assert_eq!(
-            state
-                .heap
-                .worker_at(original)
-                .locate(original)
-                .header_slot()
-                .forwarded_to(),
+            state.heap.locate(original).header_slot().forwarded_to(),
             Some(copy)
         );
         assert!(state.heap.is_global(copy));
-        assert_eq!(state.heap.worker_at(copy).node_of(copy), NodeId::new(1));
+        let found = state.heap.resolve(state.heap.global(), copy, false);
+        assert_eq!(found.node, NodeId::new(1));
         let remote = AccessClass::CrossPackage as usize;
         assert_eq!(
             state.access_class(NodeId::new(0), NodeId::new(1)) as usize,
@@ -1474,7 +1466,10 @@ mod tests {
         let (node0, node1) = (NodeId::new(0), NodeId::new(1));
         let placed: Vec<_> = objects
             .iter()
-            .map(|&o| (state.heap.worker_at(o).node_of(o), state.heap.is_local(o)))
+            .map(|&o| {
+                let found = state.heap.resolve(state.heap.global(), o, false);
+                (found.node, state.heap.is_local(o))
+            })
             .collect();
         assert_eq!(
             placed,
@@ -1577,7 +1572,8 @@ mod tests {
         let global = MutatorCostModel::default().global_heap_miss_rate;
         let reads_bytes = READS as u64 * (8.0 * global).ceil() as u64;
         let message = probe.state.channels[0].queue[0];
-        let node = probe.state.heap.worker_at(message).node_of(message);
+        let heap = &probe.state.heap;
+        let node = heap.resolve(heap.global(), message, false).node;
         without.traffic_to[node.index()].bytes -= reads_bytes;
         let (with, without) = (
             probe.model.serial_cost_ns(&with),
@@ -2112,7 +2108,7 @@ mod tests {
     /// `RuntimeState::locate` passes `true`.
     #[test]
     fn global_headers_are_never_followed_on_the_simulated_backend() {
-        use mgc_heap::{Header, ObjectKind};
+        use mgc_heap::{Header, Location, ObjectKind};
 
         let mut machine = Machine::new(MachineConfig::small_for_tests(1));
         let state = &mut machine.state;
@@ -2123,24 +2119,14 @@ mod tests {
             .worker_mut(0)
             .alloc_in_global(Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
             .unwrap();
-        let header = state
-            .heap
-            .worker_at(promoted)
-            .locate(promoted)
-            .header()
-            .encode();
-        state
-            .heap
-            .worker_mut(0)
-            .cas_forward_global(promoted, header, decoy)
-            .unwrap();
+        let header = state.heap.locate(promoted).header().encode();
+        let found = state.heap.resolve(state.heap.global(), promoted, false);
+        let Location::Global(chunk, _) = found.location else {
+            panic!("a promoted object is global");
+        };
+        chunk.try_forward(promoted, header, decoy).unwrap();
         assert_eq!(
-            state
-                .heap
-                .worker_at(promoted)
-                .locate(promoted)
-                .header_slot()
-                .forwarded_to(),
+            state.heap.locate(promoted).header_slot().forwarded_to(),
             Some(decoy)
         );
 

@@ -595,7 +595,7 @@ impl WorkerState {
     /// Resolves `addr` to the current copy of its object and locates it
     /// (`global` is this machine's global heap), so the caller reads the
     /// object without classifying the address again.
-    /// [`WorkerHeap::resolve`] states the read rule; this supplies its one
+    /// [`GcHeap::resolve`] states the read rule; this supplies its one
     /// input, whether a budgeted global collection is between increments.
     #[inline(always)]
     pub(crate) fn locate<'g>(&self, global: &'g SharedGlobalHeap, addr: Addr) -> Resolved<'g> {
@@ -1507,6 +1507,17 @@ mod tests {
         ThreadedMachine::new(MachineConfig::small_for_tests(vprocs))
     }
 
+    /// Forges what a global collection's copy leaves in from-space: a
+    /// forward from the global object `obj`, whose header is `header`, to
+    /// `to`, installed on the chunk the resolver finds `obj` in.
+    fn forge_forward(heap: &WorkerHeap, obj: Addr, header: Word, to: Addr) {
+        let found = heap.resolve(heap.global(), obj, false);
+        let mgc_heap::Location::Global(chunk, _) = found.location else {
+            panic!("{obj:?} is not global");
+        };
+        chunk.try_forward(obj, header, to).unwrap();
+    }
+
     /// The workers of a machine built from `config` but never started, with
     /// empty deques, so a test can drive a `TaskCtx` on one by hand.
     fn assembled(config: MachineConfig) -> (Arc<Shared>, Vec<WorkerState>) {
@@ -1703,7 +1714,7 @@ mod tests {
         );
     }
 
-    /// The read rule of `WorkerHeap::resolve`: a global header is read — and
+    /// The read rule of `GcHeap::resolve`: a global header is read — and
     /// a forwarding pointer in it chased — only while `in_scan_phase` is set.
     /// Fails if the chase for global addresses is deleted or the flag test
     /// inverted: `len` and `read_words` need the header, and a forwarded
@@ -1738,7 +1749,7 @@ mod tests {
             .heap
             .alloc_in_global(copy_header, &[5, 6, 7, 8, 9])
             .unwrap();
-        worker.heap.cas_forward_global(old, header, copy).unwrap();
+        forge_forward(&worker.heap, old, header, copy);
         shared.gc.state.in_scan_phase.store(true, Ordering::Release);
 
         assert_eq!(worker.resolve_addr(old), copy);
@@ -1778,7 +1789,7 @@ mod tests {
         );
     }
 
-    /// The other half of the read rule (`WorkerHeap::resolve`): with
+    /// The other half of the read rule (`GcHeap::resolve`): with
     /// `in_scan_phase` clear a global address is final, so its header is not
     /// read — a forwarding word forged into it is never followed — while a
     /// forwarded local original is still chased. Fails if the early return
@@ -1796,10 +1807,7 @@ mod tests {
             .alloc_in_global(Header::new(ObjectKind::Raw, 3).encode(), &[7, 8, 9])
             .unwrap();
         let header = worker.heap.locate(promoted).header().encode();
-        worker
-            .heap
-            .cas_forward_global(promoted, header, decoy)
-            .unwrap();
+        forge_forward(&worker.heap, promoted, header, decoy);
         assert!(!shared.gc.state.in_scan_phase.load(Ordering::Acquire));
 
         assert_eq!(worker.resolve_addr(promoted), promoted);
@@ -2350,10 +2358,7 @@ mod tests {
         let raw = Header::new(ObjectKind::Raw, 1).encode();
         let target = worker.heap.alloc_in_global(raw, &[1]).unwrap();
         let neighbour = worker.heap.alloc_in_global(raw, &[2]).unwrap();
-        worker
-            .heap
-            .cas_forward_global(target, raw, neighbour)
-            .unwrap();
+        forge_forward(&worker.heap, target, raw, neighbour);
         let holder = worker.heap.alloc_vector(&[target.raw()]).unwrap();
         let mut roots = RootSet::default();
         roots.push(holder);

@@ -13,7 +13,11 @@
 # outside their own file calls. Then `config-fields`, the `pub` fields of
 # every `pub struct *Config` under crates/*/src (the settable knobs), and
 # `env-vars`, the distinct `"MGC_*"` names under crates/*/src and src/ (the
-# environment variables the code reads). Both are printed without a bound.
+# environment variables the code reads). Last, `heap-pub-types`: the
+# `pub struct`, `pub enum` and `pub trait` declarations under
+# crates/heap/src, each file counted up to its first top-level
+# `#[cfg(test)]` line (the heap crate's public types). These three are
+# printed without a bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,3 +45,7 @@ fields=$(find crates/*/src -name '*.rs' -print0 | sort -z |
 printf '%-18s %6d\n' config-fields "$fields"
 env_vars=$(grep -rhoE --include='*.rs' '"MGC_[A-Z0-9_]+"' crates/*/src src | sort -u | wc -l)
 printf '%-18s %6d\n' env-vars "$env_vars"
+heap_types=$(find crates/heap/src -name '*.rs' -print0 | sort -z |
+  xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 }
+    on && /^pub (struct|enum|trait) / { n++ } END { print n + 0 }')
+printf '%-18s %6d\n' heap-pub-types "$heap_types"

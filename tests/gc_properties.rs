@@ -80,9 +80,10 @@ fn snapshot(heap: &Heap, addr: Addr, depth: usize) -> Vec<u64> {
         return vec![];
     }
     let addr = follow(heap, addr);
-    let header = heap.worker_at(addr).locate(addr).header();
+    let object = heap.locate(addr);
+    let header = object.header();
     match header.kind {
-        manticore_gc::heap::ObjectKind::Raw => heap.worker_at(addr).locate(addr).payload(),
+        manticore_gc::heap::ObjectKind::Raw => object.payload(),
         _ => {
             let mut out = vec![0xFEED];
             for i in 0..header.len_words as usize {
@@ -98,16 +99,10 @@ fn snapshot(heap: &Heap, addr: Addr, depth: usize) -> Vec<u64> {
     }
 }
 
-fn follow(heap: &Heap, mut addr: Addr) -> Addr {
-    while let Some(f) = heap
-        .worker_at(addr)
-        .locate(addr)
-        .header_slot()
-        .forwarded_to()
-    {
-        addr = f;
-    }
-    addr
+/// The current copy of the object at `addr`: the heap's resolver, following
+/// every forward, global ones included.
+fn follow(heap: &Heap, addr: Addr) -> Addr {
+    heap.resolve(heap.global(), addr, true).addr
 }
 
 #[test]
