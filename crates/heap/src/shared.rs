@@ -286,6 +286,15 @@ impl SharedChunk {
         self.data[offset].load(Ordering::Acquire)
     }
 
+    /// Every word of the chunk, indexed by word offset, for a reader that
+    /// keeps the chunk's words at hand: it loads word `i` as
+    /// [`SharedChunk::read`] does (`Acquire`), and only below
+    /// [`SharedChunk::used_words`].
+    #[inline]
+    pub fn words(&self) -> &[AtomicU64] {
+        &self.data
+    }
+
     /// Writes the word at word offset `offset`.
     #[inline]
     pub fn write(&self, offset: usize, value: Word) {

@@ -38,13 +38,28 @@
 //! a closure that holds the context mutably borrowed, so nothing inside it
 //! can allocate, promote or reach a safe point; the [`ReadScope`] it gets
 //! hands out [`Obj`]s — unrooted references to objects, under an invariant
-//! lifetime brand that cannot leave the closure — reads their fields and
-//! pointers (no roots pushed) and remembers the object it last located, so
-//! a visit of one object field by field is at most one locate; outside a
-//! scan phase an address in that object's global chunk is located by its
-//! offset alone (a tree's nodes mostly share chunks). An `Obj` is valid for
-//! the whole scope because no object moves and no forwarding word appears
-//! during it:
+//! lifetime brand that cannot leave the closure — and reads their fields
+//! and pointers (no roots pushed).
+//!
+//! **A scope remembers the region it read last.** The paper's mutator
+//! classifies an address by arithmetic and loads the word (§2.3, §3.1). A
+//! scope keeps the region its last object was located in: a global chunk
+//! (its base, its words and its node) or this vproc's local heap. A read at
+//! an address inside that region is one subtraction, one bounds check that
+//! covers the header slot and the run, and the loads; no classification,
+//! no resolve. The rest of the read rule still holds:
+//!
+//! * a chunk is remembered only outside a scan phase, when every global
+//!   object is final, so its reads never load a header;
+//! * a local object is read from the local heap only if its header slot
+//!   holds a header. A forwarded one (a promoted original) is located
+//!   again by the full rule, which chases the forward;
+//! * an address outside the region takes the full rule, with its
+//!   foreign-heap and unmapped panics, and its region is remembered next.
+//!
+//! A tree's nodes mostly share chunks, so a walk of a promoted tree seldom
+//! leaves the region. An `Obj` is valid for the whole scope because no
+//! object moves and no forwarding word appears during it:
 //!
 //! * on both backends a local object moves only in its owner's collections
 //!   and promotions, and those run inside allocations, safe points and the
@@ -63,9 +78,9 @@
 //!   tasks, and a scope contains neither.
 //!
 //! A scope read is charged exactly as the handle read of the same fields,
-//! through the same read-and-charge function, so virtual time does not
-//! depend on which one a program uses. **A scope settles its compute charge
-//! once:** it copies its vproc's compute this round into a local when it
+//! by the same `charge_access` call with the same node and region, so
+//! virtual time does not depend on which one a program uses. **A scope
+//! settles its compute charge once:** it copies its vproc's compute this round into a local when it
 //! starts, adds each read's and each `work`'s compute to that local in
 //! program order, and stores it back when it ends (in `Drop`, so a
 //! panicking body settles too). Nothing else can charge the vproc while the
@@ -78,13 +93,14 @@
 //! root slot, then `N` loads — the paper's mutator loads a node's fields
 //! through the one pointer it holds in a register (§2.3). `read_raw`,
 //! `read_f64` and `read_ptr` are their `N = 1` case, and a scope's
-//! [`ReadScope::fields`] and [`ReadScope::ptrs`] read through the same
-//! function once the object is located. A run charges what `N` single reads
-//! charge: `N` one-word reads, in order, never one bulk read (the DRAM table
-//! rounds a bulk read differently). `read_ptrs` pushes one root per
-//! non-null field, in field order. So virtual time and the root set are
-//! exactly those of `N` single reads. Debug builds assert that a run lies
-//! inside the payload.
+//! [`ReadScope::fields`] and [`ReadScope::ptrs`] read a run from the
+//! remembered region, or through the same function once the object is
+//! located. A run charges what `N` single reads charge: `N` one-word reads,
+//! in order, never one bulk read (the DRAM table rounds a bulk read
+//! differently). `read_ptrs` pushes one root per non-null field, in field
+//! order. So virtual time and the root set are exactly those of `N` single
+//! reads. Debug builds assert that a run lies inside the payload, on either
+//! path.
 //!
 //! **Reading an object allocates nothing on the host heap.** The paper's
 //! mutator touches no allocator but its own nursery (§3.3), and neither do
@@ -113,12 +129,12 @@
 //! slow paths are `#[cold]` (the threaded safe point's, which collects).
 //!
 //! One `TaskCtx` type serves **both** execution backends (see
-//! [`Executor`](crate::Executor)): on the simulated [`Machine`]
-//! (crate::Machine) every operation charges the NUMA cost model; on the
-//! [`ThreadedMachine`](crate::ThreadedMachine) the same operations hit the
-//! worker thread's own heap directly and data published to other threads
-//! (spawned tasks, fork/join continuations, messages) is promoted to the
-//! shared global heap at publication time.
+//! [`Executor`](crate::Executor)): on the simulated
+//! [`Machine`](crate::Machine) every operation charges the NUMA cost model;
+//! on the [`ThreadedMachine`](crate::ThreadedMachine) the same operations
+//! hit the worker thread's own heap directly and data published to other
+//! threads (spawned tasks, fork/join continuations, messages) is promoted to
+//! the shared global heap at publication time.
 
 use crate::channel::{ChannelId, ProxyId};
 use crate::machine::RuntimeState;
@@ -127,10 +143,12 @@ use crate::task::{Delivery, Handle, JoinCell, RootSet, Task, TaskSpec};
 use crate::threaded::WorkerState;
 use mgc_heap::{
     f64_to_word, word_to_f64, Addr, DescriptorId, GcHeap, HeaderSlot, Location, ObjectKind,
-    Resolved, SharedGlobalHeap, Word,
+    Resolved, SharedGlobalHeap, Word, WORD_BYTES,
 };
+use mgc_numa::NodeId;
 use std::marker::PhantomData;
 use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How one field of a mixed-type object is initialised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,6 +181,22 @@ fn init_words(
             FieldInit::F64(v) => f64_to_word(v),
         })
         .collect()
+}
+
+/// Debug builds assert that fields `first..first + n` lie inside the
+/// payload of the object whose header slot `slot` returns. A forwarded
+/// header is skipped: outside a scan phase the read rule never loads a
+/// global header, and the read-rule tests forge a forwarding word into one.
+#[inline(always)]
+fn debug_check_run(slot: impl FnOnce() -> HeaderSlot, first: usize, n: usize) {
+    debug_assert!(
+        match slot() {
+            HeaderSlot::Header(header) => first + n <= header.len_words as usize,
+            HeaderSlot::Forwarded(_) => true,
+        },
+        "fields {first}..{} read past the end of the object",
+        first + n,
+    );
 }
 
 /// Which backend is executing the task.
@@ -541,13 +575,32 @@ impl<'a> TaskCtx<'a> {
         value
     }
 
+    /// The words of this vproc's local heap.
+    #[inline(always)]
+    fn local_words(&self) -> &[Word] {
+        match &self.state {
+            CtxState::Sim(state) => state.heap.worker(self.vproc).local().words(),
+            CtxState::Threaded(worker) => worker.heap.local().words(),
+        }
+    }
+
+    /// Charges `accesses` one-word reads of an object on `node`, in this
+    /// vproc's local heap if `local`, as [`TaskCtx::read_at`] charges them;
+    /// the threaded backend charges nothing.
+    #[inline(always)]
+    fn charge_word_reads(&mut self, cpu_ns: &mut f64, node: NodeId, local: bool, accesses: usize) {
+        if let CtxState::Sim(state) = &mut self.state {
+            state.charge_access(cpu_ns, self.vproc, node, local, 1, accesses);
+        }
+    }
+
     /// Reads from the located object `found` — `read` gets its location,
     /// indexing the words of the local heap that holds it, on either backend
     /// — and charges the read: the simulated backend charges `accesses`
     /// accesses of `words(place)` words each, one after another, to the node
     /// and region the object was found in, their compute added to `cpu_ns`
     /// (see [`TaskCtx::cpu_ns`]). The one read-and-charge function of handle
-    /// and scope reads.
+    /// reads and of scope reads outside the scope's remembered region.
     #[inline(always)]
     fn read_at<R>(
         &mut self,
@@ -587,17 +640,7 @@ impl<'a> TaskCtx<'a> {
             N,
             |_| 1,
             |place| {
-                // A forwarded header is skipped: outside a scan phase the
-                // read rule never loads a global header, and the read-rule
-                // tests forge a forwarding word into one.
-                debug_assert!(
-                    match place.header_slot() {
-                        HeaderSlot::Header(header) => first + N <= header.len_words as usize,
-                        HeaderSlot::Forwarded(_) => true,
-                    },
-                    "fields {first}..{} read past the end of the object",
-                    first + N,
-                );
+                debug_check_run(|| place.header_slot(), first, N);
                 place.read_fields(first)
             },
         )
@@ -759,7 +802,7 @@ impl<'a> TaskCtx<'a> {
             global_may_forward: self.state.global_may_forward(),
             cpu_ns: self.cpu_ns(),
             ctx: self,
-            last: None,
+            region: Region::None,
         })
     }
 
@@ -973,20 +1016,46 @@ impl Obj<'_> {
 }
 
 /// The reader [`TaskCtx::read_scope`] hands its closure: reads through
-/// [`Obj`]s, pushing no roots, with the object it located last remembered.
+/// [`Obj`]s, pushing no roots, looking first in the region it located its
+/// last object in.
 #[derive(Debug)]
 pub struct ReadScope<'s, 'a> {
     ctx: &'s mut TaskCtx<'a>,
     /// The read rule's input, read once: it changes only while every worker
     /// is stopped in a barrier, and a worker in a scope is at no safe point.
     global_may_forward: bool,
-    /// The object located last, and where it was found.
-    last: Option<(Obj<'s>, Resolved<'a>)>,
+    /// Where the object located last was found.
+    region: Region<'a>,
     /// The vproc's compute this round ([`TaskCtx::cpu_ns`]), which every
     /// read and `work` of the scope adds to, in order, and the scope's end
     /// settles: nothing else charges the vproc while the scope holds the
     /// context.
     cpu_ns: f64,
+}
+
+/// The region a [`ReadScope`] located its last object in, where its next
+/// read looks first.
+#[derive(Debug, Clone, Copy)]
+enum Region<'a> {
+    /// Nowhere: nothing located yet, a global chunk during a scan phase, or
+    /// another vproc's local heap (simulated backend).
+    None,
+    /// A global chunk outside a scan phase, where every object is final.
+    Chunk {
+        base: Addr,
+        words: &'a [AtomicU64],
+        node: NodeId,
+    },
+    /// This vproc's local heap, whose words the context holds.
+    Local { base: Addr, node: NodeId },
+}
+
+/// The word offset of `obj`'s header slot in a region whose first word is
+/// at `base`; an address at or below `base` wraps to an offset no region
+/// has.
+#[inline(always)]
+fn header_offset(obj: Obj<'_>, base: Addr) -> usize {
+    (obj.raw.get().wrapping_sub(base.raw() + WORD_BYTES as u64) / WORD_BYTES as u64) as usize
 }
 
 /// A scope settles its compute charge when it ends, a panicking body's
@@ -1006,44 +1075,84 @@ impl<'s, 'a> ReadScope<'s, 'a> {
             .expect("a handle names an object")
     }
 
-    /// Locates `obj`. The object located last is not located again, and
-    /// outside a scan phase an address in that object's global chunk is
-    /// located by its offset: a global object is then final, and an address
-    /// inside a chunk's words is in that chunk. Anything else takes the full
-    /// read rule, with its forwarding chase and its foreign-heap and
-    /// unmapped panics.
-    #[inline(always)]
+    /// Locates `obj` by the full read rule, with its forwarding chase and
+    /// its foreign-heap and unmapped panics, and remembers the region it was
+    /// found in: a global chunk only outside a scan phase, and only this
+    /// vproc's local heap.
+    #[inline(never)]
     fn locate(&mut self, obj: Obj<'s>) -> Resolved<'a> {
-        let addr = obj.addr();
-        let found = match self.last {
-            Some((last, found)) if last == obj => return found,
-            Some((
-                _,
-                Resolved {
-                    location: Location::Global(chunk, _),
-                    node,
-                    ..
-                },
-            )) if !self.global_may_forward && chunk.contains(addr) => Resolved {
-                addr,
-                location: Location::Global(chunk, chunk.offset_of(addr)),
-                node,
+        let found = self
+            .ctx
+            .state
+            .resolve(self.ctx.global, obj.addr(), self.global_may_forward);
+        self.region = match found.location {
+            Location::Global(chunk, _) if !self.global_may_forward => Region::Chunk {
+                base: chunk.base(),
+                words: chunk.words(),
+                node: found.node,
             },
-            _ => self
-                .ctx
-                .state
-                .resolve(self.ctx.global, addr, self.global_may_forward),
+            Location::Local(vproc, offset) if vproc == self.ctx.vproc => Region::Local {
+                base: found.addr.sub_words(offset),
+                node: found.node,
+            },
+            _ => Region::None,
         };
-        self.last = Some((obj, found));
         found
+    }
+
+    /// Fields `first..first + N` of `obj` if the remembered region holds
+    /// them, read and charged as [`TaskCtx::fields_at`] reads and charges
+    /// them: a chunk's object is final, and a local one is read unless its
+    /// header is a forward (a promoted original), which `None` leaves to
+    /// the read rule.
+    #[inline(always)]
+    fn fields_in_region<const N: usize>(
+        &mut self,
+        obj: Obj<'s>,
+        first: usize,
+    ) -> Option<[Word; N]> {
+        let mut run = [0; N];
+        let (node, local) = match self.region {
+            Region::Chunk { base, words, node } => {
+                let at = header_offset(obj, base);
+                let object = words.get(at..at + 1 + first + N)?;
+                debug_check_run(
+                    || HeaderSlot::decode(object[0].load(Ordering::Acquire)),
+                    first,
+                    N,
+                );
+                for (word, atomic) in run.iter_mut().zip(&object[1 + first..]) {
+                    *word = atomic.load(Ordering::Acquire);
+                }
+                (node, false)
+            }
+            Region::Local { base, node } => {
+                let at = header_offset(obj, base);
+                let object = self.ctx.local_words().get(at..at + 1 + first + N)?;
+                let slot @ HeaderSlot::Header(_) = HeaderSlot::decode(object[0]) else {
+                    return None;
+                };
+                debug_check_run(|| slot, first, N);
+                run.copy_from_slice(&object[1 + first..]);
+                (node, true)
+            }
+            Region::None => return None,
+        };
+        self.ctx.charge_word_reads(&mut self.cpu_ns, node, local, N);
+        Some(run)
     }
 
     /// Fields `first..first + N` of `obj`: [`TaskCtx::read_fields`] without
     /// the root slot, charged alike.
     #[inline]
     pub fn fields<const N: usize>(&mut self, obj: Obj<'s>, first: usize) -> [Word; N] {
-        let found = self.locate(obj);
-        self.ctx.fields_at(&mut self.cpu_ns, found, first)
+        match self.fields_in_region(obj, first) {
+            Some(run) => run,
+            None => {
+                let found = self.locate(obj);
+                self.ctx.fields_at(&mut self.cpu_ns, found, first)
+            }
+        }
     }
 
     /// Pointer fields `first..first + N` of `obj`, a null one as `None`:
@@ -1059,11 +1168,34 @@ impl<'s, 'a> ReadScope<'s, 'a> {
         ptrs
     }
 
-    /// The number of payload words of `obj`.
+    /// The number of payload words of `obj`, read from its header in the
+    /// remembered region as [`ReadScope::fields`] reads a run there (a
+    /// chunk's object is final, a forwarded local one is located again);
+    /// charges nothing, as [`TaskCtx::len`] does.
     #[inline]
     pub fn len(&mut self, obj: Obj<'s>) -> usize {
-        let found = self.locate(obj);
-        self.ctx.len_at(found)
+        let header = match self.region {
+            Region::Chunk { base, words, .. } => words
+                .get(header_offset(obj, base))
+                .map(|word| HeaderSlot::decode(word.load(Ordering::Acquire)).expect_header()),
+            Region::Local { base, .. } => match self
+                .ctx
+                .local_words()
+                .get(header_offset(obj, base))
+                .map(|&word| HeaderSlot::decode(word))
+            {
+                Some(HeaderSlot::Header(header)) => Some(header),
+                _ => None,
+            },
+            Region::None => None,
+        };
+        match header {
+            Some(header) => header.len_words as usize,
+            None => {
+                let found = self.locate(obj);
+                self.ctx.len_at(found)
+            }
+        }
     }
 
     /// [`TaskCtx::work`] from inside the scope.
@@ -1177,7 +1309,7 @@ pub(crate) mod read_checks {
         [node, leaf].map(|children| ctx.alloc_mixed(desc, &[&children[..], &raw[..]].concat()))
     }
 
-    pub(super) fn slots(ctx: &TaskCtx<'_>, handles: [Handle; 2]) -> [Addr; 2] {
+    pub(super) fn slots<const K: usize>(ctx: &TaskCtx<'_>, handles: [Handle; K]) -> [Addr; K] {
         handles.map(|h| ctx.roots.slots()[h.index()])
     }
 
@@ -1398,7 +1530,7 @@ pub(crate) mod scope_checks {
 
     /// [`read_all`] of each node through one scope, which must push no
     /// roots and rewrite no slot.
-    fn scope_reads(ctx: &mut TaskCtx<'_>, nodes: [Handle; 2]) -> [Vec<Word>; 2] {
+    fn scope_reads<const K: usize>(ctx: &mut TaskCtx<'_>, nodes: [Handle; K]) -> [Vec<Word>; K] {
         let (mark, before) = (ctx.root_mark(), slots(ctx, nodes));
         let reads = ctx.read_scope(|r| {
             nodes.map(|node| {
@@ -1411,11 +1543,24 @@ pub(crate) mod scope_checks {
         reads
     }
 
-    /// Scope reads of both nodes equal their handle reads.
-    fn reads_match(ctx: &mut TaskCtx<'_>, nodes: [Handle; 2]) {
-        let scoped = scope_reads(ctx, nodes);
-        let handles = nodes.map(|node| read_all(&mut (&mut *ctx, node)));
-        assert_eq!(scoped, handles);
+    /// [`read_all`] of each node, in order, through one scope if `scope`,
+    /// else through the handles.
+    pub(crate) fn read_nodes<const K: usize>(
+        ctx: &mut TaskCtx<'_>,
+        nodes: [Handle; K],
+        scope: bool,
+    ) -> Vec<Word> {
+        if scope {
+            scope_reads(ctx, nodes).concat()
+        } else {
+            nodes.map(|node| read_all(&mut (&mut *ctx, node))).concat()
+        }
+    }
+
+    /// Scope reads of the nodes, in order, equal their handle reads.
+    fn reads_match<const K: usize>(ctx: &mut TaskCtx<'_>, nodes: [Handle; K]) {
+        let scoped = read_nodes(ctx, nodes, true);
+        assert_eq!(scoped, read_nodes(ctx, nodes, false));
     }
 
     /// Scope reads equal handle reads on objects in the local heap.
@@ -1454,6 +1599,75 @@ pub(crate) mod scope_checks {
         );
         reads_match(ctx, nodes);
         assert!(slots(ctx, nodes).iter().all(|&a| is_global(ctx, a)));
+    }
+
+    /// The global chunk `addr` lies in: its base and its size in words.
+    fn chunk_span(ctx: &TaskCtx<'_>, addr: Addr) -> (Addr, usize) {
+        match ctx.state.resolve(ctx.global, addr, false).location {
+            Location::Global(chunk, _) => (chunk.base(), chunk.size_words()),
+            Location::Local(..) => panic!("{addr:?} is local"),
+        }
+    }
+
+    /// Five nodes in the order [`match_across_regions`] reads them: the
+    /// last node of a global chunk; the first node of the next chunk; a
+    /// local node; a promoted local original; the first node again. The
+    /// two chunk nodes' slots hold their global addresses.
+    pub(crate) fn nodes_across_regions(
+        ctx: &mut TaskCtx<'_>,
+        desc: DescriptorId,
+        channel: ChannelId,
+    ) -> [Handle; 5] {
+        // Childless nodes are eight words, so they fill a chunk exactly:
+        // promote them one at a time, each with its own first field, until
+        // one starts a new chunk.
+        let mut last: Option<(Handle, Addr)> = None;
+        let [end_of_chunk, next_chunk] = (0..)
+            .find_map(|i| {
+                let mut fields = [FieldInit::Ptr(None); 7];
+                fields[4..].copy_from_slice(&[
+                    FieldInit::Raw(i),
+                    FieldInit::Raw(0),
+                    FieldInit::F64(-2.5),
+                ]);
+                let node = ctx.alloc_mixed(desc, &fields);
+                ctx.send(channel, node);
+                let copy = ctx.resolve(node);
+                let base = chunk_span(ctx, copy).0;
+                match last.replace((node, base)) {
+                    Some((last, last_base)) if last_base != base => Some([last, node]),
+                    _ => None,
+                }
+            })
+            .expect("a chunk fills");
+        let [local, _] = alloc_nodes(ctx, desc);
+        let [promoted, _] = alloc_nodes(ctx, desc);
+        ctx.send(channel, promoted);
+        [end_of_chunk, next_chunk, local, promoted, end_of_chunk]
+    }
+
+    /// One scope crosses every region it can remember — a chunk's last
+    /// object, the next chunk's first (one word past the first chunk's end,
+    /// in the same node band), a local object, a promoted local original,
+    /// the first chunk again — and reads what handle reads read. Fails if a
+    /// remembered chunk serves an address past its end, or the local heap
+    /// serves a forwarded original.
+    pub(crate) fn match_across_regions(
+        ctx: &mut TaskCtx<'_>,
+        desc: DescriptorId,
+        channel: ChannelId,
+    ) {
+        let nodes = nodes_across_regions(ctx, desc, channel);
+        let [end_of_chunk, next_chunk, local, original, _] = slots(ctx, nodes);
+        let (base, words) = chunk_span(ctx, end_of_chunk);
+        assert_eq!(next_chunk, base.add_words(words + 1), "just past the chunk");
+        assert!(!is_global(ctx, local), "a local node");
+        let copy = ctx.state.resolve(ctx.global, original, false).addr;
+        assert!(
+            !is_global(ctx, original) && is_global(ctx, copy),
+            "a promoted original"
+        );
+        reads_match(ctx, nodes);
     }
 
     /// A null child reads as `None` through a scope, and the non-null ones

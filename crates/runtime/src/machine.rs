@@ -1824,6 +1824,15 @@ mod tests {
         });
     }
 
+    #[test]
+    fn scope_reads_match_handle_reads_across_regions() {
+        let (mut machine, desc, channel) = machine_for_read_checks();
+        let mut roots = RootSet::default();
+        on_vproc0(&mut machine.state, &mut roots, |ctx| {
+            scope_checks::match_across_regions(ctx, desc, channel)
+        });
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "read past the end")]
@@ -1885,6 +1894,30 @@ mod tests {
         };
         let (traffic, elapsed, result) = run(true);
         assert_eq!(result, Some((f64_to_word(200.0 * (4.5 + 2.0)), false)));
+        assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
+        assert_eq!((traffic, elapsed, result), run(false));
+    }
+
+    /// The reads of `scope_reads_match_handle_reads_across_regions` — a
+    /// chunk's last node, the next chunk's first, a local node, a promoted
+    /// original, the first node again — charge through one scope exactly
+    /// what they charge through handle reads: traffic and virtual elapsed
+    /// time are bit-identical, though the scope serves most reads from the
+    /// region it located its last object in.
+    #[test]
+    fn a_scope_across_regions_is_charged_like_handle_reads() {
+        let run = |scope: bool| {
+            let (mut machine, desc, channel) = machine_for_read_checks();
+            machine.spawn_root(TaskSpec::new("across-regions", move |ctx| {
+                let nodes = scope_checks::nodes_across_regions(ctx, desc, channel);
+                let words = scope_checks::read_nodes(ctx, nodes, scope);
+                TaskResult::Value(words.iter().fold(0, |sum, &w| sum.rotate_left(7) ^ w))
+            }));
+            let report = machine.run();
+            let result = machine.take_result();
+            (report.traffic, report.elapsed_ns.to_bits(), result)
+        };
+        let (traffic, elapsed, result) = run(true);
         assert!(traffic.mutator_bytes.iter().sum::<u64>() > 0);
         assert_eq!((traffic, elapsed, result), run(false));
     }

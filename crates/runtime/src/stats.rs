@@ -62,7 +62,7 @@ pub struct VprocRunStats {
     /// Every mutator-visible pause this vproc experienced — minor, major,
     /// and each global-collection increment — as one series. The
     /// kind-classified split lives in the aggregated
-    /// [`GcStats`](mgc_core::GcStats).
+    /// [`mgc_core::GcStats`].
     pub pauses: PauseStats,
     /// End-to-end latencies of the requests this vproc completed, recorded
     /// by serving programs via

@@ -4,7 +4,7 @@
 //! concurrency, this backend *performs* it:
 //!
 //! * each vproc is an OS thread owning a
-//!   [`WorkerHeap`](mgc_heap::WorkerHeap) — nursery allocation and
+//!   [`mgc_heap::WorkerHeap`] — nursery allocation and
 //!   minor/major collections touch only thread-owned state, so the local-GC
 //!   path takes **zero locks**, exactly the §3.3 claim. A minor collection
 //!   visits only the roots registered since the last local collection
@@ -21,8 +21,8 @@
 //!   tasks on a *private* `VecDeque` it owns outright (no lock, no atomics,
 //!   and — crucially — **no promotion**: a spawned task's heap roots stay in
 //!   the spawner's local heap). A thief posts a
-//!   [`StealRequest`](crate::vproc::StealRequest) to the victim's
-//!   [`StealMailbox`](crate::vproc::StealMailbox) and zeroes the victim's
+//!   [`crate::vproc::StealRequest`] to the victim's
+//!   [`crate::vproc::StealMailbox`] and zeroes the victim's
 //!   limit word; the victim services requests at its next safe point (an
 //!   allocation, `truncate_roots`, a task boundary) by promoting **only the
 //!   stolen task's roots** and handing the
@@ -2051,6 +2051,15 @@ mod tests {
         let mut roots = RootSet::default();
         on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
             scope_checks::null_children_read_as_none(ctx, desc)
+        });
+    }
+
+    #[test]
+    fn ctx_scope_reads_match_handle_reads_across_regions() {
+        let (shared, mut workers, desc, channel) = assembled_for_read_checks();
+        let mut roots = RootSet::default();
+        on_worker(&mut workers[0], &shared, &mut roots, |ctx| {
+            scope_checks::match_across_regions(ctx, desc, channel)
         });
     }
 

@@ -7,7 +7,7 @@
 //! the reason the paper sees quicksort's speedup flatten on large machines
 //! ("limited by its fork-join parallelism", §4.2). A level's result is the
 //! concatenation of its sorted sides and the equal run: a new spine over
-//! their leaves ([`concat`]), so no element is copied on the way up.
+//! their leaves (`rope::concat`), so no element is copied on the way up.
 //!
 //! The paper's Quicksort is compiled code, so the host work around the
 //! `TaskCtx` calls is kept small: the partition is one branch-free pass.

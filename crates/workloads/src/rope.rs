@@ -9,7 +9,7 @@
 //! pointers to raw leaf objects. A leaf holds at most [`LEAF_SIZE`] words
 //! and at least one. A built rope fills every leaf but its last, so its
 //! spine is ⌈n / 256⌉ words for n elements: 1,954 words (about 15 KiB) at
-//! 500,000 elements. [`concat`] shares its parts' leaves, so in a
+//! 500,000 elements. [`concat()`] shares its parts' leaves, so in a
 //! concatenated rope a partial leaf may sit anywhere and the spine may be
 //! longer than ⌈n / 256⌉: Quicksort's sorted 500,000 elements have 2,268
 //! leaves. The spine is the one object whose size grows with the input,
